@@ -17,7 +17,7 @@ use lumos_gnn::{
     EncoderConfig, GnnEncoder, LinearDecoder, MessageGraph,
 };
 use lumos_graph::Graph;
-use lumos_tensor::{Adam, ParamStore, Tape, Tensor, VarId};
+use lumos_tensor::{Adam, ParamStore, Tape, Tensor};
 
 /// Inputs of a plain-graph training run.
 pub struct PlainRun<'a> {
@@ -100,18 +100,16 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         )
     });
 
-    let forward =
-        |tape: &mut Tape, store: &ParamStore, training: bool, rng: &mut Xoshiro256pp| -> VarId {
-            let x = tape.constant(run.features.clone());
-            encoder.forward(tape, store, x, &mg, training, rng)
-        };
-
     let mut best_val = 0.0f64;
     let mut epoch_time = Stopwatch::new();
+    // As in `run_lumos`: one tape, borrowing the features and recycling its
+    // buffers across every step and evaluation.
+    let mut tape = Tape::new();
     for epoch in 0..run.epochs {
         epoch_time.start();
-        let mut tape = Tape::new();
-        let h = forward(&mut tape, &store, true, &mut rng);
+        tape = tape.reset();
+        let x = tape.constant_ref(&run.features);
+        let h = encoder.forward(&mut tape, &store, x, &mg, true, &mut rng);
         let loss_var = match run.task {
             TaskKind::Supervised => {
                 let dec = decoder.as_ref().expect("head");
@@ -135,13 +133,14 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         };
         let loss = tape.value(loss_var).item() as f64;
         store.zero_grad();
-        let grads = tape.backward(loss_var);
-        tape.accumulate_param_grads(&grads, &mut store);
+        tape.accumulate_param_grads(&tape.backward(loss_var), &mut store);
         opt.step(&mut store);
         epoch_time.stop();
 
         if epoch % run.eval_every == 0 || epoch + 1 == run.epochs {
+            tape = tape.reset();
             let val = eval_metric(
+                &mut tape,
                 &run,
                 &encoder,
                 decoder.as_ref(),
@@ -159,7 +158,9 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         }
     }
 
+    tape = tape.reset();
     report.test_metric = eval_metric(
+        &mut tape,
         &run,
         &encoder,
         decoder.as_ref(),
@@ -173,8 +174,11 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
     report
 }
 
-fn eval_metric(
-    run: &PlainRun<'_>,
+/// Validation or test metric (no dropout), recorded on the (emptied) `tape`.
+#[allow(clippy::too_many_arguments)]
+fn eval_metric<'a>(
+    tape: &mut Tape<'a>,
+    run: &'a PlainRun<'_>,
     encoder: &GnnEncoder,
     decoder: Option<&LinearDecoder>,
     store: &ParamStore,
@@ -182,9 +186,8 @@ fn eval_metric(
     test: bool,
     rng: &mut Xoshiro256pp,
 ) -> f64 {
-    let mut tape = Tape::new();
-    let x = tape.constant(run.features.clone());
-    let h = encoder.forward(&mut tape, store, x, mg, false, rng);
+    let x = tape.constant_ref(&run.features);
+    let h = encoder.forward(tape, store, x, mg, false, rng);
     match run.task {
         TaskKind::Supervised => {
             let split = run.node_split.as_ref().expect("split");
@@ -194,7 +197,7 @@ fn eval_metric(
                 &split.val_mask
             };
             let dec = decoder.expect("head");
-            let logits = dec.forward(&mut tape, store, h);
+            let logits = dec.forward(tape, store, h);
             accuracy_masked(tape.value(logits), run.true_labels, mask)
         }
         TaskKind::Unsupervised => {
@@ -204,14 +207,14 @@ fn eval_metric(
             } else {
                 (&split.val_edges, &split.val_negatives)
             };
-            let score = |pairs: &[(u32, u32)], tape: &mut Tape| -> Vec<f32> {
+            let score = |pairs: &[(u32, u32)], tape: &mut Tape<'_>| -> Vec<f32> {
                 let src: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(u, _)| u).collect());
                 let dst: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(_, v)| v).collect());
                 let z = link_logits(tape, h, src, dst);
                 tape.value(z).data().to_vec()
             };
-            let p = score(pos, &mut tape);
-            let ng = score(neg, &mut tape);
+            let p = score(pos, tape);
+            let ng = score(neg, tape);
             roc_auc(&p, &ng)
         }
     }

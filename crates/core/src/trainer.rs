@@ -272,6 +272,10 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     let mut probe_cache: Option<LateProbe> = None;
     let mut pool_cache: (Vec<u32>, PoolArrays) = (Vec::new(), batch.masked_pool(&[]));
     let mut weight_cache: (Vec<f32>, PoolArrays) = (vec![1.0; n], pool_cache.1.clone());
+    // One tape's buffers serve every step and every evaluation of the run.
+    // The tape borrows `batch.features`, which a migration replaces, so it
+    // is parked here — emptied, borrowing nothing — between epochs.
+    let mut idle_tape = Tape::new();
     for epoch in 0..cfg.epochs {
         if let Some(state) = &scenario {
             runtime.set_profiles(state.profiles().to_vec());
@@ -468,7 +472,7 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
             }
             pool_cache.1.clone()
         };
-        let mut tape = Tape::new();
+        let mut tape = idle_tape.reset();
         let h = forward_pooled(
             &mut tape,
             &store,
@@ -508,8 +512,7 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
         let loss = tape.value(loss_var).item() as f64;
 
         store.zero_grad();
-        let grads = tape.backward(loss_var);
-        tape.accumulate_param_grads(&grads, &mut store);
+        tape.accumulate_param_grads(&tape.backward(loss_var), &mut store);
         opt.step(&mut store);
 
         // Protocol message accounting for this epoch (§VI-B/C); devices
@@ -598,7 +601,9 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
 
         // Periodic validation.
         if epoch % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
+            tape = tape.reset();
             let val = evaluate(
+                &mut tape,
                 &store,
                 &encoder,
                 decoder.as_ref(),
@@ -617,10 +622,12 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
                 val_metric: val,
             });
         }
+        idle_tape = tape.reset();
     }
 
     // Phase 5: test metric.
     report.test_metric = evaluate(
+        &mut idle_tape.reset(),
         &store,
         &encoder,
         decoder.as_ref(),
@@ -681,17 +688,17 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
 /// With a topology the POOL runs tier by tier ([`tiered_pool`]); flat mode
 /// keeps the seed op sequence — and therefore its bitstream — untouched.
 #[allow(clippy::too_many_arguments)]
-fn forward_pooled(
-    tape: &mut Tape,
+fn forward_pooled<'a>(
+    tape: &mut Tape<'a>,
     store: &ParamStore,
     encoder: &GnnEncoder,
-    batch: &BatchedTrees,
+    batch: &'a BatchedTrees,
     training: bool,
     rng: &mut Xoshiro256pp,
     pool: &PoolArrays,
     topo: Option<&Topology>,
 ) -> VarId {
-    let x = tape.constant(batch.features.clone());
+    let x = tape.constant_ref(&batch.features);
     let h_tree = encoder.forward(tape, store, x, &batch.mg, training, rng);
     if let Some(topo) = topo {
         if let Some(h) = tiered_pool(tape, h_tree, batch.num_vertices, pool, topo) {
@@ -718,7 +725,7 @@ fn forward_pooled(
 /// Returns `None` when no shard holds a surviving leaf; the caller's flat
 /// sequence then pools the empty arrays to zero exactly as before.
 fn tiered_pool(
-    tape: &mut Tape,
+    tape: &mut Tape<'_>,
     h_tree: VarId,
     num_vertices: usize,
     pool: &PoolArrays,
@@ -749,13 +756,15 @@ fn tiered_pool(
     server_sum.map(|s| tape.scale_rows(s, pool.coeff.clone()))
 }
 
-/// Evaluation on the validation or test split (no dropout).
+/// Evaluation on the validation or test split (no dropout), recorded on
+/// the (emptied) `tape`.
 #[allow(clippy::too_many_arguments)]
-fn evaluate(
+fn evaluate<'a>(
+    tape: &mut Tape<'a>,
     store: &ParamStore,
     encoder: &GnnEncoder,
     decoder: Option<&LinearDecoder>,
-    batch: &BatchedTrees,
+    batch: &'a BatchedTrees,
     ds: &Dataset,
     cfg: &LumosConfig,
     node_split: Option<&NodeSplit>,
@@ -763,13 +772,10 @@ fn evaluate(
     test: bool,
     rng: &mut Xoshiro256pp,
 ) -> f64 {
-    let mut tape = Tape::new();
     // Evaluation is offline: every device's embedding participates, and
     // the pooling runs server-side — no aggregation tier on the wire.
     let full_pool = batch.masked_pool(&[]);
-    let h = forward_pooled(
-        &mut tape, store, encoder, batch, false, rng, &full_pool, None,
-    );
+    let h = forward_pooled(tape, store, encoder, batch, false, rng, &full_pool, None);
     match cfg.task {
         TaskKind::Supervised => {
             let split = node_split.expect("supervised split");
@@ -779,7 +785,7 @@ fn evaluate(
                 &split.val_mask
             };
             let dec = decoder.expect("supervised head");
-            let logits = dec.forward(&mut tape, store, h);
+            let logits = dec.forward(tape, store, h);
             accuracy_masked(tape.value(logits), &ds.labels, mask)
         }
         TaskKind::Unsupervised => {
@@ -789,14 +795,14 @@ fn evaluate(
             } else {
                 (&split.val_edges, &split.val_negatives)
             };
-            let score = |pairs: &[(u32, u32)], tape: &mut Tape| -> Vec<f32> {
+            let score = |pairs: &[(u32, u32)], tape: &mut Tape<'_>| -> Vec<f32> {
                 let src: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(u, _)| u).collect());
                 let dst: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(_, v)| v).collect());
                 let z = link_logits(tape, h, src, dst);
                 tape.value(z).data().to_vec()
             };
-            let pos_scores = score(pos, &mut tape);
-            let neg_scores = score(neg, &mut tape);
+            let pos_scores = score(pos, tape);
+            let neg_scores = score(neg, tape);
             roc_auc(&pos_scores, &neg_scores)
         }
     }

@@ -22,6 +22,8 @@
 //! Results, meters, and gate counts are folded back in word order, so the
 //! outcome is bit-identical however many threads the host machine offers.
 
+use std::sync::OnceLock;
+
 use lumos_common::rng::{SplitMix64, Xoshiro256pp};
 
 use crate::compare::CompareOutcome;
@@ -319,11 +321,17 @@ const MIN_WORDS_TO_SPAWN: usize = 8;
 pub fn secure_compare_batch(seed: u64, pairs: &[(u64, u64)], bits: u32) -> BatchComparison {
     let words: Vec<&[(u64, u64)]> = pairs.chunks(LANES).collect();
     let mut slots: Vec<Option<WordResult>> = vec![None; words.len()];
-    let threads = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(words.len())
-        .max(1);
-    if threads <= 1 || words.len() < MIN_WORDS_TO_SPAWN {
+    // std answers `available_parallelism` by re-reading procfs/cgroup files
+    // (~17 µs a call, more than a small batch's circuit work): small
+    // batches never ask, large ones share one answer per process.
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    let threads = if words.len() < MIN_WORDS_TO_SPAWN {
+        1
+    } else {
+        (*HOST_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
+            .min(words.len())
+    };
+    if threads <= 1 {
         for (w, (slot, lanes)) in slots.iter_mut().zip(&words).enumerate() {
             *slot = Some(run_word(seed, w, lanes, bits));
         }

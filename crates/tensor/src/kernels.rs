@@ -4,6 +4,10 @@
 //! gathering source-node rows along edges, scatter-adding edge messages into
 //! destination nodes, and a segment softmax for attention coefficients. All
 //! are implemented over the dense [`Tensor`] with explicit index arrays.
+//!
+//! Each kernel is written once, as an `_into` form that fills a caller-owned
+//! output (the tape hands it recycled buffers); the allocating function of
+//! the same name wraps it.
 
 use crate::tensor::Tensor;
 
@@ -12,14 +16,20 @@ use crate::tensor::Tensor;
 /// # Panics
 /// Panics if any index is out of bounds.
 pub fn gather_rows(x: &Tensor, idx: &[u32]) -> Tensor {
+    let mut out = Tensor::default();
+    gather_rows_into(x, idx, &mut out);
+    out
+}
+
+/// [`gather_rows`] into `out`, reusing its buffer.
+pub(crate) fn gather_rows_into(x: &Tensor, idx: &[u32], out: &mut Tensor) {
     let (n, d) = x.dims();
-    let mut out = Tensor::zeros(idx.len(), d);
-    for (i, &j) in idx.iter().enumerate() {
+    let buf = out.reshape_empty(idx.len(), d);
+    for &j in idx {
         let j = j as usize;
         assert!(j < n, "gather index {j} out of bounds for {n} rows");
-        out.row_mut(i).copy_from_slice(x.row(j));
+        buf.extend_from_slice(x.row(j));
     }
-    out
 }
 
 /// Scatter-add rows: `out[idx[i], :] += x[i, :]`, with `out` having
@@ -32,9 +42,16 @@ pub fn gather_rows(x: &Tensor, idx: &[u32]) -> Tensor {
 /// # Panics
 /// Panics if `idx.len() != x.rows()` or any index is out of bounds.
 pub fn scatter_add_rows(x: &Tensor, idx: &[u32], out_rows: usize) -> Tensor {
+    let mut out = Tensor::default();
+    scatter_add_rows_into(x, idx, out_rows, &mut out);
+    out
+}
+
+/// [`scatter_add_rows`] into `out`, reusing its buffer.
+pub(crate) fn scatter_add_rows_into(x: &Tensor, idx: &[u32], out_rows: usize, out: &mut Tensor) {
     let (n, d) = x.dims();
     assert_eq!(idx.len(), n, "scatter index length must match row count");
-    let mut out = Tensor::zeros(out_rows, d);
+    out.reshape_filled(out_rows, d, 0.0);
     for (i, &j) in idx.iter().enumerate() {
         let j = j as usize;
         assert!(
@@ -45,7 +62,6 @@ pub fn scatter_add_rows(x: &Tensor, idx: &[u32], out_rows: usize) -> Tensor {
             *o += v;
         }
     }
-    out
 }
 
 /// Multiplies row `i` of `x` by the scalar `coeff[i]` (constant weights, as
@@ -55,15 +71,19 @@ pub fn scatter_add_rows(x: &Tensor, idx: &[u32], out_rows: usize) -> Tensor {
 /// # Panics
 /// Panics if `coeff.len() != x.rows()`.
 pub fn scale_rows(x: &Tensor, coeff: &[f32]) -> Tensor {
+    let mut out = Tensor::default();
+    scale_rows_into(x, coeff, &mut out);
+    out
+}
+
+/// [`scale_rows`] into `out`, reusing its buffer.
+pub(crate) fn scale_rows_into(x: &Tensor, coeff: &[f32], out: &mut Tensor) {
     let (n, d) = x.dims();
     assert_eq!(coeff.len(), n, "coefficient length must match row count");
-    let mut out = x.clone();
-    for (row, &c) in out.data_mut().chunks_exact_mut(d.max(1)).zip(coeff) {
-        for v in row {
-            *v *= c;
-        }
+    let buf = out.reshape_empty(n, d);
+    for (row, &c) in x.data().chunks_exact(d.max(1)).zip(coeff) {
+        buf.extend(row.iter().map(|&v| v * c));
     }
-    out
 }
 
 /// Softmax over segments: entries of `x` (shape `[e, h]`) are grouped by
@@ -77,6 +97,13 @@ pub fn scale_rows(x: &Tensor, coeff: &[f32]) -> Tensor {
 /// # Panics
 /// Panics if `seg.len() != x.rows()` or a segment id is out of bounds.
 pub fn segment_softmax(x: &Tensor, seg: &[u32], n_seg: usize) -> Tensor {
+    let mut out = Tensor::default();
+    segment_softmax_into(x, seg, n_seg, &mut out);
+    out
+}
+
+/// [`segment_softmax`] into `out`, reusing its buffer.
+pub(crate) fn segment_softmax_into(x: &Tensor, seg: &[u32], n_seg: usize, out: &mut Tensor) {
     let (e, h) = x.dims();
     assert_eq!(seg.len(), e, "segment length must match row count");
     // Per-segment, per-column max for stability.
@@ -91,17 +118,16 @@ pub fn segment_softmax(x: &Tensor, seg: &[u32], n_seg: usize) -> Tensor {
         }
     }
     // exp(x - max), accumulate sums.
-    let mut out = Tensor::zeros(e, h);
+    let buf = out.reshape_empty(e, h);
     let mut seg_sum = vec![0.0f32; n_seg * h];
     for (i, &s) in seg.iter().enumerate() {
         let s = s as usize;
         let m = &seg_max[s * h..(s + 1) * h];
         let sums = &mut seg_sum[s * h..(s + 1) * h];
         let row_in = x.row(i);
-        let row_out = out.row_mut(i);
         for c in 0..h {
             let v = (row_in[c] - m[c]).exp();
-            row_out[c] = v;
+            buf.push(v);
             sums[c] += v;
         }
     }
@@ -116,12 +142,24 @@ pub fn segment_softmax(x: &Tensor, seg: &[u32], n_seg: usize) -> Tensor {
             row_out[c] /= sums[c];
         }
     }
-    out
 }
 
 /// Backward pass for [`segment_softmax`]: given the forward output `y` and
 /// the upstream gradient `dy`, returns `dx = y * (dy - sum_seg(dy * y))`.
 pub fn segment_softmax_backward(y: &Tensor, dy: &Tensor, seg: &[u32], n_seg: usize) -> Tensor {
+    let mut dx = Tensor::default();
+    segment_softmax_backward_into(y, dy, seg, n_seg, &mut dx);
+    dx
+}
+
+/// [`segment_softmax_backward`] into `dx`, reusing its buffer.
+pub(crate) fn segment_softmax_backward_into(
+    y: &Tensor,
+    dy: &Tensor,
+    seg: &[u32],
+    n_seg: usize,
+    dx: &mut Tensor,
+) {
     let (e, h) = y.dims();
     assert_eq!(dy.dims(), (e, h), "dy shape mismatch");
     assert_eq!(seg.len(), e, "segment length must match row count");
@@ -135,33 +173,33 @@ pub fn segment_softmax_backward(y: &Tensor, dy: &Tensor, seg: &[u32], n_seg: usi
             dots[c] += yr[c] * dyr[c];
         }
     }
-    let mut dx = Tensor::zeros(e, h);
+    let buf = dx.reshape_empty(e, h);
     for (i, &s) in seg.iter().enumerate() {
         let s = s as usize;
         let dots = &seg_dot[s * h..(s + 1) * h];
         let yr = y.row(i);
         let dyr = dy.row(i);
-        let dxr = dx.row_mut(i);
-        for c in 0..h {
-            dxr[c] = yr[c] * (dyr[c] - dots[c]);
-        }
+        buf.extend((0..h).map(|c| yr[c] * (dyr[c] - dots[c])));
     }
-    dx
 }
 
 /// Row-wise log-softmax for classification heads.
 pub fn log_softmax_rows(x: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    log_softmax_rows_into(x, &mut out);
+    out
+}
+
+/// [`log_softmax_rows`] into `out`, reusing its buffer.
+pub(crate) fn log_softmax_rows_into(x: &Tensor, out: &mut Tensor) {
     let (n, c) = x.dims();
-    let mut out = Tensor::zeros(n, c);
+    let buf = out.reshape_empty(n, c);
     for i in 0..n {
         let row = x.row(i);
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let lse = m + row.iter().map(|&v| (v - m).exp()).sum::<f32>().ln();
-        for (o, &v) in out.row_mut(i).iter_mut().zip(row) {
-            *o = v - lse;
-        }
+        buf.extend(row.iter().map(|&v| v - lse));
     }
-    out
 }
 
 /// Concatenates tensors horizontally (same row count).
@@ -169,21 +207,23 @@ pub fn log_softmax_rows(x: &Tensor) -> Tensor {
 /// # Panics
 /// Panics if the list is empty or row counts differ.
 pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
+    let mut out = Tensor::default();
+    concat_cols_into(parts, &mut out);
+    out
+}
+
+/// [`concat_cols`] into `out`, reusing its buffer.
+pub(crate) fn concat_cols_into(parts: &[&Tensor], out: &mut Tensor) {
     assert!(!parts.is_empty(), "concat_cols needs at least one input");
     let n = parts[0].rows();
     let total: usize = parts.iter().map(|p| p.cols()).sum();
-    let mut out = Tensor::zeros(n, total);
+    let buf = out.reshape_empty(n, total);
     for i in 0..n {
-        let row = out.row_mut(i);
-        let mut off = 0;
         for p in parts {
             assert_eq!(p.rows(), n, "concat_cols requires equal row counts");
-            let pc = p.cols();
-            row[off..off + pc].copy_from_slice(p.row(i));
-            off += pc;
+            buf.extend_from_slice(p.row(i));
         }
     }
-    out
 }
 
 /// Splits a tensor into horizontal blocks with the given column widths
@@ -192,18 +232,31 @@ pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
 /// # Panics
 /// Panics if the widths do not sum to the column count.
 pub fn split_cols(x: &Tensor, widths: &[usize]) -> Vec<Tensor> {
-    let (n, c) = x.dims();
-    assert_eq!(widths.iter().sum::<usize>(), c, "widths must sum to cols");
-    let mut out: Vec<Tensor> = widths.iter().map(|&w| Tensor::zeros(n, w)).collect();
-    for i in 0..n {
-        let row = x.row(i);
-        let mut off = 0;
-        for (b, &w) in out.iter_mut().zip(widths) {
-            b.row_mut(i).copy_from_slice(&row[off..off + w]);
+    assert_eq!(
+        widths.iter().sum::<usize>(),
+        x.cols(),
+        "widths must sum to cols"
+    );
+    let mut off = 0;
+    widths
+        .iter()
+        .map(|&w| {
+            let mut block = Tensor::default();
+            copy_cols_into(x, off, w, &mut block);
             off += w;
-        }
+            block
+        })
+        .collect()
+}
+
+/// Copies the `width` columns of `x` starting at column `off` into `out`,
+/// reusing its buffer: one block of [`split_cols`].
+pub(crate) fn copy_cols_into(x: &Tensor, off: usize, width: usize, out: &mut Tensor) {
+    let n = x.rows();
+    let buf = out.reshape_empty(n, width);
+    for i in 0..n {
+        buf.extend_from_slice(&x.row(i)[off..off + width]);
     }
-    out
 }
 
 #[cfg(test)]

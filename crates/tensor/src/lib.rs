@@ -17,11 +17,13 @@
 //! let mut store = ParamStore::new();
 //! let w = store.add("w", Tensor::scalar(0.0));
 //! let mut opt = Adam::new(0.1);
+//! let target = Tensor::scalar(2.0);
+//! let mut tape = Tape::new();
 //! for _ in 0..200 {
 //!     store.zero_grad();
-//!     let mut tape = Tape::new();
+//!     tape = tape.reset(); // one tape, its buffers recycled every step
 //!     let wv = tape.param(&store, w);
-//!     let target = tape.constant(Tensor::scalar(2.0));
+//!     let target = tape.constant_ref(&target);
 //!     let diff = tape.sub(wv, target);
 //!     let loss = tape.mul(diff, diff);
 //!     let loss = tape.sum_all(loss);

@@ -1,7 +1,7 @@
 //! Trainable parameters and their store.
 //!
 //! A [`ParamStore`] owns every weight of a model together with its gradient
-//! accumulator. Each training step builds a fresh [`crate::tape::Tape`],
+//! accumulator. Each training step records on a (reset) [`crate::tape::Tape`],
 //! introduces the parameters as leaves, runs backward, and folds the leaf
 //! gradients back into the store, after which an optimizer consumes them.
 

@@ -2,16 +2,24 @@
 //!
 //! A [`Tape`] records every operation as a node with an explicit [`Op`]
 //! descriptor (no closures), so the backward pass is a transparent reverse
-//! sweep with a `match` per op. One tape is built per training step; leaves
-//! are constants or snapshots of [`ParamStore`] parameters, and
+//! sweep with a `match` per op. Leaves are constants — owned, or borrowed
+//! for the tape's lifetime — or snapshots of [`ParamStore`] parameters, and
 //! [`Tape::backward`] returns gradients that can be folded back into the
 //! store with [`Tape::accumulate_param_grads`].
+//!
+//! The sweep is demand-driven: every node records whether a parameter lies
+//! below it, and `backward` forms a gradient only for nodes that do. One
+//! tape serves a whole training run: [`Tape::reset`] empties the recording
+//! and keeps every buffer the tape owned on a free list, from which the next
+//! recording and its gradients draw.
 
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::kernels::{
-    concat_cols, gather_rows, log_softmax_rows, scale_rows, scatter_add_rows, segment_softmax,
-    segment_softmax_backward, split_cols,
+    concat_cols_into, copy_cols_into, gather_rows_into, log_softmax_rows_into, scale_rows_into,
+    scatter_add_rows_into, segment_softmax_backward_into, segment_softmax_into,
 };
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -76,34 +84,134 @@ enum Op {
 }
 
 #[derive(Debug)]
-struct Node {
+struct Node<'a> {
     op: Op,
-    value: Tensor,
+    value: Cow<'a, Tensor>,
+    /// Whether a parameter leaf lies at or below this node: only then can a
+    /// gradient arriving here reach anything [`Tape::accumulate_param_grads`]
+    /// reads.
+    needs_grad: bool,
 }
 
-/// Gradients produced by [`Tape::backward`], indexed by [`VarId`].
-#[derive(Debug)]
-pub struct Gradients {
-    grads: Vec<Option<Tensor>>,
+/// Buffers of tensors the tape no longer needs, re-issued by capacity.
+#[derive(Debug, Default)]
+struct FreeList {
+    bufs: Vec<Vec<f32>>,
 }
 
-impl Gradients {
-    /// Gradient of the loss w.r.t. variable `id`, if it participated.
-    pub fn get(&self, id: VarId) -> Option<&Tensor> {
-        self.grads.get(id).and_then(|g| g.as_ref())
+impl FreeList {
+    /// An empty tensor with room for `len` values: backed by the smallest
+    /// free buffer that fits without being more than twice too large, or by
+    /// a fresh allocation.
+    fn take(&mut self, len: usize) -> Tensor {
+        let best = self
+            .bufs
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| (len..=2 * len).contains(&b.capacity()))
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
+        Tensor::from_buffer(match best {
+            Some(i) => self.bufs.swap_remove(i),
+            None => Vec::with_capacity(len),
+        })
+    }
+
+    fn give(&mut self, t: Tensor) {
+        let buf = t.into_buffer();
+        if buf.capacity() > 0 {
+            self.bufs.push(buf);
+        }
     }
 }
 
-/// A recording of a forward computation.
-#[derive(Debug, Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+/// Gradients produced by [`Tape::backward`], indexed by [`VarId`]. Dropping
+/// them hands their buffers back to the tape that produced them.
+#[derive(Debug)]
+pub struct Gradients {
+    grads: Vec<Option<Tensor>>,
+    /// The producing tape's free list — shared rather than borrowed, so the
+    /// tape can be moved (or reset) while its gradients are still held.
+    free: Rc<RefCell<FreeList>>,
 }
 
-impl Tape {
+impl Gradients {
+    /// Gradient of the loss w.r.t. variable `id`, if the loss depends on it
+    /// and a parameter depends on it in turn (constants get none).
+    pub fn get(&self, id: VarId) -> Option<&Tensor> {
+        self.grads.get(id).and_then(|g| g.as_ref())
+    }
+
+    fn buf(&self, len: usize) -> Tensor {
+        self.free.borrow_mut().take(len)
+    }
+
+    fn recycle(&self, t: Tensor) {
+        self.free.borrow_mut().give(t);
+    }
+
+    /// Adds into the gradient of `id` a contribution of `len` values that
+    /// `fill` writes; the first contribution becomes the gradient itself.
+    fn accumulate_with(&mut self, id: VarId, len: usize, fill: impl FnOnce(&mut Tensor)) {
+        let mut g = self.buf(len);
+        fill(&mut g);
+        match &mut self.grads[id] {
+            Some(existing) => {
+                existing.add_assign(&g);
+                self.recycle(g);
+            }
+            slot @ None => *slot = Some(g),
+        }
+    }
+
+    /// Adds `g` — an upstream gradient passed through unchanged, which
+    /// stays with its own node — into the gradient of `id`.
+    fn accumulate_copy(&mut self, id: VarId, g: &Tensor) {
+        match &mut self.grads[id] {
+            Some(existing) => existing.add_assign(g),
+            None => self.accumulate_with(id, g.len(), |copy| g.copy_into(copy)),
+        }
+    }
+}
+
+impl Drop for Gradients {
+    fn drop(&mut self) {
+        let mut free = self.free.borrow_mut();
+        for g in self.grads.drain(..).flatten() {
+            free.give(g);
+        }
+    }
+}
+
+/// A recording of a forward computation. `'a` bounds the constants it
+/// borrows ([`Tape::constant_ref`]).
+#[derive(Debug, Default)]
+pub struct Tape<'a> {
+    nodes: Vec<Node<'a>>,
+    free: Rc<RefCell<FreeList>>,
+}
+
+impl<'a> Tape<'a> {
     /// Creates an empty tape.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empties the recording for the next step, keeping every buffer the
+    /// tape owned for re-use. The emptied tape borrows nothing, so it may
+    /// go on to borrow constants of an unrelated lifetime.
+    #[must_use = "the returned tape holds the recycled buffers"]
+    pub fn reset<'b>(self) -> Tape<'b> {
+        let Tape { nodes, free } = self;
+        for node in nodes {
+            if let Cow::Owned(value) = node.value {
+                free.borrow_mut().give(value);
+            }
+        }
+        Tape {
+            nodes: Vec::new(),
+            free,
+        }
     }
 
     /// Number of recorded nodes.
@@ -121,162 +229,217 @@ impl Tape {
         &self.nodes[id].value
     }
 
-    fn push(&mut self, op: Op, value: Tensor) -> VarId {
-        self.nodes.push(Node { op, value });
+    fn needs_grad(&self, id: VarId) -> bool {
+        self.nodes[id].needs_grad
+    }
+
+    /// An empty output tensor with room for `len` values, recycled if one
+    /// fits.
+    fn buf(&self, len: usize) -> Tensor {
+        self.free.borrow_mut().take(len)
+    }
+
+    fn push_leaf(&mut self, param: Option<ParamId>, value: Cow<'a, Tensor>) -> VarId {
+        self.nodes.push(Node {
+            op: Op::Leaf { param },
+            value,
+            needs_grad: param.is_some(),
+        });
         self.nodes.len() - 1
+    }
+
+    /// Records the result of `op` over `inputs`; it needs a gradient iff
+    /// one of them does.
+    fn push(&mut self, op: Op, inputs: &[VarId], value: Tensor) -> VarId {
+        let needs_grad = inputs.iter().any(|&i| self.needs_grad(i));
+        self.nodes.push(Node {
+            op,
+            value: Cow::Owned(value),
+            needs_grad,
+        });
+        self.nodes.len() - 1
+    }
+
+    /// Records `f(a)`, an elementwise map.
+    fn push_map(&mut self, op: Op, a: VarId, f: impl Fn(f32) -> f32) -> VarId {
+        let mut v = self.buf(self.value(a).len());
+        self.value(a).map_into(&mut v, f);
+        self.push(op, &[a], v)
+    }
+
+    /// Records `f(a, b)`, an elementwise combination of equal shapes.
+    fn push_zip(&mut self, op: Op, a: VarId, b: VarId, f: impl Fn(f32, f32) -> f32) -> VarId {
+        let mut v = self.buf(self.value(a).len());
+        self.value(a).zip_into(self.value(b), &mut v, f);
+        self.push(op, &[a, b], v)
+    }
+
+    /// Records a 1×1 result.
+    fn push_scalar(&mut self, op: Op, a: VarId, value: f32) -> VarId {
+        let mut v = self.buf(1);
+        v.reshape_filled(1, 1, value);
+        self.push(op, &[a], v)
     }
 
     /// Records a constant (non-trainable) input.
     pub fn constant(&mut self, value: Tensor) -> VarId {
-        self.push(Op::Leaf { param: None }, value)
+        self.push_leaf(None, Cow::Owned(value))
+    }
+
+    /// Records a constant the tape only borrows: nothing is copied, and
+    /// `value` must outlive the tape (or its next [`Tape::reset`]).
+    pub fn constant_ref(&mut self, value: &'a Tensor) -> VarId {
+        self.push_leaf(None, Cow::Borrowed(value))
     }
 
     /// Records a snapshot of a trainable parameter as a leaf.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
-        self.push(Op::Leaf { param: Some(id) }, store.value(id).clone())
+        let mut v = self.buf(store.value(id).len());
+        store.value(id).copy_into(&mut v);
+        self.push_leaf(Some(id), Cow::Owned(v))
     }
 
     /// Elementwise sum.
     pub fn add(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.add(&self.nodes[b].value);
-        self.push(Op::Add(a, b), v)
+        self.push_zip(Op::Add(a, b), a, b, |x, y| x + y)
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.sub(&self.nodes[b].value);
-        self.push(Op::Sub(a, b), v)
+        self.push_zip(Op::Sub(a, b), a, b, |x, y| x - y)
     }
 
     /// Elementwise product.
     pub fn mul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.mul(&self.nodes[b].value);
-        self.push(Op::Mul(a, b), v)
+        self.push_zip(Op::Mul(a, b), a, b, |x, y| x * y)
     }
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: VarId, alpha: f32) -> VarId {
-        let v = self.nodes[a].value.scale(alpha);
-        self.push(Op::Scale(a, alpha), v)
+        self.push_map(Op::Scale(a, alpha), a, |x| alpha * x)
     }
 
     /// Adds a `[1, d]` row vector to every row of a `[n, d]` matrix.
     pub fn add_row_broadcast(&mut self, a: VarId, b: VarId) -> VarId {
-        let (n, d) = self.nodes[a].value.dims();
-        let (br, bc) = self.nodes[b].value.dims();
+        let (n, d) = self.value(a).dims();
+        let (br, bc) = self.value(b).dims();
         assert_eq!((br, bc), (1, d), "bias must be [1, {d}], got [{br}, {bc}]");
-        let mut v = self.nodes[a].value.clone();
+        let mut v = self.buf(n * d);
+        let bias = self.value(b).row(0);
+        let buf = v.reshape_empty(n, d);
         for i in 0..n {
-            for (x, &y) in v.row_mut(i).iter_mut().zip(self.nodes[b].value.row(0)) {
-                *x += y;
-            }
+            buf.extend(self.value(a).row(i).iter().zip(bias).map(|(&x, &y)| x + y));
         }
-        self.push(Op::AddRowBroadcast(a, b), v)
+        self.push(Op::AddRowBroadcast(a, b), &[a, b], v)
     }
 
     /// Multiplies each row of a `[n, d]` matrix by the matching entry of a
     /// `[n, 1]` column vector.
     pub fn mul_col_broadcast(&mut self, a: VarId, b: VarId) -> VarId {
-        let (n, _d) = self.nodes[a].value.dims();
-        let (br, bc) = self.nodes[b].value.dims();
+        let (n, d) = self.value(a).dims();
+        let (br, bc) = self.value(b).dims();
         assert_eq!((br, bc), (n, 1), "column factor must be [{n}, 1]");
-        let mut v = self.nodes[a].value.clone();
-        for i in 0..n {
-            let c = self.nodes[b].value.at(i, 0);
-            for x in v.row_mut(i) {
-                *x *= c;
-            }
-        }
-        self.push(Op::MulColBroadcast(a, b), v)
+        let mut v = self.buf(n * d);
+        scale_rows_into(self.value(a), self.value(b).data(), &mut v);
+        self.push(Op::MulColBroadcast(a, b), &[a, b], v)
     }
 
     /// Matrix product.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let v = self.nodes[a].value.matmul(&self.nodes[b].value);
-        self.push(Op::MatMul(a, b), v)
+        let mut v = self.buf(self.value(a).rows() * self.value(b).cols());
+        self.value(a).matmul_into(self.value(b), &mut v);
+        self.push(Op::MatMul(a, b), &[a, b], v)
     }
 
     /// ReLU activation.
     pub fn relu(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a].value.map(|x| x.max(0.0));
-        self.push(Op::Relu(a), v)
+        self.push_map(Op::Relu(a), a, |x| x.max(0.0))
     }
 
     /// Leaky ReLU activation.
     pub fn leaky_relu(&mut self, a: VarId, slope: f32) -> VarId {
-        let v = self.nodes[a]
-            .value
-            .map(|x| if x > 0.0 { x } else { slope * x });
-        self.push(Op::LeakyRelu(a, slope), v)
+        self.push_map(Op::LeakyRelu(a, slope), a, |x| {
+            if x > 0.0 {
+                x
+            } else {
+                slope * x
+            }
+        })
     }
 
     /// Sigmoid activation.
     pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        let v = self.nodes[a].value.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(Op::Sigmoid(a), v)
+        self.push_map(Op::Sigmoid(a), a, |x| 1.0 / (1.0 + (-x).exp()))
     }
 
     /// Inverted dropout. `mask` must contain `0.0` (dropped) or
     /// `1/(1-p)` (kept) per element; sample it with
     /// [`crate::nn::dropout_mask`].
     pub fn dropout(&mut self, a: VarId, mask: Rc<Vec<f32>>) -> VarId {
-        let val = &self.nodes[a].value;
-        assert_eq!(mask.len(), val.len(), "dropout mask length mismatch");
-        let mut v = val.clone();
-        for (x, &m) in v.data_mut().iter_mut().zip(mask.iter()) {
-            *x *= m;
-        }
-        self.push(Op::Dropout(a, mask), v)
+        assert_eq!(
+            mask.len(),
+            self.value(a).len(),
+            "dropout mask length mismatch"
+        );
+        let mut v = self.buf(mask.len());
+        self.value(a).zip_slice_into(&mask, &mut v, |x, m| x * m);
+        self.push(Op::Dropout(a, mask), &[a], v)
     }
 
     /// Gathers rows by index.
     pub fn gather_rows(&mut self, a: VarId, idx: Rc<Vec<u32>>) -> VarId {
-        let v = gather_rows(&self.nodes[a].value, &idx);
-        self.push(Op::GatherRows(a, idx), v)
+        let mut v = self.buf(idx.len() * self.value(a).cols());
+        gather_rows_into(self.value(a), &idx, &mut v);
+        self.push(Op::GatherRows(a, idx), &[a], v)
     }
 
     /// Scatter-adds rows into a tensor with `out_rows` rows.
     pub fn scatter_add_rows(&mut self, a: VarId, idx: Rc<Vec<u32>>, out_rows: usize) -> VarId {
-        let v = scatter_add_rows(&self.nodes[a].value, &idx, out_rows);
-        self.push(Op::ScatterAddRows(a, idx, out_rows), v)
+        let mut v = self.buf(out_rows * self.value(a).cols());
+        scatter_add_rows_into(self.value(a), &idx, out_rows, &mut v);
+        self.push(Op::ScatterAddRows(a, idx, out_rows), &[a], v)
     }
 
     /// Scales each row by a constant coefficient (no gradient to the
     /// coefficients).
     pub fn scale_rows(&mut self, a: VarId, coeff: Rc<Vec<f32>>) -> VarId {
-        let v = scale_rows(&self.nodes[a].value, &coeff);
-        self.push(Op::ScaleRows(a, coeff), v)
+        let mut v = self.buf(self.value(a).len());
+        scale_rows_into(self.value(a), &coeff, &mut v);
+        self.push(Op::ScaleRows(a, coeff), &[a], v)
     }
 
     /// Segment softmax (per destination node, per head).
     pub fn segment_softmax(&mut self, a: VarId, seg: Rc<Vec<u32>>, n_seg: usize) -> VarId {
-        let v = segment_softmax(&self.nodes[a].value, &seg, n_seg);
-        self.push(Op::SegmentSoftmax(a, seg, n_seg), v)
+        let mut v = self.buf(self.value(a).len());
+        segment_softmax_into(self.value(a), &seg, n_seg, &mut v);
+        self.push(Op::SegmentSoftmax(a, seg, n_seg), &[a], v)
     }
 
     /// Horizontal concatenation of several variables.
     pub fn concat_cols(&mut self, parts: &[VarId]) -> VarId {
-        let tensors: Vec<&Tensor> = parts.iter().map(|&p| &self.nodes[p].value).collect();
-        let v = concat_cols(&tensors);
-        self.push(Op::ConcatCols(parts.to_vec()), v)
+        let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
+        let mut v = self.buf(tensors.iter().map(|t| t.len()).sum());
+        concat_cols_into(&tensors, &mut v);
+        self.push(Op::ConcatCols(parts.to_vec()), parts, v)
     }
 
     /// Sum of all elements (1×1 output).
     pub fn sum_all(&mut self, a: VarId) -> VarId {
-        let v = Tensor::scalar(self.nodes[a].value.sum());
-        self.push(Op::SumAll(a), v)
+        let sum = self.value(a).sum();
+        self.push_scalar(Op::SumAll(a), a, sum)
     }
 
     /// Mean of all elements (1×1 output).
     pub fn mean_all(&mut self, a: VarId) -> VarId {
-        let v = Tensor::scalar(self.nodes[a].value.mean());
-        self.push(Op::MeanAll(a), v)
+        let mean = self.value(a).mean();
+        self.push_scalar(Op::MeanAll(a), a, mean)
     }
 
     /// Row-wise log-softmax.
     pub fn log_softmax_rows(&mut self, a: VarId) -> VarId {
-        let v = log_softmax_rows(&self.nodes[a].value);
-        self.push(Op::LogSoftmaxRows(a), v)
+        let mut v = self.buf(self.value(a).len());
+        log_softmax_rows_into(self.value(a), &mut v);
+        self.push(Op::LogSoftmaxRows(a), &[a], v)
     }
 
     /// Masked NLL loss over rows of log-probabilities: returns
@@ -286,7 +449,7 @@ impl Tape {
     /// Panics if lengths disagree, a target is out of range, or the mask sums
     /// to zero.
     pub fn nll_masked(&mut self, logp: VarId, targets: Rc<Vec<u32>>, mask: Rc<Vec<f32>>) -> VarId {
-        let val = &self.nodes[logp].value;
+        let val = self.value(logp);
         let (n, c) = val.dims();
         assert_eq!(targets.len(), n, "targets length mismatch");
         assert_eq!(mask.len(), n, "mask length mismatch");
@@ -298,14 +461,14 @@ impl Tape {
             assert!(t < c, "target {t} out of range for {c} classes");
             total -= mask[i] * val.at(i, t);
         }
-        let v = Tensor::scalar(total / denom);
-        self.push(
+        self.push_scalar(
             Op::NllMasked {
                 logp,
                 targets,
                 mask,
             },
-            v,
+            logp,
+            total / denom,
         )
     }
 
@@ -315,185 +478,223 @@ impl Tape {
     /// # Panics
     /// Panics if `targets.len()` differs from the element count.
     pub fn bce_with_logits_mean(&mut self, logits: VarId, targets: Rc<Vec<f32>>) -> VarId {
-        let val = &self.nodes[logits].value;
+        let val = self.value(logits);
         assert_eq!(targets.len(), val.len(), "targets length mismatch");
         let mut total = 0.0f32;
         for (&z, &t) in val.data().iter().zip(targets.iter()) {
             total += z.max(0.0) - z * t + (1.0 + (-z.abs()).exp()).ln();
         }
-        let v = Tensor::scalar(total / targets.len() as f32);
-        self.push(Op::BceWithLogitsMean { logits, targets }, v)
+        let mean = total / targets.len() as f32;
+        self.push_scalar(Op::BceWithLogitsMean { logits, targets }, logits, mean)
     }
 
-    /// Reverse sweep from a scalar loss.
+    /// Reverse sweep from a scalar loss. Gradients are formed only for
+    /// nodes with a parameter below them, so a constant operand costs
+    /// nothing (`MatMul(X_const, W)` computes `Xᵀg` alone) and a loss that
+    /// reaches no parameter yields no gradients at all.
     ///
     /// # Panics
     /// Panics if `loss` is not 1×1.
     pub fn backward(&self, loss: VarId) -> Gradients {
         assert_eq!(
-            self.nodes[loss].value.dims(),
+            self.value(loss).dims(),
             (1, 1),
             "backward starts from a scalar loss"
         );
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss] = Some(Tensor::scalar(1.0));
-
+        let mut grads = Gradients {
+            grads: vec![None; self.nodes.len()],
+            free: Rc::clone(&self.free),
+        };
+        if self.needs_grad(loss) {
+            let mut seed = grads.buf(1);
+            seed.reshape_filled(1, 1, 1.0);
+            grads.grads[loss] = Some(seed);
+        }
         for id in (0..=loss).rev() {
-            let Some(g) = grads[id].take() else {
+            // A gradient only ever lands on a node that needs one. It is
+            // moved out for the node's arm to read and put back after, so
+            // callers can still inspect intermediate gradients.
+            let Some(g) = grads.grads[id].take() else {
                 continue;
             };
-            // Put it back so callers can inspect intermediate grads.
-            let g_ref = g.clone();
-            grads[id] = Some(g);
-            let g = g_ref;
-            match &self.nodes[id].op {
-                Op::Leaf { .. } => {}
-                Op::Add(a, b) => {
-                    accumulate(&mut grads, *a, &g);
-                    accumulate(&mut grads, *b, &g);
-                }
-                Op::Sub(a, b) => {
-                    accumulate(&mut grads, *a, &g);
-                    accumulate(&mut grads, *b, &g.scale(-1.0));
-                }
-                Op::Mul(a, b) => {
-                    let da = g.mul(&self.nodes[*b].value);
-                    let db = g.mul(&self.nodes[*a].value);
-                    accumulate(&mut grads, *a, &da);
-                    accumulate(&mut grads, *b, &db);
-                }
-                Op::Scale(a, alpha) => {
-                    accumulate(&mut grads, *a, &g.scale(*alpha));
-                }
-                Op::AddRowBroadcast(a, b) => {
-                    accumulate(&mut grads, *a, &g);
-                    accumulate(&mut grads, *b, &g.sum_rows());
-                }
-                Op::MulColBroadcast(a, b) => {
-                    let bval = &self.nodes[*b].value;
-                    let aval = &self.nodes[*a].value;
-                    let (n, _d) = aval.dims();
-                    let mut da = g.clone();
-                    for i in 0..n {
-                        let c = bval.at(i, 0);
-                        for x in da.row_mut(i) {
-                            *x *= c;
-                        }
+            self.propagate(id, &g, &mut grads);
+            grads.grads[id] = Some(g);
+        }
+        grads
+    }
+
+    /// Pushes `g`, the gradient of node `id`, down to each operand that
+    /// needs one.
+    fn propagate(&self, id: VarId, g: &Tensor, grads: &mut Gradients) {
+        // A unary op's operand needs a gradient whenever the node itself
+        // does, so only the multi-operand arms ask.
+        match &self.nodes[id].op {
+            Op::Leaf { .. } => {}
+            Op::Add(a, b) => {
+                for &x in [a, b] {
+                    if self.needs_grad(x) {
+                        grads.accumulate_copy(x, g);
                     }
-                    accumulate(&mut grads, *a, &da);
-                    let db = g.mul(aval).sum_cols();
-                    accumulate(&mut grads, *b, &db);
-                }
-                Op::MatMul(a, b) => {
-                    let da = g.matmul_nt(&self.nodes[*b].value);
-                    let db = self.nodes[*a].value.matmul_tn(&g);
-                    accumulate(&mut grads, *a, &da);
-                    accumulate(&mut grads, *b, &db);
-                }
-                Op::Relu(a) => {
-                    let x = &self.nodes[*a].value;
-                    let da = g.zip(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 });
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let x = &self.nodes[*a].value;
-                    let s = *slope;
-                    let da = g.zip(x, |gi, xi| if xi > 0.0 { gi } else { s * gi });
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::Sigmoid(a) => {
-                    let y = &self.nodes[id].value;
-                    let da = g.zip(y, |gi, yi| gi * yi * (1.0 - yi));
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::Dropout(a, mask) => {
-                    let mut da = g.clone();
-                    for (x, &m) in da.data_mut().iter_mut().zip(mask.iter()) {
-                        *x *= m;
-                    }
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::GatherRows(a, idx) => {
-                    let rows = self.nodes[*a].value.rows();
-                    let da = scatter_add_rows(&g, idx, rows);
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::ScatterAddRows(a, idx, out_rows) => {
-                    debug_assert_eq!(g.rows(), *out_rows, "upstream gradient shape");
-                    let da = gather_rows(&g, idx);
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::ScaleRows(a, coeff) => {
-                    let da = scale_rows(&g, coeff);
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::SegmentSoftmax(a, seg, n_seg) => {
-                    let y = &self.nodes[id].value;
-                    let da = segment_softmax_backward(y, &g, seg, *n_seg);
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::ConcatCols(parts) => {
-                    let widths: Vec<usize> =
-                        parts.iter().map(|&p| self.nodes[p].value.cols()).collect();
-                    let pieces = split_cols(&g, &widths);
-                    for (&p, piece) in parts.iter().zip(&pieces) {
-                        accumulate(&mut grads, p, piece);
-                    }
-                }
-                Op::SumAll(a) => {
-                    let (r, c) = self.nodes[*a].value.dims();
-                    let da = Tensor::full(r, c, g.item());
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::MeanAll(a) => {
-                    let (r, c) = self.nodes[*a].value.dims();
-                    let da = Tensor::full(r, c, g.item() / (r * c) as f32);
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::LogSoftmaxRows(a) => {
-                    // dx = g - softmax(x) * rowsum(g)
-                    let y = &self.nodes[id].value; // log-probs
-                    let (n, c) = y.dims();
-                    let mut da = g.clone();
-                    for i in 0..n {
-                        let row_g_sum: f32 = g.row(i).iter().sum();
-                        let yr = y.row(i);
-                        let dr = da.row_mut(i);
-                        for j in 0..c {
-                            dr[j] -= yr[j].exp() * row_g_sum;
-                        }
-                    }
-                    accumulate(&mut grads, *a, &da);
-                }
-                Op::NllMasked {
-                    logp,
-                    targets,
-                    mask,
-                } => {
-                    let (n, c) = self.nodes[*logp].value.dims();
-                    let denom: f32 = mask.iter().sum();
-                    let scale = g.item() / denom;
-                    let mut da = Tensor::zeros(n, c);
-                    for i in 0..n {
-                        let t = targets[i] as usize;
-                        da.set(i, t, -mask[i] * scale);
-                    }
-                    accumulate(&mut grads, *logp, &da);
-                }
-                Op::BceWithLogitsMean { logits, targets } => {
-                    let z = &self.nodes[*logits].value;
-                    let n = targets.len() as f32;
-                    let scale = g.item() / n;
-                    let mut da = z.clone();
-                    for (x, &t) in da.data_mut().iter_mut().zip(targets.iter()) {
-                        let sig = 1.0 / (1.0 + (-*x).exp());
-                        *x = (sig - t) * scale;
-                    }
-                    accumulate(&mut grads, *logits, &da);
                 }
             }
+            Op::Sub(a, b) => {
+                if self.needs_grad(*a) {
+                    grads.accumulate_copy(*a, g);
+                }
+                if self.needs_grad(*b) {
+                    grads.accumulate_with(*b, g.len(), |db| g.map_into(db, |x| -x));
+                }
+            }
+            Op::Mul(a, b) => {
+                for (&x, &other) in [(a, b), (b, a)] {
+                    if self.needs_grad(x) {
+                        grads.accumulate_with(x, g.len(), |dx| {
+                            g.zip_into(self.value(other), dx, |gi, oi| gi * oi)
+                        });
+                    }
+                }
+            }
+            Op::Scale(a, alpha) => {
+                grads.accumulate_with(*a, g.len(), |da| g.map_into(da, |x| alpha * x));
+            }
+            Op::AddRowBroadcast(a, b) => {
+                if self.needs_grad(*a) {
+                    grads.accumulate_copy(*a, g);
+                }
+                if self.needs_grad(*b) {
+                    grads.accumulate_with(*b, g.cols(), |db| g.sum_rows_into(db));
+                }
+            }
+            Op::MulColBroadcast(a, b) => {
+                if self.needs_grad(*a) {
+                    grads.accumulate_with(*a, g.len(), |da| {
+                        scale_rows_into(g, self.value(*b).data(), da)
+                    });
+                }
+                if self.needs_grad(*b) {
+                    let mut weighted = grads.buf(g.len());
+                    g.zip_into(self.value(*a), &mut weighted, |gi, ai| gi * ai);
+                    grads.accumulate_with(*b, g.rows(), |db| weighted.sum_cols_into(db));
+                    grads.recycle(weighted);
+                }
+            }
+            Op::MatMul(a, b) => {
+                if self.needs_grad(*a) {
+                    grads.accumulate_with(*a, self.value(*a).len(), |da| {
+                        g.matmul_nt_into(self.value(*b), da)
+                    });
+                }
+                if self.needs_grad(*b) {
+                    grads.accumulate_with(*b, self.value(*b).len(), |db| {
+                        self.value(*a).matmul_tn_into(g, db)
+                    });
+                }
+            }
+            Op::Relu(a) => {
+                grads.accumulate_with(*a, g.len(), |da| {
+                    g.zip_into(self.value(*a), da, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+                });
+            }
+            Op::LeakyRelu(a, slope) => {
+                grads.accumulate_with(*a, g.len(), |da| {
+                    g.zip_into(
+                        self.value(*a),
+                        da,
+                        |gi, xi| if xi > 0.0 { gi } else { slope * gi },
+                    )
+                });
+            }
+            Op::Sigmoid(a) => {
+                grads.accumulate_with(*a, g.len(), |da| {
+                    g.zip_into(self.value(id), da, |gi, yi| gi * yi * (1.0 - yi))
+                });
+            }
+            Op::Dropout(a, mask) => {
+                grads.accumulate_with(*a, g.len(), |da| g.zip_slice_into(mask, da, |x, m| x * m));
+            }
+            Op::GatherRows(a, idx) => {
+                let rows = self.value(*a).rows();
+                grads.accumulate_with(*a, self.value(*a).len(), |da| {
+                    scatter_add_rows_into(g, idx, rows, da)
+                });
+            }
+            Op::ScatterAddRows(a, idx, out_rows) => {
+                debug_assert_eq!(g.rows(), *out_rows, "upstream gradient shape");
+                grads.accumulate_with(*a, self.value(*a).len(), |da| gather_rows_into(g, idx, da));
+            }
+            Op::ScaleRows(a, coeff) => {
+                grads.accumulate_with(*a, g.len(), |da| scale_rows_into(g, coeff, da));
+            }
+            Op::SegmentSoftmax(a, seg, n_seg) => {
+                grads.accumulate_with(*a, g.len(), |da| {
+                    segment_softmax_backward_into(self.value(id), g, seg, *n_seg, da)
+                });
+            }
+            Op::ConcatCols(parts) => {
+                let mut off = 0;
+                for &p in parts {
+                    let width = self.value(p).cols();
+                    if self.needs_grad(p) {
+                        grads.accumulate_with(p, g.rows() * width, |dp| {
+                            copy_cols_into(g, off, width, dp)
+                        });
+                    }
+                    off += width;
+                }
+            }
+            Op::SumAll(a) => {
+                let (r, c) = self.value(*a).dims();
+                grads.accumulate_with(*a, r * c, |da| da.reshape_filled(r, c, g.item()));
+            }
+            Op::MeanAll(a) => {
+                let (r, c) = self.value(*a).dims();
+                grads.accumulate_with(*a, r * c, |da| {
+                    da.reshape_filled(r, c, g.item() / (r * c) as f32)
+                });
+            }
+            Op::LogSoftmaxRows(a) => {
+                // dx = g - softmax(x) * rowsum(g)
+                let y = self.value(id); // log-probs
+                let (n, c) = y.dims();
+                grads.accumulate_with(*a, n * c, |da| {
+                    let buf = da.reshape_empty(n, c);
+                    for i in 0..n {
+                        let row_g_sum: f32 = g.row(i).iter().sum();
+                        buf.extend(
+                            g.row(i)
+                                .iter()
+                                .zip(y.row(i))
+                                .map(|(&gj, &yj)| gj - yj.exp() * row_g_sum),
+                        );
+                    }
+                });
+            }
+            Op::NllMasked {
+                logp,
+                targets,
+                mask,
+            } => {
+                let (n, c) = self.value(*logp).dims();
+                let denom: f32 = mask.iter().sum();
+                let scale = g.item() / denom;
+                grads.accumulate_with(*logp, n * c, |da| {
+                    da.reshape_filled(n, c, 0.0);
+                    for i in 0..n {
+                        da.set(i, targets[i] as usize, -mask[i] * scale);
+                    }
+                });
+            }
+            Op::BceWithLogitsMean { logits, targets } => {
+                let z = self.value(*logits);
+                let scale = g.item() / targets.len() as f32;
+                grads.accumulate_with(*logits, z.len(), |da| {
+                    z.zip_slice_into(targets, da, |x, t| {
+                        let sig = 1.0 / (1.0 + (-x).exp());
+                        (sig - t) * scale
+                    })
+                });
+            }
         }
-        Gradients { grads }
     }
 
     /// Folds leaf gradients into the owning [`ParamStore`].
@@ -505,13 +706,6 @@ impl Tape {
                 }
             }
         }
-    }
-}
-
-fn accumulate(grads: &mut [Option<Tensor>], id: VarId, g: &Tensor) {
-    match &mut grads[id] {
-        Some(existing) => existing.add_assign(g),
-        slot @ None => *slot = Some(g.clone()),
     }
 }
 

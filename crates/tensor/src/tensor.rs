@@ -9,7 +9,7 @@
 use lumos_common::rng::Xoshiro256pp;
 
 /// Dense row-major matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
@@ -47,11 +47,54 @@ impl Tensor {
 
     /// Constant-filled tensor.
     pub fn full(rows: usize, cols: usize, value: f32) -> Self {
+        let mut out = Self::default();
+        out.reshape_filled(rows, cols, value);
+        out
+    }
+
+    /// An empty `[0, 0]` tensor that keeps `data`'s allocation, ready to be
+    /// the output of an `_into` op.
+    pub(crate) fn from_buffer(mut data: Vec<f32>) -> Self {
+        data.clear();
         Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
+            rows: 0,
+            cols: 0,
+            data,
         }
+    }
+
+    /// The backing buffer, for recycling.
+    pub(crate) fn into_buffer(self) -> Vec<f32> {
+        self.data
+    }
+
+    /// Re-dimensions to `[rows, cols]` and hands out the emptied buffer with
+    /// room reserved; the caller must push exactly `rows * cols` values.
+    /// Ops that overwrite every element start here, so a recycled buffer
+    /// costs them no fill and its old contents are unreachable.
+    pub(crate) fn reshape_empty(&mut self, rows: usize, cols: usize) -> &mut Vec<f32> {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.reserve(rows * cols);
+        &mut self.data
+    }
+
+    /// Re-dimensions to `[rows, cols]` with every element set to `value`.
+    /// Ops that accumulate into their output (`matmul*`, `sum_rows`,
+    /// `scatter_add_rows`) start here with `0.0`: a recycled buffer holds an
+    /// earlier tensor's values.
+    pub(crate) fn reshape_filled(&mut self, rows: usize, cols: usize, value: f32) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, value);
+    }
+
+    /// Copies `self` into `out`, reusing `out`'s buffer.
+    pub(crate) fn copy_into(&self, out: &mut Self) {
+        out.reshape_empty(self.rows, self.cols)
+            .extend_from_slice(&self.data);
     }
 
     /// 1×1 tensor holding a scalar.
@@ -180,11 +223,15 @@ impl Tensor {
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
+        let mut out = Self::default();
+        self.map_into(&mut out, f);
+        out
+    }
+
+    /// [`Tensor::map`] into `out`, reusing its buffer.
+    pub(crate) fn map_into(&self, out: &mut Self, f: impl Fn(f32) -> f32) {
+        out.reshape_empty(self.rows, self.cols)
+            .extend(self.data.iter().map(|&x| f(x)));
     }
 
     /// Applies `f` elementwise in place.
@@ -214,21 +261,32 @@ impl Tensor {
 
     /// Elementwise combination with another tensor of identical shape.
     pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
+        let mut out = Self::default();
+        self.zip_into(other, &mut out, f);
+        out
+    }
+
+    /// [`Tensor::zip`] into `out`, reusing its buffer.
+    pub(crate) fn zip_into(&self, other: &Self, out: &mut Self, f: impl Fn(f32, f32) -> f32) {
         assert_eq!(
             self.dims(),
             other.dims(),
             "shape mismatch in elementwise op"
         );
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
-        }
+        self.zip_slice_into(&other.data, out, f);
+    }
+
+    /// Elementwise combination with a flat slice holding one value per
+    /// element (a dropout mask, per-element targets), into `out`.
+    pub(crate) fn zip_slice_into(
+        &self,
+        other: &[f32],
+        out: &mut Self,
+        f: impl Fn(f32, f32) -> f32,
+    ) {
+        assert_eq!(self.data.len(), other.len(), "length mismatch in zip");
+        out.reshape_empty(self.rows, self.cols)
+            .extend(self.data.iter().zip(other).map(|(&a, &b)| f(a, b)));
     }
 
     /// In-place `self += other`.
@@ -290,16 +348,23 @@ impl Tensor {
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn matmul(&self, other: &Self) -> Self {
+        let mut out = Self::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul`] into `out`, reusing its buffer.
+    pub(crate) fn matmul_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, other.rows,
             "matmul inner dims: [{},{}] @ [{},{}]",
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; m * n];
+        out.reshape_filled(m, n, 0.0);
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
+            let o_row = &mut out.data[i * n..(i + 1) * n];
             for (kk, &a) in a_row.iter().enumerate() {
                 if a != 0.0 {
                     let b_row = &other.data[kk * n..(kk + 1) * n];
@@ -309,72 +374,95 @@ impl Tensor {
                 }
             }
         }
-        Self::from_vec(m, n, out)
     }
 
     /// `self @ other^T` without materializing the transpose.
     pub fn matmul_nt(&self, other: &Self) -> Self {
+        let mut out = Self::default();
+        self.matmul_nt_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_nt`] into `out`, reusing its buffer.
+    pub(crate) fn matmul_nt_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt inner dims: [{},{}] @ [{},{}]^T",
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = vec![0.0f32; m * n];
+        let buf = out.reshape_empty(m, n);
         for i in 0..m {
             let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (j, o) in o_row.iter_mut().enumerate() {
+            buf.extend((0..n).map(|j| {
                 let b_row = &other.data[j * k..(j + 1) * k];
                 let mut acc = 0.0f32;
                 for (&a, &b) in a_row.iter().zip(b_row) {
                     acc += a * b;
                 }
-                *o = acc;
-            }
+                acc
+            }));
         }
-        Self::from_vec(m, n, out)
     }
 
     /// `self^T @ other` without materializing the transpose.
     pub fn matmul_tn(&self, other: &Self) -> Self {
+        let mut out = Self::default();
+        self.matmul_tn_into(other, &mut out);
+        out
+    }
+
+    /// [`Tensor::matmul_tn`] into `out`, reusing its buffer.
+    pub(crate) fn matmul_tn_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn inner dims: [{},{}]^T @ [{},{}]",
             self.rows, self.cols, other.rows, other.cols
         );
         let (m, k, n) = (self.cols, self.rows, other.cols);
-        let mut out = vec![0.0f32; m * n];
+        out.reshape_filled(m, n, 0.0);
         for kk in 0..k {
             let a_row = &self.data[kk * m..(kk + 1) * m];
             let b_row = &other.data[kk * n..(kk + 1) * n];
             for (i, &a) in a_row.iter().enumerate() {
                 if a != 0.0 {
-                    let o_row = &mut out[i * n..(i + 1) * n];
+                    let o_row = &mut out.data[i * n..(i + 1) * n];
                     for (o, &b) in o_row.iter_mut().zip(b_row) {
                         *o += a * b;
                     }
                 }
             }
         }
-        Self::from_vec(m, n, out)
     }
 
     /// Sum over rows, producing a `[1, cols]` row vector.
     pub fn sum_rows(&self) -> Self {
-        let mut out = vec![0.0f32; self.cols];
+        let mut out = Self::default();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::sum_rows`] into `out`, reusing its buffer.
+    pub(crate) fn sum_rows_into(&self, out: &mut Self) {
+        out.reshape_filled(1, self.cols, 0.0);
         for r in 0..self.rows {
-            for (o, &x) in out.iter_mut().zip(self.row(r)) {
+            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
-        Self::from_vec(1, self.cols, out)
     }
 
     /// Sum over columns, producing an `[rows, 1]` column vector.
     pub fn sum_cols(&self) -> Self {
-        let data = (0..self.rows).map(|r| self.row(r).iter().sum()).collect();
-        Self::from_vec(self.rows, 1, data)
+        let mut out = Self::default();
+        self.sum_cols_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::sum_cols`] into `out`, reusing its buffer.
+    pub(crate) fn sum_cols_into(&self, out: &mut Self) {
+        out.reshape_empty(self.rows, 1)
+            .extend((0..self.rows).map(|r| self.row(r).iter().sum::<f32>()));
     }
 
     /// Maximum absolute difference from another tensor of identical shape.

@@ -6,10 +6,13 @@
 //! (wall-clock fields excepted). This is what makes any CI failure in the
 //! integration suites reproducible locally from the printed seed.
 
-use lumos::core::{run_lumos, BalanceObjective, LumosConfig, RunReport, TaskKind};
+use lumos::core::{
+    run_lumos, AggregationPolicy, BalanceObjective, LumosConfig, RunReport, TaskKind,
+    TopologyConfig,
+};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
-use lumos::sim::Scenario;
+use lumos::sim::{FaultSpec, Scenario};
 
 fn smoke_run(seed: u64) -> RunReport {
     let ds = Dataset::facebook_like(Scale::Smoke);
@@ -80,6 +83,47 @@ fn same_seed_gives_identical_reports() {
     let first = smoke_run(0xC0FFEE);
     let second = smoke_run(0xC0FFEE);
     assert_reports_identical(&first, &second);
+}
+
+#[test]
+fn same_seed_gives_identical_reports_off_the_default_path() {
+    // The default run never visits the tape's `MulColBroadcast` /
+    // `SegmentSoftmax` / `ConcatCols` arms (GAT), `BceWithLogitsMean`
+    // (link prediction) or the tiered `Add` of shard partials with
+    // per-leaf staleness weights (the fully loaded config); each run draws
+    // its buffers from one recycled tape, so a stale one would show here.
+    let base = |backbone, task| {
+        LumosConfig::new(backbone, task)
+            .with_epochs(6)
+            .with_mcmc_iterations(10)
+            .with_seed(0xFACADE)
+    };
+    let loaded = base(Backbone::Gcn, TaskKind::Supervised)
+        .with_scenario(Scenario::StragglerTail)
+        .with_balance_objective(BalanceObjective::VirtualSecs)
+        .with_topology(TopologyConfig::Hierarchical { aggregators: 8 })
+        .with_aggregation_policy(AggregationPolicy::Buffered {
+            factor: 2.0,
+            decay: 0.5,
+        })
+        .with_faults(FaultSpec::message_loss(0.05));
+    let ds = Dataset::facebook_like(Scale::Smoke);
+    for cfg in [
+        base(Backbone::Gat, TaskKind::Supervised),
+        base(Backbone::Gcn, TaskKind::Unsupervised),
+        loaded,
+    ] {
+        let (a, b) = (run_lumos(&ds, &cfg), run_lumos(&ds, &cfg));
+        assert_reports_identical(&a, &b);
+        assert!(a.history.iter().all(|h| h.loss.is_finite()));
+        if let (Some(sa), Some(sb)) = (&a.sim, &b.sim) {
+            assert_eq!(
+                sa.total_virtual_secs.to_bits(),
+                sb.total_virtual_secs.to_bits()
+            );
+            assert_eq!(sa.buffered_updates, sb.buffered_updates);
+        }
+    }
 }
 
 #[test]
