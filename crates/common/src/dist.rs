@@ -47,7 +47,7 @@ impl Normal {
 /// Discrete bounded power law on `{min, .., max}` with `P(k) ∝ k^{-alpha}`.
 ///
 /// This is the degree model for the synthetic social graphs: real-world
-/// degree distributions follow power laws (Clauset et al., cited as [32] in
+/// degree distributions follow power laws (Clauset et al., cited as \[32\] in
 /// the paper), which is exactly what creates the straggler problem the tree
 /// trimmer solves.
 #[derive(Debug, Clone)]

@@ -65,71 +65,34 @@ impl BatchedTrees {
         self.mg.num_nodes
     }
 
-    /// POOL arrays `(leaves, vertices, coeff)` with every leaf owned by a
-    /// `dropped` device removed and the mean-pool coefficients renormalized
-    /// over the survivors — the semi-synchronous deadline's view of Eq. 31,
-    /// where late updates never reach the aggregation. A vertex whose every
-    /// contributor was dropped pools to zero (coefficient 0). With no drops
-    /// the original arrays are returned untouched (same `Rc`s), so the
-    /// default full-sync path is bit-identical.
+    /// POOL arrays with every leaf owned by a `dropped` device removed and
+    /// the mean-pool coefficients renormalized over the survivors — the
+    /// semi-synchronous deadline's view of Eq. 31, where late updates never
+    /// reach the aggregation. A mask is the 0/1 case of
+    /// [`BatchedTrees::weighted_pool`]: a vertex whose every contributor
+    /// was dropped pools to zero (coefficient 0), and with no drops the
+    /// batch's own arrays come back untouched (same `Rc`s).
     pub fn masked_pool(&self, dropped: &[u32]) -> PoolArrays {
-        if dropped.is_empty() {
-            return PoolArrays {
-                leaves: self.pool_leaves.clone(),
-                vertices: self.pool_vertices.clone(),
-                coeff: self.pool_coeff.clone(),
-                owners: self.pool_owners.clone(),
-                leaf_weights: None,
-            };
-        }
-        let mut is_dropped = vec![false; self.num_vertices];
+        let mut weights = vec![1.0f32; self.num_vertices];
         for &d in dropped {
-            is_dropped[d as usize] = true;
+            weights[d as usize] = 0.0;
         }
-        let mut leaves = Vec::with_capacity(self.pool_leaves.len());
-        let mut vertices = Vec::with_capacity(self.pool_vertices.len());
-        let mut owners = Vec::with_capacity(self.pool_owners.len());
-        let mut counts = vec![0u32; self.num_vertices];
-        for ((&leaf, &vertex), &owner) in self
-            .pool_leaves
-            .iter()
-            .zip(self.pool_vertices.iter())
-            .zip(self.pool_owners.iter())
-        {
-            if is_dropped[owner as usize] {
-                continue;
-            }
-            leaves.push(leaf);
-            vertices.push(vertex);
-            owners.push(owner);
-            counts[vertex as usize] += 1;
-        }
-        let coeff = counts
-            .iter()
-            .map(|&c| if c == 0 { 0.0 } else { 1.0 / c as f32 })
-            .collect();
-        PoolArrays {
-            leaves: Rc::new(leaves),
-            vertices: Rc::new(vertices),
-            coeff: Rc::new(coeff),
-            owners: Rc::new(owners),
-            leaf_weights: None,
-        }
+        self.weighted_pool(&weights)
     }
 
     /// POOL arrays with each device's contribution scaled by
-    /// `weights[owner]` — the staleness-weighted generalization of
-    /// [`BatchedTrees::masked_pool`] (Eq. 31 as a weighted mean): weight 0
-    /// removes a device's leaves exactly like a mask, a fractional weight
-    /// scales each of its leaf rows before the scatter-add, and each
-    /// vertex's mean coefficient renormalizes by the surviving weight sum.
+    /// `weights[owner]` (Eq. 31 as a weighted mean): weight 0 removes a
+    /// device's leaves, a fractional weight scales each of its leaf rows
+    /// before the scatter-add, and each vertex's mean coefficient
+    /// renormalizes by the surviving weight sum.
     /// A device may legitimately weigh more than 1 when its fresh update
     /// and a buffered stale one pool in the same round.
     ///
-    /// Bit-compatibility: all-ones weights return the original arrays
-    /// untouched (same `Rc`s), and a pure 0/1 mask produces integer-count
-    /// coefficients identical to `masked_pool` of the zero-weight set — so
-    /// the buffered policy with nothing buffered is bitwise the deadline.
+    /// Bit-compatibility: all-ones weights return the batch's own arrays
+    /// untouched (same `Rc`s), so the default path's op sequence and
+    /// bitstream never change; a pure 0/1 weighting produces integer-count
+    /// coefficients and no per-leaf scale — so the buffered policy with
+    /// nothing buffered is bitwise the deadline.
     pub fn weighted_pool(&self, weights: &[f32]) -> PoolArrays {
         assert_eq!(weights.len(), self.num_vertices, "one weight per device");
         debug_assert!(
@@ -137,7 +100,13 @@ impl BatchedTrees {
             "pool weights must be finite and non-negative"
         );
         if weights.iter().all(|&w| w == 1.0) {
-            return self.masked_pool(&[]);
+            return PoolArrays {
+                leaves: self.pool_leaves.clone(),
+                vertices: self.pool_vertices.clone(),
+                coeff: self.pool_coeff.clone(),
+                owners: self.pool_owners.clone(),
+                leaf_weights: None,
+            };
         }
         let mut leaves = Vec::with_capacity(self.pool_leaves.len());
         let mut vertices = Vec::with_capacity(self.pool_vertices.len());
@@ -386,16 +355,22 @@ mod tests {
 
     #[test]
     fn zero_one_weights_match_the_mask_bit_for_bit() {
-        // A pure 0/1 weighting is a mask: same arrays, same integer-count
-        // coefficients, no per-leaf scaling op.
+        // A pure 0/1 weighting is a mask: the dropped owner's leaves leave
+        // the arrays, coefficients are exact integer-count reciprocals, and
+        // no per-leaf scaling op appears.
         let (trees, features, dim, ex) = build_example();
         let batch = build_batched(&trees, &features, dim, &ex);
-        let masked = batch.masked_pool(&[1]);
+        // Batched layout: a root, then (parent, center leaf, neighbor leaf)
+        // per branch — tree 0 = nodes 0..4, tree 1 = 4..11, tree 2 = 11..15.
+        assert_eq!(*batch.pool_leaves, vec![2, 3, 6, 7, 9, 10, 13, 14]);
+        assert_eq!(*batch.pool_vertices, vec![0, 1, 1, 0, 1, 2, 2, 1]);
         let weighted = batch.weighted_pool(&[1.0, 0.0, 1.0]);
-        assert_eq!(*weighted.leaves, *masked.leaves);
-        assert_eq!(*weighted.vertices, *masked.vertices);
-        for (a, b) in weighted.coeff.iter().zip(masked.coeff.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(*weighted.leaves, vec![2, 3, 13, 14]);
+        assert_eq!(*weighted.vertices, vec![0, 1, 2, 1]);
+        assert_eq!(*weighted.owners, vec![0, 0, 2, 2]);
+        let expected = [1.0f32, 0.5, 1.0];
+        for (got, want) in weighted.coeff.iter().zip(expected) {
+            assert_eq!(got.to_bits(), want.to_bits());
         }
         assert!(weighted.leaf_weights.is_none());
     }

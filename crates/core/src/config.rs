@@ -127,13 +127,6 @@ pub struct LumosConfig {
     /// degrade into the buffered-staleness path instead of vanishing.
     /// Only consulted when `faults` is set.
     pub recovery: RecoveryPolicy,
-    /// Debug escape hatch: probe each round's lateness with the retired
-    /// lockstep path (`simulate_epoch` + post-hoc `late_with_staleness`)
-    /// instead of subscribing a [`lumos_sim::RoundPolicy`] to the live
-    /// event stream. Both paths are bit-identical (pinned by the
-    /// `event_runtime` property tests); this switch exists so a divergence
-    /// can be bisected, not as a supported mode.
-    pub lockstep_runtime: bool,
 }
 
 impl LumosConfig {
@@ -170,7 +163,6 @@ impl LumosConfig {
             rebalance_patience: 2,
             faults: FaultSpec::None,
             recovery: RecoveryPolicy::default(),
-            lockstep_runtime: false,
         }
     }
 
@@ -289,14 +281,6 @@ impl LumosConfig {
         self.recovery = recovery;
         self
     }
-
-    /// Builder-style: probe round lateness with the retired lockstep path
-    /// instead of the live event-driven handlers (bisection aid only —
-    /// the two are bit-identical by construction).
-    pub fn with_lockstep_runtime(mut self) -> Self {
-        self.lockstep_runtime = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +301,6 @@ mod tests {
         assert_eq!(c.rebalance_patience, 2);
         assert!(c.faults.is_none(), "faults are strictly opt-in");
         assert_eq!(c.recovery, RecoveryPolicy::default());
-        assert!(!c.lockstep_runtime, "event-driven is the default runtime");
         assert_eq!(TaskKind::Supervised.metric_name(), "accuracy");
         assert_eq!(TaskKind::Unsupervised.metric_name(), "roc-auc");
     }
@@ -403,12 +386,6 @@ mod tests {
     fn out_of_range_loss_rate_fails_at_configuration_time() {
         LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
             .with_faults(FaultSpec::message_loss(1.5));
-    }
-
-    #[test]
-    fn lockstep_runtime_builder_applies() {
-        let c = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised).with_lockstep_runtime();
-        assert!(c.lockstep_runtime);
     }
 
     #[test]

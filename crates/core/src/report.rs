@@ -64,8 +64,12 @@ pub struct SimSummary {
     pub mean_utilization: f64,
     /// Device-rounds lost to churn (0 for churn-free scenarios).
     pub dropped_device_rounds: u64,
-    /// Device-rounds dropped by the deadline aggregation policy (0 under
-    /// the default full-sync barrier).
+    /// Device-rounds cut from a barrier by the aggregation policy — every
+    /// cut, whether the update was then discarded (`Deadline`: equals
+    /// `wasted_updates`) or parked for a later round (`Buffered`: counted
+    /// again in `buffered_updates`, wasting nothing). 0 under the default
+    /// full-sync barrier and under the async quorum, which closes early
+    /// instead of cutting.
     pub late_drops: u64,
     /// Late updates blended into a later round's POOL by the buffered
     /// policy instead of being discarded (0 under full-sync and deadline).
@@ -123,7 +127,7 @@ pub struct RunReport {
     pub backbone: String,
     /// Task name ("supervised"/"unsupervised").
     pub task: String,
-    /// Test metric at the end of training (accuracy ∈ [0,1] or AUC).
+    /// Test metric at the end of training (accuracy ∈ \[0,1\] or AUC).
     pub test_metric: f64,
     /// Best validation metric seen.
     pub best_val_metric: f64,
@@ -167,6 +171,123 @@ impl RunReport {
     pub fn final_loss(&self) -> f64 {
         self.history.last().map_or(f64::NAN, |m| m.loss)
     }
+
+    /// One number for "same seed + same config ⇒ same report": FNV-1a over
+    /// every deterministic field, floats by bit pattern. The wall-clock
+    /// fields (`avg_epoch_secs`, `constructor.wall_secs`) are the only ones
+    /// left out.
+    pub fn digest(&self) -> u64 {
+        fnv1a(self.field_digests().into_iter().map(|(_, d)| d))
+    }
+
+    /// The first deterministic field (in declaration order, `sim.*` last)
+    /// on which the two reports differ — what to print when their digests
+    /// disagree. `None` when every digested field matches.
+    pub fn first_difference(&self, other: &RunReport) -> Option<&'static str> {
+        let (mine, theirs) = (self.field_digests(), other.field_digests());
+        // A missing `sim` shows up as `sim.is_some`, before the lengths
+        // diverge, so zipping never hides a difference.
+        mine.iter()
+            .zip(&theirs)
+            .find(|(a, b)| a != b)
+            .map(|(a, _)| a.0)
+    }
+
+    /// The per-field digests [`RunReport::digest`] folds, in a fixed order.
+    fn field_digests(&self) -> Vec<(&'static str, u64)> {
+        fn text(s: &str) -> u64 {
+            fnv1a(s.bytes().map(u64::from))
+        }
+        fn counts(xs: &[usize]) -> u64 {
+            fnv1a(xs.iter().map(|&x| x as u64))
+        }
+        let c = &self.constructor;
+        let mut fields = vec![
+            ("system", text(&self.system)),
+            ("dataset", text(&self.dataset)),
+            ("backbone", text(&self.backbone)),
+            ("task", text(&self.task)),
+            ("test_metric", self.test_metric.to_bits()),
+            ("best_val_metric", self.best_val_metric.to_bits()),
+            (
+                "history",
+                fnv1a(
+                    self.history
+                        .iter()
+                        .flat_map(|h| [h.epoch as u64, h.loss.to_bits(), h.val_metric.to_bits()]),
+                ),
+            ),
+            (
+                "avg_messages_per_device_per_epoch",
+                self.avg_messages_per_device_per_epoch.to_bits(),
+            ),
+            ("avg_epoch_makespan", self.avg_epoch_makespan.to_bits()),
+            ("constructor.trimmed", u64::from(c.trimmed)),
+            ("constructor.weighted", u64::from(c.weighted)),
+            ("constructor.workloads", counts(&c.workloads)),
+            ("constructor.max_workload", c.max_workload as u64),
+            ("constructor.max_weighted_workload", c.max_weighted_workload),
+            ("constructor.untrimmed_max", c.untrimmed_max as u64),
+            (
+                "constructor.secure_comm",
+                fnv1a([
+                    c.secure_comm.messages,
+                    c.secure_comm.bytes,
+                    c.secure_comm.rounds,
+                ]),
+            ),
+            ("constructor.comparisons", c.comparisons),
+            ("constructor.server_messages", c.server_messages),
+            ("constructor.mcmc_trace", counts(&c.mcmc_trace)),
+            ("init_messages", self.init_messages),
+            ("sim.is_some", u64::from(self.sim.is_some())),
+        ];
+        if let Some(s) = &self.sim {
+            fields.extend([
+                ("sim.scenario", text(&s.scenario)),
+                ("sim.total_virtual_secs", s.total_virtual_secs.to_bits()),
+                (
+                    "sim.avg_epoch_virtual_secs",
+                    s.avg_epoch_virtual_secs.to_bits(),
+                ),
+                (
+                    "sim.straggler_sequence",
+                    fnv1a(s.straggler_sequence.iter().map(|&d| u64::from(d))),
+                ),
+                ("sim.mean_utilization", s.mean_utilization.to_bits()),
+                ("sim.dropped_device_rounds", s.dropped_device_rounds),
+                ("sim.late_drops", s.late_drops),
+                ("sim.buffered_updates", s.buffered_updates),
+                ("sim.wasted_updates", s.wasted_updates),
+                ("sim.migrations", s.migrations),
+                ("sim.migrated_nodes", s.migrated_nodes),
+                ("sim.lost_messages", s.lost_messages),
+                ("sim.retries", s.retries),
+                ("sim.retry_secs", s.retry_secs.to_bits()),
+                ("sim.crashed_devices", s.crashed_devices),
+                ("sim.failovers", s.failovers),
+            ]);
+        }
+        fields
+    }
+}
+
+/// FNV-1a (64-bit) over the little-endian bytes of a word stream, closed
+/// with the stream length so a prefix never collides with the whole.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |w: u64| {
+        for b in w.to_le_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut len = 0u64;
+    for w in words {
+        mix(w);
+        len += 1;
+    }
+    mix(len);
+    hash
 }
 
 #[cfg(test)]
@@ -190,6 +311,38 @@ mod tests {
         assert_eq!(r.final_loss(), 0.7);
         assert_eq!(r.system, "lumos");
         assert!(r.sim.is_none());
+    }
+
+    #[test]
+    fn digest_covers_deterministic_fields_and_skips_wall_clock() {
+        let base = RunReport::new("lumos", "facebook", "GCN", "supervised");
+        let mut wall = base.clone();
+        wall.avg_epoch_secs = 3.5;
+        wall.constructor.wall_secs = 1.25;
+        assert_eq!(base.digest(), wall.digest(), "wall-clock fields are exempt");
+
+        assert_eq!(base.first_difference(&wall), None);
+        let first_diff = |other: &RunReport| {
+            assert_ne!(base.digest(), other.digest());
+            base.first_difference(other)
+        };
+        let mut loss = base.clone();
+        loss.history.push(EpochMetrics {
+            epoch: 0,
+            loss: 0.5,
+            val_metric: 0.0,
+        });
+        assert_eq!(first_diff(&loss), Some("history"));
+        // -0.0 == 0.0 as floats; the digest compares bit patterns.
+        let mut signed = base.clone();
+        signed.test_metric = -0.0;
+        assert_eq!(first_diff(&signed), Some("test_metric"));
+        let mut sim = base.clone();
+        sim.sim = Some(SimSummary::default());
+        assert_eq!(first_diff(&sim), Some("sim.is_some"));
+        let mut retried = sim.clone();
+        retried.sim.as_mut().unwrap().retries = 1;
+        assert_ne!(sim.digest(), retried.digest());
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use std::rc::Rc;
 
-use lumos_balance::{rebalance_assignment, BalanceObjective};
+use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
 use lumos_common::rng::Xoshiro256pp;
 use lumos_data::{Dataset, EdgeSplit, NodeSplit};
-use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
+use lumos_fed::{ledger_work, CostModel, RoundOutcome, Runtime, SimNetwork, TierSpec};
 use lumos_gnn::{
     accuracy_masked, cross_entropy_masked, link_logits, link_prediction_loss, roc_auc,
     EncoderConfig, GnnEncoder, LinearDecoder,
@@ -20,10 +20,10 @@ use lumos_graph::Graph;
 use lumos_tensor::{Adam, ParamStore, Tape, VarId};
 
 use lumos_sim::{
-    simulate_epoch, AggregationPolicy, DeviceProfile, DeviceWork, EventDrivenRuntime, FaultState,
+    AggregationPolicy, DeviceProfile, DeviceWork, EventDrivenRuntime, FaultPlan, FaultState,
     RoundPolicy, ScenarioState, StalenessBuffer,
 };
-use lumos_topo::{shard_late_with_staleness, ShardRoundPolicies, Topology};
+use lumos_topo::{ShardRoundPolicies, Topology};
 
 use crate::batch::{build_batched, BatchedTrees, PoolArrays};
 use crate::config::{LumosConfig, TaskKind};
@@ -35,9 +35,35 @@ use crate::tree::{DeviceTree, LocalGraphKind};
 /// Paired endpoint lists of positive training edges.
 type PairLists = (Rc<Vec<u32>>, Rc<Vec<u32>>);
 
-/// Memoized late probe: the fleet it was simulated against and the
-/// `(device, staleness)` pairs the policy cut that round.
-type LateProbe = (Vec<lumos_sim::DeviceProfile>, Vec<(u32, u32)>);
+/// The round's timing probe. The per-round message pattern is static
+/// between migrations (same trees, same protocol every epoch), so one dry
+/// run of the recorder yields the per-destination work whose simulated
+/// timing decides, each round, which updates the policy cuts.
+struct LateProbe {
+    template: Vec<DeviceWork>,
+    /// Memo key: the fleet the probe last ran against (`None`: not yet).
+    /// The verdicts are a pure function of (fleet, template).
+    fleet: Option<Vec<DeviceProfile>>,
+    /// Memo value: the `(device, staleness)` pairs cut on that fleet.
+    verdicts: Vec<(u32, u32)>,
+}
+
+/// What a round's timing decided, before any training math runs. All empty
+/// without a scenario.
+#[derive(Default)]
+struct Judged {
+    /// The round's compiled fault outcomes (`None`: fault-free).
+    plan: Option<FaultPlan>,
+    /// Devices the policy cut from the barrier, carried or not.
+    late: Vec<u32>,
+    /// Updates that never reach anyone: churned-out and crashed devices,
+    /// and what a non-carrying policy cut.
+    dropped: Vec<u32>,
+    /// `(device, staleness)` of updates that arrive `staleness` rounds
+    /// late: what a carrying policy cut, and uploads that ran out their
+    /// retry budget (one round).
+    carried: Vec<(u32, u32)>,
+}
 
 /// Embedding size of a pooled vertex message on the wire (16 f32 values).
 const EMBEDDING_BYTES: u64 = 16 * 4;
@@ -142,9 +168,12 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     } else {
         LocalGraphKind::RawEgoNetwork
     };
-    let mut trees: Vec<DeviceTree> = (0..n as u32)
-        .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
-        .collect();
+    let build_trees = |assignment: &Assignment| -> Vec<DeviceTree> {
+        (0..n as u32)
+            .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
+            .collect()
+    };
+    let mut trees = build_trees(&assignment);
 
     // Phase 2: LDP embedding initialization (§VI-A).
     let mut exchange = exchange_features(
@@ -158,16 +187,30 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     let init_messages = exchange.messages;
     let mut batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
 
-    // The policy actually executed: `Buffered { decay: 0 }` resolves to
-    // `Deadline` and a full-fleet `Async` quorum to `FullSync` up front,
-    // so both bit-for-bit collapses hold by construction.
-    let policy = cfg.aggregation_policy.resolve(n);
+    // The round is resolved once, here. Policy and faults both ride on the
+    // fleet's profiles, so without a scenario there is nothing to time,
+    // cut, crash or delay against and every round is the paper's
+    // synchronous barrier. `resolve` additionally folds
+    // `Buffered { decay: 0 }` into `Deadline` and a full-fleet `Async`
+    // quorum into `FullSync`, so both bit-for-bit collapses hold by
+    // construction. The fault stream draws from its own domain-separated
+    // RNG: enabling it never perturbs the trainer's or the fleet's streams.
+    let policy = if scenario.is_some() {
+        cfg.aggregation_policy.resolve(n)
+    } else {
+        AggregationPolicy::FullSync
+    };
+    let mut faults: Option<FaultState> = (scenario.is_some() && !cfg.faults.is_none())
+        .then(|| FaultState::new(cfg.faults.clone(), cfg.recovery, cfg.seed));
+    // The one mode flag: whether the policy carries what it cuts into a
+    // later round, or cuts nothing / discards it.
+    let decay = carry_decay(&policy);
+    let carries = decay.is_some();
+    // Updates that arrive in a later round wait here: the cuts of a
+    // carrying policy, and — under any policy — uploads that ran out their
+    // retry budget, which degrade to one round late instead of vanishing.
+    let mut staleness_buffer = StalenessBuffer::new(decay.unwrap_or(1.0));
 
-    // Semi-sync probe: the per-round message pattern is static between
-    // migrations (same trees, same protocol every epoch), so one dry run of
-    // the recorder yields the per-destination DeviceWork whose simulated
-    // timing decides, each round, which updates would land past the
-    // deadline. Inert without a scenario — no profiles to time against.
     let layers = enc_cfg.num_layers;
     let build_template = |trees: &[DeviceTree], tree_sizes: &[usize]| -> Vec<DeviceWork> {
         // The probe must mirror the live network's mode: a sharded ledger
@@ -184,45 +227,13 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
             edge_split.as_ref(),
             &[],
             &[],
-            None,
             topology.as_ref(),
         );
         ledger_work(&probe, &snap, tree_sizes, layers)
     };
-    let mut work_template: Option<Vec<DeviceWork>> =
-        if policy != AggregationPolicy::FullSync && scenario.is_some() {
-            Some(build_template(&trees, &batch.tree_sizes))
-        } else {
-            None
-        };
-
-    // Buffered-policy state: the staleness buffer holding late updates
-    // until their arrival round, and the re-balancer's per-device overload
-    // streaks. The async quorum reuses the whole buffering machinery at
-    // decay 1.0 — its overflow is carried, never discounted and never
-    // dropped — and additionally closes each round early at the quorum.
-    let buffered_decay = match policy {
-        AggregationPolicy::Buffered { decay, .. } => Some(decay),
-        AggregationPolicy::Async { .. } => Some(1.0),
-        _ => None,
-    };
-    let async_min = match policy {
-        AggregationPolicy::Async { min_updates } => Some(min_updates),
-        _ => None,
-    };
-    // Seeded fault injection (strictly opt-in): the fault stream draws
-    // from its own domain-separated RNG, so enabling it never perturbs
-    // the trainer's or the fleet's stochastic streams — and it is inert
-    // without a scenario, because there are no profiles to crash or
-    // delay against. Fault recovery rides the buffering machinery even
-    // under a non-buffering policy: an upload that exhausts its retry
-    // budget degrades into the staleness buffer at full weight and
-    // arrives one round late, instead of vanishing.
-    let mut faults: Option<FaultState> = (!cfg.faults.is_none() && scenario.is_some())
-        .then(|| FaultState::new(cfg.faults.clone(), cfg.recovery, cfg.seed));
-    let policy_buffering = buffered_decay.is_some() && scenario.is_some();
-    let buffering = policy_buffering || faults.is_some();
-    let mut staleness_buffer = StalenessBuffer::new(buffered_decay.unwrap_or(1.0));
+    let mut probe: Option<LateProbe> = (policy != AggregationPolicy::FullSync)
+        .then(|| LateProbe::new(build_template(&trees, &batch.tree_sizes)));
+    // The re-balancer's per-device overload streaks.
     let mut streaks: Vec<u32> = vec![0; n];
     let mut migrations = 0u64;
     let mut migrated_nodes = 0u64;
@@ -265,13 +276,9 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
 
     // Phase 4: synchronized training epochs.
     let mut best_val = 0.0f64;
-    // Per-round memos: the probe is a pure function of (fleet, template)
-    // and the template is static between migrations, so re-simulate only
-    // when churn actually changed the fleet — and rebuild the POOL arrays
-    // only when the drop set (or the weight vector) itself changed.
-    let mut probe_cache: Option<LateProbe> = None;
-    let mut pool_cache: (Vec<u32>, PoolArrays) = (Vec::new(), batch.masked_pool(&[]));
-    let mut weight_cache: (Vec<f32>, PoolArrays) = (vec![1.0; n], pool_cache.1.clone());
+    // Per-round memo: rebuild the POOL arrays only when the weight vector
+    // itself changed.
+    let mut weight_cache: Option<(Vec<f32>, PoolArrays)> = None;
     // One tape's buffers serve every step and every evaluation of the run.
     // The tape borrows `batch.features`, which a migration replaces, so it
     // is parked here — emptied, borrowing nothing — between epochs.
@@ -281,197 +288,75 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
             runtime.set_profiles(state.profiles().to_vec());
         }
         runtime.begin_epoch();
-        // Compile this round's fault outcomes before any traffic lands on
-        // the ledger: who crashes mid-round, whose upload exhausts its
-        // retry budget, and which aggregators sit inside an outage window
-        // (their shards re-home to the deterministic cyclic successor for
-        // the whole round — ledger routing and tier timing alike).
-        let round_plan = match (&mut faults, &scenario) {
-            (Some(fstate), Some(state)) => {
-                if let Some(topo) = &topology {
-                    let outaged = fstate.outaged_aggregators(topo.num_aggregators());
-                    let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
-                    if let Some(map) = &rehome {
-                        let served = map
-                            .iter()
-                            .enumerate()
-                            .filter(|&(k, &t)| t as usize != k)
-                            .count();
-                        fstate.note_failovers(served as u64);
-                    }
-                    runtime.network.set_rehome(rehome.clone());
-                    runtime.set_failover(rehome);
-                }
-                Some(fstate.compile_round(state.profiles()))
-            }
-            _ => None,
-        };
-        // Crashed devices lose the round entirely — their update never
-        // forms, like churn. Exhausted uploads survive: parked in the
-        // staleness buffer, they arrive next round instead.
-        let (crashed, exhausted) = match (&round_plan, &scenario) {
-            (Some(plan), Some(state)) => {
-                let avail: Vec<bool> = state.profiles().iter().map(|p| p.available).collect();
-                (plan.crashed_devices(&avail), plan.exhausted_uploads(&avail))
-            }
-            _ => (Vec::new(), Vec::new()),
-        };
-        if buffering {
-            // Deferred protocol traffic from earlier rounds' late devices
-            // lands in this epoch's ledger window — accounted in the round
-            // where it arrives, not the round where it was cut.
-            runtime.carry_in();
-        }
-        if policy_buffering {
+        if carries {
             // Live re-balancing: price the fleet as it stands (churn-absent
             // devices cost UNAVAILABLE_COST_FACTOR× their nominal rate) and
-            // migrate tree nodes off devices whose per-node price stayed
-            // above `cfg.rebalance_threshold` × the fleet mean for
-            // `cfg.rebalance_patience` consecutive rounds.
-            if let Some(prices) = runtime.node_costs_micros(layers, EMBEDDING_BYTES) {
-                let mean =
-                    prices.iter().map(|&p| p as f64).sum::<f64>() / prices.len().max(1) as f64;
-                let mut overloaded: Vec<u32> = Vec::new();
-                for (d, &p) in prices.iter().enumerate() {
-                    if p as f64 > cfg.rebalance_threshold * mean {
-                        streaks[d] += 1;
-                        if streaks[d] >= cfg.rebalance_patience {
-                            overloaded.push(d as u32);
-                        }
-                    } else {
-                        streaks[d] = 0;
-                    }
-                }
-                if !overloaded.is_empty() {
-                    let outcome = rebalance_assignment(&mut assignment, &prices, &overloaded);
-                    for &d in &overloaded {
-                        streaks[d as usize] = 0;
-                    }
-                    if outcome.moved_nodes > 0 {
-                        migrations += 1;
-                        migrated_nodes += outcome.moved_nodes as u64;
-                        trees = (0..n as u32)
-                            .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
-                            .collect();
-                        // Devices that just inherited a branch never held
-                        // its leaves' features: top up only the missing
-                        // (owner, neighbor) pairs, on this epoch's ledger.
-                        exchange_missing_features(
-                            &ds.features,
-                            ds.feature_dim,
-                            &trees,
-                            cfg.epsilon,
-                            &mut rng,
-                            &mut runtime.network,
-                            &mut exchange,
-                        );
-                        batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
-                        work_template = Some(build_template(&trees, &batch.tree_sizes));
-                        probe_cache = None;
-                        pool_cache = (Vec::new(), batch.masked_pool(&[]));
-                        weight_cache = (vec![1.0; n], pool_cache.1.clone());
-                    }
-                }
+            // migrate tree nodes off devices whose price stayed too high
+            // for too long.
+            let prices = runtime
+                .node_costs_micros(layers, EMBEDDING_BYTES)
+                .expect("a carrying policy runs on a scenario's profiles");
+            let moved = rebalance_overloaded(&mut assignment, &prices, &mut streaks, cfg);
+            if moved > 0 {
+                migrations += 1;
+                migrated_nodes += moved as u64;
+                trees = build_trees(&assignment);
+                // Devices that just inherited a branch never held its
+                // leaves' features: top up only the missing
+                // (owner, neighbor) pairs, on this epoch's ledger.
+                exchange_missing_features(
+                    &ds.features,
+                    ds.feature_dim,
+                    &trees,
+                    cfg.epsilon,
+                    &mut rng,
+                    &mut runtime.network,
+                    &mut exchange,
+                );
+                // The cached arrays describe the old batch: free them
+                // before its successor is built, not after.
+                weight_cache = None;
+                batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
+                probe = Some(LateProbe::new(build_template(&trees, &batch.tree_sizes)));
             }
         }
-        // Probe this round's timing on the live fleet: devices whose
-        // updates land past the deadline leave the barrier — dropped
-        // forever under `Deadline`, parked in the staleness buffer until
-        // their arrival round under `Buffered`.
-        let late_staleness: Vec<(u32, u32)> = match (&work_template, &scenario) {
-            (Some(template), Some(state)) => {
-                // A fault plan changes every round even on a frozen
-                // fleet, so the memo only holds on fault-free rounds.
-                let stale = round_plan.is_some()
-                    || probe_cache
-                        .as_ref()
-                        .is_none_or(|(fleet, _)| fleet.as_slice() != state.profiles());
-                if stale {
-                    // The round's decisions happen at event granularity:
-                    // the policy's arrival-time handlers subscribe to the
-                    // scheduled event stream and judge each update as it
-                    // lands (hierarchical mode routes events to per-shard
-                    // handlers, each cutting against its own local
-                    // median). The retired lockstep probe survives as a
-                    // bisection aid behind `cfg.lockstep_runtime` — both
-                    // paths are bit-identical by construction.
-                    // The lockstep probe predates fault injection and
-                    // cannot see a plan; faulted rounds always run the
-                    // event-driven path.
-                    let lates = if cfg.lockstep_runtime && round_plan.is_none() {
-                        let timing = simulate_epoch(state.profiles(), template);
-                        match &topology {
-                            Some(topo) => shard_late_with_staleness(&policy, &timing, topo),
-                            None => policy.late_with_staleness(&timing),
-                        }
-                    } else {
-                        let schedule = EventDrivenRuntime::new_with_faults(
-                            state.profiles(),
-                            template,
-                            round_plan.as_ref(),
-                        );
-                        match &topology {
-                            Some(topo) => {
-                                let mut shards = ShardRoundPolicies::new(&policy, &schedule, topo);
-                                schedule.run(|t, ev| shards.on_event(t, ev));
-                                shards.verdicts()
-                            }
-                            None => {
-                                let mut round = RoundPolicy::new(&policy, &schedule);
-                                schedule.run(|t, ev| round.on_event(t, ev));
-                                round.verdicts()
-                            }
-                        }
-                    };
-                    probe_cache = Some((state.profiles().to_vec(), lates));
-                }
-                probe_cache.as_ref().expect("probe just cached").1.clone()
-            }
-            _ => Vec::new(),
+
+        let judged = match &scenario {
+            Some(state) => judge_round(
+                state.profiles(),
+                faults.as_mut(),
+                probe.as_mut(),
+                &policy,
+                topology.as_ref(),
+                &mut runtime,
+            ),
+            None => Judged::default(),
         };
-        let late: Vec<u32> = late_staleness.iter().map(|&(d, _)| d).collect();
-        // Churn makes absent devices actually absent: they send no
-        // protocol messages and their embeddings leave the POOL for the
-        // rounds they sit out.
-        let absent: Vec<u32> = match &scenario {
-            Some(state) => state
-                .profiles()
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| !p.available)
-                .map(|(d, _)| d as u32)
-                .collect(),
-            None => Vec::new(),
-        };
-        let pool: PoolArrays = if buffering {
-            // Weighted POOL: absent and late devices contribute nothing
-            // this round; buffered updates blend back in at
-            // `decay^staleness` in the round they arrive — even if their
-            // sender is late or absent again (the update already landed).
-            let arrivals = staleness_buffer.advance(n);
-            let mut weights = vec![1.0f32; n];
-            for &d in absent.iter().chain(&crashed) {
-                weights[d as usize] = 0.0;
-            }
-            for &d in late.iter().chain(&exhausted) {
-                weights[d as usize] = 0.0;
-            }
-            for (d, w) in arrivals.iter().enumerate() {
-                weights[d] += *w as f32;
-            }
-            if weights != weight_cache.0 {
-                weight_cache = (weights.clone(), batch.weighted_pool(&weights));
-            }
-            weight_cache.1.clone()
-        } else {
-            let mut dropped: Vec<u32> = absent.iter().chain(late.iter()).copied().collect();
-            dropped.sort_unstable();
-            dropped.dedup();
-            if dropped != pool_cache.0 {
-                pool_cache = (dropped.clone(), batch.masked_pool(&dropped));
-            }
-            pool_cache.1.clone()
-        };
+        // Carried traffic from earlier rounds lands in this epoch's ledger
+        // window — accounted in the round where it arrives, not the round
+        // where it was cut.
+        runtime.carry_in();
+
+        // Weighted POOL (Eq. 31): a device whose update is missing this
+        // round contributes nothing; carried updates blend back in at
+        // `decay^staleness` in the round they arrive — even if their sender
+        // is late or absent again (the update already landed).
+        let mut weights = vec![1.0f32; n];
+        let missing = judged.carried.iter().map(|(d, _)| d);
+        for &d in judged.dropped.iter().chain(missing) {
+            weights[d as usize] = 0.0;
+        }
+        for (w, arrived) in weights.iter_mut().zip(staleness_buffer.advance(n)) {
+            *w += arrived as f32;
+        }
+        if weight_cache
+            .as_ref()
+            .is_none_or(|(cached, _)| *cached != weights)
+        {
+            let arrays = batch.weighted_pool(&weights);
+            weight_cache = Some((weights, arrays));
+        }
+        let pool = &weight_cache.as_ref().expect("pool just cached").1;
         let mut tape = idle_tape.reset();
         let h = forward_pooled(
             &mut tape,
@@ -480,7 +365,7 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
             &batch,
             true,
             &mut rng,
-            &pool,
+            pool,
             topology.as_ref(),
         );
 
@@ -515,82 +400,43 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
         tape.accumulate_param_grads(&tape.backward(loss_var), &mut store);
         opt.step(&mut store);
 
-        // Protocol message accounting for this epoch (§VI-B/C); devices
-        // dropped by the deadline and devices churned out contribute no
-        // messages and do not gate the simulated barrier. Under the
-        // buffered policy the late devices' silenced sends are collected
-        // and re-injected `staleness` rounds later by `carry_in`.
-        let mut late_sends: Vec<(u32, u32, u64)> = Vec::new();
-        // Crashed devices lose the round outright — like churn, they send
-        // nothing now or later. Exhausted uploads are parked: silenced on
-        // this round's ledger but captured for re-injection one round
-        // later. Policy-late devices park only when the policy buffers;
-        // the deadline policy genuinely drops them even under faults.
-        let mut dropped_now: Vec<u32> = absent.iter().chain(&crashed).copied().collect();
-        let mut parked: Vec<u32> = exhausted.clone();
-        if policy_buffering {
-            parked.extend(late.iter().copied());
-        } else {
-            dropped_now.extend(late.iter().copied());
-        }
-        record_epoch_messages(
+        // Protocol message accounting for this epoch (§VI-B/C). Dropped and
+        // carried devices are both silenced on this round's ledger and do
+        // not gate the simulated barrier; the carried ones' sends are
+        // collected and re-injected by `carry_in` in their arrival round.
+        let deferred = record_epoch_messages(
             &trees,
             cfg,
             &mut runtime.network,
             edge_split.as_ref(),
-            &parked,
-            &dropped_now,
-            if buffering {
-                Some(&mut late_sends)
-            } else {
-                None
-            },
+            &judged.carried,
+            &judged.dropped,
             topology.as_ref(),
         );
-        if buffering {
-            if policy_buffering {
-                for &(d, s) in &late_staleness {
-                    staleness_buffer.push(d, s);
-                    let sends: Vec<(u32, u32, u64)> = late_sends
-                        .iter()
-                        .filter(|&&(from, _, _)| from == d)
-                        .copied()
-                        .collect();
-                    runtime.defer_sends(s, sends);
-                }
-            }
-            // A send that ran out its retry budget degrades — it arrives
-            // one round late (modulo the policy's staleness decay) — but
-            // never disappears.
-            for &d in &exhausted {
-                staleness_buffer.push(d, 1);
-                let sends: Vec<(u32, u32, u64)> = late_sends
-                    .iter()
-                    .filter(|&&(from, _, _)| from == d)
-                    .copied()
-                    .collect();
-                runtime.defer_sends(1, sends);
-            }
+        for &(d, staleness) in &judged.carried {
+            staleness_buffer.push(d, staleness);
+            let sends = deferred
+                .iter()
+                .filter(|&&(from, _, _)| from == d)
+                .copied()
+                .collect();
+            runtime.defer_sends(staleness, sends);
         }
-        // Hand the plan to the runtime so the epoch's own simulation
-        // replays the same crashes and retry chains the probe saw.
-        runtime.set_fault_plan(round_plan);
-        match async_min {
-            // The async quorum: the epoch record's simulation closes the
-            // round at the `min_updates`-th landing, the overflow rides
-            // the staleness buffer, and nothing counts as dropped.
-            Some(min_updates) if scenario.is_some() => {
-                runtime.end_epoch_closing(
-                    &batch.tree_sizes,
-                    encoder.num_layers(),
-                    &late,
-                    min_updates,
-                );
-            }
-            _ => {
-                runtime.end_epoch_dropping(&batch.tree_sizes, encoder.num_layers(), &late);
-            }
-        }
+        // The epoch's own simulation replays the crashes and retry chains
+        // the probe saw, and under the async quorum closes the round at the
+        // `min_updates`-th landing.
+        runtime.end_epoch(
+            &batch.tree_sizes,
+            layers,
+            RoundOutcome {
+                late: &judged.late,
+                quorum: match policy {
+                    AggregationPolicy::Async { min_updates } => Some(min_updates),
+                    _ => None,
+                },
+                faults: judged.plan.as_ref(),
+            },
+        );
         // Churn applies *between* rounds: the fleet after the last epoch is
         // never simulated, so advancing there would overcount drops.
         if epoch + 1 < cfg.epochs {
@@ -656,18 +502,9 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
             mean_utilization: runtime.mean_sim_utilization(),
             dropped_device_rounds: state.dropped_device_rounds(),
             late_drops: runtime.late_drops(),
-            buffered_updates: if buffering {
-                staleness_buffer.total_buffered()
-            } else {
-                0
-            },
-            // The deadline policy wastes its cuts even when fault
-            // recovery has the buffering machinery switched on.
-            wasted_updates: if policy_buffering {
-                0
-            } else {
-                runtime.late_drops()
-            },
+            buffered_updates: staleness_buffer.total_buffered(),
+            // Only a policy that discards its cuts wastes them.
+            wasted_updates: if carries { 0 } else { runtime.late_drops() },
             migrations,
             migrated_nodes,
             lost_messages: recovery.lost_messages,
@@ -680,13 +517,149 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     report
 }
 
+/// The decay at which `policy` carries an update it cut into the round
+/// where it arrives (the async quorum carries its overflow undiscounted).
+/// `None` when the policy cuts nothing (`FullSync`) or discards what it
+/// cuts (`Deadline`).
+fn carry_decay(policy: &AggregationPolicy) -> Option<f64> {
+    match *policy {
+        AggregationPolicy::Buffered { decay, .. } => Some(decay),
+        AggregationPolicy::Async { .. } => Some(1.0),
+        AggregationPolicy::FullSync | AggregationPolicy::Deadline { .. } => None,
+    }
+}
+
+/// Migrates tree nodes off every device whose per-node price stayed above
+/// `cfg.rebalance_threshold ×` the fleet mean for `cfg.rebalance_patience`
+/// consecutive rounds (its streak then restarts). Returns the nodes moved.
+fn rebalance_overloaded(
+    assignment: &mut Assignment,
+    prices: &[u64],
+    streaks: &mut [u32],
+    cfg: &LumosConfig,
+) -> usize {
+    let mean = prices.iter().map(|&p| p as f64).sum::<f64>() / prices.len().max(1) as f64;
+    let mut overloaded = Vec::new();
+    for (d, &p) in prices.iter().enumerate() {
+        if p as f64 > cfg.rebalance_threshold * mean {
+            streaks[d] += 1;
+            if streaks[d] >= cfg.rebalance_patience {
+                overloaded.push(d as u32);
+                streaks[d] = 0;
+            }
+        } else {
+            streaks[d] = 0;
+        }
+    }
+    if overloaded.is_empty() {
+        return 0;
+    }
+    rebalance_assignment(assignment, prices, &overloaded).moved_nodes
+}
+
+/// Judges one round on the fleet as it stands: who is churned out, who
+/// crashes mid-round, whose upload exhausts its retry budget (both from the
+/// fault plan compiled here, before any traffic lands on the ledger), and
+/// whose update the policy cuts.
+fn judge_round(
+    profiles: &[DeviceProfile],
+    faults: Option<&mut FaultState>,
+    probe: Option<&mut LateProbe>,
+    policy: &AggregationPolicy,
+    topology: Option<&Topology>,
+    runtime: &mut Runtime,
+) -> Judged {
+    let avail: Vec<bool> = profiles.iter().map(|p| p.available).collect();
+    let mut judged = Judged::default();
+    judged
+        .dropped
+        .extend((0..profiles.len() as u32).filter(|&d| !avail[d as usize]));
+    let mut exhausted = Vec::new();
+    if let Some(fstate) = faults {
+        if let Some(topo) = topology {
+            // Aggregators inside an outage window re-home their shards to
+            // the deterministic cyclic successor for the whole round —
+            // ledger routing and tier timing alike.
+            let outaged = fstate.outaged_aggregators(topo.num_aggregators());
+            let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
+            if let Some(map) = &rehome {
+                let served = map
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, &t)| t as usize != k)
+                    .count();
+                fstate.note_failovers(served as u64);
+            }
+            runtime.set_failover(rehome);
+        }
+        let plan = fstate.compile_round(profiles);
+        judged.dropped.extend(plan.crashed_devices(&avail));
+        exhausted = plan.exhausted_uploads(&avail);
+        judged.plan = Some(plan);
+    }
+    let late = probe.map_or_else(Vec::new, |p| {
+        p.verdicts(policy, profiles, judged.plan.as_ref(), topology)
+    });
+    judged.late = late.iter().map(|&(d, _)| d).collect();
+    if carry_decay(policy).is_some() {
+        judged.carried = late;
+    } else {
+        judged.dropped.extend(&judged.late);
+    }
+    judged.carried.extend(exhausted.iter().map(|&d| (d, 1)));
+    judged
+}
+
+impl LateProbe {
+    fn new(template: Vec<DeviceWork>) -> Self {
+        Self {
+            template,
+            fleet: None,
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// The `(device, staleness)` pairs `policy` cuts from this round.
+    /// Decisions happen at event granularity: the policy's arrival-time
+    /// handlers subscribe to the scheduled event stream and judge each
+    /// update as it lands (hierarchical mode routes events to per-shard
+    /// handlers, each cutting against its own local median).
+    fn verdicts(
+        &mut self,
+        policy: &AggregationPolicy,
+        profiles: &[DeviceProfile],
+        plan: Option<&FaultPlan>,
+        topology: Option<&Topology>,
+    ) -> Vec<(u32, u32)> {
+        // A fault plan changes every round even on a frozen fleet, so the
+        // memo only holds on fault-free rounds.
+        if plan.is_some() || self.fleet.as_deref() != Some(profiles) {
+            let schedule = EventDrivenRuntime::new_with_faults(profiles, &self.template, plan);
+            self.verdicts = match topology {
+                Some(topo) => {
+                    let mut shards = ShardRoundPolicies::new(policy, &schedule, topo);
+                    schedule.run(|t, ev| shards.on_event(t, ev));
+                    shards.verdicts()
+                }
+                None => {
+                    let mut round = RoundPolicy::new(policy, &schedule);
+                    schedule.run(|t, ev| round.on_event(t, ev));
+                    round.verdicts()
+                }
+            };
+            self.fleet = Some(profiles.to_vec());
+        }
+        self.verdicts.clone()
+    }
+}
+
 /// Forward pass over the batched forest followed by the POOL layer
-/// (Eq. 31): mean of all leaf embeddings per global vertex, gathered
-/// through `pool` — the batch's full arrays, a
-/// [`BatchedTrees::masked_pool`] view with dropped devices excluded, or a
-/// [`BatchedTrees::weighted_pool`] view with per-device staleness weights.
-/// With a topology the POOL runs tier by tier ([`tiered_pool`]); flat mode
-/// keeps the seed op sequence — and therefore its bitstream — untouched.
+/// (Eq. 31): the weighted mean of the leaf embeddings per global vertex,
+/// gathered through `pool` — always a [`BatchedTrees::weighted_pool`] view
+/// of the round's per-device weights, which for all-ones weights is the
+/// batch's own arrays. With a topology the POOL runs tier by tier
+/// ([`tiered_pool`]); flat mode keeps the seed op sequence — and therefore
+/// its bitstream — untouched.
 #[allow(clippy::too_many_arguments)]
 fn forward_pooled<'a>(
     tape: &mut Tape<'a>,
@@ -819,19 +792,19 @@ fn evaluate<'a>(
 /// * finally every device ships its loss/gradient contribution to the
 ///   aggregation point.
 ///
-/// Devices in `late` missed the aggregation deadline: their updates never
-/// reached anyone this round, so none of their outbound messages are
-/// accounted here (messages *to* them still are — their senders paid
-/// either way). Under the buffered policy `deferred` collects those
-/// silenced sends so the runtime can re-inject them in the round where
-/// they actually arrive. Devices in `absent` are churned out entirely:
-/// they send nothing, now or later.
+/// Devices in `parked` form an update that arrives in a later round (cut
+/// by a carrying policy, or out of retries): none of their outbound
+/// messages are accounted here (messages *to* them still are — their
+/// senders paid either way); `deferred` collects those silenced sends so
+/// the runtime can re-inject them in the round where they actually arrive.
+/// Devices in `dropped` (churned out, crashed, or cut by the deadline) send
+/// nothing, now or later.
 ///
 /// With a topology the final aggregation tier routes through it: each
 /// surviving device uploads to its own aggregator (same cost to the
 /// device as a server upload) and every aggregator forwards exactly one
 /// pooled partial to the server — per-round server traffic is
-/// O(aggregators), not O(devices). A buffered-policy deferral still
+/// O(aggregators), not O(devices). A deferred upload still
 /// targets the server directly: a stale partial arrives after its shard's
 /// round already closed, so it skips the aggregator tier on re-injection.
 #[allow(clippy::too_many_arguments)]
@@ -840,25 +813,38 @@ fn record_epoch_messages(
     cfg: &LumosConfig,
     net: &mut SimNetwork,
     edge_split: Option<&EdgeSplit>,
-    late: &[u32],
-    absent: &[u32],
-    mut deferred: Option<&mut Vec<(u32, u32, u64)>>,
+    parked: &[(u32, u32)],
+    dropped: &[u32],
     topo: Option<&Topology>,
-) {
+) -> Vec<(u32, u32, u64)> {
+    let mut deferred = Vec::new();
     let mut silenced = vec![false; trees.len()];
-    let mut parked = vec![false; trees.len()];
-    for &d in absent {
+    let mut is_parked = vec![false; trees.len()];
+    for &d in dropped {
         silenced[d as usize] = true;
     }
-    for &d in late {
+    for &(d, _) in parked {
         silenced[d as usize] = true;
-        parked[d as usize] = true;
+        is_parked[d as usize] = true;
     }
+    // Silenced senders contribute nothing to the live ledger; the parked
+    // subset (their update still arrives, later) is captured in `deferred`.
+    let mut route = |net: &mut SimNetwork, from: u32, to: u32| {
+        if silenced[from as usize] {
+            if is_parked[from as usize] {
+                deferred.push((from, to, EMBEDDING_BYTES));
+            }
+        } else if to == SimNetwork::SERVER {
+            net.send_to_server(from, EMBEDDING_BYTES);
+        } else {
+            net.send(from, to, EMBEDDING_BYTES);
+        }
+    };
     for tree in trees {
         let u = tree.center;
         for &v in &tree.neighbors {
             // Leaf embedding u → owner v after the l-layer update.
-            route_message(net, &mut deferred, &silenced, &parked, u, v);
+            route(net, u, v);
         }
     }
     net.round();
@@ -867,7 +853,7 @@ fn record_epoch_messages(
         // negatives are requested per sampled pair.
         if let Some(split) = edge_split {
             for &(u, v) in &split.train_edges {
-                route_message(net, &mut deferred, &silenced, &parked, v, u);
+                route(net, v, u);
             }
             let neg_count = split.train_edges.len() * cfg.negatives_per_positive;
             for i in 0..neg_count {
@@ -879,7 +865,7 @@ fn record_epoch_messages(
                     // self-addressed fetch never crosses the wire.
                     continue;
                 }
-                route_message(net, &mut deferred, &silenced, &parked, from, to);
+                route(net, from, to);
             }
         }
         net.round();
@@ -892,14 +878,10 @@ fn record_epoch_messages(
         Some(topo) => {
             for v in 0..trees.len() as u32 {
                 if silenced[v as usize] {
-                    if parked[v as usize] {
-                        if let Some(buf) = deferred.as_deref_mut() {
-                            buf.push((v, SimNetwork::SERVER, EMBEDDING_BYTES));
-                        }
-                    }
-                    continue;
+                    route(net, v, SimNetwork::SERVER);
+                } else {
+                    net.send_to_aggregator(v, EMBEDDING_BYTES);
                 }
-                net.send_to_aggregator(v, EMBEDDING_BYTES);
             }
             for shard in 0..topo.num_aggregators() as u32 {
                 // An outage-covered aggregator ships nothing: its members
@@ -913,45 +895,12 @@ fn record_epoch_messages(
         }
         None => {
             for v in 0..trees.len() as u32 {
-                route_message(
-                    net,
-                    &mut deferred,
-                    &silenced,
-                    &parked,
-                    v,
-                    SimNetwork::SERVER,
-                );
+                route(net, v, SimNetwork::SERVER);
             }
         }
     }
     net.round();
-}
-
-/// Routes one protocol message: silenced senders contribute nothing to the
-/// live ledger; the parked subset (deadline-late, not churn-absent) is
-/// additionally captured in `deferred` for later re-injection when the
-/// buffered policy is collecting.
-fn route_message(
-    net: &mut SimNetwork,
-    deferred: &mut Option<&mut Vec<(u32, u32, u64)>>,
-    silenced: &[bool],
-    parked: &[bool],
-    from: u32,
-    to: u32,
-) {
-    if silenced[from as usize] {
-        if parked[from as usize] {
-            if let Some(buf) = deferred.as_deref_mut() {
-                buf.push((from, to, EMBEDDING_BYTES));
-            }
-        }
-        return;
-    }
-    if to == SimNetwork::SERVER {
-        net.send_to_server(from, EMBEDDING_BYTES);
-    } else {
-        net.send(from, to, EMBEDDING_BYTES);
-    }
+    deferred
 }
 
 #[cfg(test)]
@@ -1246,7 +1195,7 @@ mod tests {
         let cfg = LumosConfig::new(lumos_gnn::Backbone::Gcn, TaskKind::Unsupervised);
         let mut net = SimNetwork::new(n);
         let snap = net.snapshot();
-        record_epoch_messages(&trees, &cfg, &mut net, Some(&split), &[], &[], None, None);
+        record_epoch_messages(&trees, &cfg, &mut net, Some(&split), &[], &[], None);
         let edges = net.sent_matrix_since(&snap);
         assert!(!edges.is_empty());
         for ((from, to), _) in edges {

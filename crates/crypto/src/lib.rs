@@ -1,7 +1,7 @@
 //! `lumos-crypto` — simulated two-party cryptography for degree protection.
 //!
 //! The paper protects node degrees behind a zero-knowledge-style secure
-//! integer comparison (CrypTFlow2, its refs [34]/[40]/[41]): during tree
+//! integer comparison (CrypTFlow2, its refs \[34\]/\[40\]/\[41\]): during tree
 //! trimming only comparison *outcomes* are ever revealed (Definition 2,
 //! Theorem 5). This crate reproduces the protocol structure — oblivious
 //! transfer, XOR-shared boolean circuits with OT-based AND gates, and the

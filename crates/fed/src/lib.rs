@@ -13,8 +13,9 @@
 //! ledger deltas ([`runtime::ledger_work`]) through the `lumos-sim`
 //! discrete-event simulator, so heterogeneous fleets report per-device
 //! virtual timing, per-sender arrival-gated drains, and straggler
-//! identities — and the deadline aggregation policy can drop late updates
-//! from the barrier ([`Runtime::end_epoch_dropping`]).
+//! identities. A round closes through one door, [`Runtime::end_epoch`],
+//! whose [`RoundOutcome`] says who left the barrier, whether a quorum
+//! closed it early, and which faults it ran under.
 
 #![forbid(unsafe_code)]
 pub mod clock;
@@ -23,4 +24,6 @@ pub mod runtime;
 
 pub use clock::{epoch_makespan, epoch_mean_cost, CostModel, EpochTiming};
 pub use network::{DeviceTraffic, EdgeTraffic, NetworkSnapshot, SimNetwork};
-pub use runtime::{ledger_work, EpochRecord, Runtime, TierSpec, UNAVAILABLE_COST_FACTOR};
+pub use runtime::{
+    ledger_work, EpochRecord, RoundOutcome, Runtime, TierSpec, UNAVAILABLE_COST_FACTOR,
+};

@@ -141,10 +141,13 @@ impl SimNetwork {
     /// The aggregator actually serving `shard` this round (itself unless
     /// a failover map re-homes it).
     pub fn rehome_target(&self, shard: u32) -> u32 {
-        self.sharded
-            .as_ref()
-            .and_then(|s| s.rehome.as_ref())
-            .map_or(shard, |map| map[shard as usize])
+        self.rehome_map().map_or(shard, |map| map[shard as usize])
+    }
+
+    /// The round's failover map as installed by [`SimNetwork::set_rehome`]
+    /// (`None`: every shard is served by its own aggregator).
+    pub fn rehome_map(&self) -> Option<&[u32]> {
+        self.sharded.as_ref().and_then(|s| s.rehome.as_deref())
     }
 
     /// Number of devices.

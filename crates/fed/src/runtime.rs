@@ -124,6 +124,25 @@ pub struct EpochRecord {
     pub late: Vec<u32>,
 }
 
+/// How the round being closed ended — the one argument of
+/// [`Runtime::end_epoch`]. The default is the full-sync barrier: nobody
+/// late, no quorum, no faults.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RoundOutcome<'a> {
+    /// Devices whose update left this round's barrier: their events no
+    /// longer gate it, so they are simulated as absent this epoch.
+    pub late: &'a [u32],
+    /// `Some(min_updates)` closes the round the moment that many updates
+    /// have landed ([`AggregationPolicy::Async`]) — the simulated makespan
+    /// is the quorum landing time, not the slowest device's — and the
+    /// `late` devices count as carried, not cut.
+    pub quorum: Option<usize>,
+    /// The round's compiled fault outcomes, so the epoch's simulation
+    /// replays the crashes and retry chains the round was judged under.
+    /// `None` prices a fault-free round.
+    pub faults: Option<&'a FaultPlan>,
+}
+
 /// One carry-over batch: sends suppressed in the round that produced them
 /// (the sender was past the deadline) that physically land
 /// `rounds_remaining` rounds from now.
@@ -148,13 +167,6 @@ pub struct Runtime {
     deferred: Vec<DeferredSends>,
     tier: Option<TierSpec>,
     tier2_secs: f64,
-    /// The compiled fault outcomes of the round being closed; consumed
-    /// (taken) by the next `close_epoch`. `None` — the default — prices
-    /// a fault-free round, bit-identical to the seed.
-    fault_plan: Option<FaultPlan>,
-    /// The round's aggregator failover map (`Topology::failover_map`
-    /// output); `None` routes every shard to itself.
-    rehome: Option<Vec<u32>>,
 }
 
 impl Runtime {
@@ -171,25 +183,22 @@ impl Runtime {
             deferred: Vec::new(),
             tier: None,
             tier2_secs: 0.0,
-            fault_plan: None,
-            rehome: None,
         }
     }
 
-    /// Installs the current round's compiled fault outcomes. The plan is
-    /// consumed by the next epoch close — callers compile one plan per
-    /// round, so a stale plan can never leak into a later round.
-    pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault_plan = plan;
-    }
-
-    /// Installs (or clears) the round's aggregator failover map: when
-    /// present, tier-2 timing folds each outaged shard's members into
-    /// their successor aggregator ([`tier_timing_failover`]). Keep it in
-    /// sync with [`SimNetwork::set_rehome`] so timing and the ledger
-    /// agree on who served the round.
+    /// Installs (or clears) the round's aggregator failover map
+    /// (`Topology::failover_map` output) on the network this runtime owns:
+    /// the ledger routes each upload to the aggregator actually serving
+    /// the sender's shard, and tier-2 timing reads the same map back to
+    /// fold each outaged shard's members into their successor
+    /// ([`tier_timing_failover`]) — one copy, so timing and the ledger
+    /// cannot disagree on who served the round.
+    ///
+    /// # Panics
+    /// Panics as [`SimNetwork::set_rehome`] does: on a flat network, or if
+    /// the map's length disagrees with the aggregator count.
     pub fn set_failover(&mut self, rehome: Option<Vec<u32>>) {
-        self.rehome = rehome;
+        self.network.set_rehome(rehome);
     }
 
     /// Installs the aggregator tier: subsequent profiled epochs compose
@@ -294,70 +303,31 @@ impl Runtime {
         self.current = Some((idx, Stopwatch::started(), self.network.snapshot()));
     }
 
-    /// Ends the open epoch under the full-sync barrier. `device_tree_nodes`
-    /// and `layers` feed the straggler cost model; traffic is read from the
-    /// ledger's per-edge deltas.
-    ///
-    /// # Panics
-    /// Panics if no epoch is open or if `device_tree_nodes` does not have
-    /// one entry per device.
-    pub fn end_epoch(&mut self, device_tree_nodes: &[usize], layers: usize) -> &EpochRecord {
-        self.end_epoch_dropping(device_tree_nodes, layers, &[])
-    }
-
-    /// Ends the open epoch with `late` devices dropped by the aggregation
-    /// deadline: their updates were discarded, so their events no longer
-    /// gate the synchronous barrier — they are simulated as absent this
-    /// epoch and tallied into [`Runtime::late_drops`].
+    /// Ends the open epoch — the one way a round closes. Prices the ledger
+    /// window (`device_tree_nodes` and `layers` feed the straggler cost
+    /// model; traffic is read from the ledger's per-edge deltas), runs the
+    /// event-driven simulation under `outcome`, extends timing with the
+    /// aggregator tier, and pushes the [`EpochRecord`]. Without a quorum
+    /// the `late` devices are tallied into [`Runtime::late_drops`].
     ///
     /// # Panics
     /// Panics if no epoch is open, if `device_tree_nodes` does not have one
-    /// entry per device, or if `late` names a device id out of range.
-    pub fn end_epoch_dropping(
+    /// entry per device, if `outcome.late` names a device id out of range,
+    /// or if `outcome.quorum` is zero.
+    pub fn end_epoch(
         &mut self,
         device_tree_nodes: &[usize],
         layers: usize,
-        late: &[u32],
+        outcome: RoundOutcome<'_>,
     ) -> &EpochRecord {
-        self.late_drops += late.len() as u64;
-        self.close_epoch(device_tree_nodes, layers, late, None)
-    }
-
-    /// Ends the open epoch under the barrier-free async quorum
-    /// ([`AggregationPolicy::Async`]): the round closes the moment
-    /// `min_updates` updates have landed, so the simulated makespan is the
-    /// quorum landing time, not the slowest device's. `carried` names the
-    /// devices whose updates are riding the staleness buffer into a later
-    /// round this epoch — they are simulated as absent (their traffic was
-    /// deferred, not sent) and recorded in [`EpochRecord::late`], but they
-    /// are **not** tallied into [`Runtime::late_drops`]: nothing is
-    /// discarded under the quorum, only deferred.
-    ///
-    /// # Panics
-    /// Panics if no epoch is open, if `device_tree_nodes` does not have one
-    /// entry per device, if `carried` names a device id out of range, or if
-    /// `min_updates` is zero.
-    pub fn end_epoch_closing(
-        &mut self,
-        device_tree_nodes: &[usize],
-        layers: usize,
-        carried: &[u32],
-        min_updates: usize,
-    ) -> &EpochRecord {
-        self.close_epoch(device_tree_nodes, layers, carried, Some(min_updates))
-    }
-
-    /// Shared epoch-closing core: prices the ledger window, runs the
-    /// event-driven simulation (with `quorum` as the round-closing handler
-    /// when present, the uninterrupted barrier otherwise), extends timing
-    /// with the aggregator tier, and pushes the [`EpochRecord`].
-    fn close_epoch(
-        &mut self,
-        device_tree_nodes: &[usize],
-        layers: usize,
-        late: &[u32],
-        quorum: Option<usize>,
-    ) -> &EpochRecord {
+        let RoundOutcome {
+            late,
+            quorum,
+            faults,
+        } = outcome;
+        if quorum.is_none() {
+            self.late_drops += late.len() as u64;
+        }
         let (idx, mut sw, snap) = self.current.take().expect("no epoch open");
         sw.stop();
         self.network.round();
@@ -377,17 +347,16 @@ impl Runtime {
             .collect();
         let total_messages = self.network.total_messages() - snap.total_messages;
         let n = self.network.num_devices().max(1) as f64;
-        let plan = self.fault_plan.take();
         let mut sim = self.profiles.as_ref().map(|profiles| {
             let work = ledger_work(&self.network, &snap, device_tree_nodes, layers);
             let schedule = if late.is_empty() {
-                EventDrivenRuntime::new_with_faults(profiles, &work, plan.as_ref())
+                EventDrivenRuntime::new_with_faults(profiles, &work, faults)
             } else {
                 let mut overlay = profiles.clone();
                 for &d in late {
                     overlay[d as usize].available = false;
                 }
-                EventDrivenRuntime::new_with_faults(&overlay, &work, plan.as_ref())
+                EventDrivenRuntime::new_with_faults(&overlay, &work, faults)
             };
             match quorum {
                 Some(min_updates) => {
@@ -403,7 +372,7 @@ impl Runtime {
             // partial lands at the server, not when the last device-tier
             // event fires. Under an aggregator outage the re-homed shards
             // fold into their successors before the hop is priced.
-            let t2 = match self.rehome.as_ref() {
+            let t2 = match self.network.rehome_map() {
                 Some(map) => tier_timing_failover(
                     stats,
                     &tier.topology,
@@ -491,7 +460,9 @@ impl Runtime {
         &self.epochs
     }
 
-    /// Total device-rounds dropped by the aggregation deadline so far.
+    /// Total device-rounds cut from a barrier so far: every late update of
+    /// every quorum-free round, whether the policy then discarded it
+    /// (`Deadline`) or parked it for a later round (`Buffered`).
     pub fn late_drops(&self) -> u64 {
         self.late_drops
     }
@@ -574,7 +545,9 @@ mod tests {
         rt.network.send(0, 1, 10);
         rt.network.send(1, 2, 10);
         rt.network.send(2, 0, 10);
-        let rec = rt.end_epoch(&[4, 7, 10], 2).clone();
+        let rec = rt
+            .end_epoch(&[4, 7, 10], 2, RoundOutcome::default())
+            .clone();
         assert_eq!(rec.epoch, 0);
         assert_eq!(rec.total_messages, 3);
         assert!((rec.avg_messages_per_device - 1.0).abs() < 1e-12);
@@ -594,7 +567,7 @@ mod tests {
         for _ in 0..3 {
             rt.begin_epoch();
             rt.network.send(0, 1, 1);
-            rt.end_epoch(&[3, 3], 2);
+            rt.end_epoch(&[3, 3], 2, RoundOutcome::default());
         }
         assert!((rt.avg_messages_per_device_per_epoch() - 0.5).abs() < 1e-12);
         assert!(rt.avg_epoch_makespan() > 0.0);
@@ -605,7 +578,7 @@ mod tests {
     fn cost_model_path_records_no_sim() {
         let mut rt = Runtime::new(2, CostModel::default());
         rt.begin_epoch();
-        let rec = rt.end_epoch(&[3, 3], 2).clone();
+        let rec = rt.end_epoch(&[3, 3], 2, RoundOutcome::default()).clone();
         assert!(rec.sim.is_none());
         assert_eq!(rt.total_sim_secs(), 0.0);
         assert!(rt.straggler_sequence().is_empty());
@@ -622,7 +595,7 @@ mod tests {
         rt.begin_epoch();
         rt.network.send(0, 1, 64);
         rt.network.send(1, 0, 64);
-        let rec = rt.end_epoch(&[10, 10], 2).clone();
+        let rec = rt.end_epoch(&[10, 10], 2, RoundOutcome::default()).clone();
         let sim = rec.sim.expect("profile path must simulate");
         assert_eq!(sim.straggler, Some(1));
         assert!(sim.busy_secs[1] > sim.busy_secs[0]);
@@ -647,7 +620,7 @@ mod tests {
         let mut rt = Runtime::with_profiles(2, CostModel::default(), profiles.clone());
         rt.begin_epoch();
         rt.network.send(1, 0, 4096);
-        let rec = rt.end_epoch(&[10, 10], 2).clone();
+        let rec = rt.end_epoch(&[10, 10], 2, RoundOutcome::default()).clone();
         let sim = rec.sim.expect("profile path must simulate");
         // Device 1 computes 20 units at 0.1/s = 200s, uploads 1s, latency;
         // device 0's one-second drain can only start after that.
@@ -669,7 +642,16 @@ mod tests {
             for d in 0..4 {
                 rt.network.send_to_server(d, 64);
             }
-            let rec = rt.end_epoch_dropping(&[5, 5, 5, 5], 2, late).clone();
+            let rec = rt
+                .end_epoch(
+                    &[5, 5, 5, 5],
+                    2,
+                    RoundOutcome {
+                        late,
+                        ..RoundOutcome::default()
+                    },
+                )
+                .clone();
             (rec, rt.late_drops())
         };
         let (full, full_drops) = run(&[]);
@@ -700,13 +682,23 @@ mod tests {
         };
         let mut full_rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
         round(&mut full_rt);
-        let full = full_rt.end_epoch(&[5, 5, 5, 5], 2).clone();
+        let full = full_rt
+            .end_epoch(&[5, 5, 5, 5], 2, RoundOutcome::default())
+            .clone();
 
         // Quorum of 3: the round closes at the third landing, long before
         // the straggler's — and nothing is tallied as dropped.
         let mut rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
         round(&mut rt);
-        let quorum = rt.end_epoch_closing(&[5, 5, 5, 5], 2, &[], 3).clone();
+        let close = |rt: &mut Runtime, late: &[u32]| {
+            let outcome = RoundOutcome {
+                late,
+                quorum: Some(3),
+                faults: None,
+            };
+            rt.end_epoch(&[5, 5, 5, 5], 2, outcome).clone()
+        };
+        let quorum = close(&mut rt, &[]);
         assert_eq!(rt.late_drops(), 0, "the quorum drops nothing");
         assert!(quorum.late.is_empty());
         let (fs, qs) = (full.sim.unwrap(), quorum.sim.unwrap());
@@ -722,7 +714,7 @@ mod tests {
         // round's simulation, named in the record, still not a drop.
         let mut rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
         round(&mut rt);
-        let carried = rt.end_epoch_closing(&[5, 5, 5, 5], 2, &[3], 3).clone();
+        let carried = close(&mut rt, &[3]);
         assert_eq!(rt.late_drops(), 0);
         assert_eq!(carried.late, vec![3]);
         assert_eq!(carried.sim.unwrap().active_devices, 3);
@@ -755,7 +747,9 @@ mod tests {
                     rt.network.send_aggregator_to_server(k, 64);
                 }
             }
-            let rec = rt.end_epoch(&[5, 5, 5, 5], 2).clone();
+            let rec = rt
+                .end_epoch(&[5, 5, 5, 5], 2, RoundOutcome::default())
+                .clone();
             (rec.sim.unwrap().makespan_secs, rt.total_tier2_secs())
         };
         let (flat, flat_t2) = run(false);
@@ -815,7 +809,7 @@ mod tests {
         let frozen = rt.node_costs_micros(2, 64).unwrap();
         rt.begin_epoch();
         let first = rt
-            .end_epoch(&[1, 1, 1], 2)
+            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
             .node_costs_micros
             .clone()
             .unwrap();
@@ -826,7 +820,7 @@ mod tests {
         rt.set_profiles(churned);
         rt.begin_epoch();
         let live = rt
-            .end_epoch(&[1, 1, 1], 2)
+            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
             .node_costs_micros
             .clone()
             .unwrap();
@@ -837,7 +831,7 @@ mod tests {
         rt.set_profiles(profiles);
         rt.begin_epoch();
         let back = rt
-            .end_epoch(&[1, 1, 1], 2)
+            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
             .node_costs_micros
             .clone()
             .unwrap();
@@ -854,7 +848,7 @@ mod tests {
                 rt.begin_epoch();
                 rt.network.send(0, 1, 100);
                 rt.network.send(2, 0, 300);
-                rt.end_epoch(&[5, 6, 7], 2);
+                rt.end_epoch(&[5, 6, 7], 2, RoundOutcome::default());
             }
             (rt.total_sim_secs(), rt.straggler_sequence())
         };
@@ -874,18 +868,24 @@ mod tests {
         rt.defer_sends(1, vec![(2, 0, 64)]);
         rt.defer_sends(2, vec![(2, SimNetwork::SERVER, 64)]);
         assert_eq!(rt.deferred_sends(), 2);
-        let r0 = rt.end_epoch(&[1, 1, 1], 2).total_messages;
+        let r0 = rt
+            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
+            .total_messages;
         assert_eq!(r0, 0, "deferred traffic must not land early");
         // Round 1: the one-round deferral arrives.
         rt.begin_epoch();
         assert_eq!(rt.carry_in(), 1);
-        let r1 = rt.end_epoch(&[1, 1, 1], 2).total_messages;
+        let r1 = rt
+            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
+            .total_messages;
         assert_eq!(r1, 1);
         assert_eq!(rt.deferred_sends(), 1);
         // Round 2: the server-bound message arrives.
         rt.begin_epoch();
         assert_eq!(rt.carry_in(), 1);
-        let r2 = rt.end_epoch(&[1, 1, 1], 2).total_messages;
+        let r2 = rt
+            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
+            .total_messages;
         assert_eq!(r2, 1);
         assert_eq!(rt.deferred_sends(), 0);
     }
@@ -917,7 +917,7 @@ mod tests {
         // surplus devices when the workload vector was too short.
         let mut rt = Runtime::new(3, CostModel::default());
         rt.begin_epoch();
-        rt.end_epoch(&[4, 7], 2);
+        rt.end_epoch(&[4, 7], 2, RoundOutcome::default());
     }
 
     #[test]
@@ -940,6 +940,6 @@ mod tests {
     #[should_panic]
     fn end_without_begin_panics() {
         let mut rt = Runtime::new(1, CostModel::default());
-        rt.end_epoch(&[1], 1);
+        rt.end_epoch(&[1], 1, RoundOutcome::default());
     }
 }

@@ -1,5 +1,5 @@
 //! Evaluation metrics: classification accuracy (Fig. 3/5a/6a) and the
-//! ROC-AUC score for link prediction (Fig. 4/5b/6b; the paper's ref [44]).
+//! ROC-AUC score for link prediction (Fig. 4/5b/6b; the paper's ref \[44\]).
 
 use lumos_tensor::nn::argmax_rows;
 use lumos_tensor::Tensor;

@@ -1,4 +1,4 @@
-//! GraphSAGE layer (Hamilton et al., the paper's ref [24]) — an extension
+//! GraphSAGE layer (Hamilton et al., the paper's ref \[24\]) — an extension
 //! backbone beyond the paper's GCN/GAT evaluation.
 //!
 //! Mean-aggregator variant: `h'_v = W_self·h_v + W_neigh·mean h_u + b`.

@@ -81,7 +81,7 @@ impl GaussianMechanism {
     }
 
     /// Calibrates σ for (ε, δ)-DP with L2 sensitivity `delta_f`:
-    /// `σ = sqrt(2 ln(1.25/δ)) · Δf / ε` (Dwork & Roth, the paper's [45]).
+    /// `σ = sqrt(2 ln(1.25/δ)) · Δf / ε` (Dwork & Roth, the paper's \[45\]).
     pub fn calibrated(epsilon: f64, delta: f64, delta_f: f64) -> Self {
         assert!(
             epsilon > 0.0 && delta > 0.0 && delta < 1.0,
@@ -105,7 +105,7 @@ impl GaussianMechanism {
     }
 }
 
-/// k-ary randomized response (Warner, the paper's [46]).
+/// k-ary randomized response (Warner, the paper's \[46\]).
 #[derive(Debug, Clone, Copy)]
 pub struct RandomizedResponse {
     keep_prob: f64,

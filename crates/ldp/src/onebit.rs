@@ -1,4 +1,4 @@
-//! The one-bit mechanism (Ding et al., the paper's ref [38]).
+//! The one-bit mechanism (Ding et al., the paper's ref \[38\]).
 //!
 //! Encodes a bounded value `x ∈ [a, b]` as a single bit whose probability of
 //! being 1 grows linearly with `x` (Eq. 26), and recovers an *unbiased*

@@ -15,8 +15,9 @@
 //! is synchronous (§IV-B): it ends when the last event fires, and the
 //! device that fires it is the epoch's straggler.
 //!
-//! The simulator runs entirely on [`VirtualTime`] — no `Instant`, no real
-//! clock — so identical inputs give bit-identical statistics.
+//! The simulator runs entirely on [`VirtualTime`](crate::VirtualTime) — no
+//! `Instant`, no real clock — so identical inputs give bit-identical
+//! statistics.
 
 use crate::profile::DeviceProfile;
 use crate::runtime::{Control, EventDrivenRuntime};

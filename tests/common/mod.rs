@@ -1,0 +1,15 @@
+//! Helpers shared by the integration suites.
+
+use lumos::core::RunReport;
+
+/// Asserts two reports agree on every deterministic field, bit for bit
+/// (`RunReport::digest`; the wall-clock fields are the only exempt ones),
+/// and names the first field that differs when they do not.
+pub fn assert_reports_identical(a: &RunReport, b: &RunReport) {
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "reports diverged; first differing field: {:?}",
+        a.first_difference(b)
+    );
+}

@@ -1,19 +1,17 @@
-//! Lockstep ⇄ event-driven equivalence of the full pipeline.
+//! Collapse law of the event-driven round at the `run_lumos` level.
 //!
-//! PR 9 retired the epoch-lockstep core: every round's timing and every
-//! aggregation decision now flows through `lumos_sim::EventDrivenRuntime`,
-//! with the old post-hoc probe surviving only as the
-//! `LumosConfig::with_lockstep_runtime` bisection aid. These properties pin
-//! the refactor's two collapse contracts at the `run_lumos` level:
-//!
-//! 1. the event-driven runtime produces **bit-identical** reports to the
-//!    lockstep path — for the default `FullSync` barrier on every scenario
-//!    preset, and for the cut policies where the two code paths genuinely
-//!    diverge;
-//! 2. an `Async` quorum of the whole fleet *is* the synchronous barrier
-//!    (`AggregationPolicy::resolve` collapses it up front).
+//! Every round's timing and every aggregation decision flows through
+//! `lumos_sim::EventDrivenRuntime`; the arrival-time handlers are checked
+//! against the post-hoc reference cut inside `lumos-sim` / `lumos-topo`
+//! (`round_policy_verdicts_equal_the_post_hoc_cut` and friends). What is
+//! pinned here is the run-level contract: an `Async` quorum of the whole
+//! fleet *is* the synchronous barrier (`AggregationPolicy::resolve`
+//! collapses it up front).
 
-use lumos::core::{run_lumos, LumosConfig, RunReport, TaskKind};
+mod common;
+
+use common::assert_reports_identical;
+use lumos::core::{run_lumos, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
 use lumos::sim::{AggregationPolicy, Scenario};
@@ -26,71 +24,8 @@ fn base_config(seed: u64) -> LumosConfig {
         .with_seed(seed)
 }
 
-/// Asserts every deterministic field of two reports is identical, the
-/// simulation summary included. Wall-clock fields are the only exempt ones.
-fn assert_reports_identical(a: &RunReport, b: &RunReport) {
-    assert_eq!(a.test_metric.to_bits(), b.test_metric.to_bits());
-    assert_eq!(a.best_val_metric.to_bits(), b.best_val_metric.to_bits());
-    assert_eq!(a.history.len(), b.history.len());
-    for (ha, hb) in a.history.iter().zip(&b.history) {
-        assert_eq!(ha.epoch, hb.epoch);
-        assert_eq!(
-            ha.loss.to_bits(),
-            hb.loss.to_bits(),
-            "loss diverged at epoch {}",
-            ha.epoch
-        );
-        assert_eq!(ha.val_metric.to_bits(), hb.val_metric.to_bits());
-    }
-    assert_eq!(
-        a.avg_messages_per_device_per_epoch.to_bits(),
-        b.avg_messages_per_device_per_epoch.to_bits()
-    );
-    assert_eq!(
-        a.avg_epoch_makespan.to_bits(),
-        b.avg_epoch_makespan.to_bits()
-    );
-    assert_eq!(a.init_messages, b.init_messages);
-    assert_eq!(a.constructor.workloads, b.constructor.workloads);
-    assert_eq!(a.sim.is_some(), b.sim.is_some());
-    if let (Some(sa), Some(sb)) = (&a.sim, &b.sim) {
-        assert_eq!(sa.scenario, sb.scenario);
-        assert_eq!(
-            sa.total_virtual_secs.to_bits(),
-            sb.total_virtual_secs.to_bits(),
-            "{}: simulated makespan diverged",
-            sa.scenario
-        );
-        assert_eq!(
-            sa.avg_epoch_virtual_secs.to_bits(),
-            sb.avg_epoch_virtual_secs.to_bits()
-        );
-        assert_eq!(sa.straggler_sequence, sb.straggler_sequence);
-        assert_eq!(sa.mean_utilization.to_bits(), sb.mean_utilization.to_bits());
-        assert_eq!(sa.late_drops, sb.late_drops, "{}", sa.scenario);
-        assert_eq!(sa.buffered_updates, sb.buffered_updates);
-        assert_eq!(sa.wasted_updates, sb.wasted_updates);
-        assert_eq!(sa.migrations, sb.migrations);
-        assert_eq!(sa.migrated_nodes, sb.migrated_nodes);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// The event-driven `FullSync` run is bit-identical to the lockstep
-    /// path on every scenario preset: the synchronous barrier is the
-    /// degenerate schedule of the event-driven core, not a special case.
-    #[test]
-    fn event_driven_full_sync_is_bit_identical_to_lockstep(seed in any::<u64>()) {
-        let ds = Dataset::facebook_like(Scale::Smoke);
-        for scenario in Scenario::ALL {
-            let cfg = base_config(seed).with_scenario(scenario);
-            let event_driven = run_lumos(&ds, &cfg);
-            let lockstep = run_lumos(&ds, &cfg.clone().with_lockstep_runtime());
-            assert_reports_identical(&event_driven, &lockstep);
-        }
-    }
 
     /// An async quorum of the entire fleet collapses to `FullSync` bit for
     /// bit: waiting for everyone's update *is* the synchronous barrier.
@@ -106,30 +41,5 @@ proptest! {
             }),
         );
         assert_reports_identical(&barrier, &collapsed);
-    }
-}
-
-/// The cut policies are where the lockstep probe and the live event
-/// handlers genuinely diverge in code path — and must still agree bit for
-/// bit on every decision they make.
-#[test]
-fn cut_policies_agree_between_lockstep_and_event_driven() {
-    let ds = Dataset::facebook_like(Scale::Smoke);
-    for policy in [
-        AggregationPolicy::Deadline { factor: 2.0 },
-        AggregationPolicy::Buffered {
-            factor: 2.0,
-            decay: 0.5,
-        },
-        AggregationPolicy::Async { min_updates: 240 },
-    ] {
-        for scenario in [Scenario::StragglerTail, Scenario::Churn] {
-            let cfg = base_config(0xE7E47)
-                .with_scenario(scenario)
-                .with_aggregation_policy(policy);
-            let event_driven = run_lumos(&ds, &cfg);
-            let lockstep = run_lumos(&ds, &cfg.clone().with_lockstep_runtime());
-            assert_reports_identical(&event_driven, &lockstep);
-        }
     }
 }

@@ -15,10 +15,15 @@
 //!    sum-conserving, so the learned model is bit-identical to the same
 //!    faulted run without the outage.
 
-use lumos::core::{run_lumos, LumosConfig, RunReport, TaskKind};
+mod common;
+
+use common::assert_reports_identical;
+use lumos::core::{run_lumos, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
-use lumos::sim::{FaultSpec, OutageWindow, RecoveryPolicy, Scenario, HARD_RETRY_CAP};
+use lumos::sim::{
+    AggregationPolicy, FaultSpec, OutageWindow, RecoveryPolicy, Scenario, HARD_RETRY_CAP,
+};
 use lumos::topo::TopologyConfig;
 use proptest::prelude::*;
 
@@ -27,32 +32,6 @@ fn base_config(seed: u64) -> LumosConfig {
         .with_epochs(4)
         .with_mcmc_iterations(10)
         .with_seed(seed)
-}
-
-/// Every deterministic field of the two reports, bitwise. Wall-clock
-/// fields are the only exempt ones.
-fn assert_reports_identical(a: &RunReport, b: &RunReport) {
-    assert_eq!(a.test_metric.to_bits(), b.test_metric.to_bits());
-    assert_eq!(a.best_val_metric.to_bits(), b.best_val_metric.to_bits());
-    assert_eq!(a.history.len(), b.history.len());
-    for (ha, hb) in a.history.iter().zip(&b.history) {
-        assert_eq!(
-            ha.loss.to_bits(),
-            hb.loss.to_bits(),
-            "loss diverged at epoch {}",
-            ha.epoch
-        );
-        assert_eq!(ha.val_metric.to_bits(), hb.val_metric.to_bits());
-    }
-    assert_eq!(
-        a.avg_messages_per_device_per_epoch.to_bits(),
-        b.avg_messages_per_device_per_epoch.to_bits()
-    );
-    assert_eq!(
-        a.avg_epoch_makespan.to_bits(),
-        b.avg_epoch_makespan.to_bits()
-    );
-    assert_eq!(a.sim, b.sim, "simulation summaries must agree exactly");
 }
 
 const PRESETS: [Scenario; 4] = [
@@ -91,22 +70,49 @@ fn a_none_fault_spec_is_bit_identical_to_the_seed_on_every_preset() {
 #[test]
 fn zero_rate_faults_take_the_fault_path_and_stay_bit_identical() {
     // `Faults { 0, 0, 0, [] }` is NOT `FaultSpec::None`: it builds the
-    // fault state, re-routes every epoch through the buffering machinery
-    // and the faulted runtime constructors — and every one of those hops
-    // must still reproduce the seed bit for bit when nothing fires.
+    // fault state, compiles a plan every round and hands it to the probe
+    // and the epoch simulation — and every one of those hops must still
+    // reproduce the fault-free run bit for bit when nothing fires. Under
+    // the cutting policies this is also the run-level law that a 0/1
+    // weighting of the POOL is a mask, flat and tiered: faults used to
+    // switch a non-carrying policy from the masked to the weighted build.
     let ds = Dataset::facebook_like(Scale::Smoke);
-    let cfg = base_config(12).with_scenario(Scenario::StragglerTail);
-    let seed_path = run_lumos(&ds, &cfg);
-    let zero = run_lumos(
-        &ds,
-        &cfg.clone().with_faults(FaultSpec::Faults {
-            crash_rate: 0.0,
-            loss_rate: 0.0,
-            duplicate_rate: 0.0,
-            outages: vec![],
-        }),
-    );
-    assert_reports_identical(&seed_path, &zero);
+    for policy in [
+        AggregationPolicy::FullSync,
+        AggregationPolicy::Deadline { factor: 2.0 },
+        AggregationPolicy::Buffered {
+            factor: 2.0,
+            decay: 0.5,
+        },
+        AggregationPolicy::Async { min_updates: 240 },
+    ] {
+        for topology in [
+            TopologyConfig::Flat,
+            TopologyConfig::Hierarchical { aggregators: 4 },
+        ] {
+            let cfg = base_config(12)
+                .with_scenario(Scenario::StragglerTail)
+                .with_aggregation_policy(policy)
+                .with_topology(topology);
+            let fault_free = run_lumos(&ds, &cfg);
+            let zero = run_lumos(
+                &ds,
+                &cfg.clone().with_faults(FaultSpec::Faults {
+                    crash_rate: 0.0,
+                    loss_rate: 0.0,
+                    duplicate_rate: 0.0,
+                    outages: vec![],
+                }),
+            );
+            assert_reports_identical(&fault_free, &zero);
+            let cuts = zero.sim.expect("scenario run reports sim stats").late_drops;
+            let cutting = matches!(
+                policy,
+                AggregationPolicy::Deadline { .. } | AggregationPolicy::Buffered { .. }
+            );
+            assert_eq!(cuts > 0, cutting, "{policy:?} × {topology:?}: {cuts} cuts");
+        }
+    }
 }
 
 #[test]
