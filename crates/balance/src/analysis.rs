@@ -1,25 +1,8 @@
-//! Workload analyses behind Figure 7 and Theorem 2's empirical checks.
+//! Balance-quality summary of an assignment (max, mean, tail, imbalance).
 
 use lumos_common::stats::Ecdf;
 
 use crate::problem::Assignment;
-
-/// Workload distribution (the series of Figure 7): the empirical CDF of
-/// per-device workloads under an assignment.
-pub fn workload_ecdf(assignment: &Assignment) -> Ecdf {
-    Ecdf::new(
-        assignment
-            .workloads()
-            .into_iter()
-            .map(|w| w as f64)
-            .collect(),
-    )
-}
-
-/// Workload CDF of the untrimmed system (workload = raw degree).
-pub fn degree_ecdf(g: &lumos_graph::Graph) -> Ecdf {
-    Ecdf::new(g.degrees().into_iter().map(|d| d as f64).collect())
-}
 
 /// Summary of the balance quality of an assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,7 +26,7 @@ pub fn summarize(assignment: &Assignment) -> BalanceSummary {
     } else {
         wl.iter().sum::<usize>() as f64 / wl.len() as f64
     };
-    let ecdf = workload_ecdf(assignment);
+    let ecdf = Ecdf::new(wl.iter().map(|&w| w as f64).collect());
     BalanceSummary {
         max,
         mean,
@@ -56,19 +39,6 @@ pub fn summarize(assignment: &Assignment) -> BalanceSummary {
 mod tests {
     use super::*;
     use lumos_graph::Graph;
-
-    #[test]
-    fn ecdf_of_star_assignment() {
-        let edges: Vec<(u32, u32)> = (1..=9).map(|v| (0u32, v)).collect();
-        let g = Graph::from_edges(10, &edges);
-        let full = Assignment::full(&g);
-        let e = workload_ecdf(&full);
-        assert_eq!(e.max(), 9.0);
-        // Nine leaves with workload 1 → CDF at 1 is 0.9.
-        assert!((e.eval(1.0) - 0.9).abs() < 1e-9);
-        let d = degree_ecdf(&g);
-        assert_eq!(d.max(), 9.0);
-    }
 
     #[test]
     fn summary_reflects_imbalance() {

@@ -10,8 +10,10 @@
 
 #![forbid(unsafe_code)]
 pub mod analysis;
-pub mod exact;
-pub mod flow;
+#[cfg(test)]
+mod exact;
+#[cfg(test)]
+mod flow;
 pub mod greedy;
 pub mod maxfind;
 pub mod mcmc;
@@ -19,9 +21,7 @@ pub mod oracle;
 pub mod problem;
 pub mod rebalance;
 
-pub use analysis::{degree_ecdf, summarize, workload_ecdf, BalanceSummary};
-pub use exact::{solve_exact, ExactSolution};
-pub use flow::FlowNetwork;
+pub use analysis::{summarize, BalanceSummary};
 pub use greedy::{
     greedy_init, greedy_init_weighted, rounded_log_degree, rounded_log_weighted, LOG_DEGREE_BITS,
 };

@@ -3,12 +3,12 @@
 use lumos_common::rng::Xoshiro256pp;
 use lumos_core::config::TaskKind;
 use lumos_core::report::RunReport;
-use lumos_data::{Dataset, EdgeSplit, NodeSplit};
+use lumos_data::Dataset;
 use lumos_gnn::Backbone;
 use lumos_graph::Graph;
 use lumos_ldp::{GaussianMechanism, MultiBitMechanism, RandomizedResponse};
 
-use crate::common::{features_tensor, train_plain, PlainRun};
+use crate::common::{draw_task, features_tensor, train_plain, PlainRun};
 
 /// Common run parameters for the baselines.
 #[derive(Debug, Clone)]
@@ -57,42 +57,18 @@ impl BaselineConfig {
     }
 }
 
-fn make_splits(
-    ds: &Dataset,
-    task: TaskKind,
-    rng: &mut Xoshiro256pp,
-) -> (Option<NodeSplit>, Option<EdgeSplit>, Vec<(u32, u32)>) {
-    match task {
-        TaskKind::Supervised => {
-            let split = NodeSplit::uniform(ds.num_nodes(), rng);
-            let edges: Vec<(u32, u32)> = ds.graph.edges().collect();
-            (Some(split), None, edges)
-        }
-        TaskKind::Unsupervised => {
-            let split = EdgeSplit::uniform(&ds.graph, rng);
-            let edges = split.train_edges.clone();
-            (None, Some(split), edges)
-        }
-    }
-}
-
 /// Centralized GNN: the server sees the true graph, raw features and labels
 /// (the paper's upper reference).
 pub fn run_centralized(ds: &Dataset, cfg: &BaselineConfig) -> RunReport {
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
-    let (node_split, edge_split, edges) = make_splits(ds, cfg.task, &mut rng);
+    let (task, message_edges) = draw_task(ds, cfg.task, ds.labels.clone(), &mut rng);
     train_plain(PlainRun {
         system: "centralized",
         dataset: &ds.name,
         backbone: cfg.backbone,
-        task: cfg.task,
-        message_edges: edges,
+        task,
+        message_edges,
         features: features_tensor(&ds.features, ds.num_nodes(), ds.feature_dim),
-        train_labels: ds.labels.clone(),
-        true_labels: &ds.labels,
-        num_classes: ds.num_classes,
-        node_split,
-        edge_split,
         true_graph: &ds.graph,
         epochs: cfg.epochs,
         lr: cfg.lr,
@@ -178,19 +154,14 @@ pub fn run_lpgnn(ds: &Dataset, cfg: &BaselineConfig, params: &LpgnnParams) -> Ru
     }
 
     let mut seed_rng = Xoshiro256pp::seed_from_u64(cfg.seed);
-    let (node_split, edge_split, edges) = make_splits(ds, cfg.task, &mut seed_rng);
+    let (task, message_edges) = draw_task(ds, cfg.task, noisy_labels, &mut seed_rng);
     train_plain(PlainRun {
         system: "lpgnn",
         dataset: &ds.name,
         backbone: cfg.backbone,
-        task: cfg.task,
-        message_edges: edges,
+        task,
+        message_edges,
         features: features_tensor(&noisy, n, d),
-        train_labels: noisy_labels,
-        true_labels: &ds.labels,
-        num_classes: ds.num_classes,
-        node_split,
-        edge_split,
         true_graph: &ds.graph,
         epochs: cfg.epochs,
         lr: cfg.lr,
@@ -257,7 +228,7 @@ pub struct NaiveFedParams {
     /// system collapses in the paper.
     pub adjacency_epsilon: f64,
     /// Tractability cap on spurious edges, as a multiple of `|E|` (the
-    /// exact RR expectation is quadratic in `n`; see DESIGN.md).
+    /// exact RR expectation is quadratic in `n`).
     pub max_noise_ratio: f64,
 }
 
@@ -301,21 +272,16 @@ pub fn run_naive_fedgnn(ds: &Dataset, cfg: &BaselineConfig, params: &NaiveFedPar
     // truth); the *message* structure the server sees is the noised version
     // of what devices upload.
     let mut seed_rng = Xoshiro256pp::seed_from_u64(cfg.seed);
-    let (node_split, edge_split, base_edges) = make_splits(ds, cfg.task, &mut seed_rng);
+    let (task, base_edges) = draw_task(ds, cfg.task, noisy_labels, &mut seed_rng);
     let message_edges = noise_adjacency(n, &base_edges, params, &mut rng);
 
     train_plain(PlainRun {
         system: "naive-fedgnn",
         dataset: &ds.name,
         backbone: cfg.backbone,
-        task: cfg.task,
+        task,
         message_edges,
         features: features_tensor(&noisy, n, d),
-        train_labels: noisy_labels,
-        true_labels: &ds.labels,
-        num_classes: ds.num_classes,
-        node_split,
-        edge_split,
         true_graph: &ds.graph,
         epochs: cfg.epochs,
         lr: cfg.lr,
@@ -424,6 +390,15 @@ mod tests {
     fn lpgnn_rejects_unsupervised() {
         let ds = Dataset::facebook_like(Scale::Smoke);
         let _ = run_lpgnn(&ds, &cfg(TaskKind::Unsupervised), &LpgnnParams::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "eval_every")]
+    fn zero_eval_every_is_rejected_before_any_work() {
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let mut cfg = cfg(TaskKind::Supervised);
+        cfg.eval_every = 0;
+        run_centralized(&ds, &cfg);
     }
 
     #[test]

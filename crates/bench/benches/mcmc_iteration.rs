@@ -1,6 +1,5 @@
 //! Cost of the workload balancer: greedy initialization, Algorithm 3, and
-//! MCMC iterations — including the greedy-vs-raw ablation called out in
-//! DESIGN.md.
+//! MCMC iterations — including the greedy-vs-raw ablation.
 
 use std::hint::black_box;
 

@@ -91,7 +91,7 @@ mod tests {
     /// `ε·wl/d` leaves little pairwise signal, so only the weaker shapes
     /// are asserted here: Lumos beats random guessing and the centralized
     /// skyline dominates everything. The Lumos-vs-naive ordering of the
-    /// paper's Figure 4 is a paper-scale property (see EXPERIMENTS.md).
+    /// paper's Figure 4 is a paper-scale property.
     #[test]
     fn fig4_sanity_at_smoke_scale_gcn() {
         let args = HarnessArgs {

@@ -2,7 +2,7 @@
 //!
 //! The experiment binaries print each figure/table of the paper as a
 //! markdown table on stdout and optionally as CSV, so runs can be diffed and
-//! pasted into `EXPERIMENTS.md` directly.
+//! pasted into a write-up directly.
 
 use std::fmt::Write as _;
 

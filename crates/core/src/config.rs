@@ -136,7 +136,7 @@ impl LumosConfig {
     /// unsupervised dot-product decoder occasionally collapses to the
     /// trivial solution at that rate (dead ReLUs pin the loss at ln 2), so
     /// link-prediction runs default to `lr = 0.003` — applied uniformly to
-    /// Lumos and every baseline (see EXPERIMENTS.md).
+    /// Lumos and every baseline (`BaselineConfig::new` mirrors it).
     pub fn new(backbone: Backbone, task: TaskKind) -> Self {
         Self {
             backbone,

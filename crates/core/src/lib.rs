@@ -12,7 +12,8 @@
 //! * the **tree-based GNN trainer** —
 //!   [`init`] (LDP embedding initialization, Eq. 26–27) +
 //!   [`batch`] (the simulator's batched forest) +
-//!   [`trainer`] (message passing, POOL, supervised/unsupervised losses).
+//!   [`task`] (the supervised / unsupervised head: loss and metric) +
+//!   [`trainer`] (message passing, POOL, the synchronized round).
 //!
 //! ```no_run
 //! use lumos_core::{run_lumos, LumosConfig, TaskKind};
@@ -31,6 +32,7 @@ pub mod config;
 pub mod constructor;
 pub mod init;
 pub mod report;
+pub mod task;
 pub mod trainer;
 pub mod tree;
 

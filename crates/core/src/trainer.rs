@@ -5,17 +5,21 @@
 //! every tree with shared weights, POOL across devices (Eq. 31), loss
 //! computation (§VI-C), synchronized gradient update — with every
 //! inter-device message recorded on the federated runtime's ledger.
+//!
+//! The run's state has three owners, split where the borrows split: the
+//! [`Forest`] (what is trained on), the [`Model`] (what is trained) and the
+//! [`Fleet`] (who trains, and what it costs them). [`run_lumos`] builds the
+//! three and drives one round per epoch through their phase methods:
+//! `rebalance → judge → pool weights → step → account → close → evaluate`.
 
+use std::ops::Range;
 use std::rc::Rc;
 
 use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_data::{Dataset, EdgeSplit, NodeSplit};
+use lumos_data::Dataset;
 use lumos_fed::{ledger_work, CostModel, RoundOutcome, Runtime, SimNetwork, TierSpec};
-use lumos_gnn::{
-    accuracy_masked, cross_entropy_masked, link_logits, link_prediction_loss, roc_auc,
-    EncoderConfig, GnnEncoder, LinearDecoder,
-};
+use lumos_gnn::{EncoderConfig, GnnEncoder};
 use lumos_graph::Graph;
 use lumos_tensor::{Adam, ParamStore, Tape, VarId};
 
@@ -26,122 +30,44 @@ use lumos_sim::{
 use lumos_topo::{ShardRoundPolicies, Topology};
 
 use crate::batch::{build_batched, BatchedTrees, PoolArrays};
-use crate::config::{LumosConfig, TaskKind};
+use crate::config::LumosConfig;
 use crate::constructor::{construct_assignment, construct_assignment_sharded};
-use crate::init::{exchange_features, exchange_missing_features};
+use crate::init::{exchange_features, exchange_missing_features, LdpExchange};
 use crate::report::{EpochMetrics, RunReport, SimSummary};
+use crate::task::{EvalCadence, EvalSplit, LinkFetches, TaskData, TaskHead};
 use crate::tree::{DeviceTree, LocalGraphKind};
-
-/// Paired endpoint lists of positive training edges.
-type PairLists = (Rc<Vec<u32>>, Rc<Vec<u32>>);
-
-/// The round's timing probe. The per-round message pattern is static
-/// between migrations (same trees, same protocol every epoch), so one dry
-/// run of the recorder yields the per-destination work whose simulated
-/// timing decides, each round, which updates the policy cuts.
-struct LateProbe {
-    template: Vec<DeviceWork>,
-    /// Memo key: the fleet the probe last ran against (`None`: not yet).
-    /// The verdicts are a pure function of (fleet, template).
-    fleet: Option<Vec<DeviceProfile>>,
-    /// Memo value: the `(device, staleness)` pairs cut on that fleet.
-    verdicts: Vec<(u32, u32)>,
-}
-
-/// What a round's timing decided, before any training math runs. All empty
-/// without a scenario.
-#[derive(Default)]
-struct Judged {
-    /// The round's compiled fault outcomes (`None`: fault-free).
-    plan: Option<FaultPlan>,
-    /// Devices the policy cut from the barrier, carried or not.
-    late: Vec<u32>,
-    /// Updates that never reach anyone: churned-out and crashed devices,
-    /// and what a non-carrying policy cut.
-    dropped: Vec<u32>,
-    /// `(device, staleness)` of updates that arrive `staleness` rounds
-    /// late: what a carrying policy cut, and uploads that ran out their
-    /// retry budget (one round).
-    carried: Vec<(u32, u32)>,
-}
 
 /// Embedding size of a pooled vertex message on the wire (16 f32 values).
 const EMBEDDING_BYTES: u64 = 16 * 4;
 
 /// Runs the full Lumos system on a dataset and returns the report.
 pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
+    let cadence = EvalCadence::new(cfg.eval_every, cfg.epochs);
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let n = ds.num_nodes();
 
-    // Task-specific splits. Link prediction trains on the 80% train-edge
-    // graph; classification trains on the full graph with node masks.
-    let node_split;
-    let edge_split;
-    let train_graph: Graph = match cfg.task {
-        TaskKind::Supervised => {
-            node_split = Some(NodeSplit::uniform(n, &mut rng));
-            edge_split = None;
-            ds.graph.clone()
-        }
-        TaskKind::Unsupervised => {
-            let split = EdgeSplit::uniform(&ds.graph, &mut rng);
-            let g = split.train_graph(n);
-            edge_split = Some(split);
-            node_split = None;
-            g
-        }
+    // Link prediction trains on the 80% train-edge graph; classification
+    // trains on the full graph with node masks.
+    let data = TaskData::draw(
+        cfg.task,
+        ds,
+        ds.labels.clone(),
+        cfg.negatives_per_positive,
+        &mut rng,
+    );
+    let train_graph = match data.train_edges() {
+        Some(edges) => Graph::from_edges(n, edges),
+        None => ds.graph.clone(),
     };
 
-    // Fleet and runtime come up before the constructor so the VirtualSecs
-    // objective can price each device's tree nodes. The fleet draws from
-    // its own seed-derived RNG stream, so enabling a scenario changes
-    // timing statistics (and, under VirtualSecs, tree placement) only —
-    // never the trainer's stochastic streams.
-    let mut runtime = Runtime::new(n, CostModel::default());
-    runtime.set_embedding_bytes(EMBEDDING_BYTES);
-    let mut scenario = cfg.scenario.map(|s| ScenarioState::new(s, n, cfg.seed));
-    if let Some(state) = &scenario {
-        runtime.set_profiles(state.profiles().to_vec());
-    }
+    // The fleet comes up before the constructor so the VirtualSecs
+    // objective can price each device's tree nodes.
     let enc_cfg = EncoderConfig::paper(cfg.backbone, ds.feature_dim);
-    let node_costs = match cfg.balance_objective {
-        BalanceObjective::TreeNodes => None,
-        // Without a scenario there are no profiles to price with, so this
-        // silently degenerates to the node-count objective.
-        BalanceObjective::VirtualSecs => {
-            runtime.node_costs_micros(enc_cfg.num_layers, EMBEDDING_BYTES)
-        }
-    };
-
-    // Aggregation topology (hierarchical mode). A single-aggregator tree
-    // resolves to the flat topology up front (`TopologyConfig::effective`),
-    // so `topology` is `Some` only with ≥ 2 real shards. Device→shard
-    // placement is cost-aware when per-device prices exist, seeded
-    // otherwise — and static thereafter: live re-balancing migrates tree
-    // nodes between devices, never devices between aggregators.
-    let topology: Option<Topology> =
-        cfg.topology
-            .effective(n)
-            .aggregators()
-            .map(|k| match node_costs.as_deref() {
-                Some(costs) => Topology::cost_balanced(costs, k),
-                None => Topology::seeded(n, k, cfg.seed),
-            });
-    if let Some(topo) = &topology {
-        // The compact per-shard ledger replaces the per-edge matrix —
-        // memory stays O(devices + aggregators) — and the tier spec makes
-        // every profiled epoch's makespan run through the aggregators.
-        runtime.network = SimNetwork::new_sharded(topo.shard_vector());
-        runtime.set_tier(TierSpec {
-            topology: topo.clone(),
-            aggregator: DeviceProfile::baseline(),
-            partial_bytes: EMBEDDING_BYTES,
-        });
-    }
+    let (mut fleet, node_costs) = Fleet::muster(n, cfg, enc_cfg.num_layers);
 
     // Phase 1: heterogeneity-aware tree constructor (§V); in hierarchical
     // mode each shard balances independently inside its own secure lanes.
-    let (mut assignment, constructor) = match &topology {
+    let (assignment, constructor) = match &fleet.topology {
         Some(topo) => construct_assignment_sharded(
             &train_graph,
             cfg.tree_trimming,
@@ -163,462 +89,274 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
         ),
     };
 
-    let kind = if cfg.virtual_nodes {
-        LocalGraphKind::VirtualNodeTree
-    } else {
-        LocalGraphKind::RawEgoNetwork
-    };
-    let build_trees = |assignment: &Assignment| -> Vec<DeviceTree> {
-        (0..n as u32)
-            .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
-            .collect()
-    };
-    let mut trees = build_trees(&assignment);
-
     // Phase 2: LDP embedding initialization (§VI-A).
-    let mut exchange = exchange_features(
-        &ds.features,
-        ds.feature_dim,
-        &trees,
-        cfg.epsilon,
-        &mut rng,
-        &mut runtime.network,
-    );
-    let init_messages = exchange.messages;
-    let mut batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
-
-    // The round is resolved once, here. Policy and faults both ride on the
-    // fleet's profiles, so without a scenario there is nothing to time,
-    // cut, crash or delay against and every round is the paper's
-    // synchronous barrier. `resolve` additionally folds
-    // `Buffered { decay: 0 }` into `Deadline` and a full-fleet `Async`
-    // quorum into `FullSync`, so both bit-for-bit collapses hold by
-    // construction. The fault stream draws from its own domain-separated
-    // RNG: enabling it never perturbs the trainer's or the fleet's streams.
-    let policy = if scenario.is_some() {
-        cfg.aggregation_policy.resolve(n)
-    } else {
-        AggregationPolicy::FullSync
-    };
-    let mut faults: Option<FaultState> = (scenario.is_some() && !cfg.faults.is_none())
-        .then(|| FaultState::new(cfg.faults.clone(), cfg.recovery, cfg.seed));
-    // The one mode flag: whether the policy carries what it cuts into a
-    // later round, or cuts nothing / discards it.
-    let decay = carry_decay(&policy);
-    let carries = decay.is_some();
-    // Updates that arrive in a later round wait here: the cuts of a
-    // carrying policy, and — under any policy — uploads that ran out their
-    // retry budget, which degrade to one round late instead of vanishing.
-    let mut staleness_buffer = StalenessBuffer::new(decay.unwrap_or(1.0));
-
-    let layers = enc_cfg.num_layers;
-    let build_template = |trees: &[DeviceTree], tree_sizes: &[usize]| -> Vec<DeviceWork> {
-        // The probe must mirror the live network's mode: a sharded ledger
-        // yields the aggregate inbound schedule the real epochs will run.
-        let mut probe = match &topology {
-            Some(topo) => SimNetwork::new_sharded(topo.shard_vector()),
-            None => SimNetwork::new(n),
-        };
-        let snap = probe.snapshot();
-        record_epoch_messages(
-            trees,
-            cfg,
-            &mut probe,
-            edge_split.as_ref(),
-            &[],
-            &[],
-            topology.as_ref(),
-        );
-        ledger_work(&probe, &snap, tree_sizes, layers)
-    };
-    let mut probe: Option<LateProbe> = (policy != AggregationPolicy::FullSync)
-        .then(|| LateProbe::new(build_template(&trees, &batch.tree_sizes)));
-    // The re-balancer's per-device overload streaks.
-    let mut streaks: Vec<u32> = vec![0; n];
-    let mut migrations = 0u64;
-    let mut migrated_nodes = 0u64;
-
+    let mut forest = Forest::plant(ds, cfg, assignment, &mut rng, &mut fleet.runtime.network);
     // Phase 3: model setup (§VIII-B hyperparameters).
-    let mut store = ParamStore::new();
-    let encoder = GnnEncoder::new(&mut store, &enc_cfg, &mut rng);
-    let decoder = match cfg.task {
-        TaskKind::Supervised => Some(LinearDecoder::new(
-            &mut store,
-            "head",
-            encoder.out_dim(),
-            ds.num_classes,
-            &mut rng,
-        )),
-        TaskKind::Unsupervised => None,
-    };
-    let mut opt = Adam::new(cfg.lr);
+    let mut model = Model::new(&enc_cfg, data, cfg.lr, &mut rng);
 
     let mut report = RunReport::new("lumos", &ds.name, cfg.backbone.name(), cfg.task.name());
     report.constructor = constructor;
-    report.init_messages = init_messages;
+    report.init_messages = forest.exchange.messages;
 
-    // Supervised target/mask buffers.
-    let targets = Rc::new(ds.labels.clone());
-    let train_mask: Option<Rc<Vec<f32>>> = node_split.as_ref().map(|s| {
-        Rc::new(
-            s.train_mask
-                .iter()
-                .map(|&b| if b { 1.0 } else { 0.0 })
-                .collect::<Vec<f32>>(),
-        )
-    });
-    // Unsupervised positive pairs (training edges).
-    let pos_pairs: Option<PairLists> = edge_split.as_ref().map(|s| {
-        let src: Vec<u32> = s.train_edges.iter().map(|&(u, _)| u).collect();
-        let dst: Vec<u32> = s.train_edges.iter().map(|&(_, v)| v).collect();
-        (Rc::new(src), Rc::new(dst))
-    });
-
-    // Phase 4: synchronized training epochs.
-    let mut best_val = 0.0f64;
-    // Per-round memo: rebuild the POOL arrays only when the weight vector
-    // itself changed.
-    let mut weight_cache: Option<(Vec<f32>, PoolArrays)> = None;
-    // One tape's buffers serve every step and every evaluation of the run.
-    // The tape borrows `batch.features`, which a migration replaces, so it
-    // is parked here — emptied, borrowing nothing — between epochs.
-    let mut idle_tape = Tape::new();
+    // Phase 4: synchronized training epochs, one round each.
     for epoch in 0..cfg.epochs {
-        if let Some(state) = &scenario {
-            runtime.set_profiles(state.profiles().to_vec());
+        fleet.open_round();
+        if fleet.rebalance(&mut forest.assignment, cfg) {
+            forest.regrow(ds, cfg.epsilon, &mut rng, &mut fleet.runtime.network);
         }
-        runtime.begin_epoch();
-        if carries {
-            // Live re-balancing: price the fleet as it stands (churn-absent
-            // devices cost UNAVAILABLE_COST_FACTOR× their nominal rate) and
-            // migrate tree nodes off devices whose price stayed too high
-            // for too long.
-            let prices = runtime
-                .node_costs_micros(layers, EMBEDDING_BYTES)
-                .expect("a carrying policy runs on a scenario's profiles");
-            let moved = rebalance_overloaded(&mut assignment, &prices, &mut streaks, cfg);
-            if moved > 0 {
-                migrations += 1;
-                migrated_nodes += moved as u64;
-                trees = build_trees(&assignment);
-                // Devices that just inherited a branch never held its
-                // leaves' features: top up only the missing
-                // (owner, neighbor) pairs, on this epoch's ledger.
-                exchange_missing_features(
-                    &ds.features,
-                    ds.feature_dim,
-                    &trees,
-                    cfg.epsilon,
-                    &mut rng,
-                    &mut runtime.network,
-                    &mut exchange,
-                );
-                // The cached arrays describe the old batch: free them
-                // before its successor is built, not after.
-                weight_cache = None;
-                batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
-                probe = Some(LateProbe::new(build_template(&trees, &batch.tree_sizes)));
-            }
-        }
-
-        let judged = match &scenario {
-            Some(state) => judge_round(
-                state.profiles(),
-                faults.as_mut(),
-                probe.as_mut(),
-                &policy,
-                topology.as_ref(),
-                &mut runtime,
-            ),
-            None => Judged::default(),
-        };
-        // Carried traffic from earlier rounds lands in this epoch's ledger
-        // window — accounted in the round where it arrives, not the round
-        // where it was cut.
-        runtime.carry_in();
-
-        // Weighted POOL (Eq. 31): a device whose update is missing this
-        // round contributes nothing; carried updates blend back in at
-        // `decay^staleness` in the round they arrive — even if their sender
-        // is late or absent again (the update already landed).
-        let mut weights = vec![1.0f32; n];
-        let missing = judged.carried.iter().map(|(d, _)| d);
-        for &d in judged.dropped.iter().chain(missing) {
-            weights[d as usize] = 0.0;
-        }
-        for (w, arrived) in weights.iter_mut().zip(staleness_buffer.advance(n)) {
-            *w += arrived as f32;
-        }
-        if weight_cache
-            .as_ref()
-            .is_none_or(|(cached, _)| *cached != weights)
-        {
-            let arrays = batch.weighted_pool(&weights);
-            weight_cache = Some((weights, arrays));
-        }
-        let pool = &weight_cache.as_ref().expect("pool just cached").1;
-        let mut tape = idle_tape.reset();
-        let h = forward_pooled(
-            &mut tape,
-            &store,
-            &encoder,
-            &batch,
-            true,
-            &mut rng,
-            pool,
-            topology.as_ref(),
-        );
-
-        let loss_var: VarId = match cfg.task {
-            TaskKind::Supervised => {
-                let dec = decoder.as_ref().expect("supervised head");
-                let logits = dec.forward(&mut tape, &store, h);
-                cross_entropy_masked(
-                    &mut tape,
-                    logits,
-                    targets.clone(),
-                    train_mask.clone().expect("supervised mask"),
-                )
-            }
-            TaskKind::Unsupervised => {
-                let (src, dst) = pos_pairs.clone().expect("unsupervised pairs");
-                let negs = lumos_data::sample_non_edges(
-                    &ds.graph,
-                    src.len() * cfg.negatives_per_positive,
-                    &mut rng,
-                );
-                let neg_src: Rc<Vec<u32>> = Rc::new(negs.iter().map(|&(u, _)| u).collect());
-                let neg_dst: Rc<Vec<u32>> = Rc::new(negs.iter().map(|&(_, v)| v).collect());
-                let pos_logits = link_logits(&mut tape, h, src, dst);
-                let neg_logits = link_logits(&mut tape, h, neg_src, neg_dst);
-                link_prediction_loss(&mut tape, pos_logits, neg_logits)
-            }
-        };
-        let loss = tape.value(loss_var).item() as f64;
-
-        store.zero_grad();
-        tape.accumulate_param_grads(&tape.backward(loss_var), &mut store);
-        opt.step(&mut store);
-
-        // Protocol message accounting for this epoch (§VI-B/C). Dropped and
-        // carried devices are both silenced on this round's ledger and do
-        // not gate the simulated barrier; the carried ones' sends are
-        // collected and re-injected by `carry_in` in their arrival round.
-        let deferred = record_epoch_messages(
-            &trees,
-            cfg,
-            &mut runtime.network,
-            edge_split.as_ref(),
-            &judged.carried,
-            &judged.dropped,
-            topology.as_ref(),
-        );
-        for &(d, staleness) in &judged.carried {
-            staleness_buffer.push(d, staleness);
-            let sends = deferred
-                .iter()
-                .filter(|&&(from, _, _)| from == d)
-                .copied()
-                .collect();
-            runtime.defer_sends(staleness, sends);
-        }
-        // The epoch's own simulation replays the crashes and retry chains
-        // the probe saw, and under the async quorum closes the round at the
-        // `min_updates`-th landing.
-        runtime.end_epoch(
-            &batch.tree_sizes,
-            layers,
-            RoundOutcome {
-                late: &judged.late,
-                quorum: match policy {
-                    AggregationPolicy::Async { min_updates } => Some(min_updates),
-                    _ => None,
-                },
-                faults: judged.plan.as_ref(),
-            },
-        );
-        // Churn applies *between* rounds: the fleet after the last epoch is
-        // never simulated, so advancing there would overcount drops.
-        if epoch + 1 < cfg.epochs {
-            if let Some(state) = &mut scenario {
-                state.advance_round();
-            }
-        }
-
-        // Periodic validation.
-        if epoch % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
-            tape = tape.reset();
-            let val = evaluate(
-                &mut tape,
-                &store,
-                &encoder,
-                decoder.as_ref(),
-                &batch,
-                ds,
-                cfg,
-                node_split.as_ref(),
-                edge_split.as_ref(),
-                false,
-                &mut rng,
-            );
-            best_val = best_val.max(val);
+        let judged = fleet.judge(&mut forest, model.head.link_fetches());
+        let weights = fleet.pool_weights(&judged);
+        let (batch, pool) = forest.pooled(weights);
+        let loss = model.step(batch, pool, fleet.topology.as_ref(), &ds.graph, &mut rng);
+        fleet.account(&forest.trees, &judged, model.head.link_fetches());
+        fleet.close(&forest.batch.tree_sizes, &judged, epoch + 1 == cfg.epochs);
+        if cadence.due(epoch) {
+            let val_metric = model.evaluate(&forest.batch, EvalSplit::Val, &mut rng);
+            report.best_val_metric = report.best_val_metric.max(val_metric);
             report.history.push(EpochMetrics {
                 epoch,
                 loss,
-                val_metric: val,
+                val_metric,
             });
         }
-        idle_tape = tape.reset();
     }
 
     // Phase 5: test metric.
-    report.test_metric = evaluate(
-        &mut idle_tape.reset(),
-        &store,
-        &encoder,
-        decoder.as_ref(),
-        &batch,
-        ds,
-        cfg,
-        node_split.as_ref(),
-        edge_split.as_ref(),
-        true,
-        &mut rng,
-    );
-    report.best_val_metric = best_val;
-    report.avg_messages_per_device_per_epoch = runtime.avg_messages_per_device_per_epoch();
-    report.avg_epoch_secs = runtime.avg_epoch_wall_secs();
-    report.avg_epoch_makespan = runtime.avg_epoch_makespan();
-    if let Some(state) = &scenario {
-        let recovery = faults
-            .as_ref()
-            .map(|f| f.counters().clone())
-            .unwrap_or_default();
-        report.sim = Some(SimSummary {
-            scenario: state.scenario().name().to_string(),
-            total_virtual_secs: runtime.total_sim_secs(),
-            avg_epoch_virtual_secs: runtime.avg_sim_epoch_secs(),
-            straggler_sequence: runtime.straggler_sequence(),
-            mean_utilization: runtime.mean_sim_utilization(),
-            dropped_device_rounds: state.dropped_device_rounds(),
-            late_drops: runtime.late_drops(),
-            buffered_updates: staleness_buffer.total_buffered(),
-            // Only a policy that discards its cuts wastes them.
-            wasted_updates: if carries { 0 } else { runtime.late_drops() },
-            migrations,
-            migrated_nodes,
-            lost_messages: recovery.lost_messages,
-            retries: recovery.retries,
-            retry_secs: recovery.retry_secs,
-            crashed_devices: recovery.crashed_devices,
-            failovers: recovery.failovers,
-        });
-    }
+    report.test_metric = model.evaluate(&forest.batch, EvalSplit::Test, &mut rng);
+    report.avg_messages_per_device_per_epoch = fleet.runtime.avg_messages_per_device_per_epoch();
+    report.avg_epoch_secs = fleet.runtime.avg_epoch_wall_secs();
+    report.avg_epoch_makespan = fleet.runtime.avg_epoch_makespan();
+    report.sim = fleet.summary();
     report
 }
 
-/// The decay at which `policy` carries an update it cut into the round
-/// where it arrives (the async quorum carries its overflow undiscounted).
-/// `None` when the policy cuts nothing (`FullSync`) or discards what it
-/// cuts (`Deadline`).
-fn carry_decay(policy: &AggregationPolicy) -> Option<f64> {
-    match *policy {
-        AggregationPolicy::Buffered { decay, .. } => Some(decay),
-        AggregationPolicy::Async { .. } => Some(1.0),
-        AggregationPolicy::FullSync | AggregationPolicy::Deadline { .. } => None,
-    }
+/// What is trained on: the tree assignment and everything derived from it.
+/// The two memos describe the current `trees` / `batch` and die with them.
+struct Forest {
+    kind: LocalGraphKind,
+    assignment: Assignment,
+    trees: Vec<DeviceTree>,
+    exchange: LdpExchange,
+    batch: BatchedTrees,
+    /// The round's timing probe; built on first use after every (re)build.
+    probe: Option<LateProbe>,
+    /// Per-round memo: the POOL arrays are rebuilt only when the weight
+    /// vector itself changed.
+    weight_cache: Option<(Vec<f32>, PoolArrays)>,
 }
 
-/// Migrates tree nodes off every device whose per-node price stayed above
-/// `cfg.rebalance_threshold ×` the fleet mean for `cfg.rebalance_patience`
-/// consecutive rounds (its streak then restarts). Returns the nodes moved.
-fn rebalance_overloaded(
-    assignment: &mut Assignment,
-    prices: &[u64],
-    streaks: &mut [u32],
-    cfg: &LumosConfig,
-) -> usize {
-    let mean = prices.iter().map(|&p| p as f64).sum::<f64>() / prices.len().max(1) as f64;
-    let mut overloaded = Vec::new();
-    for (d, &p) in prices.iter().enumerate() {
-        if p as f64 > cfg.rebalance_threshold * mean {
-            streaks[d] += 1;
-            if streaks[d] >= cfg.rebalance_patience {
-                overloaded.push(d as u32);
-                streaks[d] = 0;
-            }
+impl Forest {
+    /// Builds every device's tree from `assignment`, runs the LDP feature
+    /// exchange over `net` and batches the forest.
+    fn plant(
+        ds: &Dataset,
+        cfg: &LumosConfig,
+        assignment: Assignment,
+        rng: &mut Xoshiro256pp,
+        net: &mut SimNetwork,
+    ) -> Self {
+        let kind = if cfg.virtual_nodes {
+            LocalGraphKind::VirtualNodeTree
         } else {
-            streaks[d] = 0;
+            LocalGraphKind::RawEgoNetwork
+        };
+        let trees = build_trees(kind, &assignment);
+        let exchange =
+            exchange_features(&ds.features, ds.feature_dim, &trees, cfg.epsilon, rng, net);
+        let batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
+        Self {
+            kind,
+            assignment,
+            trees,
+            exchange,
+            batch,
+            probe: None,
+            weight_cache: None,
         }
     }
-    if overloaded.is_empty() {
-        return 0;
+
+    /// Rebuilds everything derived from the (just migrated) assignment.
+    /// Devices that inherited a branch never held its leaves' features:
+    /// only the missing (owner, neighbor) pairs are topped up, on this
+    /// epoch's ledger.
+    fn regrow(&mut self, ds: &Dataset, epsilon: f64, rng: &mut Xoshiro256pp, net: &mut SimNetwork) {
+        self.trees = build_trees(self.kind, &self.assignment);
+        exchange_missing_features(
+            &ds.features,
+            ds.feature_dim,
+            &self.trees,
+            epsilon,
+            rng,
+            net,
+            &mut self.exchange,
+        );
+        // The memos describe the old batch: free them before its successor
+        // is built, not after.
+        self.weight_cache = None;
+        self.probe = None;
+        self.batch = build_batched(&self.trees, &ds.features, ds.feature_dim, &self.exchange);
     }
-    rebalance_assignment(assignment, prices, &overloaded).moved_nodes
+
+    /// The batch with the POOL arrays of this round's per-device weights.
+    fn pooled(&mut self, weights: Vec<f32>) -> (&BatchedTrees, &PoolArrays) {
+        if !matches!(&self.weight_cache, Some((cached, _)) if *cached == weights) {
+            self.weight_cache = None;
+        }
+        let batch = &self.batch;
+        let (_, pool) = self.weight_cache.get_or_insert_with(|| {
+            let arrays = batch.weighted_pool(&weights);
+            (weights, arrays)
+        });
+        (batch, pool)
+    }
 }
 
-/// Judges one round on the fleet as it stands: who is churned out, who
-/// crashes mid-round, whose upload exhausts its retry budget (both from the
-/// fault plan compiled here, before any traffic lands on the ledger), and
-/// whose update the policy cuts.
-fn judge_round(
-    profiles: &[DeviceProfile],
-    faults: Option<&mut FaultState>,
-    probe: Option<&mut LateProbe>,
-    policy: &AggregationPolicy,
-    topology: Option<&Topology>,
-    runtime: &mut Runtime,
-) -> Judged {
-    let avail: Vec<bool> = profiles.iter().map(|p| p.available).collect();
-    let mut judged = Judged::default();
-    judged
-        .dropped
-        .extend((0..profiles.len() as u32).filter(|&d| !avail[d as usize]));
-    let mut exhausted = Vec::new();
-    if let Some(fstate) = faults {
-        if let Some(topo) = topology {
-            // Aggregators inside an outage window re-home their shards to
-            // the deterministic cyclic successor for the whole round —
-            // ledger routing and tier timing alike.
-            let outaged = fstate.outaged_aggregators(topo.num_aggregators());
-            let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
-            if let Some(map) = &rehome {
-                let served = map
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, &t)| t as usize != k)
-                    .count();
-                fstate.note_failovers(served as u64);
-            }
-            runtime.set_failover(rehome);
+fn build_trees(kind: LocalGraphKind, assignment: &Assignment) -> Vec<DeviceTree> {
+    (0..assignment.num_devices() as u32)
+        .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
+        .collect()
+}
+
+/// What is trained: the shared weights, the task head, the optimiser.
+struct Model {
+    store: ParamStore,
+    encoder: GnnEncoder,
+    head: TaskHead,
+    opt: Adam,
+    /// One tape's buffers serve every step and every evaluation of the run.
+    /// A live tape borrows the batch's features, which a migration
+    /// replaces, so it is parked here — emptied, borrowing nothing —
+    /// between uses.
+    tape: Tape<'static>,
+}
+
+impl Model {
+    fn new(enc_cfg: &EncoderConfig, data: TaskData, lr: f32, rng: &mut Xoshiro256pp) -> Self {
+        let mut store = ParamStore::new();
+        let encoder = GnnEncoder::new(&mut store, enc_cfg, rng);
+        let head = TaskHead::new(data, &mut store, encoder.out_dim(), rng);
+        Self {
+            store,
+            encoder,
+            head,
+            opt: Adam::new(lr),
+            tape: Tape::new(),
         }
-        let plan = fstate.compile_round(profiles);
-        judged.dropped.extend(plan.crashed_devices(&avail));
-        exhausted = plan.exhausted_uploads(&avail);
-        judged.plan = Some(plan);
     }
-    let late = probe.map_or_else(Vec::new, |p| {
-        p.verdicts(policy, profiles, judged.plan.as_ref(), topology)
-    });
-    judged.late = late.iter().map(|&(d, _)| d).collect();
-    if carry_decay(policy).is_some() {
-        judged.carried = late;
-    } else {
-        judged.dropped.extend(&judged.late);
+
+    /// One synchronized update (§VI-B/C): forward on every tree, POOL
+    /// through `pool` (tier by tier under a topology), the task loss, one
+    /// optimiser step. Returns the loss.
+    fn step(
+        &mut self,
+        batch: &BatchedTrees,
+        pool: &PoolArrays,
+        topo: Option<&Topology>,
+        graph: &Graph,
+        rng: &mut Xoshiro256pp,
+    ) -> f64 {
+        let mut tape = std::mem::take(&mut self.tape).reset();
+        let x = tape.constant_ref(&batch.features);
+        let h_tree = self
+            .encoder
+            .forward(&mut tape, &self.store, x, &batch.mg, true, rng);
+        let h = tiered_pool(&mut tape, h_tree, pool, topo);
+        let loss_var = self.head.loss(&mut tape, &self.store, h, graph, rng);
+        let loss = tape.value(loss_var).item() as f64;
+        self.store.zero_grad();
+        tape.accumulate_param_grads(&tape.backward(loss_var), &mut self.store);
+        self.opt.step(&mut self.store);
+        self.tape = tape.reset();
+        loss
     }
-    judged.carried.extend(exhausted.iter().map(|&d| (d, 1)));
-    judged
+
+    /// The held-out metric (no dropout). Evaluation is offline: every
+    /// device's embedding participates, and the pooling runs server-side —
+    /// no aggregation tier on the wire.
+    fn evaluate(&mut self, batch: &BatchedTrees, on: EvalSplit, rng: &mut Xoshiro256pp) -> f64 {
+        let mut tape = std::mem::take(&mut self.tape).reset();
+        let x = tape.constant_ref(&batch.features);
+        let h_tree = self
+            .encoder
+            .forward(&mut tape, &self.store, x, &batch.mg, false, rng);
+        let h = tiered_pool(&mut tape, h_tree, &batch.masked_pool(&[]), None);
+        let metric = self.head.metric(&mut tape, &self.store, h, on);
+        self.tape = tape.reset();
+        metric
+    }
+}
+
+/// The POOL layer (Eq. 31) over the forest's leaf embeddings `h_tree`: the
+/// weighted mean per global vertex, gathered through `pool` — a
+/// [`BatchedTrees::weighted_pool`] view of the round's per-device weights,
+/// which for all-ones weights is the batch's own arrays. It is evaluated
+/// tier by tier: each aggregator scatter-adds its own members' (optionally
+/// staleness-scaled) leaf rows into a local partial, the server sums the
+/// partials, and the per-vertex mean coefficients normalize once at the top. The shard slices come straight
+/// off the pool arrays: trees are laid out in device order, so an
+/// aggregator's leaves are one contiguous run of `owners`. Without a
+/// topology — or when no shard holds a surviving leaf, which pools the
+/// empty arrays to zero — the server is the one aggregator and the whole
+/// array the one run: the seed's flat op sequence, on the pool's own `Rc`s.
+fn tiered_pool(
+    tape: &mut Tape<'_>,
+    h_tree: VarId,
+    pool: &PoolArrays,
+    topo: Option<&Topology>,
+) -> VarId {
+    let (total, num_vertices) = (pool.leaves.len(), pool.coeff.len());
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    let mut lo = 0usize;
+    for (_, members) in topo.into_iter().flat_map(Topology::ranges) {
+        let hi = lo + pool.owners[lo..].partition_point(|&o| o < members.end);
+        if lo < hi {
+            runs.push(lo..hi);
+        }
+        lo = hi;
+    }
+    if runs.is_empty() {
+        runs.push(0..total);
+    }
+    fn share<T: Clone>(all: &Rc<Vec<T>>, run: &Range<usize>) -> Rc<Vec<T>> {
+        if run.len() == all.len() {
+            all.clone()
+        } else {
+            Rc::new(all[run.clone()].to_vec())
+        }
+    }
+    let mut server_sum: Option<VarId> = None;
+    for run in &runs {
+        let mut leaves = tape.gather_rows(h_tree, share(&pool.leaves, run));
+        // Fractional staleness weights insert one extra per-leaf scale
+        // between gather and scatter; uniform pools skip it, keeping the
+        // default op sequence — and therefore its float results — untouched.
+        if let Some(w) = &pool.leaf_weights {
+            leaves = tape.scale_rows(leaves, share(w, run));
+        }
+        let partial = tape.scatter_add_rows(leaves, share(&pool.vertices, run), num_vertices);
+        server_sum = Some(match server_sum {
+            Some(acc) => tape.add(acc, partial),
+            None => partial,
+        });
+    }
+    let summed = server_sum.expect("POOL runs over at least one range");
+    tape.scale_rows(summed, pool.coeff.clone())
+}
+
+/// The round's timing probe. The per-round message pattern is static
+/// between migrations (same trees, same protocol every epoch), so one dry
+/// run of the recorder yields the per-destination work whose simulated
+/// timing decides, each round, which updates the policy cuts.
+struct LateProbe {
+    template: Vec<DeviceWork>,
+    /// Memo key: the fleet the probe last ran against (`None`: not yet).
+    /// The verdicts are a pure function of (fleet, template).
+    fleet: Option<Vec<DeviceProfile>>,
+    /// Memo value: the `(device, staleness)` pairs cut on that fleet.
+    verdicts: Vec<(u32, u32)>,
 }
 
 impl LateProbe {
-    fn new(template: Vec<DeviceWork>) -> Self {
-        Self {
-            template,
-            fleet: None,
-            verdicts: Vec::new(),
-        }
-    }
-
     /// The `(device, staleness)` pairs `policy` cuts from this round.
     /// Decisions happen at event granularity: the policy's arrival-time
     /// handlers subscribe to the scheduled event stream and judge each
@@ -653,132 +391,356 @@ impl LateProbe {
     }
 }
 
-/// Forward pass over the batched forest followed by the POOL layer
-/// (Eq. 31): the weighted mean of the leaf embeddings per global vertex,
-/// gathered through `pool` — always a [`BatchedTrees::weighted_pool`] view
-/// of the round's per-device weights, which for all-ones weights is the
-/// batch's own arrays. With a topology the POOL runs tier by tier
-/// ([`tiered_pool`]); flat mode keeps the seed op sequence — and therefore
-/// its bitstream — untouched.
-#[allow(clippy::too_many_arguments)]
-fn forward_pooled<'a>(
-    tape: &mut Tape<'a>,
-    store: &ParamStore,
-    encoder: &GnnEncoder,
-    batch: &'a BatchedTrees,
-    training: bool,
-    rng: &mut Xoshiro256pp,
-    pool: &PoolArrays,
-    topo: Option<&Topology>,
-) -> VarId {
-    let x = tape.constant_ref(&batch.features);
-    let h_tree = encoder.forward(tape, store, x, &batch.mg, training, rng);
-    if let Some(topo) = topo {
-        if let Some(h) = tiered_pool(tape, h_tree, batch.num_vertices, pool, topo) {
-            return h;
-        }
-    }
-    let mut leaves = tape.gather_rows(h_tree, pool.leaves.clone());
-    // Fractional staleness weights insert one extra per-leaf scale between
-    // gather and scatter; uniform pools skip it, keeping the default op
-    // sequence — and therefore its float results — untouched.
-    if let Some(w) = &pool.leaf_weights {
-        leaves = tape.scale_rows(leaves, w.clone());
-    }
-    let summed = tape.scatter_add_rows(leaves, pool.vertices.clone(), batch.num_vertices);
-    tape.scale_rows(summed, pool.coeff.clone())
+/// What a round's timing decided, before any training math runs. All empty
+/// without a scenario.
+#[derive(Default)]
+struct Judged {
+    /// The round's compiled fault outcomes (`None`: fault-free).
+    plan: Option<FaultPlan>,
+    /// Devices the policy cut from the barrier, carried or not.
+    late: Vec<u32>,
+    /// Updates that never reach anyone: churned-out and crashed devices,
+    /// and what a non-carrying policy cut.
+    dropped: Vec<u32>,
+    /// `(device, staleness)` of updates that arrive `staleness` rounds
+    /// late: what a carrying policy cut, and uploads that ran out their
+    /// retry budget (one round).
+    carried: Vec<(u32, u32)>,
 }
 
-/// The hierarchical POOL: each aggregator scatter-adds its own members'
-/// (optionally staleness-scaled) leaf rows into a local partial, the
-/// server sums the K partials, and the per-vertex mean coefficients
-/// normalize once at the top — Eq. 31 evaluated tier by tier. The shard
-/// slices come straight off the pool arrays: trees are laid out in device
-/// order, so an aggregator's leaves are one contiguous run of `owners`.
-/// Returns `None` when no shard holds a surviving leaf; the caller's flat
-/// sequence then pools the empty arrays to zero exactly as before.
-fn tiered_pool(
-    tape: &mut Tape<'_>,
-    h_tree: VarId,
-    num_vertices: usize,
-    pool: &PoolArrays,
-    topo: &Topology,
-) -> Option<VarId> {
-    let mut server_sum: Option<VarId> = None;
-    let mut lo = 0usize;
-    for (_, members) in topo.ranges() {
-        let hi = lo + pool.owners[lo..].partition_point(|&o| o < members.end);
-        if lo == hi {
-            continue;
+/// Who trains and what it costs them: the devices' profiles, the ledger
+/// every message lands on, and the resolved rules a round is judged by.
+struct Fleet {
+    runtime: Runtime,
+    scenario: Option<ScenarioState>,
+    faults: Option<FaultState>,
+    /// The policy as resolved for this run (see [`Fleet::muster`]).
+    policy: AggregationPolicy,
+    /// Updates that arrive in a later round wait here: the cuts of a
+    /// carrying policy, and — under any policy — uploads that ran out their
+    /// retry budget, which degrade to one round late instead of vanishing.
+    buffer: StalenessBuffer,
+    /// The re-balancer's per-device overload streaks.
+    streaks: Vec<u32>,
+    /// `Some` only with ≥ 2 real shards: a single-aggregator tree resolves
+    /// to the flat topology up front (`TopologyConfig::effective`).
+    topology: Option<Topology>,
+    layers: usize,
+    migrations: u64,
+    migrated_nodes: u64,
+}
+
+impl Fleet {
+    /// Brings up `n` devices under `cfg`, and returns with them the
+    /// per-device node prices of the VirtualSecs objective (`None`: count
+    /// nodes). The fleet and the fault stream each draw from their own
+    /// seed-derived RNG, so enabling a scenario or faults changes timing
+    /// statistics (and, under VirtualSecs, tree placement) only — never the
+    /// trainer's stochastic streams.
+    fn muster(n: usize, cfg: &LumosConfig, layers: usize) -> (Self, Option<Vec<u64>>) {
+        let mut runtime = Runtime::new(n, CostModel::default());
+        runtime.set_embedding_bytes(EMBEDDING_BYTES);
+        let scenario = cfg.scenario.map(|s| ScenarioState::new(s, n, cfg.seed));
+        if let Some(state) = &scenario {
+            runtime.set_profiles(state.profiles().to_vec());
         }
-        let mut leaves = tape.gather_rows(h_tree, Rc::new(pool.leaves[lo..hi].to_vec()));
-        if let Some(w) = &pool.leaf_weights {
-            leaves = tape.scale_rows(leaves, Rc::new(w[lo..hi].to_vec()));
+        let node_costs = match cfg.balance_objective {
+            BalanceObjective::TreeNodes => None,
+            // Without a scenario there are no profiles to price with, so
+            // this silently degenerates to the node-count objective.
+            BalanceObjective::VirtualSecs => runtime.node_costs_micros(layers, EMBEDDING_BYTES),
+        };
+        // Device→shard placement is cost-aware when per-device prices
+        // exist, seeded otherwise — and static thereafter: live
+        // re-balancing migrates tree nodes between devices, never devices
+        // between aggregators.
+        let topology =
+            cfg.topology
+                .effective(n)
+                .aggregators()
+                .map(|k| match node_costs.as_deref() {
+                    Some(costs) => Topology::cost_balanced(costs, k),
+                    None => Topology::seeded(n, k, cfg.seed),
+                });
+        if let Some(topo) = &topology {
+            // The compact per-shard ledger replaces the per-edge matrix —
+            // memory stays O(devices + aggregators) — and the tier spec
+            // makes every profiled epoch's makespan run through the
+            // aggregators.
+            runtime.network = SimNetwork::new_sharded(topo.shard_vector());
+            runtime.set_tier(TierSpec {
+                topology: topo.clone(),
+                aggregator: DeviceProfile::baseline(),
+                partial_bytes: EMBEDDING_BYTES,
+            });
         }
-        let partial = tape.scatter_add_rows(
-            leaves,
-            Rc::new(pool.vertices[lo..hi].to_vec()),
-            num_vertices,
+        // The round is resolved once, here. Policy and faults both ride on
+        // the fleet's profiles, so without a scenario there is nothing to
+        // time, cut, crash or delay against and every round is the paper's
+        // synchronous barrier. `resolve` additionally folds
+        // `Buffered { decay: 0 }` into `Deadline` and a full-fleet `Async`
+        // quorum into `FullSync`, so both bit-for-bit collapses hold by
+        // construction.
+        let policy = if scenario.is_some() {
+            cfg.aggregation_policy.resolve(n)
+        } else {
+            AggregationPolicy::FullSync
+        };
+        let faults = (scenario.is_some() && !cfg.faults.is_none())
+            .then(|| FaultState::new(cfg.faults.clone(), cfg.recovery, cfg.seed));
+        let fleet = Self {
+            runtime,
+            scenario,
+            faults,
+            buffer: StalenessBuffer::new(carry_decay(&policy).unwrap_or(1.0)),
+            policy,
+            streaks: vec![0; n],
+            topology,
+            layers,
+            migrations: 0,
+            migrated_nodes: 0,
+        };
+        (fleet, node_costs)
+    }
+
+    /// Opens the round's ledger window on the fleet as it stands.
+    fn open_round(&mut self) {
+        if let Some(state) = &self.scenario {
+            self.runtime.set_profiles(state.profiles().to_vec());
+        }
+        self.runtime.begin_epoch();
+    }
+
+    /// Live re-balancing, under a carrying policy only: price the fleet as
+    /// it stands (churn-absent devices cost UNAVAILABLE_COST_FACTOR× their
+    /// nominal rate) and migrate tree nodes off devices whose price stayed
+    /// above `cfg.rebalance_threshold ×` the fleet mean for
+    /// `cfg.rebalance_patience` consecutive rounds (the streak then
+    /// restarts). Returns whether `assignment` changed.
+    fn rebalance(&mut self, assignment: &mut Assignment, cfg: &LumosConfig) -> bool {
+        if carry_decay(&self.policy).is_none() {
+            return false;
+        }
+        let prices = self
+            .runtime
+            .node_costs_micros(self.layers, EMBEDDING_BYTES)
+            .expect("a carrying policy runs on a scenario's profiles");
+        let mean = prices.iter().map(|&p| p as f64).sum::<f64>() / prices.len().max(1) as f64;
+        let mut overloaded = Vec::new();
+        for (d, &p) in prices.iter().enumerate() {
+            if p as f64 > cfg.rebalance_threshold * mean {
+                self.streaks[d] += 1;
+                if self.streaks[d] >= cfg.rebalance_patience {
+                    overloaded.push(d as u32);
+                    self.streaks[d] = 0;
+                }
+            } else {
+                self.streaks[d] = 0;
+            }
+        }
+        if overloaded.is_empty() {
+            return false;
+        }
+        let moved = rebalance_assignment(assignment, &prices, &overloaded).moved_nodes;
+        self.migrations += u64::from(moved > 0);
+        self.migrated_nodes += moved as u64;
+        moved > 0
+    }
+
+    /// Judges one round on the fleet as it stands: who is churned out, who
+    /// crashes mid-round, whose upload exhausts its retry budget (both from
+    /// the fault plan compiled here, before any traffic lands on the
+    /// ledger), and whose update the policy cuts — timed on `forest`'s
+    /// probe, whose template is one dry run of [`Fleet::account`]'s
+    /// recorder.
+    fn judge(&mut self, forest: &mut Forest, fetches: Option<LinkFetches<'_>>) -> Judged {
+        let mut judged = Judged::default();
+        let Some(state) = &self.scenario else {
+            return judged;
+        };
+        let profiles = state.profiles();
+        let topo = self.topology.as_ref();
+        let avail: Vec<bool> = profiles.iter().map(|p| p.available).collect();
+        judged
+            .dropped
+            .extend((0..profiles.len() as u32).filter(|&d| !avail[d as usize]));
+        let mut exhausted = Vec::new();
+        if let Some(fstate) = &mut self.faults {
+            if let Some(topo) = topo {
+                // Aggregators inside an outage window re-home their shards
+                // to the deterministic cyclic successor for the whole round
+                // — ledger routing and tier timing alike.
+                let outaged = fstate.outaged_aggregators(topo.num_aggregators());
+                let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
+                if let Some(map) = &rehome {
+                    let served = map
+                        .iter()
+                        .enumerate()
+                        .filter(|&(k, &t)| t as usize != k)
+                        .count();
+                    fstate.note_failovers(served as u64);
+                }
+                self.runtime.set_failover(rehome);
+            }
+            let plan = fstate.compile_round(profiles);
+            judged.dropped.extend(plan.crashed_devices(&avail));
+            exhausted = plan.exhausted_uploads(&avail);
+            judged.plan = Some(plan);
+        }
+        let late = if self.policy == AggregationPolicy::FullSync {
+            Vec::new()
+        } else {
+            let probe = forest.probe.get_or_insert_with(|| {
+                // The probe must mirror the live network's mode: a sharded
+                // ledger yields the aggregate inbound schedule the real
+                // epochs will run.
+                let mut net = match topo {
+                    Some(topo) => SimNetwork::new_sharded(topo.shard_vector()),
+                    None => SimNetwork::new(profiles.len()),
+                };
+                let snap = net.snapshot();
+                record_epoch_messages(&forest.trees, &mut net, fetches, topo, &[], &[]);
+                LateProbe {
+                    template: ledger_work(&net, &snap, &forest.batch.tree_sizes, self.layers),
+                    fleet: None,
+                    verdicts: Vec::new(),
+                }
+            });
+            probe.verdicts(&self.policy, profiles, judged.plan.as_ref(), topo)
+        };
+        judged.late = late.iter().map(|&(d, _)| d).collect();
+        if carry_decay(&self.policy).is_some() {
+            judged.carried = late;
+        } else {
+            judged.dropped.extend(&judged.late);
+        }
+        judged.carried.extend(exhausted.iter().map(|&d| (d, 1)));
+        judged
+    }
+
+    /// The round's per-device POOL weights (Eq. 31 as a weighted mean): a
+    /// device whose update is missing this round contributes nothing;
+    /// carried updates blend back in at `decay^staleness` in the round they
+    /// arrive — even if their sender is late or absent again (the update
+    /// already landed).
+    fn pool_weights(&mut self, judged: &Judged) -> Vec<f32> {
+        let n = self.runtime.network.num_devices();
+        let mut weights = vec![1.0f32; n];
+        let missing = judged.carried.iter().map(|(d, _)| d);
+        for &d in judged.dropped.iter().chain(missing) {
+            weights[d as usize] = 0.0;
+        }
+        for (w, arrived) in weights.iter_mut().zip(self.buffer.advance(n)) {
+            *w += arrived as f32;
+        }
+        weights
+    }
+
+    /// Protocol message accounting for this epoch (§VI-B/C). Carried
+    /// traffic from earlier rounds lands first — accounted in the round
+    /// where it arrives, not the round where it was cut. Dropped and
+    /// carried devices are both silenced on this round's ledger and do not
+    /// gate the simulated barrier; the carried ones' sends are collected
+    /// and re-injected by `carry_in` in their arrival round.
+    fn account(&mut self, trees: &[DeviceTree], judged: &Judged, fetches: Option<LinkFetches<'_>>) {
+        self.runtime.carry_in();
+        let deferred = record_epoch_messages(
+            trees,
+            &mut self.runtime.network,
+            fetches,
+            self.topology.as_ref(),
+            &judged.carried,
+            &judged.dropped,
         );
-        server_sum = Some(match server_sum {
-            Some(acc) => tape.add(acc, partial),
-            None => partial,
-        });
-        lo = hi;
+        for &(d, staleness) in &judged.carried {
+            self.buffer.push(d, staleness);
+            let sends = deferred
+                .iter()
+                .filter(|&&(from, _, _)| from == d)
+                .copied()
+                .collect();
+            self.runtime.defer_sends(staleness, sends);
+        }
     }
-    server_sum.map(|s| tape.scale_rows(s, pool.coeff.clone()))
+
+    /// Closes the round: the epoch's own simulation replays the crashes and
+    /// retry chains the probe saw, and under the async quorum closes at the
+    /// `min_updates`-th landing. Churn applies *between* rounds: the fleet
+    /// after the `last` epoch is never simulated, so advancing there would
+    /// overcount drops.
+    fn close(&mut self, tree_sizes: &[usize], judged: &Judged, last: bool) {
+        self.runtime.end_epoch(
+            tree_sizes,
+            self.layers,
+            RoundOutcome {
+                late: &judged.late,
+                quorum: match self.policy {
+                    AggregationPolicy::Async { min_updates } => Some(min_updates),
+                    _ => None,
+                },
+                faults: judged.plan.as_ref(),
+            },
+        );
+        if !last {
+            if let Some(state) = &mut self.scenario {
+                state.advance_round();
+            }
+        }
+    }
+
+    /// The run's simulation summary (`None` without a scenario).
+    fn summary(&self) -> Option<SimSummary> {
+        let state = self.scenario.as_ref()?;
+        let faults = self.faults.as_ref();
+        let recovery = faults.map_or_else(Default::default, |f| f.counters().clone());
+        let late_drops = self.runtime.late_drops();
+        Some(SimSummary {
+            scenario: state.scenario().name().to_string(),
+            total_virtual_secs: self.runtime.total_sim_secs(),
+            avg_epoch_virtual_secs: self.runtime.avg_sim_epoch_secs(),
+            straggler_sequence: self.runtime.straggler_sequence(),
+            mean_utilization: self.runtime.mean_sim_utilization(),
+            dropped_device_rounds: state.dropped_device_rounds(),
+            late_drops,
+            buffered_updates: self.buffer.total_buffered(),
+            // Only a policy that discards its cuts wastes them.
+            wasted_updates: if carry_decay(&self.policy).is_some() {
+                0
+            } else {
+                late_drops
+            },
+            migrations: self.migrations,
+            migrated_nodes: self.migrated_nodes,
+            lost_messages: recovery.lost_messages,
+            retries: recovery.retries,
+            retry_secs: recovery.retry_secs,
+            crashed_devices: recovery.crashed_devices,
+            failovers: recovery.failovers,
+        })
+    }
 }
 
-/// Evaluation on the validation or test split (no dropout), recorded on
-/// the (emptied) `tape`.
-#[allow(clippy::too_many_arguments)]
-fn evaluate<'a>(
-    tape: &mut Tape<'a>,
-    store: &ParamStore,
-    encoder: &GnnEncoder,
-    decoder: Option<&LinearDecoder>,
-    batch: &'a BatchedTrees,
-    ds: &Dataset,
-    cfg: &LumosConfig,
-    node_split: Option<&NodeSplit>,
-    edge_split: Option<&EdgeSplit>,
-    test: bool,
-    rng: &mut Xoshiro256pp,
-) -> f64 {
-    // Evaluation is offline: every device's embedding participates, and
-    // the pooling runs server-side — no aggregation tier on the wire.
-    let full_pool = batch.masked_pool(&[]);
-    let h = forward_pooled(tape, store, encoder, batch, false, rng, &full_pool, None);
-    match cfg.task {
-        TaskKind::Supervised => {
-            let split = node_split.expect("supervised split");
-            let mask = if test {
-                &split.test_mask
-            } else {
-                &split.val_mask
-            };
-            let dec = decoder.expect("supervised head");
-            let logits = dec.forward(tape, store, h);
-            accuracy_masked(tape.value(logits), &ds.labels, mask)
-        }
-        TaskKind::Unsupervised => {
-            let split = edge_split.expect("unsupervised split");
-            let (pos, neg) = if test {
-                (&split.test_edges, &split.test_negatives)
-            } else {
-                (&split.val_edges, &split.val_negatives)
-            };
-            let score = |pairs: &[(u32, u32)], tape: &mut Tape<'_>| -> Vec<f32> {
-                let src: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(u, _)| u).collect());
-                let dst: Rc<Vec<u32>> = Rc::new(pairs.iter().map(|&(_, v)| v).collect());
-                let z = link_logits(tape, h, src, dst);
-                tape.value(z).data().to_vec()
-            };
-            let pos_scores = score(pos, tape);
-            let neg_scores = score(neg, tape);
-            roc_auc(&pos_scores, &neg_scores)
-        }
+/// The decay at which `policy` carries an update it cut into the round
+/// where it arrives (the async quorum carries its overflow undiscounted).
+/// `None` when the policy cuts nothing (`FullSync`) or discards what it
+/// cuts (`Deadline`).
+fn carry_decay(policy: &AggregationPolicy) -> Option<f64> {
+    match *policy {
+        AggregationPolicy::Buffered { decay, .. } => Some(decay),
+        AggregationPolicy::Async { .. } => Some(1.0),
+        AggregationPolicy::FullSync | AggregationPolicy::Deadline { .. } => None,
     }
+}
+
+/// What becomes of a device's sends this round.
+#[derive(Clone, Copy, PartialEq)]
+enum Fate {
+    /// On this round's ledger.
+    Live,
+    /// Silenced now, re-injected in the round the update arrives.
+    Parked,
+    /// Silenced for good.
+    Dropped,
 }
 
 /// Records the inter-device messages one training epoch incurs (§VI-B/C):
@@ -788,7 +750,7 @@ fn evaluate<'a>(
 /// * each owner's pooled embedding requires no further messages (the leaves
 ///   arrived above);
 /// * unsupervised training additionally fetches the embeddings of retained
-///   neighbors and of sampled negatives (Eq. 33);
+///   neighbors and of sampled negatives (Eq. 33) — `fetches`;
 /// * finally every device ships its loss/gradient contribution to the
 ///   aggregation point.
 ///
@@ -807,38 +769,27 @@ fn evaluate<'a>(
 /// O(aggregators), not O(devices). A deferred upload still
 /// targets the server directly: a stale partial arrives after its shard's
 /// round already closed, so it skips the aggregator tier on re-injection.
-#[allow(clippy::too_many_arguments)]
 fn record_epoch_messages(
     trees: &[DeviceTree],
-    cfg: &LumosConfig,
     net: &mut SimNetwork,
-    edge_split: Option<&EdgeSplit>,
+    fetches: Option<LinkFetches<'_>>,
+    topo: Option<&Topology>,
     parked: &[(u32, u32)],
     dropped: &[u32],
-    topo: Option<&Topology>,
 ) -> Vec<(u32, u32, u64)> {
     let mut deferred = Vec::new();
-    let mut silenced = vec![false; trees.len()];
-    let mut is_parked = vec![false; trees.len()];
+    let mut fate = vec![Fate::Live; trees.len()];
     for &d in dropped {
-        silenced[d as usize] = true;
+        fate[d as usize] = Fate::Dropped;
     }
     for &(d, _) in parked {
-        silenced[d as usize] = true;
-        is_parked[d as usize] = true;
+        fate[d as usize] = Fate::Parked;
     }
-    // Silenced senders contribute nothing to the live ledger; the parked
-    // subset (their update still arrives, later) is captured in `deferred`.
-    let mut route = |net: &mut SimNetwork, from: u32, to: u32| {
-        if silenced[from as usize] {
-            if is_parked[from as usize] {
-                deferred.push((from, to, EMBEDDING_BYTES));
-            }
-        } else if to == SimNetwork::SERVER {
-            net.send_to_server(from, EMBEDDING_BYTES);
-        } else {
-            net.send(from, to, EMBEDDING_BYTES);
-        }
+    let mut route = |net: &mut SimNetwork, from: u32, to: u32| match fate[from as usize] {
+        Fate::Dropped => {}
+        Fate::Parked => deferred.push((from, to, EMBEDDING_BYTES)),
+        Fate::Live if to == SimNetwork::SERVER => net.send_to_server(from, EMBEDDING_BYTES),
+        Fate::Live => net.send(from, to, EMBEDDING_BYTES),
     };
     for tree in trees {
         let u = tree.center;
@@ -848,23 +799,19 @@ fn record_epoch_messages(
         }
     }
     net.round();
-    if cfg.task == TaskKind::Unsupervised {
+    if let Some((train_edges, negatives_per_positive)) = fetches {
         // Positive fetches: each training edge's embedding crosses once;
         // negatives are requested per sampled pair.
-        if let Some(split) = edge_split {
-            for &(u, v) in &split.train_edges {
-                route(net, v, u);
-            }
-            let neg_count = split.train_edges.len() * cfg.negatives_per_positive;
-            for i in 0..neg_count {
-                // Negative-sample embedding transfers (uniformly attributed).
-                let from = (i % trees.len()) as u32;
-                let to = ((i / 2) % trees.len()) as u32;
-                if from == to {
-                    // A device already holds its own embedding — a
-                    // self-addressed fetch never crosses the wire.
-                    continue;
-                }
+        for &(u, v) in train_edges {
+            route(net, v, u);
+        }
+        for i in 0..train_edges.len() * negatives_per_positive {
+            // Negative-sample embedding transfers (uniformly attributed).
+            let from = (i % trees.len()) as u32;
+            let to = ((i / 2) % trees.len()) as u32;
+            // A device already holds its own embedding — a self-addressed
+            // fetch never crosses the wire.
+            if from != to {
                 route(net, from, to);
             }
         }
@@ -874,29 +821,18 @@ fn record_epoch_messages(
     // the server directly in flat mode, to the device's own aggregator
     // (then one partial per aggregator up to the server) in hierarchical
     // mode.
-    match topo {
-        Some(topo) => {
-            for v in 0..trees.len() as u32 {
-                if silenced[v as usize] {
-                    route(net, v, SimNetwork::SERVER);
-                } else {
-                    net.send_to_aggregator(v, EMBEDDING_BYTES);
-                }
-            }
-            for shard in 0..topo.num_aggregators() as u32 {
-                // An outage-covered aggregator ships nothing: its members
-                // were re-homed to the successor, whose own (merged)
-                // partial is sent above.
-                if net.rehome_target(shard) != shard {
-                    continue;
-                }
-                net.send_aggregator_to_server(shard, EMBEDDING_BYTES);
-            }
+    for v in 0..trees.len() as u32 {
+        if topo.is_some() && fate[v as usize] == Fate::Live {
+            net.send_to_aggregator(v, EMBEDDING_BYTES);
+        } else {
+            route(net, v, SimNetwork::SERVER);
         }
-        None => {
-            for v in 0..trees.len() as u32 {
-                route(net, v, SimNetwork::SERVER);
-            }
+    }
+    for shard in 0..topo.map_or(0, Topology::num_aggregators) as u32 {
+        // An outage-covered aggregator ships nothing: its members were
+        // re-homed to the successor, whose own (merged) partial is sent.
+        if net.rehome_target(shard) == shard {
+            net.send_aggregator_to_server(shard, EMBEDDING_BYTES);
         }
     }
     net.round();
@@ -906,7 +842,8 @@ fn record_epoch_messages(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumos_data::Scale;
+    use crate::config::TaskKind;
+    use lumos_data::{EdgeSplit, Scale};
     use lumos_gnn::Backbone;
 
     fn smoke_config(task: TaskKind) -> LumosConfig {
@@ -946,6 +883,15 @@ mod tests {
             "AUC {} too low",
             report.test_metric
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "eval_every")]
+    fn zero_eval_every_is_rejected_before_any_work() {
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let mut cfg = smoke_config(TaskKind::Supervised);
+        cfg.eval_every = 0;
+        run_lumos(&ds, &cfg);
     }
 
     #[test]
@@ -1192,10 +1138,16 @@ mod tests {
         let trees: Vec<DeviceTree> = (0..n as u32)
             .map(|v| DeviceTree::build(LocalGraphKind::VirtualNodeTree, v, vec![]))
             .collect();
-        let cfg = LumosConfig::new(lumos_gnn::Backbone::Gcn, TaskKind::Unsupervised);
         let mut net = SimNetwork::new(n);
         let snap = net.snapshot();
-        record_epoch_messages(&trees, &cfg, &mut net, Some(&split), &[], &[], None);
+        record_epoch_messages(
+            &trees,
+            &mut net,
+            Some((&split.train_edges, 1)),
+            None,
+            &[],
+            &[],
+        );
         let edges = net.sent_matrix_since(&snap);
         assert!(!edges.is_empty());
         for ((from, to), _) in edges {

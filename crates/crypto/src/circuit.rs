@@ -29,12 +29,6 @@ impl SharedBit {
             share_b: false,
         }
     }
-
-    /// Assembles a shared bit from two party-local shares (used by protocol
-    /// building blocks that produce shares out-of-band, e.g. OT leaves).
-    pub(crate) fn from_shares(share_a: bool, share_b: bool) -> Self {
-        Self { share_a, share_b }
-    }
 }
 
 /// Execution context for a two-party computation session.
@@ -192,17 +186,6 @@ impl TwoParty {
     /// Draws masking material from party B's local randomness stream.
     pub(crate) fn b_rng_next(&mut self) -> u64 {
         self.rng_b.next_u64()
-    }
-
-    /// A fair coin from party B's local stream (mask bits for OT leaves).
-    pub(crate) fn b_coin(&mut self) -> bool {
-        self.rng_b.bernoulli(0.5)
-    }
-
-    /// Grants a protocol building block access to the dealer and the meter
-    /// (e.g. for 1-of-N OT leaves).
-    pub(crate) fn with_ot<T>(&mut self, f: impl FnOnce(&mut OtDealer, &mut CommMeter) -> T) -> T {
-        f(&mut self.dealer, &mut self.meter)
     }
 
     /// Test-only accessor used by leakage analyses in this crate's tests:

@@ -6,18 +6,15 @@
 //! Theorem 5). This crate reproduces the protocol structure — oblivious
 //! transfer, XOR-shared boolean circuits with OT-based AND gates, and the
 //! bit-tree comparison — with exact message/round accounting, while
-//! simulating the offline correlated randomness with a dealer (DESIGN.md
-//! substitution #2).
+//! simulating the offline correlated randomness with a dealer (see [`ot`]).
 
 #![forbid(unsafe_code)]
-pub mod block_compare;
 pub mod circuit;
 pub mod compare;
 pub mod meter;
 pub mod ot;
 pub mod slice;
 
-pub use block_compare::{ot_transfer_1_of_n, secure_compare_blocks};
 pub use circuit::{SharedBit, TwoParty};
 pub use compare::{secure_compare, secure_difference, CompareOutcome};
 pub use meter::CommMeter;

@@ -7,8 +7,7 @@
 //! Beaver's derandomization — one choice-bit message from the receiver, one
 //! two-ciphertext message from the sender. The transcripts a party observes
 //! are uniformly random given its own state, which is what the leakage tests
-//! check. Public-key realizations of the dealer are out of scope (DESIGN.md
-//! substitution #2).
+//! check. Public-key realizations of the dealer are out of scope.
 
 use lumos_common::rng::Xoshiro256pp;
 

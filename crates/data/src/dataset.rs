@@ -3,8 +3,8 @@
 //! The paper evaluates on the Facebook page-page graph (22,470 vertices,
 //! 170,912 edges, 4,714 features, 4 classes) and the LastFM graph (7,624
 //! vertices, 55,612 edges, 128 features, 18 classes) — §VIII-A. Those crawls
-//! are external downloads, so this crate generates statistical stand-ins
-//! (substitution #1 in DESIGN.md): homophilous power-law graphs with
+//! are external downloads, so this crate generates statistical stand-ins:
+//! homophilous power-law graphs with
 //! class-conditional features in `[0,1]^d`, matched to the paper's node,
 //! edge, feature and class counts at [`Scale::Paper`].
 

@@ -1,8 +1,8 @@
 //! `lumos-data` — synthetic datasets for the Lumos evaluation.
 //!
 //! Generates Facebook-like and LastFM-like graphs (the paper's §VIII-A
-//! datasets, substituted per DESIGN.md §4) and the node/edge splits of
-//! §VIII-B.
+//! datasets, substituted by the statistical stand-ins of [`dataset`]) and
+//! the node/edge splits of §VIII-B.
 
 #![forbid(unsafe_code)]
 pub mod dataset;

@@ -1,7 +1,7 @@
 //! Random graph generators.
 //!
-//! The synthetic datasets substitute the paper's Facebook/LastFM crawls (see
-//! DESIGN.md §4). The key structural property the paper relies on is a
+//! The synthetic datasets substitute the paper's Facebook/LastFM crawls
+//! (§VIII-A; `crates/data/src/dataset.rs` documents the stand-ins). The key structural property the paper relies on is a
 //! heavy-tailed degree distribution (Definition 3: degree heterogeneity) and
 //! label homophily (the source of GNN signal), both provided by
 //! [`homophilous_powerlaw`].

@@ -9,6 +9,9 @@
 mod common;
 
 use common::assert_reports_identical;
+use lumos::baselines::{
+    run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig, LpgnnParams, NaiveFedParams,
+};
 use lumos::core::{
     run_lumos, AggregationPolicy, BalanceObjective, LumosConfig, RunReport, TaskKind,
     TopologyConfig,
@@ -40,6 +43,8 @@ fn same_seed_gives_identical_reports_off_the_default_path() {
     // (link prediction) or the tiered `Add` of shard partials with
     // per-leaf staleness weights (the fully loaded config); each run draws
     // its buffers from one recycled tape, so a stale one would show here.
+    // With the three policy rows below these are the off-default configs
+    // `examples/digests.rs` pins.
     let base = |backbone, task| {
         LumosConfig::new(backbone, task)
             .with_epochs(6)
@@ -55,15 +60,72 @@ fn same_seed_gives_identical_reports_off_the_default_path() {
             decay: 0.5,
         })
         .with_faults(FaultSpec::message_loss(0.05));
+    // One row per non-trivial aggregation policy: the deadline's cut, the
+    // buffered carry on a churning fleet — whose live migrations make the
+    // forest free its memos and rebuild mid-run — and the async quorum.
+    let on = |scenario, policy| {
+        base(Backbone::Gcn, TaskKind::Supervised)
+            .with_scenario(scenario)
+            .with_aggregation_policy(policy)
+    };
+    let buffered = AggregationPolicy::Buffered {
+        factor: 2.0,
+        decay: 0.5,
+    };
     let ds = Dataset::facebook_like(Scale::Smoke);
-    for cfg in [
-        base(Backbone::Gat, TaskKind::Supervised),
-        base(Backbone::Gcn, TaskKind::Unsupervised),
-        loaded,
+    for (cfg, min_migrations) in [
+        (base(Backbone::Gat, TaskKind::Supervised), 0),
+        (base(Backbone::Gcn, TaskKind::Unsupervised), 0),
+        (loaded, 0),
+        (
+            on(
+                Scenario::StragglerTail,
+                AggregationPolicy::Deadline { factor: 2.0 },
+            ),
+            0,
+        ),
+        (on(Scenario::Churn, buffered), 1),
+        (
+            on(
+                Scenario::StragglerTail,
+                AggregationPolicy::Async { min_updates: 240 },
+            ),
+            0,
+        ),
     ] {
         let (a, b) = (run_lumos(&ds, &cfg), run_lumos(&ds, &cfg));
         assert_reports_identical(&a, &b);
         assert!(a.history.iter().all(|h| h.loss.is_finite()));
+        let migrations = a.sim.as_ref().map_or(0, |sim| sim.migrations);
+        assert!(
+            migrations >= min_migrations,
+            "{migrations} live migrations, expected at least {min_migrations}"
+        );
+    }
+}
+
+#[test]
+fn baselines_are_seed_deterministic_on_both_tasks() {
+    // The comparison systems share the task head with `run_lumos`; equal
+    // seeds must give equal digests for each of them on each task they
+    // support (LPGNN is supervised-only, §VIII-C).
+    let ds = Dataset::facebook_like(Scale::Smoke);
+    for task in [TaskKind::Supervised, TaskKind::Unsupervised] {
+        let cfg = BaselineConfig::new(Backbone::Gcn, task)
+            .with_epochs(6)
+            .with_seed(0xFACADE);
+        let mut systems: Vec<Box<dyn Fn() -> RunReport>> = vec![
+            Box::new(|| run_centralized(&ds, &cfg)),
+            Box::new(|| run_naive_fedgnn(&ds, &cfg, &NaiveFedParams::default())),
+        ];
+        if task == TaskKind::Supervised {
+            systems.push(Box::new(|| run_lpgnn(&ds, &cfg, &LpgnnParams::default())));
+        }
+        for run in &systems {
+            let (a, b) = (run(), run());
+            assert_reports_identical(&a, &b);
+            assert!(a.history.iter().all(|h| h.loss.is_finite()));
+        }
     }
 }
 

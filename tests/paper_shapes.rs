@@ -1,7 +1,6 @@
 //! Qualitative assertions encoding the paper's evaluation shapes at smoke
 //! scale: who wins, where the savings come from, and what the workload
-//! distribution looks like. These are the invariants `EXPERIMENTS.md`
-//! documents at full scale.
+//! distribution looks like — the invariants Figs. 3–8 show at full scale.
 
 use lumos::balance::{CompareBackend, SecurityMode};
 use lumos::baselines::{run_centralized, run_naive_fedgnn, BaselineConfig, NaiveFedParams};
