@@ -3,17 +3,13 @@
 //! aggregator-outage row on the hierarchical straggler-tail fleet (full
 //! mode adds churn). Also writes the machine-readable `BENCH_chaos.json`
 //! record the CI smoke gate parses (`--json PATH` to relocate).
-use lumos_bench::{chaos, HarnessArgs};
+use lumos_bench::{chaos, emit, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse();
     let rows = chaos::run(&args);
-    chaos::table(&rows).print();
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_chaos.json".into());
-    let json = chaos::to_json(&rows, &args);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nwrote {path}");
+    emit::table(&rows).print();
+    let sections = vec![("rows", emit::rows(&rows))];
+    let doc = emit::document("chaos_sweep", Some(args.scale), &args, sections);
+    emit::write(&doc, &args, "BENCH_chaos.json");
 }

@@ -4,25 +4,22 @@
 //! and untrimmed (Figure 8 extension). `--sensitivity` adds the buffered
 //! policy's decay × re-balance-trigger grid. Also writes the
 //! machine-readable `BENCH_fig8.json` record (`--json PATH` to relocate).
-use lumos_bench::{hetero, HarnessArgs};
+use lumos_bench::{emit, hetero, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse();
     let rows = hetero::run(&args);
-    hetero::table(&rows).print();
-    let sensitivity = if args.sensitivity {
-        let grid = hetero::run_sensitivity(&args);
+    emit::table(&rows).print();
+    let mut grid = Vec::new();
+    if args.sensitivity {
+        grid = hetero::run_sensitivity(&args);
         println!();
-        hetero::sensitivity_table(&grid).print();
-        grid
-    } else {
-        Vec::new()
-    };
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_fig8.json".into());
-    let json = hetero::to_json(&rows, &sensitivity, &args);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nwrote {path}");
+        emit::table(&grid).print();
+    }
+    let sections = vec![
+        ("rows", emit::rows(&rows)),
+        ("sensitivity", emit::rows(&grid)),
+    ];
+    let doc = emit::document("fig8_hetero", Some(args.scale), &args, sections);
+    emit::write(&doc, &args, "BENCH_fig8.json");
 }

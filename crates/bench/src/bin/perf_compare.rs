@@ -2,17 +2,12 @@
 //! real OT circuits — mean ns per 48-bit comparison and MCMC iterations
 //! per second. Writes the machine-readable `BENCH_perf.json` record
 //! (`--json PATH` to relocate) that CI asserts the bit-sliced win on.
-use lumos_bench::{perf, HarnessArgs};
+use lumos_bench::{emit, perf, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse();
     let report = perf::run(&args);
     perf::table(&report).print();
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_perf.json".into());
-    let json = perf::to_json(&report, &args);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nwrote {path}");
+    let doc = emit::document("perf_compare", None, &args, report.record());
+    emit::write(&doc, &args, "BENCH_perf.json");
 }

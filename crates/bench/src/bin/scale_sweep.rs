@@ -3,17 +3,13 @@
 //! ledger entries, and wall µs per simulated device. Writes the
 //! machine-readable `BENCH_scale.json` record (`--json PATH` to
 //! relocate) that CI asserts the O(aggregators) server traffic on.
-use lumos_bench::{scale, HarnessArgs};
+use lumos_bench::{emit, scale, HarnessArgs};
 
 fn main() {
     let args = HarnessArgs::parse();
     let rows = scale::run(&args);
-    scale::table(&rows).print();
-    let path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "BENCH_scale.json".into());
-    let json = scale::to_json(&rows, &args);
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("\nwrote {path}");
+    emit::table(&rows).print();
+    let sections = vec![("rows", emit::rows(&rows))];
+    let doc = emit::document("scale_sweep", None, &args, sections);
+    emit::write(&doc, &args, "BENCH_scale.json");
 }

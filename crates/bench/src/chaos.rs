@@ -15,18 +15,18 @@
 //! 3. the outage row re-homes its shard to the deterministic successor
 //!    (`failovers > 0`) without touching the training math.
 //!
-//! [`to_json`] renders the sweep as the machine-readable
-//! `BENCH_chaos.json` record the CI smoke gate parses.
+//! [`ChaosRow`] lists its columns once, in [`Row::record`]; the
+//! `chaos_sweep` binary hands them to [`crate::emit`] for the table and the
+//! machine-readable `BENCH_chaos.json` record the CI smoke gate parses.
 
-use lumos_common::table::{fmt2, Table};
-use lumos_core::{run_lumos, LumosConfig, RunReport, TaskKind};
+use lumos_core::{run_lumos, LumosConfig, RunReport};
 use lumos_data::Dataset;
-use lumos_gnn::Backbone;
 use lumos_sim::{FaultSpec, OutageWindow, Scenario};
 use lumos_topo::TopologyConfig;
 
 use crate::args::HarnessArgs;
-use crate::presets::{mcmc_iterations_for, run_pair};
+use crate::emit::{Record, Row, Value};
+use crate::presets::{cost_config, map_pairs};
 
 /// Aggregator fan-in of the sweep's hierarchical topology.
 pub const AGGREGATORS: usize = 4;
@@ -76,40 +76,15 @@ pub struct ChaosRow {
     /// never drops), asserted by the CI smoke gate.
     pub wasted_updates: u64,
     /// Whether this row's report is bit-identical to the no-fault
-    /// baseline. True exactly on the fault-free row; the CI smoke gate
-    /// asserts it.
+    /// baseline (equal [`RunReport::digest`]s). True exactly on the
+    /// fault-free row; the CI smoke gate asserts it.
     pub baseline_match: bool,
 }
 
-/// Epochs per measurement: recovery statistics stabilize quickly and do
-/// not depend on convergence. Quick mode halves the window for CI smoke.
-fn chaos_epochs(quick: bool) -> usize {
-    if quick {
-        4
-    } else {
-        8
-    }
-}
-
 fn base_config(ds: &Dataset, scenario: Scenario, args: &HarnessArgs) -> LumosConfig {
-    LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-        .with_epochs(chaos_epochs(args.quick))
-        .with_mcmc_iterations(mcmc_iterations_for(args.scale, &ds.name))
-        .with_seed(args.seed)
-        .with_scenario(scenario)
-        .with_topology(TopologyConfig::Hierarchical {
-            aggregators: AGGREGATORS,
-        })
-}
-
-/// Every deterministic field of the two reports, bitwise — the
-/// `baseline_match` predicate.
-fn reports_identical(a: &RunReport, b: &RunReport) -> bool {
-    a.test_metric.to_bits() == b.test_metric.to_bits()
-        && a.final_loss().to_bits() == b.final_loss().to_bits()
-        && a.avg_messages_per_device_per_epoch.to_bits()
-            == b.avg_messages_per_device_per_epoch.to_bits()
-        && a.sim == b.sim
+    cost_config(ds, scenario, args).with_topology(TopologyConfig::Hierarchical {
+        aggregators: AGGREGATORS,
+    })
 }
 
 fn eval_row(
@@ -129,7 +104,7 @@ fn eval_row(
         outages,
     });
     let report = run_lumos(ds, &cfg);
-    let baseline_match = reports_identical(baseline, &report);
+    let baseline_match = report.digest() == baseline.digest();
     let sim = report
         .sim
         .expect("scenario configs always produce a sim summary");
@@ -156,21 +131,9 @@ fn eval_scenario(ds: &Dataset, scenario: Scenario, args: &HarnessArgs) -> Vec<Ch
     // The no-fault baseline every row's `baseline_match` compares against:
     // the exact seed path, `FaultSpec::None`.
     let baseline = run_lumos(ds, &base_config(ds, scenario, args));
-    let mut rows = Vec::with_capacity(FAULT_GRID.len() + 1);
-    for pair in FAULT_GRID.chunks(2) {
-        match *pair {
-            [(l, c)] => rows.push(eval_row(ds, scenario, l, c, false, &baseline, args)),
-            [(l0, c0), (l1, c1)] => {
-                let (a, b) = run_pair(
-                    || eval_row(ds, scenario, l0, c0, false, &baseline, args),
-                    || eval_row(ds, scenario, l1, c1, false, &baseline, args),
-                );
-                rows.push(a);
-                rows.push(b);
-            }
-            _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-        }
-    }
+    let mut rows = map_pairs(&FAULT_GRID, |&(loss, crash)| {
+        eval_row(ds, scenario, loss, crash, false, &baseline, args)
+    });
     rows.push(eval_row(ds, scenario, 0.0, 0.0, true, &baseline, args));
     rows
 }
@@ -191,125 +154,36 @@ pub fn run(args: &HarnessArgs) -> Vec<ChaosRow> {
         .collect()
 }
 
-/// Renders the sweep as one table row per fault setting.
-pub fn table(rows: &[ChaosRow]) -> Table {
-    let mut t = Table::new(
-        "Chaos sweep: accuracy × makespan × recovery counters under seeded fault injection",
-        &[
-            "dataset",
-            "scenario",
-            "loss",
-            "crash",
-            "outage",
-            "accuracy",
-            "epoch secs",
-            "lost",
-            "retries",
-            "retry secs",
-            "crashed",
-            "failovers",
-            "buffered",
-            "wasted",
-            "baseline match",
-        ],
-    );
-    for r in rows {
-        t.push_row([
-            r.dataset.clone(),
-            r.scenario.name().to_string(),
-            fmt2(r.loss_rate),
-            fmt2(r.crash_rate),
-            r.outage.to_string(),
-            fmt2(r.accuracy),
-            fmt2(r.makespan),
-            r.lost_messages.to_string(),
-            r.retries.to_string(),
-            fmt2(r.retry_secs),
-            r.crashed_devices.to_string(),
-            r.failovers.to_string(),
-            r.buffered_updates.to_string(),
-            r.wasted_updates.to_string(),
-            r.baseline_match.to_string(),
-        ]);
+impl Row for ChaosRow {
+    const TITLE: &'static str =
+        "Chaos sweep: accuracy × makespan × recovery counters under seeded fault injection";
+
+    fn record(&self) -> Record {
+        use Value::{Bool, Num, Str, UInt};
+        vec![
+            ("dataset", Str(self.dataset.clone())),
+            ("scenario", Str(self.scenario.name().into())),
+            ("loss_rate", Num(self.loss_rate)),
+            ("crash_rate", Num(self.crash_rate)),
+            ("outage", Bool(self.outage)),
+            ("accuracy", Num(self.accuracy)),
+            ("makespan", Num(self.makespan)),
+            ("lost_messages", UInt(self.lost_messages)),
+            ("retries", UInt(self.retries)),
+            ("retry_secs", Num(self.retry_secs)),
+            ("crashed_devices", UInt(self.crashed_devices)),
+            ("failovers", UInt(self.failovers)),
+            ("buffered_updates", UInt(self.buffered_updates)),
+            ("wasted_updates", UInt(self.wasted_updates)),
+            ("baseline_match", Bool(self.baseline_match)),
+        ]
     }
-    t
-}
-
-/// A finite `f64` as a JSON number (`null` for NaN/∞, which JSON lacks).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A string as a JSON string literal (names here are ASCII identifiers;
-/// escape the two characters that could break the quoting anyway).
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-/// Renders the sweep as the machine-readable `BENCH_chaos.json` document
-/// the CI smoke gate parses: one record per fault setting with the
-/// injected rates, the learning outcome, and every recovery counter,
-/// keyed by scale and seed so chaos runs can be diffed run to run.
-pub fn to_json(rows: &[ChaosRow], args: &HarnessArgs) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"chaos_sweep\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", json_str(args.scale.name())));
-    out.push_str(&format!("  \"seed\": {},\n", args.seed));
-    out.push_str(&format!("  \"quick\": {},\n", args.quick));
-    out.push_str("  \"rows\": [\n");
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"dataset\": {},\n",
-                    "      \"scenario\": {},\n",
-                    "      \"loss_rate\": {},\n",
-                    "      \"crash_rate\": {},\n",
-                    "      \"outage\": {},\n",
-                    "      \"accuracy\": {},\n",
-                    "      \"makespan\": {},\n",
-                    "      \"lost_messages\": {},\n",
-                    "      \"retries\": {},\n",
-                    "      \"retry_secs\": {},\n",
-                    "      \"crashed_devices\": {},\n",
-                    "      \"failovers\": {},\n",
-                    "      \"buffered_updates\": {},\n",
-                    "      \"wasted_updates\": {},\n",
-                    "      \"baseline_match\": {}\n",
-                    "    }}"
-                ),
-                json_str(&r.dataset),
-                json_str(r.scenario.name()),
-                json_num(r.loss_rate),
-                json_num(r.crash_rate),
-                r.outage,
-                json_num(r.accuracy),
-                json_num(r.makespan),
-                r.lost_messages,
-                r.retries,
-                json_num(r.retry_secs),
-                r.crashed_devices,
-                r.failovers,
-                r.buffered_updates,
-                r.wasted_updates,
-                r.baseline_match,
-            )
-        })
-        .collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit;
     use lumos_data::Scale;
 
     fn smoke_args() -> HarnessArgs {
@@ -360,11 +234,12 @@ mod tests {
                 .any(|r| r.crash_rate > 0.0 && r.crashed_devices > 0),
             "5% crash over the fleet should fire at least once"
         );
-        assert_eq!(table(&rows).len(), rows.len());
+        assert_eq!(emit::table(&rows).len(), rows.len());
     }
 
+    /// The keys `.github/workflows/ci.yml`'s chaos step reads off each row.
     #[test]
-    fn json_document_is_well_formed() {
+    fn record_carries_every_key_the_ci_gate_reads() {
         let args = smoke_args();
         let rows = vec![ChaosRow {
             dataset: "facebook-smoke".into(),
@@ -383,13 +258,24 @@ mod tests {
             wasted_updates: 0,
             baseline_match: false,
         }];
-        let json = to_json(&rows, &args);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in:\n{json}"
+        emit::tests::assert_has_keys(
+            &rows[0].record(),
+            &[
+                "loss_rate",
+                "crash_rate",
+                "outage",
+                "baseline_match",
+                "wasted_updates",
+                "lost_messages",
+                "retries",
+                "retry_secs",
+                "crashed_devices",
+                "failovers",
+                "accuracy",
+            ],
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let sections = vec![("rows", emit::rows(&rows))];
+        let json = emit::document("chaos_sweep", Some(args.scale), &args, sections).render();
         assert!(json.contains("\"bench\": \"chaos_sweep\""));
         assert!(json.contains("\"scenario\": \"straggler-tail\""));
         assert!(json.contains("\"loss_rate\": 0.1"));
@@ -402,6 +288,5 @@ mod tests {
         assert!(json.contains("\"failovers\": 0"));
         assert!(json.contains("\"wasted_updates\": 0"));
         assert!(json.contains("\"baseline_match\": false"));
-        assert!(json.ends_with("}\n"));
     }
 }

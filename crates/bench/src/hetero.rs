@@ -30,19 +30,17 @@
 //! sweep a small grid under the straggler-tail (and, at full scale,
 //! churn) fleets.
 //!
-//! [`to_json`] renders the sweep as the machine-readable `BENCH_fig8.json`
-//! record the perf-trajectory tooling consumes.
+//! Both row types list their columns once, in [`Row::record`]; the
+//! `fig8_hetero` binary hands them to [`crate::emit`] for the tables and
+//! the machine-readable `BENCH_fig8.json` record the CI smoke gate parses.
 
-use lumos_common::table::{fmt2, Table};
-use lumos_core::{
-    run_lumos, AggregationPolicy, BalanceObjective, LumosConfig, SimSummary, TaskKind,
-};
+use lumos_core::{run_lumos, AggregationPolicy, BalanceObjective, SimSummary};
 use lumos_data::Dataset;
-use lumos_gnn::Backbone;
 use lumos_sim::Scenario;
 
 use crate::args::HarnessArgs;
-use crate::presets::{mcmc_iterations_for, run_pair};
+use crate::emit::{Record, Row, Value};
+use crate::presets::{cost_config, map_pairs};
 
 /// Deadline multiple the sweep's semi-sync column runs at: updates landing
 /// after `2 × median` delivery are dropped from the round.
@@ -164,123 +162,35 @@ impl HeteroRow {
     }
 }
 
-/// Epochs per measurement: makespan statistics stabilize quickly and do
-/// not depend on convergence. Quick mode halves the window for CI smoke.
-fn cost_epochs(quick: bool) -> usize {
-    if quick {
-        4
-    } else {
-        8
-    }
-}
-
-fn summary(
-    ds: &Dataset,
-    base: &LumosConfig,
-    objective: BalanceObjective,
-    trim: bool,
-    policy: AggregationPolicy,
-) -> SimSummary {
-    let mut cfg = base
-        .clone()
-        .with_balance_objective(objective)
-        .with_aggregation_policy(policy);
-    if !trim {
-        cfg = cfg.without_tree_trimming();
-    }
-    run_lumos(ds, &cfg)
-        .sim
-        .expect("scenario configs always produce a sim summary")
-}
-
 fn eval_scenario(ds: &Dataset, scenario: Scenario, args: &HarnessArgs) -> HeteroRow {
-    let base = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-        .with_epochs(cost_epochs(args.quick))
-        .with_mcmc_iterations(mcmc_iterations_for(args.scale, &ds.name))
-        .with_seed(args.seed)
-        .with_scenario(scenario);
-    let deadline_policy = AggregationPolicy::Deadline {
-        factor: DEADLINE_FACTOR,
-    };
-    let buffered_policy = AggregationPolicy::Buffered {
-        factor: DEADLINE_FACTOR,
-        decay: BUFFERED_DECAY,
-    };
-    let async_policy = AggregationPolicy::Async {
-        min_updates: async_quorum(ds.num_nodes()),
-    };
-    let (tree_nodes, (virtual_secs, (deadline, (buffered, (asynced, untrimmed))))) = run_pair(
-        || {
-            summary(
-                ds,
-                &base,
-                BalanceObjective::TreeNodes,
-                true,
-                AggregationPolicy::FullSync,
-            )
-        },
-        || {
-            run_pair(
-                || {
-                    summary(
-                        ds,
-                        &base,
-                        BalanceObjective::VirtualSecs,
-                        true,
-                        AggregationPolicy::FullSync,
-                    )
-                },
-                || {
-                    run_pair(
-                        || {
-                            summary(
-                                ds,
-                                &base,
-                                BalanceObjective::TreeNodes,
-                                true,
-                                deadline_policy,
-                            )
-                        },
-                        || {
-                            run_pair(
-                                || {
-                                    summary(
-                                        ds,
-                                        &base,
-                                        BalanceObjective::TreeNodes,
-                                        true,
-                                        buffered_policy,
-                                    )
-                                },
-                                || {
-                                    run_pair(
-                                        || {
-                                            summary(
-                                                ds,
-                                                &base,
-                                                BalanceObjective::TreeNodes,
-                                                true,
-                                                async_policy,
-                                            )
-                                        },
-                                        || {
-                                            summary(
-                                                ds,
-                                                &base,
-                                                BalanceObjective::TreeNodes,
-                                                false,
-                                                AggregationPolicy::FullSync,
-                                            )
-                                        },
-                                    )
-                                },
-                            )
-                        },
-                    )
-                },
-            )
-        },
-    );
+    let base = cost_config(ds, scenario, args);
+    let (nodes, vsecs) = (BalanceObjective::TreeNodes, BalanceObjective::VirtualSecs);
+    let factor = DEADLINE_FACTOR;
+    let decay = BUFFERED_DECAY;
+    let min_updates = async_quorum(ds.num_nodes());
+    // (objective, trimmed, policy) per column, in `HeteroRow` order.
+    let settings = [
+        (nodes, true, AggregationPolicy::FullSync),
+        (vsecs, true, AggregationPolicy::FullSync),
+        (nodes, true, AggregationPolicy::Deadline { factor }),
+        (nodes, true, AggregationPolicy::Buffered { factor, decay }),
+        (nodes, true, AggregationPolicy::Async { min_updates }),
+        (nodes, false, AggregationPolicy::FullSync),
+    ];
+    let summaries = map_pairs(&settings, |&(objective, trim, policy)| {
+        let mut cfg = base
+            .clone()
+            .with_balance_objective(objective)
+            .with_aggregation_policy(policy);
+        if !trim {
+            cfg = cfg.without_tree_trimming();
+        }
+        run_lumos(ds, &cfg)
+            .sim
+            .expect("scenario configs always produce a sim summary")
+    });
+    let [tree_nodes, virtual_secs, deadline, buffered, asynced, untrimmed]: [SimSummary; 6] =
+        summaries.try_into().expect("one summary per setting");
     HeteroRow {
         dataset: ds.name.clone(),
         scenario,
@@ -371,11 +281,7 @@ fn eval_sensitivity_cell(
     patience: u32,
     args: &HarnessArgs,
 ) -> SensitivityRow {
-    let cfg = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-        .with_epochs(cost_epochs(args.quick))
-        .with_mcmc_iterations(mcmc_iterations_for(args.scale, &ds.name))
-        .with_seed(args.seed)
-        .with_scenario(scenario)
+    let cfg = cost_config(ds, scenario, args)
         .with_aggregation_policy(AggregationPolicy::Buffered {
             factor: DEADLINE_FACTOR,
             decay,
@@ -421,250 +327,78 @@ pub fn run_sensitivity(args: &HarnessArgs) -> Vec<SensitivityRow> {
             })
         })
         .collect();
-    let mut rows = Vec::with_capacity(cells.len());
-    for pair in cells.chunks(2) {
-        match *pair {
-            [(s, d, th, pa)] => rows.push(eval_sensitivity_cell(&ds, s, d, th, pa, args)),
-            [(s0, d0, th0, pa0), (s1, d1, th1, pa1)] => {
-                let (a, b) = run_pair(
-                    || eval_sensitivity_cell(&ds, s0, d0, th0, pa0, args),
-                    || eval_sensitivity_cell(&ds, s1, d1, th1, pa1, args),
-                );
-                rows.push(a);
-                rows.push(b);
-            }
-            _ => unreachable!("chunks(2) yields 1- or 2-element slices"),
-        }
-    }
-    rows
+    map_pairs(&cells, |&(s, d, th, pa)| {
+        eval_sensitivity_cell(&ds, s, d, th, pa, args)
+    })
 }
 
-/// Renders the sensitivity grid as one table row per cell.
-pub fn sensitivity_table(rows: &[SensitivityRow]) -> Table {
-    let mut t = Table::new(
-        "Buffered-policy sensitivity: accuracy × makespan across decay and re-balance trigger",
-        &[
-            "dataset",
-            "scenario",
-            "decay",
-            "threshold",
-            "patience",
-            "accuracy",
-            "epoch secs",
-            "buffered",
-            "moved nodes",
-        ],
-    );
-    for r in rows {
-        t.push_row([
-            r.dataset.clone(),
-            r.scenario.name().to_string(),
-            fmt2(r.decay),
-            fmt2(r.threshold),
-            r.patience.to_string(),
-            fmt2(r.accuracy),
-            fmt2(r.makespan),
-            r.buffered_updates.to_string(),
-            r.migrated_nodes.to_string(),
-        ]);
-    }
-    t
-}
+impl Row for HeteroRow {
+    const TITLE: &'static str =
+        "Figure 8 (hetero): simulated epoch makespan by device scenario and balance objective";
 
-/// Renders the sweep as one table row per scenario.
-pub fn table(rows: &[HeteroRow]) -> Table {
-    let mut t = Table::new(
-        "Figure 8 (hetero): simulated epoch makespan by device scenario and balance objective",
-        &[
-            "dataset",
-            "scenario",
-            "epoch secs (nodes)",
-            "epoch secs (vsecs)",
-            "epoch secs (deadline)",
-            "epoch secs (buffered)",
-            "epoch secs (async)",
-            "epoch secs w.o. TT",
-            "vsecs win",
-            "deadline win",
-            "buffered win",
-            "async win",
-            "late drops",
-            "buffered",
-            "wasted",
-            "moved nodes",
-            "async carried",
-            "saved secs",
-            "saved %",
-            "util (nodes)",
-            "util (vsecs)",
-            "top straggler",
-            "dropped dev-rounds",
-        ],
-    );
-    for r in rows {
-        t.push_row([
-            r.dataset.clone(),
-            r.scenario.name().to_string(),
-            fmt2(r.makespan_tree_nodes),
-            fmt2(r.makespan_virtual_secs),
-            fmt2(r.makespan_deadline),
-            fmt2(r.makespan_buffered),
-            fmt2(r.makespan_async),
-            fmt2(r.makespan_untrimmed),
-            fmt2(r.weighted_win_secs()),
-            fmt2(r.deadline_win_secs()),
-            fmt2(r.buffered_win_secs()),
-            fmt2(r.async_win_secs()),
-            r.late_drops.to_string(),
-            r.buffered_updates.to_string(),
-            r.wasted_updates.to_string(),
-            r.migrated_nodes.to_string(),
-            r.async_carried.to_string(),
-            fmt2(r.saved_secs()),
-            fmt2(r.saved_pct()),
-            fmt2(r.utilization_tree_nodes),
-            fmt2(r.utilization_virtual_secs),
-            r.dominant_straggler
-                .map_or("n/a".to_string(), |(d, c)| format!("dev {d} ×{c}")),
-            r.dropped_device_rounds.to_string(),
-        ]);
-    }
-    t
-}
-
-/// A finite `f64` as a JSON number (`null` for NaN/∞, which JSON lacks).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
+    fn record(&self) -> Record {
+        use Value::{Null, Num, Str, UInt};
+        vec![
+            ("dataset", Str(self.dataset.clone())),
+            ("scenario", Str(self.scenario.name().into())),
+            ("makespan_tree_nodes", Num(self.makespan_tree_nodes)),
+            ("makespan_virtual_secs", Num(self.makespan_virtual_secs)),
+            ("makespan_deadline", Num(self.makespan_deadline)),
+            ("makespan_buffered", Num(self.makespan_buffered)),
+            ("makespan_async", Num(self.makespan_async)),
+            ("makespan_untrimmed", Num(self.makespan_untrimmed)),
+            ("weighted_win_secs", Num(self.weighted_win_secs())),
+            ("deadline_win_secs", Num(self.deadline_win_secs())),
+            ("buffered_win_secs", Num(self.buffered_win_secs())),
+            ("async_win_secs", Num(self.async_win_secs())),
+            ("late_drops", UInt(self.late_drops)),
+            ("buffered_updates", UInt(self.buffered_updates)),
+            ("wasted_updates", UInt(self.wasted_updates)),
+            ("migrated_nodes", UInt(self.migrated_nodes)),
+            ("async_carried", UInt(self.async_carried)),
+            ("async_late_drops", UInt(self.async_late_drops)),
+            ("async_wasted", UInt(self.async_wasted)),
+            ("saved_secs", Num(self.saved_secs())),
+            ("utilization_tree_nodes", Num(self.utilization_tree_nodes)),
+            (
+                "utilization_virtual_secs",
+                Num(self.utilization_virtual_secs),
+            ),
+            ("utilization_untrimmed", Num(self.utilization_untrimmed)),
+            (
+                "dominant_straggler",
+                self.dominant_straggler
+                    .map_or(Null, |(device, _)| UInt(device.into())),
+            ),
+            ("dropped_device_rounds", UInt(self.dropped_device_rounds)),
+        ]
     }
 }
 
-/// A string as a JSON string literal (names here are ASCII identifiers;
-/// escape the two characters that could break the quoting anyway).
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
+impl Row for SensitivityRow {
+    const TITLE: &'static str =
+        "Buffered-policy sensitivity: accuracy × makespan across decay and re-balance trigger";
 
-/// Renders the sweep as the machine-readable `BENCH_fig8.json` document:
-/// per-scenario, per-objective mean epoch makespans plus the derived wins
-/// and the (possibly empty) sensitivity grid, keyed by scale and seed so
-/// perf trajectories can be diffed run to run.
-pub fn to_json(rows: &[HeteroRow], sensitivity: &[SensitivityRow], args: &HarnessArgs) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"fig8_hetero\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", json_str(args.scale.name())));
-    out.push_str(&format!("  \"seed\": {},\n", args.seed));
-    out.push_str(&format!("  \"quick\": {},\n", args.quick));
-    out.push_str("  \"rows\": [\n");
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let straggler = r
-                .dominant_straggler
-                .map_or("null".to_string(), |(d, _)| d.to_string());
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"dataset\": {},\n",
-                    "      \"scenario\": {},\n",
-                    "      \"makespan_tree_nodes\": {},\n",
-                    "      \"makespan_virtual_secs\": {},\n",
-                    "      \"makespan_deadline\": {},\n",
-                    "      \"makespan_buffered\": {},\n",
-                    "      \"makespan_async\": {},\n",
-                    "      \"makespan_untrimmed\": {},\n",
-                    "      \"weighted_win_secs\": {},\n",
-                    "      \"deadline_win_secs\": {},\n",
-                    "      \"buffered_win_secs\": {},\n",
-                    "      \"async_win_secs\": {},\n",
-                    "      \"late_drops\": {},\n",
-                    "      \"buffered_updates\": {},\n",
-                    "      \"wasted_updates\": {},\n",
-                    "      \"migrated_nodes\": {},\n",
-                    "      \"async_carried\": {},\n",
-                    "      \"async_late_drops\": {},\n",
-                    "      \"async_wasted\": {},\n",
-                    "      \"saved_secs\": {},\n",
-                    "      \"utilization_tree_nodes\": {},\n",
-                    "      \"utilization_virtual_secs\": {},\n",
-                    "      \"utilization_untrimmed\": {},\n",
-                    "      \"dominant_straggler\": {},\n",
-                    "      \"dropped_device_rounds\": {}\n",
-                    "    }}"
-                ),
-                json_str(&r.dataset),
-                json_str(r.scenario.name()),
-                json_num(r.makespan_tree_nodes),
-                json_num(r.makespan_virtual_secs),
-                json_num(r.makespan_deadline),
-                json_num(r.makespan_buffered),
-                json_num(r.makespan_async),
-                json_num(r.makespan_untrimmed),
-                json_num(r.weighted_win_secs()),
-                json_num(r.deadline_win_secs()),
-                json_num(r.buffered_win_secs()),
-                json_num(r.async_win_secs()),
-                r.late_drops,
-                r.buffered_updates,
-                r.wasted_updates,
-                r.migrated_nodes,
-                r.async_carried,
-                r.async_late_drops,
-                r.async_wasted,
-                json_num(r.saved_secs()),
-                json_num(r.utilization_tree_nodes),
-                json_num(r.utilization_virtual_secs),
-                json_num(r.utilization_untrimmed),
-                straggler,
-                r.dropped_device_rounds,
-            )
-        })
-        .collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str("  \"sensitivity\": [\n");
-    let grid: Vec<String> = sensitivity
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"dataset\": {},\n",
-                    "      \"scenario\": {},\n",
-                    "      \"decay\": {},\n",
-                    "      \"threshold\": {},\n",
-                    "      \"patience\": {},\n",
-                    "      \"accuracy\": {},\n",
-                    "      \"makespan\": {},\n",
-                    "      \"buffered_updates\": {},\n",
-                    "      \"migrated_nodes\": {}\n",
-                    "    }}"
-                ),
-                json_str(&r.dataset),
-                json_str(r.scenario.name()),
-                json_num(r.decay),
-                json_num(r.threshold),
-                r.patience,
-                json_num(r.accuracy),
-                json_num(r.makespan),
-                r.buffered_updates,
-                r.migrated_nodes,
-            )
-        })
-        .collect();
-    out.push_str(&grid.join(",\n"));
-    if !grid.is_empty() {
-        out.push('\n');
+    fn record(&self) -> Record {
+        use Value::{Num, Str, UInt};
+        vec![
+            ("dataset", Str(self.dataset.clone())),
+            ("scenario", Str(self.scenario.name().into())),
+            ("decay", Num(self.decay)),
+            ("threshold", Num(self.threshold)),
+            ("patience", UInt(self.patience.into())),
+            ("accuracy", Num(self.accuracy)),
+            ("makespan", Num(self.makespan)),
+            ("buffered_updates", UInt(self.buffered_updates)),
+            ("migrated_nodes", UInt(self.migrated_nodes)),
+        ]
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit;
     use lumos_data::Scale;
 
     fn smoke_args() -> HarnessArgs {
@@ -752,7 +486,7 @@ mod tests {
         assert_eq!(tail.async_wasted, 0, "the quorum never wastes");
         assert_eq!(uniform.async_late_drops, 0);
         assert_eq!(uniform.async_wasted, 0);
-        assert_eq!(table(&[uniform, tail]).len(), 2);
+        assert_eq!(emit::table(&[uniform, tail]).len(), 2);
     }
 
     #[test]
@@ -776,7 +510,7 @@ mod tests {
         coords.sort_unstable();
         coords.dedup();
         assert_eq!(coords.len(), 4, "grid cells must not repeat");
-        assert_eq!(sensitivity_table(&grid).len(), 4);
+        assert_eq!(emit::table(&grid).len(), 4);
     }
 
     #[test]
@@ -796,8 +530,11 @@ mod tests {
         );
     }
 
+    /// The keys `.github/workflows/ci.yml`'s fig8 step reads off each row
+    /// and each sensitivity cell: renaming one must fail here, not in a CI
+    /// heredoc.
     #[test]
-    fn json_document_is_well_formed() {
+    fn record_carries_every_key_the_ci_gate_reads() {
         let args = smoke_args();
         let rows = vec![
             HeteroRow {
@@ -856,15 +593,41 @@ mod tests {
             buffered_updates: 9,
             migrated_nodes: 2,
         }];
-        let json = to_json(&rows, &grid, &args);
-        // Structural sanity without a JSON parser in the tree: balanced
-        // delimiters, both scenario rows present, nulls where expected.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in:\n{json}"
+        emit::tests::assert_has_keys(
+            &rows[0].record(),
+            &[
+                "scenario",
+                "makespan_tree_nodes",
+                "makespan_virtual_secs",
+                "makespan_deadline",
+                "makespan_buffered",
+                "makespan_async",
+                "late_drops",
+                "wasted_updates",
+                "buffered_updates",
+                "buffered_win_secs",
+                "deadline_win_secs",
+                "async_carried",
+                "async_late_drops",
+                "async_wasted",
+            ],
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        emit::tests::assert_has_keys(
+            &grid[0].record(),
+            &[
+                "scenario",
+                "decay",
+                "threshold",
+                "patience",
+                "accuracy",
+                "makespan",
+            ],
+        );
+        let sections = vec![
+            ("rows", emit::rows(&rows)),
+            ("sensitivity", emit::rows(&grid)),
+        ];
+        let json = emit::document("fig8_hetero", Some(args.scale), &args, sections).render();
         assert!(json.contains("\"bench\": \"fig8_hetero\""));
         assert!(json.contains("\"scenario\": \"straggler-tail\""));
         assert!(json.contains("\"dominant_straggler\": null"));
@@ -882,10 +645,5 @@ mod tests {
         assert!(json.contains("\"decay\": 0.3"));
         assert!(json.contains("\"threshold\": 1.5"));
         assert!(json.contains("\"accuracy\": 0.61"));
-        assert!(json.ends_with("}\n"));
-        // An empty grid must still be a well-formed (empty) array.
-        let empty = to_json(&rows, &[], &args);
-        assert!(empty.contains("\"sensitivity\": [\n  ]"));
-        assert_eq!(empty.matches('{').count(), empty.matches('}').count());
     }
 }

@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 pub mod args;
 pub mod chaos;
+pub mod emit;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;

@@ -11,12 +11,11 @@
 //!    cost-weighted graph (so every comparison rides the 48-bit lane), per
 //!    backend.
 //!
-//! [`to_json`] renders the machine-readable `BENCH_perf.json` record that
-//! CI smoke-parses to assert the bit-sliced win holds (≥10× on the batched
-//! sweep); keeping it in a dated artifact is what finally gives the repo a
-//! recorded perf trajectory instead of anecdotes.
-
-use std::time::Instant;
+//! [`PerfReport::record`] lists the sections of the machine-readable
+//! `BENCH_perf.json` record that CI smoke-parses to assert the bit-sliced
+//! win holds (≥10× on the batched sweep); keeping it in a dated artifact is
+//! what finally gives the repo a recorded perf trajectory instead of
+//! anecdotes.
 
 use lumos_balance::{
     greedy_init_weighted, make_oracle_backend, mcmc_balance, CompareBackend, McmcConfig,
@@ -24,9 +23,11 @@ use lumos_balance::{
 };
 use lumos_common::rng::Xoshiro256pp;
 use lumos_common::table::{fmt2, Table};
+use lumos_common::timer::time_it;
 use lumos_graph::generate::erdos_renyi;
 
 use crate::args::HarnessArgs;
+use crate::emit::{Record, Value};
 
 /// Results of one scalar-vs-bitsliced measurement pass.
 #[derive(Debug, Clone)]
@@ -66,6 +67,40 @@ impl PerfReport {
     pub fn mcmc_speedup(&self) -> f64 {
         self.mcmc_bitsliced_iters_per_sec / self.mcmc_scalar_iters_per_sec
     }
+
+    /// The sections of the `BENCH_perf.json` record CI smoke-parses. A
+    /// zero denominator makes a ratio non-finite, which the emitter writes
+    /// as `null`.
+    pub fn record(&self) -> Record {
+        use Value::{Num, Object, UInt};
+        vec![
+            ("bits", UInt(self.bits.into())),
+            ("batch_lanes", UInt(self.batch_lanes as u64)),
+            (
+                "compare",
+                Object(vec![
+                    ("scalar_ns", Num(self.scalar_ns_per_cmp)),
+                    ("bitsliced_ns", Num(self.bitsliced_ns_per_cmp)),
+                    ("speedup", Num(self.compare_speedup())),
+                    ("scalar_messages", UInt(self.scalar_messages)),
+                    ("bitsliced_messages", UInt(self.bitsliced_messages)),
+                    ("message_ratio", Num(self.message_ratio())),
+                ]),
+            ),
+            (
+                "mcmc",
+                Object(vec![
+                    ("iterations", UInt(self.mcmc_iterations as u64)),
+                    ("scalar_iters_per_sec", Num(self.mcmc_scalar_iters_per_sec)),
+                    (
+                        "bitsliced_iters_per_sec",
+                        Num(self.mcmc_bitsliced_iters_per_sec),
+                    ),
+                    ("speedup", Num(self.mcmc_speedup())),
+                ]),
+            ),
+        ]
+    }
 }
 
 /// Times one batched 48-bit sweep per backend and one secure MCMC run per
@@ -86,12 +121,11 @@ pub fn run(args: &HarnessArgs) -> PerfReport {
         // Warm-up pass (page-in, dealer state) before the timed reps.
         let warmup = oracle.compare_batch(&pairs, bits);
         let baseline = oracle.meter();
-        #[allow(clippy::disallowed_methods)] // mirrored lumos-lint waiver
-        let start = Instant::now(); // lumos-lint: allow(wallclock-time) — benchmark throughput meter; timings go to BENCH_perf.json, not into any report the determinism tests pin
-        for _ in 0..reps {
-            std::hint::black_box(oracle.compare_batch(&pairs, bits));
-        }
-        let elapsed = start.elapsed().as_secs_f64();
+        let ((), elapsed) = time_it(|| {
+            for _ in 0..reps {
+                std::hint::black_box(oracle.compare_batch(&pairs, bits));
+            }
+        });
         let per_sweep = oracle.meter().since(&baseline).messages / reps as u64;
         (elapsed * 1e9 / (reps * lanes) as f64, per_sweep, warmup)
     };
@@ -124,10 +158,8 @@ pub fn run(args: &HarnessArgs) -> PerfReport {
                 iterations: mcmc_iters,
                 seed: args.seed ^ 0x5EED,
             };
-            #[allow(clippy::disallowed_methods)] // mirrored lumos-lint waiver
-            let start = Instant::now(); // lumos-lint: allow(wallclock-time) — benchmark iteration-rate meter, output only
-            let out = mcmc_balance(&g, init, &cfg, oracle.as_mut());
-            best_rate = best_rate.max(mcmc_iters as f64 / start.elapsed().as_secs_f64());
+            let (out, secs) = time_it(|| mcmc_balance(&g, init, &cfg, oracle.as_mut()));
+            best_rate = best_rate.max(mcmc_iters as f64 / secs);
             last = Some(out);
         }
         (best_rate, last.expect("at least one pass"))
@@ -179,52 +211,10 @@ pub fn table(r: &PerfReport) -> Table {
     t
 }
 
-/// The machine-readable `BENCH_perf.json` record CI smoke-parses.
-pub fn to_json(r: &PerfReport, args: &HarnessArgs) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"perf_compare\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"quick\": {quick},\n",
-            "  \"bits\": {bits},\n",
-            "  \"batch_lanes\": {lanes},\n",
-            "  \"compare\": {{\n",
-            "    \"scalar_ns\": {sns},\n",
-            "    \"bitsliced_ns\": {bns},\n",
-            "    \"speedup\": {spd},\n",
-            "    \"scalar_messages\": {sm},\n",
-            "    \"bitsliced_messages\": {bm},\n",
-            "    \"message_ratio\": {mr}\n",
-            "  }},\n",
-            "  \"mcmc\": {{\n",
-            "    \"iterations\": {mi},\n",
-            "    \"scalar_iters_per_sec\": {sr},\n",
-            "    \"bitsliced_iters_per_sec\": {br},\n",
-            "    \"speedup\": {ms}\n",
-            "  }}\n",
-            "}}\n",
-        ),
-        seed = args.seed,
-        quick = args.quick,
-        bits = r.bits,
-        lanes = r.batch_lanes,
-        sns = r.scalar_ns_per_cmp,
-        bns = r.bitsliced_ns_per_cmp,
-        spd = r.compare_speedup(),
-        sm = r.scalar_messages,
-        bm = r.bitsliced_messages,
-        mr = r.message_ratio(),
-        mi = r.mcmc_iterations,
-        sr = r.mcmc_scalar_iters_per_sec,
-        br = r.mcmc_bitsliced_iters_per_sec,
-        ms = r.mcmc_speedup(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::tests::assert_has_keys;
     use lumos_data::Scale;
 
     #[test]
@@ -248,9 +238,23 @@ mod tests {
             "message ratio {:.1} must approach the 64-lane packing",
             r.message_ratio()
         );
-        let json = to_json(&r, &args);
+        // The keys `.github/workflows/ci.yml`'s perf step reads: `bits`,
+        // `compare.{speedup, message_ratio}`, `mcmc.speedup`.
+        let record = r.record();
+        assert_has_keys(&record, &["bits"]);
+        let nested: [(&str, &[&str]); 2] = [
+            ("compare", &["speedup", "message_ratio"]),
+            ("mcmc", &["speedup"]),
+        ];
+        for (section, keys) in nested {
+            match record.iter().find(|(k, _)| *k == section) {
+                Some((_, Value::Object(fields))) => assert_has_keys(fields, keys),
+                other => panic!("`{section}` must be an object, got {other:?}"),
+            }
+        }
+        let json = crate::emit::document("perf_compare", None, &args, record).render();
         assert!(json.contains("\"bench\": \"perf_compare\""));
-        assert!(json.contains("\"speedup\""));
+        assert!(json.contains("  \"bits\": 48,"));
         // Table renders without panicking.
         let _ = table(&r);
     }

@@ -4,8 +4,12 @@
 //! MCMC iterations; reduced scales shrink both so the full suite runs on a
 //! laptop while preserving every qualitative shape.
 
-use lumos_core::TaskKind;
+use lumos_core::{LumosConfig, TaskKind};
 use lumos_data::{Dataset, Scale};
+use lumos_gnn::Backbone;
+use lumos_sim::Scenario;
+
+use crate::args::HarnessArgs;
 
 /// Training epochs for a task at a scale. Link prediction needs the longer
 /// schedule to climb above the LDP noise floor (§VIII-B uses 300 for both).
@@ -37,6 +41,18 @@ pub fn datasets(scale: Scale) -> Vec<Dataset> {
     vec![Dataset::facebook_like(scale), Dataset::lastfm_like(scale)]
 }
 
+/// The supervised GCN run the system-cost sweeps (hetero, chaos) measure
+/// under `scenario`. Makespan and recovery statistics stabilize quickly
+/// and do not depend on convergence, so the window is 8 epochs; quick mode
+/// halves it for CI smoke.
+pub fn cost_config(ds: &Dataset, scenario: Scenario, args: &HarnessArgs) -> LumosConfig {
+    LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
+        .with_epochs(if args.quick { 4 } else { 8 })
+        .with_mcmc_iterations(mcmc_iterations_for(args.scale, &ds.name))
+        .with_seed(args.seed)
+        .with_scenario(scenario)
+}
+
 /// Runs closures in parallel pairs (the harness's outermost fan-out; the
 /// machine has few cores and each run is single-threaded).
 pub fn run_pair<A: Send, B: Send>(
@@ -48,6 +64,23 @@ pub fn run_pair<A: Send, B: Send>(
         let b = g();
         (ha.join().expect("parallel task panicked"), b)
     })
+}
+
+/// Maps `f` over `items` two at a time ([`run_pair`]), in order — how a
+/// sweep runs its independent `run_lumos` settings on the two cores without
+/// holding more than two runs' memory at once.
+pub fn map_pairs<I: Sync, T: Send>(items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    let mut out = Vec::with_capacity(items.len());
+    for pair in items.chunks(2) {
+        match pair {
+            [a, b] => {
+                let (x, y) = run_pair(|| f(a), || f(b));
+                out.extend([x, y]);
+            }
+            rest => out.extend(rest.iter().map(&f)),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -65,6 +98,15 @@ mod tests {
         assert_eq!(mcmc_iterations_for(Scale::Paper, "facebook"), 1000);
         assert_eq!(mcmc_iterations_for(Scale::Paper, "lastfm"), 300);
         assert!(mcmc_iterations_for(Scale::Small, "facebook") < 1000);
+    }
+
+    #[test]
+    fn map_pairs_keeps_item_order_for_odd_and_even_lengths() {
+        for n in 0..6u32 {
+            let items: Vec<u32> = (0..n).collect();
+            let doubled: Vec<u32> = items.iter().map(|x| x * 2).collect();
+            assert_eq!(map_pairs(&items, |x| x * 2), doubled);
+        }
     }
 
     #[test]

@@ -15,18 +15,18 @@
 //! * **wall cost per simulated device** stays bounded as the fleet grows,
 //!   which is what lets the 10⁵-device row finish inside a CI smoke job.
 //!
-//! [`to_json`] renders the sweep as the machine-readable
-//! `BENCH_scale.json` record the CI scale gate asserts on.
-
-use std::time::Instant;
+//! [`ScaleRow`] lists its columns once, in [`Row::record`]; the
+//! `scale_sweep` binary hands them to [`crate::emit`] for the table and the
+//! machine-readable `BENCH_scale.json` record the CI scale gate asserts on.
 
 use lumos_common::rng::Xoshiro256pp;
-use lumos_common::table::{fmt2, Table};
+use lumos_common::timer::Stopwatch;
 use lumos_fed::{ledger_work, SimNetwork};
 use lumos_sim::{simulate_epoch, DeviceProfile, Scenario};
 use lumos_topo::{tier_timing, Topology};
 
 use crate::args::HarnessArgs;
+use crate::emit::{Record, Row, Value};
 
 /// Fleet sizes the sweep visits (the 10⁵-device row is the point).
 pub const SWEEP_DEVICES: [usize; 3] = [4_000, 32_000, 100_000];
@@ -98,10 +98,11 @@ pub fn measure(n: usize, hierarchical: bool, rounds: usize, seed: u64) -> ScaleR
     let tree_sizes = vec![TREE_NODES; n];
     let aggregator = DeviceProfile::baseline();
 
-    #[allow(clippy::disallowed_methods)] // mirrored lumos-lint waiver
-    let started = Instant::now(); // lumos-lint: allow(wallclock-time) — wall-µs/device budget for the scale sweep CI gate; never mixed into virtual-time results
     let mut makespan_sum = 0.0f64;
     let mut peak_ledger = 0usize;
+    // The wall-µs/device budget the CI gate asserts; never mixed into the
+    // virtual-time results.
+    let wall = Stopwatch::started();
     for _ in 0..rounds {
         let snap = net.snapshot();
         // Two ring neighbors per device stand in for the tree-update
@@ -138,7 +139,7 @@ pub fn measure(n: usize, hierarchical: bool, rounds: usize, seed: u64) -> ScaleR
             None => stats.makespan_secs,
         };
     }
-    let wall_us = started.elapsed().as_micros() as f64;
+    let wall_secs = wall.secs();
 
     ScaleRow {
         devices: n,
@@ -148,7 +149,7 @@ pub fn measure(n: usize, hierarchical: bool, rounds: usize, seed: u64) -> ScaleR
         makespan_secs: makespan_sum / rounds as f64,
         server_bytes_per_round: net.server_bytes_received() as f64 / rounds as f64,
         peak_ledger_entries: peak_ledger,
-        wall_us_per_device: wall_us / (n * rounds) as f64,
+        wall_us_per_device: wall_secs * 1e6 / (n * rounds) as f64,
     }
 }
 
@@ -165,93 +166,27 @@ pub fn run(args: &HarnessArgs) -> Vec<ScaleRow> {
     rows
 }
 
-/// Renders the sweep as one table row per (fleet size, topology).
-pub fn table(rows: &[ScaleRow]) -> Table {
-    let mut t = Table::new(
-        "Scale sweep: flat vs hierarchical aggregation",
-        &[
-            "devices",
-            "mode",
-            "aggregators",
-            "epoch secs",
-            "server bytes/round",
-            "peak ledger entries",
-            "wall µs/device",
-        ],
-    );
-    for r in rows {
-        t.push_row([
-            r.devices.to_string(),
-            r.mode.to_string(),
-            r.aggregators.to_string(),
-            fmt2(r.makespan_secs),
-            fmt2(r.server_bytes_per_round),
-            r.peak_ledger_entries.to_string(),
-            fmt2(r.wall_us_per_device),
-        ]);
+impl Row for ScaleRow {
+    const TITLE: &'static str = "Scale sweep: flat vs hierarchical aggregation";
+
+    fn record(&self) -> Record {
+        use Value::{Num, Str, UInt};
+        vec![
+            ("devices", UInt(self.devices as u64)),
+            ("mode", Str(self.mode.into())),
+            ("aggregators", UInt(self.aggregators as u64)),
+            ("rounds", UInt(self.rounds as u64)),
+            ("makespan_secs", Num(self.makespan_secs)),
+            ("server_bytes_per_round", Num(self.server_bytes_per_round)),
+            ("peak_ledger_entries", UInt(self.peak_ledger_entries as u64)),
+            ("wall_us_per_device", Num(self.wall_us_per_device)),
+        ]
     }
-    t
-}
-
-/// A finite `f64` as a JSON number (`null` for NaN/∞, which JSON lacks).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-/// Renders the sweep as the machine-readable `BENCH_scale.json` document
-/// the CI scale gate parses: per-(devices, mode) traffic, memory, and
-/// wall-cost figures keyed by seed and quick flag.
-pub fn to_json(rows: &[ScaleRow], args: &HarnessArgs) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"scale_sweep\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", args.seed));
-    out.push_str(&format!("  \"quick\": {},\n", args.quick));
-    out.push_str("  \"rows\": [\n");
-    let body: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"devices\": {},\n",
-                    "      \"mode\": {},\n",
-                    "      \"aggregators\": {},\n",
-                    "      \"rounds\": {},\n",
-                    "      \"makespan_secs\": {},\n",
-                    "      \"server_bytes_per_round\": {},\n",
-                    "      \"peak_ledger_entries\": {},\n",
-                    "      \"wall_us_per_device\": {}\n",
-                    "    }}"
-                ),
-                r.devices,
-                json_str(r.mode),
-                r.aggregators,
-                r.rounds,
-                json_num(r.makespan_secs),
-                json_num(r.server_bytes_per_round),
-                r.peak_ledger_entries,
-                json_num(r.wall_us_per_device),
-            )
-        })
-        .collect();
-    out.push_str(&body.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lumos_data::Scale;
 
     #[test]
     fn hierarchical_mode_cuts_server_bytes_and_ledger_memory() {
@@ -290,27 +225,26 @@ mod tests {
         assert_eq!(aggregators_for(100_000), 317);
     }
 
+    /// The keys `.github/workflows/ci.yml`'s scale step reads off each row.
     #[test]
-    fn json_document_is_well_formed() {
-        let args = HarnessArgs {
-            scale: Scale::Smoke,
-            seed: 9,
-            quick: true,
-            json: None,
-            sensitivity: false,
-        };
-        let rows = vec![measure(300, false, 1, 9), measure(300, true, 1, 9)];
-        let json = to_json(&rows, &args);
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in:\n{json}"
+    fn record_carries_every_key_the_ci_gate_reads() {
+        let rows = [measure(300, false, 1, 9), measure(300, true, 1, 9)];
+        crate::emit::tests::assert_has_keys(
+            &rows[1].record(),
+            &[
+                "devices",
+                "mode",
+                "aggregators",
+                "makespan_secs",
+                "server_bytes_per_round",
+                "peak_ledger_entries",
+                "wall_us_per_device",
+            ],
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"bench\": \"scale_sweep\""));
+        let json = crate::emit::rows(&rows).render();
+        assert!(json.contains("\"devices\": 300"));
         assert!(json.contains("\"mode\": \"flat\""));
         assert!(json.contains("\"mode\": \"hierarchical\""));
-        assert!(json.ends_with("}\n"));
-        assert_eq!(table(&rows).len(), 2);
+        assert_eq!(crate::emit::table(&rows).len(), 2);
     }
 }

@@ -35,13 +35,6 @@ impl Normal {
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.mean + self.std * r * theta.cos()
     }
-
-    /// Fills a buffer with samples.
-    pub fn sample_into(&self, rng: &mut Xoshiro256pp, out: &mut [f64]) {
-        for x in out.iter_mut() {
-            *x = self.sample(rng);
-        }
-    }
 }
 
 /// Discrete bounded power law on `{min, .., max}` with `P(k) ∝ k^{-alpha}`.

@@ -66,11 +66,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum observation (+inf if empty).
     pub fn min(&self) -> f64 {
         self.min

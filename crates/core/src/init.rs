@@ -29,7 +29,9 @@ pub struct LdpExchange {
     pub messages: u64,
 }
 
-/// Executes the exchange for every device.
+/// Executes the exchange for every device: the top-up of
+/// [`exchange_missing_features`] from an empty exchange, where every
+/// retained `(owner, neighbor)` pair is missing.
 ///
 /// `features` is the row-major `[n, dim]` matrix of raw local features in
 /// `[0, 1]`; `trees` defines who needs whose feature; `net` records each
@@ -42,46 +44,17 @@ pub fn exchange_features(
     rng: &mut Xoshiro256pp,
     net: &mut SimNetwork,
 ) -> LdpExchange {
-    let n = trees.len();
-    assert_eq!(features.len(), n * dim, "feature matrix shape mismatch");
-
-    // Recipient sets: u needs v's feature iff v is a retained neighbor in
-    // u's tree.
-    let mut recipients: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for tree in trees {
-        for &v in &tree.neighbors {
-            recipients[v as usize].push(tree.center);
-        }
+    let mut exchange = LdpExchange {
+        recovered: BTreeMap::new(),
+        messages: 0,
+    };
+    let sent = exchange_missing_features(features, dim, trees, epsilon, rng, net, &mut exchange);
+    // The initial exchange occupies one ledger round even when every device
+    // is isolated; the top-up closes a round only when it sent something.
+    if sent == 0 {
+        net.round();
     }
-
-    // Wire cost of one binned message: each transmitted element carries its
-    // 2-bit symbol plus a dimension index.
-    let index_bits = (usize::BITS - (dim.max(2) - 1).leading_zeros()) as u64;
-    let mut recovered = BTreeMap::new();
-    let mut messages = 0u64;
-    for v in 0..n as u32 {
-        let recv = &recipients[v as usize];
-        if recv.is_empty() {
-            continue;
-        }
-        let fan_out = recv.len();
-        let encoder = FeatureEncoder::new(epsilon, fan_out, dim, 0.0, 1.0);
-        let feature = &features[v as usize * dim..(v as usize + 1) * dim];
-        let msgs = encoder.encode_binned(feature, rng);
-        for (k, msg) in msgs.iter().enumerate() {
-            let u = recv[k];
-            let elems = msg.transmitted() as u64;
-            let bytes = (elems * (2 + index_bits)).div_ceil(8);
-            net.send(v, u, bytes);
-            messages += 1;
-            recovered.insert((u, v), encoder.recover(msg));
-        }
-    }
-    net.round();
-    LdpExchange {
-        recovered,
-        messages,
-    }
+    exchange
 }
 
 /// Top-up exchange for `(owner, neighbor)` pairs with no recovered estimate
@@ -103,6 +76,9 @@ pub fn exchange_missing_features(
 ) -> u64 {
     let n = trees.len();
     assert_eq!(features.len(), n * dim, "feature matrix shape mismatch");
+
+    // Recipient sets: u needs v's feature iff v is a retained neighbor in
+    // u's tree and u holds no estimate of it yet.
     let mut recipients: Vec<Vec<u32>> = vec![Vec::new(); n];
     for tree in trees {
         for &v in &tree.neighbors {
@@ -111,6 +87,9 @@ pub fn exchange_missing_features(
             }
         }
     }
+
+    // Wire cost of one binned message: each transmitted element carries its
+    // 2-bit symbol plus a dimension index.
     let index_bits = (usize::BITS - (dim.max(2) - 1).leading_zeros()) as u64;
     let mut messages = 0u64;
     for v in 0..n as u32 {

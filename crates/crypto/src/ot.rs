@@ -79,17 +79,6 @@ impl OtDealer {
         self.dealt += 1;
         (SenderPad { r0, r1 }, ReceiverWidePad { c, rc })
     }
-
-    /// Deals one random 1-of-N OT: the sender gets `n` pads, the receiver a
-    /// random index `c` and the pad at that index.
-    pub fn deal_1_of_n(&mut self, n: usize) -> (Vec<u64>, usize, u64) {
-        assert!(n >= 2, "1-of-N OT needs N >= 2");
-        let pads: Vec<u64> = (0..n).map(|_| self.rng.next_u64()).collect();
-        let c = self.rng.index(n);
-        let pad_c = pads[c];
-        self.dealt += 1;
-        (pads, c, pad_c)
-    }
 }
 
 /// One observed OT transcript (for leakage analysis in tests).

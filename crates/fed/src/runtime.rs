@@ -219,11 +219,6 @@ impl Runtime {
         self.tier = Some(tier);
     }
 
-    /// The installed aggregator tier, if hierarchical.
-    pub fn tier(&self) -> Option<&TierSpec> {
-        self.tier.as_ref()
-    }
-
     /// Total virtual seconds the aggregator → server tier added across
     /// profiled epochs (how much of the makespan the extra hop cost).
     pub fn total_tier2_secs(&self) -> f64 {
@@ -286,11 +281,6 @@ impl Runtime {
                 })
                 .collect()
         })
-    }
-
-    /// The cost model in use.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
     }
 
     /// Begins an epoch: starts the wall timer and snapshots the ledger.

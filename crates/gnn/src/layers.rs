@@ -11,7 +11,6 @@ use crate::adj::MessageGraph;
 pub struct GcnLayer {
     w: ParamId,
     b: ParamId,
-    in_dim: usize,
     out_dim: usize,
 }
 
@@ -29,17 +28,7 @@ impl GcnLayer {
             Tensor::glorot(in_dim, out_dim, rng),
         );
         let b = store.add(format!("{name}.bias"), Tensor::zeros(1, out_dim));
-        Self {
-            w,
-            b,
-            in_dim,
-            out_dim,
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
+        Self { w, b, out_dim }
     }
 
     /// Output dimensionality.
@@ -83,7 +72,6 @@ struct GatHead {
 pub struct GatLayer {
     heads: Vec<GatHead>,
     bias: ParamId,
-    in_dim: usize,
     head_dim: usize,
     concat: bool,
     leaky_slope: f32,
@@ -128,16 +116,10 @@ impl GatLayer {
         Self {
             heads,
             bias,
-            in_dim,
             head_dim,
             concat,
             leaky_slope: 0.2,
         }
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
     }
 
     /// Output dimensionality.
@@ -225,11 +207,6 @@ impl Layer {
             Layer::Sage(l) => l.out_dim(),
         }
     }
-}
-
-/// Helper shared by tests: a constant input var for a feature matrix.
-pub fn input_var(tape: &mut Tape, features: Tensor) -> VarId {
-    tape.constant(features)
 }
 
 /// Dropout wrapper used between layers (inverted dropout, `p = 0.01` in the

@@ -19,7 +19,6 @@ pub struct SageLayer {
     w_self: ParamId,
     w_neigh: ParamId,
     b: ParamId,
-    in_dim: usize,
     out_dim: usize,
 }
 
@@ -42,14 +41,8 @@ impl SageLayer {
                 Tensor::glorot(in_dim, out_dim, rng),
             ),
             b: store.add(format!("{name}.bias"), Tensor::zeros(1, out_dim)),
-            in_dim,
             out_dim,
         }
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
     }
 
     /// Output dimensionality.

@@ -50,12 +50,6 @@ pub fn lint_workspace(cfg: &Config) -> Report {
     report
 }
 
-/// Lints one in-memory source (fixture and unit tests).
-pub fn lint_source(cfg: &Config, rel: &str, source: &str) -> Vec<Finding> {
-    let lexed = lexer::lex(source);
-    rules::scan_file(cfg, rel, source, &lexed)
-}
-
 /// Walks upward from `start` to the first directory whose `Cargo.toml`
 /// declares `[workspace]` — how the CLI finds the root when invoked from a
 /// crate subdirectory.

@@ -24,16 +24,21 @@ use crate::runtime::{Control, EventDrivenRuntime};
 
 /// Sender id marking payloads from the aggregation server rather than a
 /// peer device. The server is not simulated, so its payloads are treated as
-/// staged by the receiver's own burst barrier (the legacy approximation,
-/// now scoped to the one endpoint that has no profile).
+/// staged by the receiver's own burst barrier (the self-timed
+/// approximation, scoped to the one endpoint that has no profile).
 pub const SERVER_SENDER: u32 = u32::MAX;
 
 /// A device's inbound payload for one epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Inbound {
     /// Aggregate bytes with no sender identity: the drain is self-timed
-    /// from the receiver's own burst barrier — the legacy schedule, kept as
-    /// the degenerate case the per-destination schedule collapses to.
+    /// from the receiver's own burst barrier. This is the live inbound shape
+    /// of every sharded ledger, not a legacy path: `lumos_fed::ledger_work`
+    /// emits it for each device of a hierarchical `run_lumos` round and of
+    /// the 100k-device scale sweep, where the compact ledger keeps no
+    /// per-edge map. It is also the case [`PerSender`](Inbound::PerSender)
+    /// collapses to, but a one-element `PerSender` list in its place would
+    /// cost one heap allocation per device per round for no behaviour.
     Aggregate(u64),
     /// Per-sender contributions `(sender, bytes)`. The drain starts at the
     /// latest of the receiver's own burst barrier and every named sender's
@@ -74,7 +79,8 @@ pub struct DeviceWork {
 }
 
 impl DeviceWork {
-    /// Work with self-timed aggregate inbound bytes (the legacy shape).
+    /// Work with self-timed aggregate inbound bytes (the sharded-ledger
+    /// shape).
     pub fn aggregate(compute_units: f64, messages_out: u64, bytes_out: u64, bytes_in: u64) -> Self {
         Self {
             compute_units,
@@ -140,8 +146,8 @@ impl EpochStats {
 /// Runs one epoch over the fleet and returns its statistics.
 ///
 /// Devices with `available == false` contribute nothing (their update is
-/// skipped this round). Under [`Inbound::Aggregate`] the simulation is the
-/// legacy self-timed schedule; under [`Inbound::PerSender`] each receiver's
+/// skipped this round). Under [`Inbound::Aggregate`] (what a sharded ledger
+/// yields) the drain is self-timed; under [`Inbound::PerSender`] each receiver's
 /// drain additionally waits for its senders' actual deliveries, so the
 /// per-destination makespan dominates the aggregate one on the same work
 /// and collapses to it bit-for-bit when every sender lands at or before the

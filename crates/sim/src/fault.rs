@@ -400,11 +400,6 @@ impl FaultState {
         }
     }
 
-    /// The recovery policy in force.
-    pub fn recovery(&self) -> &RecoveryPolicy {
-        &self.recovery
-    }
-
     /// The current round (0-based).
     pub fn round(&self) -> u64 {
         self.round

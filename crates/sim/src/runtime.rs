@@ -135,8 +135,9 @@ impl EventDrivenRuntime {
     /// Prices one epoch over the fleet and builds its event schedule.
     ///
     /// Devices with `available == false` contribute nothing (their update
-    /// is skipped this round). Under [`Inbound::Aggregate`] the schedule is
-    /// the legacy self-timed one; under [`Inbound::PerSender`] each
+    /// is skipped this round). Under [`Inbound::Aggregate`] — the inbound
+    /// shape of every sharded ledger, i.e. of every hierarchical round —
+    /// the drain is self-timed; under [`Inbound::PerSender`] each
     /// receiver's drain additionally waits for its senders' actual
     /// deliveries (see `epoch.rs` for the collapse properties).
     ///

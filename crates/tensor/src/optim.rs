@@ -32,16 +32,6 @@ impl Adam {
         }
     }
 
-    /// Learning rate accessor.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u32 {
         self.t

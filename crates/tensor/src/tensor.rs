@@ -102,15 +102,6 @@ impl Tensor {
         Self::from_vec(1, 1, vec![value])
     }
 
-    /// Identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(n, n);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// I.i.d. uniform entries in `[lo, hi)`.
     pub fn rand_uniform(
         rows: usize,
@@ -492,9 +483,6 @@ mod tests {
         assert_eq!(t.len(), 6);
         assert_eq!(Tensor::ones(1, 2).data(), &[1.0, 1.0]);
         assert_eq!(Tensor::scalar(4.0).item(), 4.0);
-        let i = Tensor::eye(3);
-        assert_eq!(i.at(1, 1), 1.0);
-        assert_eq!(i.at(0, 1), 0.0);
     }
 
     #[test]

@@ -36,31 +36,8 @@ pub fn tier_timing(
     aggregator: &DeviceProfile,
     partial_bytes: u64,
 ) -> TierTiming {
-    assert_eq!(
-        stats.update_delivery_secs.len(),
-        topo.num_devices(),
-        "topology and epoch stats disagree on fleet size"
-    );
-    let hop = aggregator.upload_secs(partial_bytes) + aggregator.latency_secs;
-    let mut deliveries = Vec::with_capacity(topo.num_aggregators());
-    let mut makespan = 0.0f64;
-    for (_, range) in topo.ranges() {
-        let lo = range.start as usize;
-        let hi = range.end as usize;
-        let ready = stats.update_delivery_secs[lo..hi]
-            .iter()
-            .flatten()
-            .fold(None::<f64>, |acc, &t| Some(acc.map_or(t, |a| a.max(t))));
-        let delivery = ready.map(|t| t + hop);
-        if let Some(t) = delivery {
-            makespan = makespan.max(t);
-        }
-        deliveries.push(delivery);
-    }
-    TierTiming {
-        aggregator_delivery_secs: deliveries,
-        server_makespan_secs: makespan,
-    }
+    let identity = topo.failover_map(&[]);
+    tier_timing_failover(stats, topo, aggregator, partial_bytes, &identity)
 }
 
 /// [`tier_timing`] under an aggregator failover: `rehome[k]` is the
@@ -68,8 +45,8 @@ pub fn tier_timing(
 /// [`Topology::failover_map`]). Members of a re-homed shard fold into
 /// their *target* aggregator's readiness, the target pays one hop for its
 /// merged partial, and the outaged aggregator itself delivers nothing.
-/// With the identity map this is `tier_timing` exactly — same folds in
-/// the same shard order, so the no-failover round stays bit-identical.
+/// The identity map is the no-failover round: every shard folds into its
+/// own aggregator, in shard order.
 ///
 /// # Panics
 /// Panics on a fleet-size mismatch, a `rehome` map of the wrong length,
