@@ -24,8 +24,8 @@ use lumos_graph::Graph;
 use lumos_tensor::{Adam, ParamStore, Tape, VarId};
 
 use lumos_sim::{
-    AggregationPolicy, DeviceProfile, DeviceWork, EventDrivenRuntime, FaultPlan, FaultState,
-    RoundPolicy, ScenarioState, StalenessBuffer,
+    AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, FaultPlan,
+    FaultState, ScenarioState, StalenessBuffer,
 };
 use lumos_topo::{ShardRoundPolicies, Topology};
 
@@ -138,8 +138,8 @@ struct Forest {
     trees: Vec<DeviceTree>,
     exchange: LdpExchange,
     batch: BatchedTrees,
-    /// The round's timing probe; built on first use after every (re)build.
-    probe: Option<LateProbe>,
+    /// The round's simulation; built on first use after every (re)build.
+    probe: Option<RoundProbe>,
     /// Per-round memo: the POOL arrays are rebuilt only when the weight
     /// vector itself changed.
     weight_cache: Option<(Vec<f32>, PoolArrays)>,
@@ -343,51 +343,58 @@ fn tiered_pool(
     tape.scale_rows(summed, pool.coeff.clone())
 }
 
-/// The round's timing probe. The per-round message pattern is static
+/// The round's one simulation. The per-round message pattern is static
 /// between migrations (same trees, same protocol every epoch), so one dry
-/// run of the recorder yields the per-destination work whose simulated
-/// timing decides, each round, which updates the policy cuts.
-struct LateProbe {
+/// run of the recorder yields the work every device *attempts* each round.
+/// The schedule priced from it on the round's fleet and faults is run once,
+/// under the policy's handler, and that run both judges the round (who is
+/// late) and prices it (its [`EpochStats`]).
+struct RoundProbe {
     template: Vec<DeviceWork>,
-    /// Memo key: the fleet the probe last ran against (`None`: not yet).
-    /// The verdicts are a pure function of (fleet, template).
-    fleet: Option<Vec<DeviceProfile>>,
-    /// Memo value: the `(device, staleness)` pairs cut on that fleet.
-    verdicts: Vec<(u32, u32)>,
+    /// The last fault-free run and the fleet it ran on: the outcome is a
+    /// pure function of (fleet, template), so a frozen fleet simulates
+    /// once. A fault plan differs every round and is never memoised.
+    memo: Option<(Vec<DeviceProfile>, Simulated)>,
 }
 
-impl LateProbe {
-    /// The `(device, staleness)` pairs `policy` cuts from this round.
-    /// Decisions happen at event granularity: the policy's arrival-time
-    /// handlers subscribe to the scheduled event stream and judge each
-    /// update as it lands (hierarchical mode routes events to per-shard
-    /// handlers, each cutting against its own local median).
-    fn verdicts(
+/// What one run of a round's schedule decided.
+#[derive(Clone)]
+struct Simulated {
+    /// The `(device, staleness)` pairs the policy found late.
+    late: Vec<(u32, u32)>,
+    /// The statistics of the run that found them.
+    stats: Rc<EpochStats>,
+}
+
+impl RoundProbe {
+    /// Runs the round. Decisions happen at event granularity: the policy's
+    /// handler subscribes to the scheduled event stream and closes the
+    /// round when the last update it awaits lands (a topology cuts each
+    /// shard against its own local median; a flat fleet is one shard).
+    fn run(
         &mut self,
         policy: &AggregationPolicy,
         profiles: &[DeviceProfile],
         plan: Option<&FaultPlan>,
         topology: Option<&Topology>,
-    ) -> Vec<(u32, u32)> {
-        // A fault plan changes every round even on a frozen fleet, so the
-        // memo only holds on fault-free rounds.
-        if plan.is_some() || self.fleet.as_deref() != Some(profiles) {
-            let schedule = EventDrivenRuntime::new_with_faults(profiles, &self.template, plan);
-            self.verdicts = match topology {
-                Some(topo) => {
-                    let mut shards = ShardRoundPolicies::new(policy, &schedule, topo);
-                    schedule.run(|t, ev| shards.on_event(t, ev));
-                    shards.verdicts()
-                }
-                None => {
-                    let mut round = RoundPolicy::new(policy, &schedule);
-                    schedule.run(|t, ev| round.on_event(t, ev));
-                    round.verdicts()
-                }
-            };
-            self.fleet = Some(profiles.to_vec());
+    ) -> Simulated {
+        if let (None, Some((fleet, round))) = (plan, &self.memo) {
+            if fleet == profiles {
+                return round.clone();
+            }
         }
-        self.verdicts.clone()
+        let schedule = EventDrivenRuntime::new_with_faults(profiles, &self.template, plan);
+        let flat = Topology::contiguous(profiles.len(), 1);
+        let mut shards = ShardRoundPolicies::new(policy, &schedule, topology.unwrap_or(&flat));
+        let stats = Rc::new(schedule.run(|t, ev| shards.on_event(t, ev)));
+        let round = Simulated {
+            late: shards.verdicts(),
+            stats,
+        };
+        if plan.is_none() {
+            self.memo = Some((profiles.to_vec(), round.clone()));
+        }
+        round
     }
 }
 
@@ -395,10 +402,11 @@ impl LateProbe {
 /// without a scenario.
 #[derive(Default)]
 struct Judged {
-    /// The round's compiled fault outcomes (`None`: fault-free).
-    plan: Option<FaultPlan>,
-    /// Devices the policy cut from the barrier, carried or not.
-    late: Vec<u32>,
+    /// The round's simulation (`None` without a scenario).
+    sim: Option<Rc<EpochStats>>,
+    /// Devices a deadline cut from the barrier, discarded or buffered (the
+    /// async quorum's overflow is carried, not cut).
+    cut: Vec<u32>,
     /// Updates that never reach anyone: churned-out and crashed devices,
     /// and what a non-carrying policy cut.
     dropped: Vec<u32>,
@@ -439,7 +447,6 @@ impl Fleet {
     /// trainer's stochastic streams.
     fn muster(n: usize, cfg: &LumosConfig, layers: usize) -> (Self, Option<Vec<u64>>) {
         let mut runtime = Runtime::new(n, CostModel::default());
-        runtime.set_embedding_bytes(EMBEDDING_BYTES);
         let scenario = cfg.scenario.map(|s| ScenarioState::new(s, n, cfg.seed));
         if let Some(state) = &scenario {
             runtime.set_profiles(state.profiles().to_vec());
@@ -550,9 +557,9 @@ impl Fleet {
     /// Judges one round on the fleet as it stands: who is churned out, who
     /// crashes mid-round, whose upload exhausts its retry budget (both from
     /// the fault plan compiled here, before any traffic lands on the
-    /// ledger), and whose update the policy cuts — timed on `forest`'s
-    /// probe, whose template is one dry run of [`Fleet::account`]'s
-    /// recorder.
+    /// ledger), and whose update the policy finds late — all from the
+    /// round's one simulation, run on `forest`'s probe, whose template is
+    /// one dry run of [`Fleet::account`]'s recorder.
     fn judge(&mut self, forest: &mut Forest, fetches: Option<LinkFetches<'_>>) -> Judged {
         let mut judged = Judged::default();
         let Some(state) = &self.scenario else {
@@ -565,6 +572,7 @@ impl Fleet {
             .dropped
             .extend((0..profiles.len() as u32).filter(|&d| !avail[d as usize]));
         let mut exhausted = Vec::new();
+        let mut plan = None;
         if let Some(fstate) = &mut self.faults {
             if let Some(topo) = topo {
                 // Aggregators inside an outage window re-home their shards
@@ -582,37 +590,34 @@ impl Fleet {
                 }
                 self.runtime.set_failover(rehome);
             }
-            let plan = fstate.compile_round(profiles);
-            judged.dropped.extend(plan.crashed_devices(&avail));
-            exhausted = plan.exhausted_uploads(&avail);
-            judged.plan = Some(plan);
+            let compiled = fstate.compile_round(profiles);
+            judged.dropped.extend(compiled.crashed_devices(&avail));
+            exhausted = compiled.exhausted_uploads(&avail);
+            plan = Some(compiled);
         }
-        let late = if self.policy == AggregationPolicy::FullSync {
-            Vec::new()
-        } else {
-            let probe = forest.probe.get_or_insert_with(|| {
-                // The probe must mirror the live network's mode: a sharded
-                // ledger yields the aggregate inbound schedule the real
-                // epochs will run.
-                let mut net = match topo {
-                    Some(topo) => SimNetwork::new_sharded(topo.shard_vector()),
-                    None => SimNetwork::new(profiles.len()),
-                };
-                let snap = net.snapshot();
-                record_epoch_messages(&forest.trees, &mut net, fetches, topo, &[], &[]);
-                LateProbe {
-                    template: ledger_work(&net, &snap, &forest.batch.tree_sizes, self.layers),
-                    fleet: None,
-                    verdicts: Vec::new(),
-                }
-            });
-            probe.verdicts(&self.policy, profiles, judged.plan.as_ref(), topo)
-        };
-        judged.late = late.iter().map(|&(d, _)| d).collect();
+        let probe = forest.probe.get_or_insert_with(|| {
+            // The probe must mirror the live network's mode: a sharded
+            // ledger yields the aggregate inbound schedule.
+            let mut net = match topo {
+                Some(topo) => SimNetwork::new_sharded(topo.shard_vector()),
+                None => SimNetwork::new(profiles.len()),
+            };
+            let snap = net.snapshot();
+            record_epoch_messages(&forest.trees, &mut net, fetches, topo, &[], &[]);
+            RoundProbe {
+                template: ledger_work(&net, &snap, &forest.batch.tree_sizes, self.layers),
+                memo: None,
+            }
+        });
+        let Simulated { late, stats } = probe.run(&self.policy, profiles, plan.as_ref(), topo);
+        judged.sim = Some(stats);
+        if !matches!(self.policy, AggregationPolicy::Async { .. }) {
+            judged.cut = late.iter().map(|&(d, _)| d).collect();
+        }
         if carry_decay(&self.policy).is_some() {
             judged.carried = late;
         } else {
-            judged.dropped.extend(&judged.late);
+            judged.dropped.extend(&judged.cut);
         }
         judged.carried.extend(exhausted.iter().map(|&d| (d, 1)));
         judged
@@ -639,9 +644,10 @@ impl Fleet {
     /// Protocol message accounting for this epoch (§VI-B/C). Carried
     /// traffic from earlier rounds lands first — accounted in the round
     /// where it arrives, not the round where it was cut. Dropped and
-    /// carried devices are both silenced on this round's ledger and do not
-    /// gate the simulated barrier; the carried ones' sends are collected
-    /// and re-injected by `carry_in` in their arrival round.
+    /// carried devices are both silenced on this round's ledger (the
+    /// round's simulation already ran, on what they attempted); the carried
+    /// ones' sends are collected and re-injected by `carry_in` in their
+    /// arrival round.
     fn account(&mut self, trees: &[DeviceTree], judged: &Judged, fetches: Option<LinkFetches<'_>>) {
         self.runtime.carry_in();
         let deferred = record_epoch_messages(
@@ -663,22 +669,17 @@ impl Fleet {
         }
     }
 
-    /// Closes the round: the epoch's own simulation replays the crashes and
-    /// retry chains the probe saw, and under the async quorum closes at the
-    /// `min_updates`-th landing. Churn applies *between* rounds: the fleet
-    /// after the `last` epoch is never simulated, so advancing there would
-    /// overcount drops.
+    /// Closes the round on the simulation that judged it: the runtime
+    /// records, it does not simulate again. Churn applies *between* rounds:
+    /// the fleet after the `last` epoch is never simulated, so advancing
+    /// there would overcount drops.
     fn close(&mut self, tree_sizes: &[usize], judged: &Judged, last: bool) {
         self.runtime.end_epoch(
             tree_sizes,
             self.layers,
             RoundOutcome {
-                late: &judged.late,
-                quorum: match self.policy {
-                    AggregationPolicy::Async { min_updates } => Some(min_updates),
-                    _ => None,
-                },
-                faults: judged.plan.as_ref(),
+                late: &judged.cut,
+                sim: judged.sim.as_deref(),
             },
         );
         if !last {
@@ -1238,6 +1239,36 @@ mod tests {
         // A genuinely different trajectory that still learns.
         assert_ne!(asynced.final_loss().to_bits(), full.final_loss().to_bits());
         assert!(asynced.test_metric > 0.3);
+    }
+
+    #[test]
+    fn hierarchical_cut_keeps_the_makespan_win() {
+        // Late devices stay on the round's schedule, planned deliveries and
+        // all. An aggregator that folded them into its readiness would put
+        // every tiered early-closing round back at the full barrier.
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let base = smoke_config(TaskKind::Supervised)
+            .with_epochs(4)
+            .with_scenario(lumos_sim::Scenario::StragglerTail)
+            .with_topology(lumos_topo::TopologyConfig::Hierarchical { aggregators: 8 });
+        let secs = |cfg: &LumosConfig| run_lumos(&ds, cfg).sim.unwrap().avg_epoch_virtual_secs;
+        let full = secs(&base);
+        for policy in [
+            AggregationPolicy::Deadline { factor: 2.0 },
+            AggregationPolicy::Buffered {
+                factor: 2.0,
+                decay: 0.5,
+            },
+            AggregationPolicy::Async {
+                min_updates: ds.num_nodes() * 4 / 5,
+            },
+        ] {
+            let cut = secs(&base.clone().with_aggregation_policy(policy));
+            assert!(
+                cut < full / 10.0,
+                "{policy:?}: {cut} s per epoch against the barrier's {full} s"
+            );
+        }
     }
 
     #[test]

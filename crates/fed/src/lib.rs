@@ -7,15 +7,14 @@
 //! the quantities behind Figure 8's communication-round and training-time
 //! comparisons.
 //!
-//! The runtime has two pricing paths: the global linear [`clock::CostModel`]
-//! (every device identical — the paper's abstraction), and a profile-aware
-//! path ([`Runtime::with_profiles`]) that feeds each epoch's per-edge
-//! ledger deltas ([`runtime::ledger_work`]) through the `lumos-sim`
-//! discrete-event simulator, so heterogeneous fleets report per-device
-//! virtual timing, per-sender arrival-gated drains, and straggler
-//! identities. A round closes through one door, [`Runtime::end_epoch`],
-//! whose [`RoundOutcome`] says who left the barrier, whether a quorum
-//! closed it early, and which faults it ran under.
+//! An epoch is priced twice over: by the global linear [`clock::CostModel`]
+//! (every device identical — the paper's abstraction), and, when the caller
+//! simulates the round, by the `lumos-sim` discrete-event schedule over a
+//! ledger window's per-edge deltas ([`runtime::ledger_work`]), so
+//! heterogeneous fleets report per-device virtual timing, per-sender
+//! arrival-gated drains, and straggler identities. A round closes through
+//! one door, [`Runtime::end_epoch`], whose [`RoundOutcome`] says who was cut
+//! from the barrier and hands over the round's simulated statistics.
 
 #![forbid(unsafe_code)]
 pub mod clock;
@@ -25,5 +24,5 @@ pub mod runtime;
 pub use clock::{epoch_makespan, epoch_mean_cost, CostModel, EpochTiming};
 pub use network::{DeviceTraffic, EdgeTraffic, NetworkSnapshot, SimNetwork};
 pub use runtime::{
-    ledger_work, EpochRecord, RoundOutcome, Runtime, TierSpec, UNAVAILABLE_COST_FACTOR,
+    ledger_work, EpochRecord, RoundOutcome, Runtime, SimEpoch, TierSpec, UNAVAILABLE_COST_FACTOR,
 };

@@ -3,24 +3,19 @@
 //! Lumos "is a synchronized federated framework that operates in rounds and
 //! has to receive all the required updates to start the next round"
 //! (§IV-B). The engine owns the network ledger and the per-epoch timing
-//! records the system-cost experiments consume. Epoch timing is priced
-//! per destination: the ledger's `(sender → receiver)` deltas become
-//! per-sender inbound contributions, so a receiver's drain waits for its
-//! actual senders instead of being self-timed from its own burst.
+//! records the system-cost experiments consume. It does not simulate: the
+//! caller runs the round's one `lumos-sim` schedule — over [`ledger_work`],
+//! which prices a ledger window per destination (the `(sender → receiver)`
+//! deltas become per-sender inbound contributions, so a receiver's drain
+//! waits for its actual senders instead of being self-timed from its own
+//! burst) — and hands [`Runtime::end_epoch`] the finished statistics.
 
 use lumos_common::timer::Stopwatch;
-use lumos_sim::{
-    AggregationPolicy, Control, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime,
-    FaultPlan, Inbound, RoundPolicy,
-};
+use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, Inbound};
 use lumos_topo::{tier_timing, tier_timing_failover, Topology};
 
 use crate::clock::{epoch_makespan, epoch_mean_cost, CostModel, EpochTiming};
 use crate::network::{NetworkSnapshot, SimNetwork};
-
-/// Default wire size assumed when pricing one tree node's per-epoch
-/// traffic (a pooled 16-float embedding).
-pub const DEFAULT_EMBEDDING_BYTES: u64 = 16 * 4;
 
 /// Price multiplier for tree nodes hosted on a currently-unavailable
 /// device: its retained nodes still exist, but every round it sits out
@@ -98,8 +93,9 @@ pub struct TierSpec {
     pub partial_bytes: u64,
 }
 
-/// Record of one completed epoch.
-#[derive(Debug, Clone)]
+/// Record of one completed epoch — scalars only, so a run's log stays
+/// O(epochs) whatever the fleet size.
+#[derive(Debug, Clone, Copy)]
 pub struct EpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -109,38 +105,37 @@ pub struct EpochRecord {
     pub avg_messages_per_device: f64,
     /// Total messages during this epoch.
     pub total_messages: u64,
-    /// Event-driven simulation of this epoch (present when the runtime has
-    /// device profiles; prices each device by its own capabilities instead
-    /// of the global [`CostModel`]).
-    pub sim: Option<EpochStats>,
-    /// The live per-node price vector (virtual µs) this epoch ran under —
-    /// re-priced from the fleet as installed for *this* round, so churned
-    /// availability shows up instead of the frozen round-0 prices. `None`
-    /// on the plain cost-model path.
-    pub node_costs_micros: Option<Vec<u64>>,
-    /// Devices that left this epoch's barrier: dropped by the aggregation
-    /// deadline under the cut policies, or carried into a later round by
-    /// the async quorum (empty under the full-sync barrier).
-    pub late: Vec<u32>,
+    /// What the round's simulation leaves behind (present when the caller
+    /// simulated the round; prices each device by its own capabilities
+    /// instead of the global [`CostModel`]).
+    pub sim: Option<SimEpoch>,
+}
+
+/// The scalars of one round's [`EpochStats`] that the run summary folds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimEpoch {
+    /// Virtual seconds until the round closed: the simulated makespan,
+    /// extended to the last aggregator partial's arrival under a tier.
+    pub makespan_secs: f64,
+    /// The device whose event closed the device tier (None if nothing ran).
+    pub straggler: Option<u32>,
+    /// Mean fraction of `makespan_secs` the active devices spent busy.
+    pub utilization: f64,
 }
 
 /// How the round being closed ended — the one argument of
-/// [`Runtime::end_epoch`]. The default is the full-sync barrier: nobody
-/// late, no quorum, no faults.
+/// [`Runtime::end_epoch`]. The default is an unsimulated round in which
+/// nobody was cut.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundOutcome<'a> {
-    /// Devices whose update left this round's barrier: their events no
-    /// longer gate it, so they are simulated as absent this epoch.
+    /// Devices a deadline cut from this round's barrier, tallied into
+    /// [`Runtime::late_drops`]. (An async quorum's overflow is carried, not
+    /// cut: its caller leaves this empty.)
     pub late: &'a [u32],
-    /// `Some(min_updates)` closes the round the moment that many updates
-    /// have landed ([`AggregationPolicy::Async`]) — the simulated makespan
-    /// is the quorum landing time, not the slowest device's — and the
-    /// `late` devices count as carried, not cut.
-    pub quorum: Option<usize>,
-    /// The round's compiled fault outcomes, so the epoch's simulation
-    /// replays the crashes and retry chains the round was judged under.
-    /// `None` prices a fault-free round.
-    pub faults: Option<&'a FaultPlan>,
+    /// The round's event-driven simulation — the one run that decided
+    /// `late` — over what its devices attempted. `None` records the plain
+    /// cost-model epoch.
+    pub sim: Option<&'a EpochStats>,
 }
 
 /// One carry-over batch: sends suppressed in the round that produced them
@@ -160,7 +155,6 @@ pub struct Runtime {
     pub network: SimNetwork,
     cost_model: CostModel,
     profiles: Option<Vec<DeviceProfile>>,
-    embedding_bytes: u64,
     epochs: Vec<EpochRecord>,
     late_drops: u64,
     current: Option<(usize, Stopwatch, NetworkSnapshot)>,
@@ -176,7 +170,6 @@ impl Runtime {
             network: SimNetwork::new(n),
             cost_model,
             profiles: None,
-            embedding_bytes: DEFAULT_EMBEDDING_BYTES,
             epochs: Vec::new(),
             late_drops: 0,
             current: None,
@@ -201,7 +194,7 @@ impl Runtime {
         self.network.set_rehome(rehome);
     }
 
-    /// Installs the aggregator tier: subsequent profiled epochs compose
+    /// Installs the aggregator tier: subsequent simulated epochs compose
     /// aggregator → server delivery on top of the device-tier schedule,
     /// extending each epoch's makespan to the last aggregator partial's
     /// arrival. Only meaningful with ≥ 2 aggregators — the trainer never
@@ -220,24 +213,14 @@ impl Runtime {
     }
 
     /// Total virtual seconds the aggregator → server tier added across
-    /// profiled epochs (how much of the makespan the extra hop cost).
+    /// simulated epochs (how much of the makespan the extra hop cost).
     pub fn total_tier2_secs(&self) -> f64 {
         self.tier2_secs
     }
 
-    /// Creates a runtime whose epochs are additionally priced per-device by
-    /// `profiles` through the `lumos-sim` discrete-event simulator.
-    ///
-    /// # Panics
-    /// Panics if `profiles.len() != n`.
-    pub fn with_profiles(n: usize, cost_model: CostModel, profiles: Vec<DeviceProfile>) -> Self {
-        let mut rt = Self::new(n, cost_model);
-        rt.set_profiles(profiles);
-        rt
-    }
-
-    /// Installs (or replaces) the device profiles used by subsequent
-    /// epochs. Scenarios with churn call this every round.
+    /// Installs (or replaces) the device profiles
+    /// [`Runtime::node_costs_micros`] prices from. Scenarios with churn call
+    /// this every round.
     ///
     /// # Panics
     /// Panics if the profile count does not match the device count.
@@ -248,17 +231,6 @@ impl Runtime {
             "one profile per device"
         );
         self.profiles = Some(profiles);
-    }
-
-    /// The device profiles, if the profile-aware path is active.
-    pub fn profiles(&self) -> Option<&[DeviceProfile]> {
-        self.profiles.as_deref()
-    }
-
-    /// Sets the wire size used when re-pricing node costs per epoch
-    /// (defaults to [`DEFAULT_EMBEDDING_BYTES`]).
-    pub fn set_embedding_bytes(&mut self, bytes: u64) {
-        self.embedding_bytes = bytes;
     }
 
     /// Per-device fixed-point tree-node costs (virtual µs) derived from the
@@ -294,30 +266,22 @@ impl Runtime {
     }
 
     /// Ends the open epoch — the one way a round closes. Prices the ledger
-    /// window (`device_tree_nodes` and `layers` feed the straggler cost
-    /// model; traffic is read from the ledger's per-edge deltas), runs the
-    /// event-driven simulation under `outcome`, extends timing with the
-    /// aggregator tier, and pushes the [`EpochRecord`]. Without a quorum
-    /// the `late` devices are tallied into [`Runtime::late_drops`].
+    /// window under the straggler cost model (`device_tree_nodes` and
+    /// `layers`; traffic is read from the ledger's per-device deltas),
+    /// extends `outcome.sim`'s makespan with the aggregator tier, tallies
+    /// `outcome.late` into [`Runtime::late_drops`] and pushes the
+    /// [`EpochRecord`].
     ///
     /// # Panics
-    /// Panics if no epoch is open, if `device_tree_nodes` does not have one
-    /// entry per device, if `outcome.late` names a device id out of range,
-    /// or if `outcome.quorum` is zero.
+    /// Panics if no epoch is open, or if `device_tree_nodes` does not have
+    /// one entry per device.
     pub fn end_epoch(
         &mut self,
         device_tree_nodes: &[usize],
         layers: usize,
         outcome: RoundOutcome<'_>,
     ) -> &EpochRecord {
-        let RoundOutcome {
-            late,
-            quorum,
-            faults,
-        } = outcome;
-        if quorum.is_none() {
-            self.late_drops += late.len() as u64;
-        }
+        self.late_drops += outcome.late.len() as u64;
         let (idx, mut sw, snap) = self.current.take().expect("no epoch open");
         sw.stop();
         self.network.round();
@@ -337,45 +301,34 @@ impl Runtime {
             .collect();
         let total_messages = self.network.total_messages() - snap.total_messages;
         let n = self.network.num_devices().max(1) as f64;
-        let mut sim = self.profiles.as_ref().map(|profiles| {
-            let work = ledger_work(&self.network, &snap, device_tree_nodes, layers);
-            let schedule = if late.is_empty() {
-                EventDrivenRuntime::new_with_faults(profiles, &work, faults)
-            } else {
-                let mut overlay = profiles.clone();
-                for &d in late {
-                    overlay[d as usize].available = false;
-                }
-                EventDrivenRuntime::new_with_faults(&overlay, &work, faults)
-            };
-            match quorum {
-                Some(min_updates) => {
-                    let mut closer =
-                        RoundPolicy::new(&AggregationPolicy::Async { min_updates }, &schedule);
-                    schedule.run(|t, ev| closer.on_event(t, ev))
-                }
-                None => schedule.run(|_, _| Control::Continue),
+        let sim = outcome.sim.map(|stats| {
+            let mut makespan_secs = stats.makespan_secs;
+            if let Some(tier) = &self.tier {
+                // Hierarchical: the round closes when the last aggregator
+                // partial lands at the server, not when the last device-tier
+                // event fires. Under an aggregator outage the re-homed shards
+                // fold into their successors before the hop is priced.
+                let t2 = match self.network.rehome_map() {
+                    Some(map) => tier_timing_failover(
+                        stats,
+                        &tier.topology,
+                        &tier.aggregator,
+                        tier.partial_bytes,
+                        map,
+                    ),
+                    None => {
+                        tier_timing(stats, &tier.topology, &tier.aggregator, tier.partial_bytes)
+                    }
+                };
+                makespan_secs = makespan_secs.max(t2.server_makespan_secs);
+                self.tier2_secs += makespan_secs - stats.makespan_secs;
+            }
+            SimEpoch {
+                makespan_secs,
+                straggler: stats.straggler,
+                utilization: stats.mean_utilization_over(makespan_secs),
             }
         });
-        if let (Some(stats), Some(tier)) = (sim.as_mut(), self.tier.as_ref()) {
-            // Hierarchical: the round closes when the last aggregator
-            // partial lands at the server, not when the last device-tier
-            // event fires. Under an aggregator outage the re-homed shards
-            // fold into their successors before the hop is priced.
-            let t2 = match self.network.rehome_map() {
-                Some(map) => tier_timing_failover(
-                    stats,
-                    &tier.topology,
-                    &tier.aggregator,
-                    tier.partial_bytes,
-                    map,
-                ),
-                None => tier_timing(stats, &tier.topology, &tier.aggregator, tier.partial_bytes),
-            };
-            let extended = stats.makespan_secs.max(t2.server_makespan_secs);
-            self.tier2_secs += extended - stats.makespan_secs;
-            stats.makespan_secs = extended;
-        }
         self.epochs.push(EpochRecord {
             epoch: idx,
             timing: EpochTiming {
@@ -386,8 +339,6 @@ impl Runtime {
             avg_messages_per_device: total_messages as f64 / n,
             total_messages,
             sim,
-            node_costs_micros: self.node_costs_micros(layers, self.embedding_bytes),
-            late: late.to_vec(),
         });
         self.epochs.last().expect("just pushed")
     }
@@ -415,9 +366,10 @@ impl Runtime {
     /// Ages the carry-over segment by one round and injects every send
     /// arriving now into the network ledger. Call right after
     /// [`Runtime::begin_epoch`], so the traffic lands inside the opening
-    /// epoch's ledger deltas (its receivers pay the drain time this round;
-    /// the stale senders are overlaid absent, so their bytes are staged
-    /// rather than barrier-gating). Returns the number of injected sends.
+    /// epoch's ledger deltas: it is counted in the round where it arrives,
+    /// but the round's simulation runs on what the fleet attempts this
+    /// round, so carried-in bytes lengthen nobody's virtual burst. Returns
+    /// the number of injected sends.
     pub fn carry_in(&mut self) -> u64 {
         let mut injected = 0u64;
         let mut still_waiting = Vec::with_capacity(self.deferred.len());
@@ -450,8 +402,8 @@ impl Runtime {
         &self.epochs
     }
 
-    /// Total device-rounds cut from a barrier so far: every late update of
-    /// every quorum-free round, whether the policy then discarded it
+    /// Total device-rounds cut from a barrier so far: every
+    /// [`RoundOutcome::late`] update, whether the policy then discarded it
     /// (`Deadline`) or parked it for a later round (`Buffered`).
     pub fn late_drops(&self) -> u64 {
         self.late_drops
@@ -488,17 +440,17 @@ impl Runtime {
         }
     }
 
-    /// Epochs that carry an event-driven simulation record.
-    fn sim_epochs(&self) -> impl Iterator<Item = &EpochStats> {
-        self.epochs.iter().filter_map(|e| e.sim.as_ref())
+    /// Epochs that carry a simulation record.
+    fn sim_epochs(&self) -> impl Iterator<Item = SimEpoch> + '_ {
+        self.epochs.iter().filter_map(|e| e.sim)
     }
 
-    /// Total simulated (virtual) seconds across all profiled epochs.
+    /// Total simulated (virtual) seconds across all simulated epochs.
     pub fn total_sim_secs(&self) -> f64 {
         self.sim_epochs().map(|s| s.makespan_secs).sum()
     }
 
-    /// Mean simulated seconds per profiled epoch.
+    /// Mean simulated seconds per simulated epoch.
     pub fn avg_sim_epoch_secs(&self) -> f64 {
         let n = self.sim_epochs().count();
         if n == 0 {
@@ -508,18 +460,18 @@ impl Runtime {
         }
     }
 
-    /// The straggler of each profiled epoch, in epoch order.
+    /// The straggler of each simulated epoch, in epoch order.
     pub fn straggler_sequence(&self) -> Vec<u32> {
         self.sim_epochs().filter_map(|s| s.straggler).collect()
     }
 
-    /// Mean device utilization across profiled epochs (busy / makespan).
+    /// Mean device utilization across simulated epochs (busy / makespan).
     pub fn mean_sim_utilization(&self) -> f64 {
         let n = self.sim_epochs().count();
         if n == 0 {
             0.0
         } else {
-            self.sim_epochs().map(|s| s.mean_utilization()).sum::<f64>() / n as f64
+            self.sim_epochs().map(|s| s.utilization).sum::<f64>() / n as f64
         }
     }
 }
@@ -527,6 +479,41 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumos_sim::{AggregationPolicy, EventDrivenRuntime, RoundPolicy};
+
+    fn profiled(profiles: Vec<DeviceProfile>) -> Runtime {
+        let mut rt = Runtime::new(profiles.len(), CostModel::default());
+        rt.set_profiles(profiles);
+        rt
+    }
+
+    /// The round's one simulation, as the trainer runs it: the open epoch's
+    /// ledger window priced on the installed fleet (2 layers) and run under
+    /// `policy`'s handler. Returns the statistics and the verdicts.
+    fn simulate(
+        rt: &Runtime,
+        nodes: &[usize],
+        policy: AggregationPolicy,
+    ) -> (EpochStats, Vec<(u32, u32)>) {
+        let (_, _, snap) = rt.current.as_ref().expect("an epoch is open");
+        let work = ledger_work(&rt.network, snap, nodes, 2);
+        let profiles = rt.profiles.as_ref().expect("profiles installed");
+        let schedule = EventDrivenRuntime::new(profiles, &work);
+        let mut round = RoundPolicy::new(&policy, &schedule);
+        let stats = schedule.run(|t, ev| round.on_event(t, ev));
+        (stats, round.verdicts())
+    }
+
+    /// Closes the open epoch on its own barrier simulation.
+    fn end_simulated(rt: &mut Runtime, nodes: &[usize]) -> (EpochStats, EpochRecord) {
+        let (stats, _) = simulate(rt, nodes, AggregationPolicy::FullSync);
+        let outcome = RoundOutcome {
+            sim: Some(&stats),
+            ..RoundOutcome::default()
+        };
+        let rec = *rt.end_epoch(nodes, 2, outcome);
+        (stats, rec)
+    }
 
     #[test]
     fn epoch_lifecycle_records_messages_and_times() {
@@ -535,15 +522,12 @@ mod tests {
         rt.network.send(0, 1, 10);
         rt.network.send(1, 2, 10);
         rt.network.send(2, 0, 10);
-        let rec = rt
-            .end_epoch(&[4, 7, 10], 2, RoundOutcome::default())
-            .clone();
+        let rec = *rt.end_epoch(&[4, 7, 10], 2, RoundOutcome::default());
         assert_eq!(rec.epoch, 0);
         assert_eq!(rec.total_messages, 3);
         assert!((rec.avg_messages_per_device - 1.0).abs() < 1e-12);
         assert!(rec.timing.wall_secs >= 0.0);
-        assert!(rec.node_costs_micros.is_none());
-        assert!(rec.late.is_empty());
+        assert!(rec.sim.is_none());
         // Straggler: device 2 with 10 tree nodes dominates.
         let m = CostModel::default();
         assert!((rec.timing.makespan - m.device_cost(10, 2, 1)).abs() < 1e-9);
@@ -568,7 +552,7 @@ mod tests {
     fn cost_model_path_records_no_sim() {
         let mut rt = Runtime::new(2, CostModel::default());
         rt.begin_epoch();
-        let rec = rt.end_epoch(&[3, 3], 2, RoundOutcome::default()).clone();
+        let rec = *rt.end_epoch(&[3, 3], 2, RoundOutcome::default());
         assert!(rec.sim.is_none());
         assert_eq!(rt.total_sim_secs(), 0.0);
         assert!(rt.straggler_sequence().is_empty());
@@ -581,22 +565,24 @@ mod tests {
         // names device 1 the straggler.
         let mut profiles = vec![DeviceProfile::baseline(); 2];
         profiles[1].compute_rate /= 100.0;
-        let mut rt = Runtime::with_profiles(2, CostModel::default(), profiles);
+        let mut rt = profiled(profiles);
         rt.begin_epoch();
         rt.network.send(0, 1, 64);
         rt.network.send(1, 0, 64);
-        let rec = rt.end_epoch(&[10, 10], 2, RoundOutcome::default()).clone();
-        let sim = rec.sim.expect("profile path must simulate");
+        let (sim, rec) = end_simulated(&mut rt, &[10, 10]);
         assert_eq!(sim.straggler, Some(1));
         assert!(sim.busy_secs[1] > sim.busy_secs[0]);
+        let recorded = rec.sim.expect("a simulated round records its scalars");
+        assert_eq!(recorded.makespan_secs, sim.makespan_secs);
+        assert_eq!(recorded.utilization, sim.mean_utilization());
         assert!(rt.total_sim_secs() > 0.0);
         assert_eq!(rt.straggler_sequence(), vec![1]);
         assert!(rt.avg_sim_epoch_secs() > 0.0);
         assert!(rt.mean_sim_utilization() > 0.0 && rt.mean_sim_utilization() <= 1.0);
         // The global model still prices both devices identically.
         assert!((rec.timing.makespan - rec.timing.mean_cost).abs() < 1e-12);
-        // And the epoch carries the live price vector.
-        let costs = rec.node_costs_micros.expect("profile path re-prices");
+        // And the live price vector tells them apart.
+        let costs = rt.node_costs_micros(2, 64).expect("profiles installed");
         assert!(costs[1] > costs[0]);
     }
 
@@ -607,11 +593,10 @@ mod tests {
         // the per-edge ledger makes it wait for device 1's delivery.
         let mut profiles = vec![DeviceProfile::baseline(); 2];
         profiles[1].compute_rate /= 1000.0;
-        let mut rt = Runtime::with_profiles(2, CostModel::default(), profiles.clone());
+        let mut rt = profiled(profiles);
         rt.begin_epoch();
         rt.network.send(1, 0, 4096);
-        let rec = rt.end_epoch(&[10, 10], 2, RoundOutcome::default()).clone();
-        let sim = rec.sim.expect("profile path must simulate");
+        let (sim, _) = end_simulated(&mut rt, &[10, 10]);
         // Device 1 computes 20 units at 0.1/s = 200s, uploads 1s, latency;
         // device 0's one-second drain can only start after that.
         assert!(sim.makespan_secs > 201.0, "makespan {}", sim.makespan_secs);
@@ -626,37 +611,38 @@ mod tests {
     fn deadline_drops_shorten_the_barrier() {
         let mut profiles = vec![DeviceProfile::baseline(); 4];
         profiles[3].compute_rate /= 500.0;
-        let run = |late: &[u32]| {
-            let mut rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
+        let run = |policy: AggregationPolicy| {
+            let mut rt = profiled(profiles.clone());
             rt.begin_epoch();
             for d in 0..4 {
                 rt.network.send_to_server(d, 64);
             }
-            let rec = rt
-                .end_epoch(
-                    &[5, 5, 5, 5],
-                    2,
-                    RoundOutcome {
-                        late,
-                        ..RoundOutcome::default()
-                    },
-                )
-                .clone();
-            (rec, rt.late_drops())
+            let (stats, verdicts) = simulate(&rt, &[5, 5, 5, 5], policy);
+            let late: Vec<u32> = verdicts.iter().map(|&(d, _)| d).collect();
+            let outcome = RoundOutcome {
+                late: &late,
+                sim: Some(&stats),
+            };
+            let rec = *rt.end_epoch(&[5, 5, 5, 5], 2, outcome);
+            (stats, late, rec, rt.late_drops())
         };
-        let (full, full_drops) = run(&[]);
-        let (deadline, deadline_drops) = run(&[3]);
+        let (fs, full_late, _, full_drops) = run(AggregationPolicy::FullSync);
+        let (ds, late, rec, deadline_drops) = run(AggregationPolicy::Deadline { factor: 2.0 });
+        assert!(full_late.is_empty());
         assert_eq!(full_drops, 0);
+        assert_eq!(late, vec![3]);
         assert_eq!(deadline_drops, 1);
-        assert_eq!(deadline.late, vec![3]);
-        let (fs, ds) = (full.sim.unwrap(), deadline.sim.unwrap());
         assert!(
             ds.makespan_secs < fs.makespan_secs / 10.0,
             "dropping the straggler must shorten the barrier: {} vs {}",
             ds.makespan_secs,
             fs.makespan_secs
         );
-        assert_eq!(ds.active_devices, 3, "the late device sat the round out");
+        assert_eq!(rec.sim.unwrap().makespan_secs, ds.makespan_secs);
+        // The late device is priced on what it attempted: it computed, it
+        // counts as active, and its busy time stops at the close.
+        assert_eq!(ds.active_devices, 4);
+        assert_eq!(ds.busy_secs[3], ds.makespan_secs);
         assert_eq!(fs.active_devices, 4);
     }
 
@@ -664,50 +650,37 @@ mod tests {
     fn async_quorum_closes_the_round_without_tallying_drops() {
         let mut profiles = vec![DeviceProfile::baseline(); 4];
         profiles[3].compute_rate /= 500.0;
-        let round = |rt: &mut Runtime| {
+        let open = || {
+            let mut rt = profiled(profiles.clone());
             rt.begin_epoch();
             for d in 0..4 {
                 rt.network.send_to_server(d, 64);
             }
+            rt
         };
-        let mut full_rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
-        round(&mut full_rt);
-        let full = full_rt
-            .end_epoch(&[5, 5, 5, 5], 2, RoundOutcome::default())
-            .clone();
+        let (fs, _) = end_simulated(&mut open(), &[5, 5, 5, 5]);
 
         // Quorum of 3: the round closes at the third landing, long before
-        // the straggler's — and nothing is tallied as dropped.
-        let mut rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
-        round(&mut rt);
-        let close = |rt: &mut Runtime, late: &[u32]| {
-            let outcome = RoundOutcome {
-                late,
-                quorum: Some(3),
-                faults: None,
-            };
-            rt.end_epoch(&[5, 5, 5, 5], 2, outcome).clone()
+        // the straggler's — which is carried, so nothing is handed over as
+        // late and nothing is tallied as dropped.
+        let mut rt = open();
+        let quorum = AggregationPolicy::Async { min_updates: 3 };
+        let (qs, carried) = simulate(&rt, &[5, 5, 5, 5], quorum);
+        assert_eq!(carried, vec![(3, 1)]);
+        let outcome = RoundOutcome {
+            sim: Some(&qs),
+            ..RoundOutcome::default()
         };
-        let quorum = close(&mut rt, &[]);
+        rt.end_epoch(&[5, 5, 5, 5], 2, outcome);
         assert_eq!(rt.late_drops(), 0, "the quorum drops nothing");
-        assert!(quorum.late.is_empty());
-        let (fs, qs) = (full.sim.unwrap(), quorum.sim.unwrap());
         assert!(
             qs.makespan_secs < fs.makespan_secs / 10.0,
             "the quorum must close before the straggler: {} vs {}",
             qs.makespan_secs,
             fs.makespan_secs
         );
+        assert_eq!(rt.total_sim_secs(), qs.makespan_secs);
         assert_eq!(qs.active_devices, 4, "everyone still computed");
-
-        // A carried device rides the staleness buffer: absent from this
-        // round's simulation, named in the record, still not a drop.
-        let mut rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
-        round(&mut rt);
-        let carried = close(&mut rt, &[3]);
-        assert_eq!(rt.late_drops(), 0);
-        assert_eq!(carried.late, vec![3]);
-        assert_eq!(carried.sim.unwrap().active_devices, 3);
     }
 
     #[test]
@@ -715,7 +688,7 @@ mod tests {
         let profiles = vec![DeviceProfile::baseline(); 4];
         let run = |tier: bool| {
             let topo = Topology::contiguous(4, 2);
-            let mut rt = Runtime::with_profiles(4, CostModel::default(), profiles.clone());
+            let mut rt = profiled(profiles.clone());
             if tier {
                 rt.network = SimNetwork::new_sharded(topo.shard_vector());
                 rt.set_tier(TierSpec {
@@ -737,9 +710,7 @@ mod tests {
                     rt.network.send_aggregator_to_server(k, 64);
                 }
             }
-            let rec = rt
-                .end_epoch(&[5, 5, 5, 5], 2, RoundOutcome::default())
-                .clone();
+            let (_, rec) = end_simulated(&mut rt, &[5, 5, 5, 5]);
             (rec.sim.unwrap().makespan_secs, rt.total_tier2_secs())
         };
         let (flat, flat_t2) = run(false);
@@ -795,37 +766,19 @@ mod tests {
         // the initial fleet, so a fleet whose availability churned kept the
         // frozen round-0 prices. Live pricing must differ.
         let profiles = vec![DeviceProfile::baseline(); 3];
-        let mut rt = Runtime::with_profiles(3, CostModel::default(), profiles.clone());
+        let mut rt = profiled(profiles.clone());
         let frozen = rt.node_costs_micros(2, 64).unwrap();
-        rt.begin_epoch();
-        let first = rt
-            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
-            .node_costs_micros
-            .clone()
-            .unwrap();
-        assert_eq!(first, frozen, "round 0 runs on the initial fleet");
         // Churn: device 1 drops out before the next round.
         let mut churned = profiles.clone();
         churned[1].available = false;
         rt.set_profiles(churned);
-        rt.begin_epoch();
-        let live = rt
-            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
-            .node_costs_micros
-            .clone()
-            .unwrap();
+        let live = rt.node_costs_micros(2, 64).unwrap();
         assert_ne!(live, frozen, "churned availability must re-price");
         assert_eq!(live[1], frozen[1] * UNAVAILABLE_COST_FACTOR);
         assert_eq!(live[0], frozen[0]);
         // Rejoin restores the nominal price.
         rt.set_profiles(profiles);
-        rt.begin_epoch();
-        let back = rt
-            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
-            .node_costs_micros
-            .clone()
-            .unwrap();
-        assert_eq!(back, frozen);
+        assert_eq!(rt.node_costs_micros(2, 64).unwrap(), frozen);
     }
 
     #[test]
@@ -833,12 +786,12 @@ mod tests {
         let run = || {
             let mut profiles = vec![DeviceProfile::baseline(); 3];
             profiles[2].uplink_bytes_per_sec /= 7.0;
-            let mut rt = Runtime::with_profiles(3, CostModel::default(), profiles);
+            let mut rt = profiled(profiles);
             for _ in 0..4 {
                 rt.begin_epoch();
                 rt.network.send(0, 1, 100);
                 rt.network.send(2, 0, 300);
-                rt.end_epoch(&[5, 6, 7], 2, RoundOutcome::default());
+                end_simulated(&mut rt, &[5, 6, 7]);
             }
             (rt.total_sim_secs(), rt.straggler_sequence())
         };
@@ -897,7 +850,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn mismatched_profile_count_panics() {
-        Runtime::with_profiles(3, CostModel::default(), vec![DeviceProfile::baseline(); 2]);
+        Runtime::new(3, CostModel::default()).set_profiles(vec![DeviceProfile::baseline(); 2]);
     }
 
     #[test]

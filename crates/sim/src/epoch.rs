@@ -135,11 +135,19 @@ impl EpochStats {
     /// Mean fraction of the makespan active devices spent busy
     /// (1.0 = perfectly balanced, → 0 under a dominant straggler).
     pub fn mean_utilization(&self) -> f64 {
-        if self.makespan_secs <= 0.0 || self.active_devices == 0 {
+        self.mean_utilization_over(self.makespan_secs)
+    }
+
+    /// [`EpochStats::mean_utilization`] against a round of `makespan_secs`:
+    /// a round that outlasts its device tier (the aggregator hop of a
+    /// hierarchical topology) spreads the same busy time over the longer
+    /// span.
+    pub fn mean_utilization_over(&self, makespan_secs: f64) -> f64 {
+        if makespan_secs <= 0.0 || self.active_devices == 0 {
             return 0.0;
         }
         let busy: f64 = self.busy_secs.iter().sum();
-        busy / (self.active_devices as f64 * self.makespan_secs)
+        busy / (self.active_devices as f64 * makespan_secs)
     }
 }
 

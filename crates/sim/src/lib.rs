@@ -16,8 +16,8 @@
 //! * [`runtime`] — the [`EventDrivenRuntime`]: prices one epoch's full
 //!   event schedule up front and streams every [`SimEvent`] through a
 //!   subscribed handler, which may close the round early
-//!   ([`Control::CloseRound`]). This is the core `lumos-fed` and
-//!   `lumos-core` train on.
+//!   ([`Control::CloseRound`]). This is the core `lumos-core` runs
+//!   every round on, once.
 //! * [`epoch`] — [`simulate_epoch`]: the synchronous barrier as the
 //!   degenerate event-driven run (a handler that never closes). Schedules
 //!   per-device compute, per-edge message-delivery
@@ -32,7 +32,8 @@
 //!   rounds with staleness-decayed weights ([`StalenessBuffer`]), or the
 //!   barrier-free `Async` quorum that closes the round the moment
 //!   `min_updates` have landed. [`RoundPolicy`] is each policy expressed
-//!   as an event handler that judges updates at arrival time.
+//!   as an event handler: it names the late updates and closes the round
+//!   when the last update it still awaits lands.
 //! * [`scenario`] — presets ([`Scenario::Uniform`],
 //!   [`Scenario::MobileFleet`], [`Scenario::StragglerTail`],
 //!   [`Scenario::Churn`]) and the round-to-round fleet evolution

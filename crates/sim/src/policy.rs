@@ -19,13 +19,14 @@
 //! is carried to the next round at full weight — nothing is dropped and
 //! nothing is discounted.
 //!
-//! Since the event-driven refactor each policy is also expressible as an
-//! *event handler* ([`RoundPolicy`]): subscribed to an
-//! [`EventDrivenRuntime`] run, it judges each update as its landing event
-//! pops and, for `Async`, closes the round from inside the event stream.
-//! The post-hoc path ([`AggregationPolicy::late_with_staleness`]) computes
-//! the identical sets from the finished timing signal, which is what makes
-//! the lockstep and event-driven runtimes bit-interchangeable.
+//! Each policy is also an *event handler* ([`RoundPolicy`]): subscribed to
+//! an [`EventDrivenRuntime`] run, it closes the round the moment the last
+//! update it still waits for lands, so the run that names the late set is
+//! the run whose makespan prices the round. The schedule is static, so the
+//! late set itself is decided at construction from the planned deliveries;
+//! the post-hoc [`AggregationPolicy::late_with_staleness`] computes the
+//! same set from a finished round's timing signal and is kept as the
+//! independent reference the property tests hold the handler to.
 
 use crate::epoch::EpochStats;
 use crate::queue::VirtualTime;
@@ -249,207 +250,184 @@ impl AggregationPolicy {
     }
 }
 
-/// Landings in quorum order: every `(delivery time, device)` that lands,
-/// sorted by time with ties broken by device id — the same total order the
-/// event queue pops simultaneous landings in, so the quorum boundary is a
-/// pure function of the schedule.
-fn landing_order(planned: &[Option<f64>]) -> Vec<(f64, u32)> {
+/// The devices an async quorum of `min_updates` leaves out, each at
+/// staleness 1, sorted by device id. Empty when the whole round fits in
+/// the quorum. The quorum is the `min_updates` earliest landings by time
+/// with ties broken by device id — the same total order the event queue
+/// pops simultaneous landings in, so the boundary is a pure function of
+/// the schedule.
+fn async_overflow(min_updates: usize, planned: &[Option<f64>]) -> Vec<(u32, u32)> {
     let mut landed: Vec<(f64, u32)> = planned
         .iter()
         .enumerate()
         .filter_map(|(d, t)| t.map(|t| (t, d as u32)))
         .collect();
-    landed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    landed
-}
-
-/// The devices an async quorum of `min_updates` leaves out, each at
-/// staleness 1, sorted by device id. Empty when the whole round fits in
-/// the quorum.
-fn async_overflow(min_updates: usize, planned: &[Option<f64>]) -> Vec<(u32, u32)> {
-    let landed = landing_order(planned);
     if landed.len() <= min_updates {
         return Vec::new();
     }
+    landed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut late: Vec<(u32, u32)> = landed[min_updates..].iter().map(|&(_, d)| (d, 1)).collect();
     late.sort_unstable_by_key(|&(d, _)| d);
     late
+}
+
+/// Rounds a late update spends in flight past `deadline`:
+/// `ceil(t / deadline) - 1`, clamped to `1..=`[`STALENESS_CAP`].
+fn staleness(t: f64, deadline: f64) -> u32 {
+    if deadline > 0.0 {
+        ((t / deadline).ceil() - 1.0).clamp(1.0, STALENESS_CAP as f64) as u32
+    } else {
+        STALENESS_CAP
+    }
 }
 
 /// One round of an aggregation policy, expressed as an event handler.
 ///
 /// Where [`AggregationPolicy::late_with_staleness`] judges a *finished*
 /// round from its timing signal, a `RoundPolicy` subscribes to the live
-/// [`EventDrivenRuntime`] stream and decides at arrival time: as each
-/// update's landing event pops it is judged on the spot (on time, or late
-/// with its staleness), and under [`AggregationPolicy::Async`] the round
-/// is closed from inside the stream the moment the quorum lands. Because
-/// the schedule is static, the deadline (a median over the round) and the
-/// quorum boundary are priced from
-/// [`EventDrivenRuntime::update_delivery_secs`] at construction — the
-/// verdicts are therefore identical to the post-hoc path, which is exactly
-/// the refactor's compatibility contract (property-tested in
-/// `tests/sim_properties.rs`).
-///
-/// For sharded (hierarchical) aggregation, construct one `RoundPolicy` per
-/// shard with [`RoundPolicy::for_members`]: each judges only its members,
-/// against its shard-local median.
+/// [`EventDrivenRuntime`] stream and ends the round from inside it. The
+/// schedule is static, so the late set — the deadline cut against each
+/// group's own lower median, or the async overflow past the quorum — is
+/// priced from [`EventDrivenRuntime::update_delivery_secs`] at
+/// construction, and is identical to the post-hoc path's (property-tested
+/// in `tests/sim_properties.rs`). Every other landing is *awaited*, and one
+/// rule closes every non-barrier round: [`Control::CloseRound`] when the
+/// last awaited update lands. The late devices stay on the schedule — they
+/// compute, and their busy time is clamped at the close — so the run's
+/// [`EpochStats`] price the round its verdicts describe.
 #[derive(Debug, Clone)]
 pub struct RoundPolicy {
-    planned: Vec<Option<f64>>,
-    burst: Vec<bool>,
     mode: RoundMode,
-    verdicts: Vec<(u32, u32)>,
+    late: Vec<(u32, u32)>,
 }
 
 #[derive(Debug, Clone)]
 enum RoundMode {
-    /// Nothing to decide: run to the barrier (`FullSync`, rounds where
-    /// nothing lands, and async quorums the whole round fits inside).
+    /// Run to the barrier, drains included: `FullSync`, a cut round in
+    /// which nobody is late, an async quorum of the whole fleet, and
+    /// rounds where nothing lands.
     Barrier,
-    /// Deadline cut: judge each landing against the precomputed deadline.
-    Cut { deadline: f64 },
-    /// Async quorum: close the round once every awaited landing has
-    /// popped; everyone else is carried at staleness 1.
-    Quorum {
-        awaiting: Vec<bool>,
+    /// Close once every awaited landing has popped.
+    Awaiting {
+        /// Per device, the event its awaited update lands on — `Some(true)`
+        /// its `Delivered` (it ships a burst), `Some(false)` its
+        /// `ComputeDone` — and `None` once landed, or if never awaited.
+        lands_on_delivery: Vec<Option<bool>>,
         remaining: usize,
-        late: Vec<(u32, u32)>,
     },
 }
 
 impl RoundPolicy {
-    /// A handler judging the whole fleet.
+    /// A handler judging the whole fleet as one group.
     ///
     /// # Panics
     /// Panics if the policy's parameters are invalid.
     pub fn new(policy: &AggregationPolicy, schedule: &EventDrivenRuntime) -> Self {
-        Self::for_members(policy, schedule, None)
+        let n = schedule.update_delivery_secs().len() as u32;
+        Self::grouped(policy, schedule, std::iter::once(0..n))
     }
 
-    /// A handler judging only devices in `members` (a shard's contiguous
-    /// id range): landings outside it are ignored and the deadline median
-    /// is computed over members alone.
+    /// A handler judging each of `groups` (disjoint device-id ranges: a
+    /// topology's shards) against its own lower-median deadline. The async
+    /// quorum is global whatever the grouping: it is the *server's*
+    /// round-closure criterion and counts landings across the whole fleet.
+    /// Devices in no group are awaited, never cut.
     ///
     /// # Panics
-    /// Panics if the policy's parameters are invalid.
-    pub fn for_members(
+    /// Panics if the policy's parameters are invalid or a group reaches
+    /// past the fleet.
+    pub fn grouped(
         policy: &AggregationPolicy,
         schedule: &EventDrivenRuntime,
-        members: Option<std::ops::Range<u32>>,
+        groups: impl IntoIterator<Item = std::ops::Range<u32>>,
     ) -> Self {
         policy.validate();
-        let mut planned = schedule.update_delivery_secs().to_vec();
-        if let Some(range) = &members {
-            for (d, t) in planned.iter_mut().enumerate() {
-                if !range.contains(&(d as u32)) {
-                    *t = None;
-                }
-            }
-        }
-        let burst = schedule.ships_burst().to_vec();
-        let mode = match *policy {
-            AggregationPolicy::FullSync => RoundMode::Barrier,
-            AggregationPolicy::Deadline { factor } | AggregationPolicy::Buffered { factor, .. } => {
-                let mut times: Vec<f64> = planned.iter().flatten().copied().collect();
-                if times.is_empty() {
-                    RoundMode::Barrier
-                } else {
-                    times.sort_by(f64::total_cmp);
-                    let median = times[(times.len() - 1) / 2];
-                    RoundMode::Cut {
-                        deadline: factor * median,
-                    }
-                }
-            }
+        let planned = schedule.update_delivery_secs();
+        let mut late = Vec::new();
+        // A quorum short of the fleet closes at its last landing even when
+        // churn left nobody to carry; a cut closes early only if it cut.
+        let closes_early = match *policy {
+            AggregationPolicy::FullSync => false,
             AggregationPolicy::Async { min_updates } => {
-                let landed = landing_order(&planned);
-                if min_updates >= planned.len() || landed.is_empty() {
-                    // A quorum of the whole fleet *is* the synchronous
-                    // barrier (the collapse `resolve` performs up front) —
-                    // drains included, so the round stays bit-identical to
-                    // `FullSync`.
-                    RoundMode::Barrier
-                } else {
-                    // Churn can leave fewer live landings than the
-                    // configured quorum; clamping to the live fleet closes
-                    // the round at the last landing instead of deadlocking
-                    // on updates that can never arrive.
-                    let quorum = min_updates.min(landed.len());
-                    let mut awaiting = vec![false; planned.len()];
-                    for &(_, d) in &landed[..quorum] {
-                        awaiting[d as usize] = true;
+                late = async_overflow(min_updates, planned);
+                min_updates < planned.len()
+            }
+            AggregationPolicy::Deadline { factor } | AggregationPolicy::Buffered { factor, .. } => {
+                let mut times: Vec<f64> = Vec::new();
+                for group in groups {
+                    let members = &planned[group.start as usize..group.end as usize];
+                    times.clear();
+                    times.extend(members.iter().flatten());
+                    if times.is_empty() {
+                        continue;
                     }
-                    RoundMode::Quorum {
-                        awaiting,
-                        remaining: quorum,
-                        late: async_overflow(min_updates, &planned),
-                    }
+                    times.sort_by(f64::total_cmp);
+                    let deadline = factor * times[(times.len() - 1) / 2];
+                    late.extend(group.zip(members).filter_map(|(d, t)| {
+                        t.filter(|&t| t > deadline)
+                            .map(|t| (d, staleness(t, deadline)))
+                    }));
                 }
+                !late.is_empty()
             }
         };
-        Self {
-            planned,
-            burst,
-            mode,
-            verdicts: Vec::new(),
+        let mut mode = RoundMode::Barrier;
+        if closes_early {
+            let mut lands_on_delivery: Vec<Option<bool>> = planned
+                .iter()
+                .zip(schedule.ships_burst())
+                .map(|(t, &burst)| t.map(|_| burst))
+                .collect();
+            for &(d, _) in &late {
+                lands_on_delivery[d as usize] = None;
+            }
+            let remaining = lands_on_delivery.iter().flatten().count();
+            if remaining > 0 {
+                mode = RoundMode::Awaiting {
+                    lands_on_delivery,
+                    remaining,
+                };
+            }
         }
+        Self { mode, late }
     }
 
     /// Feeds one event through the policy. A bursting device's update
     /// lands at its `Delivered` event, a burst-less one's at its
-    /// `ComputeDone`; everything else (arrivals, drains, non-members) is
-    /// passed through. Returns [`Control::CloseRound`] exactly when an
-    /// async quorum completes.
-    pub fn on_event(&mut self, t: VirtualTime, ev: &SimEvent) -> Control {
-        let d = ev.device() as usize;
+    /// `ComputeDone`; everything else (arrivals, drains, late devices) is
+    /// passed through. Returns [`Control::CloseRound`] exactly when the
+    /// last awaited update lands — the closing instant is that event's own
+    /// timestamp, so `_t` goes unread.
+    pub fn on_event(&mut self, _t: VirtualTime, ev: &SimEvent) -> Control {
+        let RoundMode::Awaiting {
+            lands_on_delivery,
+            remaining,
+        } = &mut self.mode
+        else {
+            return Control::Continue;
+        };
         let landing = match ev {
-            SimEvent::Delivered(_) => self.planned[d].is_some() && self.burst[d],
-            SimEvent::ComputeDone(_) => self.planned[d].is_some() && !self.burst[d],
+            SimEvent::Delivered(_) => Some(true),
+            SimEvent::ComputeDone(_) => Some(false),
             // Fault events are never landings: a crashed or exhausted
-            // device has `planned[d] == None` and is handled by the
+            // device has no planned delivery and is handled by the
             // recovery layer (staleness buffer), not the round policy.
             SimEvent::Arrived { .. }
             | SimEvent::InboxDrained(_)
             | SimEvent::Crashed(_)
             | SimEvent::Lost(_)
-            | SimEvent::RetryDue(_) => false,
+            | SimEvent::RetryDue(_) => return Control::Continue,
         };
-        if !landing {
+        let awaited = &mut lands_on_delivery[ev.device() as usize];
+        if *awaited != landing {
             return Control::Continue;
         }
-        match &mut self.mode {
-            RoundMode::Barrier => Control::Continue,
-            RoundMode::Cut { deadline } => {
-                let deadline = *deadline;
-                let t = t.secs();
-                if t > deadline {
-                    let staleness = if deadline > 0.0 {
-                        ((t / deadline).ceil() - 1.0).clamp(1.0, STALENESS_CAP as f64) as u32
-                    } else {
-                        STALENESS_CAP
-                    };
-                    self.verdicts.push((d as u32, staleness));
-                }
-                Control::Continue
-            }
-            RoundMode::Quorum {
-                awaiting,
-                remaining,
-                late,
-            } => {
-                if awaiting[d] {
-                    awaiting[d] = false;
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        // The quorum is complete: everyone still in flight
-                        // is carried to the next round, at full weight.
-                        self.verdicts.append(late);
-                        return Control::CloseRound;
-                    }
-                }
-                Control::Continue
-            }
+        *awaited = None;
+        *remaining -= 1;
+        if *remaining == 0 {
+            Control::CloseRound
+        } else {
+            Control::Continue
         }
     }
 
@@ -457,8 +435,8 @@ impl RoundPolicy {
     /// device id — the same pairs the post-hoc
     /// [`AggregationPolicy::late_with_staleness`] computes.
     pub fn verdicts(mut self) -> Vec<(u32, u32)> {
-        self.verdicts.sort_unstable_by_key(|&(d, _)| d);
-        self.verdicts
+        self.late.sort_unstable_by_key(|&(d, _)| d);
+        self.late
     }
 }
 
@@ -775,8 +753,8 @@ mod tests {
     #[test]
     fn round_policy_verdicts_match_the_post_hoc_path() {
         // The arrival-time handler and the finished-round computation must
-        // agree exactly — that equivalence is what lets the trainer switch
-        // between the lockstep and event-driven probes bit for bit.
+        // agree exactly: the post-hoc cut is the reference the handler's
+        // construction-time late set is held to.
         let (profiles, w) = straggler_fleet();
         for policy in [
             AggregationPolicy::FullSync,
@@ -813,6 +791,36 @@ mod tests {
             full.makespan_secs
         );
         assert_eq!(round.verdicts(), vec![(3, 1)], "the straggler is carried");
+    }
+
+    #[test]
+    fn round_policy_closes_a_cut_round_at_its_last_awaited_landing() {
+        let (profiles, w) = straggler_fleet();
+        let full = simulate_epoch(&profiles, &w);
+        let run = |factor: f64| {
+            let schedule = EventDrivenRuntime::new(&profiles, &w);
+            let mut round = RoundPolicy::new(&AggregationPolicy::Deadline { factor }, &schedule);
+            let stats = schedule.run(|t, ev| round.on_event(t, ev));
+            (stats, round.verdicts())
+        };
+        // The straggler is cut: the round ends when the other four have
+        // landed. It still computed — active, busy up to the close.
+        let (cut, late) = run(2.0);
+        assert_eq!(late.len(), 1);
+        assert_eq!(late[0].0, 3);
+        let last_awaited = [0, 1, 2, 4]
+            .map(|d| cut.update_delivery_secs[d].unwrap())
+            .into_iter()
+            .fold(0.0, f64::max);
+        assert_eq!(cut.makespan_secs.to_bits(), last_awaited.to_bits());
+        assert!(cut.makespan_secs < full.makespan_secs);
+        assert_eq!(cut.active_devices, 5);
+        assert_eq!(cut.busy_secs[3].to_bits(), cut.makespan_secs.to_bits());
+        // Nobody misses a deadline this lax: the round is the barrier,
+        // drains included — not "closed at the last landing".
+        let (lax, late) = run(1e12);
+        assert!(late.is_empty());
+        assert_eq!(lax, full);
     }
 
     #[test]
@@ -868,7 +876,7 @@ mod tests {
         let (profiles, w) = straggler_fleet();
         let schedule = EventDrivenRuntime::new(&profiles, &w);
         let policy = AggregationPolicy::Deadline { factor: 2.0 };
-        let mut round = RoundPolicy::for_members(&policy, &schedule, Some(0..3));
+        let mut round = RoundPolicy::grouped(&policy, &schedule, Some(0..3));
         let _stats = schedule.run(|t, ev| round.on_event(t, ev));
         assert!(
             round.verdicts().is_empty(),

@@ -301,10 +301,12 @@ proptest! {
     }
 
     /// The arrival-time handler is the post-hoc policy: for any fleet and
-    /// any policy, judging updates as their landing events pop yields the
-    /// exact `(device, staleness)` pairs the finished-round computation
-    /// does. This is the seam that makes the lockstep and event-driven
-    /// trainer probes interchangeable.
+    /// any policy, the run it closes yields the exact `(device, staleness)`
+    /// pairs the finished-round computation does — and the same run prices
+    /// the round: when somebody is late (or the quorum is short of the
+    /// fleet) it closes at the latest *awaited* planned delivery, bitwise,
+    /// with every active device's busy time inside the makespan; otherwise
+    /// it is the barrier, drains included.
     #[test]
     fn round_policy_verdicts_equal_the_post_hoc_cut(
         seed in any::<u64>(), n in 1usize..32, factor in 1.0f64..4.0,
@@ -321,11 +323,32 @@ proptest! {
             let schedule = EventDrivenRuntime::new(&profiles, &work);
             let mut round = RoundPolicy::new(&policy, &schedule);
             let stats = schedule.run(|t, ev| round.on_event(t, ev));
+            let late = policy.late_with_staleness(&stats);
             prop_assert_eq!(
                 round.verdicts(),
-                policy.late_with_staleness(&stats),
+                late.clone(),
                 "{} handler disagreed with the post-hoc path", policy.name()
             );
+            let last_awaited = stats
+                .update_delivery_secs
+                .iter()
+                .enumerate()
+                .filter(|(d, _)| !late.iter().any(|&(l, _)| l as usize == *d))
+                .filter_map(|(_, t)| *t)
+                .max_by(f64::total_cmp);
+            let short_quorum =
+                matches!(policy, AggregationPolicy::Async { min_updates } if min_updates < n);
+            match last_awaited {
+                Some(close) if !late.is_empty() || short_quorum => prop_assert_eq!(
+                    stats.makespan_secs.to_bits(), close.to_bits(),
+                    "{} closed at {} instead of its last awaited landing {}",
+                    policy.name(), stats.makespan_secs, close
+                ),
+                _ => prop_assert_eq!(&stats, &simulate_epoch(&profiles, &work)),
+            }
+            for (d, p) in profiles.iter().enumerate() {
+                prop_assert!(!p.available || stats.busy_secs[d] <= stats.makespan_secs);
+            }
         }
     }
 

@@ -25,8 +25,9 @@
 //!   by the conservation property tests.
 //! - [`tier_timing`] — composes tier-2 delivery on top of a device-tier
 //!   [`EpochStats`](lumos_sim::EpochStats): an aggregator's partial is
-//!   ready when its slowest member's update lands, then pays the
-//!   aggregator's own uplink + latency to reach the server.
+//!   ready when the slowest of its members' updates that made the
+//!   round lands, then pays the aggregator's own uplink + latency to
+//!   reach the server.
 //! - [`Topology::failover_map`] + [`tier_timing_failover`] — aggregator
 //!   outage recovery: an outaged shard re-homes to its deterministic
 //!   cyclic successor, which folds the orphaned members into its own

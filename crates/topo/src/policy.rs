@@ -49,25 +49,18 @@ pub fn shard_late_with_staleness(
     late
 }
 
-/// The sharded counterpart of [`RoundPolicy`]: one arrival-time handler
-/// per aggregator, each judging only its members against its shard-local
-/// median, all subscribed to a single [`EventDrivenRuntime`] run. The
-/// merged verdicts equal [`shard_late_with_staleness`] on the finished
-/// round — the hierarchical half of the lockstep ⇄ event-driven
-/// equivalence.
+/// The sharded use of [`RoundPolicy`]: one arrival-time handler over the
+/// topology's shards, cutting each aggregator's members against their
+/// shard-local median and closing the round when the last update any shard
+/// still waits for lands. Its verdicts equal [`shard_late_with_staleness`]
+/// on the finished round (property-tested in `tests/topo_properties.rs`).
 ///
-/// [`AggregationPolicy::Async`] is handled as one *global* policy (the
-/// quorum belongs to the server, not to any aggregator), matching the
-/// post-hoc path above.
-pub struct ShardRoundPolicies {
-    /// `Some(shard index)` per device under a sharded cut; `None` routes
-    /// every event to the single global policy.
-    shard_of: Option<Vec<u32>>,
-    policies: Vec<RoundPolicy>,
-}
+/// [`AggregationPolicy::Async`] stays one *global* quorum (it belongs to
+/// the server, not to any aggregator), matching the post-hoc path above.
+pub struct ShardRoundPolicies(RoundPolicy);
 
 impl ShardRoundPolicies {
-    /// Builds the per-shard handlers for one scheduled epoch.
+    /// Builds the handler for one scheduled epoch.
     ///
     /// # Panics
     /// Panics if the schedule and topology disagree on fleet size, or if
@@ -78,46 +71,19 @@ impl ShardRoundPolicies {
             topo.num_devices(),
             "topology and schedule disagree on fleet size"
         );
-        if topo.num_aggregators() == 1 || matches!(policy, AggregationPolicy::Async { .. }) {
-            return Self {
-                shard_of: None,
-                policies: vec![RoundPolicy::new(policy, schedule)],
-            };
-        }
-        let mut shard_of = vec![0u32; topo.num_devices()];
-        let mut policies = Vec::with_capacity(topo.num_aggregators());
-        for (shard, (_, range)) in topo.ranges().enumerate() {
-            for d in range.clone() {
-                shard_of[d as usize] = shard as u32;
-            }
-            policies.push(RoundPolicy::for_members(policy, schedule, Some(range)));
-        }
-        Self {
-            shard_of: Some(shard_of),
-            policies,
-        }
+        let shards = topo.ranges().map(|(_, members)| members);
+        Self(RoundPolicy::grouped(policy, schedule, shards))
     }
 
-    /// Routes one event to the device's shard handler (or the global one).
+    /// Feeds one event through the handler.
     pub fn on_event(&mut self, t: VirtualTime, ev: &SimEvent) -> Control {
-        let shard = match &self.shard_of {
-            Some(map) => map[ev.device() as usize] as usize,
-            None => 0,
-        };
-        self.policies[shard].on_event(t, ev)
+        self.0.on_event(t, ev)
     }
 
-    /// The union of every shard's `(device, staleness)` verdicts, sorted
-    /// by device id — the same pairs [`shard_late_with_staleness`]
-    /// computes post hoc.
+    /// Every shard's `(device, staleness)` verdicts, sorted by device id —
+    /// the same pairs [`shard_late_with_staleness`] computes post hoc.
     pub fn verdicts(self) -> Vec<(u32, u32)> {
-        let mut late: Vec<(u32, u32)> = self
-            .policies
-            .into_iter()
-            .flat_map(RoundPolicy::verdicts)
-            .collect();
-        late.sort_unstable_by_key(|&(d, _)| d);
-        late
+        self.0.verdicts()
     }
 }
 

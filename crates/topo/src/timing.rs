@@ -1,11 +1,11 @@
 //! Tier-2 delivery timing, composed on top of a device-tier epoch.
 //!
-//! The device tier is priced by `lumos_sim::simulate_epoch` exactly as
-//! in the flat path. The second tier composes on its output: an
-//! aggregator's pooled partial is ready when its slowest member's
-//! update lands, then pays the aggregator's own uplink + propagation
-//! latency to reach the server. The server's round closes when the last
-//! aggregator partial arrives.
+//! The device tier is priced by one `lumos_sim::EventDrivenRuntime` run
+//! exactly as in the flat path. The second tier composes on its output: an
+//! aggregator's pooled partial is ready when the slowest of its members'
+//! updates that made the round lands, then pays the aggregator's own
+//! uplink + propagation latency to reach the server. The server's round
+//! closes when the last aggregator partial arrives.
 
 use lumos_sim::{DeviceProfile, EpochStats};
 
@@ -48,6 +48,12 @@ pub fn tier_timing(
 /// The identity map is the no-failover round: every shard folds into its
 /// own aggregator, in shard order.
 ///
+/// Only updates that landed by the device tier's close
+/// (`stats.makespan_secs`) fold. A barrier round ends after its last
+/// landing, so there that is every update; a round its policy closed early
+/// still carries the late devices' planned deliveries on the schedule, and
+/// folding those would put the full barrier back under every cut.
+///
 /// # Panics
 /// Panics on a fleet-size mismatch, a `rehome` map of the wrong length,
 /// or a map that routes a shard to an aggregator that is itself re-homed
@@ -85,6 +91,7 @@ pub fn tier_timing_failover(
         ready[target] = stats.update_delivery_secs[lo..hi]
             .iter()
             .flatten()
+            .filter(|&&t| t <= stats.makespan_secs)
             .fold(ready[target], |acc, &t| Some(acc.map_or(t, |a| a.max(t))));
     }
     let mut deliveries = Vec::with_capacity(topo.num_aggregators());
@@ -115,7 +122,7 @@ mod tests {
     fn stats(times: Vec<Option<f64>>) -> EpochStats {
         let n = times.len();
         EpochStats {
-            makespan_secs: 0.0,
+            makespan_secs: times.iter().flatten().fold(0.0f64, |a, &b| a.max(b)),
             busy_secs: vec![0.0; n],
             idle_secs: vec![0.0; n],
             update_delivery_secs: times,
@@ -135,6 +142,20 @@ mod tests {
         assert_eq!(t.aggregator_delivery_secs[0], Some(5.0 + hop));
         assert_eq!(t.aggregator_delivery_secs[1], Some(3.0 + hop));
         assert_eq!(t.server_makespan_secs, 5.0 + hop);
+    }
+
+    #[test]
+    fn updates_landing_after_the_close_do_not_hold_their_aggregator() {
+        // A policy closed the device tier at 3.0: the 5.0 straggler is
+        // still on the schedule, but its aggregator ships without it.
+        let mut s = stats(vec![Some(1.0), Some(5.0), Some(2.0), Some(3.0)]);
+        s.makespan_secs = 3.0;
+        let topo = Topology::contiguous(4, 2);
+        let agg = DeviceProfile::baseline();
+        let hop = agg.upload_secs(64) + agg.latency_secs;
+        let t = tier_timing(&s, &topo, &agg, 64);
+        assert_eq!(t.aggregator_delivery_secs[0], Some(1.0 + hop));
+        assert_eq!(t.server_makespan_secs, 3.0 + hop);
     }
 
     #[test]

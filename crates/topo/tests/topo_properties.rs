@@ -1,13 +1,14 @@
 //! Property tests for the hierarchical aggregation topology: every
 //! construction variant partitions the fleet into non-empty contiguous
-//! shards covering each device exactly once, and the two-tier POOL
-//! conserves the flat pool's mass.
+//! shards covering each device exactly once, the two-tier POOL conserves
+//! the flat pool's mass, and the one grouped round handler cuts exactly
+//! what the post-hoc per-shard reference cuts.
 
 use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
-use lumos_sim::{AggregationPolicy, EpochStats};
-use lumos_topo::{pool_flat, pool_tiered, shard_late_with_staleness, Topology};
+use lumos_sim::{AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime};
+use lumos_topo::{pool_flat, pool_tiered, shard_late_with_staleness, ShardRoundPolicies, Topology};
 
 fn assert_exact_cover(t: &Topology, n: usize, k: usize) {
     assert_eq!(t.num_devices(), n);
@@ -113,6 +114,57 @@ proptest! {
                 shard_late_with_staleness(&policy, &stats, &topo),
                 policy.late_with_staleness(&stats)
             );
+        }
+    }
+
+    /// The one handler over a topology's shards is the post-hoc per-shard
+    /// cut: on a live run over any seeded fleet and any shard shape its
+    /// verdicts equal `shard_late_with_staleness` on the finished round,
+    /// for the shard-local deadlines and the global quorum alike — and a
+    /// round with somebody late closes at its last awaited landing.
+    #[test]
+    fn grouped_handler_verdicts_equal_the_post_hoc_shard_cut(
+        n in 1usize..64, k_frac in 0.0f64..1.0, seed in any::<u64>(),
+        factor in 1.0f64..4.0, quorum in 1usize..70
+    ) {
+        let k = 1 + ((n - 1) as f64 * k_frac) as usize;
+        let topo = Topology::seeded(n, k, seed);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x7071);
+        let profiles: Vec<DeviceProfile> = (0..n)
+            .map(|_| DeviceProfile {
+                compute_rate: rng.range_f64(0.5, 500.0),
+                available: rng.bernoulli(0.9),
+                ..DeviceProfile::baseline()
+            })
+            .collect();
+        let work: Vec<DeviceWork> = (0..n)
+            .map(|_| {
+                let burst = rng.next_below(2);
+                DeviceWork::aggregate(rng.range_f64(0.0, 5000.0), burst, 64 * burst, 64)
+            })
+            .collect();
+        for policy in [
+            AggregationPolicy::FullSync,
+            AggregationPolicy::Deadline { factor },
+            AggregationPolicy::Buffered { factor, decay: 0.5 },
+            AggregationPolicy::Async { min_updates: quorum },
+        ] {
+            let schedule = EventDrivenRuntime::new(&profiles, &work);
+            let mut shards = ShardRoundPolicies::new(&policy, &schedule, &topo);
+            let stats = schedule.run(|t, ev| shards.on_event(t, ev));
+            let late = shard_late_with_staleness(&policy, &stats, &topo);
+            prop_assert_eq!(shards.verdicts(), late.clone(), "{} on {} shards", policy.name(), k);
+            if !late.is_empty() {
+                let last_awaited = stats
+                    .update_delivery_secs
+                    .iter()
+                    .enumerate()
+                    .filter(|(d, _)| !late.iter().any(|&(l, _)| l as usize == *d))
+                    .filter_map(|(_, t)| *t)
+                    .max_by(f64::total_cmp)
+                    .expect("a round with late updates keeps at least its median");
+                prop_assert_eq!(stats.makespan_secs.to_bits(), last_awaited.to_bits());
+            }
         }
     }
 }

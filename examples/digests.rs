@@ -1,10 +1,19 @@
 //! The refactor oracle: one `RunReport::digest()` line per pinned config.
 //!
-//! Seven `run_lumos` configs (default, GAT, link prediction, one per
-//! non-trivial aggregation policy, the fully loaded run) and the baselines
-//! on both tasks, all on `facebook_like(Smoke)` at seed 2023, 8 epochs, 10
-//! MCMC iterations. Identical invocations print identical lines; a
-//! behaviour-preserving change prints the same lines before and after.
+//! Ten `run_lumos` configs (default, GAT, link prediction, the synchronous
+//! barrier on a frozen and on a churning fleet, one per non-trivial
+//! aggregation policy, the hierarchical deadline, the fully loaded run) and
+//! the baselines on both tasks, all on `facebook_like(Smoke)` at seed 2023,
+//! 8 epochs, 10 MCMC iterations. Identical invocations print identical
+//! lines; a behaviour-preserving change prints the same lines before and
+//! after.
+//!
+//! Each line carries two digests: the report's, and the report's with the
+//! four virtual-time fields (`sim.{total_virtual_secs,
+//! avg_epoch_virtual_secs, straggler_sequence, mean_utilization}`) zeroed.
+//! A change that re-prices rounds without touching what is trained moves
+//! the first column and leaves the second alone — "timing moved, training
+//! did not" is one `diff` of the second column.
 //!
 //! ```sh
 //! cargo run --release --example digests
@@ -24,13 +33,26 @@ use lumos::sim::{FaultSpec, Scenario};
 const SEED: u64 = 2023;
 const EPOCHS: usize = 8;
 
+/// The report's digest with every virtual-time field zeroed.
+fn untimed_digest(r: &RunReport) -> u64 {
+    let mut r = r.clone();
+    if let Some(s) = &mut r.sim {
+        s.total_virtual_secs = 0.0;
+        s.avg_epoch_virtual_secs = 0.0;
+        s.straggler_sequence.clear();
+        s.mean_utilization = 0.0;
+    }
+    r.digest()
+}
+
 fn line(name: &str, r: &RunReport) {
     let (cuts, buffered, migrations) = r.sim.as_ref().map_or((0, 0, 0), |s| {
         (s.late_drops, s.buffered_updates, s.migrations)
     });
     println!(
-        "{name:<30} {:#018x}  test_metric {:.6}  cuts {cuts} buffered {buffered} migrations {migrations}",
+        "{name:<40} {:#018x}  untimed {:#018x}  test_metric {:.6}  cuts {cuts} buffered {buffered} migrations {migrations}",
         r.digest(),
+        untimed_digest(r),
         r.test_metric,
     );
 }
@@ -53,9 +75,21 @@ fn main() {
         ("GAT-sup", lumos(Backbone::Gat, TaskKind::Supervised)),
         ("GCN-unsup", lumos(Backbone::Gcn, TaskKind::Unsupervised)),
         (
+            "FullSync x StragglerTail",
+            sup().with_scenario(Scenario::StragglerTail),
+        ),
+        ("FullSync x Churn", sup().with_scenario(Scenario::Churn)),
+        (
             "Deadline{2} x StragglerTail",
             sup()
                 .with_scenario(Scenario::StragglerTail)
+                .with_aggregation_policy(AggregationPolicy::Deadline { factor: 2.0 }),
+        ),
+        (
+            "Deadline{2} x StragglerTail x Hier{8}",
+            sup()
+                .with_scenario(Scenario::StragglerTail)
+                .with_topology(TopologyConfig::Hierarchical { aggregators: 8 })
                 .with_aggregation_policy(AggregationPolicy::Deadline { factor: 2.0 }),
         ),
         (

@@ -13,16 +13,21 @@
 //! 3. **Failover conservation**: an aggregator outage re-homes its shard
 //!    without touching the training math — the tiered POOL stays
 //!    sum-conserving, so the learned model is bit-identical to the same
-//!    faulted run without the outage.
+//!    faulted run without the outage;
+//! 4. **One schedule**: the run that finds an upload exhausted is the run
+//!    that prices the round, so the exhausted upload's retry chain is on
+//!    the clock and its update has no landing there.
 
 mod common;
 
 use common::assert_reports_identical;
 use lumos::core::{run_lumos, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
+use lumos::fed::{ledger_work, SimNetwork};
 use lumos::gnn::Backbone;
 use lumos::sim::{
-    AggregationPolicy, FaultSpec, OutageWindow, RecoveryPolicy, Scenario, HARD_RETRY_CAP,
+    AggregationPolicy, DeviceProfile, EventDrivenRuntime, FaultSpec, FaultState, OutageWindow,
+    RecoveryPolicy, RoundPolicy, Scenario, HARD_RETRY_CAP,
 };
 use lumos::topo::TopologyConfig;
 use proptest::prelude::*;
@@ -70,9 +75,10 @@ fn a_none_fault_spec_is_bit_identical_to_the_seed_on_every_preset() {
 #[test]
 fn zero_rate_faults_take_the_fault_path_and_stay_bit_identical() {
     // `Faults { 0, 0, 0, [] }` is NOT `FaultSpec::None`: it builds the
-    // fault state, compiles a plan every round and hands it to the probe
-    // and the epoch simulation — and every one of those hops must still
-    // reproduce the fault-free run bit for bit when nothing fires. Under
+    // fault state, compiles a plan every round and hands it to the
+    // round's simulation (which a plan keeps from being memoised) — and
+    // every one of those hops must still reproduce the fault-free run bit
+    // for bit when nothing fires. Under
     // the cutting policies this is also the run-level law that a 0/1
     // weighting of the POOL is a mask, flat and tiered: faults used to
     // switch a non-carrying policy from the masked to the weighted build.
@@ -145,6 +151,46 @@ fn total_loss_with_an_unbounded_budget_terminates_into_the_buffer() {
         sim.buffered_updates
     );
     assert_eq!(sim.wasted_updates, 0, "recovery never discards an update");
+    // The rounds are priced on what their devices attempted: every retry
+    // chain is on the schedule that closes its round, so the run outlasts
+    // the mean device's share of the backoff waits.
+    assert!(
+        sim.total_virtual_secs >= sim.retry_secs / n as f64,
+        "{} virtual s cannot hold {} s of waits per device",
+        sim.total_virtual_secs,
+        sim.retry_secs / n as f64
+    );
+}
+
+#[test]
+fn an_exhausted_upload_has_no_landing_in_the_round_that_prices_it() {
+    // A round is simulated once, on what its devices attempt. An upload
+    // that runs out its retry budget attempted a burst, so that schedule
+    // carries its whole retry chain and no landing. (Pricing the ledger
+    // after the fact, where the exhausted sender is parked and its burst
+    // silenced, lands the same update at its `ComputeDone` — the two-pass
+    // disagreement the single run removes.)
+    let profiles = vec![DeviceProfile::baseline(); 3];
+    let mut faults = FaultState::new(FaultSpec::message_loss(1.0), RecoveryPolicy::default(), 5);
+    let plan = faults.compile_round(&profiles);
+    let priced = |attempted: bool| {
+        let mut net = SimNetwork::new(3);
+        let snap = net.snapshot();
+        for d in (0..3).filter(|_| attempted) {
+            net.send_to_server(d, 64);
+        }
+        let work = ledger_work(&net, &snap, &[4, 4, 4], 2);
+        let schedule = EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan));
+        let mut round = RoundPolicy::new(&AggregationPolicy::FullSync, &schedule);
+        schedule.run(|t, ev| round.on_event(t, ev))
+    };
+    let (round, silenced) = (priced(true), priced(false));
+    assert!(round.update_delivery_secs.iter().all(Option::is_none));
+    assert!(silenced.update_delivery_secs.iter().all(Option::is_some));
+    assert!(
+        round.makespan_secs > silenced.makespan_secs,
+        "the retry chains are on the round's clock"
+    );
 }
 
 #[test]
