@@ -8,7 +8,7 @@
 use lumos_common::rng::Xoshiro256pp;
 use lumos_common::timer::Stopwatch;
 use lumos_core::config::TaskKind;
-use lumos_core::report::{EpochMetrics, RunReport};
+use lumos_core::report::RunReport;
 use lumos_core::task::{EvalCadence, EvalSplit, TaskData, TaskHead};
 use lumos_data::Dataset;
 use lumos_gnn::{Backbone, EncoderConfig, GnnEncoder, MessageGraph};
@@ -92,24 +92,27 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         opt.step(&mut store);
         epoch_time.stop();
 
-        if cadence.due(epoch) {
+        let splits = cadence.splits_after(epoch);
+        if !splits.is_empty() {
             tape = tape.reset();
             let x = tape.constant_ref(&run.features);
             let h = encoder.forward(&mut tape, &store, x, &mg, false, &mut rng);
-            let val_metric = head.metric(&mut tape, &store, h, EvalSplit::Val);
-            report.best_val_metric = report.best_val_metric.max(val_metric);
-            report.history.push(EpochMetrics {
-                epoch,
-                loss,
-                val_metric,
-            });
+            let metrics: Vec<f64> = splits
+                .iter()
+                .map(|&on| head.metric(&mut tape, &store, h, on))
+                .collect();
+            report.record_eval(epoch, loss, &metrics);
         }
     }
 
-    tape = tape.reset();
-    let x = tape.constant_ref(&run.features);
-    let h = encoder.forward(&mut tape, &store, x, &mg, false, &mut rng);
-    report.test_metric = head.metric(&mut tape, &store, h, EvalSplit::Test);
+    // As in `run_lumos`: the test metric rode on the last epoch's validation
+    // forward; a run of no epochs scores the model it initialized.
+    if run.epochs == 0 {
+        tape = tape.reset();
+        let x = tape.constant_ref(&run.features);
+        let h = encoder.forward(&mut tape, &store, x, &mg, false, &mut rng);
+        report.test_metric = head.metric(&mut tape, &store, h, EvalSplit::Test);
+    }
     report.avg_epoch_secs = epoch_time.secs() / run.epochs.max(1) as f64;
     report
 }

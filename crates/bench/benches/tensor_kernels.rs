@@ -4,7 +4,9 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_tensor::kernels::{gather_rows, scatter_add_rows, segment_softmax};
+use lumos_tensor::kernels::{
+    gather_rows, propagate, scale_rows, scatter_add_rows, segment_softmax,
+};
 use lumos_tensor::Tensor;
 
 fn bench_matmul(c: &mut Criterion) {
@@ -17,6 +19,31 @@ fn bench_matmul(c: &mut Criterion) {
     let g = Tensor::rand_uniform(2048, 16, -1.0, 1.0, &mut rng);
     c.bench_function("matmul_tn_backward_2048x192x16", |b| {
         b.iter(|| black_box(a.matmul_tn(black_box(&g))))
+    });
+}
+
+/// The first layer's two products at the `train_default` batch: 27,648 tree
+/// nodes × 192 features × 16 hidden units, the features 41% zeros — a third
+/// of the rows (the virtual nodes) entirely, the rest scattered.
+fn bench_batch_matmul(c: &mut Criterion) {
+    let mut rng = Xoshiro256pp::seed_from_u64(4);
+    let (m, k, n) = (27_648, 192, 16);
+    let mut x = Tensor::rand_uniform(m, k, -1.0, 1.0, &mut rng);
+    for i in 0..m {
+        let virtual_node = rng.bernoulli(0.36);
+        for v in x.row_mut(i) {
+            if virtual_node || rng.bernoulli(0.08) {
+                *v = 0.0;
+            }
+        }
+    }
+    let w = Tensor::rand_uniform(k, n, -1.0, 1.0, &mut rng);
+    c.bench_function("matmul_batch_27648x192x16", |b| {
+        b.iter(|| black_box(x.matmul(black_box(&w))))
+    });
+    let g = Tensor::rand_uniform(m, n, -1.0, 1.0, &mut rng);
+    c.bench_function("matmul_tn_batch_27648x192x16", |b| {
+        b.iter(|| black_box(x.matmul_tn(black_box(&g))))
     });
 }
 
@@ -33,6 +60,26 @@ fn bench_gather_scatter(c: &mut Criterion) {
     });
 }
 
+/// One GCN aggregation at the `train_default` batch — 83k arcs over 27,648
+/// nodes of 16-wide embeddings — fused, and as the three kernels it fuses.
+fn bench_propagate(c: &mut Criterion) {
+    let mut rng = Xoshiro256pp::seed_from_u64(5);
+    let (nodes, arcs) = (27_648, 83_000);
+    let x = Tensor::rand_uniform(nodes, 16, -1.0, 1.0, &mut rng);
+    let mut endpoint = || -> Vec<u32> { (0..arcs).map(|_| rng.index(nodes) as u32).collect() };
+    let (src, dst) = (endpoint(), endpoint());
+    let coeff: Vec<f32> = (0..arcs).map(|_| rng.next_f32()).collect();
+    c.bench_function("propagate_83k_arcs_27648x16", |b| {
+        b.iter(|| black_box(propagate(black_box(&x), &src, &coeff, &dst, nodes)))
+    });
+    c.bench_function("gather_scale_scatter_83k_arcs_27648x16", |b| {
+        b.iter(|| {
+            let scaled = scale_rows(&gather_rows(black_box(&x), &src), &coeff);
+            black_box(scatter_add_rows(&scaled, &dst, nodes))
+        })
+    });
+}
+
 fn bench_segment_softmax(c: &mut Criterion) {
     let mut rng = Xoshiro256pp::seed_from_u64(3);
     let logits = Tensor::rand_uniform(12_288, 4, -2.0, 2.0, &mut rng);
@@ -46,6 +93,7 @@ fn bench_segment_softmax(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_gather_scatter, bench_segment_softmax
+    targets = bench_matmul, bench_batch_matmul, bench_gather_scatter, bench_propagate,
+        bench_segment_softmax
 }
 criterion_main!(benches);

@@ -167,6 +167,22 @@ impl RunReport {
         }
     }
 
+    /// Books one evaluation after `epoch`: `metrics` holds the validation
+    /// metric and, after the last epoch, the test metric behind it — the
+    /// scores of `EvalCadence::splits_after`, in its order.
+    pub fn record_eval(&mut self, epoch: usize, loss: f64, metrics: &[f64]) {
+        let val_metric = metrics[0];
+        self.best_val_metric = self.best_val_metric.max(val_metric);
+        self.history.push(EpochMetrics {
+            epoch,
+            loss,
+            val_metric,
+        });
+        if let Some(&test_metric) = metrics.get(1) {
+            self.test_metric = test_metric;
+        }
+    }
+
     /// Final training loss (NaN if no history).
     pub fn final_loss(&self) -> f64 {
         self.history.last().map_or(f64::NAN, |m| m.loss)

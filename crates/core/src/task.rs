@@ -42,8 +42,8 @@ pub enum EvalSplit {
     Test,
 }
 
-/// When a training loop validates: every `eval_every`-th epoch and the
-/// last one.
+/// When a training loop evaluates: validation after every `eval_every`-th
+/// epoch and the last one, the test split once, after the last.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalCadence {
     every: usize,
@@ -58,9 +58,20 @@ impl EvalCadence {
         Self { every, epochs }
     }
 
-    /// Whether `epoch` ends with a validation pass.
-    pub fn due(&self, epoch: usize) -> bool {
-        epoch.is_multiple_of(self.every) || epoch + 1 == self.epochs
+    /// The splits to score off one evaluation forward after `epoch`'s
+    /// update; empty when none is due. The test metric rides on the last
+    /// epoch's validation forward — same parameters, and evaluation draws
+    /// no randomness, so a second forward would recompute the same
+    /// embeddings. (A run of zero epochs has no last epoch: its caller
+    /// scores the test split on its own.)
+    pub fn splits_after(&self, epoch: usize) -> &'static [EvalSplit] {
+        if epoch + 1 == self.epochs {
+            &[EvalSplit::Val, EvalSplit::Test]
+        } else if epoch.is_multiple_of(self.every) {
+            &[EvalSplit::Val]
+        } else {
+            &[]
+        }
     }
 }
 

@@ -33,7 +33,7 @@ use crate::batch::{build_batched, BatchedTrees, PoolArrays};
 use crate::config::LumosConfig;
 use crate::constructor::{construct_assignment, construct_assignment_sharded};
 use crate::init::{exchange_features, exchange_missing_features, LdpExchange};
-use crate::report::{EpochMetrics, RunReport, SimSummary};
+use crate::report::{RunReport, SimSummary};
 use crate::task::{EvalCadence, EvalSplit, LinkFetches, TaskData, TaskHead};
 use crate::tree::{DeviceTree, LocalGraphKind};
 
@@ -110,19 +110,18 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
         let loss = model.step(batch, pool, fleet.topology.as_ref(), &ds.graph, &mut rng);
         fleet.account(&forest.trees, &judged, model.head.link_fetches());
         fleet.close(&forest.batch.tree_sizes, &judged, epoch + 1 == cfg.epochs);
-        if cadence.due(epoch) {
-            let val_metric = model.evaluate(&forest.batch, EvalSplit::Val, &mut rng);
-            report.best_val_metric = report.best_val_metric.max(val_metric);
-            report.history.push(EpochMetrics {
-                epoch,
-                loss,
-                val_metric,
-            });
+        let splits = cadence.splits_after(epoch);
+        if !splits.is_empty() {
+            let metrics = model.evaluate(&forest.batch, splits, &mut rng);
+            report.record_eval(epoch, loss, &metrics);
         }
     }
 
-    // Phase 5: test metric.
-    report.test_metric = model.evaluate(&forest.batch, EvalSplit::Test, &mut rng);
+    // Phase 5: the test metric rode on the last epoch's validation forward;
+    // a run that trains nothing scores the model it initialized.
+    if cfg.epochs == 0 {
+        report.test_metric = model.evaluate(&forest.batch, &[EvalSplit::Test], &mut rng)[0];
+    }
     report.avg_messages_per_device_per_epoch = fleet.runtime.avg_messages_per_device_per_epoch();
     report.avg_epoch_secs = fleet.runtime.avg_epoch_wall_secs();
     report.avg_epoch_makespan = fleet.runtime.avg_epoch_makespan();
@@ -270,19 +269,28 @@ impl Model {
         loss
     }
 
-    /// The held-out metric (no dropout). Evaluation is offline: every
-    /// device's embedding participates, and the pooling runs server-side —
-    /// no aggregation tier on the wire.
-    fn evaluate(&mut self, batch: &BatchedTrees, on: EvalSplit, rng: &mut Xoshiro256pp) -> f64 {
+    /// The held-out metrics of `splits`, in order, off one forward (no
+    /// dropout). Evaluation is offline: every device's embedding
+    /// participates, and the pooling runs server-side — no aggregation tier
+    /// on the wire.
+    fn evaluate(
+        &mut self,
+        batch: &BatchedTrees,
+        splits: &[EvalSplit],
+        rng: &mut Xoshiro256pp,
+    ) -> Vec<f64> {
         let mut tape = std::mem::take(&mut self.tape).reset();
         let x = tape.constant_ref(&batch.features);
         let h_tree = self
             .encoder
             .forward(&mut tape, &self.store, x, &batch.mg, false, rng);
         let h = tiered_pool(&mut tape, h_tree, &batch.masked_pool(&[]), None);
-        let metric = self.head.metric(&mut tape, &self.store, h, on);
+        let metrics = splits
+            .iter()
+            .map(|&on| self.head.metric(&mut tape, &self.store, h, on))
+            .collect();
         self.tape = tape.reset();
-        metric
+        metrics
     }
 }
 

@@ -47,9 +47,13 @@ impl GcnLayer {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
         let xw = tape.matmul(x, w);
-        let gathered = tape.gather_rows(xw, mg.src.clone());
-        let scaled = tape.scale_rows(gathered, mg.gcn_coeff.clone());
-        let agg = tape.scatter_add_rows(scaled, mg.dst.clone(), mg.num_nodes);
+        let agg = tape.propagate(
+            xw,
+            mg.src.clone(),
+            mg.gcn_coeff.clone(),
+            mg.dst.clone(),
+            mg.num_nodes,
+        );
         tape.add_row_broadcast(agg, b)
     }
 }
@@ -300,6 +304,47 @@ mod tests {
             "{:?} vs {numeric:?}",
             store.get(wid).grad
         );
+    }
+
+    /// The layer's output and parameter gradients equal, bit for bit, the
+    /// gather → scale-rows → scatter-add recording `propagate` replaced.
+    #[test]
+    fn gcn_matches_the_three_op_reference_bit_for_bit() {
+        let mut r = rng();
+        let mut store = ParamStore::new();
+        let layer = GcnLayer::new(&mut store, "gcn", 5, 3, &mut r);
+        store.get_mut(layer.b).value = Tensor::rand_uniform(1, 3, -1.0, 1.0, &mut r);
+        // Hubs, a pendant path and two isolated nodes.
+        let edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5), (5, 6)];
+        let mg = MessageGraph::from_undirected(9, &edges);
+        let x = Tensor::rand_uniform(9, 5, -1.0, 1.0, &mut r);
+
+        let mut run = |fused: bool| {
+            let mut tape = Tape::new();
+            let xv = tape.constant_ref(&x);
+            let y = if fused {
+                layer.forward(&mut tape, &store, xv, &mg)
+            } else {
+                let w = tape.param(&store, layer.w);
+                let b = tape.param(&store, layer.b);
+                let xw = tape.matmul(xv, w);
+                let gathered = tape.gather_rows(xw, mg.src.clone());
+                let scaled = tape.scale_rows(gathered, mg.gcn_coeff.clone());
+                let agg = tape.scatter_add_rows(scaled, mg.dst.clone(), mg.num_nodes);
+                tape.add_row_broadcast(agg, b)
+            };
+            let s = tape.sigmoid(y);
+            let l = tape.mean_all(s);
+            store.zero_grad();
+            tape.accumulate_param_grads(&tape.backward(l), &mut store);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (
+                bits(tape.value(y)),
+                bits(&store.get(layer.w).grad),
+                bits(&store.get(layer.b).grad),
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //! backbone beyond the paper's GCN/GAT evaluation.
 //!
 //! Mean-aggregator variant: `h'_v = W_self·h_v + W_neigh·mean h_u + b`.
-//! The open-neighborhood mean is computed from the shared [`MessageGraph`]
-//! by zeroing self-loop arcs, so the same batched tree structure drives all
-//! three backbones.
-
-use std::rc::Rc;
+//! The open-neighborhood mean runs over the shared [`MessageGraph`] with its
+//! `mean_coeff` (zero on self-loop arcs), so the same batched tree structure
+//! drives all three backbones.
 
 use lumos_common::rng::Xoshiro256pp;
 use lumos_tensor::{ParamId, ParamStore, Tape, Tensor, VarId};
@@ -50,30 +48,6 @@ impl SageLayer {
         self.out_dim
     }
 
-    /// Per-arc open-neighborhood mean coefficients: self-loop arcs get 0,
-    /// others `1/(indeg(dst) − 1)` (the −1 discounts the self-loop the
-    /// message graph always adds).
-    fn mean_coefficients(mg: &MessageGraph) -> Rc<Vec<f32>> {
-        let mut indeg = vec![0u32; mg.num_nodes];
-        for &d in mg.dst.iter() {
-            indeg[d as usize] += 1;
-        }
-        let coeff = mg
-            .src
-            .iter()
-            .zip(mg.dst.iter())
-            .map(|(&s, &d)| {
-                let open = indeg[d as usize].saturating_sub(1);
-                if s == d || open == 0 {
-                    0.0
-                } else {
-                    1.0 / open as f32
-                }
-            })
-            .collect();
-        Rc::new(coeff)
-    }
-
     /// One propagation step.
     pub fn forward(
         &self,
@@ -87,9 +61,13 @@ impl SageLayer {
         let b = tape.param(store, self.b);
         let self_term = tape.matmul(x, w_self);
         let xw = tape.matmul(x, w_neigh);
-        let gathered = tape.gather_rows(xw, mg.src.clone());
-        let averaged = tape.scale_rows(gathered, Self::mean_coefficients(mg));
-        let agg = tape.scatter_add_rows(averaged, mg.dst.clone(), mg.num_nodes);
+        let agg = tape.propagate(
+            xw,
+            mg.src.clone(),
+            mg.mean_coeff.clone(),
+            mg.dst.clone(),
+            mg.num_nodes,
+        );
         let sum = tape.add(self_term, agg);
         tape.add_row_broadcast(sum, b)
     }
@@ -146,6 +124,69 @@ mod tests {
             (tape.value(y).at(1, 0) - 10.0).abs() < 1e-6,
             "mean(10) = 10"
         );
+    }
+
+    /// The layer's output and parameter gradients equal, bit for bit, the
+    /// gather → scale-rows → scatter-add recording `propagate` replaced,
+    /// with the mean coefficients derived from the arcs as the layer used to.
+    #[test]
+    fn matches_the_three_op_reference_bit_for_bit() {
+        let mut r = rng();
+        let mut store = ParamStore::new();
+        let layer = SageLayer::new(&mut store, "sage", 4, 3, &mut r);
+        store.get_mut(layer.b).value = Tensor::rand_uniform(1, 3, -1.0, 1.0, &mut r);
+        // A hub, a pendant path and two isolated nodes.
+        let edges = [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (4, 5)];
+        let mg = MessageGraph::from_undirected(8, &edges);
+        let x = Tensor::rand_uniform(8, 4, -1.0, 1.0, &mut r);
+
+        let mut indeg = vec![0u32; mg.num_nodes];
+        for &d in mg.dst.iter() {
+            indeg[d as usize] += 1;
+        }
+        let mean: Vec<f32> = (mg.src.iter().zip(mg.dst.iter()))
+            .map(|(&s, &d)| {
+                let open = indeg[d as usize] - 1;
+                if s == d || open == 0 {
+                    0.0
+                } else {
+                    1.0 / open as f32
+                }
+            })
+            .collect();
+        let mean = std::rc::Rc::new(mean);
+
+        let mut run = |fused: bool| {
+            let mut tape = Tape::new();
+            let xv = tape.constant_ref(&x);
+            let y = if fused {
+                layer.forward(&mut tape, &store, xv, &mg)
+            } else {
+                let w_self = tape.param(&store, layer.w_self);
+                let w_neigh = tape.param(&store, layer.w_neigh);
+                let b = tape.param(&store, layer.b);
+                let self_term = tape.matmul(xv, w_self);
+                let xw = tape.matmul(xv, w_neigh);
+                let gathered = tape.gather_rows(xw, mg.src.clone());
+                let averaged = tape.scale_rows(gathered, mean.clone());
+                let agg = tape.scatter_add_rows(averaged, mg.dst.clone(), mg.num_nodes);
+                let sum = tape.add(self_term, agg);
+                tape.add_row_broadcast(sum, b)
+            };
+            let s = tape.sigmoid(y);
+            let l = tape.mean_all(s);
+            store.zero_grad();
+            tape.accumulate_param_grads(&tape.backward(l), &mut store);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let grad = |store: &ParamStore, id| bits(&store.get(id).grad);
+            (
+                bits(tape.value(y)),
+                grad(&store, layer.w_self),
+                grad(&store, layer.w_neigh),
+                grad(&store, layer.b),
+            )
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

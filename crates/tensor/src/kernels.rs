@@ -2,8 +2,10 @@
 //!
 //! Message passing on the batched tree graph reduces to three primitives:
 //! gathering source-node rows along edges, scatter-adding edge messages into
-//! destination nodes, and a segment softmax for attention coefficients. All
-//! are implemented over the dense [`Tensor`] with explicit index arrays.
+//! destination nodes, and a segment softmax for attention coefficients —
+//! plus [`propagate`], the gather → scale → scatter-add chain of a
+//! constant-coefficient layer as one pass. All are implemented over the
+//! dense [`Tensor`] with explicit index arrays.
 //!
 //! Each kernel is written once, as an `_into` form that fills a caller-owned
 //! output (the tape hands it recycled buffers); the allocating function of
@@ -83,6 +85,50 @@ pub(crate) fn scale_rows_into(x: &Tensor, coeff: &[f32], out: &mut Tensor) {
     let buf = out.reshape_empty(n, d);
     for (row, &c) in x.data().chunks_exact(d.max(1)).zip(coeff) {
         buf.extend(row.iter().map(|&v| v * c));
+    }
+}
+
+/// One message-passing step, fused: `out[dst[i], :] += x[src[i], :] *
+/// coeff[i]` over the arcs in index order, with `out` having `out_rows`
+/// rows.
+///
+/// Equal, bit for bit, to `scatter_add_rows(scale_rows(gather_rows(x, src),
+/// coeff), dst, out_rows)` — the same products added in the same order —
+/// without the two arc-sized intermediates. Its adjoint is itself with `src`
+/// and `dst` exchanged.
+///
+/// # Panics
+/// Panics if the three arc arrays differ in length or any index is out of
+/// bounds.
+pub fn propagate(x: &Tensor, src: &[u32], coeff: &[f32], dst: &[u32], out_rows: usize) -> Tensor {
+    let mut out = Tensor::default();
+    propagate_into(x, src, coeff, dst, out_rows, &mut out);
+    out
+}
+
+/// [`propagate`] into `out`, reusing its buffer.
+pub(crate) fn propagate_into(
+    x: &Tensor,
+    src: &[u32],
+    coeff: &[f32],
+    dst: &[u32],
+    out_rows: usize,
+    out: &mut Tensor,
+) {
+    let (n, d) = x.dims();
+    assert_eq!(src.len(), dst.len(), "arc endpoints must pair up");
+    assert_eq!(coeff.len(), src.len(), "one coefficient per arc");
+    out.reshape_filled(out_rows, d, 0.0);
+    for ((&s, &t), &c) in src.iter().zip(dst).zip(coeff) {
+        let (s, t) = (s as usize, t as usize);
+        assert!(s < n, "gather index {s} out of bounds for {n} rows");
+        assert!(
+            t < out_rows,
+            "scatter index {t} out of bounds for {out_rows} rows"
+        );
+        for (o, &v) in out.row_mut(t).iter_mut().zip(x.row(s)) {
+            *o += v * c;
+        }
     }
 }
 
@@ -368,5 +414,23 @@ mod tests {
     fn gather_out_of_bounds_panics() {
         let x = Tensor::zeros(2, 2);
         gather_rows(&x, &[5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "gather index 2 out of bounds")]
+    fn propagate_source_out_of_bounds_panics() {
+        propagate(&Tensor::zeros(2, 2), &[2], &[1.0], &[0], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter index 3 out of bounds")]
+    fn propagate_destination_out_of_bounds_panics() {
+        propagate(&Tensor::zeros(2, 2), &[1], &[1.0], &[3], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "one coefficient per arc")]
+    fn propagate_needs_a_coefficient_per_arc() {
+        propagate(&Tensor::zeros(2, 2), &[1, 0], &[1.0], &[0, 1], 3);
     }
 }

@@ -3,7 +3,8 @@
 //! The Lumos paper's GNN trainer (its §VI) needs hand-rolled GCN/GAT layers
 //! over tree-structured graphs. This crate provides the minimal but complete
 //! machinery: a row-major 2-D [`Tensor`](tensor::Tensor), sparse-access
-//! kernels (gather / scatter-add / segment softmax), a transparent
+//! kernels (gather / scatter-add / their fused propagate / segment softmax),
+//! register-tiled dense products, a transparent
 //! [`Tape`](tape::Tape)-based autograd with an explicit op enum, trainable
 //! [`ParamStore`](param::ParamStore), and [`Adam`](optim::Adam)/[`Sgd`](optim::Sgd)
 //! optimizers. [`gradcheck`] exposes finite-difference checking so every
@@ -37,6 +38,7 @@
 #![forbid(unsafe_code)]
 pub mod gradcheck;
 pub mod kernels;
+mod matmul;
 pub mod nn;
 pub mod optim;
 pub mod param;

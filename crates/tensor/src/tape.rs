@@ -18,8 +18,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::kernels::{
-    concat_cols_into, copy_cols_into, gather_rows_into, log_softmax_rows_into, scale_rows_into,
-    scatter_add_rows_into, segment_softmax_backward_into, segment_softmax_into,
+    concat_cols_into, copy_cols_into, gather_rows_into, log_softmax_rows_into, propagate_into,
+    scale_rows_into, scatter_add_rows_into, segment_softmax_backward_into, segment_softmax_into,
 };
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
@@ -60,6 +60,16 @@ enum Op {
     ScatterAddRows(VarId, Rc<Vec<u32>>, usize),
     /// Constant per-row scaling (GCN normalization, mean-pool weights).
     ScaleRows(VarId, Rc<Vec<f32>>),
+    /// Fused message passing: `out[dst[i]] += a[src[i]] * coeff[i]` into
+    /// `out_rows` rows (the gather → scale-rows → scatter-add chain of a
+    /// GCN / SAGE layer as one node).
+    Propagate {
+        a: VarId,
+        src: Rc<Vec<u32>>,
+        coeff: Rc<Vec<f32>>,
+        dst: Rc<Vec<u32>>,
+        out_rows: usize,
+    },
     /// Softmax within segments (GAT attention normalization).
     SegmentSoftmax(VarId, Rc<Vec<u32>>, usize),
     /// Horizontal concatenation (multi-head outputs).
@@ -408,6 +418,31 @@ impl<'a> Tape<'a> {
         self.push(Op::ScaleRows(a, coeff), &[a], v)
     }
 
+    /// One message-passing step with constant per-arc coefficients:
+    /// `out[dst[i]] += a[src[i]] * coeff[i]` over the arcs in index order,
+    /// into `out_rows` rows. Values and gradients equal, bit for bit, those
+    /// of [`Tape::gather_rows`] → [`Tape::scale_rows`] →
+    /// [`Tape::scatter_add_rows`], without the two arc-sized intermediates.
+    pub fn propagate(
+        &mut self,
+        a: VarId,
+        src: Rc<Vec<u32>>,
+        coeff: Rc<Vec<f32>>,
+        dst: Rc<Vec<u32>>,
+        out_rows: usize,
+    ) -> VarId {
+        let mut v = self.buf(out_rows * self.value(a).cols());
+        propagate_into(self.value(a), &src, &coeff, &dst, out_rows, &mut v);
+        let op = Op::Propagate {
+            a,
+            src,
+            coeff,
+            dst,
+            out_rows,
+        };
+        self.push(op, &[a], v)
+    }
+
     /// Segment softmax (per destination node, per head).
     pub fn segment_softmax(&mut self, a: VarId, seg: Rc<Vec<u32>>, n_seg: usize) -> VarId {
         let mut v = self.buf(self.value(a).len());
@@ -517,7 +552,7 @@ impl<'a> Tape<'a> {
             let Some(g) = grads.grads[id].take() else {
                 continue;
             };
-            self.propagate(id, &g, &mut grads);
+            self.push_down(id, &g, &mut grads);
             grads.grads[id] = Some(g);
         }
         grads
@@ -525,7 +560,7 @@ impl<'a> Tape<'a> {
 
     /// Pushes `g`, the gradient of node `id`, down to each operand that
     /// needs one.
-    fn propagate(&self, id: VarId, g: &Tensor, grads: &mut Gradients) {
+    fn push_down(&self, id: VarId, g: &Tensor, grads: &mut Gradients) {
         // A unary op's operand needs a gradient whenever the node itself
         // does, so only the multi-operand arms ask.
         match &self.nodes[id].op {
@@ -624,6 +659,20 @@ impl<'a> Tape<'a> {
             }
             Op::ScaleRows(a, coeff) => {
                 grads.accumulate_with(*a, g.len(), |da| scale_rows_into(g, coeff, da));
+            }
+            Op::Propagate {
+                a,
+                src,
+                coeff,
+                dst,
+                out_rows,
+            } => {
+                // The adjoint runs the arcs backwards: dst → src.
+                debug_assert_eq!(g.rows(), *out_rows, "upstream gradient shape");
+                let rows = self.value(*a).rows();
+                grads.accumulate_with(*a, self.value(*a).len(), |da| {
+                    propagate_into(g, dst, coeff, src, rows, da)
+                });
             }
             Op::SegmentSoftmax(a, seg, n_seg) => {
                 grads.accumulate_with(*a, g.len(), |da| {
@@ -821,6 +870,107 @@ mod tests {
         t.accumulate_param_grads(&grads, &mut store);
         let numeric = crate::gradcheck::numeric_grad(&mut store, x, &eval, 1e-3);
         assert!(store.get(x).grad.max_abs_diff(&numeric) < 1e-2);
+    }
+
+    /// A message graph's arcs: sources, coefficients, destinations.
+    type Arcs<'a> = (&'a Rc<Vec<u32>>, &'a Rc<Vec<f32>>, &'a Rc<Vec<u32>>);
+
+    /// One recording of `propagate`, or of the three ops it fuses, between
+    /// a leaky ReLU (so the incoming values are not the parameter itself)
+    /// and a weighted sum (so the upstream gradient is not constant).
+    fn record_message_pass(
+        t: &mut Tape<'_>,
+        store: &ParamStore,
+        x: ParamId,
+        (src, coeff, dst): Arcs<'_>,
+        weight: &Tensor,
+        fused: bool,
+    ) -> VarId {
+        let out_rows = weight.rows();
+        let xv = t.param(store, x);
+        let act = t.leaky_relu(xv, 0.2);
+        let agg = if fused {
+            t.propagate(act, src.clone(), coeff.clone(), dst.clone(), out_rows)
+        } else {
+            let gathered = t.gather_rows(act, src.clone());
+            let scaled = t.scale_rows(gathered, coeff.clone());
+            t.scatter_add_rows(scaled, dst.clone(), out_rows)
+        };
+        let wv = t.constant(weight.clone());
+        let weighted = t.mul(agg, wv);
+        t.sum_all(weighted)
+    }
+
+    #[test]
+    fn propagate_matches_the_three_op_chain_bit_for_bit() {
+        let mut rng = lumos_common::rng::Xoshiro256pp::seed_from_u64(37);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for _ in 0..30 {
+            let (n, d, out_rows) = (1 + rng.index(8), 1 + rng.index(18), 1 + rng.index(8));
+            // Repeated destinations, destinations and sources no arc touches.
+            let arcs = rng.index(4 * n);
+            let src = Rc::new((0..arcs).map(|_| rng.index(n) as u32).collect::<Vec<_>>());
+            let dst = Rc::new(
+                (0..arcs)
+                    .map(|_| rng.index(out_rows) as u32)
+                    .collect::<Vec<_>>(),
+            );
+            let coeff = Rc::new(
+                (0..arcs)
+                    .map(|_| 2.0 * rng.next_f32() - 1.0)
+                    .collect::<Vec<_>>(),
+            );
+            let mut store = ParamStore::new();
+            let x = store.add("x", Tensor::rand_uniform(n, d, -1.0, 1.0, &mut rng));
+            let weight = Tensor::rand_uniform(out_rows, d, -1.0, 1.0, &mut rng);
+
+            let grads_of = |fused: bool| {
+                let mut t = Tape::new();
+                let arcs = (&src, &coeff, &dst);
+                let loss = record_message_pass(&mut t, &store, x, arcs, &weight, fused);
+                let grads = t.backward(loss);
+                // x, its activation, and the aggregate: nodes 0, 1 and the
+                // one before the weight constant.
+                let agg = loss - 3;
+                (
+                    bits(t.value(agg)),
+                    bits(grads.get(agg).expect("aggregate gradient")),
+                    bits(grads.get(1).expect("activation gradient")),
+                    bits(grads.get(0).expect("parameter gradient")),
+                )
+            };
+            assert_eq!(grads_of(true), grads_of(false));
+        }
+    }
+
+    #[test]
+    fn propagate_gradients_match_finite_difference() {
+        let mut store = ParamStore::new();
+        let mut rng = lumos_common::rng::Xoshiro256pp::seed_from_u64(41);
+        let x = store.add("x", Tensor::rand_uniform(4, 3, -1.0, 1.0, &mut rng));
+        let src = Rc::new(vec![0u32, 2, 2, 3, 1, 0]);
+        let dst = Rc::new(vec![1u32, 0, 1, 1, 0, 1]);
+        let coeff = Rc::new(vec![0.5f32, -1.5, 0.25, 2.0, 1.0, -0.75]);
+        let weight = Tensor::rand_uniform(3, 3, -1.0, 1.0, &mut rng);
+        let arcs = (&src, &coeff, &dst);
+
+        let eval = |store: &ParamStore| -> f32 {
+            let mut t = Tape::new();
+            let l = record_message_pass(&mut t, store, x, arcs, &weight, true);
+            t.value(l).item()
+        };
+
+        let mut t = Tape::new();
+        let l = record_message_pass(&mut t, &store, x, arcs, &weight, true);
+        let grads = t.backward(l);
+        store.zero_grad();
+        t.accumulate_param_grads(&grads, &mut store);
+        let numeric = crate::gradcheck::numeric_grad(&mut store, x, &eval, 1e-3);
+        assert!(
+            store.get(x).grad.max_abs_diff(&numeric) < 1e-2,
+            "{:?} vs {numeric:?}",
+            store.get(x).grad
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 
 use lumos_common::rng::Xoshiro256pp;
 
+use crate::matmul;
+
 /// Dense row-major matrix of `f32` values.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Tensor {
@@ -82,8 +84,8 @@ impl Tensor {
 
     /// Re-dimensions to `[rows, cols]` with every element set to `value`.
     /// Ops that accumulate into their output (`matmul*`, `sum_rows`,
-    /// `scatter_add_rows`) start here with `0.0`: a recycled buffer holds an
-    /// earlier tensor's values.
+    /// `scatter_add_rows`, `propagate`) start here with `0.0`: a recycled
+    /// buffer holds an earlier tensor's values.
     pub(crate) fn reshape_filled(&mut self, rows: usize, cols: usize, value: f32) {
         self.rows = rows;
         self.cols = cols;
@@ -331,10 +333,12 @@ impl Tensor {
         out
     }
 
-    /// Matrix product `self @ other`.
+    /// Matrix product `self @ other`, skipping zero multipliers of `self`
+    /// (LDP-encoded features contain many constants).
     ///
-    /// Uses the cache-friendly i-k-j loop order and skips zero multipliers
-    /// (useful because LDP-encoded features contain many constants).
+    /// Like [`Tensor::matmul_tn`] and [`Tensor::matmul_nt`], the product is
+    /// tiled, but every element is still one sum from `+0.0` in ascending
+    /// inner index: the result's bits do not depend on the tiling.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
@@ -351,20 +355,8 @@ impl Tensor {
             "matmul inner dims: [{},{}] @ [{},{}]",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.reshape_filled(m, n, 0.0);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out.data[i * n..(i + 1) * n];
-            for (kk, &a) in a_row.iter().enumerate() {
-                if a != 0.0 {
-                    let b_row = &other.data[kk * n..(kk + 1) * n];
-                    for (o, &b) in o_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
+        let dims = (self.rows, self.cols, other.cols);
+        self.product_into(other, out, dims, matmul::matmul);
     }
 
     /// `self @ other^T` without materializing the transpose.
@@ -381,22 +373,12 @@ impl Tensor {
             "matmul_nt inner dims: [{},{}] @ [{},{}]^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let buf = out.reshape_empty(m, n);
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            buf.extend((0..n).map(|j| {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                acc
-            }));
-        }
+        let dims = (self.rows, self.cols, other.rows);
+        self.product_into(other, out, dims, matmul::matmul_nt);
     }
 
-    /// `self^T @ other` without materializing the transpose.
+    /// `self^T @ other` without materializing the transpose, skipping zero
+    /// multipliers of `self`.
     pub fn matmul_tn(&self, other: &Self) -> Self {
         let mut out = Self::default();
         self.matmul_tn_into(other, &mut out);
@@ -410,20 +392,20 @@ impl Tensor {
             "matmul_tn inner dims: [{},{}]^T @ [{},{}]",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.cols, self.rows, other.cols);
+        let dims = (self.cols, self.rows, other.cols);
+        self.product_into(other, out, dims, matmul::matmul_tn);
+    }
+
+    /// Runs one of the [`matmul`] kernels into a zero-filled `[m, n]` `out`.
+    fn product_into(
+        &self,
+        other: &Self,
+        out: &mut Self,
+        (m, k, n): (usize, usize, usize),
+        kernel: impl Fn(&[f32], &[f32], &mut [f32], (usize, usize, usize)),
+    ) {
         out.reshape_filled(m, n, 0.0);
-        for kk in 0..k {
-            let a_row = &self.data[kk * m..(kk + 1) * m];
-            let b_row = &other.data[kk * n..(kk + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a != 0.0 {
-                    let o_row = &mut out.data[i * n..(i + 1) * n];
-                    for (o, &b) in o_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
+        kernel(&self.data, &other.data, &mut out.data, (m, k, n));
     }
 
     /// Sum over rows, producing a `[1, cols]` row vector.

@@ -93,7 +93,7 @@ pub fn record<'a>(
     // `[n, d]` results so far; every op below maps some of them to one more.
     let mut mats: Vec<VarId> = leaves[..MATS].to_vec();
     let below = &mut below_param;
-    let mut order: Vec<usize> = (0..17).collect();
+    let mut order: Vec<usize> = (0..18).collect();
     rng.shuffle(&mut order);
     for op in order {
         let x = *rng.choose(&mats);
@@ -138,7 +138,12 @@ pub fn record<'a>(
                 note(below, tape.matmul(cat, w), &[cat, w])
             }
             16 => note(below, tape.log_softmax_rows(x), &[x]),
-            _ => unreachable!("17 matrix ops"),
+            17 => {
+                let (src, dst) = (rows(&mut rng, n), rows(&mut rng, n));
+                let coeff = floats(&mut rng, n, -1.0, 1.0);
+                note(below, tape.propagate(x, src, coeff, dst, n), &[x])
+            }
+            _ => unreachable!("18 matrix ops"),
         };
         mats.push(out);
     }

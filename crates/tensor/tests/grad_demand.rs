@@ -11,7 +11,7 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One chain over all 22 `Op` variants, differentiated as recorded
+    /// One chain over all 23 `Op` variants, differentiated as recorded
     /// (a random mix of params and constants) and again with every
     /// constant promoted to a param — the full sweep, through the same
     /// code. Whatever the pruned sweep still computes is bitwise what the

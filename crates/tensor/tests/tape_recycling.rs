@@ -9,10 +9,10 @@ use lumos_tensor::Tape;
 
 #[test]
 fn reset_tape_matches_fresh_tapes_bitwise() {
-    let mut rng = Xoshiro256pp::seed_from_u64(0x5eed);
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5eed1);
     // Shapes change between rounds. Round 1's 24-value buffers are
     // re-issued for round 2's 12-value tensors and again for round 3's 20:
-    // an accumulating kernel (`matmul`, `matmul_tn`, `scatter_add_rows`)
+    // an accumulating kernel (`matmul*`, `scatter_add_rows`, `propagate`)
     // that trusted a recycled buffer to be zero would add onto round 1.
     let rounds: Vec<(Inputs, u64)> = [(6, 4), (4, 3), (5, 4)]
         .into_iter()
