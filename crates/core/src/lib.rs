@@ -43,6 +43,6 @@ pub use init::{exchange_features, LdpExchange};
 pub use lumos_balance::{BalanceObjective, CompareBackend};
 pub use lumos_sim::AggregationPolicy;
 pub use lumos_topo::{Topology, TopologyConfig};
-pub use report::{ConstructorReport, EpochMetrics, RunReport, SimSummary};
+pub use report::{ConstructorReport, EpochMetrics, RoundRecord, RoundSim, RunReport, SimSummary};
 pub use trainer::run_lumos;
 pub use tree::{DeviceTree, LocalGraphKind, TreeNode};

@@ -45,8 +45,94 @@ pub struct ConstructorReport {
     pub mcmc_trace: Vec<usize>,
 }
 
+/// One training round as it closed: the ledger window, the cost model's
+/// price for it, the loss of its update and — under a scenario — what the
+/// round's simulation decided. Scalars only, so a run's log stays O(epochs)
+/// whatever the fleet size; all of it deterministic under the run seed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundRecord {
+    /// Epoch index (0-based).
+    pub epoch: usize,
+    /// Messages on the ledger this round, carried-in traffic included.
+    pub messages: u64,
+    /// Bytes on the ledger this round.
+    pub bytes: u64,
+    /// `messages` per device — what Fig. 8a averages.
+    pub messages_per_device: f64,
+    /// Cost-model makespan (straggler units).
+    pub makespan: f64,
+    /// Cost-model mean device cost.
+    pub mean_cost: f64,
+    /// Training loss of the round's update.
+    pub loss: f64,
+    /// Validation metric, at evaluation rounds.
+    pub val_metric: Option<f64>,
+    /// The round's simulation (`None` without a scenario).
+    pub sim: Option<RoundSim>,
+}
+
+/// What one simulated round decided. Every device that is `active` forms
+/// an update, and each update is accounted exactly once:
+/// `active = pooled + carried + crashed + discarded`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RoundSim {
+    /// Virtual seconds until the round closed (tier-extended).
+    pub makespan_secs: f64,
+    /// The aggregator → server hop's share of `makespan_secs`.
+    pub tier2_secs: f64,
+    /// The device whose event closed the device tier.
+    pub straggler: Option<u32>,
+    /// Mean fraction of `makespan_secs` the active devices spent busy.
+    pub utilization: f64,
+    /// Events the round's schedule processed before it closed.
+    pub events: u64,
+    /// Devices that took part (available this round).
+    pub active: u64,
+    /// Devices churned out this round.
+    pub absent: u64,
+    /// On-time updates in this round's POOL.
+    pub pooled: u64,
+    /// Devices that crashed mid-round.
+    pub crashed: u64,
+    /// Updates the policy cut from the barrier, discarded or carried.
+    pub cut: u64,
+    /// Cut updates the policy then discarded.
+    pub discarded: u64,
+    /// Updates carried to a later round: carried cuts, the async quorum's
+    /// overflow, and the `exhausted` uploads.
+    pub carried: u64,
+    /// Uploads that ran out their retry budget.
+    pub exhausted: u64,
+    /// Carried updates of earlier rounds pooled in this one.
+    pub arrived: u64,
+    /// Carried updates still waiting after this round. On the run's last
+    /// record: updates that were carried and never pooled.
+    pub in_flight: u64,
+    /// Send attempts lost in transit.
+    pub lost_messages: u64,
+    /// Retransmissions scheduled by the recovery policy.
+    pub retries: u64,
+    /// Virtual seconds of timeout + backoff + jitter before the retries.
+    pub retry_secs: f64,
+    /// Shards served by a successor aggregator during an outage.
+    pub failovers: u64,
+    /// Tree nodes the re-balancer moved off overloaded devices before
+    /// this round.
+    pub migrated_nodes: u64,
+}
+
+impl RoundRecord {
+    /// FNV-1a over the record's `Debug` rendering — every field, floats
+    /// shortest-round-trip, so equal digests mean bit-equal records and a
+    /// field added later is covered without being listed here.
+    fn digest(&self) -> u64 {
+        fnv1a(format!("{self:?}").bytes().map(u64::from))
+    }
+}
+
 /// Summary of a run's heterogeneous-device simulation (present when the
-/// config set a `lumos_sim::Scenario`).
+/// config set a `lumos_sim::Scenario`): the run's [`RoundRecord`]s, folded
+/// by [`RunReport::fold_rounds`] — the only place one is built.
 ///
 /// All times are *virtual* seconds from the discrete-event simulator —
 /// deterministic under the run seed, unlike the measured wall-clock fields.
@@ -71,8 +157,12 @@ pub struct SimSummary {
     /// full-sync barrier and under the async quorum, which closes early
     /// instead of cutting.
     pub late_drops: u64,
-    /// Late updates blended into a later round's POOL by the buffered
-    /// policy instead of being discarded (0 under full-sync and deadline).
+    /// Updates carried towards a later round's POOL instead of being
+    /// discarded: the buffered policy's cuts, the async quorum's overflow,
+    /// and uploads that ran out their retry budget. Counted when carried,
+    /// not when pooled: an update carried in the run's last rounds is still
+    /// in flight when the run ends — the last record's
+    /// [`RoundSim::in_flight`] — and is never pooled.
     pub buffered_updates: u64,
     /// Late updates discarded forever — the deadline policy's drops (0
     /// under full-sync, and 0 by construction under buffered).
@@ -101,6 +191,32 @@ pub struct SimSummary {
 }
 
 impl SimSummary {
+    /// Folds a scenario run's records into its summary. Every float fold
+    /// is a sum in round order: `Iterator::sum` (then one division for the
+    /// means), `+=` from `0.0` for `retry_secs`.
+    fn fold(scenario: &str, rounds: &[RoundRecord]) -> Self {
+        let sims = || rounds.iter().filter_map(|r| r.sim.as_ref());
+        let total = |f: fn(&RoundSim) -> u64| sims().map(f).sum::<u64>();
+        Self {
+            scenario: scenario.to_string(),
+            total_virtual_secs: sims().map(|s| s.makespan_secs).sum(),
+            avg_epoch_virtual_secs: mean(sims().map(|s| s.makespan_secs)),
+            straggler_sequence: sims().filter_map(|s| s.straggler).collect(),
+            mean_utilization: mean(sims().map(|s| s.utilization)),
+            dropped_device_rounds: total(|s| s.absent),
+            late_drops: total(|s| s.cut),
+            buffered_updates: total(|s| s.carried),
+            wasted_updates: total(|s| s.discarded),
+            migrations: total(|s| u64::from(s.migrated_nodes > 0)),
+            migrated_nodes: total(|s| s.migrated_nodes),
+            lost_messages: total(|s| s.lost_messages),
+            retries: total(|s| s.retries),
+            retry_secs: sims().fold(0.0, |acc, s| acc + s.retry_secs),
+            crashed_devices: total(|s| s.crashed),
+            failovers: total(|s| s.failovers),
+        }
+    }
+
     /// The device that straggled most often, with its epoch count.
     pub fn dominant_straggler(&self) -> Option<(u32, usize)> {
         // BTreeMap keeps the tally iteration key-ordered; the max_by_key
@@ -145,6 +261,10 @@ pub struct RunReport {
     pub init_messages: u64,
     /// Heterogeneous-device simulation summary (None without a scenario).
     pub sim: Option<SimSummary>,
+    /// One record per training round, in epoch order (`run_lumos` only; the
+    /// baselines leave it empty). `avg_messages_per_device_per_epoch`,
+    /// `avg_epoch_makespan` and `sim` are folds over it.
+    pub rounds: Vec<RoundRecord>,
 }
 
 impl RunReport {
@@ -164,7 +284,18 @@ impl RunReport {
             constructor: ConstructorReport::default(),
             init_messages: 0,
             sim: None,
+            rounds: Vec::new(),
         }
+    }
+
+    /// Sets the run-level folds over `rounds`: the two per-epoch means, and
+    /// the simulation summary of a run on `scenario`.
+    pub fn fold_rounds(&mut self, scenario: Option<&str>) {
+        let rounds = self.rounds.iter();
+        self.avg_messages_per_device_per_epoch =
+            mean(rounds.clone().map(|r| r.messages_per_device));
+        self.avg_epoch_makespan = mean(rounds.map(|r| r.makespan));
+        self.sim = scenario.map(|name| SimSummary::fold(name, &self.rounds));
     }
 
     /// Books one evaluation after `epoch`: `metrics` holds the validation
@@ -189,11 +320,30 @@ impl RunReport {
     }
 
     /// One number for "same seed + same config ⇒ same report": FNV-1a over
-    /// every deterministic field, floats by bit pattern. The wall-clock
-    /// fields (`avg_epoch_secs`, `constructor.wall_secs`) are the only ones
-    /// left out.
+    /// every run-level deterministic field, floats by bit pattern. Left
+    /// out: the wall-clock fields (`avg_epoch_secs`,
+    /// `constructor.wall_secs`), and `rounds` — covered through its folds
+    /// (`sim` and the two per-epoch means), and pinned record by record by
+    /// [`RunReport::rounds_digest`], so adding a record field never moves
+    /// this number.
     pub fn digest(&self) -> u64 {
         fnv1a(self.field_digests().into_iter().map(|(_, d)| d))
+    }
+
+    /// FNV-1a over every field of every round record, in epoch order.
+    pub fn rounds_digest(&self) -> u64 {
+        fnv1a(self.rounds.iter().map(RoundRecord::digest))
+    }
+
+    /// The first round on which the two reports' records differ (bit
+    /// patterns, not float equality) — a missing round differs from a
+    /// present one. `None` when `rounds` is bit-identical. The first
+    /// differing round *is* the bug.
+    pub fn first_divergent_round(&self, other: &RunReport) -> Option<usize> {
+        let (mine, theirs) = (&self.rounds, &other.rounds);
+        (0..mine.len().max(theirs.len())).find(|&i| {
+            mine.get(i).map(RoundRecord::digest) != theirs.get(i).map(RoundRecord::digest)
+        })
     }
 
     /// The first deterministic field (in declaration order, `sim.*` last)
@@ -288,6 +438,15 @@ impl RunReport {
     }
 }
 
+/// The mean of `values`: `Iterator::sum` in order, then one division; 0 for
+/// none.
+fn mean(values: impl Iterator<Item = f64> + Clone) -> f64 {
+    match values.clone().count() {
+        0 => 0.0,
+        n => values.sum::<f64>() / n as f64,
+    }
+}
+
 /// FNV-1a (64-bit) over the little-endian bytes of a word stream, closed
 /// with the stream length so a prefix never collides with the whole.
 fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
@@ -359,6 +518,67 @@ mod tests {
         let mut retried = sim.clone();
         retried.sim.as_mut().unwrap().retries = 1;
         assert_ne!(sim.digest(), retried.digest());
+    }
+
+    #[test]
+    fn rounds_fold_to_the_summary_and_diverge_by_bit_pattern() {
+        let round = |epoch, migrated_nodes, retry_secs| RoundRecord {
+            epoch,
+            messages: 4,
+            bytes: 256,
+            messages_per_device: 2.0,
+            makespan: 3.0,
+            mean_cost: 1.5,
+            loss: 0.0,
+            val_metric: None,
+            sim: Some(RoundSim {
+                makespan_secs: 2.0,
+                straggler: Some(7),
+                cut: 3,
+                carried: 2,
+                discarded: 1,
+                migrated_nodes,
+                retry_secs,
+                ..RoundSim::default()
+            }),
+        };
+        let mut r = RunReport::new("lumos", "facebook", "GCN", "supervised");
+        r.rounds = vec![round(0, 0, 0.25), round(1, 5, 0.5), round(2, 9, 0.0)];
+        r.fold_rounds(Some("churn"));
+        assert_eq!(r.avg_messages_per_device_per_epoch, 2.0);
+        assert_eq!(r.avg_epoch_makespan, 3.0);
+        let sim = r.sim.clone().expect("a scenario run folds a summary");
+        assert_eq!(sim.scenario, "churn");
+        assert_eq!(
+            (sim.total_virtual_secs, sim.avg_epoch_virtual_secs),
+            (6.0, 2.0)
+        );
+        assert_eq!(sim.straggler_sequence, vec![7, 7, 7]);
+        assert_eq!(
+            (sim.late_drops, sim.buffered_updates, sim.wasted_updates),
+            (9, 6, 3)
+        );
+        assert_eq!((sim.migrations, sim.migrated_nodes), (2, 14));
+        assert_eq!(sim.retry_secs, 0.75);
+        // No scenario, no summary; no rounds, zero means.
+        let mut plain = RunReport::new("lumos", "facebook", "GCN", "supervised");
+        plain.fold_rounds(None);
+        assert!(plain.sim.is_none());
+        assert_eq!(plain.avg_epoch_makespan, 0.0);
+
+        assert_eq!(r.first_divergent_round(&r.clone()), None);
+        let mut signed = r.clone();
+        signed.rounds[1].loss = -0.0;
+        assert_eq!(r.first_divergent_round(&signed), Some(1), "-0.0 is not 0.0");
+        assert_ne!(r.rounds_digest(), signed.rounds_digest());
+        assert_eq!(r.digest(), signed.digest(), "digest() does not fold rounds");
+        let mut short = r.clone();
+        short.rounds.pop();
+        assert_eq!(
+            r.first_divergent_round(&short),
+            Some(2),
+            "a missing round differs"
+        );
     }
 
     #[test]

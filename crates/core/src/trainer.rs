@@ -12,20 +12,22 @@
 //! three and drives one round per epoch through their phase methods:
 //! `rebalance → judge → pool weights → step → account → close → evaluate`.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
 
 use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
 use lumos_common::rng::Xoshiro256pp;
+use lumos_common::timer::Stopwatch;
 use lumos_data::Dataset;
-use lumos_fed::{ledger_work, CostModel, RoundOutcome, Runtime, SimNetwork, TierSpec};
+use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
 use lumos_gnn::{EncoderConfig, GnnEncoder};
 use lumos_graph::Graph;
 use lumos_tensor::{Adam, ParamStore, Tape, VarId};
 
 use lumos_sim::{
-    AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, FaultPlan,
-    FaultState, ScenarioState, StalenessBuffer,
+    AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, FaultCounters,
+    FaultPlan, FaultState, ScenarioState, StalenessBuffer,
 };
 use lumos_topo::{ShardRoundPolicies, Topology};
 
@@ -33,7 +35,7 @@ use crate::batch::{build_batched, BatchedTrees, PoolArrays};
 use crate::config::LumosConfig;
 use crate::constructor::{construct_assignment, construct_assignment_sharded};
 use crate::init::{exchange_features, exchange_missing_features, LdpExchange};
-use crate::report::{RunReport, SimSummary};
+use crate::report::{RoundRecord, RoundSim, RunReport};
 use crate::task::{EvalCadence, EvalSplit, LinkFetches, TaskData, TaskHead};
 use crate::tree::{DeviceTree, LocalGraphKind};
 
@@ -101,20 +103,23 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     // Phase 4: synchronized training epochs, one round each.
     for epoch in 0..cfg.epochs {
         fleet.open_round();
-        if fleet.rebalance(&mut forest.assignment, cfg) {
+        let moved = fleet.rebalance(&mut forest.assignment, cfg);
+        if moved > 0 {
             forest.regrow(ds, cfg.epsilon, &mut rng, &mut fleet.runtime.network);
         }
-        let judged = fleet.judge(&mut forest, model.head.link_fetches());
-        let weights = fleet.pool_weights(&judged);
+        let mut judged = fleet.judge(&mut forest, model.head.link_fetches());
+        let weights = fleet.pool_weights(&mut judged);
         let (batch, pool) = forest.pooled(weights);
         let loss = model.step(batch, pool, fleet.topology.as_ref(), &ds.graph, &mut rng);
         fleet.account(&forest.trees, &judged, model.head.link_fetches());
-        fleet.close(&forest.batch.tree_sizes, &judged, epoch + 1 == cfg.epochs);
+        let mut round = fleet.close(epoch, &forest.batch.tree_sizes, &judged, moved, loss);
         let splits = cadence.splits_after(epoch);
         if !splits.is_empty() {
             let metrics = model.evaluate(&forest.batch, splits, &mut rng);
+            round.val_metric = Some(metrics[0]);
             report.record_eval(epoch, loss, &metrics);
         }
+        report.rounds.push(round);
     }
 
     // Phase 5: the test metric rode on the last epoch's validation forward;
@@ -122,10 +127,8 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     if cfg.epochs == 0 {
         report.test_metric = model.evaluate(&forest.batch, &[EvalSplit::Test], &mut rng)[0];
     }
-    report.avg_messages_per_device_per_epoch = fleet.runtime.avg_messages_per_device_per_epoch();
-    report.avg_epoch_secs = fleet.runtime.avg_epoch_wall_secs();
-    report.avg_epoch_makespan = fleet.runtime.avg_epoch_makespan();
-    report.sim = fleet.summary();
+    report.avg_epoch_secs = fleet.round_clock.secs() / cfg.epochs.max(1) as f64;
+    report.fold_rounds(cfg.scenario.map(|s| s.name()));
     report
 }
 
@@ -407,7 +410,7 @@ impl RoundProbe {
 }
 
 /// What a round's timing decided, before any training math runs. All empty
-/// without a scenario.
+/// (and `pooled` the whole fleet) without a scenario.
 #[derive(Default)]
 struct Judged {
     /// The round's simulation (`None` without a scenario).
@@ -422,6 +425,13 @@ struct Judged {
     /// late: what a carrying policy cut, and uploads that ran out their
     /// retry budget (one round).
     carried: Vec<(u32, u32)>,
+    /// The round's compiled fault plan, counted over the available fleet,
+    /// plus the shards an outage re-homed.
+    faults: FaultCounters,
+    /// On-time updates in the round's POOL weight vector, and carried ones
+    /// arriving in it (both set by [`Fleet::pool_weights`]).
+    pooled: u64,
+    arrived: u64,
 }
 
 /// Who trains and what it costs them: the devices' profiles, the ledger
@@ -442,8 +452,11 @@ struct Fleet {
     /// to the flat topology up front (`TopologyConfig::effective`).
     topology: Option<Topology>,
     layers: usize,
-    migrations: u64,
-    migrated_nodes: u64,
+    /// Wall time of the rounds so far, open to close: what `avg_epoch_secs`
+    /// averages. The report's one wall-clock accumulator — it is not a
+    /// `RoundRecord` field because records are bit-pinned — and it stays
+    /// here until ROADMAP item 2(c) moves wall time out of `RunReport`.
+    round_clock: Stopwatch,
 }
 
 impl Fleet {
@@ -512,14 +525,14 @@ impl Fleet {
             streaks: vec![0; n],
             topology,
             layers,
-            migrations: 0,
-            migrated_nodes: 0,
+            round_clock: Stopwatch::new(),
         };
         (fleet, node_costs)
     }
 
     /// Opens the round's ledger window on the fleet as it stands.
     fn open_round(&mut self) {
+        self.round_clock.start();
         if let Some(state) = &self.scenario {
             self.runtime.set_profiles(state.profiles().to_vec());
         }
@@ -531,10 +544,11 @@ impl Fleet {
     /// nominal rate) and migrate tree nodes off devices whose price stayed
     /// above `cfg.rebalance_threshold ×` the fleet mean for
     /// `cfg.rebalance_patience` consecutive rounds (the streak then
-    /// restarts). Returns whether `assignment` changed.
-    fn rebalance(&mut self, assignment: &mut Assignment, cfg: &LumosConfig) -> bool {
+    /// restarts). Returns the tree nodes moved; `assignment` changed iff it
+    /// is non-zero.
+    fn rebalance(&mut self, assignment: &mut Assignment, cfg: &LumosConfig) -> u64 {
         if carry_decay(&self.policy).is_none() {
-            return false;
+            return 0;
         }
         let prices = self
             .runtime
@@ -554,12 +568,9 @@ impl Fleet {
             }
         }
         if overloaded.is_empty() {
-            return false;
+            return 0;
         }
-        let moved = rebalance_assignment(assignment, &prices, &overloaded).moved_nodes;
-        self.migrations += u64::from(moved > 0);
-        self.migrated_nodes += moved as u64;
-        moved > 0
+        rebalance_assignment(assignment, &prices, &overloaded).moved_nodes as u64
     }
 
     /// Judges one round on the fleet as it stands: who is churned out, who
@@ -582,23 +593,22 @@ impl Fleet {
         let mut exhausted = Vec::new();
         let mut plan = None;
         if let Some(fstate) = &mut self.faults {
+            let mut failovers = 0;
             if let Some(topo) = topo {
                 // Aggregators inside an outage window re-home their shards
                 // to the deterministic cyclic successor for the whole round
                 // — ledger routing and tier timing alike.
                 let outaged = fstate.outaged_aggregators(topo.num_aggregators());
                 let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
-                if let Some(map) = &rehome {
-                    let served = map
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, &t)| t as usize != k)
-                        .count();
-                    fstate.note_failovers(served as u64);
-                }
+                let served = rehome.iter().flatten().enumerate();
+                failovers = served.filter(|&(k, &t)| t as usize != k).count() as u64;
                 self.runtime.set_failover(rehome);
             }
             let compiled = fstate.compile_round(profiles);
+            judged.faults = FaultCounters {
+                failovers,
+                ..compiled.round_counters(&avail)
+            };
             judged.dropped.extend(compiled.crashed_devices(&avail));
             exhausted = compiled.exhausted_uploads(&avail);
             plan = Some(compiled);
@@ -635,17 +645,20 @@ impl Fleet {
     /// device whose update is missing this round contributes nothing;
     /// carried updates blend back in at `decay^staleness` in the round they
     /// arrive — even if their sender is late or absent again (the update
-    /// already landed).
-    fn pool_weights(&mut self, judged: &Judged) -> Vec<f32> {
+    /// already landed). Counts both kinds into `judged`.
+    fn pool_weights(&mut self, judged: &mut Judged) -> Vec<f32> {
         let n = self.runtime.network.num_devices();
         let mut weights = vec![1.0f32; n];
         let missing = judged.carried.iter().map(|(d, _)| d);
         for &d in judged.dropped.iter().chain(missing) {
             weights[d as usize] = 0.0;
         }
+        judged.pooled = weights.iter().filter(|&&w| w != 0.0).count() as u64;
+        let waiting = self.buffer.in_flight();
         for (w, arrived) in weights.iter_mut().zip(self.buffer.advance(n)) {
             *w += arrived as f32;
         }
+        judged.arrived = (waiting - self.buffer.in_flight()) as u64;
         weights
     }
 
@@ -668,64 +681,69 @@ impl Fleet {
         );
         for &(d, staleness) in &judged.carried {
             self.buffer.push(d, staleness);
-            let sends = deferred
-                .iter()
-                .filter(|&&(from, _, _)| from == d)
-                .copied()
-                .collect();
+        }
+        for (staleness, sends) in deferred {
             self.runtime.defer_sends(staleness, sends);
         }
     }
 
-    /// Closes the round on the simulation that judged it: the runtime
-    /// records, it does not simulate again. Churn applies *between* rounds:
-    /// the fleet after the `last` epoch is never simulated, so advancing
-    /// there would overcount drops.
-    fn close(&mut self, tree_sizes: &[usize], judged: &Judged, last: bool) {
-        self.runtime.end_epoch(
-            tree_sizes,
-            self.layers,
-            RoundOutcome {
-                late: &judged.cut,
-                sim: judged.sim.as_deref(),
-            },
-        );
-        if !last {
-            if let Some(state) = &mut self.scenario {
-                state.advance_round();
-            }
+    /// Closes the round on the simulation that judged it — the runtime
+    /// prices the ledger window, it does not simulate again — and returns
+    /// the round's record, written here because this is where everything
+    /// the round decided is still in hand. Churn then applies, *between*
+    /// rounds.
+    fn close(
+        &mut self,
+        epoch: usize,
+        tree_sizes: &[usize],
+        judged: &Judged,
+        migrated_nodes: u64,
+        loss: f64,
+    ) -> RoundRecord {
+        let closed = self
+            .runtime
+            .end_epoch(tree_sizes, self.layers, judged.sim.as_deref());
+        self.round_clock.stop();
+        if let Some(state) = &mut self.scenario {
+            state.advance_round();
         }
-    }
-
-    /// The run's simulation summary (`None` without a scenario).
-    fn summary(&self) -> Option<SimSummary> {
-        let state = self.scenario.as_ref()?;
-        let faults = self.faults.as_ref();
-        let recovery = faults.map_or_else(Default::default, |f| f.counters().clone());
-        let late_drops = self.runtime.late_drops();
-        Some(SimSummary {
-            scenario: state.scenario().name().to_string(),
-            total_virtual_secs: self.runtime.total_sim_secs(),
-            avg_epoch_virtual_secs: self.runtime.avg_sim_epoch_secs(),
-            straggler_sequence: self.runtime.straggler_sequence(),
-            mean_utilization: self.runtime.mean_sim_utilization(),
-            dropped_device_rounds: state.dropped_device_rounds(),
-            late_drops,
-            buffered_updates: self.buffer.total_buffered(),
-            // Only a policy that discards its cuts wastes them.
-            wasted_updates: if carry_decay(&self.policy).is_some() {
-                0
-            } else {
-                late_drops
-            },
-            migrations: self.migrations,
-            migrated_nodes: self.migrated_nodes,
-            lost_messages: recovery.lost_messages,
-            retries: recovery.retries,
-            retry_secs: recovery.retry_secs,
-            crashed_devices: recovery.crashed_devices,
-            failovers: recovery.failovers,
-        })
+        let cut = judged.cut.len() as u64;
+        let carrying = carry_decay(&self.policy).is_some();
+        let sim = closed.sim.zip(judged.sim.as_deref());
+        let sim = sim.map(|(tiered, stats)| RoundSim {
+            makespan_secs: tiered.makespan_secs,
+            tier2_secs: tiered.tier2_secs,
+            straggler: tiered.straggler,
+            utilization: tiered.utilization,
+            events: stats.events,
+            active: stats.active_devices as u64,
+            absent: (tree_sizes.len() - stats.active_devices) as u64,
+            pooled: judged.pooled,
+            crashed: judged.faults.crashed_devices,
+            cut,
+            // Only a policy that does not carry its cuts wastes them.
+            discarded: if carrying { 0 } else { cut },
+            carried: judged.carried.len() as u64,
+            exhausted: judged.faults.exhausted_sends,
+            arrived: judged.arrived,
+            in_flight: self.buffer.in_flight() as u64,
+            lost_messages: judged.faults.lost_messages,
+            retries: judged.faults.retries,
+            retry_secs: judged.faults.retry_secs,
+            failovers: judged.faults.failovers,
+            migrated_nodes,
+        });
+        RoundRecord {
+            epoch,
+            messages: closed.total_messages,
+            bytes: closed.total_bytes,
+            messages_per_device: closed.avg_messages_per_device,
+            makespan: closed.makespan,
+            mean_cost: closed.mean_cost,
+            loss,
+            val_metric: None,
+            sim,
+        }
     }
 }
 
@@ -746,8 +764,9 @@ fn carry_decay(policy: &AggregationPolicy) -> Option<f64> {
 enum Fate {
     /// On this round's ledger.
     Live,
-    /// Silenced now, re-injected in the round the update arrives.
-    Parked,
+    /// Silenced now, re-injected when the update arrives, this many rounds
+    /// on.
+    Parked(u32),
     /// Silenced for good.
     Dropped,
 }
@@ -766,8 +785,10 @@ enum Fate {
 /// Devices in `parked` form an update that arrives in a later round (cut
 /// by a carrying policy, or out of retries): none of their outbound
 /// messages are accounted here (messages *to* them still are — their
-/// senders paid either way); `deferred` collects those silenced sends so
-/// the runtime can re-inject them in the round where they actually arrive.
+/// senders paid either way); `deferred` collects those silenced sends, by
+/// rounds until arrival, so the runtime can re-inject each batch in the
+/// round where it actually arrives (the ledger is counters, so the order
+/// within a batch is free).
 /// Devices in `dropped` (churned out, crashed, or cut by the deadline) send
 /// nothing, now or later.
 ///
@@ -785,18 +806,21 @@ fn record_epoch_messages(
     topo: Option<&Topology>,
     parked: &[(u32, u32)],
     dropped: &[u32],
-) -> Vec<(u32, u32, u64)> {
-    let mut deferred = Vec::new();
+) -> BTreeMap<u32, Vec<(u32, u32, u64)>> {
+    let mut deferred: BTreeMap<u32, Vec<_>> = BTreeMap::new();
     let mut fate = vec![Fate::Live; trees.len()];
     for &d in dropped {
         fate[d as usize] = Fate::Dropped;
     }
-    for &(d, _) in parked {
-        fate[d as usize] = Fate::Parked;
+    for &(d, staleness) in parked {
+        fate[d as usize] = Fate::Parked(staleness);
     }
     let mut route = |net: &mut SimNetwork, from: u32, to: u32| match fate[from as usize] {
         Fate::Dropped => {}
-        Fate::Parked => deferred.push((from, to, EMBEDDING_BYTES)),
+        Fate::Parked(staleness) => {
+            let batch = deferred.entry(staleness).or_default();
+            batch.push((from, to, EMBEDDING_BYTES));
+        }
         Fate::Live if to == SimNetwork::SERVER => net.send_to_server(from, EMBEDDING_BYTES),
         Fate::Live => net.send(from, to, EMBEDDING_BYTES),
     };
@@ -1189,8 +1213,13 @@ mod tests {
         let fs = full.sim.clone().unwrap();
         let dsim = deadline.sim.clone().unwrap();
         let bs = buffered.sim.clone().unwrap();
-        // Late work is banked for a later round, never discarded.
+        // Late work is banked for a later round, never discarded — but what
+        // the last round banks has no later round to land in, and the last
+        // record says so.
         assert!(bs.buffered_updates > 0, "tail must breach the deadline");
+        let last = buffered.rounds.last().and_then(|r| r.sim.as_ref()).unwrap();
+        assert!(last.carried > 0, "the tail breaches the last deadline too");
+        assert!(last.in_flight >= last.carried, "and none of those can land");
         assert_eq!(bs.wasted_updates, 0, "buffered never wastes an update");
         assert!(dsim.wasted_updates > 0, "deadline discards late work");
         assert_eq!(fs.wasted_updates, 0);

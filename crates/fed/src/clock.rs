@@ -56,17 +56,6 @@ pub fn epoch_mean_cost(device_costs: &[f64]) -> f64 {
     }
 }
 
-/// Per-epoch timing record combining measurement and model.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EpochTiming {
-    /// Measured wall-clock seconds of the simulated epoch.
-    pub wall_secs: f64,
-    /// Modeled makespan (abstract units, straggler-dominated).
-    pub makespan: f64,
-    /// Modeled mean device cost.
-    pub mean_cost: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,10 +2,10 @@
 //!
 //! Devices are simulated in-process, but every message they would exchange
 //! is recorded on a per-device ledger ([`network::SimNetwork`]), epochs run
-//! synchronously through [`runtime::Runtime`], and the epoch wall time is
-//! paired with a straggler-dominated makespan model ([`clock::CostModel`]) —
-//! the quantities behind Figure 8's communication-round and training-time
-//! comparisons.
+//! synchronously through [`runtime::Runtime`], and each epoch's ledger
+//! window is priced by a straggler-dominated makespan model
+//! ([`clock::CostModel`]) — the quantities behind Figure 8's
+//! communication-round and training-time comparisons.
 //!
 //! An epoch is priced twice over: by the global linear [`clock::CostModel`]
 //! (every device identical — the paper's abstraction), and, when the caller
@@ -13,16 +13,15 @@
 //! ledger window's per-edge deltas ([`runtime::ledger_work`]), so
 //! heterogeneous fleets report per-device virtual timing, per-sender
 //! arrival-gated drains, and straggler identities. A round closes through
-//! one door, [`Runtime::end_epoch`], whose [`RoundOutcome`] says who was cut
-//! from the barrier and hands over the round's simulated statistics.
+//! one door, [`Runtime::end_epoch`], which takes the round's simulated
+//! statistics and returns the round's [`EpochRecord`]; the runtime keeps no
+//! log of its own.
 
 #![forbid(unsafe_code)]
 pub mod clock;
 pub mod network;
 pub mod runtime;
 
-pub use clock::{epoch_makespan, epoch_mean_cost, CostModel, EpochTiming};
+pub use clock::{epoch_makespan, epoch_mean_cost, CostModel};
 pub use network::{DeviceTraffic, EdgeTraffic, NetworkSnapshot, SimNetwork};
-pub use runtime::{
-    ledger_work, EpochRecord, RoundOutcome, Runtime, SimEpoch, TierSpec, UNAVAILABLE_COST_FACTOR,
-};
+pub use runtime::{ledger_work, EpochRecord, Runtime, SimEpoch, TierSpec, UNAVAILABLE_COST_FACTOR};

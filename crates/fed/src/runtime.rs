@@ -2,19 +2,20 @@
 //!
 //! Lumos "is a synchronized federated framework that operates in rounds and
 //! has to receive all the required updates to start the next round"
-//! (§IV-B). The engine owns the network ledger and the per-epoch timing
-//! records the system-cost experiments consume. It does not simulate: the
-//! caller runs the round's one `lumos-sim` schedule — over [`ledger_work`],
-//! which prices a ledger window per destination (the `(sender → receiver)`
-//! deltas become per-sender inbound contributions, so a receiver's drain
-//! waits for its actual senders instead of being self-timed from its own
-//! burst) — and hands [`Runtime::end_epoch`] the finished statistics.
+//! (§IV-B). The engine owns the network ledger, the carry-over segment and
+//! the fleet's prices, and keeps no log: each round's ledger and timing
+//! scalars are returned by value to the caller, who records them. It does
+//! not simulate: the caller runs the round's one `lumos-sim` schedule —
+//! over [`ledger_work`], which prices a ledger window per destination (the
+//! `(sender → receiver)` deltas become per-sender inbound contributions, so
+//! a receiver's drain waits for its actual senders instead of being
+//! self-timed from its own burst) — and hands [`Runtime::end_epoch`] the
+//! finished statistics.
 
-use lumos_common::timer::Stopwatch;
 use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, Inbound};
 use lumos_topo::{tier_timing, tier_timing_failover, Topology};
 
-use crate::clock::{epoch_makespan, epoch_mean_cost, CostModel, EpochTiming};
+use crate::clock::{epoch_makespan, epoch_mean_cost, CostModel};
 use crate::network::{NetworkSnapshot, SimNetwork};
 
 /// Price multiplier for tree nodes hosted on a currently-unavailable
@@ -93,49 +94,40 @@ pub struct TierSpec {
     pub partial_bytes: u64,
 }
 
-/// Record of one completed epoch — scalars only, so a run's log stays
-/// O(epochs) whatever the fleet size.
-#[derive(Debug, Clone, Copy)]
+/// What closing a round yields ([`Runtime::end_epoch`]): the ledger
+/// window's totals and its price under the straggler cost model. Scalars
+/// only, returned by value — the runtime keeps no copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochRecord {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// Timing (measured + modeled).
-    pub timing: EpochTiming,
-    /// Average device-to-device messages per device during this epoch.
-    pub avg_messages_per_device: f64,
-    /// Total messages during this epoch.
+    /// Messages on the ledger during this epoch.
     pub total_messages: u64,
-    /// What the round's simulation leaves behind (present when the caller
+    /// Bytes on the ledger during this epoch.
+    pub total_bytes: u64,
+    /// Average messages per device during this epoch.
+    pub avg_messages_per_device: f64,
+    /// Modeled makespan (abstract units, straggler-dominated).
+    pub makespan: f64,
+    /// Modeled mean device cost.
+    pub mean_cost: f64,
+    /// The round's simulation, tier-extended (present when the caller
     /// simulated the round; prices each device by its own capabilities
     /// instead of the global [`CostModel`]).
     pub sim: Option<SimEpoch>,
 }
 
-/// The scalars of one round's [`EpochStats`] that the run summary folds.
+/// One round's [`EpochStats`] as the round closed on them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimEpoch {
     /// Virtual seconds until the round closed: the simulated makespan,
     /// extended to the last aggregator partial's arrival under a tier.
     pub makespan_secs: f64,
+    /// The share of `makespan_secs` the aggregator → server hop added
+    /// (0 without a tier).
+    pub tier2_secs: f64,
     /// The device whose event closed the device tier (None if nothing ran).
     pub straggler: Option<u32>,
     /// Mean fraction of `makespan_secs` the active devices spent busy.
     pub utilization: f64,
-}
-
-/// How the round being closed ended — the one argument of
-/// [`Runtime::end_epoch`]. The default is an unsimulated round in which
-/// nobody was cut.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RoundOutcome<'a> {
-    /// Devices a deadline cut from this round's barrier, tallied into
-    /// [`Runtime::late_drops`]. (An async quorum's overflow is carried, not
-    /// cut: its caller leaves this empty.)
-    pub late: &'a [u32],
-    /// The round's event-driven simulation — the one run that decided
-    /// `late` — over what its devices attempted. `None` records the plain
-    /// cost-model epoch.
-    pub sim: Option<&'a EpochStats>,
 }
 
 /// One carry-over batch: sends suppressed in the round that produced them
@@ -148,19 +140,17 @@ struct DeferredSends {
     sends: Vec<(u32, u32, u64)>,
 }
 
-/// Synchronous round engine owning the network and epoch log.
+/// Synchronous round engine owning the network.
 #[derive(Debug)]
 pub struct Runtime {
     /// The simulated network.
     pub network: SimNetwork,
     cost_model: CostModel,
     profiles: Option<Vec<DeviceProfile>>,
-    epochs: Vec<EpochRecord>,
-    late_drops: u64,
-    current: Option<(usize, Stopwatch, NetworkSnapshot)>,
+    /// The open epoch's ledger snapshot.
+    current: Option<NetworkSnapshot>,
     deferred: Vec<DeferredSends>,
     tier: Option<TierSpec>,
-    tier2_secs: f64,
 }
 
 impl Runtime {
@@ -170,12 +160,9 @@ impl Runtime {
             network: SimNetwork::new(n),
             cost_model,
             profiles: None,
-            epochs: Vec::new(),
-            late_drops: 0,
             current: None,
             deferred: Vec::new(),
             tier: None,
-            tier2_secs: 0.0,
         }
     }
 
@@ -210,12 +197,6 @@ impl Runtime {
             "tier topology and network disagree on fleet size"
         );
         self.tier = Some(tier);
-    }
-
-    /// Total virtual seconds the aggregator → server tier added across
-    /// simulated epochs (how much of the makespan the extra hop cost).
-    pub fn total_tier2_secs(&self) -> f64 {
-        self.tier2_secs
     }
 
     /// Installs (or replaces) the device profiles
@@ -255,22 +236,21 @@ impl Runtime {
         })
     }
 
-    /// Begins an epoch: starts the wall timer and snapshots the ledger.
+    /// Begins an epoch: snapshots the ledger.
     ///
     /// # Panics
     /// Panics if an epoch is already open.
     pub fn begin_epoch(&mut self) {
         assert!(self.current.is_none(), "previous epoch still open");
-        let idx = self.epochs.len();
-        self.current = Some((idx, Stopwatch::started(), self.network.snapshot()));
+        self.current = Some(self.network.snapshot());
     }
 
-    /// Ends the open epoch — the one way a round closes. Prices the ledger
-    /// window under the straggler cost model (`device_tree_nodes` and
-    /// `layers`; traffic is read from the ledger's per-device deltas),
-    /// extends `outcome.sim`'s makespan with the aggregator tier, tallies
-    /// `outcome.late` into [`Runtime::late_drops`] and pushes the
-    /// [`EpochRecord`].
+    /// Ends the open epoch — the one way a round closes — and returns its
+    /// record. Prices the ledger window under the straggler cost model
+    /// (`device_tree_nodes` and `layers`; traffic is read from the ledger's
+    /// per-device deltas) and extends `sim` — the round's event-driven
+    /// simulation over what its devices attempted; `None` for the plain
+    /// cost-model epoch — with the aggregator tier.
     ///
     /// # Panics
     /// Panics if no epoch is open, or if `device_tree_nodes` does not have
@@ -279,11 +259,9 @@ impl Runtime {
         &mut self,
         device_tree_nodes: &[usize],
         layers: usize,
-        outcome: RoundOutcome<'_>,
-    ) -> &EpochRecord {
-        self.late_drops += outcome.late.len() as u64;
-        let (idx, mut sw, snap) = self.current.take().expect("no epoch open");
-        sw.stop();
+        sim: Option<&EpochStats>,
+    ) -> EpochRecord {
+        let snap = self.current.take().expect("no epoch open");
         self.network.round();
         assert_eq!(
             device_tree_nodes.len(),
@@ -301,7 +279,7 @@ impl Runtime {
             .collect();
         let total_messages = self.network.total_messages() - snap.total_messages;
         let n = self.network.num_devices().max(1) as f64;
-        let sim = outcome.sim.map(|stats| {
+        let sim = sim.map(|stats| {
             let mut makespan_secs = stats.makespan_secs;
             if let Some(tier) = &self.tier {
                 // Hierarchical: the round closes when the last aggregator
@@ -321,26 +299,22 @@ impl Runtime {
                     }
                 };
                 makespan_secs = makespan_secs.max(t2.server_makespan_secs);
-                self.tier2_secs += makespan_secs - stats.makespan_secs;
             }
             SimEpoch {
                 makespan_secs,
+                tier2_secs: makespan_secs - stats.makespan_secs,
                 straggler: stats.straggler,
                 utilization: stats.mean_utilization_over(makespan_secs),
             }
         });
-        self.epochs.push(EpochRecord {
-            epoch: idx,
-            timing: EpochTiming {
-                wall_secs: sw.secs(),
-                makespan: epoch_makespan(&costs),
-                mean_cost: epoch_mean_cost(&costs),
-            },
-            avg_messages_per_device: total_messages as f64 / n,
+        EpochRecord {
             total_messages,
+            total_bytes: self.network.total_bytes() - snap.total_bytes,
+            avg_messages_per_device: total_messages as f64 / n,
+            makespan: epoch_makespan(&costs),
+            mean_cost: epoch_mean_cost(&costs),
             sim,
-        });
-        self.epochs.last().expect("just pushed")
+        }
     }
 
     /// Queues a late device's suppressed sends for delivery `rounds` rounds
@@ -391,89 +365,6 @@ impl Runtime {
         self.deferred = still_waiting;
         injected
     }
-
-    /// Sends still waiting in the carry-over segment.
-    pub fn deferred_sends(&self) -> usize {
-        self.deferred.iter().map(|b| b.sends.len()).sum()
-    }
-
-    /// All completed epochs.
-    pub fn epochs(&self) -> &[EpochRecord] {
-        &self.epochs
-    }
-
-    /// Total device-rounds cut from a barrier so far: every
-    /// [`RoundOutcome::late`] update, whether the policy then discarded it
-    /// (`Deadline`) or parked it for a later round (`Buffered`).
-    pub fn late_drops(&self) -> u64 {
-        self.late_drops
-    }
-
-    /// Mean wall seconds per epoch (Fig. 8b).
-    pub fn avg_epoch_wall_secs(&self) -> f64 {
-        if self.epochs.is_empty() {
-            0.0
-        } else {
-            self.epochs.iter().map(|e| e.timing.wall_secs).sum::<f64>() / self.epochs.len() as f64
-        }
-    }
-
-    /// Mean messages per device per epoch (Fig. 8a).
-    pub fn avg_messages_per_device_per_epoch(&self) -> f64 {
-        if self.epochs.is_empty() {
-            0.0
-        } else {
-            self.epochs
-                .iter()
-                .map(|e| e.avg_messages_per_device)
-                .sum::<f64>()
-                / self.epochs.len() as f64
-        }
-    }
-
-    /// Mean modeled makespan per epoch.
-    pub fn avg_epoch_makespan(&self) -> f64 {
-        if self.epochs.is_empty() {
-            0.0
-        } else {
-            self.epochs.iter().map(|e| e.timing.makespan).sum::<f64>() / self.epochs.len() as f64
-        }
-    }
-
-    /// Epochs that carry a simulation record.
-    fn sim_epochs(&self) -> impl Iterator<Item = SimEpoch> + '_ {
-        self.epochs.iter().filter_map(|e| e.sim)
-    }
-
-    /// Total simulated (virtual) seconds across all simulated epochs.
-    pub fn total_sim_secs(&self) -> f64 {
-        self.sim_epochs().map(|s| s.makespan_secs).sum()
-    }
-
-    /// Mean simulated seconds per simulated epoch.
-    pub fn avg_sim_epoch_secs(&self) -> f64 {
-        let n = self.sim_epochs().count();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_sim_secs() / n as f64
-        }
-    }
-
-    /// The straggler of each simulated epoch, in epoch order.
-    pub fn straggler_sequence(&self) -> Vec<u32> {
-        self.sim_epochs().filter_map(|s| s.straggler).collect()
-    }
-
-    /// Mean device utilization across simulated epochs (busy / makespan).
-    pub fn mean_sim_utilization(&self) -> f64 {
-        let n = self.sim_epochs().count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sim_epochs().map(|s| s.utilization).sum::<f64>() / n as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -495,7 +386,7 @@ mod tests {
         nodes: &[usize],
         policy: AggregationPolicy,
     ) -> (EpochStats, Vec<(u32, u32)>) {
-        let (_, _, snap) = rt.current.as_ref().expect("an epoch is open");
+        let snap = rt.current.as_ref().expect("an epoch is open");
         let work = ledger_work(&rt.network, snap, nodes, 2);
         let profiles = rt.profiles.as_ref().expect("profiles installed");
         let schedule = EventDrivenRuntime::new(profiles, &work);
@@ -507,11 +398,7 @@ mod tests {
     /// Closes the open epoch on its own barrier simulation.
     fn end_simulated(rt: &mut Runtime, nodes: &[usize]) -> (EpochStats, EpochRecord) {
         let (stats, _) = simulate(rt, nodes, AggregationPolicy::FullSync);
-        let outcome = RoundOutcome {
-            sim: Some(&stats),
-            ..RoundOutcome::default()
-        };
-        let rec = *rt.end_epoch(nodes, 2, outcome);
+        let rec = rt.end_epoch(nodes, 2, Some(&stats));
         (stats, rec)
     }
 
@@ -522,40 +409,39 @@ mod tests {
         rt.network.send(0, 1, 10);
         rt.network.send(1, 2, 10);
         rt.network.send(2, 0, 10);
-        let rec = *rt.end_epoch(&[4, 7, 10], 2, RoundOutcome::default());
-        assert_eq!(rec.epoch, 0);
+        let rec = rt.end_epoch(&[4, 7, 10], 2, None);
         assert_eq!(rec.total_messages, 3);
+        assert_eq!(rec.total_bytes, 30);
         assert!((rec.avg_messages_per_device - 1.0).abs() < 1e-12);
-        assert!(rec.timing.wall_secs >= 0.0);
         assert!(rec.sim.is_none());
         // Straggler: device 2 with 10 tree nodes dominates.
         let m = CostModel::default();
-        assert!((rec.timing.makespan - m.device_cost(10, 2, 1)).abs() < 1e-9);
-        assert_eq!(rt.epochs().len(), 1);
+        assert!((rec.makespan - m.device_cost(10, 2, 1)).abs() < 1e-9);
         assert_eq!(rt.network.rounds(), 1);
     }
 
     #[test]
-    fn averages_across_epochs() {
+    fn every_epoch_is_its_own_ledger_window() {
+        // The runtime remembers nothing between rounds: equal traffic in
+        // each window closes on equal records, whatever came before.
         let mut rt = Runtime::new(2, CostModel::default());
-        for _ in 0..3 {
-            rt.begin_epoch();
-            rt.network.send(0, 1, 1);
-            rt.end_epoch(&[3, 3], 2, RoundOutcome::default());
-        }
-        assert!((rt.avg_messages_per_device_per_epoch() - 0.5).abs() < 1e-12);
-        assert!(rt.avg_epoch_makespan() > 0.0);
-        assert!(rt.avg_epoch_wall_secs() >= 0.0);
+        let records: Vec<EpochRecord> = (0..3)
+            .map(|_| {
+                rt.begin_epoch();
+                rt.network.send(0, 1, 1);
+                rt.end_epoch(&[3, 3], 2, None)
+            })
+            .collect();
+        assert!((records[0].avg_messages_per_device - 0.5).abs() < 1e-12);
+        assert!(records[0].makespan > 0.0);
+        assert!(records.iter().all(|r| *r == records[0]));
     }
 
     #[test]
     fn cost_model_path_records_no_sim() {
         let mut rt = Runtime::new(2, CostModel::default());
         rt.begin_epoch();
-        let rec = *rt.end_epoch(&[3, 3], 2, RoundOutcome::default());
-        assert!(rec.sim.is_none());
-        assert_eq!(rt.total_sim_secs(), 0.0);
-        assert!(rt.straggler_sequence().is_empty());
+        assert!(rt.end_epoch(&[3, 3], 2, None).sim.is_none());
     }
 
     #[test]
@@ -575,12 +461,11 @@ mod tests {
         let recorded = rec.sim.expect("a simulated round records its scalars");
         assert_eq!(recorded.makespan_secs, sim.makespan_secs);
         assert_eq!(recorded.utilization, sim.mean_utilization());
-        assert!(rt.total_sim_secs() > 0.0);
-        assert_eq!(rt.straggler_sequence(), vec![1]);
-        assert!(rt.avg_sim_epoch_secs() > 0.0);
-        assert!(rt.mean_sim_utilization() > 0.0 && rt.mean_sim_utilization() <= 1.0);
+        assert!(recorded.makespan_secs > 0.0);
+        assert_eq!(recorded.straggler, Some(1));
+        assert!(recorded.utilization > 0.0 && recorded.utilization <= 1.0);
         // The global model still prices both devices identically.
-        assert!((rec.timing.makespan - rec.timing.mean_cost).abs() < 1e-12);
+        assert!((rec.makespan - rec.mean_cost).abs() < 1e-12);
         // And the live price vector tells them apart.
         let costs = rt.node_costs_micros(2, 64).expect("profiles installed");
         assert!(costs[1] > costs[0]);
@@ -619,19 +504,13 @@ mod tests {
             }
             let (stats, verdicts) = simulate(&rt, &[5, 5, 5, 5], policy);
             let late: Vec<u32> = verdicts.iter().map(|&(d, _)| d).collect();
-            let outcome = RoundOutcome {
-                late: &late,
-                sim: Some(&stats),
-            };
-            let rec = *rt.end_epoch(&[5, 5, 5, 5], 2, outcome);
-            (stats, late, rec, rt.late_drops())
+            let rec = rt.end_epoch(&[5, 5, 5, 5], 2, Some(&stats));
+            (stats, late, rec)
         };
-        let (fs, full_late, _, full_drops) = run(AggregationPolicy::FullSync);
-        let (ds, late, rec, deadline_drops) = run(AggregationPolicy::Deadline { factor: 2.0 });
+        let (fs, full_late, _) = run(AggregationPolicy::FullSync);
+        let (ds, late, rec) = run(AggregationPolicy::Deadline { factor: 2.0 });
         assert!(full_late.is_empty());
-        assert_eq!(full_drops, 0);
         assert_eq!(late, vec![3]);
-        assert_eq!(deadline_drops, 1);
         assert!(
             ds.makespan_secs < fs.makespan_secs / 10.0,
             "dropping the straggler must shorten the barrier: {} vs {}",
@@ -647,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn async_quorum_closes_the_round_without_tallying_drops() {
+    fn async_quorum_closes_the_round_before_the_straggler() {
         let mut profiles = vec![DeviceProfile::baseline(); 4];
         profiles[3].compute_rate /= 500.0;
         let open = || {
@@ -661,25 +540,19 @@ mod tests {
         let (fs, _) = end_simulated(&mut open(), &[5, 5, 5, 5]);
 
         // Quorum of 3: the round closes at the third landing, long before
-        // the straggler's — which is carried, so nothing is handed over as
-        // late and nothing is tallied as dropped.
+        // the straggler's, which is carried.
         let mut rt = open();
         let quorum = AggregationPolicy::Async { min_updates: 3 };
         let (qs, carried) = simulate(&rt, &[5, 5, 5, 5], quorum);
         assert_eq!(carried, vec![(3, 1)]);
-        let outcome = RoundOutcome {
-            sim: Some(&qs),
-            ..RoundOutcome::default()
-        };
-        rt.end_epoch(&[5, 5, 5, 5], 2, outcome);
-        assert_eq!(rt.late_drops(), 0, "the quorum drops nothing");
+        let rec = rt.end_epoch(&[5, 5, 5, 5], 2, Some(&qs));
         assert!(
             qs.makespan_secs < fs.makespan_secs / 10.0,
             "the quorum must close before the straggler: {} vs {}",
             qs.makespan_secs,
             fs.makespan_secs
         );
-        assert_eq!(rt.total_sim_secs(), qs.makespan_secs);
+        assert_eq!(rec.sim.unwrap().makespan_secs, qs.makespan_secs);
         assert_eq!(qs.active_devices, 4, "everyone still computed");
     }
 
@@ -710,8 +583,8 @@ mod tests {
                     rt.network.send_aggregator_to_server(k, 64);
                 }
             }
-            let (_, rec) = end_simulated(&mut rt, &[5, 5, 5, 5]);
-            (rec.sim.unwrap().makespan_secs, rt.total_tier2_secs())
+            let sim = end_simulated(&mut rt, &[5, 5, 5, 5]).1.sim.unwrap();
+            (sim.makespan_secs, sim.tier2_secs)
         };
         let (flat, flat_t2) = run(false);
         let (tiered, t2) = run(true);
@@ -787,18 +660,17 @@ mod tests {
             let mut profiles = vec![DeviceProfile::baseline(); 3];
             profiles[2].uplink_bytes_per_sec /= 7.0;
             let mut rt = profiled(profiles);
-            for _ in 0..4 {
-                rt.begin_epoch();
-                rt.network.send(0, 1, 100);
-                rt.network.send(2, 0, 300);
-                end_simulated(&mut rt, &[5, 6, 7]);
-            }
-            (rt.total_sim_secs(), rt.straggler_sequence())
+            (0..4)
+                .map(|_| {
+                    rt.begin_epoch();
+                    rt.network.send(0, 1, 100);
+                    rt.network.send(2, 0, 300);
+                    let sim = end_simulated(&mut rt, &[5, 6, 7]).1.sim.unwrap();
+                    (sim.makespan_secs.to_bits(), sim.straggler)
+                })
+                .collect::<Vec<_>>()
         };
-        let (a_secs, a_seq) = run();
-        let (b_secs, b_seq) = run();
-        assert_eq!(a_secs.to_bits(), b_secs.to_bits());
-        assert_eq!(a_seq, b_seq);
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -810,34 +682,28 @@ mod tests {
         assert_eq!(rt.carry_in(), 0);
         rt.defer_sends(1, vec![(2, 0, 64)]);
         rt.defer_sends(2, vec![(2, SimNetwork::SERVER, 64)]);
-        assert_eq!(rt.deferred_sends(), 2);
-        let r0 = rt
-            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
-            .total_messages;
+        let r0 = rt.end_epoch(&[1, 1, 1], 2, None).total_messages;
         assert_eq!(r0, 0, "deferred traffic must not land early");
         // Round 1: the one-round deferral arrives.
         rt.begin_epoch();
         assert_eq!(rt.carry_in(), 1);
-        let r1 = rt
-            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
-            .total_messages;
+        let r1 = rt.end_epoch(&[1, 1, 1], 2, None).total_messages;
         assert_eq!(r1, 1);
-        assert_eq!(rt.deferred_sends(), 1);
         // Round 2: the server-bound message arrives.
         rt.begin_epoch();
         assert_eq!(rt.carry_in(), 1);
-        let r2 = rt
-            .end_epoch(&[1, 1, 1], 2, RoundOutcome::default())
-            .total_messages;
+        let r2 = rt.end_epoch(&[1, 1, 1], 2, None).total_messages;
         assert_eq!(r2, 1);
-        assert_eq!(rt.deferred_sends(), 0);
+        // Nothing is left to arrive.
+        rt.begin_epoch();
+        assert_eq!(rt.carry_in(), 0);
     }
 
     #[test]
     fn empty_deferral_is_dropped() {
         let mut rt = Runtime::new(2, CostModel::default());
         rt.defer_sends(3, Vec::new());
-        assert_eq!(rt.deferred_sends(), 0);
+        assert!(rt.deferred.is_empty());
     }
 
     #[test]
@@ -860,7 +726,7 @@ mod tests {
         // surplus devices when the workload vector was too short.
         let mut rt = Runtime::new(3, CostModel::default());
         rt.begin_epoch();
-        rt.end_epoch(&[4, 7], 2, RoundOutcome::default());
+        rt.end_epoch(&[4, 7], 2, None);
     }
 
     #[test]
@@ -883,6 +749,6 @@ mod tests {
     #[should_panic]
     fn end_without_begin_panics() {
         let mut rt = Runtime::new(1, CostModel::default());
-        rt.end_epoch(&[1], 1, RoundOutcome::default());
+        rt.end_epoch(&[1], 1, None);
     }
 }

@@ -236,8 +236,9 @@ impl SendFaults {
     }
 }
 
-/// Recovery counters accumulated across rounds; the trainer surfaces them
-/// as the report's `SimSummary` fields.
+/// One round's recovery counters ([`FaultPlan::round_counters`]); the
+/// trainer stores them in the round's record, and the report's `SimSummary`
+/// folds them across rounds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultCounters {
     /// Send attempts lost in transit.
@@ -253,21 +254,10 @@ pub struct FaultCounters {
     pub exhausted_sends: u64,
     /// Duplicate deliveries drawn.
     pub duplicated_messages: u64,
-    /// Shard-rounds served by a failover successor aggregator.
+    /// Shards served by a failover successor aggregator this round. The
+    /// plan knows no topology: the trainer fills this in from the round's
+    /// failover map.
     pub failovers: u64,
-}
-
-impl FaultCounters {
-    /// Adds another round's counters into this cumulative total.
-    pub fn absorb(&mut self, other: &FaultCounters) {
-        self.lost_messages += other.lost_messages;
-        self.retries += other.retries;
-        self.retry_secs += other.retry_secs;
-        self.crashed_devices += other.crashed_devices;
-        self.exhausted_sends += other.exhausted_sends;
-        self.duplicated_messages += other.duplicated_messages;
-        self.failovers += other.failovers;
-    }
 }
 
 /// One round's concrete fault outcomes, compiled from the spec's seeded
@@ -371,15 +361,14 @@ impl FaultPlan {
 }
 
 /// The evolving fault stream across rounds: owns the spec, the recovery
-/// policy, a private RNG stream derived only from the run seed, and the
-/// cumulative counters. The mirror of `ScenarioState` for faults.
+/// policy and a private RNG stream derived only from the run seed. The
+/// mirror of `ScenarioState` for faults.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     spec: FaultSpec,
     recovery: RecoveryPolicy,
     rng: Xoshiro256pp,
     round: u64,
-    counters: FaultCounters,
 }
 
 impl FaultState {
@@ -396,18 +385,12 @@ impl FaultState {
             recovery,
             rng: Xoshiro256pp::seed_from_u64(seed ^ 0xFA17_0FA1_u64.rotate_left(23)),
             round: 0,
-            counters: FaultCounters::default(),
         }
     }
 
     /// The current round (0-based).
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// Cumulative counters across all compiled rounds.
-    pub fn counters(&self) -> &FaultCounters {
-        &self.counters
     }
 
     /// Aggregators whose outage window covers the current round, in
@@ -425,17 +408,10 @@ impl FaultState {
         out
     }
 
-    /// Tallies failovers performed this round (the trainer calls this
-    /// with the number of re-homed shards).
-    pub fn note_failovers(&mut self, n: u64) {
-        self.counters.failovers += n;
-    }
-
     /// Compiles the current round's plan: one crash draw and one upload
     /// outcome per device (drawn for every slot so the stream's shape is
     /// independent of churn, then cleared for unavailable devices), plus
-    /// an outcome per explicitly enumerated cross edge. Accumulates the
-    /// round's counters over the available fleet and advances the round.
+    /// an outcome per explicitly enumerated cross edge. Advances the round.
     pub fn compile_round(&mut self, profiles: &[DeviceProfile]) -> FaultPlan {
         self.compile_round_with_edges(profiles, &[])
     }
@@ -491,8 +467,6 @@ impl FaultState {
             upload,
             edges: edge_map,
         };
-        let available: Vec<bool> = profiles.iter().map(|p| p.available).collect();
-        self.counters.absorb(&plan.round_counters(&available));
         self.round += 1;
         plan
     }
@@ -545,7 +519,7 @@ mod tests {
         let mut st = FaultState::new(FaultSpec::None, RecoveryPolicy::default(), 7);
         let plan = st.compile_round(&fleet(8));
         assert!(plan.is_clean());
-        assert_eq!(st.counters(), &FaultCounters::default());
+        assert_eq!(plan.round_counters(&[true; 8]), FaultCounters::default());
         assert_eq!(st.round(), 1);
     }
 
@@ -582,9 +556,10 @@ mod tests {
             assert!(s.exhausted, "loss 1.0 must exhaust the budget");
             assert_eq!(s.retries(), u64::from(HARD_RETRY_CAP));
         }
-        assert_eq!(st.counters().exhausted_sends, 4);
-        assert!(st.counters().retries > 0);
-        assert!(st.counters().retry_secs > 0.0);
+        let counters = plan.round_counters(&[true; 4]);
+        assert_eq!(counters.exhausted_sends, 4);
+        assert!(counters.retries > 0);
+        assert!(counters.retry_secs > 0.0);
     }
 
     #[test]
@@ -609,8 +584,9 @@ mod tests {
             );
         }
         assert_eq!(plan.crashed_devices(&[true; 3]), vec![0, 1, 2]);
-        assert_eq!(st.counters().crashed_devices, 3);
-        assert_eq!(st.counters().lost_messages, 0);
+        let counters = plan.round_counters(&[true; 3]);
+        assert_eq!(counters.crashed_devices, 3);
+        assert_eq!(counters.lost_messages, 0);
     }
 
     #[test]
@@ -632,11 +608,9 @@ mod tests {
         assert_eq!(plan.crash_frac(1), None);
         assert_eq!(plan.crash_frac(3), None);
         assert!(plan.upload(1).is_none());
-        assert_eq!(
-            plan.crashed_devices(&[true, false, true, false]),
-            vec![0, 2]
-        );
-        assert_eq!(st.counters().crashed_devices, 2);
+        let available = [true, false, true, false];
+        assert_eq!(plan.crashed_devices(&available), vec![0, 2]);
+        assert_eq!(plan.round_counters(&available).crashed_devices, 2);
     }
 
     #[test]

@@ -454,7 +454,6 @@ pub struct StalenessBuffer {
     decay: f64,
     /// In-flight late updates: `(device, rounds remaining, staleness)`.
     in_flight: Vec<(u32, u32, u32)>,
-    buffered: u64,
 }
 
 impl StalenessBuffer {
@@ -470,7 +469,6 @@ impl StalenessBuffer {
         Self {
             decay,
             in_flight: Vec::new(),
-            buffered: 0,
         }
     }
 
@@ -485,7 +483,6 @@ impl StalenessBuffer {
     pub fn push(&mut self, device: u32, staleness: u32) {
         let s = staleness.clamp(1, STALENESS_CAP);
         self.in_flight.push((device, s, s));
-        self.buffered += 1;
     }
 
     /// Advances one round: every in-flight update ages by one round, and
@@ -505,11 +502,6 @@ impl StalenessBuffer {
             }
         });
         weights
-    }
-
-    /// Total updates ever buffered (the report's `buffered_updates`).
-    pub fn total_buffered(&self) -> u64 {
-        self.buffered
     }
 
     /// Updates still in flight.
@@ -676,7 +668,6 @@ mod tests {
         let w = buf.advance(4);
         assert_eq!(w, vec![0.0, 0.0, 0.0, 0.25]);
         assert_eq!(buf.in_flight(), 0);
-        assert_eq!(buf.total_buffered(), 2);
     }
 
     #[test]

@@ -95,12 +95,10 @@ impl Scenario {
 /// A sampled fleet evolving round by round under its scenario's churn.
 #[derive(Debug, Clone)]
 pub struct ScenarioState {
-    scenario: Scenario,
     spec: FleetSpec,
     profiles: Vec<DeviceProfile>,
     rng: Xoshiro256pp,
     rounds: u64,
-    dropped_device_rounds: u64,
 }
 
 impl ScenarioState {
@@ -113,18 +111,11 @@ impl ScenarioState {
         let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x51AC_051A_u64.rotate_left(17));
         let profiles = spec.sample_fleet(n, &mut rng);
         Self {
-            scenario,
             spec,
             profiles,
             rng,
             rounds: 0,
-            dropped_device_rounds: 0,
         }
-    }
-
-    /// The scenario this state was built from.
-    pub fn scenario(&self) -> Scenario {
-        self.scenario
     }
 
     /// The fleet as of the current round.
@@ -135,11 +126,6 @@ impl ScenarioState {
     /// Rounds advanced so far.
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Total device-rounds lost to churn so far.
-    pub fn dropped_device_rounds(&self) -> u64 {
-        self.dropped_device_rounds
     }
 
     /// Applies one round of churn: available devices drop with probability
@@ -166,7 +152,6 @@ impl ScenarioState {
                 self.profiles[idx].available = true;
             }
         }
-        self.dropped_device_rounds += self.profiles.iter().filter(|p| !p.available).count() as u64;
     }
 }
 
@@ -210,7 +195,6 @@ mod tests {
             saw_drop |= avail < 64;
         }
         assert!(saw_drop, "10% dropout over 50 rounds must drop someone");
-        assert!(st.dropped_device_rounds() > 0);
         assert_eq!(st.rounds(), 50);
     }
 
@@ -224,9 +208,8 @@ mod tests {
             let mut st = ScenarioState::new(s, 32, 3);
             for _ in 0..10 {
                 st.advance_round();
+                assert!(st.profiles().iter().all(|p| p.available));
             }
-            assert!(st.profiles().iter().all(|p| p.available));
-            assert_eq!(st.dropped_device_rounds(), 0);
         }
     }
 
@@ -276,6 +259,5 @@ mod tests {
             b.advance_round();
         }
         assert_eq!(a.profiles(), b.profiles());
-        assert_eq!(a.dropped_device_rounds(), b.dropped_device_rounds());
     }
 }

@@ -8,12 +8,17 @@
 //! lines; a behaviour-preserving change prints the same lines before and
 //! after.
 //!
-//! Each line carries two digests: the report's, and the report's with the
+//! Each line carries three digests: the report's, the report's with the
 //! four virtual-time fields (`sim.{total_virtual_secs,
-//! avg_epoch_virtual_secs, straggler_sequence, mean_utilization}`) zeroed.
-//! A change that re-prices rounds without touching what is trained moves
-//! the first column and leaves the second alone — "timing moved, training
-//! did not" is one `diff` of the second column.
+//! avg_epoch_virtual_secs, straggler_sequence, mean_utilization}`) zeroed,
+//! and the per-round records' (`RunReport::rounds_digest`, which the
+//! report's does not fold). A change that re-prices rounds without
+//! touching what is trained moves the first column and leaves the second
+//! alone — "timing moved, training did not" is one `diff` of the second
+//! column; a change that only adds a record field moves only the third.
+//!
+//! `tests/round_records.rs` includes this file for [`configs`], so the
+//! identities it checks run on exactly the configs pinned here.
 //!
 //! ```sh
 //! cargo run --release --example digests
@@ -50,15 +55,16 @@ fn line(name: &str, r: &RunReport) {
         (s.late_drops, s.buffered_updates, s.migrations)
     });
     println!(
-        "{name:<40} {:#018x}  untimed {:#018x}  test_metric {:.6}  cuts {cuts} buffered {buffered} migrations {migrations}",
+        "{name:<40} {:#018x}  untimed {:#018x}  rounds {:#018x}  test_metric {:.6}  cuts {cuts} buffered {buffered} migrations {migrations}",
         r.digest(),
         untimed_digest(r),
+        r.rounds_digest(),
         r.test_metric,
     );
 }
 
-fn main() {
-    let ds = Dataset::facebook_like(Scale::Smoke);
+/// The ten pinned `run_lumos` configs, by name.
+pub fn configs() -> [(&'static str, LumosConfig); 10] {
     let lumos = |backbone, task| {
         LumosConfig::new(backbone, task)
             .with_epochs(EPOCHS)
@@ -70,7 +76,7 @@ fn main() {
         factor: 2.0,
         decay: 0.5,
     };
-    let configs = [
+    [
         ("GCN-sup default", sup()),
         ("GAT-sup", lumos(Backbone::Gat, TaskKind::Supervised)),
         ("GCN-unsup", lumos(Backbone::Gcn, TaskKind::Unsupervised)),
@@ -113,8 +119,12 @@ fn main() {
                 .with_aggregation_policy(buffered)
                 .with_faults(FaultSpec::message_loss(0.05)),
         ),
-    ];
-    for (name, cfg) in &configs {
+    ]
+}
+
+fn main() {
+    let ds = Dataset::facebook_like(Scale::Smoke);
+    for (name, cfg) in &configs() {
         line(name, &run_lumos(&ds, cfg));
     }
 

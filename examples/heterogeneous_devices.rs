@@ -1,12 +1,13 @@
 //! Heterogeneous decentralized devices: train Lumos under the
 //! straggler-tail scenario and watch the discrete-event simulator price
-//! each epoch by the fleet's actual capabilities.
+//! each epoch by the fleet's actual capabilities — then read one churning,
+//! buffered run round by round off its per-round records.
 //!
 //! ```sh
 //! cargo run --release --example heterogeneous_devices
 //! ```
 
-use lumos::core::{run_lumos, BalanceObjective, LumosConfig, TaskKind};
+use lumos::core::{run_lumos, AggregationPolicy, BalanceObjective, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
 use lumos::sim::{Scenario, ScenarioState};
@@ -96,4 +97,54 @@ fn main() {
         weighted.avg_epoch_virtual_secs,
         weighted.avg_epoch_virtual_secs / trimmed.avg_epoch_virtual_secs * 100.0
     );
+
+    // 5. Which round was slow, and why? One record per round answers it.
+    //    A churning fleet under `Buffered {2, 0.5}`: every round's clock,
+    //    who closed it, who was cut from the barrier and carried, whose
+    //    carried update arrived, how many are still on their way — the
+    //    last row's in-flight updates never land — and what the
+    //    re-balancer moved before the round.
+    let buffered = base
+        .clone()
+        .with_scenario(Scenario::Churn)
+        .with_aggregation_policy(AggregationPolicy::Buffered {
+            factor: 2.0,
+            decay: 0.5,
+        });
+    println!("\nchurn x buffered{{2, 0.5}}, round by round:");
+    println!(
+        "{:>5} {:>10} {:>9} {:>5} {:>6} {:>4} {:>7} {:>7} {:>9} {:>8} {:>8}",
+        "epoch",
+        "virt secs",
+        "straggler",
+        "util",
+        "active",
+        "cut",
+        "carried",
+        "arrived",
+        "in-flight",
+        "migrated",
+        "loss"
+    );
+    for round in &run_lumos(&ds, &buffered).rounds {
+        let sim = round
+            .sim
+            .as_ref()
+            .expect("scenario rounds carry a sim half");
+        println!(
+            "{:>5} {:>10.3} {:>9} {:>5.2} {:>6} {:>4} {:>7} {:>7} {:>9} {:>8} {:>8.4}",
+            round.epoch,
+            sim.makespan_secs,
+            sim.straggler
+                .map_or("n/a".to_string(), |d| format!("dev {d}")),
+            sim.utilization,
+            sim.active,
+            sim.cut,
+            sim.carried,
+            sim.arrived,
+            sim.in_flight,
+            sim.migrated_nodes,
+            round.loss
+        );
+    }
 }

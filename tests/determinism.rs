@@ -3,8 +3,9 @@
 //! Everything stochastic in the workspace draws from the seeded
 //! xoshiro256++ streams pinned by `crates/common/tests/rng_golden.rs`, so
 //! two runs with identical configs must produce bit-identical reports
-//! (wall-clock fields excepted). This is what makes any CI failure in the
-//! integration suites reproducible locally from the printed seed.
+//! (wall-clock fields excepted), round record by round record. This is what
+//! makes any CI failure in the integration suites reproducible locally from
+//! the printed seed.
 
 mod common;
 
@@ -180,8 +181,12 @@ fn scenario_is_a_pure_timing_overlay() {
         .with_scenario(Scenario::MobileFleet);
     let mut overlaid = run_lumos(&ds, &cfg);
     assert!(plain.sim.is_none());
-    // The summary is the overlay; everything under it must be untouched.
+    // The summary and each record's sim half are the overlay; everything
+    // under them must be untouched.
     assert!(overlaid.sim.take().is_some());
+    for round in &mut overlaid.rounds {
+        assert!(round.sim.take().is_some());
+    }
     assert_reports_identical(&plain, &overlaid);
 }
 
