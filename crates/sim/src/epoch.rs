@@ -127,7 +127,8 @@ pub struct EpochStats {
     pub straggler: Option<u32>,
     /// Devices that participated (available, regardless of workload).
     pub active_devices: usize,
-    /// Events processed by the queue.
+    /// Events of the schedule the run walked (all of them, or the prefix
+    /// up to an early close).
     pub events: u64,
 }
 

@@ -10,8 +10,9 @@
 //! *before* the round's event schedule is built, so
 //! [`EventDrivenRuntime`](crate::runtime::EventDrivenRuntime) can price a
 //! faulty round exactly as it prices a clean one: every crash, loss, and
-//! retry is an event under the existing `TieBreak` total order, and the
-//! same seed plus the same spec replays the same faults bit for bit.
+//! retry is an event under the schedule's one total order (the sort key in
+//! `runtime.rs`), and the same seed plus the same spec replays the same
+//! faults bit for bit.
 //!
 //! All retry/backoff arithmetic runs in saturating fixed-point
 //! microseconds (the workspace's µs cost idiom) and converts to `f64`
@@ -22,8 +23,6 @@
 //! delivery, and the trainer degrades them into the staleness buffer (the
 //! PR 6 machinery), so an update either retries until it lands or is
 //! carried to a later round.
-
-use std::collections::BTreeMap;
 
 use lumos_common::rng::Xoshiro256pp;
 
@@ -272,9 +271,6 @@ pub struct FaultPlan {
     /// Per-device outcome of the round's update upload (the
     /// device → aggregator/server send).
     upload: Vec<SendFaults>,
-    /// Outcomes of explicitly enumerated cross-device edges; edges absent
-    /// from the map are fault-free.
-    edges: BTreeMap<(u32, u32), SendFaults>,
 }
 
 impl FaultPlan {
@@ -294,16 +290,9 @@ impl FaultPlan {
         self.upload.get(d).filter(|s| !s.is_clean())
     }
 
-    /// The outcome of the cross edge `from → to`, when it has faults.
-    pub fn edge(&self, from: u32, to: u32) -> Option<&SendFaults> {
-        self.edges.get(&(from, to))
-    }
-
     /// True when the plan injects nothing (every outcome clean).
     pub fn is_clean(&self) -> bool {
-        self.crash_frac.iter().all(Option::is_none)
-            && self.upload.iter().all(SendFaults::is_clean)
-            && self.edges.is_empty()
+        self.crash_frac.iter().all(Option::is_none) && self.upload.iter().all(SendFaults::is_clean)
     }
 
     /// Devices that crash this round, restricted to the currently
@@ -343,13 +332,6 @@ impl FaultPlan {
                 continue;
             }
             let s = &self.upload[d];
-            c.lost_messages += s.lost_attempts();
-            c.retries += s.retries();
-            c.retry_secs += us_to_secs(s.total_delay_us());
-            c.exhausted_sends += u64::from(s.exhausted);
-            c.duplicated_messages += u64::from(s.duplicates);
-        }
-        for s in self.edges.values() {
             c.lost_messages += s.lost_attempts();
             c.retries += s.retries();
             c.retry_secs += us_to_secs(s.total_delay_us());
@@ -410,20 +392,9 @@ impl FaultState {
 
     /// Compiles the current round's plan: one crash draw and one upload
     /// outcome per device (drawn for every slot so the stream's shape is
-    /// independent of churn, then cleared for unavailable devices), plus
-    /// an outcome per explicitly enumerated cross edge. Advances the round.
+    /// independent of churn, then cleared for unavailable devices).
+    /// Advances the round.
     pub fn compile_round(&mut self, profiles: &[DeviceProfile]) -> FaultPlan {
-        self.compile_round_with_edges(profiles, &[])
-    }
-
-    /// [`FaultState::compile_round`] with explicit cross-device edges:
-    /// each `(from, to)` gets its own loss/duplication outcome, applied
-    /// to that edge's arrival alone.
-    pub fn compile_round_with_edges(
-        &mut self,
-        profiles: &[DeviceProfile],
-        edges: &[(u32, u32)],
-    ) -> FaultPlan {
         let (crash_rate, loss_rate, duplicate_rate) = match &self.spec {
             FaultSpec::None => (0.0, 0.0, 0.0),
             FaultSpec::Faults {
@@ -455,20 +426,8 @@ impl FaultState {
                 upload.push(SendFaults::default());
             }
         }
-        let mut edge_map = BTreeMap::new();
-        for &(from, to) in edges {
-            let send = self.draw_send(loss_rate, duplicate_rate);
-            if !send.is_clean() {
-                edge_map.insert((from, to), send);
-            }
-        }
-        let plan = FaultPlan {
-            crash_frac,
-            upload,
-            edges: edge_map,
-        };
         self.round += 1;
-        plan
+        FaultPlan { crash_frac, upload }
     }
 
     /// Draws one send's outcome: repeated loss Bernoullis up to the
@@ -703,17 +662,5 @@ mod tests {
             }],
         }
         .validate();
-    }
-
-    #[test]
-    fn edge_outcomes_only_record_faulty_edges() {
-        let mut st = FaultState::new(FaultSpec::message_loss(1.0), RecoveryPolicy::default(), 21);
-        let plan = st.compile_round_with_edges(&fleet(2), &[(0, 1), (1, 0)]);
-        assert!(plan.edge(0, 1).is_some());
-        assert!(plan.edge(1, 0).is_some());
-        assert!(plan.edge(0, 0).is_none());
-        let mut clean = FaultState::new(FaultSpec::None, RecoveryPolicy::default(), 21);
-        let plan = clean.compile_round_with_edges(&fleet(2), &[(0, 1)]);
-        assert!(plan.edge(0, 1).is_none(), "clean edges stay out of the map");
     }
 }

@@ -9,15 +9,14 @@
 //!   rate, asymmetric link throughput, latency, availability) sampled from
 //!   seeded heterogeneity distributions ([`Heterogeneity`]: uniform,
 //!   jitter, lognormal, Pareto).
-//! * [`queue`] — a virtual-time event queue ([`EventQueue`] over
-//!   [`VirtualTime`], ties broken by the event's [`TieBreak`] key —
-//!   (kind, device) for simulation events — then push sequence) with no
+//! * [`time`] — [`VirtualTime`]: a totally ordered virtual clock, with no
 //!   real clock anywhere in the simulation path.
 //! * [`runtime`] — the [`EventDrivenRuntime`]: prices one epoch's full
-//!   event schedule up front and streams every [`SimEvent`] through a
-//!   subscribed handler, which may close the round early
-//!   ([`Control::CloseRound`]). This is the core `lumos-core` runs
-//!   every round on, once.
+//!   event schedule up front, sorts it once — by time, then (kind, device),
+//!   then construction order; `runtime.rs` holds that key — and walks
+//!   every [`SimEvent`] past a subscribed handler, which may close the
+//!   round early ([`Control::CloseRound`]): a closed round is a prefix of
+//!   the schedule. This is the core `lumos-core` runs every round on, once.
 //! * [`epoch`] — [`simulate_epoch`]: the synchronous barrier as the
 //!   degenerate event-driven run (a handler that never closes). Schedules
 //!   per-device compute, per-edge message-delivery
@@ -55,9 +54,9 @@ pub mod epoch;
 pub mod fault;
 pub mod policy;
 pub mod profile;
-pub mod queue;
 pub mod runtime;
 pub mod scenario;
+pub mod time;
 
 pub use epoch::{simulate_epoch, DeviceWork, EpochStats, Inbound, SERVER_SENDER};
 pub use fault::{
@@ -66,6 +65,6 @@ pub use fault::{
 };
 pub use policy::{AggregationPolicy, RoundPolicy, StalenessBuffer, STALENESS_CAP};
 pub use profile::{DeviceProfile, FleetSpec, Heterogeneity};
-pub use queue::{EventQueue, TieBreak, VirtualTime};
 pub use runtime::{Control, EventDrivenRuntime, SimEvent};
 pub use scenario::{Scenario, ScenarioState};
+pub use time::VirtualTime;

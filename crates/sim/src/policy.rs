@@ -29,8 +29,8 @@
 //! independent reference the property tests hold the handler to.
 
 use crate::epoch::EpochStats;
-use crate::queue::VirtualTime;
 use crate::runtime::{Control, EventDrivenRuntime, SimEvent};
+use crate::time::VirtualTime;
 
 /// Upper bound on how many rounds a late update may stay in flight before
 /// it is blended in: both its arrival round and its staleness exponent are
@@ -75,8 +75,9 @@ pub enum AggregationPolicy {
     /// Barrier-free asynchronous aggregation: the round pools the moment
     /// `min_updates` updates have landed — no global barrier at all. The
     /// quorum is the `min_updates` earliest landings in `(delivery time,
-    /// device id)` order (the tie-break mirrors the event queue's total
-    /// order, so the set is push-order-independent); every other update is
+    /// device id)` order (the tie-break mirrors the schedule's total order
+    /// — `runtime.rs`'s sort key — so the set is a function of the landing
+    /// times alone); every other update is
     /// carried to the next round at *full* weight (staleness 1, no decay) —
     /// nothing is dropped (`late_drops = 0`) and nothing is wasted
     /// (`wasted_updates = 0`). With `min_updates >= n_devices` the quorum
@@ -239,12 +240,7 @@ impl AggregationPolicy {
                 if t <= deadline {
                     return None;
                 }
-                let staleness = if deadline > 0.0 {
-                    ((t / deadline).ceil() - 1.0).clamp(1.0, STALENESS_CAP as f64) as u32
-                } else {
-                    STALENESS_CAP
-                };
-                Some((d as u32, staleness))
+                Some((d as u32, staleness(t, deadline)))
             })
             .collect()
     }
@@ -253,9 +249,9 @@ impl AggregationPolicy {
 /// The devices an async quorum of `min_updates` leaves out, each at
 /// staleness 1, sorted by device id. Empty when the whole round fits in
 /// the quorum. The quorum is the `min_updates` earliest landings by time
-/// with ties broken by device id — the same total order the event queue
-/// pops simultaneous landings in, so the boundary is a pure function of
-/// the schedule.
+/// with ties broken by device id — the order the sorted schedule walks
+/// simultaneous landings in, so the boundary is a pure function of the
+/// schedule.
 fn async_overflow(min_updates: usize, planned: &[Option<f64>]) -> Vec<(u32, u32)> {
     let mut landed: Vec<(f64, u32)> = planned
         .iter()
@@ -307,7 +303,7 @@ enum RoundMode {
     /// which nobody is late, an async quorum of the whole fleet, and
     /// rounds where nothing lands.
     Barrier,
-    /// Close once every awaited landing has popped.
+    /// Close once every awaited landing has run.
     Awaiting {
         /// Per device, the event its awaited update lands on — `Some(true)`
         /// its `Delivered` (it ships a burst), `Some(false)` its

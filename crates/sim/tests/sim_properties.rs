@@ -1,5 +1,5 @@
-//! Property tests for the discrete-event core: the virtual clock never
-//! runs backwards, the epoch simulator's invariants hold for arbitrary
+//! Property tests for the discrete-event core: the schedule runs in its
+//! total order and keeps every device's causal chain, the epoch simulator's invariants hold for arbitrary
 //! seeded fleets and workloads, and the per-destination schedule dominates
 //! the aggregate one — collapsing to it bit-for-bit exactly when every
 //! sender lands at or before its receiver's own burst barrier.
@@ -8,8 +8,9 @@ use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
 use lumos_sim::{
-    simulate_epoch, AggregationPolicy, DeviceProfile, DeviceWork, EventDrivenRuntime, EventQueue,
-    Inbound, RoundPolicy, StalenessBuffer, VirtualTime, SERVER_SENDER, STALENESS_CAP,
+    simulate_epoch, AggregationPolicy, Control, DeviceProfile, DeviceWork, EventDrivenRuntime,
+    FaultSpec, FaultState, Inbound, RecoveryPolicy, RoundPolicy, SimEvent, StalenessBuffer,
+    VirtualTime, SERVER_SENDER, STALENESS_CAP,
 };
 
 /// Random fleet + aggregate workload of `n` devices from one seed.
@@ -74,29 +75,66 @@ fn barrier_secs(p: &DeviceProfile, w: &DeviceWork) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Virtual-clock monotonicity: however events are pushed, pops are
-    /// non-decreasing in time, FIFO at ties, and nothing is lost.
+    /// The sorted schedule earns what the event heap gave by construction.
+    /// On a random fleet under a lossy, crashing fault plan — every other
+    /// device pinned to one timestamp so kinds and devices collide — the
+    /// stream a handler sees never steps back under `(time, kind rank,
+    /// device)`, one sender's simultaneous arrivals ascend by receiver, and
+    /// each device's chain keeps its causal order: `ComputeDone` before
+    /// `Delivered` before every `Arrived` it sends, and before its own
+    /// `InboxDrained` and any `Lost` / `RetryDue`.
     #[test]
-    fn event_pops_are_monotone_in_time(seed in any::<u64>(), len in 1usize..256) {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let mut queue = EventQueue::new();
-        for i in 0..len {
-            queue.push(VirtualTime::new(rng.range_f64(0.0, 1e6)), i);
+    fn event_pops_are_monotone_in_time(seed in any::<u64>(), n in 1usize..48) {
+        let (mut profiles, aggregate) = random_fleet(seed, n);
+        let mut work = scatter_inbound(seed, &aggregate);
+        for (p, w) in profiles.iter_mut().zip(&mut work).step_by(2) {
+            *p = DeviceProfile { available: p.available, latency_secs: 0.0, ..DeviceProfile::baseline() };
+            w.compute_units = 100.0;
+            w.messages_out = 1;
+            w.bytes_out = 0;
         }
-        prop_assert_eq!(queue.len(), len);
-        let mut popped = 0usize;
-        let mut last = VirtualTime::ZERO;
-        let mut last_seq = 0usize;
-        while let Some((t, seq)) = queue.pop() {
-            prop_assert!(t >= last, "clock ran backwards: {} < {}", t.secs(), last.secs());
-            if t == last && popped > 0 {
-                prop_assert!(seq > last_seq, "ties must pop in push order");
+        let spec = FaultSpec::Faults {
+            crash_rate: 0.1,
+            loss_rate: 0.3,
+            duplicate_rate: 0.0,
+            outages: Vec::new(),
+        };
+        let plan = FaultState::new(spec, RecoveryPolicy::default(), seed).compile_round(&profiles);
+        let mut seen: Vec<(VirtualTime, SimEvent)> = Vec::new();
+        let stats = EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan)).run(|t, ev| {
+            seen.push((t, *ev));
+            Control::Continue
+        });
+        prop_assert_eq!(seen.len() as u64, stats.events);
+        let rank = |ev: &SimEvent| match ev {
+            SimEvent::ComputeDone(_) => 0,
+            SimEvent::Delivered(_) => 1,
+            SimEvent::Arrived { .. } => 2,
+            SimEvent::InboxDrained(_) => 3,
+            SimEvent::Crashed(_) => 4,
+            SimEvent::Lost(_) => 5,
+            SimEvent::RetryDue(_) => 6,
+        };
+        for pair in seen.windows(2) {
+            let [(t0, e0), (t1, e1)] = [pair[0], pair[1]];
+            prop_assert!(
+                (t0, rank(&e0), e0.device()) <= (t1, rank(&e1), e1.device()),
+                "{:?} at {} ran before {:?} at {}", e0, t0.secs(), e1, t1.secs()
+            );
+            if let (SimEvent::Arrived { from: a, to: x }, SimEvent::Arrived { from: b, to: y }) = (e0, e1) {
+                prop_assert!(t0 != t1 || a != b || x < y, "{:?} ran before {:?}", e0, e1);
             }
-            last = t;
-            last_seq = seq;
-            popped += 1;
         }
-        prop_assert_eq!(popped, len);
+        let at = |want: SimEvent| seen.iter().position(|&(_, ev)| ev == want);
+        for (i, (_, ev)) in seen.iter().enumerate() {
+            let d = ev.device();
+            let cause = match ev {
+                SimEvent::ComputeDone(_) | SimEvent::Crashed(_) => continue,
+                SimEvent::Arrived { .. } => SimEvent::Delivered(d),
+                _ => SimEvent::ComputeDone(d),
+            };
+            prop_assert!(at(cause).is_some_and(|c| c < i), "{:?} ran without its {:?}", ev, cause);
+        }
     }
 
     /// The synchronous barrier dominates every device: busy time never

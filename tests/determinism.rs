@@ -18,8 +18,12 @@ use lumos::core::{
     TopologyConfig,
 };
 use lumos::data::{Dataset, Scale};
+use lumos::fed::{ledger_work, SimNetwork};
 use lumos::gnn::Backbone;
-use lumos::sim::{FaultSpec, Scenario};
+use lumos::sim::{
+    Control, EventDrivenRuntime, FaultSpec, FaultState, RecoveryPolicy, Scenario, ScenarioState,
+    SimEvent,
+};
 
 fn smoke_run(seed: u64) -> RunReport {
     let ds = Dataset::facebook_like(Scale::Smoke);
@@ -248,4 +252,114 @@ fn dataset_generation_is_seed_deterministic() {
         ea, eb,
         "generated edge lists diverged between identical calls"
     );
+}
+
+/// FNV-1a over `(time bits, kind, device, receiver)` of every event three
+/// smoke-scale rounds hand their handler: each device sends one payload to
+/// every graph neighbour and uploads to the server, the fleet churns
+/// between rounds, and a fault plan (when given) crashes devices and loses
+/// uploads.
+fn event_stream_digest(scenario: Scenario, faults: FaultSpec) -> u64 {
+    const SEED: u64 = 0x5C4ED;
+    let ds = Dataset::facebook_like(Scale::Smoke);
+    let n = ds.num_nodes();
+    let tree_nodes: Vec<usize> = (0..n as u32).map(|v| ds.graph.degree(v) + 1).collect();
+    let mut state = ScenarioState::new(scenario, n, SEED);
+    let mut faults = FaultState::new(faults, RecoveryPolicy::default(), SEED);
+    let mut net = SimNetwork::new(n);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut events = 0u64;
+    for _ in 0..3 {
+        let snap = net.snapshot();
+        let up = |d: u32| state.profiles()[d as usize].available;
+        for (from, to) in ds.graph.directed_arcs() {
+            if up(from) {
+                net.send(from, to, 256);
+            }
+        }
+        net.round();
+        for d in (0..n as u32).filter(|&d| up(d)) {
+            net.send_to_server(d, 1024);
+        }
+        net.round();
+        let work = ledger_work(&net, &snap, &tree_nodes, 2);
+        let plan = faults.compile_round(state.profiles());
+        let stats = EventDrivenRuntime::new_with_faults(state.profiles(), &work, Some(&plan)).run(
+            |t, ev| {
+                let (kind, receiver) = match *ev {
+                    SimEvent::ComputeDone(_) => (0, u32::MAX),
+                    SimEvent::Delivered(_) => (1, u32::MAX),
+                    SimEvent::Arrived { to, .. } => (2, to),
+                    SimEvent::InboxDrained(_) => (3, u32::MAX),
+                    SimEvent::Crashed(_) => (4, u32::MAX),
+                    SimEvent::Lost(_) => (5, u32::MAX),
+                    SimEvent::RetryDue(_) => (6, u32::MAX),
+                };
+                let words = [
+                    t.secs().to_bits(),
+                    kind,
+                    u64::from(ev.device()),
+                    u64::from(receiver),
+                ];
+                for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Control::Continue
+            },
+        );
+        events += stats.events;
+        state.advance_round();
+    }
+    assert!(events > 3 * n as u64, "a round has several events a device");
+    hash
+}
+
+#[test]
+fn event_streams_are_pinned_per_scenario() {
+    // The constants were produced by the event heap of the commit before
+    // the schedule became one sorted vector (PR 22): the stream — order
+    // included — is what that change had to preserve, and what a trace
+    // digest will extend.
+    let lossy = || FaultSpec::Faults {
+        crash_rate: 0.05,
+        loss_rate: 0.05,
+        duplicate_rate: 0.0,
+        outages: Vec::new(),
+    };
+    let pinned: [(Scenario, u64, u64); 4] = [
+        (
+            Scenario::Uniform,
+            0x3d5a_55af_8160_c2bf,
+            0x249f_b55d_7461_1b63,
+        ),
+        (
+            Scenario::MobileFleet,
+            0x9091_256a_ec47_6333,
+            0x0045_e5be_abf1_c4b4,
+        ),
+        (
+            Scenario::StragglerTail,
+            0x17ff_3e1d_8ed4_a310,
+            0x3ed5_61f1_4984_6d59,
+        ),
+        (
+            Scenario::Churn,
+            0x0846_aed2_45f0_a3a0,
+            0xd714_f63c_6cf8_ea5a,
+        ),
+    ];
+    for (scenario, clean, faulty) in pinned {
+        let got = (
+            event_stream_digest(scenario, FaultSpec::None),
+            event_stream_digest(scenario, lossy()),
+        );
+        assert_eq!(
+            got,
+            (clean, faulty),
+            "{}: got ({:#018x}, {:#018x})",
+            scenario.name(),
+            got.0,
+            got.1
+        );
+    }
 }
