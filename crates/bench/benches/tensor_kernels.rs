@@ -3,11 +3,18 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lumos_balance::SecurityMode;
 use lumos_common::rng::Xoshiro256pp;
+use lumos_core::{
+    build_compact, construct_assignment, exchange_features, CompareBackend, DeviceTree,
+    LocalGraphKind,
+};
+use lumos_data::{Dataset, Scale};
+use lumos_fed::SimNetwork;
 use lumos_tensor::kernels::{
     gather_rows, propagate, scale_rows, scatter_add_rows, segment_softmax,
 };
-use lumos_tensor::Tensor;
+use lumos_tensor::{matmul_rows, matmul_tn_rows, Tensor};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = Xoshiro256pp::seed_from_u64(1);
@@ -44,6 +51,59 @@ fn bench_batch_matmul(c: &mut Criterion) {
     let g = Tensor::rand_uniform(m, n, -1.0, 1.0, &mut rng);
     c.bench_function("matmul_tn_batch_27648x192x16", |b| {
         b.iter(|| black_box(x.matmul_tn(black_box(&g))))
+    });
+}
+
+/// The same two products over a real `facebook_like(Small)` batch — a third
+/// of its rows virtual, a third one-bit codes, a third centre rows of which
+/// most repeat an earlier one — read through its `FeatureRows` and, beside
+/// them, through the dense tensor those rows write out to.
+fn bench_batch_rows(c: &mut Criterion) {
+    let ds = Dataset::facebook_like(Scale::Small);
+    let (assignment, _) = construct_assignment(
+        &ds.graph,
+        true,
+        20,
+        SecurityMode::CostModel,
+        CompareBackend::Scalar,
+        2023,
+        None,
+    );
+    let trees: Vec<DeviceTree> = (0..ds.num_nodes() as u32)
+        .map(|v| {
+            DeviceTree::build(
+                LocalGraphKind::VirtualNodeTree,
+                v,
+                assignment.kept(v).to_vec(),
+            )
+        })
+        .collect();
+    let mut rng = Xoshiro256pp::seed_from_u64(6);
+    let mut net = SimNetwork::new(ds.num_nodes());
+    let exchange = exchange_features(
+        &ds.features,
+        ds.feature_dim,
+        &trees,
+        2.0,
+        &mut rng,
+        &mut net,
+    );
+    let batch = build_compact(&trees, &ds.features, ds.feature_dim, &exchange);
+    let dense = batch.features.to_tensor();
+    let (m, k) = dense.dims();
+    let w = Tensor::rand_uniform(k, 16, -1.0, 1.0, &mut rng);
+    let g = Tensor::rand_uniform(m, 16, -1.0, 1.0, &mut rng);
+    c.bench_function("matmul_rows_batch_small_x16", |b| {
+        b.iter(|| black_box(matmul_rows(black_box(&batch.features), black_box(&w))))
+    });
+    c.bench_function("matmul_dense_batch_small_x16", |b| {
+        b.iter(|| black_box(dense.matmul(black_box(&w))))
+    });
+    c.bench_function("matmul_tn_rows_batch_small_x16", |b| {
+        b.iter(|| black_box(matmul_tn_rows(black_box(&batch.features), black_box(&g))))
+    });
+    c.bench_function("matmul_tn_dense_batch_small_x16", |b| {
+        b.iter(|| black_box(dense.matmul_tn(black_box(&g))))
     });
 }
 
@@ -93,7 +153,7 @@ fn bench_segment_softmax(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matmul, bench_batch_matmul, bench_gather_scatter, bench_propagate,
-        bench_segment_softmax
+    targets = bench_matmul, bench_batch_matmul, bench_batch_rows, bench_gather_scatter,
+        bench_propagate, bench_segment_softmax
 }
 criterion_main!(benches);

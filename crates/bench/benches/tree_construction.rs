@@ -4,7 +4,7 @@ use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_core::{build_batched, exchange_features, DeviceTree, LocalGraphKind};
+use lumos_core::{build_compact, exchange_features, DeviceTree, LocalGraphKind};
 use lumos_data::{Dataset, Scale};
 use lumos_fed::SimNetwork;
 
@@ -41,9 +41,9 @@ fn bench_batched_forest(c: &mut Criterion) {
         &mut rng,
         &mut net,
     );
-    c.bench_function("build_batched_forest_smoke", |b| {
+    c.bench_function("build_compact_forest_smoke", |b| {
         b.iter(|| {
-            black_box(build_batched(
+            black_box(build_compact(
                 &trees,
                 &ds.features,
                 ds.feature_dim,

@@ -16,6 +16,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod hetero;
+pub mod paper;
 pub mod perf;
 pub mod presets;
 pub mod scale;

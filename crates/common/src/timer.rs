@@ -66,6 +66,41 @@ impl Stopwatch {
     }
 }
 
+/// Splits one stretch of wall time into named phases: each [`Laps::lap`]
+/// credits the time since the previous one to a phase, and a phase entered
+/// again accumulates.
+#[derive(Debug, Clone)]
+pub struct Laps {
+    clock: Stopwatch,
+    phases: Vec<(&'static str, f64)>,
+}
+
+impl Laps {
+    /// Starts the clock with no phase credited yet.
+    pub fn started() -> Self {
+        Self {
+            clock: Stopwatch::started(),
+            phases: Vec::new(),
+        }
+    }
+
+    /// Credits the time since the last lap (or the start) to `phase`.
+    pub fn lap(&mut self, phase: &'static str) {
+        let secs = self.clock.secs();
+        self.clock.reset();
+        self.clock.start();
+        match self.phases.iter_mut().find(|(name, _)| *name == phase) {
+            Some((_, total)) => *total += secs,
+            None => self.phases.push((phase, secs)),
+        }
+    }
+
+    /// Seconds per phase, in first-entered order.
+    pub fn into_phases(self) -> Vec<(&'static str, f64)> {
+        self.phases
+    }
+}
+
 /// Times a closure, returning its result and the elapsed seconds.
 #[allow(clippy::disallowed_methods)] // mirrored lumos-lint waiver below
 pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -98,6 +133,21 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         sw.reset();
         assert_eq!(sw.elapsed(), Duration::ZERO);
+    }
+
+    #[test]
+    fn laps_credit_consecutive_stretches_and_accumulate_by_name() {
+        let mut laps = Laps::started();
+        std::thread::sleep(Duration::from_millis(3));
+        laps.lap("a");
+        laps.lap("b");
+        std::thread::sleep(Duration::from_millis(3));
+        laps.lap("a");
+        let phases = laps.into_phases();
+        assert_eq!(phases.len(), 2);
+        assert_eq!((phases[0].0, phases[1].0), ("a", "b"));
+        assert!(phases[0].1 >= 0.005, "two stretches of a: {}", phases[0].1);
+        assert!(phases[1].1 < phases[0].1);
     }
 
     #[test]

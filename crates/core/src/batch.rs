@@ -6,14 +6,94 @@
 //! identical to per-device execution — trees are disconnected components —
 //! while the POOL layer's cross-device averaging (Eq. 31) becomes a single
 //! segment-mean over leaf rows.
+//!
+//! A batch row is only ever one of three things, and [`FeatureRows`] stores
+//! it as that: a virtual node (all zero — nothing), a center leaf (a row of
+//! the dataset's own feature matrix — the vertex id), or a neighbor leaf
+//! (one-bit-mechanism output — the message as the exchange kept it).
 
 use std::rc::Rc;
 
 use lumos_gnn::MessageGraph;
-use lumos_tensor::Tensor;
+use lumos_ldp::RecoveredFeature;
+use lumos_tensor::{RowOperand, Tensor};
 
 use crate::init::LdpExchange;
 use crate::tree::{DeviceTree, TreeNode};
+
+/// What one batch row holds.
+#[derive(Debug, Clone)]
+enum FeatureRow {
+    /// A virtual node (Eq. 25): every feature zero.
+    Zero,
+    /// A center leaf: row `vertex` of the dataset's feature matrix. `first`
+    /// is the batch row of its tree's first center leaf — this row itself,
+    /// or the earlier row every later copy repeats.
+    Raw { vertex: u32, first: u32 },
+    /// A neighbor leaf: the owner's kept estimate of the neighbor's feature.
+    Coded(Rc<RecoveredFeature>),
+}
+
+/// The batch's initial embeddings `[total_nodes, dim]` (Eq. 25), stored as
+/// what each row is rather than as floats: the first-layer products read
+/// them through [`RowOperand`], decoding a coded row into scratch, skipping
+/// a zero row and re-using the outputs of a repeated center row.
+#[derive(Debug)]
+pub struct FeatureRows<'a> {
+    dim: usize,
+    /// The dataset's row-major feature matrix, borrowed.
+    raw: &'a [f32],
+    rows: Vec<FeatureRow>,
+}
+
+impl FeatureRows<'_> {
+    /// The rows written out densely: the matrix every product over `self`
+    /// equals, bit for bit, a product over.
+    pub fn to_tensor(&self) -> Tensor {
+        let mut out = Tensor::zeros(self.rows.len(), self.dim);
+        let mut scratch = vec![0.0; self.dim];
+        for r in 0..self.rows.len() {
+            if let Some(row) = self.row(r, &mut scratch) {
+                out.row_mut(r).copy_from_slice(row);
+            }
+        }
+        out
+    }
+
+    /// Bytes the batch itself holds for its features: the per-row index.
+    /// The coded rows belong to the exchange's memo and the raw rows to the
+    /// dataset; both are counted there.
+    pub fn bytes(&self) -> usize {
+        self.rows.len() * std::mem::size_of::<FeatureRow>()
+    }
+}
+
+impl RowOperand for FeatureRows<'_> {
+    fn dims(&self) -> (usize, usize) {
+        (self.rows.len(), self.dim)
+    }
+
+    fn row<'s>(&'s self, r: usize, scratch: &'s mut [f32]) -> Option<&'s [f32]> {
+        match &self.rows[r] {
+            FeatureRow::Zero => None,
+            FeatureRow::Raw { vertex, .. } => {
+                let v = *vertex as usize;
+                Some(&self.raw[v * self.dim..(v + 1) * self.dim])
+            }
+            FeatureRow::Coded(kept) => {
+                kept.decode_into(scratch);
+                Some(scratch)
+            }
+        }
+    }
+
+    fn alias(&self, r: usize) -> Option<usize> {
+        match self.rows[r] {
+            FeatureRow::Raw { first, .. } if first as usize != r => Some(first as usize),
+            _ => None,
+        }
+    }
+}
 
 /// POOL index arrays for one round's aggregation — shared-ownership copies
 /// so a per-round mask can swap them without touching the batch.
@@ -36,14 +116,16 @@ pub struct PoolArrays {
     pub leaf_weights: Option<Rc<Vec<f32>>>,
 }
 
-/// The batched forest plus everything the trainer needs.
+/// The batched forest plus everything the trainer needs. `F` is how the
+/// initial embeddings are held: [`FeatureRows`] in a run ([`build_compact`]),
+/// a dense [`Tensor`] from [`build_batched`].
 #[derive(Debug)]
-pub struct BatchedTrees {
+pub struct BatchedTrees<F = Tensor> {
     /// Message-passing structure over all tree nodes.
     pub mg: MessageGraph,
     /// Initial node embeddings `[total_nodes, dim]` (Eq. 25: leaves carry
     /// features, virtual nodes zero).
-    pub features: Tensor,
+    pub features: F,
     /// Batched node ids of all leaves (POOL gather index).
     pub pool_leaves: Rc<Vec<u32>>,
     /// Global vertex of each pooled leaf (POOL scatter index).
@@ -59,10 +141,26 @@ pub struct BatchedTrees {
     pub num_vertices: usize,
 }
 
-impl BatchedTrees {
+impl<F> BatchedTrees<F> {
     /// Total batched nodes.
     pub fn total_nodes(&self) -> usize {
         self.mg.num_nodes
+    }
+
+    /// Bytes of everything but the features: the message graph's four arc
+    /// arrays, the four POOL arrays and the tree sizes.
+    pub fn index_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let mg = &self.mg;
+        size_of_val(&mg.src[..])
+            + size_of_val(&mg.dst[..])
+            + size_of_val(&mg.gcn_coeff[..])
+            + size_of_val(&mg.mean_coeff[..])
+            + size_of_val(&self.pool_leaves[..])
+            + size_of_val(&self.pool_vertices[..])
+            + size_of_val(&self.pool_coeff[..])
+            + size_of_val(&self.pool_owners[..])
+            + size_of_val(&self.tree_sizes[..])
     }
 
     /// POOL arrays with every leaf owned by a `dropped` device removed and
@@ -162,21 +260,23 @@ impl BatchedTrees {
 
 /// Builds the batched forest.
 ///
-/// `features` is the raw `[n, dim]` feature matrix; center leaves read it
-/// directly (the paper: the center's feature is the only non-noised one in
-/// its tree), neighbor leaves read the LDP-recovered estimates from
-/// `exchange`.
-pub fn build_batched(
+/// `features` is the raw `[n, dim]` feature matrix; center leaves point into
+/// it (the paper: the center's feature is the only non-noised one in its
+/// tree), neighbor leaves share the estimates `exchange` kept. A pair the
+/// exchange never covered is the message nothing was received of — every
+/// symbol missing, the information-free midpoint throughout.
+pub fn build_compact<'a>(
     trees: &[DeviceTree],
-    features: &[f32],
+    features: &'a [f32],
     dim: usize,
     exchange: &LdpExchange,
-) -> BatchedTrees {
+) -> BatchedTrees<FeatureRows<'a>> {
     let n = trees.len();
     assert_eq!(features.len(), n * dim, "feature matrix shape mismatch");
     let total_nodes: usize = trees.iter().map(|t| t.num_nodes()).sum();
 
-    let mut init = Tensor::zeros(total_nodes, dim);
+    let mut rows: Vec<FeatureRow> = Vec::with_capacity(total_nodes);
+    let mut absent: Option<Rc<RecoveredFeature>> = None;
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut pool_leaves: Vec<u32> = Vec::new();
     let mut pool_vertices: Vec<u32> = Vec::new();
@@ -184,43 +284,43 @@ pub fn build_batched(
     let mut leaf_counts = vec![0u32; n];
     let mut tree_sizes = Vec::with_capacity(n);
 
-    let midpoint = 0.5f32;
     let mut offset = 0u32;
     for tree in trees {
         tree_sizes.push(tree.num_nodes());
         for (a, b) in &tree.edges {
             edges.push((offset + a, offset + b));
         }
+        let mut first_center = None;
         for (local, node) in tree.nodes.iter().enumerate() {
             let bid = offset + local as u32;
-            match node {
+            let vertex = match node {
                 TreeNode::Root | TreeNode::Parent(_) => {
-                    // Virtual nodes: zero embedding (Eq. 25).
+                    rows.push(FeatureRow::Zero);
+                    continue;
                 }
                 TreeNode::CenterLeaf(_) | TreeNode::EgoCenter => {
-                    let c = tree.center as usize;
-                    init.row_mut(bid as usize)
-                        .copy_from_slice(&features[c * dim..(c + 1) * dim]);
-                    pool_leaves.push(bid);
-                    pool_vertices.push(tree.center);
-                    pool_owners.push(tree.center);
-                    leaf_counts[tree.center as usize] += 1;
+                    rows.push(FeatureRow::Raw {
+                        vertex: tree.center,
+                        first: *first_center.get_or_insert(bid),
+                    });
+                    tree.center
                 }
                 TreeNode::NeighborLeaf(k) | TreeNode::EgoNeighbor(k) => {
                     let v = tree.neighbors[*k as usize];
-                    let row = init.row_mut(bid as usize);
-                    match exchange.recovered.get(&(tree.center, v)) {
-                        Some(rec) => row.copy_from_slice(rec),
-                        // No message (fan-out zero is impossible here, but
-                        // stay safe): the information-free midpoint.
-                        None => row.iter_mut().for_each(|x| *x = midpoint),
-                    }
-                    pool_leaves.push(bid);
-                    pool_vertices.push(v);
-                    pool_owners.push(tree.center);
-                    leaf_counts[v as usize] += 1;
+                    let kept = exchange
+                        .recovered
+                        .get(&(tree.center, v))
+                        .unwrap_or_else(|| {
+                            absent.get_or_insert_with(|| Rc::new(RecoveredFeature::absent(dim)))
+                        });
+                    rows.push(FeatureRow::Coded(Rc::clone(kept)));
+                    v
                 }
-            }
+            };
+            pool_leaves.push(bid);
+            pool_vertices.push(vertex);
+            pool_owners.push(tree.center);
+            leaf_counts[vertex as usize] += 1;
         }
         offset += tree.num_nodes() as u32;
     }
@@ -232,13 +332,41 @@ pub fn build_batched(
 
     BatchedTrees {
         mg: MessageGraph::from_undirected(total_nodes, &edges),
-        features: init,
+        features: FeatureRows {
+            dim,
+            raw: features,
+            rows,
+        },
         pool_leaves: Rc::new(pool_leaves),
         pool_vertices: Rc::new(pool_vertices),
         pool_coeff: Rc::new(pool_coeff),
         pool_owners: Rc::new(pool_owners),
         tree_sizes,
         num_vertices: n,
+    }
+}
+
+/// [`build_compact`] with the features written out as a dense
+/// `[total_nodes, dim]` tensor ([`FeatureRows::to_tensor`]). No run trains
+/// on it: it is the oracle the compact rows are tested against, and what
+/// the benchmark's replay — its one remaining caller — still reads until it
+/// moves onto the row operand.
+pub fn build_batched(
+    trees: &[DeviceTree],
+    features: &[f32],
+    dim: usize,
+    exchange: &LdpExchange,
+) -> BatchedTrees {
+    let compact = build_compact(trees, features, dim, exchange);
+    BatchedTrees {
+        features: compact.features.to_tensor(),
+        mg: compact.mg,
+        pool_leaves: compact.pool_leaves,
+        pool_vertices: compact.pool_vertices,
+        pool_coeff: compact.pool_coeff,
+        pool_owners: compact.pool_owners,
+        tree_sizes: compact.tree_sizes,
+        num_vertices: compact.num_vertices,
     }
 }
 
@@ -403,6 +531,89 @@ mod tests {
         assert_eq!(batch.pool_owners.len(), batch.pool_leaves.len());
         // Tree layout is sequential: owners appear in tree order.
         assert_eq!(*batch.pool_owners, vec![0, 0, 1, 1, 1, 1, 2, 2]);
+    }
+
+    /// A forest over `n` vertices with every tree shape: virtual-node trees
+    /// of random fan-out, one-node and star ego networks, and a run of
+    /// `hollow` virtual rows (a tree of roots only) so whole 32-row blocks
+    /// come out zero.
+    fn seeded_forest(n: usize, hollow: usize, rng: &mut Xoshiro256pp) -> Vec<DeviceTree> {
+        (0..n as u32)
+            .map(|v| {
+                let others: Vec<u32> = (0..n as u32).filter(|&u| u != v).collect();
+                let wl = rng.index(others.len().min(6) + 1);
+                let kept = others[..wl].to_vec();
+                match rng.index(4) {
+                    0 => DeviceTree::build(LocalGraphKind::RawEgoNetwork, v, kept),
+                    1 => DeviceTree {
+                        nodes: [vec![TreeNode::Root; hollow], vec![TreeNode::EgoCenter]].concat(),
+                        ..DeviceTree::build(LocalGraphKind::RawEgoNetwork, v, Vec::new())
+                    },
+                    _ => DeviceTree::build(LocalGraphKind::VirtualNodeTree, v, kept),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn first_layer_products_over_the_rows_equal_the_dense_ones_bit_for_bit() {
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Xoshiro256pp::seed_from_u64(0xba7c4);
+        // `dim` off the four-codes-a-byte grid; `n` below, at and past the
+        // 16-column tile.
+        for (vertices, dim, hollow) in [(1, 5, 0), (9, 7, 40), (24, 13, 70), (40, 192, 33)] {
+            let trees = seeded_forest(vertices, hollow, &mut rng);
+            // Raw rows with zeros of both signs, and one entirely zero.
+            let mut features: Vec<f32> = (0..vertices * dim)
+                .map(|_| match rng.index(5) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.next_f32(),
+                })
+                .collect();
+            features[..dim].fill(0.0);
+            let mut net = SimNetwork::new(vertices);
+            let mut ex = exchange_features(&features, dim, &trees, 2.0, &mut rng, &mut net);
+            // One pair the exchange never covered: the all-missing row.
+            if let Some(&pair) = ex.recovered.keys().next() {
+                ex.recovered.remove(&pair);
+            }
+            let batch = build_compact(&trees, &features, dim, &ex);
+            let x = &batch.features;
+            let dense = x.to_tensor();
+            let rows = batch.total_nodes();
+            if vertices > 1 {
+                // Every kind of row, and a center row that repeats another.
+                let has = |kind: fn(&FeatureRow) -> bool| x.rows.iter().any(kind);
+                assert!(has(|r| matches!(r, FeatureRow::Zero)));
+                assert!(has(|r| matches!(r, FeatureRow::Coded(_))));
+                assert!((0..rows).any(|r| x.alias(r).is_some()));
+            }
+            for n in [1, 7, 16, 17] {
+                let w = Tensor::rand_uniform(dim, n, -1.0, 1.0, &mut rng);
+                let g = Tensor::rand_uniform(rows, n, -1.0, 1.0, &mut rng);
+                assert_eq!(
+                    bits(&lumos_tensor::matmul_rows(x, &w)),
+                    bits(&dense.matmul(&w)),
+                    "X·W at {rows}x{dim}x{n}"
+                );
+                assert_eq!(
+                    bits(&lumos_tensor::matmul_tn_rows(x, &g)),
+                    bits(&dense.matmul_tn(&g)),
+                    "Xᵀ·g at {rows}x{dim}x{n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_uncovered_pair_is_the_all_missing_row() {
+        let (trees, features, dim, mut ex) = build_example();
+        ex.recovered.remove(&(0, 1));
+        let batch = build_batched(&trees, &features, dim, &ex);
+        // Tree 0's neighbor leaf (row 3) had no message: the midpoint.
+        assert_eq!(batch.features.row(3), vec![0.5f32; dim]);
+        assert_ne!(batch.features.row(7), vec![0.5f32; dim]);
     }
 
     #[test]

@@ -13,20 +13,42 @@
 // path (pooling reads it per (owner, neighbor) pair), and BTree iteration
 // order is a function of the keys alone — no per-instance hash seed.
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use lumos_common::rng::Xoshiro256pp;
 use lumos_fed::SimNetwork;
-use lumos_ldp::FeatureEncoder;
+use lumos_ldp::{FeatureEncoder, RecoveredFeature};
 
 use crate::tree::DeviceTree;
 
 /// Result of the federated feature exchange.
 #[derive(Debug)]
 pub struct LdpExchange {
-    /// Recovered feature estimates: `(tree owner u, neighbor v) → x''_v`.
-    pub recovered: BTreeMap<(u32, u32), Vec<f32>>,
+    /// Recovered feature estimates, `(tree owner u, neighbor v) → x''_v`,
+    /// kept as received — packed symbols and the sender's decode table, not
+    /// floats — and shared with every batch built from them.
+    pub recovered: BTreeMap<(u32, u32), Rc<RecoveredFeature>>,
     /// Total feature messages sent.
     pub messages: u64,
+}
+
+impl LdpExchange {
+    /// The estimate `owner` holds of `neighbor`'s feature, decoded.
+    pub fn decoded(&self, owner: u32, neighbor: u32) -> Option<Vec<f32>> {
+        self.recovered
+            .get(&(owner, neighbor))
+            .map(|kept| kept.decoded())
+    }
+
+    /// Bytes the memo holds: per pair its key, its shared pointer and the
+    /// kept message.
+    pub fn bytes(&self) -> usize {
+        let per_entry = std::mem::size_of::<((u32, u32), Rc<RecoveredFeature>)>();
+        self.recovered
+            .values()
+            .map(|kept| per_entry + kept.bytes())
+            .sum()
+    }
 }
 
 /// Executes the exchange for every device: the top-up of
@@ -101,13 +123,14 @@ pub fn exchange_missing_features(
         let encoder = FeatureEncoder::new(epsilon, fan_out, dim, 0.0, 1.0);
         let feature = &features[v as usize * dim..(v as usize + 1) * dim];
         let msgs = encoder.encode_binned(feature, rng);
-        for (k, msg) in msgs.iter().enumerate() {
-            let u = recv[k];
+        for (&u, msg) in recv.iter().zip(msgs) {
             let elems = msg.transmitted() as u64;
             let bytes = (elems * (2 + index_bits)).div_ceil(8);
             net.send(v, u, bytes);
             messages += 1;
-            exchange.recovered.insert((u, v), encoder.recover(msg));
+            exchange
+                .recovered
+                .insert((u, v), Rc::new(encoder.receive(msg)));
         }
     }
     if messages > 0 {
@@ -143,8 +166,7 @@ mod tests {
         for tree in &trees {
             for &v in &tree.neighbors {
                 let rec = ex
-                    .recovered
-                    .get(&(tree.center, v))
+                    .decoded(tree.center, v)
                     .expect("every neighbor leaf must have a recovered feature");
                 assert_eq!(rec.len(), dim);
                 assert!(rec.iter().all(|x| x.is_finite()));
@@ -188,10 +210,10 @@ mod tests {
         let mut net = SimNetwork::new(2);
         // Large ε ⇒ bits nearly always match the truth.
         let ex = exchange_features(&features, dim, &trees, 2000.0, &mut rng(), &mut net);
-        let rec = &ex.recovered[&(0, 1)];
+        let rec = ex.decoded(0, 1).expect("device 0 keeps vertex 1");
         // Transmitted dims decode near 1; missing dims decode exactly 0.5.
         let mut sent = 0;
-        for &x in rec {
+        for x in rec {
             if (x - 0.5).abs() < 1e-6 {
                 continue;
             }
@@ -213,7 +235,8 @@ mod tests {
         let mut net = SimNetwork::new(2);
         let mut ex = exchange_features(&features, dim, &trees, 1.0, &mut rng(), &mut net);
         assert_eq!(ex.messages, 1);
-        let before = ex.recovered[&(0, 1)].clone();
+        let before = ex.decoded(0, 1);
+        assert!(before.is_some());
         // Migration hands the edge to device 1: its tree now needs vertex
         // 0's feature, which never crossed the wire.
         let migrated = vec![
@@ -233,7 +256,7 @@ mod tests {
         assert_eq!(ex.messages, 2);
         assert!(ex.recovered.contains_key(&(1, 0)));
         // The pre-existing estimate is untouched — its budget was spent.
-        assert_eq!(ex.recovered[&(0, 1)], before);
+        assert_eq!(ex.decoded(0, 1), before);
         // Running it again is a no-op: nothing is missing anymore.
         let again = exchange_missing_features(
             &features,

@@ -36,13 +36,15 @@ pub mod task;
 pub mod trainer;
 pub mod tree;
 
-pub use batch::{build_batched, BatchedTrees};
+pub use batch::{build_batched, build_compact, BatchedTrees, FeatureRows};
 pub use config::{LumosConfig, TaskKind};
 pub use constructor::{construct_assignment, construct_assignment_sharded};
 pub use init::{exchange_features, LdpExchange};
 pub use lumos_balance::{BalanceObjective, CompareBackend};
 pub use lumos_sim::AggregationPolicy;
 pub use lumos_topo::{Topology, TopologyConfig};
-pub use report::{ConstructorReport, EpochMetrics, RoundRecord, RoundSim, RunReport, SimSummary};
-pub use trainer::run_lumos;
+pub use report::{
+    ConstructorReport, EpochMetrics, RoundRecord, RoundSim, RunFootprint, RunReport, SimSummary,
+};
+pub use trainer::{run_lumos, run_lumos_measured};
 pub use tree::{DeviceTree, LocalGraphKind, TreeNode};

@@ -45,6 +45,19 @@ pub struct ConstructorReport {
     pub mcmc_trace: Vec<usize>,
 }
 
+/// Where a run's wall time and memory went — measured and computed beside
+/// the [`RunReport`], never part of it: nothing here is digested.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunFootprint {
+    /// Wall seconds per phase, in first-entered order; a phase entered every
+    /// epoch accumulates.
+    pub phase_secs: Vec<(&'static str, f64)>,
+    /// Bytes the run's own state held when it ended, per owner, computed
+    /// `len × size_of` (no allocator hook). The dataset is the caller's and
+    /// is not listed.
+    pub bytes: Vec<(&'static str, u64)>,
+}
+
 /// One training round as it closed: the ledger window, the cost model's
 /// price for it, the loss of its update and — under a scenario — what the
 /// round's simulation decided. Scalars only, so a run's log stays O(epochs)

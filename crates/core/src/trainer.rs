@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_common::timer::Stopwatch;
+use lumos_common::timer::{Laps, Stopwatch};
 use lumos_data::Dataset;
 use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
 use lumos_gnn::{EncoderConfig, GnnEncoder};
@@ -31,11 +31,11 @@ use lumos_sim::{
 };
 use lumos_topo::{ShardRoundPolicies, Topology};
 
-use crate::batch::{build_batched, BatchedTrees, PoolArrays};
+use crate::batch::{build_compact, BatchedTrees, FeatureRows, PoolArrays};
 use crate::config::LumosConfig;
 use crate::constructor::{construct_assignment, construct_assignment_sharded};
 use crate::init::{exchange_features, exchange_missing_features, LdpExchange};
-use crate::report::{RoundRecord, RoundSim, RunReport};
+use crate::report::{RoundRecord, RoundSim, RunFootprint, RunReport};
 use crate::task::{EvalCadence, EvalSplit, LinkFetches, TaskData, TaskHead};
 use crate::tree::{DeviceTree, LocalGraphKind};
 
@@ -44,6 +44,13 @@ const EMBEDDING_BYTES: u64 = 16 * 4;
 
 /// Runs the full Lumos system on a dataset and returns the report.
 pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
+    run_lumos_measured(ds, cfg).0
+}
+
+/// [`run_lumos`], with where the run's wall time went and what its state
+/// held when it ended.
+pub fn run_lumos_measured(ds: &Dataset, cfg: &LumosConfig) -> (RunReport, RunFootprint) {
+    let mut laps = Laps::started();
     let cadence = EvalCadence::new(cfg.eval_every, cfg.epochs);
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let n = ds.num_nodes();
@@ -61,6 +68,7 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
         Some(edges) => Graph::from_edges(n, edges),
         None => ds.graph.clone(),
     };
+    laps.lap("split");
 
     // The fleet comes up before the constructor so the VirtualSecs
     // objective can price each device's tree nodes.
@@ -90,11 +98,14 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
             node_costs.as_deref(),
         ),
     };
+    laps.lap("constructor");
 
     // Phase 2: LDP embedding initialization (§VI-A).
-    let mut forest = Forest::plant(ds, cfg, assignment, &mut rng, &mut fleet.runtime.network);
+    let net = &mut fleet.runtime.network;
+    let mut forest = Forest::plant(ds, cfg, assignment, None, &mut rng, net, &mut laps);
     // Phase 3: model setup (§VIII-B hyperparameters).
     let mut model = Model::new(&enc_cfg, data, cfg.lr, &mut rng);
+    laps.lap("model_init");
 
     let mut report = RunReport::new("lumos", &ds.name, cfg.backbone.name(), cfg.task.name());
     report.constructor = constructor;
@@ -104,20 +115,26 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     for epoch in 0..cfg.epochs {
         fleet.open_round();
         let moved = fleet.rebalance(&mut forest.assignment, cfg);
+        laps.lap("round");
         if moved > 0 {
-            forest.regrow(ds, cfg.epsilon, &mut rng, &mut fleet.runtime.network);
+            let net = &mut fleet.runtime.network;
+            forest = forest.regrow(ds, cfg, &mut rng, net, &mut laps);
         }
         let mut judged = fleet.judge(&mut forest, model.head.link_fetches());
         let weights = fleet.pool_weights(&mut judged);
         let (batch, pool) = forest.pooled(weights);
+        laps.lap("round");
         let loss = model.step(batch, pool, fleet.topology.as_ref(), &ds.graph, &mut rng);
+        laps.lap("step");
         fleet.account(&forest.trees, &judged, model.head.link_fetches());
         let mut round = fleet.close(epoch, &forest.batch.tree_sizes, &judged, moved, loss);
+        laps.lap("round");
         let splits = cadence.splits_after(epoch);
         if !splits.is_empty() {
             let metrics = model.evaluate(&forest.batch, splits, &mut rng);
             round.val_metric = Some(metrics[0]);
             report.record_eval(epoch, loss, &metrics);
+            laps.lap("evaluate");
         }
         report.rounds.push(round);
     }
@@ -126,20 +143,37 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
     // a run that trains nothing scores the model it initialized.
     if cfg.epochs == 0 {
         report.test_metric = model.evaluate(&forest.batch, &[EvalSplit::Test], &mut rng)[0];
+        laps.lap("evaluate");
     }
     report.avg_epoch_secs = fleet.round_clock.secs() / cfg.epochs.max(1) as f64;
     report.fold_rounds(cfg.scenario.map(|s| s.name()));
-    report
+    let bytes = [
+        ("trees", forest.trees.iter().map(DeviceTree::bytes).sum()),
+        ("recovered memo", forest.exchange.bytes()),
+        ("batch features", forest.batch.features.bytes()),
+        ("message graph + pool", forest.batch.index_bytes()),
+        ("model + optimiser", model.bytes()),
+        ("tape nodes + free list", model.tape.held_bytes()),
+        ("ledger", fleet.runtime.network.bytes()),
+        ("round records", std::mem::size_of_val(&report.rounds[..])),
+    ];
+    let footprint = RunFootprint {
+        phase_secs: laps.into_phases(),
+        bytes: bytes.map(|(owner, b)| (owner, b as u64)).to_vec(),
+    };
+    (report, footprint)
 }
+
+/// The batch a run trains on: its center rows borrowed from the dataset.
+type Batch<'d> = BatchedTrees<FeatureRows<'d>>;
 
 /// What is trained on: the tree assignment and everything derived from it.
 /// The two memos describe the current `trees` / `batch` and die with them.
-struct Forest {
-    kind: LocalGraphKind,
+struct Forest<'d> {
     assignment: Assignment,
     trees: Vec<DeviceTree>,
     exchange: LdpExchange,
-    batch: BatchedTrees,
+    batch: Batch<'d>,
     /// The round's simulation; built on first use after every (re)build.
     probe: Option<RoundProbe>,
     /// Per-round memo: the POOL arrays are rebuilt only when the weight
@@ -147,27 +181,39 @@ struct Forest {
     weight_cache: Option<(Vec<f32>, PoolArrays)>,
 }
 
-impl Forest {
+impl<'d> Forest<'d> {
     /// Builds every device's tree from `assignment`, runs the LDP feature
-    /// exchange over `net` and batches the forest.
+    /// exchange over `net` — all of it, or with a `memo` only the (owner,
+    /// neighbor) pairs it does not cover — and batches the forest.
     fn plant(
-        ds: &Dataset,
+        ds: &'d Dataset,
         cfg: &LumosConfig,
         assignment: Assignment,
+        memo: Option<LdpExchange>,
         rng: &mut Xoshiro256pp,
         net: &mut SimNetwork,
+        laps: &mut Laps,
     ) -> Self {
         let kind = if cfg.virtual_nodes {
             LocalGraphKind::VirtualNodeTree
         } else {
             LocalGraphKind::RawEgoNetwork
         };
-        let trees = build_trees(kind, &assignment);
-        let exchange =
-            exchange_features(&ds.features, ds.feature_dim, &trees, cfg.epsilon, rng, net);
-        let batch = build_batched(&trees, &ds.features, ds.feature_dim, &exchange);
+        let trees: Vec<DeviceTree> = (0..assignment.num_devices() as u32)
+            .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
+            .collect();
+        let (features, dim) = (&ds.features[..], ds.feature_dim);
+        let exchange = match memo {
+            None => exchange_features(features, dim, &trees, cfg.epsilon, rng, net),
+            Some(mut memo) => {
+                exchange_missing_features(features, dim, &trees, cfg.epsilon, rng, net, &mut memo);
+                memo
+            }
+        };
+        laps.lap("exchange");
+        let batch = build_compact(&trees, features, dim, &exchange);
+        laps.lap("batch_build");
         Self {
-            kind,
             assignment,
             trees,
             exchange,
@@ -181,26 +227,30 @@ impl Forest {
     /// Devices that inherited a branch never held its leaves' features:
     /// only the missing (owner, neighbor) pairs are topped up, on this
     /// epoch's ledger.
-    fn regrow(&mut self, ds: &Dataset, epsilon: f64, rng: &mut Xoshiro256pp, net: &mut SimNetwork) {
-        self.trees = build_trees(self.kind, &self.assignment);
-        exchange_missing_features(
-            &ds.features,
-            ds.feature_dim,
-            &self.trees,
-            epsilon,
-            rng,
-            net,
-            &mut self.exchange,
-        );
-        // The memos describe the old batch: free them before its successor
-        // is built, not after.
-        self.weight_cache = None;
-        self.probe = None;
-        self.batch = build_batched(&self.trees, &ds.features, ds.feature_dim, &self.exchange);
+    fn regrow(
+        self,
+        ds: &'d Dataset,
+        cfg: &LumosConfig,
+        rng: &mut Xoshiro256pp,
+        net: &mut SimNetwork,
+        laps: &mut Laps,
+    ) -> Self {
+        let Self {
+            assignment,
+            trees,
+            exchange,
+            batch,
+            probe,
+            weight_cache,
+        } = self;
+        // The stale trees, batch and the memos that describe them go first:
+        // nothing batch-sized is alive while its successor is built.
+        drop((trees, batch, probe, weight_cache));
+        Self::plant(ds, cfg, assignment, Some(exchange), rng, net, laps)
     }
 
     /// The batch with the POOL arrays of this round's per-device weights.
-    fn pooled(&mut self, weights: Vec<f32>) -> (&BatchedTrees, &PoolArrays) {
+    fn pooled(&mut self, weights: Vec<f32>) -> (&Batch<'d>, &PoolArrays) {
         if !matches!(&self.weight_cache, Some((cached, _)) if *cached == weights) {
             self.weight_cache = None;
         }
@@ -213,12 +263,6 @@ impl Forest {
     }
 }
 
-fn build_trees(kind: LocalGraphKind, assignment: &Assignment) -> Vec<DeviceTree> {
-    (0..assignment.num_devices() as u32)
-        .map(|v| DeviceTree::build(kind, v, assignment.kept(v).to_vec()))
-        .collect()
-}
-
 /// What is trained: the shared weights, the task head, the optimiser.
 struct Model {
     store: ParamStore,
@@ -226,7 +270,7 @@ struct Model {
     head: TaskHead,
     opt: Adam,
     /// One tape's buffers serve every step and every evaluation of the run.
-    /// A live tape borrows the batch's features, which a migration
+    /// A live tape borrows the batch's feature rows, which a migration
     /// replaces, so it is parked here — emptied, borrowing nothing —
     /// between uses.
     tape: Tape<'static>,
@@ -251,14 +295,14 @@ impl Model {
     /// optimiser step. Returns the loss.
     fn step(
         &mut self,
-        batch: &BatchedTrees,
+        batch: &Batch<'_>,
         pool: &PoolArrays,
         topo: Option<&Topology>,
         graph: &Graph,
         rng: &mut Xoshiro256pp,
     ) -> f64 {
         let mut tape = std::mem::take(&mut self.tape).reset();
-        let x = tape.constant_ref(&batch.features);
+        let x = tape.constant_rows(&batch.features);
         let h_tree = self
             .encoder
             .forward(&mut tape, &self.store, x, &batch.mg, true, rng);
@@ -272,18 +316,23 @@ impl Model {
         loss
     }
 
+    /// Bytes of the parameters, their gradients and Adam's two moments.
+    fn bytes(&self) -> usize {
+        4 * self.store.num_scalars() * std::mem::size_of::<f32>()
+    }
+
     /// The held-out metrics of `splits`, in order, off one forward (no
     /// dropout). Evaluation is offline: every device's embedding
     /// participates, and the pooling runs server-side — no aggregation tier
     /// on the wire.
     fn evaluate(
         &mut self,
-        batch: &BatchedTrees,
+        batch: &Batch<'_>,
         splits: &[EvalSplit],
         rng: &mut Xoshiro256pp,
     ) -> Vec<f64> {
         let mut tape = std::mem::take(&mut self.tape).reset();
-        let x = tape.constant_ref(&batch.features);
+        let x = tape.constant_rows(&batch.features);
         let h_tree = self
             .encoder
             .forward(&mut tape, &self.store, x, &batch.mg, false, rng);

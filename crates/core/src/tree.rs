@@ -129,6 +129,15 @@ impl DeviceTree {
         self.nodes.len()
     }
 
+    /// Bytes the tree holds: itself and its three arrays.
+    pub fn bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        size_of::<Self>()
+            + size_of_val(&self.neighbors[..])
+            + size_of_val(&self.nodes[..])
+            + size_of_val(&self.edges[..])
+    }
+
     /// For each local node, the global vertex it represents as a *leaf*
     /// (None for virtual nodes). Used by the POOL layer (Eq. 31).
     pub fn leaf_vertices(&self) -> Vec<Option<u32>> {

@@ -175,6 +175,14 @@ impl SimNetwork {
         }
     }
 
+    /// Bytes the ledger holds: the per-device tallies and its
+    /// [`SimNetwork::ledger_entries`] (key and tally each).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.devices.len() * size_of::<DeviceTraffic>()
+            + self.ledger_entries() * size_of::<((u32, u32), EdgeTraffic)>()
+    }
+
     fn record_edge(&mut self, from: u32, to: u32, bytes: u64) {
         // Sharded mode keeps no per-edge map — that's the whole point.
         if self.sharded.is_some() {

@@ -12,5 +12,5 @@ pub mod encoder;
 pub mod onebit;
 
 pub use baseline_mechanisms::{GaussianMechanism, MultiBitMechanism, RandomizedResponse};
-pub use encoder::{EncodedFeature, FeatureEncoder};
+pub use encoder::{DecodeTable, EncodedFeature, FeatureEncoder, RecoveredFeature};
 pub use onebit::{EncodedValue, OneBitMechanism};

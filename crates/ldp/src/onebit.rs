@@ -32,6 +32,29 @@ impl EncodedValue {
             EncodedValue::Missing => 0.5,
         }
     }
+
+    /// The symbol's 2-bit code, as [`crate::EncodedFeature`] packs it.
+    /// `Missing` is `0`, so zeroed storage reads as "nothing sent".
+    pub fn code(self) -> u8 {
+        match self {
+            EncodedValue::Missing => 0,
+            EncodedValue::Zero => 1,
+            EncodedValue::One => 2,
+        }
+    }
+
+    /// The symbol of a 2-bit code (the inverse of [`EncodedValue::code`]).
+    ///
+    /// # Panics
+    /// Panics on the unused code `3`.
+    pub fn from_code(code: u8) -> Self {
+        match code {
+            0 => EncodedValue::Missing,
+            1 => EncodedValue::Zero,
+            2 => EncodedValue::One,
+            _ => panic!("{code} is not an encoded-value code"),
+        }
+    }
 }
 
 /// One-bit mechanism with per-element budget `eps` on the range `[a, b]`.

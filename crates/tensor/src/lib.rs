@@ -4,7 +4,9 @@
 //! over tree-structured graphs. This crate provides the minimal but complete
 //! machinery: a row-major 2-D [`Tensor`](tensor::Tensor), sparse-access
 //! kernels (gather / scatter-add / their fused propagate / segment softmax),
-//! register-tiled dense products, a transparent
+//! register-tiled dense products whose left operand may be any
+//! [`RowOperand`] (a constant read row by row, never materialised), a
+//! transparent
 //! [`Tape`](tape::Tape)-based autograd with an explicit op enum, trainable
 //! [`ParamStore`](param::ParamStore), and [`Adam`](optim::Adam)/[`Sgd`](optim::Sgd)
 //! optimizers. [`gradcheck`] exposes finite-difference checking so every
@@ -45,7 +47,8 @@ pub mod param;
 pub mod tape;
 pub mod tensor;
 
+pub use matmul::RowOperand;
 pub use optim::{Adam, Sgd};
 pub use param::{Param, ParamId, ParamStore};
 pub use tape::{Gradients, Tape, VarId};
-pub use tensor::Tensor;
+pub use tensor::{matmul_rows, matmul_tn_rows, Tensor};

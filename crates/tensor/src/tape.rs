@@ -2,8 +2,9 @@
 //!
 //! A [`Tape`] records every operation as a node with an explicit [`Op`]
 //! descriptor (no closures), so the backward pass is a transparent reverse
-//! sweep with a `match` per op. Leaves are constants — owned, or borrowed
-//! for the tape's lifetime — or snapshots of [`ParamStore`] parameters, and
+//! sweep with a `match` per op. Leaves are constants — owned, borrowed for
+//! the tape's lifetime, or borrowed row by row ([`RowOperand`]) — or
+//! snapshots of [`ParamStore`] parameters, and
 //! [`Tape::backward`] returns gradients that can be folded back into the
 //! store with [`Tape::accumulate_param_grads`].
 //!
@@ -13,7 +14,6 @@
 //! and keeps every buffer the tape owned on a free list, from which the next
 //! recording and its gradients draw.
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -21,8 +21,9 @@ use crate::kernels::{
     concat_cols_into, copy_cols_into, gather_rows_into, log_softmax_rows_into, propagate_into,
     scale_rows_into, scatter_add_rows_into, segment_softmax_backward_into, segment_softmax_into,
 };
+use crate::matmul::RowOperand;
 use crate::param::{ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_rows_into, matmul_tn_rows_into, Tensor};
 
 /// Handle to a value recorded on a [`Tape`].
 pub type VarId = usize;
@@ -93,10 +94,19 @@ enum Op {
     },
 }
 
+/// What a node holds: a tensor the tape owns (and recycles) or borrows, or
+/// — a constant leaf only — an operand it can read but never sees whole.
+#[derive(Debug)]
+enum Value<'a> {
+    Owned(Tensor),
+    Borrowed(&'a Tensor),
+    Rows(&'a dyn RowOperand),
+}
+
 #[derive(Debug)]
 struct Node<'a> {
     op: Op,
-    value: Cow<'a, Tensor>,
+    value: Value<'a>,
     /// Whether a parameter leaf lies at or below this node: only then can a
     /// gradient arriving here reach anything [`Tape::accumulate_param_grads`]
     /// reads.
@@ -214,7 +224,7 @@ impl<'a> Tape<'a> {
     pub fn reset<'b>(self) -> Tape<'b> {
         let Tape { nodes, free } = self;
         for node in nodes {
-            if let Cow::Owned(value) = node.value {
+            if let Value::Owned(value) = node.value {
                 free.borrow_mut().give(value);
             }
         }
@@ -234,9 +244,32 @@ impl<'a> Tape<'a> {
         self.nodes.is_empty()
     }
 
+    /// Bytes of `f32` storage the tape holds: the values it recorded and
+    /// owns, plus every buffer waiting on its free list.
+    pub fn held_bytes(&self) -> usize {
+        let owned = self.nodes.iter().map(|node| match &node.value {
+            Value::Owned(t) => t.len(),
+            Value::Borrowed(_) | Value::Rows(_) => 0,
+        });
+        let free = self.free.borrow();
+        let floats = owned.sum::<usize>() + free.bufs.iter().map(Vec::capacity).sum::<usize>();
+        floats * std::mem::size_of::<f32>()
+    }
+
     /// Value of a recorded variable.
+    ///
+    /// # Panics
+    /// Panics on a [`Tape::constant_rows`] leaf: it has no dense value —
+    /// not building one is what the leaf is for. Such a leaf is read only
+    /// as the left operand of [`Tape::matmul`].
     pub fn value(&self, id: VarId) -> &Tensor {
-        &self.nodes[id].value
+        match &self.nodes[id].value {
+            Value::Owned(t) => t,
+            Value::Borrowed(t) => t,
+            Value::Rows(_) => {
+                panic!("variable {id} is a row operand: it can only be the left operand of matmul")
+            }
+        }
     }
 
     fn needs_grad(&self, id: VarId) -> bool {
@@ -249,7 +282,7 @@ impl<'a> Tape<'a> {
         self.free.borrow_mut().take(len)
     }
 
-    fn push_leaf(&mut self, param: Option<ParamId>, value: Cow<'a, Tensor>) -> VarId {
+    fn push_leaf(&mut self, param: Option<ParamId>, value: Value<'a>) -> VarId {
         self.nodes.push(Node {
             op: Op::Leaf { param },
             value,
@@ -264,7 +297,7 @@ impl<'a> Tape<'a> {
         let needs_grad = inputs.iter().any(|&i| self.needs_grad(i));
         self.nodes.push(Node {
             op,
-            value: Cow::Owned(value),
+            value: Value::Owned(value),
             needs_grad,
         });
         self.nodes.len() - 1
@@ -293,20 +326,29 @@ impl<'a> Tape<'a> {
 
     /// Records a constant (non-trainable) input.
     pub fn constant(&mut self, value: Tensor) -> VarId {
-        self.push_leaf(None, Cow::Owned(value))
+        self.push_leaf(None, Value::Owned(value))
     }
 
     /// Records a constant the tape only borrows: nothing is copied, and
     /// `value` must outlive the tape (or its next [`Tape::reset`]).
     pub fn constant_ref(&mut self, value: &'a Tensor) -> VarId {
-        self.push_leaf(None, Cow::Borrowed(value))
+        self.push_leaf(None, Value::Borrowed(value))
+    }
+
+    /// Records a constant the tape reads a row at a time and never holds
+    /// densely. The variable is valid only as the left operand of
+    /// [`Tape::matmul`], whose value and whose gradient for the right
+    /// operand equal, bit for bit, those of the same rows recorded as a
+    /// dense constant; it takes no gradient itself.
+    pub fn constant_rows(&mut self, rows: &'a dyn RowOperand) -> VarId {
+        self.push_leaf(None, Value::Rows(rows))
     }
 
     /// Records a snapshot of a trainable parameter as a leaf.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
         let mut v = self.buf(store.value(id).len());
         store.value(id).copy_into(&mut v);
-        self.push_leaf(Some(id), Cow::Owned(v))
+        self.push_leaf(Some(id), Value::Owned(v))
     }
 
     /// Elementwise sum.
@@ -356,9 +398,19 @@ impl<'a> Tape<'a> {
 
     /// Matrix product.
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let mut v = self.buf(self.value(a).rows() * self.value(b).cols());
-        self.value(a).matmul_into(self.value(b), &mut v);
+        let v = match self.nodes[a].value {
+            Value::Rows(rows) => self.product(rows, b),
+            _ => self.product(self.value(a), b),
+        };
         self.push(Op::MatMul(a, b), &[a, b], v)
+    }
+
+    /// `lhs @ value(b)` in a recycled buffer.
+    fn product(&self, lhs: &(impl RowOperand + ?Sized), b: VarId) -> Tensor {
+        let rhs = self.value(b);
+        let mut v = self.buf(lhs.dims().0 * rhs.cols());
+        matmul_rows_into(lhs, rhs, &mut v);
+        v
     }
 
     /// ReLU activation.
@@ -621,7 +673,10 @@ impl<'a> Tape<'a> {
                 }
                 if self.needs_grad(*b) {
                     grads.accumulate_with(*b, self.value(*b).len(), |db| {
-                        self.value(*a).matmul_tn_into(g, db)
+                        match self.nodes[*a].value {
+                            Value::Rows(rows) => matmul_tn_rows_into(rows, g, db),
+                            _ => matmul_tn_rows_into(self.value(*a), g, db),
+                        }
                     });
                 }
             }
@@ -824,6 +879,40 @@ mod tests {
         let grads = t.backward(l);
         t.accumulate_param_grads(&grads, &mut store);
         assert_eq!(store.get(a).grad.data(), &[0.0, 0.0, 30.0, 40.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row operand")]
+    fn a_row_operand_leaf_has_no_dense_value() {
+        let x = Tensor::ones(2, 3);
+        let mut t = Tape::new();
+        let xv = t.constant_rows(&x);
+        t.value(xv);
+    }
+
+    #[test]
+    fn a_row_operand_leaf_multiplies_and_differentiates_as_its_dense_twin() {
+        let mut store = ParamStore::new();
+        let mut rng = lumos_common::rng::Xoshiro256pp::seed_from_u64(43);
+        let w = store.add("w", Tensor::rand_uniform(3, 2, -1.0, 1.0, &mut rng));
+        let x = Tensor::rand_uniform(5, 3, -1.0, 1.0, &mut rng);
+        let run = |rows: bool| {
+            let mut t = Tape::new();
+            let xv = if rows {
+                t.constant_rows(&x)
+            } else {
+                t.constant_ref(&x)
+            };
+            let wv = t.param(&store, w);
+            let h = t.matmul(xv, wv);
+            let s = t.sigmoid(h);
+            let l = t.mean_all(s);
+            let grads = t.backward(l);
+            assert!(grads.get(xv).is_none(), "a constant takes no gradient");
+            let bits = |v: &Tensor| v.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(t.value(h)), bits(grads.get(wv).expect("dL/dW")))
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

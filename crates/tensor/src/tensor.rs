@@ -8,7 +8,7 @@
 
 use lumos_common::rng::Xoshiro256pp;
 
-use crate::matmul;
+use crate::matmul::{self, RowOperand};
 
 /// Dense row-major matrix of `f32` values.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -343,20 +343,7 @@ impl Tensor {
     /// # Panics
     /// Panics if the inner dimensions disagree.
     pub fn matmul(&self, other: &Self) -> Self {
-        let mut out = Self::default();
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul`] into `out`, reusing its buffer.
-    pub(crate) fn matmul_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul inner dims: [{},{}] @ [{},{}]",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let dims = (self.rows, self.cols, other.cols);
-        self.product_into(other, out, dims, matmul::matmul);
+        matmul_rows(self, other)
     }
 
     /// `self @ other^T` without materializing the transpose.
@@ -374,38 +361,14 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         let dims = (self.rows, self.cols, other.rows);
-        self.product_into(other, out, dims, matmul::matmul_nt);
+        out.reshape_filled(self.rows, other.rows, 0.0);
+        matmul::matmul_nt(&self.data, &other.data, &mut out.data, dims);
     }
 
     /// `self^T @ other` without materializing the transpose, skipping zero
     /// multipliers of `self`.
     pub fn matmul_tn(&self, other: &Self) -> Self {
-        let mut out = Self::default();
-        self.matmul_tn_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_tn`] into `out`, reusing its buffer.
-    pub(crate) fn matmul_tn_into(&self, other: &Self, out: &mut Self) {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_tn inner dims: [{},{}]^T @ [{},{}]",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let dims = (self.cols, self.rows, other.cols);
-        self.product_into(other, out, dims, matmul::matmul_tn);
-    }
-
-    /// Runs one of the [`matmul`] kernels into a zero-filled `[m, n]` `out`.
-    fn product_into(
-        &self,
-        other: &Self,
-        out: &mut Self,
-        (m, k, n): (usize, usize, usize),
-        kernel: impl Fn(&[f32], &[f32], &mut [f32], (usize, usize, usize)),
-    ) {
-        out.reshape_filled(m, n, 0.0);
-        kernel(&self.data, &other.data, &mut out.data, (m, k, n));
+        matmul_tn_rows(self, other)
     }
 
     /// Sum over rows, producing a `[1, cols]` row vector.
@@ -452,6 +415,66 @@ impl Tensor {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
+}
+
+impl RowOperand for Tensor {
+    fn dims(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    fn row<'s>(&'s self, r: usize, _scratch: &'s mut [f32]) -> Option<&'s [f32]> {
+        Some(Tensor::row(self, r))
+    }
+
+    fn scratch_len(&self) -> usize {
+        0
+    }
+}
+
+/// `a @ b` for a left operand read row by row: bit for bit
+/// [`Tensor::matmul`] of the operand written out densely.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+pub fn matmul_rows(a: &(impl RowOperand + ?Sized), b: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    matmul_rows_into(a, b, &mut out);
+    out
+}
+
+/// [`matmul_rows`] into `out`, reusing its buffer.
+pub(crate) fn matmul_rows_into(a: &(impl RowOperand + ?Sized), b: &Tensor, out: &mut Tensor) {
+    let (m, k) = a.dims();
+    assert_eq!(
+        k, b.rows,
+        "matmul inner dims: [{m},{k}] @ [{},{}]",
+        b.rows, b.cols
+    );
+    out.reshape_filled(m, b.cols, 0.0);
+    matmul::matmul(a, &b.data, &mut out.data, (m, k, b.cols));
+}
+
+/// `aᵀ @ b` for a left operand read row by row: bit for bit
+/// [`Tensor::matmul_tn`] of the operand written out densely.
+///
+/// # Panics
+/// Panics if the inner dimensions disagree.
+pub fn matmul_tn_rows(a: &(impl RowOperand + ?Sized), b: &Tensor) -> Tensor {
+    let mut out = Tensor::default();
+    matmul_tn_rows_into(a, b, &mut out);
+    out
+}
+
+/// [`matmul_tn_rows`] into `out`, reusing its buffer.
+pub(crate) fn matmul_tn_rows_into(a: &(impl RowOperand + ?Sized), b: &Tensor, out: &mut Tensor) {
+    let (k, m) = a.dims();
+    assert_eq!(
+        k, b.rows,
+        "matmul_tn inner dims: [{k},{m}]^T @ [{},{}]",
+        b.rows, b.cols
+    );
+    out.reshape_filled(m, b.cols, 0.0);
+    matmul::matmul_tn(a, &b.data, &mut out.data, (m, k, b.cols));
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 use std::rc::Rc;
 
 use lumos_common::rng::Xoshiro256pp;
-use lumos_tensor::{ParamId, ParamStore, Tape, Tensor, VarId};
+use lumos_tensor::{ParamId, ParamStore, RowOperand, Tape, Tensor, VarId};
 
 /// How a leaf enters a recording.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -15,6 +15,31 @@ pub enum LeafKind {
     Param,
     OwnedConstant,
     BorrowedConstant,
+    /// Read row by row, never held densely: the [`ROWS`] slot only, whose
+    /// one consumer is a `matmul` it is the left operand of.
+    RowOperand,
+}
+
+/// A matrix as a structured [`RowOperand`]: its all-zero rows are reported
+/// as such, and a row equal to the one above it as its alias.
+#[derive(Debug)]
+pub struct Structured(Tensor);
+
+impl RowOperand for Structured {
+    fn dims(&self) -> (usize, usize) {
+        self.0.dims()
+    }
+
+    fn row<'s>(&'s self, r: usize, scratch: &'s mut [f32]) -> Option<&'s [f32]> {
+        // Through the scratch, as an operand that decodes its rows would.
+        scratch.copy_from_slice(self.0.row(r));
+        scratch.iter().any(|&x| x != 0.0).then_some(&*scratch)
+    }
+
+    fn alias(&self, r: usize) -> Option<usize> {
+        let same = |a: &[f32], b: &[f32]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        (r > 0 && same(self.0.row(r), self.0.row(r - 1))).then(|| r - 1)
+    }
 }
 
 /// The leaf tensors of one recording, every one also registered in `store`
@@ -24,6 +49,8 @@ pub struct Inputs {
     pub d: usize,
     pub store: ParamStore,
     pub ids: Vec<ParamId>,
+    /// The [`ROWS`] leaf as a row operand.
+    pub rows: Structured,
 }
 
 // Leaf slots: four `[n, d]` matrices, then the odd shapes.
@@ -32,7 +59,9 @@ const W: usize = 4; // [d, d]
 const W_CAT: usize = 5; // [2d, d]
 const BIAS: usize = 6; // [1, d]
 const A_COL: usize = 7; // [d, 1]
-pub const NUM_LEAVES: usize = 8;
+/// `[n, d]` with a zero row and a repeated row; read only by one `matmul`.
+pub const ROWS: usize = 8;
+pub const NUM_LEAVES: usize = 9;
 
 impl Inputs {
     pub fn random(n: usize, d: usize, rng: &mut Xoshiro256pp) -> Self {
@@ -40,12 +69,24 @@ impl Inputs {
         let mut ids = Vec::new();
         let shapes = [(n, d); MATS]
             .into_iter()
-            .chain([(d, d), (2 * d, d), (1, d), (d, 1)]);
+            .chain([(d, d), (2 * d, d), (1, d), (d, 1), (n, d)]);
         for (i, (r, c)) in shapes.enumerate() {
-            let t = Tensor::rand_uniform(r, c, -1.0, 1.0, rng);
+            let mut t = Tensor::rand_uniform(r, c, -1.0, 1.0, rng);
+            if i == ROWS {
+                t.row_mut(0).fill(0.0);
+                let above = t.row(n - 2).to_vec();
+                t.row_mut(n - 1).copy_from_slice(&above);
+            }
             ids.push(store.add(format!("leaf{i}"), t));
         }
-        Self { n, d, store, ids }
+        let rows = Structured(store.value(ids[ROWS]).clone());
+        Self {
+            n,
+            d,
+            store,
+            ids,
+            rows,
+        }
     }
 }
 
@@ -55,6 +96,9 @@ pub struct Recording {
     pub loss: VarId,
     pub leaves: Vec<VarId>,
     pub below_param: Vec<bool>,
+    /// The leaf recorded as a row operand, if any: `Tape::value` of it
+    /// panics, every other variable's is readable.
+    pub row_leaf: Option<VarId>,
 }
 
 /// Records a chain on `tape` that applies every non-leaf op once — the
@@ -79,6 +123,10 @@ pub fn record<'a>(
                 LeafKind::Param => tape.param(&inputs.store, inputs.ids[i]),
                 LeafKind::OwnedConstant => tape.constant(value.clone()),
                 LeafKind::BorrowedConstant => tape.constant_ref(value),
+                LeafKind::RowOperand => {
+                    assert_eq!(i, ROWS, "only the ROWS slot is read row by row");
+                    tape.constant_rows(&inputs.rows)
+                }
             }
         })
         .collect();
@@ -93,7 +141,7 @@ pub fn record<'a>(
     // `[n, d]` results so far; every op below maps some of them to one more.
     let mut mats: Vec<VarId> = leaves[..MATS].to_vec();
     let below = &mut below_param;
-    let mut order: Vec<usize> = (0..18).collect();
+    let mut order: Vec<usize> = (0..19).collect();
     rng.shuffle(&mut order);
     for op in order {
         let x = *rng.choose(&mats);
@@ -143,7 +191,11 @@ pub fn record<'a>(
                 let coeff = floats(&mut rng, n, -1.0, 1.0);
                 note(below, tape.propagate(x, src, coeff, dst, n), &[x])
             }
-            _ => unreachable!("18 matrix ops"),
+            18 => {
+                let (rows, w) = (leaves[ROWS], leaves[W]);
+                note(below, tape.matmul(rows, w), &[rows, w])
+            }
+            _ => unreachable!("19 matrix ops"),
         };
         mats.push(out);
     }
@@ -171,10 +223,12 @@ pub fn record<'a>(
         loss = note(below, tape.add(loss, head), &[loss, head]);
     }
     assert_eq!(below_param.len(), tape.len());
+    let row_leaf = (kinds[ROWS] == LeafKind::RowOperand).then_some(leaves[ROWS]);
     Recording {
         loss,
         leaves,
         below_param,
+        row_leaf,
     }
 }
 

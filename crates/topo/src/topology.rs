@@ -6,7 +6,7 @@ use lumos_common::rng::Xoshiro256pp;
 /// one per edge aggregator.
 ///
 /// Contiguity is a deliberate restriction, not a simplification: the
-/// batched training forest (`core::build_batched`) lays device trees
+/// batched training forest (`core::build_compact`) lays device trees
 /// out in device order, so a contiguous shard is a contiguous slice of
 /// the pool arrays. Tiered pooling can then gather/scatter per-shard
 /// slices in the same global order as the flat path, which is what

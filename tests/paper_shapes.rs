@@ -2,10 +2,15 @@
 //! scale: who wins, where the savings come from, and what the workload
 //! distribution looks like — the invariants Figs. 3–8 show at full scale.
 
-use lumos::balance::{CompareBackend, SecurityMode};
+use lumos::balance::{Assignment, CompareBackend, SecurityMode};
 use lumos::baselines::{run_centralized, run_naive_fedgnn, BaselineConfig, NaiveFedParams};
-use lumos::core::{construct_assignment, run_lumos, LumosConfig, TaskKind};
+use lumos::common::rng::Xoshiro256pp;
+use lumos::core::{
+    construct_assignment, exchange_features, run_lumos, ConstructorReport, DeviceTree,
+    LocalGraphKind, LumosConfig, TaskKind,
+};
 use lumos::data::{Dataset, Scale};
+use lumos::fed::SimNetwork;
 use lumos::gnn::Backbone;
 
 #[test]
@@ -41,32 +46,104 @@ fn figure3_shape_centralized_over_lumos_over_naive() {
     );
 }
 
+/// The constructor on `ds` as the Fig. 7 / Fig. 8 checks run it.
+fn constructed(ds: &Dataset, trimming: bool) -> (Assignment, ConstructorReport) {
+    let mode = SecurityMode::CostModel;
+    construct_assignment(
+        &ds.graph,
+        trimming,
+        40,
+        mode,
+        CompareBackend::Scalar,
+        1,
+        None,
+    )
+}
+
+/// The paper's Fig. 7 headline: the trimmed maximum is a fraction of the
+/// untrimmed one (39 vs >150 on Facebook; 16 vs >100 on LastFM).
+fn assert_trimming_cuts_the_tail(ds: &Dataset) {
+    let (trimmed, rep) = constructed(ds, true);
+    trimmed.check_feasible(&ds.graph).unwrap();
+    assert!(
+        (rep.max_workload as f64) < 0.5 * rep.untrimmed_max as f64,
+        "{}: {} vs {}",
+        ds.name,
+        rep.max_workload,
+        rep.untrimmed_max
+    );
+}
+
 #[test]
 fn figure7_shape_trimming_cuts_the_tail() {
-    for ds in [
-        Dataset::facebook_like(Scale::Smoke),
-        Dataset::lastfm_like(Scale::Smoke),
-    ] {
-        let (trimmed, rep) = construct_assignment(
-            &ds.graph,
-            true,
-            40,
-            SecurityMode::CostModel,
-            CompareBackend::Scalar,
-            1,
-            None,
-        );
-        trimmed.check_feasible(&ds.graph).unwrap();
-        // The paper's Fig. 7 headline: the trimmed maximum is a fraction of
-        // the untrimmed one (39 vs >150 on Facebook; 16 vs >100 on LastFM).
-        assert!(
-            (rep.max_workload as f64) < 0.5 * rep.untrimmed_max as f64,
-            "{}: {} vs {}",
-            ds.name,
-            rep.max_workload,
-            rep.untrimmed_max
-        );
-    }
+    assert_trimming_cuts_the_tail(&Dataset::facebook_like(Scale::Smoke));
+    assert_trimming_cuts_the_tail(&Dataset::lastfm_like(Scale::Smoke));
+}
+
+#[test]
+#[ignore = "4.1 s (`cargo test`), 3.4 s (`--release`): generates the 22,470 x 4,714 dataset"]
+fn figure7_shape_at_paper_scale_facebook() {
+    assert_trimming_cuts_the_tail(&Dataset::facebook_like(Scale::Paper));
+}
+
+/// Messages a supervised round puts on the wire per device: one leaf
+/// embedding per retained neighbor, and the device's own upload.
+fn messages_per_device_epoch(a: &Assignment) -> f64 {
+    (a.total_workload() + a.num_devices()) as f64 / a.num_devices() as f64
+}
+
+/// Fig. 8 from counts alone — no model is trained: trimming saves a
+/// double-digit share of a round's messages and shrinks the straggler's
+/// tree, and the LDP exchange over the trimmed trees sends exactly one
+/// message per retained pair.
+#[test]
+#[ignore = "6.3 s (`cargo test`), 6.7 s (`--release`): the 22,470 x 4,714 dataset and its LDP exchange"]
+fn figure8_shape_at_paper_scale_facebook() {
+    let ds = Dataset::facebook_like(Scale::Paper);
+    let (trimmed, trimmed_rep) = constructed(&ds, true);
+    let (untrimmed, untrimmed_rep) = constructed(&ds, false);
+    let (after, before) = (
+        messages_per_device_epoch(&trimmed),
+        messages_per_device_epoch(&untrimmed),
+    );
+    let saving = (before - after) / before;
+    assert!(saving > 0.10, "communication saving too small: {saving}");
+    // The straggler's tree sets the makespan: 3·wl + 1 nodes.
+    assert!(trimmed_rep.max_workload < untrimmed_rep.max_workload);
+
+    let trees: Vec<DeviceTree> = (0..ds.num_nodes() as u32)
+        .map(|v| DeviceTree::build(LocalGraphKind::VirtualNodeTree, v, trimmed.kept(v).to_vec()))
+        .collect();
+    let mut net = SimNetwork::new(ds.num_nodes());
+    let mut rng = Xoshiro256pp::seed_from_u64(1);
+    let exchange = exchange_features(
+        &ds.features,
+        ds.feature_dim,
+        &trees,
+        2.0,
+        &mut rng,
+        &mut net,
+    );
+    assert_eq!(exchange.messages as usize, trimmed.total_workload());
+    assert_eq!(net.total_messages(), exchange.messages);
+    assert_eq!(exchange.recovered.len(), trimmed.total_workload());
+}
+
+/// Facebook at `Scale::Paper` trains end to end — the run whose batch could
+/// not be built while it stored floats — and its loss falls.
+#[test]
+#[ignore = "69 s (`cargo test`), 44 s (`--release`), 1.4 GiB: three epochs on the 22,470 x 4,714 dataset"]
+fn facebook_at_paper_scale_trains() {
+    let ds = Dataset::facebook_like(Scale::Paper);
+    let cfg = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
+        .with_epochs(3)
+        .with_mcmc_iterations(20);
+    let report = run_lumos(&ds, &cfg);
+    assert_eq!(report.rounds.len(), 3);
+    let (first, last) = (report.rounds[0].loss, report.rounds[2].loss);
+    assert!(first.is_finite() && last.is_finite());
+    assert!(last < first, "loss must fall: {first} -> {last}");
+    assert!((0.0..=1.0).contains(&report.test_metric));
 }
 
 #[test]
@@ -89,6 +166,13 @@ fn figure8_shape_trimming_saves_communication_and_time_model() {
     assert!(
         trimmed.avg_epoch_makespan < untrimmed.avg_epoch_makespan,
         "straggler makespan must shrink"
+    );
+    // The count the paper-scale check works from is the trained run's.
+    let (mode, backend) = (base.security, base.compare_backend);
+    let (kept, _) = construct_assignment(&ds.graph, true, 30, mode, backend, base.seed, None);
+    assert_eq!(
+        trimmed.avg_messages_per_device_per_epoch,
+        messages_per_device_epoch(&kept)
     );
 }
 
