@@ -6,7 +6,6 @@
 //! noised structure and labels.
 
 use lumos_common::rng::Xoshiro256pp;
-use lumos_common::timer::Stopwatch;
 use lumos_core::config::TaskKind;
 use lumos_core::report::RunReport;
 use lumos_core::task::{EvalCadence, EvalSplit, TaskData, TaskHead};
@@ -76,12 +75,10 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
     let head = TaskHead::new(run.task, &mut store, encoder.out_dim(), &mut rng);
     let mut opt = Adam::new(run.lr);
 
-    let mut epoch_time = Stopwatch::new();
     // As in `run_lumos`: one tape, borrowing the features and recycling its
     // buffers across every step and evaluation.
     let mut tape = Tape::new();
     for epoch in 0..run.epochs {
-        epoch_time.start();
         tape = tape.reset();
         let x = tape.constant_ref(&run.features);
         let h = encoder.forward(&mut tape, &store, x, &mg, true, &mut rng);
@@ -90,7 +87,6 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         store.zero_grad();
         tape.accumulate_param_grads(&tape.backward(loss_var), &mut store);
         opt.step(&mut store);
-        epoch_time.stop();
 
         let splits = cadence.splits_after(epoch);
         if !splits.is_empty() {
@@ -113,7 +109,6 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         let h = encoder.forward(&mut tape, &store, x, &mg, false, &mut rng);
         report.test_metric = head.metric(&mut tape, &store, h, EvalSplit::Test);
     }
-    report.avg_epoch_secs = epoch_time.secs() / run.epochs.max(1) as f64;
     report
 }
 

@@ -3,7 +3,7 @@
 //! (b) average training time per epoch.
 
 use lumos_common::table::{fmt2, Table};
-use lumos_core::{run_lumos, LumosConfig, TaskKind};
+use lumos_core::{run_lumos_measured, LumosConfig, TaskKind};
 use lumos_data::Dataset;
 use lumos_gnn::Backbone;
 
@@ -44,15 +44,16 @@ fn eval_dataset(ds: &Dataset, args: &HarnessArgs) -> Vec<Fig8Row> {
                 .with_epochs(COST_EPOCHS)
                 .with_mcmc_iterations(mcmc)
                 .with_seed(args.seed);
-            let trimmed = run_lumos(ds, &base);
-            let untrimmed = run_lumos(ds, &base.clone().without_tree_trimming());
+            let (trimmed, trimmed_cost) = run_lumos_measured(ds, &base);
+            let (untrimmed, untrimmed_cost) =
+                run_lumos_measured(ds, &base.clone().without_tree_trimming());
             Fig8Row {
                 dataset: ds.name.clone(),
                 task,
                 comm_trimmed: trimmed.avg_messages_per_device_per_epoch,
                 comm_untrimmed: untrimmed.avg_messages_per_device_per_epoch,
-                time_trimmed: trimmed.avg_epoch_secs,
-                time_untrimmed: untrimmed.avg_epoch_secs,
+                time_trimmed: trimmed_cost.secs_per_epoch(),
+                time_untrimmed: untrimmed_cost.secs_per_epoch(),
                 makespan_trimmed: trimmed.avg_epoch_makespan,
                 makespan_untrimmed: untrimmed.avg_epoch_makespan,
             }
@@ -136,6 +137,7 @@ mod tests {
                 r.comm_trimmed,
                 r.comm_untrimmed
             );
+            assert!(r.time_trimmed > 0.0 && r.time_untrimmed > 0.0);
             assert!(
                 r.makespan_trimmed < r.makespan_untrimmed,
                 "{:?}: makespan {} vs {}",

@@ -87,7 +87,7 @@ pub struct PaperRun {
     pub accounted_bytes: u64,
     /// The process's peak resident set (`VmHWM`), where `/proc` offers it.
     pub peak_rss_bytes: Option<u64>,
-    /// `step` + `round` seconds over the epochs trained.
+    /// [`lumos_core::RunFootprint::secs_per_epoch`].
     pub secs_per_epoch: f64,
     /// Training loss after the first and after the last epoch.
     pub first_loss: f64,
@@ -123,13 +123,6 @@ pub fn measure(
             .iter()
             .map(|&(phase, secs)| PhaseRow { phase, secs }),
     );
-    let secs_of = |name: &str| {
-        let found = footprint
-            .phase_secs
-            .iter()
-            .find(|(phase, _)| *phase == name);
-        found.map_or(0.0, |&(_, secs)| secs)
-    };
 
     let n = ds.num_nodes();
     let adjacency =
@@ -156,7 +149,7 @@ pub fn measure(
         feature_dim: ds.feature_dim,
         accounted_bytes: owners.iter().map(|o| o.bytes).sum(),
         peak_rss_bytes: peak_rss_bytes(),
-        secs_per_epoch: (secs_of("step") + secs_of("round")) / epochs.max(1) as f64,
+        secs_per_epoch: footprint.secs_per_epoch(),
         first_loss: report.rounds.first().map_or(f64::NAN, |r| r.loss),
         last_loss: report.rounds.last().map_or(f64::NAN, |r| r.loss),
         test_metric: report.test_metric,

@@ -139,7 +139,7 @@ pub fn measure(n: usize, hierarchical: bool, rounds: usize, seed: u64) -> ScaleR
             None => stats.makespan_secs,
         };
     }
-    let wall_secs = wall.secs();
+    let elapsed_secs = wall.secs();
 
     ScaleRow {
         devices: n,
@@ -149,7 +149,7 @@ pub fn measure(n: usize, hierarchical: bool, rounds: usize, seed: u64) -> ScaleR
         makespan_secs: makespan_sum / rounds as f64,
         server_bytes_per_round: net.server_bytes_received() as f64 / rounds as f64,
         peak_ledger_entries: peak_ledger,
-        wall_us_per_device: wall_secs * 1e6 / (n * rounds) as f64,
+        wall_us_per_device: elapsed_secs * 1e6 / (n * rounds) as f64,
     }
 }
 

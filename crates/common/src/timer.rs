@@ -35,7 +35,7 @@ impl Stopwatch {
     #[allow(clippy::disallowed_methods)] // mirrored lumos-lint waiver below
     pub fn start(&mut self) {
         if self.started.is_none() {
-            self.started = Some(Instant::now()); // lumos-lint: allow(wallclock-time) — this module IS the audited wall-clock meter (Fig. 8b); results feed wall_secs fields only, never seeded state
+            self.started = Some(Instant::now()); // lumos-lint: allow(wallclock-time) — this module IS the audited wall-clock meter (Fig. 8b); results feed `RunFootprint` and the bench tables only, never seeded state
         }
     }
 

@@ -6,7 +6,6 @@ use lumos_balance::{
     greedy_init_weighted, make_oracle_backend, mcmc_balance, Assignment, CompareBackend,
     McmcConfig, SecurityMode,
 };
-use lumos_common::timer::Stopwatch;
 use lumos_graph::Graph;
 use lumos_topo::Topology;
 
@@ -36,11 +35,9 @@ pub fn construct_assignment(
     seed: u64,
     node_costs: Option<&[u64]>,
 ) -> (Assignment, ConstructorReport) {
-    let mut sw = Stopwatch::started();
     let untrimmed_max = g.max_degree();
     if !trimming {
         let assignment = Assignment::full(g);
-        sw.stop();
         let report = ConstructorReport {
             trimmed: false,
             weighted: false,
@@ -48,7 +45,6 @@ pub fn construct_assignment(
             max_workload: assignment.objective(),
             max_weighted_workload: assignment.weighted_objective(),
             untrimmed_max,
-            wall_secs: sw.secs(),
             ..Default::default()
         };
         return (assignment, report);
@@ -61,7 +57,6 @@ pub fn construct_assignment(
         seed: seed ^ 0x5EED,
     };
     let outcome = mcmc_balance(g, init, &mcmc_cfg, oracle.as_mut());
-    sw.stop();
 
     debug_assert!(outcome.assignment.check_feasible(g).is_ok());
     let report = ConstructorReport {
@@ -74,7 +69,6 @@ pub fn construct_assignment(
         secure_comm: oracle.meter(),
         comparisons: oracle.comparisons(),
         server_messages: outcome.stats.server.messages,
-        wall_secs: sw.secs(),
         mcmc_trace: outcome.trace,
     };
     (outcome.assignment, report)
@@ -136,7 +130,6 @@ pub fn construct_assignment_sharded(
         );
     }
 
-    let mut sw = Stopwatch::started();
     let untrimmed_max = g.max_degree();
 
     // Route every edge once: intra-shard edges go to their shard's
@@ -210,12 +203,10 @@ pub fn construct_assignment_sharded(
     if let Some(costs) = node_costs {
         assignment = assignment.with_costs(costs.to_vec());
     }
-    sw.stop();
     debug_assert!(assignment.check_feasible(g).is_ok());
     report.workloads = assignment.workloads();
     report.max_workload = assignment.objective();
     report.max_weighted_workload = assignment.weighted_objective();
-    report.wall_secs = sw.secs();
     (assignment, report)
 }
 

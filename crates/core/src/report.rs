@@ -1,5 +1,7 @@
 //! Run reports: everything the experiment harness needs to regenerate the
-//! paper's figures from one training run.
+//! paper's figures from one training run, as two records. [`RunReport`] is
+//! bit-pinned — same seed and config, same report, every field digested —
+//! and [`RunFootprint`] is measured: the run's wall seconds and bytes.
 
 use lumos_crypto::CommMeter;
 
@@ -39,23 +41,45 @@ pub struct ConstructorReport {
     pub comparisons: u64,
     /// Device↔server messages during Alg. 3 coordination.
     pub server_messages: u64,
-    /// Wall seconds spent constructing.
-    pub wall_secs: f64,
     /// MCMC objective trace (empty when trimming is off).
     pub mcmc_trace: Vec<usize>,
 }
 
 /// Where a run's wall time and memory went — measured and computed beside
-/// the [`RunReport`], never part of it: nothing here is digested.
+/// the [`RunReport`], never part of it: nothing here is digested, and every
+/// wall-clock number a run yields is here.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunFootprint {
     /// Wall seconds per phase, in first-entered order; a phase entered every
     /// epoch accumulates.
     pub phase_secs: Vec<(&'static str, f64)>,
+    /// Epochs the run trained.
+    pub epochs: usize,
     /// Bytes the run's own state held when it ended, per owner, computed
     /// `len × size_of` (no allocator hook). The dataset is the caller's and
     /// is not listed.
     pub bytes: Vec<(&'static str, u64)>,
+}
+
+impl RunFootprint {
+    /// The phases a training round passes through, open to close: the
+    /// round's bookkeeping, a migration's re-plant and the update itself.
+    /// `evaluate` is entered inside the epoch loop too and is not a cost of
+    /// training.
+    pub const EPOCH_PHASES: [&'static str; 4] =
+        ["round", "regrow_exchange", "regrow_batch_build", "step"];
+
+    /// Wall seconds per training epoch (Fig. 8b): the
+    /// [`RunFootprint::EPOCH_PHASES`] over the epochs trained; 0 for a run
+    /// that trained none.
+    pub fn secs_per_epoch(&self) -> f64 {
+        let phases = self.phase_secs.iter();
+        let in_loop = phases.filter(|(phase, _)| Self::EPOCH_PHASES.contains(phase));
+        match self.epochs {
+            0 => 0.0,
+            n => in_loop.map(|&(_, secs)| secs).sum::<f64>() / n as f64,
+        }
+    }
 }
 
 /// One training round as it closed: the ledger window, the cost model's
@@ -148,7 +172,8 @@ impl RoundRecord {
 /// by [`RunReport::fold_rounds`] — the only place one is built.
 ///
 /// All times are *virtual* seconds from the discrete-event simulator —
-/// deterministic under the run seed, unlike the measured wall-clock fields.
+/// deterministic under the run seed; measured wall time is
+/// [`RunFootprint`]'s.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimSummary {
     /// Scenario name ("uniform", "mobile-fleet", "straggler-tail", "churn").
@@ -264,8 +289,6 @@ pub struct RunReport {
     pub history: Vec<EpochMetrics>,
     /// Average inter-device messages per device per epoch (Fig. 8a).
     pub avg_messages_per_device_per_epoch: f64,
-    /// Average wall seconds per training epoch (Fig. 8b).
-    pub avg_epoch_secs: f64,
     /// Average modeled makespan per epoch (straggler units).
     pub avg_epoch_makespan: f64,
     /// Tree-constructor statistics (empty/default for baselines).
@@ -292,7 +315,6 @@ impl RunReport {
             best_val_metric: 0.0,
             history: Vec::new(),
             avg_messages_per_device_per_epoch: 0.0,
-            avg_epoch_secs: 0.0,
             avg_epoch_makespan: 0.0,
             constructor: ConstructorReport::default(),
             init_messages: 0,
@@ -333,12 +355,10 @@ impl RunReport {
     }
 
     /// One number for "same seed + same config ⇒ same report": FNV-1a over
-    /// every run-level deterministic field, floats by bit pattern. Left
-    /// out: the wall-clock fields (`avg_epoch_secs`,
-    /// `constructor.wall_secs`), and `rounds` — covered through its folds
-    /// (`sim` and the two per-epoch means), and pinned record by record by
-    /// [`RunReport::rounds_digest`], so adding a record field never moves
-    /// this number.
+    /// every run-level field, floats by bit pattern. `rounds` alone is not
+    /// folded: it is covered through its folds (`sim` and the two per-epoch
+    /// means) and pinned record by record by [`RunReport::rounds_digest`],
+    /// so adding a record field never moves this number.
     pub fn digest(&self) -> u64 {
         fnv1a(self.field_digests().into_iter().map(|(_, d)| d))
     }
@@ -359,9 +379,9 @@ impl RunReport {
         })
     }
 
-    /// The first deterministic field (in declaration order, `sim.*` last)
-    /// on which the two reports differ — what to print when their digests
-    /// disagree. `None` when every digested field matches.
+    /// The first field (in declaration order, `sim.*` last) on which the
+    /// two reports differ — what to print when their digests disagree.
+    /// `None` when every digested field matches.
     pub fn first_difference(&self, other: &RunReport) -> Option<&'static str> {
         let (mine, theirs) = (self.field_digests(), other.field_digests());
         // A missing `sim` shows up as `sim.is_some`, before the lengths
@@ -373,6 +393,8 @@ impl RunReport {
     }
 
     /// The per-field digests [`RunReport::digest`] folds, in a fixed order.
+    /// The three records are destructured without `..`: a field added later
+    /// is digested here or does not compile.
     fn field_digests(&self) -> Vec<(&'static str, u64)> {
         fn text(s: &str) -> u64 {
             fnv1a(s.bytes().map(u64::from))
@@ -380,71 +402,105 @@ impl RunReport {
         fn counts(xs: &[usize]) -> u64 {
             fnv1a(xs.iter().map(|&x| x as u64))
         }
-        let c = &self.constructor;
+        let RunReport {
+            system,
+            dataset,
+            backbone,
+            task,
+            test_metric,
+            best_val_metric,
+            history,
+            avg_messages_per_device_per_epoch,
+            avg_epoch_makespan,
+            constructor,
+            init_messages,
+            sim,
+            // Waived: pinned by `rounds_digest`, and folded into `sim` and
+            // the two means above.
+            rounds: _,
+        } = self;
+        let ConstructorReport {
+            trimmed,
+            weighted,
+            workloads,
+            max_workload,
+            max_weighted_workload,
+            untrimmed_max,
+            secure_comm,
+            comparisons,
+            server_messages,
+            mcmc_trace,
+        } = constructor;
+        let history = history
+            .iter()
+            .flat_map(|h| [h.epoch as u64, h.loss.to_bits(), h.val_metric.to_bits()]);
+        let secure_comm = [secure_comm.messages, secure_comm.bytes, secure_comm.rounds];
         let mut fields = vec![
-            ("system", text(&self.system)),
-            ("dataset", text(&self.dataset)),
-            ("backbone", text(&self.backbone)),
-            ("task", text(&self.task)),
-            ("test_metric", self.test_metric.to_bits()),
-            ("best_val_metric", self.best_val_metric.to_bits()),
-            (
-                "history",
-                fnv1a(
-                    self.history
-                        .iter()
-                        .flat_map(|h| [h.epoch as u64, h.loss.to_bits(), h.val_metric.to_bits()]),
-                ),
-            ),
+            ("system", text(system)),
+            ("dataset", text(dataset)),
+            ("backbone", text(backbone)),
+            ("task", text(task)),
+            ("test_metric", test_metric.to_bits()),
+            ("best_val_metric", best_val_metric.to_bits()),
+            ("history", fnv1a(history)),
             (
                 "avg_messages_per_device_per_epoch",
-                self.avg_messages_per_device_per_epoch.to_bits(),
+                avg_messages_per_device_per_epoch.to_bits(),
             ),
-            ("avg_epoch_makespan", self.avg_epoch_makespan.to_bits()),
-            ("constructor.trimmed", u64::from(c.trimmed)),
-            ("constructor.weighted", u64::from(c.weighted)),
-            ("constructor.workloads", counts(&c.workloads)),
-            ("constructor.max_workload", c.max_workload as u64),
-            ("constructor.max_weighted_workload", c.max_weighted_workload),
-            ("constructor.untrimmed_max", c.untrimmed_max as u64),
-            (
-                "constructor.secure_comm",
-                fnv1a([
-                    c.secure_comm.messages,
-                    c.secure_comm.bytes,
-                    c.secure_comm.rounds,
-                ]),
-            ),
-            ("constructor.comparisons", c.comparisons),
-            ("constructor.server_messages", c.server_messages),
-            ("constructor.mcmc_trace", counts(&c.mcmc_trace)),
-            ("init_messages", self.init_messages),
-            ("sim.is_some", u64::from(self.sim.is_some())),
+            ("avg_epoch_makespan", avg_epoch_makespan.to_bits()),
+            ("constructor.trimmed", u64::from(*trimmed)),
+            ("constructor.weighted", u64::from(*weighted)),
+            ("constructor.workloads", counts(workloads)),
+            ("constructor.max_workload", *max_workload as u64),
+            ("constructor.max_weighted_workload", *max_weighted_workload),
+            ("constructor.untrimmed_max", *untrimmed_max as u64),
+            ("constructor.secure_comm", fnv1a(secure_comm)),
+            ("constructor.comparisons", *comparisons),
+            ("constructor.server_messages", *server_messages),
+            ("constructor.mcmc_trace", counts(mcmc_trace)),
+            ("init_messages", *init_messages),
+            ("sim.is_some", u64::from(sim.is_some())),
         ];
-        if let Some(s) = &self.sim {
+        if let Some(summary) = sim {
+            let SimSummary {
+                scenario,
+                total_virtual_secs,
+                avg_epoch_virtual_secs,
+                straggler_sequence,
+                mean_utilization,
+                dropped_device_rounds,
+                late_drops,
+                buffered_updates,
+                wasted_updates,
+                migrations,
+                migrated_nodes,
+                lost_messages,
+                retries,
+                retry_secs,
+                crashed_devices,
+                failovers,
+            } = summary;
+            let stragglers = straggler_sequence.iter().map(|&d| u64::from(d));
             fields.extend([
-                ("sim.scenario", text(&s.scenario)),
-                ("sim.total_virtual_secs", s.total_virtual_secs.to_bits()),
+                ("sim.scenario", text(scenario)),
+                ("sim.total_virtual_secs", total_virtual_secs.to_bits()),
                 (
                     "sim.avg_epoch_virtual_secs",
-                    s.avg_epoch_virtual_secs.to_bits(),
+                    avg_epoch_virtual_secs.to_bits(),
                 ),
-                (
-                    "sim.straggler_sequence",
-                    fnv1a(s.straggler_sequence.iter().map(|&d| u64::from(d))),
-                ),
-                ("sim.mean_utilization", s.mean_utilization.to_bits()),
-                ("sim.dropped_device_rounds", s.dropped_device_rounds),
-                ("sim.late_drops", s.late_drops),
-                ("sim.buffered_updates", s.buffered_updates),
-                ("sim.wasted_updates", s.wasted_updates),
-                ("sim.migrations", s.migrations),
-                ("sim.migrated_nodes", s.migrated_nodes),
-                ("sim.lost_messages", s.lost_messages),
-                ("sim.retries", s.retries),
-                ("sim.retry_secs", s.retry_secs.to_bits()),
-                ("sim.crashed_devices", s.crashed_devices),
-                ("sim.failovers", s.failovers),
+                ("sim.straggler_sequence", fnv1a(stragglers)),
+                ("sim.mean_utilization", mean_utilization.to_bits()),
+                ("sim.dropped_device_rounds", *dropped_device_rounds),
+                ("sim.late_drops", *late_drops),
+                ("sim.buffered_updates", *buffered_updates),
+                ("sim.wasted_updates", *wasted_updates),
+                ("sim.migrations", *migrations),
+                ("sim.migrated_nodes", *migrated_nodes),
+                ("sim.lost_messages", *lost_messages),
+                ("sim.retries", *retries),
+                ("sim.retry_secs", retry_secs.to_bits()),
+                ("sim.crashed_devices", *crashed_devices),
+                ("sim.failovers", *failovers),
             ]);
         }
         fields
@@ -502,14 +558,9 @@ mod tests {
     }
 
     #[test]
-    fn digest_covers_deterministic_fields_and_skips_wall_clock() {
+    fn digest_moves_with_every_field_by_bit_pattern() {
         let base = RunReport::new("lumos", "facebook", "GCN", "supervised");
-        let mut wall = base.clone();
-        wall.avg_epoch_secs = 3.5;
-        wall.constructor.wall_secs = 1.25;
-        assert_eq!(base.digest(), wall.digest(), "wall-clock fields are exempt");
-
-        assert_eq!(base.first_difference(&wall), None);
+        assert_eq!(base.first_difference(&base.clone()), None);
         let first_diff = |other: &RunReport| {
             assert_ne!(base.digest(), other.digest());
             base.first_difference(other)

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_common::timer::{Laps, Stopwatch};
+use lumos_common::timer::Laps;
 use lumos_data::Dataset;
 use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
 use lumos_gnn::{EncoderConfig, GnnEncoder};
@@ -27,7 +27,7 @@ use lumos_tensor::{Adam, ParamStore, Tape, VarId};
 
 use lumos_sim::{
     AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, FaultCounters,
-    FaultPlan, FaultState, ScenarioState, StalenessBuffer,
+    FaultPlan, FaultState, ScenarioState,
 };
 use lumos_topo::{ShardRoundPolicies, Topology};
 
@@ -48,7 +48,8 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
 }
 
 /// [`run_lumos`], with where the run's wall time went and what its state
-/// held when it ended.
+/// held when it ended. The [`Laps`] started here is the only clock the run
+/// reads.
 pub fn run_lumos_measured(ds: &Dataset, cfg: &LumosConfig) -> (RunReport, RunFootprint) {
     let mut laps = Laps::started();
     let cadence = EvalCadence::new(cfg.eval_every, cfg.epochs);
@@ -145,7 +146,6 @@ pub fn run_lumos_measured(ds: &Dataset, cfg: &LumosConfig) -> (RunReport, RunFoo
         report.test_metric = model.evaluate(&forest.batch, &[EvalSplit::Test], &mut rng)[0];
         laps.lap("evaluate");
     }
-    report.avg_epoch_secs = fleet.round_clock.secs() / cfg.epochs.max(1) as f64;
     report.fold_rounds(cfg.scenario.map(|s| s.name()));
     let bytes = [
         ("trees", forest.trees.iter().map(DeviceTree::bytes).sum()),
@@ -159,6 +159,7 @@ pub fn run_lumos_measured(ds: &Dataset, cfg: &LumosConfig) -> (RunReport, RunFoo
     ];
     let footprint = RunFootprint {
         phase_secs: laps.into_phases(),
+        epochs: cfg.epochs,
         bytes: bytes.map(|(owner, b)| (owner, b as u64)).to_vec(),
     };
     (report, footprint)
@@ -184,7 +185,10 @@ struct Forest<'d> {
 impl<'d> Forest<'d> {
     /// Builds every device's tree from `assignment`, runs the LDP feature
     /// exchange over `net` — all of it, or with a `memo` only the (owner,
-    /// neighbor) pairs it does not cover — and batches the forest.
+    /// neighbor) pairs it does not cover — and batches the forest. The two
+    /// lap as the run's one-off `exchange` / `batch_build`, or with a `memo`
+    /// — a migration's re-plant, inside an epoch — under their own two
+    /// [`RunFootprint::EPOCH_PHASES`].
     fn plant(
         ds: &'d Dataset,
         cfg: &LumosConfig,
@@ -194,6 +198,10 @@ impl<'d> Forest<'d> {
         net: &mut SimNetwork,
         laps: &mut Laps,
     ) -> Self {
+        let phases = match memo {
+            None => ["exchange", "batch_build"],
+            Some(_) => ["regrow_exchange", "regrow_batch_build"],
+        };
         let kind = if cfg.virtual_nodes {
             LocalGraphKind::VirtualNodeTree
         } else {
@@ -210,9 +218,9 @@ impl<'d> Forest<'d> {
                 memo
             }
         };
-        laps.lap("exchange");
+        laps.lap(phases[0]);
         let batch = build_compact(&trees, features, dim, &exchange);
-        laps.lap("batch_build");
+        laps.lap(phases[1]);
         Self {
             assignment,
             trees,
@@ -226,7 +234,7 @@ impl<'d> Forest<'d> {
     /// Rebuilds everything derived from the (just migrated) assignment.
     /// Devices that inherited a branch never held its leaves' features:
     /// only the missing (owner, neighbor) pairs are topped up, on this
-    /// epoch's ledger.
+    /// epoch's ledger and this epoch's clock.
     fn regrow(
         self,
         ds: &'d Dataset,
@@ -486,26 +494,21 @@ struct Judged {
 /// Who trains and what it costs them: the devices' profiles, the ledger
 /// every message lands on, and the resolved rules a round is judged by.
 struct Fleet {
+    /// The ledger, and the queue updates that arrive in a later round wait
+    /// in: the cuts of a carrying policy, and — under any policy — uploads
+    /// that ran out their retry budget, which degrade to one round late
+    /// instead of vanishing.
     runtime: Runtime,
     scenario: Option<ScenarioState>,
     faults: Option<FaultState>,
     /// The policy as resolved for this run (see [`Fleet::muster`]).
     policy: AggregationPolicy,
-    /// Updates that arrive in a later round wait here: the cuts of a
-    /// carrying policy, and — under any policy — uploads that ran out their
-    /// retry budget, which degrade to one round late instead of vanishing.
-    buffer: StalenessBuffer,
     /// The re-balancer's per-device overload streaks.
     streaks: Vec<u32>,
     /// `Some` only with ≥ 2 real shards: a single-aggregator tree resolves
     /// to the flat topology up front (`TopologyConfig::effective`).
     topology: Option<Topology>,
     layers: usize,
-    /// Wall time of the rounds so far, open to close: what `avg_epoch_secs`
-    /// averages. The report's one wall-clock accumulator — it is not a
-    /// `RoundRecord` field because records are bit-pinned — and it stays
-    /// here until ROADMAP item 2(c) moves wall time out of `RunReport`.
-    round_clock: Stopwatch,
 }
 
 impl Fleet {
@@ -569,19 +572,16 @@ impl Fleet {
             runtime,
             scenario,
             faults,
-            buffer: StalenessBuffer::new(carry_decay(&policy).unwrap_or(1.0)),
             policy,
             streaks: vec![0; n],
             topology,
             layers,
-            round_clock: Stopwatch::new(),
         };
         (fleet, node_costs)
     }
 
     /// Opens the round's ledger window on the fleet as it stands.
     fn open_round(&mut self) {
-        self.round_clock.start();
         if let Some(state) = &self.scenario {
             self.runtime.set_profiles(state.profiles().to_vec());
         }
@@ -694,7 +694,9 @@ impl Fleet {
     /// device whose update is missing this round contributes nothing;
     /// carried updates blend back in at `decay^staleness` in the round they
     /// arrive — even if their sender is late or absent again (the update
-    /// already landed). Counts both kinds into `judged`.
+    /// already landed) — and their silenced sends land on this round's
+    /// ledger with them, accounted where they arrive, not where they were
+    /// cut. Counts both kinds into `judged`.
     fn pool_weights(&mut self, judged: &mut Judged) -> Vec<f32> {
         let n = self.runtime.network.num_devices();
         let mut weights = vec![1.0f32; n];
@@ -703,24 +705,27 @@ impl Fleet {
             weights[d as usize] = 0.0;
         }
         judged.pooled = weights.iter().filter(|&&w| w != 0.0).count() as u64;
-        let waiting = self.buffer.in_flight();
-        for (w, arrived) in weights.iter_mut().zip(self.buffer.advance(n)) {
+        let arrived = self.runtime.advance_carried();
+        judged.arrived = arrived.len() as u64;
+        // A device's arrivals are summed in f64, in the order they were
+        // carried, and added once.
+        let mut stale = vec![0.0f64; n];
+        for (d, staleness) in arrived {
+            stale[d as usize] += stale_weight(carry_decay(&self.policy), staleness);
+        }
+        for (w, arrived) in weights.iter_mut().zip(stale) {
             *w += arrived as f32;
         }
-        judged.arrived = (waiting - self.buffer.in_flight()) as u64;
         weights
     }
 
-    /// Protocol message accounting for this epoch (§VI-B/C). Carried
-    /// traffic from earlier rounds lands first — accounted in the round
-    /// where it arrives, not the round where it was cut. Dropped and
+    /// Protocol message accounting for this epoch (§VI-B/C). Dropped and
     /// carried devices are both silenced on this round's ledger (the
     /// round's simulation already ran, on what they attempted); the carried
-    /// ones' sends are collected and re-injected by `carry_in` in their
-    /// arrival round.
+    /// updates enter the runtime's queue with their sends, batched by
+    /// staleness.
     fn account(&mut self, trees: &[DeviceTree], judged: &Judged, fetches: Option<LinkFetches<'_>>) {
-        self.runtime.carry_in();
-        let deferred = record_epoch_messages(
+        let carried = record_epoch_messages(
             trees,
             &mut self.runtime.network,
             fetches,
@@ -728,11 +733,8 @@ impl Fleet {
             &judged.carried,
             &judged.dropped,
         );
-        for &(d, staleness) in &judged.carried {
-            self.buffer.push(d, staleness);
-        }
-        for (staleness, sends) in deferred {
-            self.runtime.defer_sends(staleness, sends);
+        for (staleness, (devices, sends)) in carried {
+            self.runtime.carry(staleness, devices, sends);
         }
     }
 
@@ -752,7 +754,6 @@ impl Fleet {
         let closed = self
             .runtime
             .end_epoch(tree_sizes, self.layers, judged.sim.as_deref());
-        self.round_clock.stop();
         if let Some(state) = &mut self.scenario {
             state.advance_round();
         }
@@ -775,7 +776,7 @@ impl Fleet {
             carried: judged.carried.len() as u64,
             exhausted: judged.faults.exhausted_sends,
             arrived: judged.arrived,
-            in_flight: self.buffer.in_flight() as u64,
+            in_flight: self.runtime.in_flight() as u64,
             lost_messages: judged.faults.lost_messages,
             retries: judged.faults.retries,
             retry_secs: judged.faults.retry_secs,
@@ -808,6 +809,18 @@ fn carry_decay(policy: &AggregationPolicy) -> Option<f64> {
     }
 }
 
+/// The POOL weight of a carried update arriving `staleness` rounds late
+/// under a policy carrying at `decay`. An update carried by the recovery
+/// layer alone (an exhausted upload under a policy that carries nothing)
+/// pools undiscounted.
+fn stale_weight(decay: Option<f64>, staleness: u32) -> f64 {
+    decay.unwrap_or(1.0).powi(staleness as i32)
+}
+
+/// One staleness's share of a round's carried updates: the devices, and
+/// their silenced `(from, to, bytes)` sends.
+type CarriedBatch = (Vec<u32>, Vec<(u32, u32, u64)>);
+
 /// What becomes of a device's sends this round.
 #[derive(Clone, Copy, PartialEq)]
 enum Fate {
@@ -834,10 +847,10 @@ enum Fate {
 /// Devices in `parked` form an update that arrives in a later round (cut
 /// by a carrying policy, or out of retries): none of their outbound
 /// messages are accounted here (messages *to* them still are — their
-/// senders paid either way); `deferred` collects those silenced sends, by
-/// rounds until arrival, so the runtime can re-inject each batch in the
-/// round where it actually arrives (the ledger is counters, so the order
-/// within a batch is free).
+/// senders paid either way). The return value batches them by rounds until
+/// arrival — the devices in `parked` order, with their silenced sends — so
+/// the runtime can land each batch in the round where it actually arrives
+/// (the ledger is counters, so the order of a batch's sends is free).
 /// Devices in `dropped` (churned out, crashed, or cut by the deadline) send
 /// nothing, now or later.
 ///
@@ -855,20 +868,21 @@ fn record_epoch_messages(
     topo: Option<&Topology>,
     parked: &[(u32, u32)],
     dropped: &[u32],
-) -> BTreeMap<u32, Vec<(u32, u32, u64)>> {
-    let mut deferred: BTreeMap<u32, Vec<_>> = BTreeMap::new();
+) -> BTreeMap<u32, CarriedBatch> {
+    let mut carried: BTreeMap<u32, CarriedBatch> = BTreeMap::new();
     let mut fate = vec![Fate::Live; trees.len()];
     for &d in dropped {
         fate[d as usize] = Fate::Dropped;
     }
     for &(d, staleness) in parked {
         fate[d as usize] = Fate::Parked(staleness);
+        carried.entry(staleness).or_default().0.push(d);
     }
     let mut route = |net: &mut SimNetwork, from: u32, to: u32| match fate[from as usize] {
         Fate::Dropped => {}
         Fate::Parked(staleness) => {
-            let batch = deferred.entry(staleness).or_default();
-            batch.push((from, to, EMBEDDING_BYTES));
+            let batch = carried.entry(staleness).or_default();
+            batch.1.push((from, to, EMBEDDING_BYTES));
         }
         Fate::Live if to == SimNetwork::SERVER => net.send_to_server(from, EMBEDDING_BYTES),
         Fate::Live => net.send(from, to, EMBEDDING_BYTES),
@@ -918,7 +932,7 @@ fn record_epoch_messages(
         }
     }
     net.round();
-    deferred
+    carried
 }
 
 #[cfg(test)]
@@ -1288,6 +1302,47 @@ mod tests {
         );
         assert_ne!(buffered.final_loss().to_bits(), full.final_loss().to_bits());
         assert!(buffered.test_metric > 0.3);
+    }
+
+    #[test]
+    fn stale_weights_decay_monotonically() {
+        // An older update never outweighs a fresher one, every weight stays
+        // in [0, 1], and a policy that carries nothing does not discount.
+        for decay in [0.0, 0.1, 0.5, 0.9, 1.0] {
+            let mut prev = 1.0f64;
+            for s in 1..=lumos_sim::STALENESS_CAP {
+                let w = stale_weight(Some(decay), s);
+                assert!((0.0..=1.0).contains(&w), "weight {w} out of range");
+                assert!(w <= prev, "weight rose with age: {w} > {prev}");
+                prev = w;
+            }
+        }
+        assert_eq!(stale_weight(Some(0.5), 2), 0.25);
+        assert_eq!(stale_weight(None, 3), 1.0);
+    }
+
+    #[test]
+    fn the_epoch_loop_laps_exactly_the_epoch_phases_and_evaluate() {
+        // `RunFootprint::secs_per_epoch` names its phases; this run enters
+        // every one the loop has (it migrates), after the one-off ones.
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let cfg = smoke_config(TaskKind::Supervised)
+            .with_epochs(8)
+            .with_scenario(lumos_sim::Scenario::Churn)
+            .with_aggregation_policy(AggregationPolicy::Buffered {
+                factor: 2.0,
+                decay: 0.5,
+            });
+        let (report, footprint) = run_lumos_measured(&ds, &cfg);
+        assert!(report.sim.unwrap().migrations >= 1);
+        let names: Vec<&str> = footprint.phase_secs.iter().map(|p| p.0).collect();
+        let one_off = names.iter().position(|&p| p == "model_init").unwrap() + 1;
+        let mut in_loop = names[one_off..].to_vec();
+        in_loop.sort_unstable();
+        let mut expected = RunFootprint::EPOCH_PHASES.to_vec();
+        expected.push("evaluate");
+        expected.sort_unstable();
+        assert_eq!(in_loop, expected);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //!
 //! Lumos "is a synchronized federated framework that operates in rounds and
 //! has to receive all the required updates to start the next round"
-//! (§IV-B). The engine owns the network ledger, the carry-over segment and
-//! the fleet's prices, and keeps no log: each round's ledger and timing
+//! (§IV-B). The engine owns the network ledger, the fleet's prices and the
+//! run's one in-flight queue — every update that arrives in a later round
+//! waits there with its silenced sends ([`Runtime::carry`]), and both come
+//! out together ([`Runtime::advance_carried`]) — and keeps no log: each
+//! round's ledger and timing
 //! scalars are returned by value to the caller, who records them. It does
 //! not simulate: the caller runs the round's one `lumos-sim` schedule —
 //! over [`ledger_work`], which prices a ledger window per destination (the
@@ -12,7 +15,7 @@
 //! self-timed from its own burst) — and hands [`Runtime::end_epoch`] the
 //! finished statistics.
 
-use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, Inbound};
+use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, Inbound, STALENESS_CAP};
 use lumos_topo::{tier_timing, tier_timing_failover, Topology};
 
 use crate::clock::{epoch_makespan, epoch_mean_cost, CostModel};
@@ -130,12 +133,14 @@ pub struct SimEpoch {
     pub utilization: f64,
 }
 
-/// One carry-over batch: sends suppressed in the round that produced them
-/// (the sender was past the deadline) that physically land
+/// One carried batch: the updates one round found `staleness` rounds late,
+/// with the sends silenced on that round's ledger. Both land
 /// `rounds_remaining` rounds from now.
 #[derive(Debug, Clone)]
-struct DeferredSends {
+struct Carried {
+    staleness: u32,
     rounds_remaining: u32,
+    devices: Vec<u32>,
     /// `(from, to, bytes)`; `to == SimNetwork::SERVER` marks device→server.
     sends: Vec<(u32, u32, u64)>,
 }
@@ -149,7 +154,7 @@ pub struct Runtime {
     profiles: Option<Vec<DeviceProfile>>,
     /// The open epoch's ledger snapshot.
     current: Option<NetworkSnapshot>,
-    deferred: Vec<DeferredSends>,
+    carried: Vec<Carried>,
     tier: Option<TierSpec>,
 }
 
@@ -161,7 +166,7 @@ impl Runtime {
             cost_model,
             profiles: None,
             current: None,
-            deferred: Vec::new(),
+            carried: Vec::new(),
             tier: None,
         }
     }
@@ -317,53 +322,59 @@ impl Runtime {
         }
     }
 
-    /// Queues a late device's suppressed sends for delivery `rounds` rounds
-    /// from now (the buffered policy's carry-over ledger segment: traffic
-    /// is accounted in the round where the stale update actually arrives,
-    /// not the round whose barrier it missed). `to == SimNetwork::SERVER`
-    /// marks a device→server message.
-    ///
-    /// # Panics
-    /// Panics if `rounds` is 0 — a zero-round deferral would mean the
-    /// update was not late at all.
-    pub fn defer_sends(&mut self, rounds: u32, sends: Vec<(u32, u32, u64)>) {
-        assert!(rounds >= 1, "a deferred send must wait at least one round");
-        if sends.is_empty() {
+    /// Carries one batch of updates — the cuts of a carrying policy, the
+    /// async quorum's overflow, uploads that ran out their retry budget —
+    /// to the round `staleness` rounds on, clamped to
+    /// `1..=`[`STALENESS_CAP`]: an update that is late at all waits a
+    /// round, and none waits unboundedly. `sends` are the batch's messages,
+    /// silenced on this round's ledger (`to == SimNetwork::SERVER` marks
+    /// device→server): traffic is accounted in the round where the stale
+    /// update arrives, not the round whose barrier it missed. An empty
+    /// batch is dropped.
+    pub fn carry(&mut self, staleness: u32, devices: Vec<u32>, sends: Vec<(u32, u32, u64)>) {
+        if devices.is_empty() && sends.is_empty() {
             return;
         }
-        self.deferred.push(DeferredSends {
-            rounds_remaining: rounds,
+        let staleness = staleness.clamp(1, STALENESS_CAP);
+        self.carried.push(Carried {
+            staleness,
+            rounds_remaining: staleness,
+            devices,
             sends,
         });
     }
 
-    /// Ages the carry-over segment by one round and injects every send
-    /// arriving now into the network ledger. Call right after
-    /// [`Runtime::begin_epoch`], so the traffic lands inside the opening
-    /// epoch's ledger deltas: it is counted in the round where it arrives,
-    /// but the round's simulation runs on what the fleet attempts this
-    /// round, so carried-in bytes lengthen nobody's virtual burst. Returns
-    /// the number of injected sends.
-    pub fn carry_in(&mut self) -> u64 {
-        let mut injected = 0u64;
-        let mut still_waiting = Vec::with_capacity(self.deferred.len());
-        for mut batch in std::mem::take(&mut self.deferred) {
+    /// Ages the queue by one round: every batch arriving now has its sends
+    /// injected into the ledger and its updates returned as `(device,
+    /// staleness)`, in the order they were carried. Call exactly once per
+    /// round, inside the open epoch — so the traffic lands in its ledger
+    /// window — and before carrying that round's late updates. The round's
+    /// simulation runs on what the fleet attempts this round, so carried-in
+    /// bytes lengthen nobody's virtual burst.
+    pub fn advance_carried(&mut self) -> Vec<(u32, u32)> {
+        let mut arrived = Vec::new();
+        let network = &mut self.network;
+        self.carried.retain_mut(|batch| {
             batch.rounds_remaining -= 1;
-            if batch.rounds_remaining == 0 {
-                for &(from, to, bytes) in &batch.sends {
-                    if to == SimNetwork::SERVER {
-                        self.network.send_to_server(from, bytes);
-                    } else {
-                        self.network.send(from, to, bytes);
-                    }
-                    injected += 1;
-                }
-            } else {
-                still_waiting.push(batch);
+            if batch.rounds_remaining > 0 {
+                return true;
             }
-        }
-        self.deferred = still_waiting;
-        injected
+            for &(from, to, bytes) in &batch.sends {
+                if to == SimNetwork::SERVER {
+                    network.send_to_server(from, bytes);
+                } else {
+                    network.send(from, to, bytes);
+                }
+            }
+            arrived.extend(batch.devices.iter().map(|&d| (d, batch.staleness)));
+            false
+        });
+        arrived
+    }
+
+    /// Carried updates still waiting.
+    pub fn in_flight(&self) -> usize {
+        self.carried.iter().map(|batch| batch.devices.len()).sum()
     }
 }
 
@@ -673,44 +684,74 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// One round of `rt` with nothing live on it: the arrivals and the
+    /// messages that landed with them.
+    fn carried_round(rt: &mut Runtime) -> (Vec<(u32, u32)>, u64) {
+        let n = rt.network.num_devices();
+        rt.begin_epoch();
+        let arrived = rt.advance_carried();
+        (arrived, rt.end_epoch(&vec![1; n], 2, None).total_messages)
+    }
+
     #[test]
     fn deferred_sends_land_in_the_arrival_round() {
-        let mut rt = Runtime::new(3, CostModel::default());
-        // Round 0: device 2 was late; its two messages defer by 1 and 2
-        // rounds respectively.
+        let mut rt = Runtime::new(4, CostModel::default());
+        // Round 0: device 2 is one round late, device 3 two; each carries
+        // its own silenced send.
         rt.begin_epoch();
-        assert_eq!(rt.carry_in(), 0);
-        rt.defer_sends(1, vec![(2, 0, 64)]);
-        rt.defer_sends(2, vec![(2, SimNetwork::SERVER, 64)]);
-        let r0 = rt.end_epoch(&[1, 1, 1], 2, None).total_messages;
-        assert_eq!(r0, 0, "deferred traffic must not land early");
-        // Round 1: the one-round deferral arrives.
-        rt.begin_epoch();
-        assert_eq!(rt.carry_in(), 1);
-        let r1 = rt.end_epoch(&[1, 1, 1], 2, None).total_messages;
-        assert_eq!(r1, 1);
-        // Round 2: the server-bound message arrives.
-        rt.begin_epoch();
-        assert_eq!(rt.carry_in(), 1);
-        let r2 = rt.end_epoch(&[1, 1, 1], 2, None).total_messages;
-        assert_eq!(r2, 1);
+        assert!(rt.advance_carried().is_empty());
+        rt.carry(1, vec![2], vec![(2, 0, 64)]);
+        rt.carry(2, vec![3], vec![(3, SimNetwork::SERVER, 64)]);
+        assert_eq!(rt.in_flight(), 2);
+        let r0 = rt.end_epoch(&[1, 1, 1, 1], 2, None).total_messages;
+        assert_eq!(r0, 0, "carried traffic must not land early");
+        // Round 1: the one-round update arrives, its send with it.
+        assert_eq!(carried_round(&mut rt), (vec![(2, 1)], 1));
+        assert_eq!(rt.in_flight(), 1);
+        // Round 2: the server-bound message arrives with device 3's update.
+        assert_eq!(carried_round(&mut rt), (vec![(3, 2)], 1));
         // Nothing is left to arrive.
-        rt.begin_epoch();
-        assert_eq!(rt.carry_in(), 0);
+        assert_eq!(rt.in_flight(), 0);
+        assert_eq!(carried_round(&mut rt), (vec![], 0));
+    }
+
+    #[test]
+    fn carried_updates_arrive_in_the_order_they_were_carried() {
+        // Two updates of one device landing in the same round both arrive —
+        // the earlier-carried first, which fixes the order their POOL
+        // weights are summed in.
+        let mut rt = Runtime::new(2, CostModel::default());
+        rt.carry(2, vec![0, 1], Vec::new());
+        assert!(carried_round(&mut rt).0.is_empty());
+        rt.carry(1, vec![0], Vec::new());
+        assert_eq!(carried_round(&mut rt).0, vec![(0, 2), (1, 2), (0, 1)]);
+    }
+
+    #[test]
+    fn an_update_and_its_sends_land_together_at_every_staleness() {
+        // The clamp is one rule for both halves of a batch: a zero
+        // staleness waits one round, one past the cap waits the cap.
+        for staleness in 0..2 * STALENESS_CAP {
+            let mut rt = Runtime::new(2, CostModel::default());
+            rt.carry(
+                staleness,
+                vec![1],
+                vec![(1, 0, 8), (1, SimNetwork::SERVER, 8)],
+            );
+            let due = staleness.clamp(1, STALENESS_CAP);
+            for _ in 1..due {
+                assert_eq!(carried_round(&mut rt), (vec![], 0), "s = {staleness}");
+            }
+            assert_eq!(carried_round(&mut rt), (vec![(1, due)], 2));
+            assert_eq!(rt.in_flight(), 0);
+        }
     }
 
     #[test]
     fn empty_deferral_is_dropped() {
         let mut rt = Runtime::new(2, CostModel::default());
-        rt.defer_sends(3, Vec::new());
-        assert!(rt.deferred.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one round")]
-    fn zero_round_deferral_panics() {
-        let mut rt = Runtime::new(2, CostModel::default());
-        rt.defer_sends(0, vec![(0, 1, 8)]);
+        rt.carry(3, Vec::new(), Vec::new());
+        assert!(rt.carried.is_empty());
     }
 
     #[test]

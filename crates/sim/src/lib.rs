@@ -28,7 +28,8 @@
 //!   (`FullSync`), a semi-synchronous deadline that drops updates landing
 //!   after a multiple of the round's median delivery time, the buffered
 //!   variant that keeps the same cut but blends late updates into later
-//!   rounds with staleness-decayed weights ([`StalenessBuffer`]), or the
+//!   rounds with staleness-decayed weights (the queue they wait in is
+//!   `lumos_fed::Runtime`'s), or the
 //!   barrier-free `Async` quorum that closes the round the moment
 //!   `min_updates` have landed. [`RoundPolicy`] is each policy expressed
 //!   as an event handler: it names the late updates and closes the round
@@ -63,7 +64,7 @@ pub use fault::{
     FaultCounters, FaultPlan, FaultSpec, FaultState, OutageWindow, RecoveryPolicy, SendFaults,
     HARD_RETRY_CAP,
 };
-pub use policy::{AggregationPolicy, RoundPolicy, StalenessBuffer, STALENESS_CAP};
+pub use policy::{AggregationPolicy, RoundPolicy, STALENESS_CAP};
 pub use profile::{DeviceProfile, FleetSpec, Heterogeneity};
 pub use runtime::{Control, EventDrivenRuntime, SimEvent};
 pub use scenario::{Scenario, ScenarioState};

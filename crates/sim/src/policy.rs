@@ -8,11 +8,13 @@
 //! well-defined: updates landing after a multiple of the round's median
 //! finish time are dropped from the pooled update, and the barrier closes
 //! without them — the Fig. 8c-style straggler-dropping trade the paper
-//! motivates. The buffered policy keeps the same barrier cut but routes
-//! the late updates into a [`StalenessBuffer`] instead of the void: each
-//! one is blended into a later round's POOL with weight
-//! `decay^staleness` (FedAsync-style staleness discounting), where the
-//! staleness is how many extra round-lengths the update spent in flight.
+//! motivates. The buffered policy keeps the same barrier cut but carries
+//! the late updates instead of discarding them: each one is blended into a
+//! later round's POOL with weight `decay^staleness` (FedAsync-style
+//! staleness discounting), where the staleness is how many extra
+//! round-lengths the update spent in flight. This module decides who is
+//! late and by how much; the queue the carried updates wait in is
+//! `lumos_fed::Runtime`'s, beside the ledger their sends land on.
 //! The fully-asynchronous policy retires the barrier outright: the round
 //! closes the moment `min_updates` have landed
 //! ([`AggregationPolicy::Async`]), and every update that missed the quorum
@@ -34,7 +36,7 @@ use crate::time::VirtualTime;
 
 /// Upper bound on how many rounds a late update may stay in flight before
 /// it is blended in: both its arrival round and its staleness exponent are
-/// clamped here, so no buffered update is deferred (or discounted)
+/// clamped to it, so no carried update is deferred (or discounted)
 /// unboundedly — a device 1000× past the deadline still lands within
 /// `STALENESS_CAP` rounds.
 pub const STALENESS_CAP: u32 = 8;
@@ -407,7 +409,8 @@ impl RoundPolicy {
             SimEvent::ComputeDone(_) => Some(false),
             // Fault events are never landings: a crashed or exhausted
             // device has no planned delivery and is handled by the
-            // recovery layer (staleness buffer), not the round policy.
+            // recovery layer (dropped, or carried a round), not the round
+            // policy.
             SimEvent::Arrived { .. }
             | SimEvent::InboxDrained(_)
             | SimEvent::Crashed(_)
@@ -433,76 +436,6 @@ impl RoundPolicy {
     pub fn verdicts(mut self) -> Vec<(u32, u32)> {
         self.late.sort_unstable_by_key(|&(d, _)| d);
         self.late
-    }
-}
-
-/// The buffered policy's per-device staleness buffer: late updates enter
-/// with their staleness (rounds until arrival) and come back out, at most
-/// [`STALENESS_CAP`] rounds later, as additive POOL weights
-/// `decay^staleness` for their device.
-///
-/// The buffer is pure bookkeeping over `(device, rounds remaining)` pairs —
-/// deterministic, no RNG, no float state beyond the decay — so the
-/// conservation property (*every* pushed update is collected within the
-/// cap) is property-tested directly in `tests/sim_properties.rs`.
-#[derive(Debug, Clone)]
-pub struct StalenessBuffer {
-    decay: f64,
-    /// In-flight late updates: `(device, rounds remaining, staleness)`.
-    in_flight: Vec<(u32, u32, u32)>,
-}
-
-impl StalenessBuffer {
-    /// Creates an empty buffer with the given per-round decay.
-    ///
-    /// # Panics
-    /// Panics unless `decay` is a finite value in `[0, 1]`.
-    pub fn new(decay: f64) -> Self {
-        assert!(
-            decay.is_finite() && (0.0..=1.0).contains(&decay),
-            "buffered decay must be in [0, 1], got {decay}"
-        );
-        Self {
-            decay,
-            in_flight: Vec::new(),
-        }
-    }
-
-    /// The POOL weight of an update that is `staleness` rounds old.
-    pub fn weight(&self, staleness: u32) -> f64 {
-        self.decay.powi(staleness as i32)
-    }
-
-    /// Buffers one late update: it will arrive (and be collected by
-    /// [`StalenessBuffer::advance`]) after `staleness` rounds, clamped to
-    /// `1..=`[`STALENESS_CAP`].
-    pub fn push(&mut self, device: u32, staleness: u32) {
-        let s = staleness.clamp(1, STALENESS_CAP);
-        self.in_flight.push((device, s, s));
-    }
-
-    /// Advances one round: every in-flight update ages by one round, and
-    /// those arriving now are drained into a per-device additive weight
-    /// vector (`decay^staleness` each; a device can receive several
-    /// arrivals in one round). Call exactly once per round, *before*
-    /// pushing that round's late updates.
-    pub fn advance(&mut self, num_devices: usize) -> Vec<f64> {
-        let mut weights = vec![0.0f64; num_devices];
-        self.in_flight.retain_mut(|(d, remaining, staleness)| {
-            *remaining -= 1;
-            if *remaining == 0 {
-                weights[*d as usize] += self.decay.powi(*staleness as i32);
-                false
-            } else {
-                true
-            }
-        });
-        weights
-    }
-
-    /// Updates still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
     }
 }
 
@@ -649,32 +582,6 @@ mod tests {
             decay: 1.5,
         }
         .validate();
-    }
-
-    #[test]
-    fn staleness_buffer_delivers_after_the_advertised_delay() {
-        let mut buf = StalenessBuffer::new(0.5);
-        buf.push(1, 1);
-        buf.push(3, 2);
-        // Round +1: only the staleness-1 update arrives, at weight 0.5.
-        let w = buf.advance(4);
-        assert_eq!(w, vec![0.0, 0.5, 0.0, 0.0]);
-        assert_eq!(buf.in_flight(), 1);
-        // Round +2: the staleness-2 update arrives at 0.25.
-        let w = buf.advance(4);
-        assert_eq!(w, vec![0.0, 0.0, 0.0, 0.25]);
-        assert_eq!(buf.in_flight(), 0);
-    }
-
-    #[test]
-    fn staleness_buffer_accumulates_same_round_arrivals() {
-        // Two updates from the same device landing in the same round add
-        // their weights; a zero staleness is clamped up to one round.
-        let mut buf = StalenessBuffer::new(0.5);
-        buf.push(0, 0);
-        buf.push(0, 1);
-        let w = buf.advance(1);
-        assert_eq!(w, vec![1.0]);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use proptest::prelude::*;
 use lumos_common::rng::Xoshiro256pp;
 use lumos_sim::{
     simulate_epoch, AggregationPolicy, Control, DeviceProfile, DeviceWork, EventDrivenRuntime,
-    FaultSpec, FaultState, Inbound, RecoveryPolicy, RoundPolicy, SimEvent, StalenessBuffer,
-    VirtualTime, SERVER_SENDER, STALENESS_CAP,
+    FaultSpec, FaultState, Inbound, RecoveryPolicy, RoundPolicy, SimEvent, VirtualTime,
+    SERVER_SENDER, STALENESS_CAP,
 };
 
 /// Random fleet + aggregate workload of `n` devices from one seed.
@@ -264,63 +264,6 @@ proptest! {
             prop_assert!(stats.update_delivery_secs[d as usize].is_some());
         }
         prop_assert!(AggregationPolicy::FullSync.late_devices(&stats).is_empty());
-    }
-
-    /// Staleness-buffer conservation: however pushes and rounds interleave,
-    /// every buffered update arrives exactly once within [`STALENESS_CAP`]
-    /// rounds, at exactly `decay^staleness` weight — no update is lost, none
-    /// outlives the cap.
-    #[test]
-    fn staleness_buffer_loses_no_update(
-        seed in any::<u64>(), n in 1usize..16, rounds in 1usize..24, decay in 0.0f64..=1.0
-    ) {
-        let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let mut buf = StalenessBuffer::new(decay);
-        let mut pushed = 0usize;
-        let mut arrived = 0usize;
-        let mut expected = 0.0f64;
-        let mut delivered = 0.0f64;
-        // One round: the arrivals are what left the buffer, at their weights.
-        let advance = |buf: &mut StalenessBuffer, delivered: &mut f64| {
-            let before = buf.in_flight();
-            *delivered += buf.advance(n).iter().sum::<f64>();
-            before - buf.in_flight()
-        };
-        for _ in 0..rounds {
-            arrived += advance(&mut buf, &mut delivered);
-            for _ in 0..rng.next_below(4) {
-                let d = rng.next_below(n as u64) as u32;
-                // Deliberately overshoot the cap sometimes: the buffer must
-                // clamp, never defer (or discount) unboundedly.
-                let s = rng.next_below(2 * STALENESS_CAP as u64) as u32;
-                buf.push(d, s);
-                pushed += 1;
-                expected += decay.powi(s.clamp(1, STALENESS_CAP) as i32);
-            }
-        }
-        for _ in 0..STALENESS_CAP {
-            arrived += advance(&mut buf, &mut delivered);
-        }
-        prop_assert_eq!(buf.in_flight(), 0, "an update outlived STALENESS_CAP");
-        prop_assert_eq!(arrived, pushed, "every pushed update arrives exactly once");
-        prop_assert!(
-            (delivered - expected).abs() < 1e-9 * (1.0 + expected.abs()),
-            "delivered weight {} != expected {}", delivered, expected
-        );
-    }
-
-    /// Staleness weights discount monotonically: an older update never
-    /// outweighs a fresher one, and every weight stays in [0, 1].
-    #[test]
-    fn staleness_weights_decay_monotonically(decay in 0.0f64..=1.0) {
-        let buf = StalenessBuffer::new(decay);
-        let mut prev = 1.0f64;
-        for s in 1..=STALENESS_CAP {
-            let w = buf.weight(s);
-            prop_assert!((0.0..=1.0).contains(&w), "weight {} out of range", w);
-            prop_assert!(w <= prev, "weight rose with age: {} > {}", w, prev);
-            prev = w;
-        }
     }
 
     /// The buffered policy's cut is the deadline's cut — identical late set

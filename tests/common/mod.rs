@@ -2,9 +2,8 @@
 
 use lumos::core::RunReport;
 
-/// Asserts two reports agree on every deterministic field, bit for bit
-/// (`RunReport::digest`; the wall-clock fields are the only exempt ones),
-/// and on every round record — naming the first round, then the first
+/// Asserts two reports agree on every field, bit for bit
+/// (`RunReport::digest` — no field is exempt), and on every round record — naming the first round, then the first
 /// field, that differs when they do not.
 pub fn assert_reports_identical(a: &RunReport, b: &RunReport) {
     assert_eq!(

@@ -2,9 +2,11 @@
 //! exercised end to end at smoke scale through the `lumos` facade.
 
 use lumos::baselines::{run_centralized, BaselineConfig};
-use lumos::core::{run_lumos, LumosConfig, TaskKind};
+use lumos::core::{run_lumos, run_lumos_measured, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
+
+mod common;
 
 fn lumos_cfg(backbone: Backbone, task: TaskKind) -> LumosConfig {
     LumosConfig::new(backbone, task)
@@ -105,11 +107,33 @@ fn centralized_baseline_agrees_across_facade() {
 }
 
 #[test]
+fn measuring_a_run_changes_nothing_and_times_every_phase_once() {
+    let ds = Dataset::lastfm_like(Scale::Smoke);
+    for epochs in [2, 0] {
+        let cfg = lumos_cfg(Backbone::Gcn, TaskKind::Supervised).with_epochs(epochs);
+        let (report, footprint) = run_lumos_measured(&ds, &cfg);
+        common::assert_reports_identical(&report, &run_lumos(&ds, &cfg));
+        let mut names: Vec<&str> = footprint.phase_secs.iter().map(|p| p.0).collect();
+        assert!(footprint.phase_secs.iter().all(|p| p.1 >= 0.0));
+        names.sort_unstable();
+        let phases = names.len();
+        names.dedup();
+        assert_eq!(names.len(), phases, "a phase is listed once: {names:?}");
+        // One definition of seconds per epoch, and no 0 / 0 in it.
+        let secs = footprint.secs_per_epoch();
+        if epochs == 0 {
+            assert_eq!(secs, 0.0);
+        } else {
+            assert!(secs > 0.0, "{epochs} epochs: {secs} s");
+        }
+    }
+}
+
+#[test]
 fn reports_carry_system_identity() {
     let ds = Dataset::lastfm_like(Scale::Smoke);
     let r = run_lumos(&ds, &lumos_cfg(Backbone::Gcn, TaskKind::Supervised));
     assert_eq!(r.system, "lumos");
     assert_eq!(r.dataset, "lastfm");
-    assert!(r.avg_epoch_secs > 0.0);
     assert!(r.avg_epoch_makespan > 0.0);
 }
