@@ -176,9 +176,7 @@ pub fn construct_assignment_sharded(
                 .map(|&w| w + base as u32)
                 .collect();
         }
-        let meter = oracle.meter();
-        report.secure_comm.messages += meter.messages;
-        report.secure_comm.bytes += meter.bytes;
+        report.secure_comm.merge(&oracle.meter());
         report.comparisons += oracle.comparisons();
         report.server_messages += outcome.stats.server.messages;
         if report.mcmc_trace.len() < outcome.trace.len() {
@@ -370,6 +368,38 @@ mod tests {
         assert_eq!(rep.mcmc_trace.len(), 60);
         // Sharding still trims: far below the untrimmed max degree.
         assert!(rep.max_workload * 2 <= rep.untrimmed_max);
+    }
+
+    #[test]
+    fn sharded_secure_traffic_is_the_sum_over_the_shards() {
+        // Regression: the merge summed messages and bytes and forgot the
+        // rounds, so every hierarchical run reported zero secure-comparison
+        // rounds. Each shard is the flat problem on its induced subgraph
+        // under its own seed; the report is their sum, rounds included.
+        let g = graph();
+        let topo = Topology::contiguous(g.num_nodes(), 4);
+        let (security, backend) = (SecurityMode::CostModel, CompareBackend::Scalar);
+        let (_, sharded) =
+            construct_assignment_sharded(&g, true, 30, security, backend, 11, None, &topo);
+        let mut sum = lumos_crypto::CommMeter::default();
+        for (shard, members) in topo.ranges() {
+            let inside = |v: u32| members.contains(&v);
+            let local: Vec<(u32, u32)> = g
+                .edges()
+                .filter(|&(u, v)| inside(u) && inside(v))
+                .map(|(u, v)| (u - members.start, v - members.start))
+                .collect();
+            let sub = Graph::from_edges(members.len(), &local);
+            let seed = shard_seed(11, shard);
+            let (_, flat) = construct_assignment(&sub, true, 30, security, backend, seed, None);
+            assert!(
+                flat.secure_comm.rounds > 0,
+                "shard {shard} compared nothing"
+            );
+            sum.merge(&flat.secure_comm);
+        }
+        assert!(sharded.secure_comm.rounds > 0);
+        assert_eq!(sharded.secure_comm, sum);
     }
 
     #[test]
