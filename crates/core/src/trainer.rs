@@ -709,9 +709,10 @@ impl Fleet {
         judged.arrived = arrived.len() as u64;
         // A device's arrivals are summed in f64, in the order they were
         // carried, and added once.
+        let decay = carry_decay(&self.policy);
         let mut stale = vec![0.0f64; n];
         for (d, staleness) in arrived {
-            stale[d as usize] += stale_weight(carry_decay(&self.policy), staleness);
+            stale[d as usize] += stale_weight(decay, staleness);
         }
         for (w, arrived) in weights.iter_mut().zip(stale) {
             *w += arrived as f32;
@@ -1319,6 +1320,37 @@ mod tests {
         }
         assert_eq!(stale_weight(Some(0.5), 2), 0.25);
         assert_eq!(stale_weight(None, 3), 1.0);
+    }
+
+    #[test]
+    fn carried_updates_pool_at_their_decayed_weight_in_the_arrival_round() {
+        let cfg = smoke_config(TaskKind::Supervised)
+            .with_scenario(lumos_sim::Scenario::Uniform)
+            .with_aggregation_policy(AggregationPolicy::Buffered {
+                factor: 2.0,
+                decay: 0.5,
+            });
+        let (mut fleet, _) = Fleet::muster(4, &cfg, 2);
+        fleet.runtime.carry(1, vec![1], Vec::new());
+        fleet.runtime.carry(2, vec![3], Vec::new());
+        // Round +1: the staleness-1 update blends in at 0.5, on top of its
+        // device's own on-time update; device 2 is absent this round.
+        let mut judged = Judged {
+            dropped: vec![2],
+            ..Judged::default()
+        };
+        assert_eq!(fleet.pool_weights(&mut judged), [1.0, 1.5, 0.0, 1.0]);
+        assert_eq!((judged.pooled, judged.arrived), (3, 1));
+        // Round +2: the staleness-2 update arrives at 0.25 — its sender cut
+        // again — beside two same-round arrivals of device 0, which add.
+        fleet.runtime.carry(1, vec![0, 0], Vec::new());
+        let mut judged = Judged {
+            carried: vec![(3, 1)],
+            ..Judged::default()
+        };
+        assert_eq!(fleet.pool_weights(&mut judged), [2.0, 1.0, 1.0, 0.25]);
+        assert_eq!((judged.pooled, judged.arrived), (3, 3));
+        assert_eq!(fleet.runtime.in_flight(), 0);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! run's one in-flight queue — every update that arrives in a later round
 //! waits there with its silenced sends ([`Runtime::carry`]), and both come
 //! out together ([`Runtime::advance_carried`]) — and keeps no log: each
-//! round's ledger and timing
-//! scalars are returned by value to the caller, who records them. It does
+//! round's ledger and timing scalars are returned by value to the caller,
+//! who records them. It does
 //! not simulate: the caller runs the round's one `lumos-sim` schedule —
 //! over [`ledger_work`], which prices a ledger window per destination (the
 //! `(sender → receiver)` deltas become per-sender inbound contributions, so
