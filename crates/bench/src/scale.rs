@@ -10,8 +10,9 @@
 //!
 //! * **server traffic** is O(devices) bytes/round flat but O(aggregators)
 //!   hierarchical — each aggregator forwards one pooled partial;
-//! * **ledger memory** collapses from the per-edge matrix to the compact
-//!   per-shard tallies (`ledger_entries` is the resident count);
+//! * **ledger memory** collapses from the flat window log (one entry per
+//!   message of the round) to the compact per-shard tallies
+//!   (`ledger_entries` is the resident count);
 //! * **wall cost per simulated device** stays bounded as the fleet grows,
 //!   which is what lets the 10⁵-device row finish inside a CI smoke job.
 //!
@@ -67,8 +68,8 @@ pub struct ScaleRow {
     /// Bytes arriving at the server per round — the O(devices) vs
     /// O(aggregators) claim.
     pub server_bytes_per_round: f64,
-    /// Peak resident ledger entries (per-edge matrix flat, per-shard
-    /// tallies hierarchical).
+    /// Peak resident ledger entries (the round's logged messages flat,
+    /// per-shard tallies hierarchical).
     pub peak_ledger_entries: usize,
     /// Wall-clock microseconds per simulated device-round.
     pub wall_us_per_device: f64,
@@ -200,8 +201,9 @@ mod tests {
             tiered.aggregators as f64 * UPDATE_BYTES as f64
         );
         assert!(tiered.server_bytes_per_round < flat.server_bytes_per_round / 10.0);
-        // The per-edge matrix holds the ring + server edges; the sharded
-        // ledger holds two tallies per shard.
+        // The flat window holds one round's sends — two ring messages and
+        // one upload per device; the sharded ledger two tallies per shard.
+        assert_eq!(flat.peak_ledger_entries, 3 * flat.devices);
         assert!(tiered.peak_ledger_entries < flat.peak_ledger_entries);
         assert_eq!(tiered.peak_ledger_entries, 2 * tiered.aggregators);
         // Both modes simulate a real barrier.

@@ -543,7 +543,7 @@ impl Fleet {
                     None => Topology::seeded(n, k, cfg.seed),
                 });
         if let Some(topo) = &topology {
-            // The compact per-shard ledger replaces the per-edge matrix —
+            // The compact per-shard ledger replaces the flat window log —
             // memory stays O(devices + aggregators) — and the tier spec
             // makes every profiled epoch's makespan run through the
             // aggregators.

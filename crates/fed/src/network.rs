@@ -1,22 +1,20 @@
-//! Simulated inter-device network with per-device and per-edge accounting.
+//! Simulated inter-device network with per-device and per-message accounting.
 //!
 //! Figure 8a reports the *average number of inter-device communication
 //! rounds per device per epoch*; this ledger records every message the
 //! protocols exchange so the harness can reproduce that series exactly.
-//! Each message is additionally tallied on its `(sender → receiver)` edge:
-//! the per-destination timing schedule needs to know *who* a device's
-//! inbound bytes came from, because the drain cannot start before the
-//! slowest of those senders has actually delivered. (The ledger used to
-//! keep only aggregate per-device byte totals — the approximation that made
-//! makespans optimistic whenever a fast receiver's senders were slow.)
-
-use std::collections::BTreeMap;
+//! The cumulative per-device tallies answer "how much"; the open window's
+//! message log answers "from whom": the per-destination timing schedule
+//! needs to know who a device's inbound bytes came from, because the drain
+//! cannot start before the slowest of those senders has actually
+//! delivered. [`SimNetwork::snapshot`] opens a window, so the log holds one
+//! round's sends, never the run's edge history.
 
 /// Compact per-shard ledger used by hierarchical topologies.
 ///
-/// At 10⁵–10⁶ devices the per-edge `BTreeMap` is the memory wall: one
-/// entry per directed `(sender → receiver)` pair is O(edges). The
-/// sharded ledger replaces it with two O(aggregators) tally arrays —
+/// The flat ledger's window log holds one entry per message of the open
+/// round: O(edges) at 10⁵–10⁶ devices. The sharded ledger keeps no log,
+/// only two O(aggregators) tally arrays —
 /// device-tier traffic into each shard's aggregator, and each
 /// aggregator's partials to the server — so a sharded network is
 /// O(devices + aggregators) regardless of how chatty the fleet is.
@@ -47,7 +45,8 @@ pub struct DeviceTraffic {
     pub bytes_received: u64,
 }
 
-/// Tallies of one directed `(sender → receiver)` edge.
+/// Tallies of one directed `(sender → receiver)` edge, or of one shard's
+/// tier traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EdgeTraffic {
     /// Messages carried by this edge.
@@ -60,10 +59,13 @@ pub struct EdgeTraffic {
 #[derive(Debug, Clone)]
 pub struct SimNetwork {
     devices: Vec<DeviceTraffic>,
-    /// Directed per-edge tallies keyed `(from, to)`; [`SimNetwork::SERVER`]
-    /// stands in for the server on either end. A `BTreeMap` keeps every
-    /// traversal deterministic.
-    edges: BTreeMap<(u32, u32), EdgeTraffic>,
+    /// The open window's device↔device and device↔server messages as
+    /// `(from, to, bytes)`, in send order; [`SimNetwork::SERVER`] stands
+    /// in for the server on either end.
+    window: Vec<(u32, u32, u64)>,
+    /// Id of the open window: [`SimNetwork::snapshot`] bumps it, and a
+    /// snapshot is only read in the window it opened.
+    window_id: u64,
     server_received: u64,
     server_sent: u64,
     server_bytes_sent: u64,
@@ -71,7 +73,7 @@ pub struct SimNetwork {
     rounds: u64,
     /// `Some` switches the ledger into compact sharded mode: device-to-
     /// device messages keep their per-device tallies but skip the
-    /// per-edge map, and aggregator traffic is tallied per shard.
+    /// window log, and aggregator traffic is tallied per shard.
     sharded: Option<ShardLedger>,
 }
 
@@ -85,7 +87,8 @@ impl SimNetwork {
     pub fn new(n: usize) -> Self {
         Self {
             devices: vec![DeviceTraffic::default(); n],
-            edges: BTreeMap::new(),
+            window: Vec::new(),
+            window_id: 0,
             server_received: 0,
             server_sent: 0,
             server_bytes_sent: 0,
@@ -97,7 +100,7 @@ impl SimNetwork {
 
     /// Creates a network in compact sharded mode: `shard_of[d]` names the
     /// aggregator device `d` reports to. Memory stays
-    /// O(devices + aggregators) — no per-edge map is kept, so inbound
+    /// O(devices + aggregators) — no window log is kept, so inbound
     /// timing degrades to the aggregate schedule (`ledger_work` handles
     /// the switch).
     pub fn new_sharded(shard_of: Vec<u32>) -> Self {
@@ -166,31 +169,29 @@ impl SimNetwork {
     }
 
     /// Live ledger entry count — the memory the accounting structures
-    /// actually hold: per-edge map entries in flat mode, the two
-    /// per-shard tally arrays in sharded mode.
+    /// actually hold: the open window's logged messages in flat mode, the
+    /// two per-shard tally arrays in sharded mode.
     pub fn ledger_entries(&self) -> usize {
         match &self.sharded {
             Some(s) => s.up.len() + s.down.len(),
-            None => self.edges.len(),
+            None => self.window.len(),
         }
     }
 
     /// Bytes the ledger holds: the per-device tallies and its
-    /// [`SimNetwork::ledger_entries`] (key and tally each).
+    /// [`SimNetwork::ledger_entries`] (a logged message and a shard tally
+    /// are both 16 bytes).
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.devices.len() * size_of::<DeviceTraffic>()
-            + self.ledger_entries() * size_of::<((u32, u32), EdgeTraffic)>()
+            + self.ledger_entries() * size_of::<(u32, u32, u64)>()
     }
 
-    fn record_edge(&mut self, from: u32, to: u32, bytes: u64) {
-        // Sharded mode keeps no per-edge map — that's the whole point.
-        if self.sharded.is_some() {
-            return;
+    fn log(&mut self, from: u32, to: u32, bytes: u64) {
+        // Sharded mode keeps no window log — that's the whole point.
+        if self.sharded.is_none() {
+            self.window.push((from, to, bytes));
         }
-        let e = self.edges.entry((from, to)).or_default();
-        e.messages += 1;
-        e.bytes += bytes;
     }
 
     /// Records a device-to-device message.
@@ -201,7 +202,7 @@ impl SimNetwork {
         let r = &mut self.devices[to as usize];
         r.received += 1;
         r.bytes_received += bytes;
-        self.record_edge(from, to, bytes);
+        self.log(from, to, bytes);
     }
 
     /// Records a device-to-server message.
@@ -211,7 +212,7 @@ impl SimNetwork {
         d.bytes_sent += bytes;
         self.server_received += 1;
         self.server_bytes_received += bytes;
-        self.record_edge(from, Self::SERVER, bytes);
+        self.log(from, Self::SERVER, bytes);
     }
 
     /// Records a device's upload to its shard aggregator (hierarchical
@@ -273,7 +274,7 @@ impl SimNetwork {
         let r = &mut self.devices[to as usize];
         r.received += 1;
         r.bytes_received += bytes;
-        self.record_edge(Self::SERVER, to, bytes);
+        self.log(Self::SERVER, to, bytes);
     }
 
     /// Marks a synchronization round (all devices advance together — the
@@ -285,11 +286,6 @@ impl SimNetwork {
     /// Traffic of one device.
     pub fn device(&self, v: u32) -> DeviceTraffic {
         self.devices[v as usize]
-    }
-
-    /// Cumulative traffic of one directed edge (zero if never used).
-    pub fn edge(&self, from: u32, to: u32) -> EdgeTraffic {
-        self.edges.get(&(from, to)).copied().unwrap_or_default()
     }
 
     /// Total device-to-device plus device-to-server messages.
@@ -335,21 +331,40 @@ impl SimNetwork {
         }
     }
 
-    /// Snapshot for differential accounting.
-    pub fn snapshot(&self) -> NetworkSnapshot {
+    /// Opens a ledger window and returns its snapshot for differential
+    /// accounting: the per-device counters as they stand, and the id of
+    /// the window whose message log starts empty here. Every `*_since`
+    /// reader takes the snapshot of the window still open.
+    pub fn snapshot(&mut self) -> NetworkSnapshot {
+        self.window.clear();
+        self.window_id += 1;
         NetworkSnapshot {
+            window: self.window_id,
             total_messages: self.total_messages(),
             total_bytes: self.total_bytes(),
             rounds: self.rounds,
             per_device_sent: self.devices.iter().map(|d| d.sent).collect(),
             per_device_bytes_sent: self.devices.iter().map(|d| d.bytes_sent).collect(),
             per_device_bytes_received: self.devices.iter().map(|d| d.bytes_received).collect(),
-            edges: self.edges.clone(),
         }
     }
 
+    /// The open window's snapshot is the only one a reader may take.
+    fn check_window(&self, snap: &NetworkSnapshot) {
+        assert_eq!(
+            snap.window, self.window_id,
+            "stale NetworkSnapshot: it opened ledger window {} but window {} is open — \
+             a later snapshot() closed it, so read a window before snapshotting again",
+            snap.window, self.window_id,
+        );
+    }
+
     /// Per-device messages sent since a snapshot.
+    ///
+    /// # Panics
+    /// Panics if `snap` is not the open window's (as do all `*_since`).
     pub fn sent_since(&self, snap: &NetworkSnapshot) -> Vec<u64> {
+        self.check_window(snap);
         self.devices
             .iter()
             .zip(&snap.per_device_sent)
@@ -359,6 +374,7 @@ impl SimNetwork {
 
     /// Per-device payload bytes sent since a snapshot.
     pub fn bytes_sent_since(&self, snap: &NetworkSnapshot) -> Vec<u64> {
+        self.check_window(snap);
         self.devices
             .iter()
             .zip(&snap.per_device_bytes_sent)
@@ -368,6 +384,7 @@ impl SimNetwork {
 
     /// Per-device payload bytes received since a snapshot.
     pub fn bytes_received_since(&self, snap: &NetworkSnapshot) -> Vec<u64> {
+        self.check_window(snap);
         self.devices
             .iter()
             .zip(&snap.per_device_bytes_received)
@@ -376,52 +393,74 @@ impl SimNetwork {
     }
 
     /// Every directed edge used since a snapshot, with its message/byte
-    /// deltas, sorted by `(from, to)`.
+    /// totals, sorted by `(from, to)` (empty in sharded mode).
     pub fn sent_matrix_since(&self, snap: &NetworkSnapshot) -> Vec<((u32, u32), EdgeTraffic)> {
-        self.edges
-            .iter()
-            .filter_map(|(&key, &cur)| {
-                let prev = snap.edges.get(&key).copied().unwrap_or_default();
-                let delta = EdgeTraffic {
-                    messages: cur.messages - prev.messages,
-                    bytes: cur.bytes - prev.bytes,
-                };
-                (delta.messages > 0 || delta.bytes > 0).then_some((key, delta))
-            })
-            .collect()
-    }
-
-    /// The `(sender, bytes)` contributions received by device `to` since a
-    /// snapshot, sorted by sender id ([`SimNetwork::SERVER`] sorts last).
-    pub fn received_from_since(&self, snap: &NetworkSnapshot, to: u32) -> Vec<(u32, u64)> {
-        self.sent_matrix_since(snap)
-            .into_iter()
-            .filter_map(|((from, t), e)| (t == to && e.bytes > 0).then_some((from, e.bytes)))
-            .collect()
+        self.check_window(snap);
+        let mut log = self.window.clone();
+        log.sort_unstable_by_key(|&(from, to, _)| (from, to));
+        let mut edges: Vec<((u32, u32), EdgeTraffic)> = Vec::new();
+        for (from, to, bytes) in log {
+            match edges.last_mut() {
+                Some((key, e)) if *key == (from, to) => {
+                    e.messages += 1;
+                    e.bytes += bytes;
+                }
+                _ => edges.push(((from, to), EdgeTraffic { messages: 1, bytes })),
+            }
+        }
+        edges
     }
 
     /// Per-receiver inbound `(sender, bytes)` lists since a snapshot, for
     /// all devices in one deterministic pass (the per-destination timing
-    /// input `Runtime::end_epoch` hands to `lumos-sim`).
+    /// input [`crate::ledger_work`] hands to `lumos-sim`). Each list is
+    /// sorted by sender ([`SimNetwork::SERVER`] last), one entry per
+    /// sender with its bytes summed; zero-byte senders are left out, and
+    /// so are server-bound messages.
     pub fn received_matrix_since(&self, snap: &NetworkSnapshot) -> Vec<Vec<(u32, u64)>> {
-        let mut inbound: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.devices.len()];
-        for ((from, to), e) in self.sent_matrix_since(snap) {
-            if to != Self::SERVER && e.bytes > 0 {
-                inbound[to as usize].push((from, e.bytes));
-            }
+        self.check_window(snap);
+        // Counting sort of the log by receiver: receiver `to`'s messages
+        // are `runs[start[to]..start[to + 1]]`, in send order.
+        let n = self.devices.len();
+        let to_device = self.window.iter().filter(|&&(_, to, _)| to != Self::SERVER);
+        let mut start = vec![0usize; n + 1];
+        for &(_, to, _) in to_device.clone() {
+            start[to as usize + 1] += 1;
         }
-        // Edge keys iterate sorted by (from, to), so each receiver's list
-        // is already sorted by sender — but make the contract explicit.
-        for list in &mut inbound {
-            debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
+        for d in 0..n {
+            start[d + 1] += start[d];
         }
-        inbound
+        let mut fill = start.clone();
+        let mut runs = vec![(0u32, 0u64); start[n]];
+        for &(from, to, bytes) in to_device {
+            let slot = &mut fill[to as usize];
+            runs[*slot] = (from, bytes);
+            *slot += 1;
+        }
+        start
+            .windows(2)
+            .map(|w| {
+                let run = &mut runs[w[0]..w[1]];
+                run.sort_unstable_by_key(|&(from, _)| from);
+                let mut list: Vec<(u32, u64)> = Vec::with_capacity(run.len());
+                for &(from, bytes) in &*run {
+                    match list.last_mut() {
+                        Some((last, sum)) if *last == from => *sum += bytes,
+                        _ => list.push((from, bytes)),
+                    }
+                }
+                list.retain(|&(_, bytes)| bytes > 0);
+                list
+            })
+            .collect()
     }
 }
 
-/// A point-in-time copy of the network counters.
+/// The counters a ledger window opened on ([`SimNetwork::snapshot`]).
 #[derive(Debug, Clone)]
 pub struct NetworkSnapshot {
+    /// The window this snapshot opened.
+    window: u64,
     /// Total messages at snapshot time.
     pub total_messages: u64,
     /// Total bytes at snapshot time.
@@ -434,8 +473,6 @@ pub struct NetworkSnapshot {
     pub per_device_bytes_sent: Vec<u64>,
     /// Per-device bytes-received counters.
     pub per_device_bytes_received: Vec<u64>,
-    /// Per-edge counters at snapshot time.
-    pub edges: BTreeMap<(u32, u32), EdgeTraffic>,
 }
 
 #[cfg(test)]
@@ -501,6 +538,7 @@ mod tests {
         let mut net = SimNetwork::new_sharded(vec![0, 0, 1, 1]);
         assert!(net.is_sharded());
         assert_eq!(net.num_aggregators(), 2);
+        let snap = net.snapshot();
         for d in 0..4 {
             net.send_to_aggregator(d, 64);
         }
@@ -529,12 +567,9 @@ mod tests {
         assert_eq!(net.device(0).sent, 2);
         assert_eq!(net.device(0).bytes_sent, 72);
         assert_eq!(net.total_messages(), 5);
-        // No per-edge map: memory is the 2×K tallies, however chatty.
+        // No window log: memory is the 2×K tallies, however chatty.
         assert_eq!(net.ledger_entries(), 4);
-        assert!(net
-            .received_matrix_since(&net.snapshot())
-            .iter()
-            .all(Vec::is_empty));
+        assert!(net.received_matrix_since(&snap).iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -589,7 +624,7 @@ mod tests {
     #[test]
     fn per_edge_ledger_tracks_each_sender_separately() {
         // The tentpole regression: aggregate per-device totals cannot tell
-        // a receiver *who* its bytes came from. The edge ledger can.
+        // a receiver *who* its bytes came from. The window log can.
         let mut net = SimNetwork::new(3);
         net.send(0, 2, 100);
         let snap = net.snapshot();
@@ -598,29 +633,26 @@ mod tests {
         net.send(1, 2, 7);
         net.send_from_server(2, 9);
         net.send_to_server(2, 1);
-        // Edge deltas exclude the pre-snapshot 100 bytes.
-        assert_eq!(
-            net.received_from_since(&snap, 2),
-            vec![(0, 42), (1, 7), (SimNetwork::SERVER, 9)]
-        );
-        assert!(net.received_from_since(&snap, 0).is_empty());
-        assert_eq!(
-            net.edge(0, 2),
-            EdgeTraffic {
-                messages: 3,
-                bytes: 142
-            }
-        );
-        assert_eq!(net.edge(2, SimNetwork::SERVER).bytes, 1);
+        // The window opened after the first 100 bytes: they are not in it.
+        let inbound = net.received_matrix_since(&snap);
+        assert_eq!(inbound[2], vec![(0, 42), (1, 7), (SimNetwork::SERVER, 9)]);
+        assert!(inbound[0].is_empty() && inbound[1].is_empty());
         let matrix = net.sent_matrix_since(&snap);
         assert_eq!(matrix.len(), 4, "0→2, 1→2, 2→server, server→2");
         assert!(matrix.windows(2).all(|w| w[0].0 < w[1].0), "sorted keys");
-        // The one-pass per-receiver form agrees with the per-device query
-        // and never routes server-bound uploads into a device inbox.
-        let inbound = net.received_matrix_since(&snap);
-        for d in 0..3u32 {
-            assert_eq!(inbound[d as usize], net.received_from_since(&snap, d));
-        }
+        assert_eq!(
+            matrix[0],
+            (
+                (0, 2),
+                EdgeTraffic {
+                    messages: 2,
+                    bytes: 42
+                }
+            )
+        );
+        assert_eq!(matrix[2], ((2, SimNetwork::SERVER), EdgeTraffic { messages: 1, bytes: 1 }));
+        // The window logs messages, not distinct edges.
+        assert_eq!(net.ledger_entries(), 5);
         // Totals are consistent with the aggregate ledger.
         let agg = net.bytes_received_since(&snap);
         for d in 0..3usize {

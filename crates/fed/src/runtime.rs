@@ -28,10 +28,10 @@ use crate::network::{NetworkSnapshot, SimNetwork};
 /// the frozen initial fleet.)
 pub const UNAVAILABLE_COST_FACTOR: u64 = 4;
 
-/// Builds the per-device [`DeviceWork`] of the epoch between `snap` and the
-/// network's current counters: compute from the tree-node counts, outbound
-/// traffic from the per-device ledger deltas, and the inbound side as the
-/// per-sender `(sender, bytes)` contributions of the edge ledger.
+/// Builds the per-device [`DeviceWork`] of the ledger window `snap` opened:
+/// compute from the tree-node counts, outbound traffic from the per-device
+/// ledger deltas, and the inbound side as the per-sender `(sender, bytes)`
+/// contributions of the window's message log.
 ///
 /// # Panics
 /// Panics if `device_tree_nodes` does not have exactly one entry per
@@ -54,7 +54,7 @@ pub fn ledger_work(
     let sent = network.sent_since(snap);
     let bytes_out = network.bytes_sent_since(snap);
     if network.is_sharded() {
-        // The compact sharded ledger keeps no per-edge map, so the
+        // The compact sharded ledger keeps no window log, so the
         // inbound side degrades to the aggregate (self-timed) schedule —
         // the deliberate memory-for-precision trade at 10⁵+ devices.
         let bytes_in = network.bytes_received_since(snap);
@@ -486,7 +486,7 @@ mod tests {
     fn epoch_timing_is_per_destination() {
         // Device 0 is fast; its inbound bytes come from slow device 1. The
         // aggregate ledger used to time device 0's drain off its own burst;
-        // the per-edge ledger makes it wait for device 1's delivery.
+        // the window's per-sender log makes it wait for device 1's delivery.
         let mut profiles = vec![DeviceProfile::baseline(); 2];
         profiles[1].compute_rate /= 1000.0;
         let mut rt = profiled(profiles);
@@ -773,7 +773,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one tree-node count per device")]
     fn ledger_work_rejects_mismatched_lengths() {
-        let net = SimNetwork::new(3);
+        let mut net = SimNetwork::new(3);
         let snap = net.snapshot();
         ledger_work(&net, &snap, &[1, 2, 3, 4], 2);
     }

@@ -36,7 +36,7 @@ pub enum Inbound {
     /// of every sharded ledger, not a legacy path: `lumos_fed::ledger_work`
     /// emits it for each device of a hierarchical `run_lumos` round and of
     /// the 100k-device scale sweep, where the compact ledger keeps no
-    /// per-edge map. It is also the case [`PerSender`](Inbound::PerSender)
+    /// window log. It is also the case [`PerSender`](Inbound::PerSender)
     /// collapses to, but a one-element `PerSender` list in its place would
     /// cost one heap allocation per device per round for no behaviour.
     Aggregate(u64),

@@ -13,12 +13,10 @@
 //! from its [`DeviceProfile`] and [`DeviceWork`], exactly as the lockstep
 //! simulator did (same float operations in the same order, so an
 //! uninterrupted run is bit-identical to the seed's `simulate_epoch`),
-//! collected into one vector and sorted once by [`schedule_order`]. A run
+//! collected into one vector and sorted once by [`schedule_key`]. A run
 //! is a walk over that vector, and an early close is a prefix of it. The
 //! handler does not change *when* things happen — it changes what the
 //! round does about them: pool now, buffer, drop, or close.
-
-use std::cmp::Ordering;
 
 use crate::epoch::{DeviceWork, EpochStats, Inbound, SERVER_SENDER};
 use crate::fault::{us_to_secs, FaultPlan};
@@ -95,18 +93,17 @@ impl SimEvent {
 type Scheduled = (VirtualTime, u32, SimEvent);
 const _: () = assert!(std::mem::size_of::<Scheduled>() <= 24);
 
-/// The schedule's total order, defined here and nowhere else: ascending
-/// time, then kind rank, then device id, then construction order. The
-/// stream a handler sees — and so every statistic and verdict derived from
-/// it — is therefore a function of the event *set*; construction order
-/// decides only among events equal in all three, which are either
+/// The schedule's total order, defined here and nowhere else, as a sort
+/// key: ascending time (its [`VirtualTime::order_bits`]), then kind rank,
+/// then device id (the two packed into one word), then construction order.
+/// The stream a handler sees — and so every statistic and verdict derived
+/// from it — is therefore a function of the event *set*; construction
+/// order decides only among events equal in all three, which are either
 /// indistinguishable (a device's repeated `Lost` / `RetryDue`) or one
 /// sender's simultaneous `Arrived`s, constructed by ascending receiver.
-fn schedule_order(&(ta, ia, ea): &Scheduled, &(tb, ib, eb): &Scheduled) -> Ordering {
-    ta.cmp(&tb)
-        .then_with(|| ea.kind_rank().cmp(&eb.kind_rank()))
-        .then_with(|| ea.device().cmp(&eb.device()))
-        .then_with(|| ia.cmp(&ib))
+fn schedule_key(&(at, index, event): &Scheduled) -> (u64, u64, u32) {
+    let kind_device = u64::from(event.kind_rank()) << 32 | u64::from(event.device());
+    (at.order_bits(), kind_device, index)
 }
 
 /// A subscribed handler's verdict after each event.
@@ -129,7 +126,7 @@ pub enum Control {
 /// [`EventDrivenRuntime::run`] then walks them in that order, forwarding
 /// each to the subscribed handler.
 pub struct EventDrivenRuntime {
-    /// Every event of the round, sorted by [`schedule_order`].
+    /// Every event of the round, sorted by [`schedule_key`].
     schedule: Vec<Scheduled>,
     busy: Vec<f64>,
     update_delivery: Vec<Option<f64>>,
@@ -340,7 +337,7 @@ impl EventDrivenRuntime {
             let end = start.after(profiles[d].download_secs(w.bytes_in()));
             push(end, SimEvent::InboxDrained(d as u32));
         }
-        schedule.sort_unstable_by(schedule_order);
+        schedule.sort_unstable_by_key(schedule_key);
 
         Self {
             schedule,
@@ -793,5 +790,86 @@ mod tests {
         // The static signal is exactly what the finished run reports.
         let stats = rt.run(|_, _| Control::Continue);
         assert_eq!(planned, stats.update_delivery_secs);
+    }
+
+    /// PR 22's comparator, kept as the oracle [`schedule_key`] must agree
+    /// with: `f64::total_cmp` on the time, then kind rank, device and
+    /// construction order.
+    fn schedule_order(
+        &(ta, ia, ea): &Scheduled,
+        &(tb, ib, eb): &Scheduled,
+    ) -> std::cmp::Ordering {
+        ta.secs()
+            .total_cmp(&tb.secs())
+            .then_with(|| ea.kind_rank().cmp(&eb.kind_rank()))
+            .then_with(|| ea.device().cmp(&eb.device()))
+            .then_with(|| ia.cmp(&ib))
+    }
+
+    /// A random schedule in construction order: every event kind, a few
+    /// devices and a few timestamps (so keys collide on every component
+    /// but the index), and one sender's simultaneous `Arrived`s.
+    fn random_schedule(seed: u64) -> Vec<Scheduled> {
+        let mut rng = lumos_common::rng::Xoshiro256pp::seed_from_u64(seed);
+        let times = [0.0, -0.0, 5e-324, 1.0, 1.0 + f64::EPSILON, 2.5, f64::MAX];
+        let mut events = Vec::new();
+        for _ in 0..rng.next_below(96) {
+            let at = times[rng.next_below(times.len() as u64) as usize];
+            let d = rng.next_below(6) as u32;
+            let event = match rng.next_below(7) {
+                0 => SimEvent::ComputeDone(d),
+                1 => SimEvent::Delivered(d),
+                2 => SimEvent::Arrived {
+                    from: d,
+                    to: rng.next_below(6) as u32,
+                },
+                3 => SimEvent::InboxDrained(d),
+                4 => SimEvent::Crashed(d),
+                5 => SimEvent::Lost(d),
+                _ => SimEvent::RetryDue(d),
+            };
+            events.push((VirtualTime::new(at), event));
+        }
+        let from = rng.next_below(6) as u32;
+        let landed = VirtualTime::new(times[rng.next_below(times.len() as u64) as usize]);
+        for to in 0..4 {
+            events.push((landed, SimEvent::Arrived { from, to }));
+        }
+        // Shuffle, so construction order is not the sorted order.
+        for i in (1..events.len()).rev() {
+            events.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        (0u32..)
+            .zip(events)
+            .map(|(index, (at, event))| (at, index, event))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// The key is the order: every pair compares as the oracle does,
+        /// so the sorted schedules are the same sequence.
+        #[test]
+        fn schedule_key_orders_as_the_comparator(seed in proptest::any::<u64>()) {
+            let schedule = random_schedule(seed);
+            for a in &schedule {
+                for b in &schedule {
+                    proptest::prop_assert_eq!(
+                        schedule_key(a).cmp(&schedule_key(b)),
+                        schedule_order(a, b),
+                        "{:?} vs {:?}",
+                        a,
+                        b
+                    );
+                }
+            }
+            let mut by_key = schedule.clone();
+            by_key.sort_unstable_by_key(schedule_key);
+            let mut by_oracle = schedule;
+            by_oracle.sort_unstable_by(schedule_order);
+            let indices = |s: &[Scheduled]| s.iter().map(|&(_, i, _)| i).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(indices(&by_key), indices(&by_oracle));
+        }
     }
 }

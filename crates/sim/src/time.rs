@@ -9,8 +9,8 @@ use std::cmp::Ordering;
 
 /// A point on the simulator's virtual clock, in abstract seconds.
 ///
-/// Wraps an `f64` with a *total* order (`f64::total_cmp`) so it can key a
-/// sort. Construction rejects NaN and negative values, so ordinary
+/// Wraps an `f64` with a *total* order (`f64::total_cmp`'s, read through
+/// its integer [`VirtualTime::order_bits`]) so it can key a sort. Construction rejects NaN and negative values, so ordinary
 /// comparisons never hit the exotic corners of the total order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VirtualTime(f64);
@@ -47,6 +47,19 @@ impl VirtualTime {
         );
         Self(self.0 + delta)
     }
+
+    /// The time's bits as a `u64` whose unsigned order is
+    /// `f64::total_cmp`'s: a negative value's bits flipped, a non-negative
+    /// value's sign bit set. [`Ord`] compares these, and the schedule sorts
+    /// on them.
+    pub(crate) fn order_bits(self) -> u64 {
+        let bits = self.0.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
 }
 
 impl Eq for VirtualTime {}
@@ -59,13 +72,14 @@ impl PartialOrd for VirtualTime {
 
 impl Ord for VirtualTime {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
+        self.order_bits().cmp(&other.order_bits())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     #[should_panic]
@@ -78,5 +92,46 @@ mod tests {
         let t = VirtualTime::new(1.0).after(0.25);
         assert_eq!(t.secs(), 1.25);
         assert!(VirtualTime::new(1.0) < t);
+    }
+
+    /// The corners of `f64::total_cmp`: both zeros, subnormals, the
+    /// extremes, the infinities and NaNs of either sign.
+    const CORNERS: [f64; 12] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        5e-324,
+        -5e-324,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        1.0,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The order bits sort exactly as `f64::total_cmp`, on the corners
+        /// and on random values of every magnitude and sign.
+        #[test]
+        fn order_bits_sort_as_total_cmp(bits in any::<u64>(), secs in 0.0f64..1e6) {
+            let random = [f64::from_bits(bits), secs, -secs, secs * 1e-310];
+            for &a in CORNERS.iter().chain(&random) {
+                for &b in CORNERS.iter().chain(&random) {
+                    let (ta, tb) = (VirtualTime(a), VirtualTime(b));
+                    prop_assert_eq!(
+                        ta.order_bits().cmp(&tb.order_bits()),
+                        a.total_cmp(&b),
+                        "{:e} vs {:e}",
+                        a,
+                        b
+                    );
+                    prop_assert_eq!(ta.cmp(&tb), a.total_cmp(&b));
+                }
+            }
+        }
     }
 }
