@@ -859,9 +859,9 @@ enum Fate {
 /// surviving device uploads to its own aggregator (same cost to the
 /// device as a server upload) and every aggregator forwards exactly one
 /// pooled partial to the server — per-round server traffic is
-/// O(aggregators), not O(devices). A deferred upload still
-/// targets the server directly: a stale partial arrives after its shard's
-/// round already closed, so it skips the aggregator tier on re-injection.
+/// O(aggregators), not O(devices). A deferred upload is parked as a
+/// `SimNetwork::SERVER`-bound send; the runtime lands it through the
+/// aggregator tier of the round it arrives in (`Runtime::advance_carried`).
 fn record_epoch_messages(
     trees: &[DeviceTree],
     net: &mut SimNetwork,

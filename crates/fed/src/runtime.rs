@@ -346,7 +346,9 @@ impl Runtime {
 
     /// Ages the queue by one round: every batch arriving now has its sends
     /// injected into the ledger and its updates returned as `(device,
-    /// staleness)`, in the order they were carried. Call exactly once per
+    /// staleness)`, in the order they were carried. On a sharded network a
+    /// device→server send lands through the aggregator tier, under this
+    /// round's failover map, as a live upload does. Call exactly once per
     /// round, inside the open epoch — so the traffic lands in its ledger
     /// window — and before carrying that round's late updates. The round's
     /// simulation runs on what the fleet attempts this round, so carried-in
@@ -360,10 +362,12 @@ impl Runtime {
                 return true;
             }
             for &(from, to, bytes) in &batch.sends {
-                if to == SimNetwork::SERVER {
-                    network.send_to_server(from, bytes);
-                } else {
-                    network.send(from, to, bytes);
+                match to {
+                    SimNetwork::SERVER if network.is_sharded() => {
+                        network.send_to_aggregator(from, bytes);
+                    }
+                    SimNetwork::SERVER => network.send_to_server(from, bytes),
+                    _ => network.send(from, to, bytes),
                 }
             }
             arrived.extend(batch.devices.iter().map(|&d| (d, batch.staleness)));
@@ -381,6 +385,7 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::EdgeTraffic;
     use lumos_sim::{AggregationPolicy, EventDrivenRuntime, RoundPolicy};
 
     fn profiled(profiles: Vec<DeviceProfile>) -> Runtime {
@@ -745,6 +750,38 @@ mod tests {
             assert_eq!(carried_round(&mut rt), (vec![(1, due)], 2));
             assert_eq!(rt.in_flight(), 0);
         }
+    }
+
+    #[test]
+    fn a_carried_upload_lands_through_the_aggregator_tier() {
+        // Regression: a carried upload was re-injected with
+        // `send_to_server`, so on a sharded network the server booked a
+        // device message and no shard tallied the update.
+        let topo = Topology::contiguous(4, 2);
+        let mut rt = Runtime::new(4, CostModel::default());
+        rt.network = SimNetwork::new_sharded(topo.shard_vector());
+        rt.carry(1, vec![0], vec![(0, SimNetwork::SERVER, 64)]);
+        rt.begin_epoch();
+        // Aggregator 0 is out in the arrival round: its successor serves.
+        rt.set_failover(Some(vec![1, 1]));
+        assert_eq!(rt.advance_carried(), vec![(0, 1)]);
+        rt.network.send_aggregator_to_server(1, 64);
+        let rec = rt.end_epoch(&[1; 4], 2, None);
+        let net = &rt.network;
+        assert_eq!(net.server_received(), 1, "the server hears partials only");
+        assert_eq!(net.server_bytes_received(), 64);
+        assert_eq!(net.shard_up(0), EdgeTraffic::default());
+        assert_eq!(
+            net.shard_up(1),
+            EdgeTraffic {
+                messages: 1,
+                bytes: 64
+            }
+        );
+        // The device paid for its upload exactly as before.
+        assert_eq!(net.device(0).sent, 1);
+        assert_eq!(net.device(0).bytes_sent, 64);
+        assert_eq!(rec.total_messages, 1);
     }
 
     #[test]
