@@ -5,12 +5,14 @@
 //! synchronously through [`runtime::Runtime`], and each epoch's ledger
 //! window is priced by a straggler-dominated makespan model
 //! ([`clock::CostModel`]) — the quantities behind Figure 8's
-//! communication-round and training-time comparisons.
+//! communication-round and training-time comparisons. A window is opened
+//! by [`SimNetwork::snapshot`]; the flat ledger logs that window's
+//! messages and nothing older, so its memory is one round's sends.
 //!
 //! An epoch is priced twice over: by the global linear [`clock::CostModel`]
 //! (every device identical — the paper's abstraction), and, when the caller
-//! simulates the round, by the `lumos-sim` discrete-event schedule over a
-//! ledger window's per-edge deltas ([`runtime::ledger_work`]), so
+//! simulates the round, by the `lumos-sim` discrete-event schedule over the
+//! window's per-sender totals ([`runtime::ledger_work`]), so
 //! heterogeneous fleets report per-device virtual timing, per-sender
 //! arrival-gated drains, and straggler identities. A round closes through
 //! one door, [`Runtime::end_epoch`], which takes the round's simulated

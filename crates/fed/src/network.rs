@@ -45,8 +45,7 @@ pub struct DeviceTraffic {
     pub bytes_received: u64,
 }
 
-/// Tallies of one directed `(sender → receiver)` edge, or of one shard's
-/// tier traffic.
+/// Tallies of one directed `(sender → receiver)` edge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EdgeTraffic {
     /// Messages carried by this edge.
@@ -637,20 +636,17 @@ mod tests {
         let inbound = net.received_matrix_since(&snap);
         assert_eq!(inbound[2], vec![(0, 42), (1, 7), (SimNetwork::SERVER, 9)]);
         assert!(inbound[0].is_empty() && inbound[1].is_empty());
-        let matrix = net.sent_matrix_since(&snap);
-        assert_eq!(matrix.len(), 4, "0→2, 1→2, 2→server, server→2");
-        assert!(matrix.windows(2).all(|w| w[0].0 < w[1].0), "sorted keys");
+        let edge = |messages, bytes| EdgeTraffic { messages, bytes };
         assert_eq!(
-            matrix[0],
-            (
-                (0, 2),
-                EdgeTraffic {
-                    messages: 2,
-                    bytes: 42
-                }
-            )
+            net.sent_matrix_since(&snap),
+            vec![
+                ((0, 2), edge(2, 42)),
+                ((1, 2), edge(1, 7)),
+                ((2, SimNetwork::SERVER), edge(1, 1)),
+                ((SimNetwork::SERVER, 2), edge(1, 9)),
+            ],
+            "one entry per edge, sorted by (from, to)"
         );
-        assert_eq!(matrix[2], ((2, SimNetwork::SERVER), EdgeTraffic { messages: 1, bytes: 1 }));
         // The window logs messages, not distinct edges.
         assert_eq!(net.ledger_entries(), 5);
         // Totals are consistent with the aggregate ledger.

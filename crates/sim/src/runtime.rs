@@ -795,10 +795,7 @@ mod tests {
     /// PR 22's comparator, kept as the oracle [`schedule_key`] must agree
     /// with: `f64::total_cmp` on the time, then kind rank, device and
     /// construction order.
-    fn schedule_order(
-        &(ta, ia, ea): &Scheduled,
-        &(tb, ib, eb): &Scheduled,
-    ) -> std::cmp::Ordering {
+    fn schedule_order(&(ta, ia, ea): &Scheduled, &(tb, ib, eb): &Scheduled) -> std::cmp::Ordering {
         ta.secs()
             .total_cmp(&tb.secs())
             .then_with(|| ea.kind_rank().cmp(&eb.kind_rank()))
