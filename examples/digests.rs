@@ -1,8 +1,9 @@
 //! The refactor oracle: one `RunReport::digest()` line per pinned config.
 //!
-//! Ten `run_lumos` configs (default, GAT, link prediction, the synchronous
+//! Eleven `run_lumos` configs (default, GAT, link prediction, the synchronous
 //! barrier on a frozen and on a churning fleet, one per non-trivial
-//! aggregation policy, the hierarchical deadline, the fully loaded run) and
+//! aggregation policy, the hierarchical barrier and deadline, the fully
+//! loaded run) and
 //! the baselines on both tasks, all on `facebook_like(Smoke)` at seed 2023,
 //! 8 epochs, 10 MCMC iterations. Identical invocations print identical
 //! lines; a behaviour-preserving change prints the same lines before and
@@ -63,8 +64,8 @@ fn line(name: &str, r: &RunReport) {
     );
 }
 
-/// The ten pinned `run_lumos` configs, by name.
-pub fn configs() -> [(&'static str, LumosConfig); 10] {
+/// The eleven pinned `run_lumos` configs, by name.
+pub fn configs() -> [(&'static str, LumosConfig); 11] {
     let lumos = |backbone, task| {
         LumosConfig::new(backbone, task)
             .with_epochs(EPOCHS)
@@ -90,6 +91,12 @@ pub fn configs() -> [(&'static str, LumosConfig); 10] {
             sup()
                 .with_scenario(Scenario::StragglerTail)
                 .with_aggregation_policy(AggregationPolicy::Deadline { factor: 2.0 }),
+        ),
+        (
+            "FullSync x StragglerTail x Hier{8}",
+            sup()
+                .with_scenario(Scenario::StragglerTail)
+                .with_topology(TopologyConfig::Hierarchical { aggregators: 8 }),
         ),
         (
             "Deadline{2} x StragglerTail x Hier{8}",
