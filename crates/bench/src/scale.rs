@@ -113,21 +113,10 @@ pub fn measure(n: usize, hierarchical: bool, rounds: usize, seed: u64) -> ScaleR
             net.send(d, (d + 7) % n as u32, UPDATE_BYTES);
         }
         net.round();
-        match &topo {
-            Some(t) => {
-                for d in 0..n as u32 {
-                    net.send_to_aggregator(d, UPDATE_BYTES);
-                }
-                for shard in 0..t.num_aggregators() as u32 {
-                    net.send_aggregator_to_server(shard, UPDATE_BYTES);
-                }
-            }
-            None => {
-                for d in 0..n as u32 {
-                    net.send_to_server(d, UPDATE_BYTES);
-                }
-            }
+        for d in 0..n as u32 {
+            net.send(d, SimNetwork::SERVER, UPDATE_BYTES);
         }
+        net.send_partials(UPDATE_BYTES);
         net.round();
         peak_ledger = peak_ledger.max(net.ledger_entries());
         let work = ledger_work(&net, &snap, &tree_sizes, LAYERS);

@@ -543,11 +543,9 @@ impl Fleet {
                     None => Topology::seeded(n, k, cfg.seed),
                 });
         if let Some(topo) = &topology {
-            // The compact per-shard ledger replaces the flat window log —
-            // memory stays O(devices + aggregators) — and the tier spec
-            // makes every profiled epoch's makespan run through the
-            // aggregators.
-            runtime.network = SimNetwork::new_sharded(topo.shard_vector());
+            // Uploads land at the aggregators, each round closes on their
+            // partials, and every profiled epoch's makespan runs through
+            // them.
             runtime.set_tier(TierSpec {
                 topology: topo.clone(),
                 aggregator: DeviceProfile::baseline(),
@@ -670,7 +668,7 @@ impl Fleet {
                 None => SimNetwork::new(profiles.len()),
             };
             let snap = net.snapshot();
-            record_epoch_messages(&forest.trees, &mut net, fetches, topo, &[], &[]);
+            record_epoch_messages(&forest.trees, &mut net, fetches, &[], &[]);
             RoundProbe {
                 template: ledger_work(&net, &snap, &forest.batch.tree_sizes, self.layers),
                 memo: None,
@@ -730,7 +728,6 @@ impl Fleet {
             trees,
             &mut self.runtime.network,
             fetches,
-            self.topology.as_ref(),
             &judged.carried,
             &judged.dropped,
         );
@@ -823,7 +820,7 @@ fn stale_weight(decay: Option<f64>, staleness: u32) -> f64 {
 type CarriedBatch = (Vec<u32>, Vec<(u32, u32, u64)>);
 
 /// What becomes of a device's sends this round.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Fate {
     /// On this round's ledger.
     Live,
@@ -855,18 +852,16 @@ enum Fate {
 /// Devices in `dropped` (churned out, crashed, or cut by the deadline) send
 /// nothing, now or later.
 ///
-/// With a topology the final aggregation tier routes through it: each
-/// surviving device uploads to its own aggregator (same cost to the
-/// device as a server upload) and every aggregator forwards exactly one
-/// pooled partial to the server — per-round server traffic is
-/// O(aggregators), not O(devices). A deferred upload is parked as a
-/// `SimNetwork::SERVER`-bound send; the runtime lands it through the
-/// aggregator tier of the round it arrives in (`Runtime::advance_carried`).
+/// The upload is a `SimNetwork::SERVER`-bound send, and the ledger picks
+/// its tier: under a topology it lands at the device's aggregator, and the
+/// runtime ships one partial per serving aggregator when the round closes
+/// (`Runtime::end_epoch`) — per-round server traffic is O(aggregators),
+/// not O(devices). A deferred upload lands the same way in the round it
+/// arrives in (`Runtime::advance_carried`).
 fn record_epoch_messages(
     trees: &[DeviceTree],
     net: &mut SimNetwork,
     fetches: Option<LinkFetches<'_>>,
-    topo: Option<&Topology>,
     parked: &[(u32, u32)],
     dropped: &[u32],
 ) -> BTreeMap<u32, CarriedBatch> {
@@ -885,7 +880,6 @@ fn record_epoch_messages(
             let batch = carried.entry(staleness).or_default();
             batch.1.push((from, to, EMBEDDING_BYTES));
         }
-        Fate::Live if to == SimNetwork::SERVER => net.send_to_server(from, EMBEDDING_BYTES),
         Fate::Live => net.send(from, to, EMBEDDING_BYTES),
     };
     for tree in trees {
@@ -914,23 +908,9 @@ fn record_epoch_messages(
         }
         net.round();
     }
-    // Loss/gradient aggregation: one message per surviving device — to
-    // the server directly in flat mode, to the device's own aggregator
-    // (then one partial per aggregator up to the server) in hierarchical
-    // mode.
+    // Loss/gradient aggregation: one upload per surviving device.
     for v in 0..trees.len() as u32 {
-        if topo.is_some() && fate[v as usize] == Fate::Live {
-            net.send_to_aggregator(v, EMBEDDING_BYTES);
-        } else {
-            route(net, v, SimNetwork::SERVER);
-        }
-    }
-    for shard in 0..topo.map_or(0, Topology::num_aggregators) as u32 {
-        // An outage-covered aggregator ships nothing: its members were
-        // re-homed to the successor, whose own (merged) partial is sent.
-        if net.rehome_target(shard) == shard {
-            net.send_aggregator_to_server(shard, EMBEDDING_BYTES);
-        }
+        route(net, v, SimNetwork::SERVER);
     }
     net.round();
     carried
@@ -1237,14 +1217,7 @@ mod tests {
             .collect();
         let mut net = SimNetwork::new(n);
         let snap = net.snapshot();
-        record_epoch_messages(
-            &trees,
-            &mut net,
-            Some((&split.train_edges, 1)),
-            None,
-            &[],
-            &[],
-        );
+        record_epoch_messages(&trees, &mut net, Some((&split.train_edges, 1)), &[], &[]);
         let edges = net.sent_matrix_since(&snap);
         assert!(!edges.is_empty());
         for ((from, to), _) in edges {

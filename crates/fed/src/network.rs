@@ -117,9 +117,10 @@ impl SimNetwork {
     }
 
     /// Installs (or clears) the round's failover routing. With a map in
-    /// place, [`SimNetwork::send_to_aggregator`] tallies each upload on
-    /// the aggregator actually serving the sender's shard, so an outaged
-    /// aggregator's ledger stays flat while its successor absorbs the
+    /// place, a [`SimNetwork::SERVER`]-bound [`SimNetwork::send`] tallies
+    /// each upload on the aggregator actually serving the sender's shard,
+    /// and [`SimNetwork::send_partials`] ships nothing from an outaged
+    /// aggregator, so its ledger stays flat while its successor absorbs the
     /// traffic.
     ///
     /// # Panics
@@ -140,26 +141,28 @@ impl SimNetwork {
         s.rehome = rehome;
     }
 
-    /// The aggregator actually serving `shard` this round (itself unless
-    /// a failover map re-homes it).
-    pub fn rehome_target(&self, shard: u32) -> u32 {
-        self.rehome_map().map_or(shard, |map| map[shard as usize])
-    }
-
     /// The round's failover map as installed by [`SimNetwork::set_rehome`]
     /// (`None`: every shard is served by its own aggregator).
     pub fn rehome_map(&self) -> Option<&[u32]> {
         self.sharded.as_ref().and_then(|s| s.rehome.as_deref())
     }
 
+    /// Ships one `bytes` partial to the server from every aggregator that
+    /// serves the round: all of them, or under a failover map only those
+    /// serving their own shard — an outaged aggregator's members were
+    /// re-homed to its successor, whose merged partial is the one sent. A
+    /// flat network has no aggregators and ships nothing.
+    pub fn send_partials(&mut self, bytes: u64) {
+        for k in 0..self.num_aggregators() as u32 {
+            if self.rehome_map().is_none_or(|map| map[k as usize] == k) {
+                self.send_aggregator_to_server(k, bytes);
+            }
+        }
+    }
+
     /// Number of devices.
     pub fn num_devices(&self) -> usize {
         self.devices.len()
-    }
-
-    /// Whether the ledger runs in compact sharded mode.
-    pub fn is_sharded(&self) -> bool {
-        self.sharded.is_some()
     }
 
     /// Number of edge aggregators (0 in flat mode).
@@ -193,47 +196,41 @@ impl SimNetwork {
         }
     }
 
-    /// Records a device-to-device message.
+    /// Records a message from device `from` to device `to`, or — with `to`
+    /// = [`SimNetwork::SERVER`] — its upload to the aggregation point,
+    /// which picks its own tier: straight to the server on a flat network,
+    /// to the sender's aggregator under the round's failover map on a
+    /// sharded one (the server then hears only the partials of
+    /// [`SimNetwork::send_partials`]). The sender pays one message and
+    /// `bytes` either way.
     pub fn send(&mut self, from: u32, to: u32, bytes: u64) {
         let d = &mut self.devices[from as usize];
         d.sent += 1;
         d.bytes_sent += bytes;
-        let r = &mut self.devices[to as usize];
-        r.received += 1;
-        r.bytes_received += bytes;
+        if to != Self::SERVER {
+            let r = &mut self.devices[to as usize];
+            r.received += 1;
+            r.bytes_received += bytes;
+        } else if let Some(s) = &mut self.sharded {
+            let home = s.shard_of[from as usize];
+            let k = s.rehome.as_ref().map_or(home, |map| map[home as usize]) as usize;
+            s.up[k].messages += 1;
+            s.up[k].bytes += bytes;
+        } else {
+            self.server_received += 1;
+            self.server_bytes_received += bytes;
+        }
         self.log(from, to, bytes);
     }
 
-    /// Records a device-to-server message.
+    /// `send(from, SimNetwork::SERVER, bytes)`.
     pub fn send_to_server(&mut self, from: u32, bytes: u64) {
-        let d = &mut self.devices[from as usize];
-        d.sent += 1;
-        d.bytes_sent += bytes;
-        self.server_received += 1;
-        self.server_bytes_received += bytes;
-        self.log(from, Self::SERVER, bytes);
+        self.send(from, Self::SERVER, bytes);
     }
 
-    /// Records a device's upload to its shard aggregator (hierarchical
-    /// topologies only). Costs the device exactly what a server upload
-    /// would — one message, `bytes` payload — but lands on the shard
-    /// tally instead of the server: the server never sees it.
+    /// `send(from, SimNetwork::SERVER, bytes)`.
     pub fn send_to_aggregator(&mut self, from: u32, bytes: u64) {
-        let shard = {
-            let s = self
-                .sharded
-                .as_ref()
-                .expect("send_to_aggregator requires a sharded network");
-            let home = s.shard_of[from as usize];
-            // Under failover the upload lands at the shard's successor.
-            s.rehome.as_ref().map_or(home, |map| map[home as usize]) as usize
-        };
-        let d = &mut self.devices[from as usize];
-        d.sent += 1;
-        d.bytes_sent += bytes;
-        let s = self.sharded.as_mut().unwrap();
-        s.up[shard].messages += 1;
-        s.up[shard].bytes += bytes;
+        self.send(from, Self::SERVER, bytes);
     }
 
     /// Records one aggregator's pooled partial reaching the server. This
@@ -535,15 +532,13 @@ mod tests {
         // 4 devices across 2 shards. Device uploads land on shard
         // tallies; the server only hears from aggregators.
         let mut net = SimNetwork::new_sharded(vec![0, 0, 1, 1]);
-        assert!(net.is_sharded());
         assert_eq!(net.num_aggregators(), 2);
         let snap = net.snapshot();
         for d in 0..4 {
-            net.send_to_aggregator(d, 64);
+            net.send(d, SimNetwork::SERVER, 64);
         }
         net.send(0, 2, 8); // cross-shard gossip keeps device tallies only
-        net.send_aggregator_to_server(0, 64);
-        net.send_aggregator_to_server(1, 64);
+        net.send_partials(64);
         net.round();
         // Server traffic is O(aggregators): 2 messages, not 4.
         assert_eq!(net.server_received(), 2);
@@ -581,37 +576,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a sharded network")]
-    fn aggregator_send_requires_sharded_mode() {
-        SimNetwork::new(2).send_to_aggregator(0, 8);
+    fn an_upload_on_a_flat_network_reaches_the_server() {
+        // Every upload door is the routed `send`: with no aggregators the
+        // server hears each device, and there are no partials to ship.
+        let mut net = SimNetwork::new(2);
+        net.send_to_aggregator(0, 8);
+        net.send(1, SimNetwork::SERVER, 8);
+        net.send_partials(8);
+        assert_eq!(net.server_received(), 2);
+        assert_eq!(net.server_bytes_received(), 16);
+        assert_eq!(net.num_aggregators(), 0);
     }
 
     #[test]
     fn failover_routes_uploads_to_the_successor_aggregator() {
         let mut net = SimNetwork::new_sharded(vec![0, 0, 1, 1]);
-        // Aggregator 0 is down: shard 0's uploads land on aggregator 1.
+        // Aggregator 0 is down: shard 0's uploads land on aggregator 1,
+        // and only aggregator 1 ships a partial.
         net.set_rehome(Some(vec![1, 1]));
-        assert_eq!(net.rehome_target(0), 1);
-        assert_eq!(net.rehome_target(1), 1);
         for d in 0..4 {
-            net.send_to_aggregator(d, 64);
+            net.send(d, SimNetwork::SERVER, 64);
         }
+        net.send_partials(64);
+        let edge = |messages, bytes| EdgeTraffic { messages, bytes };
         assert_eq!(net.shard_up(0), EdgeTraffic::default());
-        assert_eq!(
-            net.shard_up(1),
-            EdgeTraffic {
-                messages: 4,
-                bytes: 256
-            }
-        );
+        assert_eq!(net.shard_up(1), edge(4, 256));
+        assert_eq!(net.shard_down(0), EdgeTraffic::default());
+        assert_eq!(net.shard_down(1), edge(1, 64));
+        assert_eq!(net.server_received(), 1);
         // Senders still pay full price for their uploads.
         assert_eq!(net.device(0).sent, 1);
         assert_eq!(net.device(0).bytes_sent, 64);
         // Clearing the map restores home routing.
         net.set_rehome(None);
-        assert_eq!(net.rehome_target(0), 0);
-        net.send_to_aggregator(0, 64);
-        assert_eq!(net.shard_up(0).messages, 1);
+        net.send(0, SimNetwork::SERVER, 64);
+        net.send_partials(64);
+        assert_eq!(net.shard_up(0), edge(1, 64));
+        assert_eq!(net.shard_down(0), edge(1, 64));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub fn ledger_work(
     );
     let sent = network.sent_since(snap);
     let bytes_out = network.bytes_sent_since(snap);
-    if network.is_sharded() {
+    if network.num_aggregators() > 0 {
         // The compact sharded ledger keeps no window log, so the
         // inbound side degrades to the aggregate (self-timed) schedule —
         // the deliberate memory-for-precision trade at 10⁵+ devices.
@@ -186,11 +186,15 @@ impl Runtime {
         self.network.set_rehome(rehome);
     }
 
-    /// Installs the aggregator tier: subsequent simulated epochs compose
-    /// aggregator → server delivery on top of the device-tier schedule,
-    /// extending each epoch's makespan to the last aggregator partial's
-    /// arrival. Only meaningful with ≥ 2 aggregators — the trainer never
-    /// installs a single-aggregator tier, because that resolves to the
+    /// Installs the aggregator tier, before the first round: the network
+    /// becomes a sharded ledger over the tier's partition, so every
+    /// server-bound send lands at the sender's aggregator; every epoch
+    /// closes by shipping the serving aggregators' partials
+    /// ([`SimNetwork::send_partials`]); and subsequent simulated epochs
+    /// compose aggregator → server delivery on top of the device-tier
+    /// schedule, extending each epoch's makespan to the last aggregator
+    /// partial's arrival. Only meaningful with ≥ 2 aggregators — the trainer
+    /// never installs a single-aggregator tier, because that resolves to the
     /// flat topology (`TopologyConfig::effective`).
     ///
     /// # Panics
@@ -201,6 +205,7 @@ impl Runtime {
             self.network.num_devices(),
             "tier topology and network disagree on fleet size"
         );
+        self.network = SimNetwork::new_sharded(tier.topology.shard_vector());
         self.tier = Some(tier);
     }
 
@@ -251,7 +256,8 @@ impl Runtime {
     }
 
     /// Ends the open epoch — the one way a round closes — and returns its
-    /// record. Prices the ledger window under the straggler cost model
+    /// record. Under a tier, the serving aggregators first ship their
+    /// partials. Prices the ledger window under the straggler cost model
     /// (`device_tree_nodes` and `layers`; traffic is read from the ledger's
     /// per-device deltas) and extends `sim` — the round's event-driven
     /// simulation over what its devices attempted; `None` for the plain
@@ -267,6 +273,9 @@ impl Runtime {
         sim: Option<&EpochStats>,
     ) -> EpochRecord {
         let snap = self.current.take().expect("no epoch open");
+        if let Some(tier) = &self.tier {
+            self.network.send_partials(tier.partial_bytes);
+        }
         self.network.round();
         assert_eq!(
             device_tree_nodes.len(),
@@ -345,14 +354,14 @@ impl Runtime {
     }
 
     /// Ages the queue by one round: every batch arriving now has its sends
-    /// injected into the ledger and its updates returned as `(device,
-    /// staleness)`, in the order they were carried. On a sharded network a
-    /// device→server send lands through the aggregator tier, under this
-    /// round's failover map, as a live upload does. Call exactly once per
-    /// round, inside the open epoch — so the traffic lands in its ledger
-    /// window — and before carrying that round's late updates. The round's
-    /// simulation runs on what the fleet attempts this round, so carried-in
-    /// bytes lengthen nobody's virtual burst.
+    /// injected into the ledger — through [`SimNetwork::send`], so a
+    /// device→server send takes this round's tier as a live upload does —
+    /// and its updates returned as `(device, staleness)`, in the order they
+    /// were carried. Call exactly once per round, inside the open epoch —
+    /// so the traffic lands in its ledger window — and before carrying that
+    /// round's late updates. The round's simulation runs on what the fleet
+    /// attempts this round, so carried-in bytes lengthen nobody's virtual
+    /// burst.
     pub fn advance_carried(&mut self) -> Vec<(u32, u32)> {
         let mut arrived = Vec::new();
         let network = &mut self.network;
@@ -362,13 +371,7 @@ impl Runtime {
                 return true;
             }
             for &(from, to, bytes) in &batch.sends {
-                match to {
-                    SimNetwork::SERVER if network.is_sharded() => {
-                        network.send_to_aggregator(from, bytes);
-                    }
-                    SimNetwork::SERVER => network.send_to_server(from, bytes),
-                    _ => network.send(from, to, bytes),
-                }
+                network.send(from, to, bytes);
             }
             arrived.extend(batch.devices.iter().map(|&d| (d, batch.staleness)));
             false
@@ -576,34 +579,25 @@ mod tests {
     fn tiered_epochs_extend_the_makespan_to_the_last_partial() {
         let profiles = vec![DeviceProfile::baseline(); 4];
         let run = |tier: bool| {
-            let topo = Topology::contiguous(4, 2);
             let mut rt = profiled(profiles.clone());
             if tier {
-                rt.network = SimNetwork::new_sharded(topo.shard_vector());
                 rt.set_tier(TierSpec {
-                    topology: topo,
+                    topology: Topology::contiguous(4, 2),
                     aggregator: DeviceProfile::baseline(),
                     partial_bytes: 64,
                 });
             }
             rt.begin_epoch();
             for d in 0..4 {
-                if tier {
-                    rt.network.send_to_aggregator(d, 64);
-                } else {
-                    rt.network.send_to_server(d, 64);
-                }
-            }
-            if tier {
-                for k in 0..2 {
-                    rt.network.send_aggregator_to_server(k, 64);
-                }
+                rt.network.send(d, SimNetwork::SERVER, 64);
             }
             let sim = end_simulated(&mut rt, &[5, 5, 5, 5]).1.sim.unwrap();
-            (sim.makespan_secs, sim.tier2_secs)
+            (sim.makespan_secs, sim.tier2_secs, rt.network.server_received())
         };
-        let (flat, flat_t2) = run(false);
-        let (tiered, t2) = run(true);
+        let (flat, flat_t2, flat_heard) = run(false);
+        let (tiered, t2, tiered_heard) = run(true);
+        assert_eq!(flat_heard, 4, "flat: the server hears every device");
+        assert_eq!(tiered_heard, 2, "tiered: one partial per aggregator");
         assert_eq!(flat_t2, 0.0, "flat runs pay no tier-2 time");
         assert!(t2 > 0.0, "the aggregator hop must cost virtual time");
         assert!(
@@ -618,7 +612,7 @@ mod tests {
         let mut net = SimNetwork::new_sharded(vec![0, 0, 1]);
         let snap = net.snapshot();
         net.send(0, 2, 100);
-        net.send_to_aggregator(1, 64);
+        net.send(1, SimNetwork::SERVER, 64);
         let work = ledger_work(&net, &snap, &[3, 3, 3], 2);
         assert!(matches!(work[2].inbound, Inbound::Aggregate(100)));
         assert_eq!(work[1].messages_out, 1);
@@ -757,27 +751,27 @@ mod tests {
         // Regression: a carried upload was re-injected with
         // `send_to_server`, so on a sharded network the server booked a
         // device message and no shard tallied the update.
-        let topo = Topology::contiguous(4, 2);
         let mut rt = Runtime::new(4, CostModel::default());
-        rt.network = SimNetwork::new_sharded(topo.shard_vector());
+        rt.set_tier(TierSpec {
+            topology: Topology::contiguous(4, 2),
+            aggregator: DeviceProfile::baseline(),
+            partial_bytes: 64,
+        });
         rt.carry(1, vec![0], vec![(0, SimNetwork::SERVER, 64)]);
         rt.begin_epoch();
-        // Aggregator 0 is out in the arrival round: its successor serves.
+        // Aggregator 0 is out in the arrival round: its successor serves,
+        // and ships the round's one partial.
         rt.set_failover(Some(vec![1, 1]));
         assert_eq!(rt.advance_carried(), vec![(0, 1)]);
-        rt.network.send_aggregator_to_server(1, 64);
         let rec = rt.end_epoch(&[1; 4], 2, None);
         let net = &rt.network;
+        let edge = |messages, bytes| EdgeTraffic { messages, bytes };
         assert_eq!(net.server_received(), 1, "the server hears partials only");
         assert_eq!(net.server_bytes_received(), 64);
         assert_eq!(net.shard_up(0), EdgeTraffic::default());
-        assert_eq!(
-            net.shard_up(1),
-            EdgeTraffic {
-                messages: 1,
-                bytes: 64
-            }
-        );
+        assert_eq!(net.shard_up(1), edge(1, 64));
+        assert_eq!(net.shard_down(0), EdgeTraffic::default());
+        assert_eq!(net.shard_down(1), edge(1, 64));
         // The device paid for its upload exactly as before.
         assert_eq!(net.device(0).sent, 1);
         assert_eq!(net.device(0).bytes_sent, 64);

@@ -279,7 +279,7 @@ fn event_stream_digest(scenario: Scenario, faults: FaultSpec) -> u64 {
         }
         net.round();
         for d in (0..n as u32).filter(|&d| up(d)) {
-            net.send_to_server(d, 1024);
+            net.send(d, SimNetwork::SERVER, 1024);
         }
         net.round();
         let work = ledger_work(&net, &snap, &tree_nodes, 2);

@@ -177,7 +177,7 @@ fn an_exhausted_upload_has_no_landing_in_the_round_that_prices_it() {
         let mut net = SimNetwork::new(3);
         let snap = net.snapshot();
         for d in (0..3).filter(|_| attempted) {
-            net.send_to_server(d, 64);
+            net.send(d, SimNetwork::SERVER, 64);
         }
         let work = ledger_work(&net, &snap, &[4, 4, 4], 2);
         let schedule = EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan));
