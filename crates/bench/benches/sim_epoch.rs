@@ -1,14 +1,17 @@
 //! Cost of one discrete-event epoch simulation: the aggregate (self-timed)
-//! inbound schedule vs the per-destination schedule, at small and large
-//! fleets. The per-destination path schedules one arrival event per
-//! `(sender → receiver)` edge and a transpose pass, so this pins the price
-//! of the corrected timing signal as the fleet scales.
+//! inbound schedule — every inbound byte from the server — vs the
+//! per-destination schedule, at small and large fleets. The per-destination
+//! path schedules one arrival event per `(sender → receiver)` edge and a
+//! transpose pass, so this pins the price of the corrected timing signal as
+//! the fleet scales.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_sim::{simulate_epoch, DeviceProfile, DeviceWork, FleetSpec, Heterogeneity, Inbound};
+use lumos_sim::{
+    simulate_epoch, DeviceProfile, DeviceWork, FleetSpec, Heterogeneity, SERVER_SENDER,
+};
 
 /// Fan-in of each device's inbound side in the per-destination workload
 /// (mirrors the trainer: a device receives from its retained neighbors).
@@ -28,13 +31,11 @@ fn fleet(n: usize) -> Vec<DeviceProfile> {
 fn aggregate_work(n: usize) -> Vec<DeviceWork> {
     let mut rng = Xoshiro256pp::seed_from_u64(0xF00D);
     (0..n)
-        .map(|_| {
-            DeviceWork::aggregate(
-                rng.range_f64(10.0, 500.0),
-                FAN_IN + 1,
-                64 * (FAN_IN + 1),
-                64 * FAN_IN,
-            )
+        .map(|_| DeviceWork {
+            compute_units: rng.range_f64(10.0, 500.0),
+            messages_out: FAN_IN + 1,
+            bytes_out: 64 * (FAN_IN + 1),
+            inbound: vec![(SERVER_SENDER, 64 * FAN_IN)],
         })
         .collect()
 }
@@ -45,11 +46,9 @@ fn per_destination_work(n: usize) -> Vec<DeviceWork> {
         .enumerate()
         .map(|(d, w)| DeviceWork {
             // Ring fan-in: bytes arrive from the FAN_IN preceding devices.
-            inbound: Inbound::PerSender(
-                (1..=FAN_IN)
-                    .map(|k| (((d as u64 + n as u64 - k) % n as u64) as u32, 64))
-                    .collect(),
-            ),
+            inbound: (1..=FAN_IN)
+                .map(|k| (((d as u64 + n as u64 - k) % n as u64) as u32, 64))
+                .collect(),
             ..w
         })
         .collect()

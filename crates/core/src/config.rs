@@ -101,9 +101,9 @@ pub struct LumosConfig {
     /// identical to the seed path); `Hierarchical { aggregators }` routes
     /// uploads through K edge aggregators — the balance problem runs per
     /// shard, aggregators apply the aggregation policy against their own
-    /// local deadline, the ledger switches to the compact O(devices + K)
-    /// sharded mode, and per-round server traffic drops from O(devices)
-    /// to O(K). A single-aggregator tree resolves to `Flat`
+    /// local deadline, the ledger routes each upload to its aggregator,
+    /// and per-round server traffic drops from O(devices) to O(K). A
+    /// single-aggregator tree resolves to `Flat`
     /// (`TopologyConfig::effective`).
     pub topology: TopologyConfig,
     /// Live re-balance trigger: a device priced above

@@ -661,12 +661,9 @@ impl Fleet {
             plan = Some(compiled);
         }
         let probe = forest.probe.get_or_insert_with(|| {
-            // The probe must mirror the live network's mode: a sharded
-            // ledger yields the aggregate inbound schedule.
-            let mut net = match topo {
-                Some(topo) => SimNetwork::new_sharded(topo.shard_vector()),
-                None => SimNetwork::new(profiles.len()),
-            };
+            // A sharded ledger logs the window a flat one does, so the dry
+            // run needs no tier.
+            let mut net = SimNetwork::new(profiles.len());
             let snap = net.snapshot();
             record_epoch_messages(&forest.trees, &mut net, fetches, &[], &[]);
             RoundProbe {

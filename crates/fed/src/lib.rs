@@ -6,8 +6,11 @@
 //! window is priced by a straggler-dominated makespan model
 //! ([`clock::CostModel`]) — the quantities behind Figure 8's
 //! communication-round and training-time comparisons. A window is opened
-//! by [`SimNetwork::snapshot`]; the flat ledger logs that window's
-//! messages and nothing older, so its memory is one round's sends.
+//! by [`SimNetwork::snapshot`]; the ledger logs that window's messages and
+//! nothing older, so its memory is one round's sends. A hierarchical
+//! network is the same ledger with a routing table
+//! ([`SimNetwork::new_sharded`]): `send(d, SimNetwork::SERVER, bytes)`
+//! picks its own tier, and the window it logs is the flat one's.
 //!
 //! An epoch is priced twice over: by the global linear [`clock::CostModel`]
 //! (every device identical — the paper's abstraction), and, when the caller

@@ -9,17 +9,17 @@
 //! cannot start before the slowest of those senders has actually
 //! delivered. [`SimNetwork::snapshot`] opens a window, so the log holds one
 //! round's sends, never the run's edge history.
+//!
+//! A hierarchical network is the same ledger with a routing table
+//! ([`SimNetwork::new_sharded`]): it logs the same window, and only decides
+//! where a server-bound upload lands.
 
-/// Compact per-shard ledger used by hierarchical topologies.
-///
-/// The flat ledger's window log holds one entry per message of the open
-/// round: O(edges) at 10⁵–10⁶ devices. The sharded ledger keeps no log,
-/// only two O(aggregators) tally arrays —
-/// device-tier traffic into each shard's aggregator, and each
-/// aggregator's partials to the server — so a sharded network is
-/// O(devices + aggregators) regardless of how chatty the fleet is.
+/// The routing table of a sharded network: who each device reports to,
+/// this round's failover, and two O(aggregators) tally arrays —
+/// device-tier traffic into each shard's aggregator, and each aggregator's
+/// partials to the server.
 #[derive(Debug, Clone)]
-struct ShardLedger {
+struct AggregatorTier {
     /// Shard (aggregator) each device reports to.
     shard_of: Vec<u32>,
     /// Device → aggregator traffic per shard.
@@ -70,10 +70,9 @@ pub struct SimNetwork {
     server_bytes_sent: u64,
     server_bytes_received: u64,
     rounds: u64,
-    /// `Some` switches the ledger into compact sharded mode: device-to-
-    /// device messages keep their per-device tallies but skip the
-    /// window log, and aggregator traffic is tallied per shard.
-    sharded: Option<ShardLedger>,
+    /// `Some` on a sharded network: server-bound uploads land at the
+    /// aggregators, and the server hears their partials.
+    tier: Option<AggregatorTier>,
 }
 
 impl SimNetwork {
@@ -93,21 +92,18 @@ impl SimNetwork {
             server_bytes_sent: 0,
             server_bytes_received: 0,
             rounds: 0,
-            sharded: None,
+            tier: None,
         }
     }
 
-    /// Creates a network in compact sharded mode: `shard_of[d]` names the
-    /// aggregator device `d` reports to. Memory stays
-    /// O(devices + aggregators) — no window log is kept, so inbound
-    /// timing degrades to the aggregate schedule (`ledger_work` handles
-    /// the switch).
+    /// Creates a network whose uploads go through edge aggregators:
+    /// `shard_of[d]` names the aggregator device `d` reports to.
     pub fn new_sharded(shard_of: Vec<u32>) -> Self {
         assert!(!shard_of.is_empty(), "sharded network needs devices");
         let aggregators = shard_of.iter().copied().max().unwrap() as usize + 1;
         let n = shard_of.len();
         let mut net = Self::new(n);
-        net.sharded = Some(ShardLedger {
+        net.tier = Some(AggregatorTier {
             shard_of,
             up: vec![EdgeTraffic::default(); aggregators],
             down: vec![EdgeTraffic::default(); aggregators],
@@ -127,24 +123,24 @@ impl SimNetwork {
     /// Panics in flat mode, or if the map's length disagrees with the
     /// aggregator count.
     pub fn set_rehome(&mut self, rehome: Option<Vec<u32>>) {
-        let s = self
-            .sharded
+        let tier = self
+            .tier
             .as_mut()
             .expect("set_rehome requires a sharded network");
         if let Some(map) = &rehome {
             assert_eq!(
                 map.len(),
-                s.up.len(),
+                tier.up.len(),
                 "failover map and ledger disagree on aggregator count"
             );
         }
-        s.rehome = rehome;
+        tier.rehome = rehome;
     }
 
     /// The round's failover map as installed by [`SimNetwork::set_rehome`]
     /// (`None`: every shard is served by its own aggregator).
     pub fn rehome_map(&self) -> Option<&[u32]> {
-        self.sharded.as_ref().and_then(|s| s.rehome.as_deref())
+        self.tier.as_ref().and_then(|t| t.rehome.as_deref())
     }
 
     /// Ships one `bytes` partial to the server from every aggregator that
@@ -165,35 +161,26 @@ impl SimNetwork {
         self.devices.len()
     }
 
-    /// Number of edge aggregators (0 in flat mode).
+    /// Number of edge aggregators (0 on a flat network).
     pub fn num_aggregators(&self) -> usize {
-        self.sharded.as_ref().map_or(0, |s| s.up.len())
+        self.tier.as_ref().map_or(0, |t| t.up.len())
     }
 
-    /// Live ledger entry count — the memory the accounting structures
-    /// actually hold: the open window's logged messages in flat mode, the
-    /// two per-shard tally arrays in sharded mode.
+    /// Messages logged in the open window — one round's sends, on a flat
+    /// and a sharded network alike.
     pub fn ledger_entries(&self) -> usize {
-        match &self.sharded {
-            Some(s) => s.up.len() + s.down.len(),
-            None => self.window.len(),
-        }
+        self.window.len()
     }
 
-    /// Bytes the ledger holds: the per-device tallies and its
-    /// [`SimNetwork::ledger_entries`] (a logged message and a shard tally
-    /// are both 16 bytes).
+    /// Bytes the ledger holds: the per-device tallies, the window's
+    /// [`SimNetwork::ledger_entries`], and the two per-shard tally arrays
+    /// of a sharded network (a logged message and a shard tally are both
+    /// 16 bytes).
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
+        let tallies = 2 * self.num_aggregators();
         self.devices.len() * size_of::<DeviceTraffic>()
-            + self.ledger_entries() * size_of::<(u32, u32, u64)>()
-    }
-
-    fn log(&mut self, from: u32, to: u32, bytes: u64) {
-        // Sharded mode keeps no window log — that's the whole point.
-        if self.sharded.is_none() {
-            self.window.push((from, to, bytes));
-        }
+            + (self.window.len() + tallies) * size_of::<(u32, u32, u64)>()
     }
 
     /// Records a message from device `from` to device `to`, or — with `to`
@@ -202,7 +189,7 @@ impl SimNetwork {
     /// to the sender's aggregator under the round's failover map on a
     /// sharded one (the server then hears only the partials of
     /// [`SimNetwork::send_partials`]). The sender pays one message and
-    /// `bytes` either way.
+    /// `bytes` either way, and the window logs it either way.
     pub fn send(&mut self, from: u32, to: u32, bytes: u64) {
         let d = &mut self.devices[from as usize];
         d.sent += 1;
@@ -211,16 +198,16 @@ impl SimNetwork {
             let r = &mut self.devices[to as usize];
             r.received += 1;
             r.bytes_received += bytes;
-        } else if let Some(s) = &mut self.sharded {
-            let home = s.shard_of[from as usize];
-            let k = s.rehome.as_ref().map_or(home, |map| map[home as usize]) as usize;
-            s.up[k].messages += 1;
-            s.up[k].bytes += bytes;
+        } else if let Some(tier) = &mut self.tier {
+            let home = tier.shard_of[from as usize];
+            let k = tier.rehome.as_ref().map_or(home, |map| map[home as usize]) as usize;
+            tier.up[k].messages += 1;
+            tier.up[k].bytes += bytes;
         } else {
             self.server_received += 1;
             self.server_bytes_received += bytes;
         }
-        self.log(from, to, bytes);
+        self.window.push((from, to, bytes));
     }
 
     /// `send(from, SimNetwork::SERVER, bytes)`.
@@ -235,14 +222,14 @@ impl SimNetwork {
 
     /// Records one aggregator's pooled partial reaching the server. This
     /// is infrastructure traffic — it shows up in the server's inbound
-    /// counters and the shard tally, not in any device's — so per-round
-    /// server traffic is O(aggregators) by construction.
+    /// counters and the shard tally, not in any device's or the window —
+    /// so per-round server traffic is O(aggregators) by construction.
     pub fn send_aggregator_to_server(&mut self, shard: u32, bytes: u64) {
-        let s = self
-            .sharded
+        let tier = self
+            .tier
             .as_mut()
             .expect("send_aggregator_to_server requires a sharded network");
-        let e = &mut s.down[shard as usize];
+        let e = &mut tier.down[shard as usize];
         e.messages += 1;
         e.bytes += bytes;
         self.server_received += 1;
@@ -251,16 +238,16 @@ impl SimNetwork {
 
     /// Device-tier traffic into one shard's aggregator.
     pub fn shard_up(&self, shard: u32) -> EdgeTraffic {
-        self.sharded
+        self.tier
             .as_ref()
-            .map_or_else(EdgeTraffic::default, |s| s.up[shard as usize])
+            .map_or_else(EdgeTraffic::default, |t| t.up[shard as usize])
     }
 
     /// One shard's aggregator-to-server traffic.
     pub fn shard_down(&self, shard: u32) -> EdgeTraffic {
-        self.sharded
+        self.tier
             .as_ref()
-            .map_or_else(EdgeTraffic::default, |s| s.down[shard as usize])
+            .map_or_else(EdgeTraffic::default, |t| t.down[shard as usize])
     }
 
     /// Records a server-to-device message.
@@ -270,7 +257,7 @@ impl SimNetwork {
         let r = &mut self.devices[to as usize];
         r.received += 1;
         r.bytes_received += bytes;
-        self.log(Self::SERVER, to, bytes);
+        self.window.push((Self::SERVER, to, bytes));
     }
 
     /// Marks a synchronization round (all devices advance together — the
@@ -389,7 +376,7 @@ impl SimNetwork {
     }
 
     /// Every directed edge used since a snapshot, with its message/byte
-    /// totals, sorted by `(from, to)` (empty in sharded mode).
+    /// totals, sorted by `(from, to)`.
     pub fn sent_matrix_since(&self, snap: &NetworkSnapshot) -> Vec<((u32, u32), EdgeTraffic)> {
         self.check_window(snap);
         let mut log = self.window.clone();
@@ -528,7 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ledger_is_compact_and_routes_through_aggregators() {
+    fn sharded_ledger_routes_through_aggregators_and_logs_its_window() {
         // 4 devices across 2 shards. Device uploads land on shard
         // tallies; the server only hears from aggregators.
         let mut net = SimNetwork::new_sharded(vec![0, 0, 1, 1]);
@@ -537,33 +524,28 @@ mod tests {
         for d in 0..4 {
             net.send(d, SimNetwork::SERVER, 64);
         }
-        net.send(0, 2, 8); // cross-shard gossip keeps device tallies only
+        net.send(0, 2, 8);
         net.send_partials(64);
         net.round();
+        let edge = |messages, bytes| EdgeTraffic { messages, bytes };
         // Server traffic is O(aggregators): 2 messages, not 4.
         assert_eq!(net.server_received(), 2);
         assert_eq!(net.server_bytes_received(), 128);
-        assert_eq!(
-            net.shard_up(0),
-            EdgeTraffic {
-                messages: 2,
-                bytes: 128
-            }
-        );
-        assert_eq!(
-            net.shard_down(1),
-            EdgeTraffic {
-                messages: 1,
-                bytes: 64
-            }
-        );
+        assert_eq!(net.shard_up(0), edge(2, 128));
+        assert_eq!(net.shard_down(1), edge(1, 64));
         // Device totals still price each upload at the sender.
         assert_eq!(net.device(0).sent, 2);
         assert_eq!(net.device(0).bytes_sent, 72);
         assert_eq!(net.total_messages(), 5);
-        // No window log: memory is the 2×K tallies, however chatty.
-        assert_eq!(net.ledger_entries(), 4);
-        assert!(net.received_matrix_since(&snap).iter().all(Vec::is_empty));
+        // The window logs the five device sends, as a flat one would; the
+        // partials are the aggregators', not a device's.
+        assert_eq!(net.ledger_entries(), 5);
+        assert_eq!(net.received_matrix_since(&snap)[2], vec![(0, 8)]);
+        assert_eq!(
+            net.sent_matrix_since(&snap)[0],
+            ((0, 2), edge(1, 8)),
+            "device 0's gossip, then its upload"
+        );
     }
 
     #[test]

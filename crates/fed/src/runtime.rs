@@ -15,7 +15,7 @@
 //! self-timed from its own burst) — and hands [`Runtime::end_epoch`] the
 //! finished statistics.
 
-use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, Inbound, STALENESS_CAP};
+use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, STALENESS_CAP};
 use lumos_topo::{tier_timing, tier_timing_failover, Topology};
 
 use crate::clock::{epoch_makespan, epoch_mean_cost, CostModel};
@@ -31,7 +31,9 @@ pub const UNAVAILABLE_COST_FACTOR: u64 = 4;
 /// Builds the per-device [`DeviceWork`] of the ledger window `snap` opened:
 /// compute from the tree-node counts, outbound traffic from the per-device
 /// ledger deltas, and the inbound side as the per-sender `(sender, bytes)`
-/// contributions of the window's message log.
+/// contributions of the window's message log. A sharded network logs the
+/// same window a flat one does, so a hierarchical round is priced per
+/// sender too.
 ///
 /// # Panics
 /// Panics if `device_tree_nodes` does not have exactly one entry per
@@ -53,22 +55,6 @@ pub fn ledger_work(
     );
     let sent = network.sent_since(snap);
     let bytes_out = network.bytes_sent_since(snap);
-    if network.num_aggregators() > 0 {
-        // The compact sharded ledger keeps no window log, so the
-        // inbound side degrades to the aggregate (self-timed) schedule —
-        // the deliberate memory-for-precision trade at 10⁵+ devices.
-        let bytes_in = network.bytes_received_since(snap);
-        return device_tree_nodes
-            .iter()
-            .enumerate()
-            .map(|(d, &nodes)| DeviceWork {
-                compute_units: (nodes * layers) as f64,
-                messages_out: sent[d],
-                bytes_out: bytes_out[d],
-                inbound: Inbound::Aggregate(bytes_in[d]),
-            })
-            .collect();
-    }
     let inbound = network.received_matrix_since(snap);
     device_tree_nodes
         .iter()
@@ -78,7 +64,7 @@ pub fn ledger_work(
             compute_units: (nodes * layers) as f64,
             messages_out: sent[d],
             bytes_out: bytes_out[d],
-            inbound: Inbound::PerSender(from),
+            inbound: from,
         })
         .collect()
 }
@@ -592,7 +578,11 @@ mod tests {
                 rt.network.send(d, SimNetwork::SERVER, 64);
             }
             let sim = end_simulated(&mut rt, &[5, 5, 5, 5]).1.sim.unwrap();
-            (sim.makespan_secs, sim.tier2_secs, rt.network.server_received())
+            (
+                sim.makespan_secs,
+                sim.tier2_secs,
+                rt.network.server_received(),
+            )
         };
         let (flat, flat_t2, flat_heard) = run(false);
         let (tiered, t2, tiered_heard) = run(true);
@@ -608,15 +598,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ledger_work_uses_the_aggregate_schedule() {
-        let mut net = SimNetwork::new_sharded(vec![0, 0, 1]);
-        let snap = net.snapshot();
-        net.send(0, 2, 100);
-        net.send(1, SimNetwork::SERVER, 64);
-        let work = ledger_work(&net, &snap, &[3, 3, 3], 2);
-        assert!(matches!(work[2].inbound, Inbound::Aggregate(100)));
+    fn sharded_ledger_work_is_per_sender_like_flat() {
+        let window = |mut net: SimNetwork| {
+            let snap = net.snapshot();
+            net.send(0, 2, 100);
+            net.send(1, SimNetwork::SERVER, 64);
+            ledger_work(&net, &snap, &[3, 3, 3], 2)
+        };
+        let work = window(SimNetwork::new_sharded(vec![0, 0, 1]));
+        assert_eq!(work[2].inbound, vec![(0, 100)]);
         assert_eq!(work[1].messages_out, 1);
         assert_eq!(work[1].bytes_out, 64);
+        assert_eq!(work, window(SimNetwork::new(3)));
     }
 
     #[test]

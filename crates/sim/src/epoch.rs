@@ -6,8 +6,8 @@
 //! inbound payload through its downlink. The drain can start no earlier
 //! than the device's own burst barrier — inbound payloads are produced by
 //! the rest of the synchronous round and the device's link is serialized —
-//! and, when the inbound side names its senders ([`Inbound::PerSender`]),
-//! no earlier than the **latest of those senders' actual delivery times**.
+//! and no earlier than the **latest of its senders' actual delivery
+//! times** ([`DeviceWork::inbound`] names them).
 //! (Earlier revisions first scheduled the drain from the receiver's own
 //! `ComputeDone`, then from its own delivery time; both let a fast receiver
 //! "drain" bytes its slow senders had not shipped yet, making makespans
@@ -28,42 +28,6 @@ use crate::runtime::{Control, EventDrivenRuntime};
 /// approximation, scoped to the one endpoint that has no profile).
 pub const SERVER_SENDER: u32 = u32::MAX;
 
-/// A device's inbound payload for one epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Inbound {
-    /// Aggregate bytes with no sender identity: the drain is self-timed
-    /// from the receiver's own burst barrier. This is the live inbound shape
-    /// of every sharded ledger, not a legacy path: `lumos_fed::ledger_work`
-    /// emits it for each device of a hierarchical `run_lumos` round and of
-    /// the 100k-device scale sweep, where the compact ledger keeps no
-    /// window log. It is also the case [`PerSender`](Inbound::PerSender)
-    /// collapses to, but a one-element `PerSender` list in its place would
-    /// cost one heap allocation per device per round for no behaviour.
-    Aggregate(u64),
-    /// Per-sender contributions `(sender, bytes)`. The drain starts at the
-    /// latest of the receiver's own burst barrier and every named sender's
-    /// burst delivery time. [`SERVER_SENDER`], the receiver itself, absent
-    /// devices, and devices with no outbound burst contribute no constraint
-    /// beyond the receiver's own barrier.
-    PerSender(Vec<(u32, u64)>),
-}
-
-impl Default for Inbound {
-    fn default() -> Self {
-        Inbound::Aggregate(0)
-    }
-}
-
-impl Inbound {
-    /// Total inbound payload bytes.
-    pub fn total_bytes(&self) -> u64 {
-        match self {
-            Inbound::Aggregate(b) => *b,
-            Inbound::PerSender(list) => list.iter().map(|&(_, b)| b).sum(),
-        }
-    }
-}
-
 /// The work one device performs in one epoch, in the trainer's units
 /// (compute: tree-nodes × layers; traffic: ledger-counted payload bytes).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -74,25 +38,19 @@ pub struct DeviceWork {
     pub messages_out: u64,
     /// Outbound payload bytes.
     pub bytes_out: u64,
-    /// Inbound payload (aggregate or per-sender).
-    pub inbound: Inbound,
+    /// Inbound payload as per-sender contributions `(sender, bytes)`. The
+    /// drain starts at the latest of the receiver's own burst barrier and
+    /// every named sender's burst delivery time. [`SERVER_SENDER`], the
+    /// receiver itself, absent devices, and devices with no outbound burst
+    /// contribute no constraint beyond the receiver's own barrier — so a
+    /// `SERVER_SENDER`-only list is the self-timed drain.
+    pub inbound: Vec<(u32, u64)>,
 }
 
 impl DeviceWork {
-    /// Work with self-timed aggregate inbound bytes (the sharded-ledger
-    /// shape).
-    pub fn aggregate(compute_units: f64, messages_out: u64, bytes_out: u64, bytes_in: u64) -> Self {
-        Self {
-            compute_units,
-            messages_out,
-            bytes_out,
-            inbound: Inbound::Aggregate(bytes_in),
-        }
-    }
-
     /// Total inbound payload bytes.
     pub fn bytes_in(&self) -> u64 {
-        self.inbound.total_bytes()
+        self.inbound.iter().map(|&(_, b)| b).sum()
     }
 
     /// Whether this device has anything to do this epoch.
@@ -155,11 +113,10 @@ impl EpochStats {
 /// Runs one epoch over the fleet and returns its statistics.
 ///
 /// Devices with `available == false` contribute nothing (their update is
-/// skipped this round). Under [`Inbound::Aggregate`] (what a sharded ledger
-/// yields) the drain is self-timed; under [`Inbound::PerSender`] each receiver's
-/// drain additionally waits for its senders' actual deliveries, so the
-/// per-destination makespan dominates the aggregate one on the same work
-/// and collapses to it bit-for-bit when every sender lands at or before the
+/// skipped this round). Each receiver's drain waits for its senders' actual
+/// deliveries, so the per-destination makespan dominates the self-timed one
+/// (the same bytes, all from [`SERVER_SENDER`]) on the same work and
+/// collapses to it bit-for-bit when every sender lands at or before the
 /// receiver's own barrier (property-tested in `tests/sim_properties.rs`).
 ///
 /// This is the synchronous barrier expressed on the event-driven core: an
@@ -180,8 +137,15 @@ mod tests {
         vec![DeviceProfile::baseline(); n]
     }
 
+    /// Work whose `inb` inbound bytes all come from the server: the
+    /// self-timed drain.
     fn work(units: f64, msgs: u64, out: u64, inb: u64) -> DeviceWork {
-        DeviceWork::aggregate(units, msgs, out, inb)
+        DeviceWork {
+            compute_units: units,
+            messages_out: msgs,
+            bytes_out: out,
+            inbound: vec![(SERVER_SENDER, inb)],
+        }
     }
 
     #[test]
@@ -303,7 +267,7 @@ mod tests {
     fn receiver_waits_for_its_slowest_sender() {
         // The tentpole fix: device 0 is fast but its 100 inbound bytes come
         // from slow device 1, so its drain starts at device 1's delivery —
-        // not at device 0's own barrier (the aggregate approximation).
+        // not at device 0's own barrier (the self-timed approximation).
         let mut profiles = flat_fleet(2);
         profiles[0] = DeviceProfile {
             compute_rate: 10.0,
@@ -324,13 +288,13 @@ mod tests {
                 compute_units: 10.0, // 1s
                 messages_out: 1,
                 bytes_out: 200, // 2s upload
-                inbound: Inbound::PerSender(vec![(1, 100)]),
+                inbound: vec![(1, 100)],
             },
             DeviceWork {
                 compute_units: 10.0, // 10s
                 messages_out: 1,
                 bytes_out: 100, // 2s upload
-                inbound: Inbound::Aggregate(0),
+                inbound: Vec::new(),
             },
         ];
         let stats = simulate_epoch(&profiles, &w);
@@ -344,15 +308,9 @@ mod tests {
         // Events: 2× ComputeDone + 2× Delivered + 1× Arrived(1→0) +
         // 1× InboxDrained(0).
         assert_eq!(stats.events, 6);
-        // The aggregate approximation closed the same epoch at device 1's
+        // The self-timed approximation closed the same epoch at device 1's
         // delivery (12.5s): strictly optimistic.
-        let approx = vec![
-            work(10.0, 1, 200, 100),
-            DeviceWork {
-                inbound: Inbound::Aggregate(0),
-                ..w[1].clone()
-            },
-        ];
+        let approx = vec![work(10.0, 1, 200, 100), w[1].clone()];
         let old = simulate_epoch(&profiles, &approx);
         assert!(old.makespan_secs < stats.makespan_secs);
     }
@@ -361,7 +319,8 @@ mod tests {
     fn self_and_server_senders_collapse_to_the_aggregate_schedule() {
         // Inbound bytes from the receiver itself and from the server add no
         // constraint beyond the receiver's own barrier: the per-destination
-        // schedule must equal the aggregate one bit for bit.
+        // schedule must equal the self-timed one (every byte from the
+        // server) bit for bit.
         let mut profiles = flat_fleet(3);
         for (i, p) in profiles.iter_mut().enumerate() {
             p.compute_rate = 50.0 / (i + 1) as f64;
@@ -369,7 +328,7 @@ mod tests {
         let aggregate: Vec<DeviceWork> = (0..3).map(|i| work(100.0, 2, 300, 128 + i)).collect();
         let per_sender: Vec<DeviceWork> = (0..3u32)
             .map(|i| DeviceWork {
-                inbound: Inbound::PerSender(vec![(i, 100), (SERVER_SENDER, 28 + i as u64)]),
+                inbound: vec![(i, 100), (SERVER_SENDER, 28 + i as u64)],
                 ..aggregate[i as usize].clone()
             })
             .collect();
@@ -397,13 +356,13 @@ mod tests {
                 compute_units: 10.0,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Inbound::PerSender(vec![(1, 64), (1, 64)]),
+                inbound: vec![(1, 64), (1, 64)],
             },
             work(10.0, 1, 128, 0),
         ];
         let summed = vec![
             DeviceWork {
-                inbound: Inbound::PerSender(vec![(1, 128)]),
+                inbound: vec![(1, 128)],
                 ..split[0].clone()
             },
             split[1].clone(),
@@ -426,7 +385,7 @@ mod tests {
                 compute_units: 100.0,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Inbound::PerSender(vec![(1, 256)]),
+                inbound: vec![(1, 256)],
             },
             work(100.0, 1, 64, 0),
         ];
@@ -447,7 +406,7 @@ mod tests {
                 compute_units: 50.0,
                 messages_out: 3,
                 bytes_out: 900,
-                inbound: Inbound::PerSender(vec![(1, 1500), (3, 500)]),
+                inbound: vec![(1, 1500), (3, 500)],
             },
             work(500.0, 1, 10, 0),
             work(0.0, 0, 0, 0),
@@ -455,7 +414,7 @@ mod tests {
                 compute_units: 20.0,
                 messages_out: 8,
                 bytes_out: 2000,
-                inbound: Inbound::PerSender(vec![(0, 50)]),
+                inbound: vec![(0, 50)],
             },
         ];
         let stats = simulate_epoch(&profiles, &w);
@@ -483,7 +442,7 @@ mod tests {
                 compute_units: i as f64 * 30.0,
                 messages_out: i as u64,
                 bytes_out: 64 * i as u64,
-                inbound: Inbound::PerSender(vec![((i + 1) % 8, 32)]),
+                inbound: vec![((i + 1) % 8, 32)],
             })
             .collect();
         let a = simulate_epoch(&profiles, &w);

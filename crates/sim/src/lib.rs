@@ -20,7 +20,7 @@
 //! * [`epoch`] — [`simulate_epoch`]: the synchronous barrier as the
 //!   degenerate event-driven run (a handler that never closes). Schedules
 //!   per-device compute, per-edge message-delivery
-//!   ([`Inbound::PerSender`]: a receiver's drain starts at the latest of
+//!   ([`DeviceWork::inbound`]: a receiver's drain starts at the latest of
 //!   its senders' actual delivery times), and inbox-drain events, and
 //!   reports the epoch makespan, per-device busy/idle time, per-device
 //!   update-delivery times, and the straggler's identity.
@@ -59,7 +59,7 @@ pub mod runtime;
 pub mod scenario;
 pub mod time;
 
-pub use epoch::{simulate_epoch, DeviceWork, EpochStats, Inbound, SERVER_SENDER};
+pub use epoch::{simulate_epoch, DeviceWork, EpochStats, SERVER_SENDER};
 pub use fault::{
     FaultCounters, FaultPlan, FaultSpec, FaultState, OutageWindow, RecoveryPolicy, SendFaults,
     HARD_RETRY_CAP,

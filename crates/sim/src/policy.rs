@@ -508,7 +508,12 @@ mod tests {
         let mut profiles = vec![DeviceProfile::baseline(); 5];
         profiles[3].compute_rate /= 100.0;
         let w: Vec<DeviceWork> = (0..5)
-            .map(|_| DeviceWork::aggregate(100.0, 1, 64, 0))
+            .map(|_| DeviceWork {
+                compute_units: 100.0,
+                messages_out: 1,
+                bytes_out: 64,
+                inbound: Vec::new(),
+            })
             .collect();
         let stats = simulate_epoch(&profiles, &w);
         let late = AggregationPolicy::Deadline { factor: 2.0 }.late_devices(&stats);
@@ -639,7 +644,12 @@ mod tests {
         let mut profiles = vec![DeviceProfile::baseline(); 5];
         profiles[3].compute_rate /= 100.0;
         let w: Vec<DeviceWork> = (0..5)
-            .map(|_| DeviceWork::aggregate(100.0, 1, 64, 0))
+            .map(|_| DeviceWork {
+                compute_units: 100.0,
+                messages_out: 1,
+                bytes_out: 64,
+                inbound: Vec::new(),
+            })
             .collect();
         (profiles, w)
     }
@@ -723,7 +733,6 @@ mod tests {
         // back to the full barrier — waiting on updates that can never
         // arrive this round. The clamp closes the round at the last live
         // landing instead.
-        use crate::epoch::Inbound;
         let mut profiles = vec![DeviceProfile::baseline(); 6];
         for p in &mut profiles[2..] {
             p.available = false;
@@ -733,7 +742,7 @@ mod tests {
                 compute_units: 100.0 + 10.0 * d as f64,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Inbound::PerSender(vec![((d + 1) % 6, 64)]),
+                inbound: vec![((d + 1) % 6, 64)],
             })
             .collect();
         let full = EventDrivenRuntime::new(&profiles, &w).run(|_, _| Control::Continue);

@@ -18,7 +18,7 @@
 //! handler does not change *when* things happen — it changes what the
 //! round does about them: pool now, buffer, drop, or close.
 
-use crate::epoch::{DeviceWork, EpochStats, Inbound, SERVER_SENDER};
+use crate::epoch::{DeviceWork, EpochStats, SERVER_SENDER};
 use crate::fault::{us_to_secs, FaultPlan};
 use crate::profile::DeviceProfile;
 use crate::time::VirtualTime;
@@ -139,11 +139,9 @@ impl EventDrivenRuntime {
     /// Prices one epoch over the fleet and builds its event schedule.
     ///
     /// Devices with `available == false` contribute nothing (their update
-    /// is skipped this round). Under [`Inbound::Aggregate`] — the inbound
-    /// shape of every sharded ledger, i.e. of every hierarchical round —
-    /// the drain is self-timed; under [`Inbound::PerSender`] each
-    /// receiver's drain additionally waits for its senders' actual
-    /// deliveries (see `epoch.rs` for the collapse properties).
+    /// is skipped this round). Each receiver's drain waits for the actual
+    /// deliveries of the senders its [`DeviceWork::inbound`] names (see
+    /// `epoch.rs` for the collapse properties).
     ///
     /// # Panics
     /// Panics if `profiles` and `work` have different lengths.
@@ -306,30 +304,28 @@ impl EventDrivenRuntime {
                 continue;
             }
             let mut start = own_barrier;
-            if let Inbound::PerSender(list) = &w.inbound {
-                for &(s, bytes) in list {
-                    if bytes == 0 || s == d as u32 || s == SERVER_SENDER {
-                        continue;
-                    }
-                    let Some(t) = delivered.get(s as usize).copied().flatten() else {
-                        // Absent/idle/burst-less sender: its payload is
-                        // treated as staged (the overlay never blocks the
-                        // round on a device the round skipped).
-                        continue;
-                    };
-                    if t > start {
-                        start = t;
-                    }
-                    if arrived_at[s as usize] != d as u32 {
-                        arrived_at[s as usize] = d as u32;
-                        push(
-                            t,
-                            SimEvent::Arrived {
-                                from: s,
-                                to: d as u32,
-                            },
-                        );
-                    }
+            for &(s, bytes) in &w.inbound {
+                if bytes == 0 || s == d as u32 || s == SERVER_SENDER {
+                    continue;
+                }
+                let Some(t) = delivered.get(s as usize).copied().flatten() else {
+                    // Absent/idle/burst-less sender: its payload is
+                    // treated as staged (the overlay never blocks the
+                    // round on a device the round skipped).
+                    continue;
+                };
+                if t > start {
+                    start = t;
+                }
+                if arrived_at[s as usize] != d as u32 {
+                    arrived_at[s as usize] = d as u32;
+                    push(
+                        t,
+                        SimEvent::Arrived {
+                            from: s,
+                            to: d as u32,
+                        },
+                    );
                 }
             }
             // Downlink: start >= the device's own barrier, so the drain
@@ -436,7 +432,12 @@ mod tests {
     use super::*;
 
     fn burst_work(units: f64) -> DeviceWork {
-        DeviceWork::aggregate(units, 1, 100, 0)
+        DeviceWork {
+            compute_units: units,
+            messages_out: 1,
+            bytes_out: 100,
+            inbound: Vec::new(),
+        }
     }
 
     #[test]
@@ -450,7 +451,7 @@ mod tests {
                 compute_units: 50.0 * (i + 1) as f64,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Inbound::PerSender(vec![((i + 1) % 4, 32)]),
+                inbound: vec![((i + 1) % 4, 32)],
             })
             .collect();
         let lockstep = crate::epoch::simulate_epoch(&profiles, &work);
@@ -495,9 +496,13 @@ mod tests {
             p.latency_secs = 0.0;
         }
         let fleet = |senders: Vec<(u32, u64)>| -> Vec<DeviceWork> {
-            let sender = DeviceWork::aggregate(100.0, 1, 0, 0);
+            let sender = DeviceWork {
+                compute_units: 100.0,
+                messages_out: 1,
+                ..DeviceWork::default()
+            };
             let receiver = DeviceWork {
-                inbound: Inbound::PerSender(senders),
+                inbound: senders,
                 ..sender.clone()
             };
             vec![receiver, sender.clone(), sender]
@@ -527,7 +532,7 @@ mod tests {
         // ledger lists the sender — is left to order them.
         let profiles = vec![DeviceProfile::baseline(); 4];
         let from_3 = |entries: Vec<(u32, u64)>| DeviceWork {
-            inbound: Inbound::PerSender(entries),
+            inbound: entries,
             ..burst_work(100.0)
         };
         let work = vec![
@@ -581,7 +586,7 @@ mod tests {
                 compute_units: 100.0,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Inbound::PerSender(vec![(1, 64)]),
+                inbound: vec![(1, 64)],
             },
             burst_work(100.0),
         ];
@@ -605,7 +610,7 @@ mod tests {
                 compute_units: 60.0 * (i + 1) as f64,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Inbound::PerSender(vec![((i + 1) % 4, 32)]),
+                inbound: vec![((i + 1) % 4, 32)],
             })
             .collect();
         let mut st = FaultState::new(FaultSpec::None, RecoveryPolicy::default(), 3);
@@ -778,7 +783,10 @@ mod tests {
         profiles[2].available = false;
         let work = vec![
             burst_work(100.0),
-            DeviceWork::aggregate(100.0, 0, 0, 0),
+            DeviceWork {
+                compute_units: 100.0,
+                ..DeviceWork::default()
+            },
             burst_work(100.0),
         ];
         let rt = EventDrivenRuntime::new(&profiles, &work);

@@ -1,19 +1,22 @@
 //! Property tests for the discrete-event core: the schedule runs in its
 //! total order and keeps every device's causal chain, the epoch simulator's invariants hold for arbitrary
 //! seeded fleets and workloads, and the per-destination schedule dominates
-//! the aggregate one — collapsing to it bit-for-bit exactly when every
-//! sender lands at or before its receiver's own burst barrier.
+//! the aggregate (self-timed) one — every inbound byte from the server —
+//! collapsing to it bit-for-bit exactly when every sender lands at or
+//! before its receiver's own burst barrier.
 
 use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
 use lumos_sim::{
     simulate_epoch, AggregationPolicy, Control, DeviceProfile, DeviceWork, EventDrivenRuntime,
-    FaultSpec, FaultState, Inbound, RecoveryPolicy, RoundPolicy, SimEvent, VirtualTime,
-    SERVER_SENDER, STALENESS_CAP,
+    FaultSpec, FaultState, RecoveryPolicy, RoundPolicy, SimEvent, VirtualTime, SERVER_SENDER,
+    STALENESS_CAP,
 };
 
-/// Random fleet + aggregate workload of `n` devices from one seed.
+/// Random fleet + aggregate workload of `n` devices from one seed: each
+/// device's inbound bytes all come from [`SERVER_SENDER`], so its drain is
+/// self-timed.
 fn random_fleet(seed: u64, n: usize) -> (Vec<DeviceProfile>, Vec<DeviceWork>) {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let profiles = (0..n)
@@ -26,13 +29,11 @@ fn random_fleet(seed: u64, n: usize) -> (Vec<DeviceProfile>, Vec<DeviceWork>) {
         })
         .collect();
     let work = (0..n)
-        .map(|_| {
-            DeviceWork::aggregate(
-                rng.range_f64(0.0, 5000.0),
-                rng.next_below(32),
-                rng.next_below(1 << 16),
-                rng.next_below(1 << 16),
-            )
+        .map(|_| DeviceWork {
+            compute_units: rng.range_f64(0.0, 5000.0),
+            messages_out: rng.next_below(32),
+            bytes_out: rng.next_below(1 << 16),
+            inbound: vec![(SERVER_SENDER, rng.next_below(1 << 16))],
         })
         .collect();
     (profiles, work)
@@ -59,7 +60,7 @@ fn scatter_inbound(seed: u64, work: &[DeviceWork]) -> Vec<DeviceWork> {
                 remaining -= chunk;
             }
             DeviceWork {
-                inbound: Inbound::PerSender(list),
+                inbound: list,
                 ..w.clone()
             }
         })
@@ -210,9 +211,9 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(d, w)| {
-                let Inbound::PerSender(list) = &w.inbound else { unreachable!() };
                 let own = barrier_secs(&profiles[d], w);
-                let list = list
+                let list = w
+                    .inbound
                     .iter()
                     .map(|&(s, b)| {
                         let keep = s != SERVER_SENDER
@@ -223,7 +224,7 @@ proptest! {
                         if keep { (s, b) } else { (d as u32, b) }
                     })
                     .collect();
-                DeviceWork { inbound: Inbound::PerSender(list), ..w.clone() }
+                DeviceWork { inbound: list, ..w.clone() }
             })
             .collect();
         let agg = simulate_epoch(&profiles, &aggregate);

@@ -203,7 +203,12 @@ mod tests {
         profiles[1].compute_rate /= 60.0;
         profiles[4].compute_rate /= 90.0;
         let work: Vec<DeviceWork> = (0..6)
-            .map(|i| DeviceWork::aggregate(100.0 + 10.0 * i as f64, 1, 64, 0))
+            .map(|i| DeviceWork {
+                compute_units: 100.0 + 10.0 * i as f64,
+                messages_out: 1,
+                bytes_out: 64,
+                inbound: Vec::new(),
+            })
             .collect();
         let schedule = EventDrivenRuntime::new(&profiles, &work);
         let stats = lumos_sim::simulate_epoch(&profiles, &work);

@@ -141,8 +141,8 @@ impl Topology {
         self.starts[shard] as u32..self.starts[shard + 1] as u32
     }
 
-    /// Materialized per-device shard vector (what `SimNetwork`'s compact
-    /// sharded ledger keys on).
+    /// Materialized per-device shard vector (what a sharded `SimNetwork`
+    /// routes uploads by).
     pub fn shard_vector(&self) -> Vec<u32> {
         let mut v = Vec::with_capacity(self.num_devices());
         for k in 0..self.num_aggregators() {

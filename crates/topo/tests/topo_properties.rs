@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
-use lumos_sim::{AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime};
+use lumos_sim::{
+    AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, SERVER_SENDER,
+};
 use lumos_topo::{pool_flat, pool_tiered, shard_late_with_staleness, ShardRoundPolicies, Topology};
 
 fn assert_exact_cover(t: &Topology, n: usize, k: usize) {
@@ -140,7 +142,12 @@ proptest! {
         let work: Vec<DeviceWork> = (0..n)
             .map(|_| {
                 let burst = rng.next_below(2);
-                DeviceWork::aggregate(rng.range_f64(0.0, 5000.0), burst, 64 * burst, 64)
+                DeviceWork {
+                    compute_units: rng.range_f64(0.0, 5000.0),
+                    messages_out: burst,
+                    bytes_out: 64 * burst,
+                    inbound: vec![(SERVER_SENDER, 64)],
+                }
             })
             .collect();
         for policy in [
