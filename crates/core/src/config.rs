@@ -5,6 +5,19 @@ use lumos_gnn::Backbone;
 use lumos_sim::{AggregationPolicy, FaultSpec, RecoveryPolicy, Scenario};
 use lumos_topo::TopologyConfig;
 
+/// Returns the [`ConfigError`] naming `field` from the enclosing function
+/// unless `holds`; the rule is formatted only when it is broken.
+macro_rules! ensure {
+    ($field:expr, $holds:expr, $($rule:tt)+) => {
+        if !$holds {
+            return Err(ConfigError {
+                field: $field,
+                rule: format!($($rule)+),
+            });
+        }
+    };
+}
+
 /// Learning task (§VIII-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
@@ -221,24 +234,13 @@ impl LumosConfig {
     }
 
     /// Builder-style: choose how each round's updates are aggregated.
-    ///
-    /// # Panics
-    /// Panics on an invalid policy (deadline factor not finite or below 1,
-    /// buffered decay outside `[0, 1]`) — here, at configuration time,
-    /// rather than mid-training.
     pub fn with_aggregation_policy(mut self, policy: AggregationPolicy) -> Self {
-        policy.validate();
         self.aggregation_policy = policy;
         self
     }
 
     /// Builder-style: choose the aggregation topology.
-    ///
-    /// # Panics
-    /// Panics on an invalid topology (zero aggregators) at configuration
-    /// time rather than mid-training.
     pub fn with_topology(mut self, topology: TopologyConfig) -> Self {
-        topology.validate();
         self.topology = topology;
         self
     }
@@ -247,16 +249,7 @@ impl LumosConfig {
     /// device's tree nodes after it stays priced above `threshold ×` the
     /// fleet mean for `patience` consecutive rounds. The defaults
     /// (2.0, 2) reproduce the previously hardcoded behaviour bit for bit.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is not finite and positive, or `patience`
-    /// is zero — both would make the trigger fire never or always.
     pub fn with_rebalance_trigger(mut self, threshold: f64, patience: u32) -> Self {
-        assert!(
-            threshold.is_finite() && threshold > 0.0,
-            "rebalance threshold must be finite and positive, got {threshold}"
-        );
-        assert!(patience >= 1, "rebalance patience must be at least 1 round");
         self.rebalance_threshold = threshold;
         self.rebalance_patience = patience;
         self
@@ -265,12 +258,7 @@ impl LumosConfig {
     /// Builder-style: enable seeded fault injection. `FaultSpec::None`
     /// (the default) is bit-identical to the seed path; anything else
     /// needs a `scenario` to ride on.
-    ///
-    /// # Panics
-    /// Panics on an invalid spec (a rate outside `[0, 1]`, an empty
-    /// outage window) at configuration time rather than mid-training.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        faults.validate();
         self.faults = faults;
         self
     }
@@ -281,7 +269,127 @@ impl LumosConfig {
         self.recovery = recovery;
         self
     }
+
+    /// Whether this config can run: the one place its ranges are judged,
+    /// however its fields were set. [`crate::run_lumos`] calls it once,
+    /// before any work. The rules:
+    ///
+    /// - `epsilon`, `lr` and `rebalance_threshold` are finite and > 0 (ε-LDP
+    ///   needs a real budget; a threshold of 0 or NaN fires always or never);
+    /// - `eval_every` and `rebalance_patience` are at least 1;
+    /// - a deadline factor is finite and ≥ 1, so the median device — and
+    ///   with it half the round — survives the cut; a buffered decay is a
+    ///   finite weight in `[0, 1]` (above 1 a stale update would outweigh a
+    ///   fresh one); an async quorum waits for at least one update;
+    /// - a hierarchical topology has at least one aggregator;
+    /// - every fault rate is a probability in `[0, 1]`, and every outage
+    ///   window covers at least one round.
+    ///
+    /// The documented clamps and no-ops pass: more aggregators than
+    /// devices, a retry budget past `HARD_RETRY_CAP`, `Buffered { decay: 0 }`,
+    /// a quorum of the whole fleet, and a policy, faults or `VirtualSecs`
+    /// without a scenario.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let probability = |x: f64| x.is_finite() && (0.0..=1.0).contains(&x);
+        let positive = [
+            ("epsilon", self.epsilon),
+            ("lr", f64::from(self.lr)),
+            ("rebalance_threshold", self.rebalance_threshold),
+        ];
+        for (field, x) in positive {
+            ensure!(
+                field,
+                x.is_finite() && x > 0.0,
+                "must be finite and > 0, got {x}"
+            );
+        }
+        ensure!("eval_every", self.eval_every >= 1, "must be at least 1");
+        ensure!(
+            "rebalance_patience",
+            self.rebalance_patience >= 1,
+            "must be at least 1"
+        );
+        let policy = "aggregation_policy";
+        match self.aggregation_policy {
+            AggregationPolicy::FullSync => {}
+            AggregationPolicy::Async { min_updates } => {
+                ensure!(
+                    policy,
+                    min_updates >= 1,
+                    "async quorum must wait for at least one update"
+                )
+            }
+            AggregationPolicy::Deadline { factor } | AggregationPolicy::Buffered { factor, .. } => {
+                ensure!(
+                    policy,
+                    factor.is_finite() && factor >= 1.0,
+                    "deadline factor must be finite and >= 1, got {factor}"
+                )
+            }
+        }
+        if let AggregationPolicy::Buffered { decay, .. } = self.aggregation_policy {
+            ensure!(
+                policy,
+                probability(decay),
+                "buffered decay must be in [0, 1], got {decay}"
+            );
+        }
+        if let TopologyConfig::Hierarchical { aggregators } = self.topology {
+            ensure!(
+                "topology",
+                aggregators >= 1,
+                "needs at least one aggregator"
+            );
+        }
+        if let FaultSpec::Faults {
+            crash_rate,
+            loss_rate,
+            duplicate_rate,
+            outages,
+        } = &self.faults
+        {
+            let rates = [
+                ("crash_rate", crash_rate),
+                ("loss_rate", loss_rate),
+                ("duplicate_rate", duplicate_rate),
+            ];
+            for (name, &rate) in rates {
+                ensure!(
+                    "faults",
+                    probability(rate),
+                    "{name} must be in [0, 1], got {rate}"
+                );
+            }
+            for w in outages {
+                let (k, from, until) = (w.aggregator, w.from_round, w.until_round);
+                ensure!(
+                    "faults",
+                    from < until,
+                    "aggregator {k}'s outage [{from}, {until}) is empty"
+                );
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why a [`LumosConfig`] cannot run: the field that breaks a rule of
+/// [`LumosConfig::validate`], and the rule with the value it holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The offending `LumosConfig` field.
+    pub field: &'static str,
+    /// The rule the field breaks.
+    pub rule: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid LumosConfig.{}: {}", self.field, self.rule)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -333,27 +441,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadline factor")]
-    fn invalid_deadline_factor_fails_at_configuration_time() {
-        // Regression: a sub-unit factor used to slip through the builder
-        // and only panic at the first epoch's probe (or never, without a
-        // scenario).
-        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-            .with_aggregation_policy(AggregationPolicy::Deadline { factor: 0.5 });
-    }
-
-    #[test]
-    #[should_panic(expected = "buffered decay")]
-    fn invalid_buffered_decay_fails_at_configuration_time() {
-        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised).with_aggregation_policy(
-            AggregationPolicy::Buffered {
-                factor: 2.0,
-                decay: 1.5,
-            },
-        );
-    }
-
-    #[test]
     fn scenario_defaults_to_off() {
         let c = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised);
         assert_eq!(c.scenario, None);
@@ -381,36 +468,206 @@ mod tests {
         assert_eq!(c.recovery.retry_budget, 7);
     }
 
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn out_of_range_loss_rate_fails_at_configuration_time() {
-        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-            .with_faults(FaultSpec::message_loss(1.5));
+    /// One setting of a config-table row, applied either way a caller can
+    /// set it: through its builder, and by assigning the field.
+    #[derive(Debug, Clone)]
+    enum Set {
+        Epsilon(f64),
+        Lr(f32),
+        EvalEvery(usize),
+        Policy(AggregationPolicy),
+        Topology(usize),
+        Trigger(f64, u32),
+        Faults(FaultSpec),
+        RetryBudget(u32),
+        Objective(BalanceObjective),
+    }
+
+    impl Set {
+        /// The builder's way to the setting; `None` where no builder sets
+        /// the field.
+        fn built(&self, c: LumosConfig) -> Option<LumosConfig> {
+            Some(match self.clone() {
+                Set::Epsilon(e) => c.with_epsilon(e),
+                Set::Lr(_) | Set::EvalEvery(_) => return None,
+                Set::Policy(p) => c.with_aggregation_policy(p),
+                Set::Topology(aggregators) => {
+                    c.with_topology(TopologyConfig::Hierarchical { aggregators })
+                }
+                Set::Trigger(threshold, patience) => c.with_rebalance_trigger(threshold, patience),
+                Set::Faults(f) => c.with_faults(f),
+                Set::RetryBudget(retry_budget) => c.with_recovery(RecoveryPolicy {
+                    retry_budget,
+                    ..RecoveryPolicy::default()
+                }),
+                Set::Objective(o) => c.with_balance_objective(o),
+            })
+        }
+
+        fn assigned(&self, mut c: LumosConfig) -> LumosConfig {
+            match self.clone() {
+                Set::Epsilon(e) => c.epsilon = e,
+                Set::Lr(lr) => c.lr = lr,
+                Set::EvalEvery(every) => c.eval_every = every,
+                Set::Policy(p) => c.aggregation_policy = p,
+                Set::Topology(aggregators) => {
+                    c.topology = TopologyConfig::Hierarchical { aggregators }
+                }
+                Set::Trigger(threshold, patience) => {
+                    c.rebalance_threshold = threshold;
+                    c.rebalance_patience = patience;
+                }
+                Set::Faults(f) => c.faults = f,
+                Set::RetryBudget(budget) => c.recovery.retry_budget = budget,
+                Set::Objective(o) => c.balance_objective = o,
+            }
+            c
+        }
+    }
+
+    fn faults(crash_rate: f64, loss_rate: f64, duplicate_rate: f64) -> FaultSpec {
+        FaultSpec::Faults {
+            crash_rate,
+            loss_rate,
+            duplicate_rate,
+            outages: Vec::new(),
+        }
+    }
+
+    fn outage(aggregator: u32, from_round: u64, until_round: u64) -> FaultSpec {
+        FaultSpec::Faults {
+            crash_rate: 0.0,
+            loss_rate: 0.0,
+            duplicate_rate: 0.0,
+            outages: vec![lumos_sim::OutageWindow {
+                aggregator,
+                from_round,
+                until_round,
+            }],
+        }
     }
 
     #[test]
-    #[should_panic(expected = "async quorum")]
-    fn zero_quorum_fails_at_configuration_time() {
-        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-            .with_aggregation_policy(AggregationPolicy::Async { min_updates: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one aggregator")]
-    fn zero_aggregator_topology_fails_at_configuration_time() {
-        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-            .with_topology(TopologyConfig::Hierarchical { aggregators: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "rebalance threshold")]
-    fn non_positive_rebalance_threshold_fails_at_configuration_time() {
-        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised).with_rebalance_trigger(0.0, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "rebalance patience")]
-    fn zero_rebalance_patience_fails_at_configuration_time() {
-        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised).with_rebalance_trigger(2.0, 0);
+    fn validate_names_the_field_of_every_broken_rule() {
+        use AggregationPolicy::{Async, Buffered, Deadline};
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        // The field `validate()` must name, or `None` for a documented
+        // clamp or no-op that must pass. No row has a scenario, so every
+        // policy and fault rule is judged where it would be inert.
+        let rows = [
+            (Some("epsilon"), Set::Epsilon(0.0)),
+            (Some("epsilon"), Set::Epsilon(-1.0)),
+            (Some("epsilon"), Set::Epsilon(nan)),
+            (Some("epsilon"), Set::Epsilon(inf)),
+            (Some("lr"), Set::Lr(f32::NAN)),
+            (Some("lr"), Set::Lr(0.0)),
+            (Some("lr"), Set::Lr(f32::INFINITY)),
+            (Some("eval_every"), Set::EvalEvery(0)),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Deadline { factor: 0.5 }),
+            ),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Deadline { factor: nan }),
+            ),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Deadline { factor: inf }),
+            ),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Buffered {
+                    factor: 0.5,
+                    decay: 0.5,
+                }),
+            ),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Buffered {
+                    factor: 2.0,
+                    decay: 1.5,
+                }),
+            ),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Buffered {
+                    factor: 2.0,
+                    decay: -0.1,
+                }),
+            ),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Buffered {
+                    factor: 2.0,
+                    decay: nan,
+                }),
+            ),
+            (
+                Some("aggregation_policy"),
+                Set::Policy(Async { min_updates: 0 }),
+            ),
+            (Some("topology"), Set::Topology(0)),
+            (Some("rebalance_threshold"), Set::Trigger(0.0, 2)),
+            (Some("rebalance_threshold"), Set::Trigger(-1.0, 2)),
+            (Some("rebalance_threshold"), Set::Trigger(nan, 2)),
+            (Some("rebalance_threshold"), Set::Trigger(inf, 2)),
+            (Some("rebalance_patience"), Set::Trigger(2.0, 0)),
+            (Some("faults"), Set::Faults(FaultSpec::message_loss(1.5))),
+            (Some("faults"), Set::Faults(faults(-0.1, 0.0, 0.0))),
+            (Some("faults"), Set::Faults(faults(0.0, 0.0, nan))),
+            (Some("faults"), Set::Faults(outage(0, 5, 5))),
+            (Some("faults"), Set::Faults(outage(0, 6, 2))),
+            // More aggregators than devices clamps, one resolves to flat.
+            (None, Set::Topology(1_000_000)),
+            (None, Set::Topology(1)),
+            // Past HARD_RETRY_CAP clamps to the cap.
+            (None, Set::RetryBudget(u32::MAX)),
+            // Zero decay is the deadline; a whole-fleet quorum the barrier.
+            (
+                None,
+                Set::Policy(Buffered {
+                    factor: 2.0,
+                    decay: 0.0,
+                }),
+            ),
+            (
+                None,
+                Set::Policy(Async {
+                    min_updates: usize::MAX,
+                }),
+            ),
+            (None, Set::Policy(Deadline { factor: 1.0 })),
+            (
+                None,
+                Set::Policy(Buffered {
+                    factor: 1.0,
+                    decay: 1.0,
+                }),
+            ),
+            // Inert without a scenario.
+            (None, Set::Faults(faults(1.0, 1.0, 1.0))),
+            (None, Set::Faults(outage(99, 0, 1))),
+            (None, Set::Objective(BalanceObjective::VirtualSecs)),
+            (None, Set::Trigger(f64::MIN_POSITIVE, 1)),
+            (None, Set::Epsilon(1e-6)),
+        ];
+        for (field, set) in rows {
+            let default = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised);
+            let ways = [set.built(default.clone()), Some(set.assigned(default))];
+            for cfg in ways.into_iter().flatten() {
+                match (cfg.validate(), field) {
+                    (Ok(()), None) => {}
+                    (Err(e), Some(field)) => {
+                        assert_eq!(e.field, field, "{set:?}: {e}");
+                        let head = format!("invalid LumosConfig.{field}: ");
+                        assert!(e.to_string().starts_with(&head), "{e}");
+                    }
+                    (got, want) => {
+                        panic!("{set:?}: expected an error naming {want:?}, got {got:?}")
+                    }
+                }
+            }
+        }
     }
 }

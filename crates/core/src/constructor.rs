@@ -35,7 +35,6 @@ pub fn construct_assignment(
     seed: u64,
     node_costs: Option<&[u64]>,
 ) -> (Assignment, ConstructorReport) {
-    let untrimmed_max = g.max_degree();
     if !trimming {
         let assignment = Assignment::full(g);
         let report = ConstructorReport {
@@ -44,12 +43,25 @@ pub fn construct_assignment(
             workloads: assignment.workloads(),
             max_workload: assignment.objective(),
             max_weighted_workload: assignment.weighted_objective(),
-            untrimmed_max,
+            untrimmed_max: g.max_degree(),
             ..Default::default()
         };
         return (assignment, report);
     }
+    balance(g, mcmc_iterations, security, backend, seed, node_costs)
+}
 
+/// One balance problem on `g`: greedy initialization and MCMC trimming
+/// over one set of secure-comparison lanes seeded by `seed`, and the
+/// report of what they built and what they cost.
+fn balance(
+    g: &Graph,
+    mcmc_iterations: usize,
+    security: SecurityMode,
+    backend: CompareBackend,
+    seed: u64,
+    node_costs: Option<&[u64]>,
+) -> (Assignment, ConstructorReport) {
     let mut oracle = make_oracle_backend(security, backend, seed);
     let init = greedy_init_weighted(g, node_costs, oracle.as_mut());
     let mcmc_cfg = McmcConfig {
@@ -65,7 +77,7 @@ pub fn construct_assignment(
         workloads: outcome.assignment.workloads(),
         max_workload: outcome.assignment.objective(),
         max_weighted_workload: outcome.assignment.weighted_objective(),
-        untrimmed_max,
+        untrimmed_max: g.max_degree(),
         secure_comm: oracle.meter(),
         comparisons: oracle.comparisons(),
         server_messages: outcome.stats.server.messages,
@@ -130,8 +142,6 @@ pub fn construct_assignment_sharded(
         );
     }
 
-    let untrimmed_max = g.max_degree();
-
     // Route every edge once: intra-shard edges go to their shard's
     // induced subgraph (re-indexed from the shard base), cross-shard
     // edges wait for the merge.
@@ -152,7 +162,7 @@ pub fn construct_assignment_sharded(
     let mut report = ConstructorReport {
         trimmed: true,
         weighted: node_costs.is_some(),
-        untrimmed_max,
+        untrimmed_max: g.max_degree(),
         ..Default::default()
     };
     for (shard, range) in topo.ranges() {
@@ -160,29 +170,19 @@ pub fn construct_assignment_sharded(
         let size = range.len();
         let sub = Graph::from_edges(size, &local_edges[shard]);
         let local_costs: Option<Vec<u64>> = node_costs.map(|c| c[base..base + size].to_vec());
-        let mut oracle = make_oracle_backend(security, backend, shard_seed(seed, shard));
-        let init = greedy_init_weighted(&sub, local_costs.as_deref(), oracle.as_mut());
-        let mcmc_cfg = McmcConfig {
-            iterations: mcmc_iterations,
-            seed: shard_seed(seed, shard) ^ 0x5EED,
-        };
-        let outcome = mcmc_balance(&sub, init, &mcmc_cfg, oracle.as_mut());
-        debug_assert!(outcome.assignment.check_feasible(&sub).is_ok());
-        for local in 0..size {
-            keep[base + local] = outcome
-                .assignment
-                .kept(local as u32)
-                .iter()
-                .map(|&w| w + base as u32)
-                .collect();
+        let (costs, seed) = (local_costs.as_deref(), shard_seed(seed, shard));
+        let (assigned, part) = balance(&sub, mcmc_iterations, security, backend, seed, costs);
+        for v in 0..size as u32 {
+            let kept = assigned.kept(v).iter().map(|&w| w + range.start);
+            keep[base + v as usize] = kept.collect();
         }
-        report.secure_comm.merge(&oracle.meter());
-        report.comparisons += oracle.comparisons();
-        report.server_messages += outcome.stats.server.messages;
-        if report.mcmc_trace.len() < outcome.trace.len() {
-            report.mcmc_trace.resize(outcome.trace.len(), 0);
+        report.secure_comm.merge(&part.secure_comm);
+        report.comparisons += part.comparisons;
+        report.server_messages += part.server_messages;
+        if report.mcmc_trace.len() < part.mcmc_trace.len() {
+            report.mcmc_trace.resize(part.mcmc_trace.len(), 0);
         }
-        for (global, &local) in report.mcmc_trace.iter_mut().zip(&outcome.trace) {
+        for (global, &local) in report.mcmc_trace.iter_mut().zip(&part.mcmc_trace) {
             *global = (*global).max(local);
         }
     }

@@ -37,7 +37,7 @@ pub mod trainer;
 pub mod tree;
 
 pub use batch::{build_batched, build_compact, BatchedTrees, FeatureRows};
-pub use config::{LumosConfig, TaskKind};
+pub use config::{ConfigError, LumosConfig, TaskKind};
 pub use constructor::{construct_assignment, construct_assignment_sharded};
 pub use init::{exchange_features, LdpExchange};
 pub use lumos_balance::{BalanceObjective, CompareBackend};

@@ -50,8 +50,13 @@ pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
 /// [`run_lumos`], with where the run's wall time went and what its state
 /// held when it ended. The [`Laps`] started here is the only clock the run
 /// reads.
+///
+/// # Panics
+/// Panics with the [`LumosConfig::validate`] error, before any work, on a
+/// config that cannot run.
 pub fn run_lumos_measured(ds: &Dataset, cfg: &LumosConfig) -> (RunReport, RunFootprint) {
     let mut laps = Laps::started();
+    cfg.validate().unwrap_or_else(|e| panic!("{e}"));
     let cadence = EvalCadence::new(cfg.eval_every, cfg.epochs);
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let n = ds.num_nodes();
@@ -960,11 +965,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "eval_every")]
+    #[should_panic(expected = "invalid LumosConfig.eval_every")]
     fn zero_eval_every_is_rejected_before_any_work() {
         let ds = Dataset::facebook_like(Scale::Smoke);
         let mut cfg = smoke_config(TaskKind::Supervised);
         cfg.eval_every = 0;
+        run_lumos(&ds, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.epsilon")]
+    fn zero_epsilon_is_rejected_at_entry_not_in_the_exchange() {
+        // Regression: ε = 0 used to pass the constructor and panic inside
+        // the LDP mechanism, three crates down.
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let mut cfg = smoke_config(TaskKind::Supervised);
+        cfg.epsilon = 0.0;
         run_lumos(&ds, &cfg);
     }
 
@@ -1557,6 +1573,95 @@ mod tests {
         );
         assert_eq!(flat.constructor.comparisons, one.constructor.comparisons);
         assert_eq!(flat.sim, one.sim);
+    }
+
+    /// The POOL arrays of a seeded random forest over `n` devices (one
+    /// vertex each): every device owns one to four leaves, laid out in
+    /// device order, each pooling into a random vertex.
+    fn random_pool_forest(n: usize, rng: &mut Xoshiro256pp) -> BatchedTrees<()> {
+        let (mut owners, mut vertices) = (Vec::new(), Vec::new());
+        for d in 0..n as u32 {
+            for _ in 0..1 + rng.index(4) {
+                owners.push(d);
+                vertices.push(rng.index(n) as u32);
+            }
+        }
+        let mut counts = vec![0u32; n];
+        for &v in &vertices {
+            counts[v as usize] += 1;
+        }
+        let coeff = counts
+            .iter()
+            .map(|&c| if c == 0 { 0.0 } else { 1.0 / c as f32 })
+            .collect();
+        BatchedTrees {
+            mg: lumos_gnn::MessageGraph::from_undirected(owners.len(), &[]),
+            features: (),
+            pool_leaves: Rc::new((0..owners.len() as u32).collect()),
+            pool_vertices: Rc::new(vertices),
+            pool_coeff: Rc::new(coeff),
+            pool_owners: Rc::new(owners),
+            tree_sizes: Vec::new(),
+            num_vertices: n,
+        }
+    }
+
+    /// [`tiered_pool`] over the leaf embeddings `h_tree`, read off the tape.
+    fn pool_on_tape(
+        h_tree: &lumos_tensor::Tensor,
+        pool: &PoolArrays,
+        topo: Option<&Topology>,
+    ) -> Vec<f32> {
+        let mut tape = Tape::new();
+        let h = tape.constant(h_tree.clone());
+        let pooled = tiered_pool(&mut tape, h, pool, topo);
+        tape.value(pooled).data().to_vec()
+    }
+
+    #[test]
+    fn tiered_pool_conserves_the_flat_pool() {
+        // The trainer's own two-tier POOL against its flat one, over the
+        // arrays a round really pools: all-ones, a 0/1 mask (a deadline's
+        // cut) and fractional staleness weights (buffering). The tiers only
+        // re-associate the sums, so K shards agree with the server to f32
+        // rounding, and one shard is the flat op sequence bit for bit.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Xoshiro256pp::seed_from_u64(0x9001);
+        for _ in 0..40 {
+            let n = 1 + rng.index(48);
+            let forest = random_pool_forest(n, &mut rng);
+            let leaves = forest.pool_leaves.len();
+            let mask: Vec<f32> = (0..n)
+                .map(|_| f32::from(u8::from(rng.bernoulli(0.7))))
+                .collect();
+            let fractional: Vec<f32> = (0..n)
+                .map(|_| [0.0, 0.25, 0.5, 1.0, 1.5][rng.index(5)])
+                .collect();
+            let topo = Topology::seeded(n, 1 + rng.index(n), rng.next_u64());
+            let one_shard = Topology::contiguous(n, 1);
+            for weights in [vec![1.0; n], mask, fractional] {
+                let pool = forest.weighted_pool(&weights);
+                let constant = lumos_tensor::Tensor::full(leaves, 1, 0.75);
+                let random = lumos_tensor::Tensor::rand_uniform(leaves, 3, -1.0, 1.0, &mut rng);
+                for h_tree in [constant, random] {
+                    let flat = pool_on_tape(&h_tree, &pool, None);
+                    let tiered = pool_on_tape(&h_tree, &pool, Some(&topo));
+                    for (f, t) in flat.iter().zip(&tiered) {
+                        assert!((f - t).abs() <= 1e-5, "flat {f} vs tiered {t}");
+                    }
+                    let single = pool_on_tape(&h_tree, &pool, Some(&one_shard));
+                    assert_eq!(bits(&flat), bits(&single), "one shard is the flat pool");
+                }
+                // A constant embedding pools to itself wherever a weight
+                // survives, and to zero where none does.
+                let constant = lumos_tensor::Tensor::full(leaves, 1, 0.75);
+                let tiered = pool_on_tape(&constant, &pool, Some(&topo));
+                for (v, &x) in tiered.iter().enumerate() {
+                    let expect = if pool.coeff[v] == 0.0 { 0.0 } else { 0.75 };
+                    assert!((x - expect).abs() <= 1e-6, "vertex {v}: {x} vs {expect}");
+                }
+            }
+        }
     }
 
     #[test]

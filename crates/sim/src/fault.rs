@@ -105,41 +105,6 @@ impl FaultSpec {
             FaultSpec::Faults { outages, .. } => outages,
         }
     }
-
-    /// Checks the spec's parameters; call at configuration time.
-    ///
-    /// # Panics
-    /// Panics if any rate is not a finite probability in `[0, 1]`, or if
-    /// an outage window is empty or inverted.
-    pub fn validate(&self) {
-        if let FaultSpec::Faults {
-            crash_rate,
-            loss_rate,
-            duplicate_rate,
-            outages,
-        } = self
-        {
-            for (name, rate) in [
-                ("crash_rate", crash_rate),
-                ("loss_rate", loss_rate),
-                ("duplicate_rate", duplicate_rate),
-            ] {
-                assert!(
-                    rate.is_finite() && (0.0..=1.0).contains(rate),
-                    "{name} must be a probability in [0, 1], got {rate}"
-                );
-            }
-            for w in outages {
-                assert!(
-                    w.from_round < w.until_round,
-                    "outage window for aggregator {} is empty: [{}, {})",
-                    w.aggregator,
-                    w.from_round,
-                    w.until_round
-                );
-            }
-        }
-    }
 }
 
 /// How lost sends are recovered: detect after a timeout, retry with
@@ -357,11 +322,7 @@ impl FaultState {
     /// Builds the stream for one run. The RNG is domain-separated from
     /// the trainer's and the scenario's seed usage, so enabling faults
     /// never perturbs training math or fleet sampling.
-    ///
-    /// # Panics
-    /// Panics if the spec's parameters are invalid.
     pub fn new(spec: FaultSpec, recovery: RecoveryPolicy, seed: u64) -> Self {
-        spec.validate();
         Self {
             spec,
             recovery,
@@ -640,27 +601,5 @@ mod tests {
         st.compile_round(&fleet(2));
         // Round 4: closed again.
         assert!(st.outaged_aggregators(4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn invalid_loss_rate_panics() {
-        FaultState::new(FaultSpec::message_loss(1.5), RecoveryPolicy::default(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn inverted_outage_window_panics() {
-        FaultSpec::Faults {
-            crash_rate: 0.0,
-            loss_rate: 0.0,
-            duplicate_rate: 0.0,
-            outages: vec![OutageWindow {
-                aggregator: 0,
-                from_round: 5,
-                until_round: 5,
-            }],
-        }
-        .validate();
     }
 }

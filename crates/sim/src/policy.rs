@@ -103,45 +103,6 @@ impl AggregationPolicy {
         }
     }
 
-    /// Checks the policy's parameters; call at configuration time so a bad
-    /// deadline fails fast instead of mid-training (or never, when no
-    /// scenario means [`AggregationPolicy::late_devices`] is never hit).
-    ///
-    /// # Panics
-    /// Panics if a deadline factor is not finite or is below 1 (a factor
-    /// below 1 would drop the median device — and with it any guarantee
-    /// that a round keeps a majority), or if a buffered decay is not a
-    /// finite value in `[0, 1]` (a weight above 1 would *amplify* stale
-    /// updates with their own age), or if an async quorum is zero (a round
-    /// must wait for at least one update before pooling).
-    pub fn validate(&self) {
-        match *self {
-            AggregationPolicy::FullSync => {}
-            AggregationPolicy::Async { min_updates } => {
-                assert!(
-                    min_updates >= 1,
-                    "async quorum must wait for at least one update"
-                );
-            }
-            AggregationPolicy::Deadline { factor } => {
-                assert!(
-                    factor.is_finite() && factor >= 1.0,
-                    "deadline factor must be finite and >= 1, got {factor}"
-                );
-            }
-            AggregationPolicy::Buffered { factor, decay } => {
-                assert!(
-                    factor.is_finite() && factor >= 1.0,
-                    "deadline factor must be finite and >= 1, got {factor}"
-                );
-                assert!(
-                    decay.is_finite() && (0.0..=1.0).contains(&decay),
-                    "buffered decay must be in [0, 1], got {decay}"
-                );
-            }
-        }
-    }
-
     /// The policy actually executed: `Buffered` with `decay = 0` weighs
     /// every stale update by zero, which is the deadline's discard — it is
     /// resolved to `Deadline` up front so the two configurations are
@@ -187,9 +148,6 @@ impl AggregationPolicy {
     /// median delivery time (lower median — deterministic, no averaging).
     /// Empty under [`AggregationPolicy::FullSync`] and for rounds where
     /// nothing ran. Returned sorted by device id.
-    ///
-    /// # Panics
-    /// Panics if a deadline factor is not finite or is below 1.
     pub fn late_devices(&self, stats: &EpochStats) -> Vec<u32> {
         self.late_with_staleness(stats)
             .into_iter()
@@ -209,12 +167,7 @@ impl AggregationPolicy {
     /// of the quorum — every device whose update lands after the
     /// `min_updates` earliest (in `(delivery time, device id)` order) —
     /// each at staleness 1: carried to the next round, undecayed.
-    ///
-    /// # Panics
-    /// Panics if the policy's parameters are invalid (see
-    /// [`AggregationPolicy::validate`]).
     pub fn late_with_staleness(&self, stats: &EpochStats) -> Vec<(u32, u32)> {
-        self.validate();
         if let AggregationPolicy::Async { min_updates } = *self {
             return async_overflow(min_updates, &stats.update_delivery_secs);
         }
@@ -317,9 +270,6 @@ enum RoundMode {
 
 impl RoundPolicy {
     /// A handler judging the whole fleet as one group.
-    ///
-    /// # Panics
-    /// Panics if the policy's parameters are invalid.
     pub fn new(policy: &AggregationPolicy, schedule: &EventDrivenRuntime) -> Self {
         let n = schedule.update_delivery_secs().len() as u32;
         Self::grouped(policy, schedule, std::iter::once(0..n))
@@ -332,14 +282,12 @@ impl RoundPolicy {
     /// Devices in no group are awaited, never cut.
     ///
     /// # Panics
-    /// Panics if the policy's parameters are invalid or a group reaches
-    /// past the fleet.
+    /// Panics if a group reaches past the fleet.
     pub fn grouped(
         policy: &AggregationPolicy,
         schedule: &EventDrivenRuntime,
         groups: impl IntoIterator<Item = std::ops::Range<u32>>,
     ) -> Self {
-        policy.validate();
         let planned = schedule.update_delivery_secs();
         let mut late = Vec::new();
         // A quorum short of the fleet closes at its last landing even when
@@ -495,13 +443,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn sub_unit_factor_panics() {
-        let s = stats_with(vec![Some(1.0)]);
-        AggregationPolicy::Deadline { factor: 0.5 }.late_devices(&s);
-    }
-
-    #[test]
     fn reads_the_simulated_signal_end_to_end() {
         // A Pareto-style tail on real simulated timing: the slow device's
         // update lands far past 2× the median and is dropped.
@@ -580,16 +521,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn out_of_range_decay_panics() {
-        AggregationPolicy::Buffered {
-            factor: 2.0,
-            decay: 1.5,
-        }
-        .validate();
-    }
-
-    #[test]
     fn async_quorum_carries_the_overflow_at_full_staleness() {
         // Quorum 2 over landings at 1.0 (d0), 3.0 (d1), 2.0 (d2), 5.0
         // (d4): the two earliest (d0, d2) pool; d1 and d4 are carried at
@@ -632,12 +563,6 @@ mod tests {
             buffered.resolve(8),
             AggregationPolicy::Deadline { factor: 2.0 }
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_quorum_panics() {
-        AggregationPolicy::Async { min_updates: 0 }.validate();
     }
 
     fn straggler_fleet() -> (Vec<DeviceProfile>, Vec<DeviceWork>) {

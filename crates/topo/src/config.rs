@@ -28,18 +28,6 @@ impl TopologyConfig {
         }
     }
 
-    /// Panics on configurations that cannot mean anything, at config
-    /// time rather than epochs into a run (same contract as
-    /// `AggregationPolicy::validate`).
-    pub fn validate(&self) {
-        if let TopologyConfig::Hierarchical { aggregators } = self {
-            assert!(
-                *aggregators >= 1,
-                "hierarchical topology needs at least one aggregator"
-            );
-        }
-    }
-
     /// Resolves the config against a concrete fleet size.
     ///
     /// `Hierarchical` with more aggregators than devices clamps to one
@@ -102,11 +90,5 @@ mod tests {
             TopologyConfig::Hierarchical { aggregators: 4 }.effective(100),
             TopologyConfig::Hierarchical { aggregators: 4 }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one aggregator")]
-    fn zero_aggregators_is_rejected() {
-        TopologyConfig::Hierarchical { aggregators: 0 }.validate();
     }
 }

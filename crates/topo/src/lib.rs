@@ -20,9 +20,6 @@
 //!   each aggregator cuts its own members against its own local median
 //!   deadline. With one shard the mask keeps every entry, so the result
 //!   is bit-identical to the global policy call.
-//! - [`pool_flat`] / [`pool_tiered`] — a scalar reference model of the
-//!   two-tier POOL (aggregator partial sums, then a server merge) used
-//!   by the conservation property tests.
 //! - [`tier_timing`] — composes tier-2 delivery on top of a device-tier
 //!   [`EpochStats`](lumos_sim::EpochStats): an aggregator's partial is
 //!   ready when the slowest of its members' updates that made the
@@ -40,12 +37,10 @@
 #![forbid(unsafe_code)]
 pub mod config;
 pub mod policy;
-pub mod pooling;
 pub mod timing;
 pub mod topology;
 
 pub use config::TopologyConfig;
 pub use policy::{shard_late_with_staleness, ShardRoundPolicies};
-pub use pooling::{pool_flat, pool_tiered};
 pub use timing::{tier_timing, tier_timing_failover, TierTiming};
 pub use topology::Topology;

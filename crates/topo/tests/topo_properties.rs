@@ -1,8 +1,9 @@
 //! Property tests for the hierarchical aggregation topology: every
 //! construction variant partitions the fleet into non-empty contiguous
-//! shards covering each device exactly once, the two-tier POOL conserves
-//! the flat pool's mass, and the one grouped round handler cuts exactly
-//! what the post-hoc per-shard reference cuts.
+//! shards covering each device exactly once, and the one grouped round
+//! handler cuts exactly what the post-hoc per-shard reference cuts. (The
+//! two-tier POOL's conservation is tested on the trainer's own
+//! `tiered_pool`, in `lumos-core`.)
 
 use proptest::prelude::*;
 
@@ -10,7 +11,7 @@ use lumos_common::rng::Xoshiro256pp;
 use lumos_sim::{
     AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, SERVER_SENDER,
 };
-use lumos_topo::{pool_flat, pool_tiered, shard_late_with_staleness, ShardRoundPolicies, Topology};
+use lumos_topo::{shard_late_with_staleness, ShardRoundPolicies, Topology};
 
 fn assert_exact_cover(t: &Topology, n: usize, k: usize) {
     assert_eq!(t.num_devices(), n);
@@ -47,44 +48,6 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let costs: Vec<u64> = (0..n).map(|_| rng.next_below(10_000)).collect();
         assert_exact_cover(&Topology::cost_balanced(&costs, k), n, k);
-    }
-
-    /// Satellite: hierarchical pooling with all-ones weights conserves
-    /// the POOL sum — the tiered merge pools the same mass per vertex
-    /// as the flat path (up to float re-association across shards).
-    #[test]
-    fn all_ones_tiered_pool_conserves_flat_pool(
-        n in 1usize..64, k_frac in 0.0f64..1.0, seed in any::<u64>(),
-        leaves_per_device in 1usize..6, num_vertices in 1usize..32
-    ) {
-        let k = 1 + ((n - 1) as f64 * k_frac) as usize;
-        let topo = Topology::seeded(n, k, seed);
-        let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x9001);
-        let mut owners = Vec::new();
-        let mut vertices = Vec::new();
-        let mut values = Vec::new();
-        for d in 0..n as u32 {
-            for _ in 0..leaves_per_device {
-                owners.push(d);
-                vertices.push(rng.next_below(num_vertices as u64) as u32);
-                values.push(rng.range_f64(-10.0, 10.0));
-            }
-        }
-        let weights = vec![1.0f64; values.len()];
-        let flat = pool_flat(num_vertices, &vertices, &values, &weights);
-        let tiered = pool_tiered(num_vertices, &topo, &owners, &vertices, &values, &weights);
-        for (v, (f, t)) in flat.iter().zip(&tiered).enumerate() {
-            prop_assert!(
-                (f - t).abs() <= 1e-9 * (1.0 + f.abs()),
-                "vertex {v}: flat {f} vs tiered {t}"
-            );
-        }
-        let flat_sum: f64 = flat.iter().sum();
-        let tiered_sum: f64 = tiered.iter().sum();
-        prop_assert!(
-            (flat_sum - tiered_sum).abs() <= 1e-9 * (1.0 + flat_sum.abs()),
-            "pool mass must be conserved: {flat_sum} vs {tiered_sum}"
-        );
     }
 
     /// One shard ⇒ the per-shard policy cut IS the global one, bit for
