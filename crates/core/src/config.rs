@@ -670,4 +670,80 @@ mod tests {
             }
         }
     }
+
+    /// Judges `cfg` as [`crate::run_lumos`] does at its entry: a broken
+    /// rule panics with the error's text, before any work.
+    fn judge(cfg: LumosConfig) {
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    fn default_config() -> LumosConfig {
+        LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.aggregation_policy: deadline factor")]
+    fn invalid_deadline_factor_fails_at_configuration_time() {
+        judge(
+            default_config().with_aggregation_policy(AggregationPolicy::Deadline { factor: 0.5 }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.aggregation_policy: buffered decay")]
+    fn invalid_buffered_decay_fails_at_configuration_time() {
+        judge(
+            default_config().with_aggregation_policy(AggregationPolicy::Buffered {
+                factor: 2.0,
+                decay: 1.5,
+            }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.faults: loss_rate must be in [0, 1]")]
+    fn out_of_range_loss_rate_fails_at_configuration_time() {
+        judge(default_config().with_faults(FaultSpec::message_loss(1.5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.faults: aggregator 0's outage [5, 5) is empty")]
+    fn empty_outage_window_fails_at_configuration_time() {
+        judge(default_config().with_faults(outage(0, 5, 5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.aggregation_policy: async quorum")]
+    fn zero_quorum_fails_at_configuration_time() {
+        judge(
+            default_config().with_aggregation_policy(AggregationPolicy::Async { min_updates: 0 }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.topology: needs at least one aggregator")]
+    fn zero_aggregator_topology_fails_at_configuration_time() {
+        judge(default_config().with_topology(TopologyConfig::Hierarchical { aggregators: 0 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.topology: needs at least one aggregator")]
+    fn zero_aggregators_is_rejected() {
+        // Assigned as a field, past every builder.
+        let mut cfg = default_config();
+        cfg.topology = TopologyConfig::Hierarchical { aggregators: 0 };
+        judge(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.rebalance_threshold")]
+    fn non_positive_rebalance_threshold_fails_at_configuration_time() {
+        judge(default_config().with_rebalance_trigger(0.0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid LumosConfig.rebalance_patience")]
+    fn zero_rebalance_patience_fails_at_configuration_time() {
+        judge(default_config().with_rebalance_trigger(2.0, 0));
+    }
 }

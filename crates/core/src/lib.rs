@@ -31,6 +31,7 @@ pub mod batch;
 pub mod config;
 pub mod constructor;
 pub mod init;
+mod pooling;
 pub mod report;
 pub mod task;
 pub mod trainer;

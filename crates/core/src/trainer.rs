@@ -13,7 +13,6 @@
 //! `rebalance → judge → pool weights → step → account → close → evaluate`.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::rc::Rc;
 
 use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
@@ -23,7 +22,7 @@ use lumos_data::Dataset;
 use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
 use lumos_gnn::{EncoderConfig, GnnEncoder};
 use lumos_graph::Graph;
-use lumos_tensor::{Adam, ParamStore, Tape, VarId};
+use lumos_tensor::{Adam, ParamStore, Tape};
 
 use lumos_sim::{
     AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, FaultCounters,
@@ -35,6 +34,7 @@ use crate::batch::{build_compact, BatchedTrees, FeatureRows, PoolArrays};
 use crate::config::LumosConfig;
 use crate::constructor::{construct_assignment, construct_assignment_sharded};
 use crate::init::{exchange_features, exchange_missing_features, LdpExchange};
+use crate::pooling::tiered_pool;
 use crate::report::{RoundRecord, RoundSim, RunFootprint, RunReport};
 use crate::task::{EvalCadence, EvalSplit, LinkFetches, TaskData, TaskHead};
 use crate::tree::{DeviceTree, LocalGraphKind};
@@ -357,63 +357,6 @@ impl Model {
         self.tape = tape.reset();
         metrics
     }
-}
-
-/// The POOL layer (Eq. 31) over the forest's leaf embeddings `h_tree`: the
-/// weighted mean per global vertex, gathered through `pool` — a
-/// [`BatchedTrees::weighted_pool`] view of the round's per-device weights,
-/// which for all-ones weights is the batch's own arrays. It is evaluated
-/// tier by tier: each aggregator scatter-adds its own members' (optionally
-/// staleness-scaled) leaf rows into a local partial, the server sums the
-/// partials, and the per-vertex mean coefficients normalize once at the top. The shard slices come straight
-/// off the pool arrays: trees are laid out in device order, so an
-/// aggregator's leaves are one contiguous run of `owners`. Without a
-/// topology — or when no shard holds a surviving leaf, which pools the
-/// empty arrays to zero — the server is the one aggregator and the whole
-/// array the one run: the seed's flat op sequence, on the pool's own `Rc`s.
-fn tiered_pool(
-    tape: &mut Tape<'_>,
-    h_tree: VarId,
-    pool: &PoolArrays,
-    topo: Option<&Topology>,
-) -> VarId {
-    let (total, num_vertices) = (pool.leaves.len(), pool.coeff.len());
-    let mut runs: Vec<Range<usize>> = Vec::new();
-    let mut lo = 0usize;
-    for (_, members) in topo.into_iter().flat_map(Topology::ranges) {
-        let hi = lo + pool.owners[lo..].partition_point(|&o| o < members.end);
-        if lo < hi {
-            runs.push(lo..hi);
-        }
-        lo = hi;
-    }
-    if runs.is_empty() {
-        runs.push(0..total);
-    }
-    fn share<T: Clone>(all: &Rc<Vec<T>>, run: &Range<usize>) -> Rc<Vec<T>> {
-        if run.len() == all.len() {
-            all.clone()
-        } else {
-            Rc::new(all[run.clone()].to_vec())
-        }
-    }
-    let mut server_sum: Option<VarId> = None;
-    for run in &runs {
-        let mut leaves = tape.gather_rows(h_tree, share(&pool.leaves, run));
-        // Fractional staleness weights insert one extra per-leaf scale
-        // between gather and scatter; uniform pools skip it, keeping the
-        // default op sequence — and therefore its float results — untouched.
-        if let Some(w) = &pool.leaf_weights {
-            leaves = tape.scale_rows(leaves, share(w, run));
-        }
-        let partial = tape.scatter_add_rows(leaves, share(&pool.vertices, run), num_vertices);
-        server_sum = Some(match server_sum {
-            Some(acc) => tape.add(acc, partial),
-            None => partial,
-        });
-    }
-    let summed = server_sum.expect("POOL runs over at least one range");
-    tape.scale_rows(summed, pool.coeff.clone())
 }
 
 /// The round's one simulation. The per-round message pattern is static
@@ -1573,95 +1516,6 @@ mod tests {
         );
         assert_eq!(flat.constructor.comparisons, one.constructor.comparisons);
         assert_eq!(flat.sim, one.sim);
-    }
-
-    /// The POOL arrays of a seeded random forest over `n` devices (one
-    /// vertex each): every device owns one to four leaves, laid out in
-    /// device order, each pooling into a random vertex.
-    fn random_pool_forest(n: usize, rng: &mut Xoshiro256pp) -> BatchedTrees<()> {
-        let (mut owners, mut vertices) = (Vec::new(), Vec::new());
-        for d in 0..n as u32 {
-            for _ in 0..1 + rng.index(4) {
-                owners.push(d);
-                vertices.push(rng.index(n) as u32);
-            }
-        }
-        let mut counts = vec![0u32; n];
-        for &v in &vertices {
-            counts[v as usize] += 1;
-        }
-        let coeff = counts
-            .iter()
-            .map(|&c| if c == 0 { 0.0 } else { 1.0 / c as f32 })
-            .collect();
-        BatchedTrees {
-            mg: lumos_gnn::MessageGraph::from_undirected(owners.len(), &[]),
-            features: (),
-            pool_leaves: Rc::new((0..owners.len() as u32).collect()),
-            pool_vertices: Rc::new(vertices),
-            pool_coeff: Rc::new(coeff),
-            pool_owners: Rc::new(owners),
-            tree_sizes: Vec::new(),
-            num_vertices: n,
-        }
-    }
-
-    /// [`tiered_pool`] over the leaf embeddings `h_tree`, read off the tape.
-    fn pool_on_tape(
-        h_tree: &lumos_tensor::Tensor,
-        pool: &PoolArrays,
-        topo: Option<&Topology>,
-    ) -> Vec<f32> {
-        let mut tape = Tape::new();
-        let h = tape.constant(h_tree.clone());
-        let pooled = tiered_pool(&mut tape, h, pool, topo);
-        tape.value(pooled).data().to_vec()
-    }
-
-    #[test]
-    fn tiered_pool_conserves_the_flat_pool() {
-        // The trainer's own two-tier POOL against its flat one, over the
-        // arrays a round really pools: all-ones, a 0/1 mask (a deadline's
-        // cut) and fractional staleness weights (buffering). The tiers only
-        // re-associate the sums, so K shards agree with the server to f32
-        // rounding, and one shard is the flat op sequence bit for bit.
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut rng = Xoshiro256pp::seed_from_u64(0x9001);
-        for _ in 0..40 {
-            let n = 1 + rng.index(48);
-            let forest = random_pool_forest(n, &mut rng);
-            let leaves = forest.pool_leaves.len();
-            let mask: Vec<f32> = (0..n)
-                .map(|_| f32::from(u8::from(rng.bernoulli(0.7))))
-                .collect();
-            let fractional: Vec<f32> = (0..n)
-                .map(|_| [0.0, 0.25, 0.5, 1.0, 1.5][rng.index(5)])
-                .collect();
-            let topo = Topology::seeded(n, 1 + rng.index(n), rng.next_u64());
-            let one_shard = Topology::contiguous(n, 1);
-            for weights in [vec![1.0; n], mask, fractional] {
-                let pool = forest.weighted_pool(&weights);
-                let constant = lumos_tensor::Tensor::full(leaves, 1, 0.75);
-                let random = lumos_tensor::Tensor::rand_uniform(leaves, 3, -1.0, 1.0, &mut rng);
-                for h_tree in [constant, random] {
-                    let flat = pool_on_tape(&h_tree, &pool, None);
-                    let tiered = pool_on_tape(&h_tree, &pool, Some(&topo));
-                    for (f, t) in flat.iter().zip(&tiered) {
-                        assert!((f - t).abs() <= 1e-5, "flat {f} vs tiered {t}");
-                    }
-                    let single = pool_on_tape(&h_tree, &pool, Some(&one_shard));
-                    assert_eq!(bits(&flat), bits(&single), "one shard is the flat pool");
-                }
-                // A constant embedding pools to itself wherever a weight
-                // survives, and to zero where none does.
-                let constant = lumos_tensor::Tensor::full(leaves, 1, 0.75);
-                let tiered = pool_on_tape(&constant, &pool, Some(&topo));
-                for (v, &x) in tiered.iter().enumerate() {
-                    let expect = if pool.coeff[v] == 0.0 { 0.0 } else { 0.75 };
-                    assert!((x - expect).abs() <= 1e-6, "vertex {v}: {x} vs {expect}");
-                }
-            }
-        }
     }
 
     #[test]
