@@ -1307,6 +1307,33 @@ mod tests {
     }
 
     #[test]
+    fn the_tape_holds_a_few_activations_per_tree_node() {
+        // What a step's tape keeps — on its nodes, then on its free list
+        // for the next step — is what its adjoints read: a handful of
+        // `[tree nodes × hidden]` activations and gradients. Keeping every
+        // activation and interior gradient held 17.6 of them here; what no
+        // adjoint reads going back to the free list holds 6.3.
+        let ds = Dataset::facebook_like(Scale::Smoke);
+        let cfg = smoke_config(TaskKind::Supervised).with_epochs(3);
+        let (report, footprint) = run_lumos_measured(&ds, &cfg);
+        // A tree is its root and three nodes per retained neighbor, or the
+        // lone center of a device that kept none.
+        let tree_nodes: usize = (report.constructor.workloads.iter())
+            .map(|&wl| if wl == 0 { 1 } else { 1 + 3 * wl })
+            .sum();
+        let hidden = EncoderConfig::paper(cfg.backbone, ds.feature_dim).hidden_dim;
+        let activation = tree_nodes * hidden * std::mem::size_of::<f32>();
+        let (_, tape) = (footprint.bytes.iter())
+            .find(|(owner, _)| *owner == "tape nodes + free list")
+            .expect("the tape's row");
+        let k = *tape as f64 / activation as f64;
+        assert!(
+            k < 8.0,
+            "the tape holds {k:.2} activations of {activation} B"
+        );
+    }
+
+    #[test]
     fn async_quorum_closes_rounds_early_and_never_drops() {
         let ds = Dataset::facebook_like(Scale::Smoke);
         let base = smoke_config(TaskKind::Supervised)

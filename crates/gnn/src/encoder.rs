@@ -130,7 +130,9 @@ impl GnnEncoder {
         self.layers.len()
     }
 
-    /// Full forward pass: layer → (ReLU → dropout) between layers.
+    /// Full forward pass: layer → (ReLU → dropout) between layers. Each
+    /// layer records in its own [`Tape::scope`], so the activations no
+    /// adjoint reads back are released as soon as it returns.
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -142,11 +144,14 @@ impl GnnEncoder {
     ) -> VarId {
         let mut h = x;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(tape, store, h, mg);
-            if i + 1 < self.layers.len() {
-                h = tape.relu(h);
-                h = apply_dropout(tape, h, self.dropout, training, rng);
-            }
+            h = tape.scope(|tape| {
+                let y = layer.forward(tape, store, h, mg);
+                if i + 1 == self.layers.len() {
+                    return y;
+                }
+                let y = tape.relu(y);
+                apply_dropout(tape, y, self.dropout, training, rng)
+            });
         }
         h
     }

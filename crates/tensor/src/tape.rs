@@ -13,6 +13,14 @@
 //! tape serves a whole training run: [`Tape::reset`] empties the recording
 //! and keeps every buffer the tape owned on a free list, from which the next
 //! recording and its gradients draw.
+//!
+//! The tape keeps only the buffers a later step reads. `backward` recycles
+//! an interior node's gradient as soon as it has been pushed down, so
+//! [`Gradients::get`] answers for leaves alone. One table,
+//! `Tape::adjoint_reads`, says which values each adjoint reads; every other
+//! read of the sweep is of a shape. [`Tape::scope`] uses it to release, when
+//! a span of the recording returns, every value recorded in the span that
+//! no adjoint reads.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -94,13 +102,15 @@ enum Op {
     },
 }
 
-/// What a node holds: a tensor the tape owns (and recycles) or borrows, or
-/// — a constant leaf only — an operand it can read but never sees whole.
+/// What a node holds: a tensor the tape owns (and recycles) or borrows; an
+/// operand it can read but never sees whole (a constant leaf only); or the
+/// shape of an owned value [`Tape::scope`] released.
 #[derive(Debug)]
 enum Value<'a> {
     Owned(Tensor),
     Borrowed(&'a Tensor),
     Rows(&'a dyn RowOperand),
+    Released(usize, usize),
 }
 
 #[derive(Debug)]
@@ -156,8 +166,9 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Gradient of the loss w.r.t. variable `id`, if the loss depends on it
-    /// and a parameter depends on it in turn (constants get none).
+    /// Gradient of the loss w.r.t. the leaf `id`, if the loss depends on it
+    /// and it is a parameter (constants get none). An interior node has
+    /// none either: its gradient is recycled once pushed down.
     pub fn get(&self, id: VarId) -> Option<&Tensor> {
         self.grads.get(id).and_then(|g| g.as_ref())
     }
@@ -184,8 +195,8 @@ impl Gradients {
         }
     }
 
-    /// Adds `g` — an upstream gradient passed through unchanged, which
-    /// stays with its own node — into the gradient of `id`.
+    /// Adds `g` — an upstream gradient passed through unchanged, which its
+    /// own node's arm still reads — into the gradient of `id`.
     fn accumulate_copy(&mut self, id: VarId, g: &Tensor) {
         match &mut self.grads[id] {
             Some(existing) => existing.add_assign(g),
@@ -244,12 +255,12 @@ impl<'a> Tape<'a> {
         self.nodes.is_empty()
     }
 
-    /// Bytes of `f32` storage the tape holds: the values it recorded and
-    /// owns, plus every buffer waiting on its free list.
+    /// Bytes of `f32` storage the tape holds allocated: the values it
+    /// recorded and owns, plus every buffer waiting on its free list.
     pub fn held_bytes(&self) -> usize {
         let owned = self.nodes.iter().map(|node| match &node.value {
-            Value::Owned(t) => t.len(),
-            Value::Borrowed(_) | Value::Rows(_) => 0,
+            Value::Owned(t) => t.capacity(),
+            Value::Borrowed(_) | Value::Rows(_) | Value::Released(..) => 0,
         });
         let free = self.free.borrow();
         let floats = owned.sum::<usize>() + free.bufs.iter().map(Vec::capacity).sum::<usize>();
@@ -261,7 +272,8 @@ impl<'a> Tape<'a> {
     /// # Panics
     /// Panics on a [`Tape::constant_rows`] leaf: it has no dense value —
     /// not building one is what the leaf is for. Such a leaf is read only
-    /// as the left operand of [`Tape::matmul`].
+    /// as the left operand of [`Tape::matmul`]. Panics too on a value
+    /// [`Tape::scope`] released.
     pub fn value(&self, id: VarId) -> &Tensor {
         match &self.nodes[id].value {
             Value::Owned(t) => t,
@@ -269,7 +281,51 @@ impl<'a> Tape<'a> {
             Value::Rows(_) => {
                 panic!("variable {id} is a row operand: it can only be the left operand of matmul")
             }
+            Value::Released(..) => {
+                panic!("variable {id} was released by Tape::scope: no adjoint reads it")
+            }
         }
+    }
+
+    /// Shape of a recorded variable, whatever it holds.
+    fn dims(&self, id: VarId) -> (usize, usize) {
+        match &self.nodes[id].value {
+            Value::Owned(t) => t.dims(),
+            Value::Borrowed(t) => t.dims(),
+            Value::Rows(rows) => rows.dims(),
+            &Value::Released(rows, cols) => (rows, cols),
+        }
+    }
+
+    /// Records `body`, then releases every value it recorded — except the
+    /// one it returns — that no adjoint recorded in it reads: the buffer
+    /// goes to the free list and the node keeps its shape. `body` must hand
+    /// nothing but its result on to what is recorded after it; reading a
+    /// released value panics in [`Tape::value`] instead of training on
+    /// stale numbers.
+    pub fn scope(&mut self, body: impl FnOnce(&mut Self) -> VarId) -> VarId {
+        let start = self.nodes.len();
+        let out = body(self);
+        let mut reads = vec![out];
+        for id in start..self.nodes.len() {
+            self.adjoint_reads(id, &mut reads);
+        }
+        let mut live = vec![false; self.nodes.len() - start];
+        for id in reads.into_iter().filter(|&id| id >= start) {
+            live[id - start] = true;
+        }
+        let mut free = self.free.borrow_mut();
+        for (node, live) in self.nodes[start..].iter_mut().zip(live) {
+            if let (false, Value::Owned(t)) = (live, &node.value) {
+                let (rows, cols) = t.dims();
+                if let Value::Owned(t) =
+                    std::mem::replace(&mut node.value, Value::Released(rows, cols))
+                {
+                    free.give(t);
+                }
+            }
+        }
+        out
     }
 
     fn needs_grad(&self, id: VarId) -> bool {
@@ -578,13 +634,14 @@ impl<'a> Tape<'a> {
     /// Reverse sweep from a scalar loss. Gradients are formed only for
     /// nodes with a parameter below them, so a constant operand costs
     /// nothing (`MatMul(X_const, W)` computes `Xᵀg` alone) and a loss that
-    /// reaches no parameter yields no gradients at all.
+    /// reaches no parameter yields no gradients at all. Only the leaves'
+    /// gradients are returned.
     ///
     /// # Panics
     /// Panics if `loss` is not 1×1.
     pub fn backward(&self, loss: VarId) -> Gradients {
         assert_eq!(
-            self.value(loss).dims(),
+            self.dims(loss),
             (1, 1),
             "backward starts from a scalar loss"
         );
@@ -598,16 +655,47 @@ impl<'a> Tape<'a> {
             grads.grads[loss] = Some(seed);
         }
         for id in (0..=loss).rev() {
-            // A gradient only ever lands on a node that needs one. It is
-            // moved out for the node's arm to read and put back after, so
-            // callers can still inspect intermediate gradients.
+            // A gradient only ever lands on a node that needs one. A leaf's
+            // stays for `accumulate_param_grads`; any other node's is read
+            // by its own arm alone, and goes back to the free list after.
+            if matches!(self.nodes[id].op, Op::Leaf { .. }) {
+                continue;
+            }
             let Some(g) = grads.grads[id].take() else {
                 continue;
             };
             self.push_down(id, &g, &mut grads);
-            grads.grads[id] = Some(g);
+            grads.recycle(g);
         }
         grads
+    }
+
+    /// Pushes onto `out` the variables whose values the arm of node `id` in
+    /// [`Tape::push_down`] reads: its operands, its own output, or none.
+    /// Every other read there is of a shape, through [`Tape::dims`], so a
+    /// value no entry names is free to go ([`Tape::scope`]).
+    fn adjoint_reads(&self, id: VarId, out: &mut Vec<VarId>) {
+        match &self.nodes[id].op {
+            Op::MatMul(a, b) | Op::Mul(a, b) | Op::MulColBroadcast(a, b) => out.extend([*a, *b]),
+            Op::LeakyRelu(a, _) | Op::BceWithLogitsMean { logits: a, .. } => out.push(*a),
+            Op::Relu(_) | Op::Sigmoid(_) | Op::SegmentSoftmax(..) | Op::LogSoftmaxRows(_) => {
+                out.push(id)
+            }
+            Op::Leaf { .. }
+            | Op::Add(..)
+            | Op::Sub(..)
+            | Op::Scale(..)
+            | Op::AddRowBroadcast(..)
+            | Op::Dropout(..)
+            | Op::GatherRows(..)
+            | Op::ScatterAddRows(..)
+            | Op::ScaleRows(..)
+            | Op::Propagate { .. }
+            | Op::ConcatCols(_)
+            | Op::SumAll(_)
+            | Op::MeanAll(_)
+            | Op::NllMasked { .. } => {}
+        }
     }
 
     /// Pushes `g`, the gradient of node `id`, down to each operand that
@@ -681,8 +769,10 @@ impl<'a> Tape<'a> {
                 }
             }
             Op::Relu(a) => {
+                // y = max(x, 0) is positive exactly where x is (NaN and -0
+                // included), so the output masks as the input would.
                 grads.accumulate_with(*a, g.len(), |da| {
-                    g.zip_into(self.value(*a), da, |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+                    g.zip_into(self.value(id), da, |gi, yi| if yi > 0.0 { gi } else { 0.0 })
                 });
             }
             Op::LeakyRelu(a, slope) => {
@@ -703,14 +793,15 @@ impl<'a> Tape<'a> {
                 grads.accumulate_with(*a, g.len(), |da| g.zip_slice_into(mask, da, |x, m| x * m));
             }
             Op::GatherRows(a, idx) => {
-                let rows = self.value(*a).rows();
-                grads.accumulate_with(*a, self.value(*a).len(), |da| {
+                let (rows, cols) = self.dims(*a);
+                grads.accumulate_with(*a, rows * cols, |da| {
                     scatter_add_rows_into(g, idx, rows, da)
                 });
             }
             Op::ScatterAddRows(a, idx, out_rows) => {
                 debug_assert_eq!(g.rows(), *out_rows, "upstream gradient shape");
-                grads.accumulate_with(*a, self.value(*a).len(), |da| gather_rows_into(g, idx, da));
+                let (rows, cols) = self.dims(*a);
+                grads.accumulate_with(*a, rows * cols, |da| gather_rows_into(g, idx, da));
             }
             Op::ScaleRows(a, coeff) => {
                 grads.accumulate_with(*a, g.len(), |da| scale_rows_into(g, coeff, da));
@@ -724,8 +815,8 @@ impl<'a> Tape<'a> {
             } => {
                 // The adjoint runs the arcs backwards: dst → src.
                 debug_assert_eq!(g.rows(), *out_rows, "upstream gradient shape");
-                let rows = self.value(*a).rows();
-                grads.accumulate_with(*a, self.value(*a).len(), |da| {
+                let (rows, cols) = self.dims(*a);
+                grads.accumulate_with(*a, rows * cols, |da| {
                     propagate_into(g, dst, coeff, src, rows, da)
                 });
             }
@@ -737,7 +828,7 @@ impl<'a> Tape<'a> {
             Op::ConcatCols(parts) => {
                 let mut off = 0;
                 for &p in parts {
-                    let width = self.value(p).cols();
+                    let width = self.dims(p).1;
                     if self.needs_grad(p) {
                         grads.accumulate_with(p, g.rows() * width, |dp| {
                             copy_cols_into(g, off, width, dp)
@@ -747,11 +838,11 @@ impl<'a> Tape<'a> {
                 }
             }
             Op::SumAll(a) => {
-                let (r, c) = self.value(*a).dims();
+                let (r, c) = self.dims(*a);
                 grads.accumulate_with(*a, r * c, |da| da.reshape_filled(r, c, g.item()));
             }
             Op::MeanAll(a) => {
-                let (r, c) = self.value(*a).dims();
+                let (r, c) = self.dims(*a);
                 grads.accumulate_with(*a, r * c, |da| {
                     da.reshape_filled(r, c, g.item() / (r * c) as f32)
                 });
@@ -778,7 +869,7 @@ impl<'a> Tape<'a> {
                 targets,
                 mask,
             } => {
-                let (n, c) = self.value(*logp).dims();
+                let (n, c) = self.dims(*logp);
                 let denom: f32 = mask.iter().sum();
                 let scale = g.item() / denom;
                 grads.accumulate_with(*logp, n * c, |da| {
@@ -890,6 +981,33 @@ mod tests {
         t.value(xv);
     }
 
+    /// A scope releases the two values no adjoint reads — the scale's, and
+    /// the add's, which ReLU's adjoint skips by reading its own output —
+    /// and still differentiates; reading one then panics with its id.
+    #[test]
+    #[should_panic(expected = "variable 2 was released by Tape::scope")]
+    fn a_released_value_panics_with_its_id() {
+        let mut store = ParamStore::new();
+        let a = store.add("a", Tensor::from_vec(1, 3, vec![-1.0, 0.5, 2.0]));
+        let mut t = Tape::new();
+        let av = t.param(&store, a);
+        let out = t.scope(|t| {
+            let doubled = t.scale(av, 2.0);
+            let quadrupled = t.add(doubled, doubled);
+            t.relu(quadrupled)
+        });
+        assert_eq!((out, t.value(out).data()), (3, &[0.0, 2.0, 8.0][..]));
+        let l = t.sum_all(out);
+        t.accumulate_param_grads(&t.backward(l), &mut store);
+        assert_eq!(store.get(a).grad.data(), &[0.0, 4.0, 4.0]);
+        assert_eq!(
+            t.value(av).data(),
+            store.value(a).data(),
+            "a leaf outside stays"
+        );
+        t.value(2);
+    }
+
     #[test]
     fn a_row_operand_leaf_multiplies_and_differentiates_as_its_dense_twin() {
         let mut store = ParamStore::new();
@@ -971,20 +1089,35 @@ mod tests {
         t: &mut Tape<'_>,
         store: &ParamStore,
         x: ParamId,
-        (src, coeff, dst): Arcs<'_>,
+        arcs: Arcs<'_>,
         weight: &Tensor,
         fused: bool,
     ) -> VarId {
-        let out_rows = weight.rows();
         let xv = t.param(store, x);
         let act = t.leaky_relu(xv, 0.2);
-        let agg = if fused {
+        let agg = aggregate(t, act, arcs, weight.rows(), fused);
+        weigh(t, agg, weight)
+    }
+
+    /// `propagate`, or the three ops it fuses, over `act` into `out_rows`.
+    fn aggregate(
+        t: &mut Tape<'_>,
+        act: VarId,
+        (src, coeff, dst): Arcs<'_>,
+        out_rows: usize,
+        fused: bool,
+    ) -> VarId {
+        if fused {
             t.propagate(act, src.clone(), coeff.clone(), dst.clone(), out_rows)
         } else {
             let gathered = t.gather_rows(act, src.clone());
             let scaled = t.scale_rows(gathered, coeff.clone());
             t.scatter_add_rows(scaled, dst.clone(), out_rows)
-        };
+        }
+    }
+
+    /// `sum(agg ⊙ weight)`.
+    fn weigh(t: &mut Tape<'_>, agg: VarId, weight: &Tensor) -> VarId {
         let wv = t.constant(weight.clone());
         let weighted = t.mul(agg, wv);
         t.sum_all(weighted)
@@ -1014,19 +1147,29 @@ mod tests {
             let weight = Tensor::rand_uniform(out_rows, d, -1.0, 1.0, &mut rng);
 
             let grads_of = |fused: bool| {
-                let mut t = Tape::new();
                 let arcs = (&src, &coeff, &dst);
+                let mut t = Tape::new();
                 let loss = record_message_pass(&mut t, &store, x, arcs, &weight, fused);
-                let grads = t.backward(loss);
+                let dx = bits(t.backward(loss).get(0).expect("parameter gradient"));
                 // x, its activation, and the aggregate: nodes 0, 1 and the
-                // one before the weight constant.
-                let agg = loss - 3;
-                (
-                    bits(t.value(agg)),
-                    bits(grads.get(agg).expect("aggregate gradient")),
-                    bits(grads.get(1).expect("activation gradient")),
-                    bits(grads.get(0).expect("parameter gradient")),
-                )
+                // one before the weight constant. The two interior ones are
+                // observed as parameter leaves holding the same values, so
+                // their gradients are leaf gradients.
+                let mut observed = ParamStore::new();
+                let act = observed.add("act", t.value(1).clone());
+                let agg = observed.add("agg", t.value(loss - 3).clone());
+
+                let mut t = Tape::new();
+                let av = t.param(&observed, act);
+                let aggv = aggregate(&mut t, av, arcs, weight.rows(), fused);
+                let loss = weigh(&mut t, aggv, &weight);
+                let dact = bits(t.backward(loss).get(av).expect("activation gradient"));
+
+                let mut t = Tape::new();
+                let gv = t.param(&observed, agg);
+                let loss = weigh(&mut t, gv, &weight);
+                let dagg = bits(t.backward(loss).get(gv).expect("aggregate gradient"));
+                (bits(observed.value(agg)), dagg, dact, dx)
             };
             assert_eq!(grads_of(true), grads_of(false));
         }

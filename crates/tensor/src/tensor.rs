@@ -70,6 +70,12 @@ impl Tensor {
         self.data
     }
 
+    /// Values the backing buffer has room for: what the tensor holds
+    /// allocated, however many it uses.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Re-dimensions to `[rows, cols]` and hands out the emptied buffer with
     /// room reserved; the caller must push exactly `rows * cols` values.
     /// Ops that overwrite every element start here, so a recycled buffer

@@ -3,9 +3,9 @@
 
 mod common;
 
-use common::{bits, record, Inputs, LeafKind, NUM_LEAVES, ROWS};
+use common::{bits, record, record_with, Cut, Inputs, LeafKind, Variant, NUM_LEAVES, ROWS};
 use lumos_common::rng::Xoshiro256pp;
-use lumos_tensor::Tape;
+use lumos_tensor::{ParamStore, Tape};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,7 +15,8 @@ proptest! {
     /// (a random mix of params and constants) and again with every
     /// constant promoted to a param — the full sweep, through the same
     /// code. Whatever the pruned sweep still computes is bitwise what the
-    /// full one does, and it computes exactly the nodes below a param.
+    /// full one does: at the parameter leaves, and at every matrix step
+    /// re-recorded as a parameter leaf.
     #[test]
     fn pruned_sweep_matches_full_sweep(
         seed in any::<u64>(),
@@ -47,22 +48,41 @@ proptest! {
             if rec.row_leaf != Some(v) {
                 prop_assert_eq!(bits(mixed.value(v)), bits(full.value(v)), "value {}", v);
             }
-            match grads.get(v) {
-                Some(g) => {
-                    prop_assert!(rec.below_param[v], "node {} has no param below it", v);
+        }
+        // Gradients are returned for the parameter leaves the loss reaches,
+        // and for nothing else.
+        for (v, reached) in rec.reaches_loss().into_iter().enumerate() {
+            let leaf = rec.leaves.iter().position(|&l| l == v);
+            match leaf.filter(|&i| kinds[i] == LeafKind::Param && reached) {
+                Some(_) => {
+                    let g = grads.get(v).expect("a reached parameter has a gradient");
                     let reference = full_grads.get(v).expect("full sweep reaches it");
                     prop_assert_eq!(bits(g), bits(reference), "gradient {}", v);
                 }
-                None => prop_assert!(
-                    !rec.below_param[v] || full_grads.get(v).is_none(),
-                    "node {} lost its gradient", v
-                ),
+                None => prop_assert!(grads.get(v).is_none(), "node {} kept a gradient", v),
             }
         }
-        for (i, &leaf) in rec.leaves.iter().enumerate() {
-            if kinds[i] != LeafKind::Param {
-                prop_assert!(grads.get(leaf).is_none(), "constant leaf {} got a gradient", i);
-            }
+
+        // Every matrix step, observed as a parameter leaf cut in with the
+        // value the step computes: the gradient arriving there is what the
+        // pruned sweep pushed down from above, and must be the full one's.
+        for step in 0..rec.steps.len() {
+            let mut cut_store = ParamStore::new();
+            let id = cut_store.add("cut", mixed.value(rec.steps[step]).clone());
+            let cut = Variant { cut: Some(Cut { step, store: &cut_store, id }), ..Variant::default() };
+            let mut pruned = Tape::new();
+            let pruned_rec = record_with(&mut pruned, &inputs, &kinds, plan, cut);
+            let pruned_grads = pruned.backward(pruned_rec.loss);
+            let mut all = Tape::new();
+            let all_kinds = [LeafKind::Param; NUM_LEAVES];
+            let all_rec = record_with(&mut all, &inputs, &all_kinds, plan, cut);
+            let all_grads = all.backward(all_rec.loss);
+
+            prop_assert_eq!(bits(pruned.value(pruned_rec.loss)), bits(mixed.value(rec.loss)));
+            let leaf = pruned_rec.steps[step];
+            let formed = pruned_grads.get(leaf);
+            prop_assert_eq!(formed.is_some(), pruned_rec.reaches_loss()[leaf], "step {}", step);
+            prop_assert_eq!(formed.map(bits), all_grads.get(leaf).map(bits), "step {}", step);
         }
 
         // What reaches the store is the same either way.

@@ -50,10 +50,13 @@ fn reset_tape_matches_fresh_tapes_bitwise() {
             );
             formed += usize::from(grads.get(v).is_some());
         }
-        // The parent's bound, eight leaves: the ninth never takes a gradient.
-        assert!(
-            formed > NUM_LEAVES - 1,
-            "the sweep formed {formed} gradients"
-        );
+        // Exactly the parameter leaves the loss depends on keep a gradient:
+        // every interior one went back to the free list once pushed down.
+        let reaches = rec.reaches_loss();
+        let params = (rec.leaves.iter().enumerate())
+            .filter(|&(i, &leaf)| kinds[i] == LeafKind::Param && reaches[leaf])
+            .count();
+        assert!(params > 0, "the plan reaches no parameter");
+        assert_eq!(formed, params, "the sweep returned {formed} gradients");
     }
 }
