@@ -18,15 +18,11 @@ use crate::problem::Assignment;
 /// a byte on the wire.
 pub const LOG_DEGREE_BITS: u32 = 8;
 
-/// `round(ln deg)` with the convention that isolated vertices map to 0.
-pub fn rounded_log_degree(deg: usize) -> u64 {
-    rounded_log_weighted(deg, 1)
-}
-
 /// `round(ln (deg · cost))`: the log of the device's *weighted* full-ego
-/// workload in fixed-point µs. With `cost = 1` this is exactly
-/// [`rounded_log_degree`] — the paper's unweighted comparison key. The log
-/// of any `u64` product fits comfortably in [`LOG_DEGREE_BITS`].
+/// workload in fixed-point µs, with isolated vertices mapped to 0. With
+/// `cost = 1` this is `round(ln deg)` — the paper's unweighted comparison
+/// key. The log of any `u64` product fits comfortably in
+/// [`LOG_DEGREE_BITS`].
 pub fn rounded_log_weighted(deg: usize, cost: u64) -> u64 {
     if deg == 0 {
         0
@@ -100,11 +96,11 @@ mod tests {
 
     #[test]
     fn rounded_log_degree_values() {
-        assert_eq!(rounded_log_degree(0), 0);
-        assert_eq!(rounded_log_degree(1), 0);
-        assert_eq!(rounded_log_degree(3), 1);
-        assert_eq!(rounded_log_degree(20), 3);
-        assert_eq!(rounded_log_degree(150), 5);
+        assert_eq!(rounded_log_weighted(0, 1), 0);
+        assert_eq!(rounded_log_weighted(1, 1), 0);
+        assert_eq!(rounded_log_weighted(3, 1), 1);
+        assert_eq!(rounded_log_weighted(20, 1), 3);
+        assert_eq!(rounded_log_weighted(150, 1), 5);
     }
 
     #[test]

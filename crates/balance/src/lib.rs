@@ -22,16 +22,14 @@ pub mod problem;
 pub mod rebalance;
 
 pub use analysis::{summarize, BalanceSummary};
-pub use greedy::{
-    greedy_init, greedy_init_weighted, rounded_log_degree, rounded_log_weighted, LOG_DEGREE_BITS,
-};
+pub use greedy::{greedy_init, greedy_init_weighted, rounded_log_weighted, LOG_DEGREE_BITS};
 pub use maxfind::{
     find_max_workload_device, workload_bits, MaxFindOutcome, ServerTraffic, WEIGHTED_WORKLOAD_BITS,
     WORKLOAD_BITS,
 };
 pub use mcmc::{mcmc_balance, McmcConfig, McmcOutcome, McmcStats};
 pub use oracle::{
-    make_oracle, make_oracle_backend, BitslicedPlainOracle, BitslicedSecureOracle, CompareBackend,
+    make_oracle_backend, BitslicedPlainOracle, BitslicedSecureOracle, CompareBackend,
     CompareOracle, MeteredPlainOracle, SecureOracle, SecurityMode,
 };
 pub use problem::{device_id_count, objective_lower_bound, Assignment, BalanceObjective};

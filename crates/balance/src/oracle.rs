@@ -343,12 +343,6 @@ pub enum SecurityMode {
     CostModel,
 }
 
-/// Builds an oracle for the requested mode on the default
-/// [`CompareBackend::Scalar`] engine.
-pub fn make_oracle(mode: SecurityMode, seed: u64) -> Box<dyn CompareOracle> {
-    make_oracle_backend(mode, CompareBackend::Scalar, seed)
-}
-
 /// Builds an oracle for the requested mode and comparison backend.
 pub fn make_oracle_backend(
     mode: SecurityMode,
@@ -396,15 +390,6 @@ mod tests {
         let mut secure = SecureOracle::new(12);
         secure.difference(5, 9);
         assert_eq!(secure.meter(), MeteredPlainOracle::difference_cost());
-    }
-
-    #[test]
-    fn make_oracle_dispatches() {
-        let mut a = make_oracle(SecurityMode::Simulated, 1);
-        let mut b = make_oracle(SecurityMode::CostModel, 1);
-        assert_eq!(a.compare(4, 2, 4), Ordering::Greater);
-        assert_eq!(b.compare(4, 2, 4), Ordering::Greater);
-        assert_eq!(a.meter(), b.meter());
     }
 
     #[test]

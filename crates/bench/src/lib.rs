@@ -3,7 +3,8 @@
 //! One module per table/figure of the paper's evaluation (§VIII); each has a
 //! matching binary in `src/bin/`. All experiments accept `--scale
 //! smoke|small|paper` (default `small`), `--seed N`, and print the
-//! series/rows the paper reports as markdown tables (plus CSV on request).
+//! series/rows the paper reports as markdown tables; the CI sweeps also
+//! write a JSON record (`--json PATH`).
 
 #![forbid(unsafe_code)]
 pub mod args;

@@ -190,19 +190,19 @@ pub fn table(r: &PerfReport) -> Table {
         "Secure-comparison backends: scalar vs bit-sliced (real OT circuits)",
         &["metric", "scalar", "bitsliced", "ratio"],
     );
-    t.row(&[
+    t.push_row([
         format!("ns / {}-bit comparison (batch {})", r.bits, r.batch_lanes),
         fmt2(r.scalar_ns_per_cmp),
         fmt2(r.bitsliced_ns_per_cmp),
         format!("{}x", fmt2(r.compare_speedup())),
     ]);
-    t.row(&[
+    t.push_row([
         "OT messages / sweep".into(),
         r.scalar_messages.to_string(),
         r.bitsliced_messages.to_string(),
         format!("{}x", fmt2(r.message_ratio())),
     ]);
-    t.row(&[
+    t.push_row([
         format!("MCMC iters / s ({} iters)", r.mcmc_iterations),
         fmt2(r.mcmc_scalar_iters_per_sec),
         fmt2(r.mcmc_bitsliced_iters_per_sec),

@@ -9,9 +9,8 @@
 //! * [`dist`] — samplers for the distributions the paper's evaluation needs:
 //!   normal (Box–Muller), discrete power laws (the source of degree
 //!   heterogeneity, Definition 3 in the paper), Bernoulli and categorical.
-//! * [`stats`] — online moments, quantiles, histograms and empirical CDFs
-//!   used to reproduce Figure 7 (workload CDF) and summary statistics.
-//! * [`table`] — a small markdown/CSV table builder used by the experiment
+//! * [`stats`] — the empirical CDF of Figure 7 (workload CDF).
+//! * [`table`] — a small markdown table builder used by the experiment
 //!   harness to print the same rows/series the paper reports.
 //! * [`timer`] — wall-clock timing helpers for Figure 8 (training time).
 
@@ -22,7 +21,7 @@ pub mod stats;
 pub mod table;
 pub mod timer;
 
-pub use rng::{Pcg32, SplitMix64, Xoshiro256pp};
-pub use stats::{Ecdf, Histogram, OnlineStats};
+pub use rng::{SplitMix64, Xoshiro256pp};
+pub use stats::Ecdf;
 pub use table::Table;
 pub use timer::Stopwatch;

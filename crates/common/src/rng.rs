@@ -177,46 +177,6 @@ impl Xoshiro256pp {
     }
 }
 
-/// PCG32 — a compact generator kept for protocol transcripts where a small
-/// state is convenient (e.g. one per simulated crypto party).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Pcg32 {
-    state: u64,
-    inc: u64,
-}
-
-impl Pcg32 {
-    /// Creates a generator from a seed and stream id.
-    pub fn new(seed: u64, stream: u64) -> Self {
-        let mut pcg = Self {
-            state: 0,
-            inc: (stream << 1) | 1,
-        };
-        pcg.next_u32();
-        pcg.state = pcg.state.wrapping_add(seed);
-        pcg.next_u32();
-        pcg
-    }
-
-    /// Returns the next 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        let old = self.state;
-        self.state = old
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
-    }
-
-    /// Returns the next 64-bit output (two 32-bit draws).
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        ((self.next_u32() as u64) << 32) | self.next_u32() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,15 +257,6 @@ mod tests {
             assert_eq!(set.len(), k, "indices must be distinct");
             assert!(s.iter().all(|&i| i < n));
         }
-    }
-
-    #[test]
-    fn pcg32_streams_differ() {
-        let mut a = Pcg32::new(99, 1);
-        let mut b = Pcg32::new(99, 2);
-        let va: Vec<u32> = (0..4).map(|_| a.next_u32()).collect();
-        let vb: Vec<u32> = (0..4).map(|_| b.next_u32()).collect();
-        assert_ne!(va, vb);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Minimal table builder for experiment output.
 //!
 //! The experiment binaries print each figure/table of the paper as a
-//! markdown table on stdout and optionally as CSV, so runs can be diffed and
-//! pasted into a write-up directly.
+//! markdown table on stdout, so runs can be diffed and pasted into a
+//! write-up directly.
 
 use std::fmt::Write as _;
 
@@ -24,28 +24,24 @@ impl Table {
         }
     }
 
-    /// Appends a row; the row length must match the header length.
+    /// Appends a row of display values; the row length must match the
+    /// header length.
     ///
     /// # Panics
     /// Panics on arity mismatch.
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
-        assert_eq!(
-            cells.len(),
-            self.headers.len(),
-            "row arity must match headers"
-        );
-        self.rows.push(cells.to_vec());
-        self
-    }
-
-    /// Convenience for building a row out of display values.
     pub fn push_row<I, T>(&mut self, cells: I) -> &mut Self
     where
         I: IntoIterator<Item = T>,
         T: ToString,
     {
         let row: Vec<String> = cells.into_iter().map(|c| c.to_string()).collect();
-        self.row(&row)
+        assert_eq!(
+            row.len(),
+            self.headers.len(),
+            "row arity must match headers"
+        );
+        self.rows.push(row);
+        self
     }
 
     /// Number of data rows.
@@ -87,35 +83,6 @@ impl Table {
         out
     }
 
-    /// Renders the table as CSV (RFC-4180-style quoting for commas/quotes).
-    pub fn to_csv(&self) -> String {
-        fn esc(cell: &str) -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
     /// Prints the markdown rendering to stdout.
     pub fn print(&self) {
         print!("{}", self.to_markdown());
@@ -148,15 +115,6 @@ mod tests {
         assert!(md.contains("| ---"));
         assert!(md.contains("| 333 | 4 |"));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("", &["x", "y"]);
-        t.row(&["a,b".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

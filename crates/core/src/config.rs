@@ -35,14 +35,6 @@ impl TaskKind {
             TaskKind::Unsupervised => "unsupervised",
         }
     }
-
-    /// Name of the metric this task reports.
-    pub fn metric_name(self) -> &'static str {
-        match self {
-            TaskKind::Supervised => "accuracy",
-            TaskKind::Unsupervised => "roc-auc",
-        }
-    }
 }
 
 /// Full configuration of a Lumos run. Defaults follow §VIII-B.
@@ -409,8 +401,6 @@ mod tests {
         assert_eq!(c.rebalance_patience, 2);
         assert!(c.faults.is_none(), "faults are strictly opt-in");
         assert_eq!(c.recovery, RecoveryPolicy::default());
-        assert_eq!(TaskKind::Supervised.metric_name(), "accuracy");
-        assert_eq!(TaskKind::Unsupervised.metric_name(), "roc-auc");
     }
 
     #[test]

@@ -33,13 +33,6 @@ pub struct LdpExchange {
 }
 
 impl LdpExchange {
-    /// The estimate `owner` holds of `neighbor`'s feature, decoded.
-    pub fn decoded(&self, owner: u32, neighbor: u32) -> Option<Vec<f32>> {
-        self.recovered
-            .get(&(owner, neighbor))
-            .map(|kept| kept.decoded())
-    }
-
     /// Bytes the memo holds: per pair its key, its shared pointer and the
     /// kept message.
     pub fn bytes(&self) -> usize {
@@ -145,6 +138,13 @@ mod tests {
     use super::*;
     use crate::tree::LocalGraphKind;
 
+    /// The estimate `owner` holds of `neighbor`'s feature, decoded.
+    fn decoded(ex: &LdpExchange, owner: u32, neighbor: u32) -> Option<Vec<f32>> {
+        ex.recovered
+            .get(&(owner, neighbor))
+            .map(|kept| kept.decoded())
+    }
+
     fn rng() -> Xoshiro256pp {
         Xoshiro256pp::seed_from_u64(12)
     }
@@ -165,8 +165,7 @@ mod tests {
         assert_eq!(net.total_messages(), 6);
         for tree in &trees {
             for &v in &tree.neighbors {
-                let rec = ex
-                    .decoded(tree.center, v)
+                let rec = decoded(&ex, tree.center, v)
                     .expect("every neighbor leaf must have a recovered feature");
                 assert_eq!(rec.len(), dim);
                 assert!(rec.iter().all(|x| x.is_finite()));
@@ -210,7 +209,7 @@ mod tests {
         let mut net = SimNetwork::new(2);
         // Large ε ⇒ bits nearly always match the truth.
         let ex = exchange_features(&features, dim, &trees, 2000.0, &mut rng(), &mut net);
-        let rec = ex.decoded(0, 1).expect("device 0 keeps vertex 1");
+        let rec = decoded(&ex, 0, 1).expect("device 0 keeps vertex 1");
         // Transmitted dims decode near 1; missing dims decode exactly 0.5.
         let mut sent = 0;
         for x in rec {
@@ -235,7 +234,7 @@ mod tests {
         let mut net = SimNetwork::new(2);
         let mut ex = exchange_features(&features, dim, &trees, 1.0, &mut rng(), &mut net);
         assert_eq!(ex.messages, 1);
-        let before = ex.decoded(0, 1);
+        let before = decoded(&ex, 0, 1);
         assert!(before.is_some());
         // Migration hands the edge to device 1: its tree now needs vertex
         // 0's feature, which never crossed the wire.
@@ -256,7 +255,7 @@ mod tests {
         assert_eq!(ex.messages, 2);
         assert!(ex.recovered.contains_key(&(1, 0)));
         // The pre-existing estimate is untouched — its budget was spent.
-        assert_eq!(ex.decoded(0, 1), before);
+        assert_eq!(decoded(&ex, 0, 1), before);
         // Running it again is a no-op: nothing is missing anymore.
         let again = exchange_missing_features(
             &features,

@@ -597,7 +597,7 @@ impl Fleet {
                 let rehome = (!outaged.is_empty()).then(|| topo.failover_map(&outaged));
                 let served = rehome.iter().flatten().enumerate();
                 failovers = served.filter(|&(k, &t)| t as usize != k).count() as u64;
-                self.runtime.set_failover(rehome);
+                self.runtime.network.set_rehome(rehome);
             }
             let compiled = fstate.compile_round(profiles);
             judged.faults = FaultCounters {

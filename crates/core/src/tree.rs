@@ -138,21 +138,6 @@ impl DeviceTree {
             + size_of_val(&self.edges[..])
     }
 
-    /// For each local node, the global vertex it represents as a *leaf*
-    /// (None for virtual nodes). Used by the POOL layer (Eq. 31).
-    pub fn leaf_vertices(&self) -> Vec<Option<u32>> {
-        self.nodes
-            .iter()
-            .map(|n| match n {
-                TreeNode::Root | TreeNode::Parent(_) => None,
-                TreeNode::CenterLeaf(_) | TreeNode::EgoCenter => Some(self.center),
-                TreeNode::NeighborLeaf(k) | TreeNode::EgoNeighbor(k) => {
-                    Some(self.neighbors[*k as usize])
-                }
-            })
-            .collect()
-    }
-
     /// Checks the structural invariants of §V-A.
     pub fn check_invariants(&self) -> Result<(), String> {
         match self.kind {
@@ -200,6 +185,21 @@ impl DeviceTree {
 mod tests {
     use super::*;
 
+    /// For each local node, the global vertex it represents as a *leaf*
+    /// (None for virtual nodes) — what the batch builder pools (Eq. 31).
+    fn leaf_vertices(t: &DeviceTree) -> Vec<Option<u32>> {
+        t.nodes
+            .iter()
+            .map(|n| match n {
+                TreeNode::Root | TreeNode::Parent(_) => None,
+                TreeNode::CenterLeaf(_) | TreeNode::EgoCenter => Some(t.center),
+                TreeNode::NeighborLeaf(k) | TreeNode::EgoNeighbor(k) => {
+                    Some(t.neighbors[*k as usize])
+                }
+            })
+            .collect()
+    }
+
     /// The running example of Fig. 2: vertex 1 with neighbors {2, 3, 4, 5}.
     #[test]
     fn figure_2_tree_structure() {
@@ -211,7 +211,7 @@ mod tests {
         let root_edges: Vec<_> = t.edges.iter().filter(|(a, _)| *a == 0).collect();
         assert_eq!(root_edges.len(), 4);
         // Each parent joins a center copy and one neighbor.
-        let lv = t.leaf_vertices();
+        let lv = leaf_vertices(&t);
         assert_eq!(lv[0], None); // root
         assert_eq!(lv[1], None); // P1
         assert_eq!(lv[2], Some(1)); // center copy
@@ -227,7 +227,7 @@ mod tests {
         let t = DeviceTree::with_virtual_nodes(7, vec![]);
         t.check_invariants().unwrap();
         assert_eq!(t.num_nodes(), 1);
-        assert_eq!(t.leaf_vertices(), vec![Some(7)]);
+        assert_eq!(leaf_vertices(&t), vec![Some(7)]);
     }
 
     #[test]
@@ -236,7 +236,7 @@ mod tests {
         t.check_invariants().unwrap();
         assert_eq!(t.num_nodes(), 4);
         assert_eq!(t.edges, vec![(0, 1), (0, 2), (0, 3)]);
-        let lv = t.leaf_vertices();
+        let lv = leaf_vertices(&t);
         assert_eq!(lv[0], Some(3));
         assert_eq!(lv[3], Some(9));
         // Center appears once, not replicated.

@@ -21,16 +21,6 @@ pub struct SharedBit {
     share_b: bool,
 }
 
-impl SharedBit {
-    /// A public constant (held as `(value, false)` by convention).
-    pub fn constant(value: bool) -> Self {
-        Self {
-            share_a: value,
-            share_b: false,
-        }
-    }
-}
-
 /// Execution context for a two-party computation session.
 #[derive(Debug)]
 pub struct TwoParty {
@@ -250,7 +240,11 @@ mod tests {
     #[test]
     fn constants_behave() {
         let mut ctx = TwoParty::new(4);
-        let one = SharedBit::constant(true);
+        // A public constant is held as `(value, false)` by convention.
+        let one = SharedBit {
+            share_a: true,
+            share_b: false,
+        };
         let x = ctx.share_from_b(true);
         let z = ctx.and(one, x);
         assert!(ctx.reveal(z));

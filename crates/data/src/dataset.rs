@@ -212,12 +212,6 @@ impl Dataset {
     pub fn num_nodes(&self) -> usize {
         self.graph.num_nodes()
     }
-
-    /// Feature row of vertex `v`.
-    pub fn feature(&self, v: u32) -> &[f32] {
-        let v = v as usize;
-        &self.features[v * self.feature_dim..(v + 1) * self.feature_dim]
-    }
 }
 
 #[cfg(test)]
@@ -276,10 +270,11 @@ mod tests {
         // Mean feature distance between same-class nodes should be smaller
         // than between different-class nodes.
         let ds = Dataset::lastfm_like(Scale::Smoke);
+        let row = |v: u32| &ds.features[v as usize * ds.feature_dim..][..ds.feature_dim];
         let dist = |a: u32, b: u32| -> f32 {
-            ds.feature(a)
+            row(a)
                 .iter()
-                .zip(ds.feature(b))
+                .zip(row(b))
                 .map(|(x, y)| (x - y) * (x - y))
                 .sum::<f32>()
         };

@@ -55,21 +55,6 @@ impl NodeSplit {
             test_mask,
         }
     }
-
-    /// Number of training vertices.
-    pub fn num_train(&self) -> usize {
-        self.train_mask.iter().filter(|&&b| b).count()
-    }
-
-    /// Number of validation vertices.
-    pub fn num_val(&self) -> usize {
-        self.val_mask.iter().filter(|&&b| b).count()
-    }
-
-    /// Number of test vertices.
-    pub fn num_test(&self) -> usize {
-        self.test_mask.iter().filter(|&&b| b).count()
-    }
 }
 
 /// Edge-level split for link prediction, with sampled negatives.
@@ -118,11 +103,6 @@ impl EdgeSplit {
             test_negatives,
         }
     }
-
-    /// The training graph: same vertices, only training edges.
-    pub fn train_graph(&self, num_nodes: usize) -> Graph {
-        Graph::from_edges(num_nodes, &self.train_edges)
-    }
 }
 
 /// Samples `k` distinct vertex pairs that are not edges of `g` (and not
@@ -170,9 +150,10 @@ mod tests {
             let memberships = s.train_mask[v] as u8 + s.val_mask[v] as u8 + s.test_mask[v] as u8;
             assert_eq!(memberships, 1, "vertex {v} must be in exactly one split");
         }
-        assert_eq!(s.num_train(), 500);
-        assert_eq!(s.num_val(), 250);
-        assert_eq!(s.num_test(), 250);
+        let count = |mask: &[bool]| mask.iter().filter(|&&b| b).count();
+        assert_eq!(count(&s.train_mask), 500);
+        assert_eq!(count(&s.val_mask), 250);
+        assert_eq!(count(&s.test_mask), 250);
     }
 
     #[test]
@@ -201,7 +182,7 @@ mod tests {
         let mut r = rng();
         let g = erdos_renyi(100, 0.1, &mut r);
         let s = EdgeSplit::uniform(&g, &mut r);
-        let tg = s.train_graph(100);
+        let tg = Graph::from_edges(100, &s.train_edges);
         assert_eq!(tg.num_edges(), s.train_edges.len());
         for &(u, v) in &s.test_edges {
             assert!(!tg.has_edge(u, v), "test edge must not leak into training");

@@ -117,7 +117,10 @@ impl SimNetwork {
     /// each upload on the aggregator actually serving the sender's shard,
     /// and [`SimNetwork::send_partials`] ships nothing from an outaged
     /// aggregator, so its ledger stays flat while its successor absorbs the
-    /// traffic.
+    /// traffic. Tier-2 timing reads the same map back
+    /// ([`SimNetwork::rehome_map`]) to fold each outaged shard's members into
+    /// their successor — one copy, so timing and the ledger cannot disagree
+    /// on who served the round.
     ///
     /// # Panics
     /// Panics in flat mode, or if the map's length disagrees with the
@@ -304,16 +307,6 @@ impl SimNetwork {
         self.server_bytes_received
     }
 
-    /// Average messages sent per device (Fig. 8a's y-axis when divided by
-    /// epochs).
-    pub fn avg_sent_per_device(&self) -> f64 {
-        if self.devices.is_empty() {
-            0.0
-        } else {
-            self.devices.iter().map(|d| d.sent).sum::<u64>() as f64 / self.devices.len() as f64
-        }
-    }
-
     /// Opens a ledger window and returns its snapshot for differential
     /// accounting: the per-device counters as they stand, and the id of
     /// the window whose message log starts empty here. Every `*_since`
@@ -484,7 +477,7 @@ mod tests {
         assert_eq!(net.total_bytes(), 170);
         assert_eq!(net.rounds(), 1);
         assert_eq!(net.server_received(), 1);
-        assert!((net.avg_sent_per_device() - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!((0..3).map(|d| net.device(d).sent).sum::<u64>(), 4);
     }
 
     #[test]

@@ -157,21 +157,6 @@ impl Runtime {
         }
     }
 
-    /// Installs (or clears) the round's aggregator failover map
-    /// (`Topology::failover_map` output) on the network this runtime owns:
-    /// the ledger routes each upload to the aggregator actually serving
-    /// the sender's shard, and tier-2 timing reads the same map back to
-    /// fold each outaged shard's members into their successor
-    /// ([`tier_timing_failover`]) — one copy, so timing and the ledger
-    /// cannot disagree on who served the round.
-    ///
-    /// # Panics
-    /// Panics as [`SimNetwork::set_rehome`] does: on a flat network, or if
-    /// the map's length disagrees with the aggregator count.
-    pub fn set_failover(&mut self, rehome: Option<Vec<u32>>) {
-        self.network.set_rehome(rehome);
-    }
-
     /// Installs the aggregator tier, before the first round: the network
     /// becomes a sharded ledger over the tier's partition, so every
     /// server-bound send lands at the sender's aggregator; every epoch
@@ -754,7 +739,7 @@ mod tests {
         rt.begin_epoch();
         // Aggregator 0 is out in the arrival round: its successor serves,
         // and ships the round's one partial.
-        rt.set_failover(Some(vec![1, 1]));
+        rt.network.set_rehome(Some(vec![1, 1]));
         assert_eq!(rt.advance_carried(), vec![(0, 1)]);
         let rec = rt.end_epoch(&[1; 4], 2, None);
         let net = &rt.network;

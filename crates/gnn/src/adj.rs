@@ -80,11 +80,6 @@ impl MessageGraph {
             mean_coeff: Rc::new(mean_coeff),
         }
     }
-
-    /// Number of directed arcs (including self-loops).
-    pub fn num_arcs(&self) -> usize {
-        self.src.len()
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +90,7 @@ mod tests {
     fn arc_counts_include_self_loops() {
         let mg = MessageGraph::from_undirected(3, &[(0, 1), (1, 2)]);
         // 2 edges * 2 directions + 3 self-loops.
-        assert_eq!(mg.num_arcs(), 7);
+        assert_eq!(mg.src.len(), 7);
         assert_eq!(mg.num_nodes, 3);
     }
 
@@ -103,7 +98,7 @@ mod tests {
     fn gcn_coefficients_match_hand_computation() {
         // Path 0-1-2: degrees with loops are d̂ = [2, 3, 2].
         let mg = MessageGraph::from_undirected(3, &[(0, 1), (1, 2)]);
-        for i in 0..mg.num_arcs() {
+        for i in 0..mg.src.len() {
             let (s, d) = (mg.src[i] as usize, mg.dst[i] as usize);
             let dh = [2.0f32, 3.0, 2.0];
             let expected = 1.0 / (dh[s].sqrt() * dh[d].sqrt());
@@ -119,7 +114,7 @@ mod tests {
     fn mean_coefficients_average_the_open_neighborhood() {
         // Star 0-{1,2} plus the isolated node 3.
         let mg = MessageGraph::from_undirected(4, &[(0, 1), (0, 2)]);
-        for i in 0..mg.num_arcs() {
+        for i in 0..mg.src.len() {
             let expected = match (mg.src[i], mg.dst[i]) {
                 (s, d) if s == d => 0.0,
                 (_, 0) => 0.5,
@@ -132,9 +127,9 @@ mod tests {
     #[test]
     fn isolated_nodes_still_get_self_loops() {
         let mg = MessageGraph::from_undirected(4, &[(0, 1)]);
-        assert_eq!(mg.num_arcs(), 2 + 4);
+        assert_eq!(mg.src.len(), 2 + 4);
         // Self-loop of an isolated node has coefficient 1.
-        let idx = (0..mg.num_arcs())
+        let idx = (0..mg.src.len())
             .find(|&i| mg.src[i] == 3 && mg.dst[i] == 3)
             .expect("self-loop exists");
         assert!((mg.gcn_coeff[idx] - 1.0).abs() < 1e-6);

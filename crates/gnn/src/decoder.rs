@@ -11,7 +11,6 @@ use lumos_tensor::{ParamId, ParamStore, Tape, Tensor, VarId};
 pub struct LinearDecoder {
     w: ParamId,
     b: ParamId,
-    num_classes: usize,
 }
 
 impl LinearDecoder {
@@ -29,13 +28,7 @@ impl LinearDecoder {
                 Tensor::glorot(in_dim, num_classes, rng),
             ),
             b: store.add(format!("{name}.bias"), Tensor::zeros(1, num_classes)),
-            num_classes,
         }
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
     }
 
     /// Produces per-node class logits `[n, L]`.
@@ -74,7 +67,6 @@ mod tests {
         let mut r = rng();
         let mut store = ParamStore::new();
         let dec = LinearDecoder::new(&mut store, "head", 16, 4, &mut r);
-        assert_eq!(dec.num_classes(), 4);
         let mut tape = Tape::new();
         let h = tape.constant(Tensor::rand_uniform(7, 16, -1.0, 1.0, &mut r));
         let z = dec.forward(&mut tape, &store, h);

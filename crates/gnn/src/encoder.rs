@@ -125,11 +125,6 @@ impl GnnEncoder {
         self.out_dim
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Full forward pass: layer → (ReLU → dropout) between layers. Each
     /// layer records in its own [`Tape::scope`], so the activations no
     /// adjoint reads back are released as soon as it returns.
@@ -172,7 +167,7 @@ mod tests {
         let mut store = ParamStore::new();
         let cfg = EncoderConfig::paper(Backbone::Gcn, 32);
         let enc = GnnEncoder::new(&mut store, &cfg, &mut r);
-        assert_eq!(enc.num_layers(), 2);
+        assert_eq!(enc.layers.len(), 2);
         assert_eq!(enc.out_dim(), 16);
         let mg = MessageGraph::from_undirected(5, &[(0, 1), (1, 2), (3, 4)]);
         let mut tape = Tape::new();

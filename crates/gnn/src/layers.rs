@@ -202,15 +202,6 @@ impl Layer {
             Layer::Sage(l) => l.forward(tape, store, x, mg),
         }
     }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        match self {
-            Layer::Gcn(l) => l.out_dim(),
-            Layer::Gat(l) => l.out_dim(),
-            Layer::Sage(l) => l.out_dim(),
-        }
-    }
 }
 
 /// Dropout wrapper used between layers (inverted dropout, `p = 0.01` in the

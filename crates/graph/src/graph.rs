@@ -129,11 +129,6 @@ impl Graph {
         arcs
     }
 
-    /// Number of isolated vertices (degree zero).
-    pub fn num_isolated(&self) -> usize {
-        self.adj.iter().filter(|nb| nb.is_empty()).count()
-    }
-
     /// Checks internal invariants (sorted, symmetric, loop-free adjacency);
     /// used by generator tests.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -202,7 +197,7 @@ mod tests {
     #[test]
     fn isolated_count() {
         let g = Graph::from_edges(5, &[(0, 1)]);
-        assert_eq!(g.num_isolated(), 3);
+        assert_eq!(g.degrees().iter().filter(|&&d| d == 0).count(), 3);
     }
 
     #[test]

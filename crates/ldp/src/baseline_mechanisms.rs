@@ -90,11 +90,6 @@ impl GaussianMechanism {
         Self::with_sigma((2.0 * (1.25 / delta).ln()).sqrt() * delta_f / epsilon)
     }
 
-    /// Noise scale.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Adds i.i.d. Gaussian noise to each element.
     pub fn privatize(&self, feature: &[f32], rng: &mut Xoshiro256pp) -> Vec<f32> {
         let dist = Normal::new(0.0, self.sigma);
@@ -152,12 +147,6 @@ impl RandomizedResponse {
             }
         }
     }
-
-    /// Privatizes one bit (k = 2 convenience).
-    pub fn privatize_bit(&self, bit: bool, rng: &mut Xoshiro256pp) -> bool {
-        assert_eq!(self.k, 2, "privatize_bit requires binary RR");
-        self.privatize(bit as u32, rng) == 1
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +195,7 @@ mod tests {
     fn gaussian_calibration_formula() {
         let g = GaussianMechanism::calibrated(1.0, 1e-5, 1.0);
         let expected = (2.0f64 * (1.25f64 / 1e-5).ln()).sqrt();
-        assert!((g.sigma() - expected).abs() < 1e-12);
+        assert!((g.sigma - expected).abs() < 1e-12);
     }
 
     #[test]
@@ -229,9 +218,7 @@ mod tests {
     fn rr_outputs_in_range_and_bits_flip() {
         let rr = RandomizedResponse::new(0.5, 2);
         let mut r = rng();
-        let flips = (0..50_000)
-            .filter(|_| rr.privatize_bit(false, &mut r))
-            .count();
+        let flips = (0..50_000).filter(|_| rr.privatize(0, &mut r) == 1).count();
         let frac = flips as f64 / 50_000.0;
         let expected = 1.0 - rr.keep_prob();
         assert!((frac - expected).abs() < 0.02, "flip rate {frac}");

@@ -49,9 +49,4 @@ impl Config {
             ],
         }
     }
-
-    /// Defaults with an unset root (unit tests that never touch the disk).
-    pub fn defaults() -> Self {
-        Self::for_root(PathBuf::new())
-    }
 }

@@ -323,7 +323,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn scan(rel: &str, src: &str) -> Vec<Finding> {
-        let cfg = Config::defaults();
+        let cfg = Config::for_root(std::path::PathBuf::new());
         scan_file(&cfg, rel, src, &lex(src))
     }
 

@@ -72,9 +72,12 @@ pub enum FaultSpec {
         crash_rate: f64,
         /// Per-attempt probability that a send is lost in transit.
         loss_rate: f64,
-        /// Per-send probability of a duplicate delivery (receivers
-        /// deduplicate by round sequence, so a duplicate costs traffic
-        /// accounting only, never correctness or timing).
+        /// Per-send probability of a duplicate delivery. Receivers
+        /// deduplicate by round sequence, so a duplicate changes neither
+        /// correctness nor timing. It costs one Bernoulli draw per send on
+        /// the fault stream and is tallied in
+        /// [`FaultCounters::duplicated_messages`], but no ledger, round
+        /// record or `SimSummary` charges its traffic.
         duplicate_rate: f64,
         /// Aggregator outage windows (hierarchical topologies only).
         outages: Vec<OutageWindow>,
@@ -170,7 +173,8 @@ pub struct SendFaults {
     /// The final attempt was also lost: the send never lands and the
     /// update degrades into the staleness buffer.
     pub exhausted: bool,
-    /// Duplicate deliveries drawn for this send (accounting only).
+    /// Duplicate deliveries drawn for this send; tallied in
+    /// [`FaultCounters::duplicated_messages`] and charged nowhere.
     pub duplicates: u32,
 }
 
@@ -216,7 +220,9 @@ pub struct FaultCounters {
     /// Sends whose retry budget ran out (each degrades into the
     /// staleness buffer — never silently dropped).
     pub exhausted_sends: u64,
-    /// Duplicate deliveries drawn.
+    /// Duplicate deliveries drawn. The trainer copies the other counters
+    /// into the round's record; this one it drops, so no report field and
+    /// no ledger counts a duplicate.
     pub duplicated_messages: u64,
     /// Shards served by a failover successor aggregator this round. The
     /// plan knows no topology: the trainer fills this in from the round's
@@ -331,11 +337,6 @@ impl FaultState {
         }
     }
 
-    /// The current round (0-based).
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
     /// Aggregators whose outage window covers the current round, in
     /// ascending shard order, restricted to `num_aggregators`.
     pub fn outaged_aggregators(&self, num_aggregators: usize) -> Vec<u32> {
@@ -440,7 +441,7 @@ mod tests {
         let plan = st.compile_round(&fleet(8));
         assert!(plan.is_clean());
         assert_eq!(plan.round_counters(&[true; 8]), FaultCounters::default());
-        assert_eq!(st.round(), 1);
+        assert_eq!(st.round, 1);
     }
 
     #[test]

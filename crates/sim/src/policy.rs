@@ -143,25 +143,16 @@ impl AggregationPolicy {
         }
     }
 
-    /// The devices this policy drops from a round with the given timing:
+    /// The devices this policy drops from a round with the given timing —
     /// those whose update landed strictly after `factor ×` the round's
-    /// median delivery time (lower median — deterministic, no averaging).
+    /// median delivery time (lower median — deterministic, no averaging) —
+    /// each with its *staleness*: how many additional round-lengths its
+    /// update spends in flight past the deadline, `ceil(delivery /
+    /// deadline) - 1`, clamped to `1..=`[`STALENESS_CAP`]. An update
+    /// landing just past the deadline arrives next round (staleness 1); one
+    /// landing at 3× the deadline arrives two rounds later (staleness 2).
     /// Empty under [`AggregationPolicy::FullSync`] and for rounds where
-    /// nothing ran. Returned sorted by device id.
-    pub fn late_devices(&self, stats: &EpochStats) -> Vec<u32> {
-        self.late_with_staleness(stats)
-            .into_iter()
-            .map(|(d, _)| d)
-            .collect()
-    }
-
-    /// [`AggregationPolicy::late_devices`] plus each late device's
-    /// *staleness*: how many additional round-lengths its update spends in
-    /// flight past the deadline, `ceil(delivery / deadline) - 1`, clamped
-    /// to `1..=`[`STALENESS_CAP`]. An update landing just past the
-    /// deadline arrives next round (staleness 1); one landing at 3× the
-    /// deadline arrives two rounds later (staleness 2). Sorted by device
-    /// id.
+    /// nothing ran. Sorted by device id.
     ///
     /// Under [`AggregationPolicy::Async`] the "late" set is the complement
     /// of the quorum — every device whose update lands after the
@@ -408,7 +399,9 @@ mod tests {
     #[test]
     fn full_sync_never_drops() {
         let s = stats_with(vec![Some(1.0), Some(1e9)]);
-        assert!(AggregationPolicy::FullSync.late_devices(&s).is_empty());
+        assert!(AggregationPolicy::FullSync
+            .late_with_staleness(&s)
+            .is_empty());
     }
 
     #[test]
@@ -417,15 +410,15 @@ mod tests {
         // Sorted deliveries: 0.9, 1.0, 1.1, 40 → lower median 1.0, deadline
         // 2.0 at factor 2 → only the 40s device is late; the absent device
         // (None) is never dropped.
-        let late = AggregationPolicy::Deadline { factor: 2.0 }.late_devices(&s);
-        assert_eq!(late, vec![4]);
+        let late = AggregationPolicy::Deadline { factor: 2.0 }.late_with_staleness(&s);
+        assert_eq!(late.iter().map(|&(d, _)| d).collect::<Vec<_>>(), vec![4]);
     }
 
     #[test]
     fn at_least_half_the_round_survives() {
         for n in 1..32usize {
             let s = stats_with((0..n).map(|i| Some((i + 1) as f64)).collect());
-            let late = AggregationPolicy::Deadline { factor: 1.0 }.late_devices(&s);
+            let late = AggregationPolicy::Deadline { factor: 1.0 }.late_with_staleness(&s);
             assert!(
                 n - late.len() >= n.div_ceil(2),
                 "n={n}: {} dropped",
@@ -438,7 +431,7 @@ mod tests {
     fn empty_round_drops_nobody() {
         let s = stats_with(vec![None, None]);
         assert!(AggregationPolicy::Deadline { factor: 2.0 }
-            .late_devices(&s)
+            .late_with_staleness(&s)
             .is_empty());
     }
 
@@ -457,8 +450,8 @@ mod tests {
             })
             .collect();
         let stats = simulate_epoch(&profiles, &w);
-        let late = AggregationPolicy::Deadline { factor: 2.0 }.late_devices(&stats);
-        assert_eq!(late, vec![3]);
+        let late = AggregationPolicy::Deadline { factor: 2.0 }.late_with_staleness(&stats);
+        assert_eq!(late.iter().map(|&(d, _)| d).collect::<Vec<_>>(), vec![3]);
         assert_eq!(AggregationPolicy::FullSync.name(), "full-sync");
         assert_eq!(
             AggregationPolicy::Deadline { factor: 2.0 }.name(),
@@ -476,7 +469,10 @@ mod tests {
             factor: 2.0,
             decay: 0.5,
         };
-        assert_eq!(buffered.late_devices(&s), deadline.late_devices(&s));
+        assert_eq!(
+            buffered.late_with_staleness(&s),
+            deadline.late_with_staleness(&s)
+        );
         assert_eq!(buffered.name(), "buffered");
     }
 

@@ -1,12 +1,12 @@
 //! The reusable event-driven runtime the training stack is built on.
 //!
-//! [`simulate_epoch`](crate::epoch::simulate_epoch) used to own a private
-//! event loop; this module lifts it out so any consumer — `lumos-fed`'s
-//! `Runtime`, `lumos-core`'s trainer, the bench harnesses — can subscribe a
-//! handler to the raw event stream and make decisions *at event
-//! granularity*: an aggregation policy judges each update at its landing
-//! event, and an asynchronous round closes the moment a quorum has landed
-//! ([`Control::CloseRound`]) instead of waiting for the global barrier.
+//! Any consumer — `lumos-fed`'s `Runtime`, `lumos-core`'s trainer, the
+//! bench harnesses, and [`simulate_epoch`](crate::epoch::simulate_epoch),
+//! the barrier run — subscribes a handler to the raw event stream and makes
+//! decisions *at event granularity*: an aggregation policy judges each
+//! update at its landing event, and an asynchronous round closes the moment
+//! a quorum has landed ([`Control::CloseRound`]) instead of waiting for the
+//! global barrier.
 //!
 //! The schedule is static, so it is a value: every device's compute end,
 //! burst delivery, per-edge arrivals, and inbox drain are priced up front
@@ -25,9 +25,8 @@ use crate::time::VirtualTime;
 
 /// Simulation events; each is attributed to the device that caused it.
 ///
-/// This is the public face of what used to be `epoch.rs`'s private event
-/// enum: handlers subscribed through [`EventDrivenRuntime::run`] see every
-/// event of the schedule, in deterministic `(time, kind, device)` order.
+/// Handlers subscribed through [`EventDrivenRuntime::run`] see every event
+/// of the schedule, in deterministic `(time, kind, device)` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// Local compute finished.
@@ -359,12 +358,6 @@ impl EventDrivenRuntime {
     /// at its `ComputeDone`.
     pub fn ships_burst(&self) -> &[bool] {
         &self.bursts
-    }
-
-    /// Devices that participate this epoch (available, regardless of
-    /// workload).
-    pub fn active_devices(&self) -> usize {
-        self.active
     }
 
     /// Runs the schedule to completion — or to the handler's
@@ -761,7 +754,7 @@ mod tests {
             13,
         );
         let plan = st.compile_round(&profiles);
-        let mut last = VirtualTime::ZERO;
+        let mut last = VirtualTime::default();
         let mut fault_events = 0u64;
         EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan)).run(|t, ev| {
             assert!(t >= last, "time went backwards at {ev:?}");
@@ -790,7 +783,7 @@ mod tests {
             burst_work(100.0),
         ];
         let rt = EventDrivenRuntime::new(&profiles, &work);
-        assert_eq!(rt.active_devices(), 2);
+        assert_eq!(rt.active, 2);
         assert_eq!(rt.ships_burst(), &[true, false, false]);
         let planned = rt.update_delivery_secs().to_vec();
         assert!(planned[0].is_some() && planned[1].is_some());

@@ -123,11 +123,6 @@ impl ScenarioState {
         &self.profiles
     }
 
-    /// Rounds advanced so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
     /// Applies one round of churn: available devices drop with probability
     /// `dropout`, dropped devices rejoin with probability `rejoin`. At
     /// least one device always stays available.
@@ -195,7 +190,7 @@ mod tests {
             saw_drop |= avail < 64;
         }
         assert!(saw_drop, "10% dropout over 50 rounds must drop someone");
-        assert_eq!(st.rounds(), 50);
+        assert_eq!(st.rounds, 50);
     }
 
     #[test]

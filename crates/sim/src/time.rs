@@ -16,9 +16,6 @@ use std::cmp::Ordering;
 pub struct VirtualTime(f64);
 
 impl VirtualTime {
-    /// The epoch origin, t = 0.
-    pub const ZERO: VirtualTime = VirtualTime(0.0);
-
     /// Creates a virtual time at `secs`.
     ///
     /// # Panics

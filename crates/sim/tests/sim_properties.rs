@@ -258,13 +258,13 @@ proptest! {
         let (profiles, aggregate) = random_fleet(seed, n);
         let work = scatter_inbound(seed, &aggregate);
         let stats = simulate_epoch(&profiles, &work);
-        let late = AggregationPolicy::Deadline { factor }.late_devices(&stats);
+        let late = AggregationPolicy::Deadline { factor }.late_with_staleness(&stats);
         let participants = stats.update_delivery_secs.iter().flatten().count();
         prop_assert!(late.len() <= participants / 2);
-        for &d in &late {
+        for &(d, _) in &late {
             prop_assert!(stats.update_delivery_secs[d as usize].is_some());
         }
-        prop_assert!(AggregationPolicy::FullSync.late_devices(&stats).is_empty());
+        prop_assert!(AggregationPolicy::FullSync.late_with_staleness(&stats).is_empty());
     }
 
     /// The buffered policy's cut is the deadline's cut — identical late set
@@ -279,7 +279,10 @@ proptest! {
         let stats = simulate_epoch(&profiles, &work);
         let deadline = AggregationPolicy::Deadline { factor };
         let buffered = AggregationPolicy::Buffered { factor, decay };
-        prop_assert_eq!(buffered.late_devices(&stats), deadline.late_devices(&stats));
+        prop_assert_eq!(
+            buffered.late_with_staleness(&stats),
+            deadline.late_with_staleness(&stats)
+        );
         for (d, s) in buffered.late_with_staleness(&stats) {
             prop_assert!((1..=STALENESS_CAP).contains(&s), "device {} staleness {}", d, s);
         }

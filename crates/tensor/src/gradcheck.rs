@@ -30,19 +30,6 @@ pub fn numeric_grad(
     grad
 }
 
-/// Relative error between an analytic and a numeric gradient:
-/// `max |a-n| / (max(|a|,|n|) + 1)`. Values below ~1e-2 for `f32` indicate a
-/// correct backward implementation.
-pub fn relative_error(analytic: &Tensor, numeric: &Tensor) -> f32 {
-    assert_eq!(analytic.dims(), numeric.dims(), "gradient shape mismatch");
-    analytic
-        .data()
-        .iter()
-        .zip(numeric.data())
-        .map(|(&a, &n)| (a - n).abs() / (a.abs().max(n.abs()) + 1.0))
-        .fold(0.0, f32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,11 +52,5 @@ mod tests {
         assert!(g.max_abs_diff(&expected) < 1e-2, "{g:?}");
         // Store restored.
         assert_eq!(store.value(a).data(), &[1.0, -2.0, 0.5]);
-    }
-
-    #[test]
-    fn relative_error_zero_for_identical() {
-        let t = Tensor::from_vec(1, 2, vec![3.0, 4.0]);
-        assert_eq!(relative_error(&t, &t), 0.0);
     }
 }

@@ -8,8 +8,9 @@
 //! dense [`Tensor`] with explicit index arrays.
 //!
 //! Each kernel is written once, as an `_into` form that fills a caller-owned
-//! output (the tape hands it recycled buffers); the allocating function of
-//! the same name wraps it.
+//! output (the tape hands it recycled buffers); where code outside the tape
+//! calls a forward kernel, the allocating function of the same name wraps
+//! it.
 
 use crate::tensor::Tensor;
 
@@ -191,14 +192,8 @@ pub(crate) fn segment_softmax_into(x: &Tensor, seg: &[u32], n_seg: usize, out: &
 }
 
 /// Backward pass for [`segment_softmax`]: given the forward output `y` and
-/// the upstream gradient `dy`, returns `dx = y * (dy - sum_seg(dy * y))`.
-pub fn segment_softmax_backward(y: &Tensor, dy: &Tensor, seg: &[u32], n_seg: usize) -> Tensor {
-    let mut dx = Tensor::default();
-    segment_softmax_backward_into(y, dy, seg, n_seg, &mut dx);
-    dx
-}
-
-/// [`segment_softmax_backward`] into `dx`, reusing its buffer.
+/// the upstream gradient `dy`, fills `dx = y * (dy - sum_seg(dy * y))`,
+/// reusing its buffer.
 pub(crate) fn segment_softmax_backward_into(
     y: &Tensor,
     dy: &Tensor,
@@ -229,14 +224,8 @@ pub(crate) fn segment_softmax_backward_into(
     }
 }
 
-/// Row-wise log-softmax for classification heads.
-pub fn log_softmax_rows(x: &Tensor) -> Tensor {
-    let mut out = Tensor::default();
-    log_softmax_rows_into(x, &mut out);
-    out
-}
-
-/// [`log_softmax_rows`] into `out`, reusing its buffer.
+/// Row-wise log-softmax for classification heads, into `out`, reusing its
+/// buffer.
 pub(crate) fn log_softmax_rows_into(x: &Tensor, out: &mut Tensor) {
     let (n, c) = x.dims();
     let buf = out.reshape_empty(n, c);
@@ -248,17 +237,11 @@ pub(crate) fn log_softmax_rows_into(x: &Tensor, out: &mut Tensor) {
     }
 }
 
-/// Concatenates tensors horizontally (same row count).
+/// Concatenates tensors horizontally (same row count) into `out`, reusing
+/// its buffer.
 ///
 /// # Panics
 /// Panics if the list is empty or row counts differ.
-pub fn concat_cols(parts: &[&Tensor]) -> Tensor {
-    let mut out = Tensor::default();
-    concat_cols_into(parts, &mut out);
-    out
-}
-
-/// [`concat_cols`] into `out`, reusing its buffer.
 pub(crate) fn concat_cols_into(parts: &[&Tensor], out: &mut Tensor) {
     assert!(!parts.is_empty(), "concat_cols needs at least one input");
     let n = parts[0].rows();
@@ -272,31 +255,8 @@ pub(crate) fn concat_cols_into(parts: &[&Tensor], out: &mut Tensor) {
     }
 }
 
-/// Splits a tensor into horizontal blocks with the given column widths
-/// (inverse of [`concat_cols`]).
-///
-/// # Panics
-/// Panics if the widths do not sum to the column count.
-pub fn split_cols(x: &Tensor, widths: &[usize]) -> Vec<Tensor> {
-    assert_eq!(
-        widths.iter().sum::<usize>(),
-        x.cols(),
-        "widths must sum to cols"
-    );
-    let mut off = 0;
-    widths
-        .iter()
-        .map(|&w| {
-            let mut block = Tensor::default();
-            copy_cols_into(x, off, w, &mut block);
-            off += w;
-            block
-        })
-        .collect()
-}
-
 /// Copies the `width` columns of `x` starting at column `off` into `out`,
-/// reusing its buffer: one block of [`split_cols`].
+/// reusing its buffer: one block of a [`concat_cols_into`] output.
 pub(crate) fn copy_cols_into(x: &Tensor, off: usize, width: usize, out: &mut Tensor) {
     let n = x.rows();
     let buf = out.reshape_empty(n, width);
@@ -379,7 +339,8 @@ mod tests {
         let seg = vec![0u32, 0, 0];
         let y = segment_softmax(&x, &seg, 1);
         let dy = Tensor::full(3, 1, 5.0);
-        let dx = segment_softmax_backward(&y, &dy, &seg, 1);
+        let mut dx = Tensor::default();
+        segment_softmax_backward_into(&y, &dy, &seg, 1, &mut dx);
         for i in 0..3 {
             assert!(dx.at(i, 0).abs() < 1e-5, "dx[{i}] = {}", dx.at(i, 0));
         }
@@ -388,7 +349,8 @@ mod tests {
     #[test]
     fn log_softmax_rows_normalizes() {
         let x = Tensor::from_vec(2, 3, vec![1., 2., 3., -1., 0., 1.]);
-        let lp = log_softmax_rows(&x);
+        let mut lp = Tensor::default();
+        log_softmax_rows_into(&x, &mut lp);
         for i in 0..2 {
             let total: f32 = lp.row(i).iter().map(|&v| v.exp()).sum();
             assert!((total - 1.0).abs() < 1e-6);
@@ -401,12 +363,15 @@ mod tests {
     fn concat_and_split_roundtrip() {
         let a = Tensor::from_vec(2, 1, vec![1., 2.]);
         let b = Tensor::from_vec(2, 2, vec![3., 4., 5., 6.]);
-        let cat = concat_cols(&[&a, &b]);
+        let mut cat = Tensor::default();
+        concat_cols_into(&[&a, &b], &mut cat);
         assert_eq!(cat.dims(), (2, 3));
         assert_eq!(cat.row(1), &[2., 5., 6.]);
-        let parts = split_cols(&cat, &[1, 2]);
-        assert_eq!(parts[0], a);
-        assert_eq!(parts[1], b);
+        let mut part = Tensor::default();
+        copy_cols_into(&cat, 0, 1, &mut part);
+        assert_eq!(part, a);
+        copy_cols_into(&cat, 1, 2, &mut part);
+        assert_eq!(part, b);
     }
 
     #[test]

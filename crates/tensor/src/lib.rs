@@ -8,8 +8,8 @@
 //! [`RowOperand`] (a constant read row by row, never materialised), a
 //! transparent
 //! [`Tape`](tape::Tape)-based autograd with an explicit op enum, trainable
-//! [`ParamStore`](param::ParamStore), and [`Adam`](optim::Adam)/[`Sgd`](optim::Sgd)
-//! optimizers. [`gradcheck`] exposes finite-difference checking so every
+//! [`ParamStore`](param::ParamStore), and the [`Adam`](optim::Adam)
+//! optimizer. [`gradcheck`] exposes finite-difference checking so every
 //! downstream layer can be verified numerically.
 //!
 //! # Example
@@ -48,7 +48,7 @@ pub mod tape;
 pub mod tensor;
 
 pub use matmul::RowOperand;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use param::{Param, ParamId, ParamStore};
 pub use tape::{Gradients, Tape, VarId};
 pub use tensor::{matmul_rows, matmul_tn_rows, Tensor};

@@ -1,7 +1,6 @@
-//! First-order optimizers.
+//! The first-order optimizer.
 //!
-//! The paper trains every model with Adam at `lr = 0.01` (§VIII-B); SGD is
-//! provided for ablations and tests.
+//! The paper trains every model with Adam at `lr = 0.01` (§VIII-B).
 
 use crate::param::ParamStore;
 use crate::tensor::Tensor;
@@ -78,58 +77,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Creates SGD with momentum `mu`.
-    pub fn with_momentum(lr: f32, mu: f32) -> Self {
-        Self {
-            lr,
-            momentum: mu,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update using the gradients accumulated in `store`.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        while self.velocity.len() < store.len() {
-            let idx = self.velocity.len();
-            let (r, c) = store
-                .iter()
-                .nth(idx)
-                .map(|(_, p)| p.value.dims())
-                .expect("index within store");
-            self.velocity.push(Tensor::zeros(r, c));
-        }
-        for id in store.ids().collect::<Vec<_>>() {
-            let i = id.index();
-            let p = store.get_mut(id);
-            let vel = &mut self.velocity[i];
-            for ((w, &g), v) in p
-                .value
-                .data_mut()
-                .iter_mut()
-                .zip(p.grad.data())
-                .zip(vel.data_mut().iter_mut())
-            {
-                *v = self.momentum * *v + g;
-                *w -= self.lr * *v;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,24 +103,6 @@ mod tests {
         let xf = store.value(x).item();
         assert!((xf - 3.0).abs() < 1e-2, "x converged to {xf}");
         assert_eq!(opt.steps(), 300);
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut store = ParamStore::new();
-        let x = store.add("x", Tensor::scalar(4.0));
-        let mut opt = Sgd::with_momentum(0.05, 0.5);
-        for _ in 0..200 {
-            store.zero_grad();
-            let mut t = Tape::new();
-            let xv = t.param(&store, x);
-            let sq = t.mul(xv, xv);
-            let l = t.sum_all(sq);
-            let grads = t.backward(l);
-            t.accumulate_param_grads(&grads, &mut store);
-            opt.step(&mut store);
-        }
-        assert!(store.value(x).item().abs() < 1e-2);
     }
 
     #[test]

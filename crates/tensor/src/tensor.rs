@@ -240,24 +240,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise sum with another tensor of identical shape.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a + b)
-    }
-
-    /// Elementwise difference.
-    pub fn sub(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn mul(&self, other: &Self) -> Self {
-        self.zip(other, |a, b| a * b)
-    }
-
     /// Elementwise combination with another tensor of identical shape.
     pub fn zip(&self, other: &Self, f: impl Fn(f32, f32) -> f32) -> Self {
         let mut out = Self::default();
@@ -296,19 +278,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self += alpha * other` (axpy).
-    pub fn axpy(&mut self, alpha: f32, other: &Self) {
-        assert_eq!(self.dims(), other.dims(), "shape mismatch in axpy");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Scalar multiplication.
-    pub fn scale(&self, alpha: f32) -> Self {
-        self.map(|x| alpha * x)
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -342,9 +311,9 @@ impl Tensor {
     /// Matrix product `self @ other`, skipping zero multipliers of `self`
     /// (LDP-encoded features contain many constants).
     ///
-    /// Like [`Tensor::matmul_tn`] and [`Tensor::matmul_nt`], the product is
-    /// tiled, but every element is still one sum from `+0.0` in ascending
-    /// inner index: the result's bits do not depend on the tiling.
+    /// Like [`Tensor::matmul_tn`] and the tape's `self @ other^T`, the
+    /// product is tiled, but every element is still one sum from `+0.0` in
+    /// ascending inner index: the result's bits do not depend on the tiling.
     ///
     /// # Panics
     /// Panics if the inner dimensions disagree.
@@ -352,14 +321,8 @@ impl Tensor {
         matmul_rows(self, other)
     }
 
-    /// `self @ other^T` without materializing the transpose.
-    pub fn matmul_nt(&self, other: &Self) -> Self {
-        let mut out = Self::default();
-        self.matmul_nt_into(other, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_nt`] into `out`, reusing its buffer.
+    /// `self @ other^T` into `out` without materializing the transpose,
+    /// reusing its buffer.
     pub(crate) fn matmul_nt_into(&self, other: &Self, out: &mut Self) {
         assert_eq!(
             self.cols, other.cols,
@@ -377,14 +340,8 @@ impl Tensor {
         matmul_tn_rows(self, other)
     }
 
-    /// Sum over rows, producing a `[1, cols]` row vector.
-    pub fn sum_rows(&self) -> Self {
-        let mut out = Self::default();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::sum_rows`] into `out`, reusing its buffer.
+    /// Sum over rows into `out`, a `[1, cols]` row vector, reusing its
+    /// buffer.
     pub(crate) fn sum_rows_into(&self, out: &mut Self) {
         out.reshape_filled(1, self.cols, 0.0);
         for r in 0..self.rows {
@@ -394,14 +351,8 @@ impl Tensor {
         }
     }
 
-    /// Sum over columns, producing an `[rows, 1]` column vector.
-    pub fn sum_cols(&self) -> Self {
-        let mut out = Self::default();
-        self.sum_cols_into(&mut out);
-        out
-    }
-
-    /// [`Tensor::sum_cols`] into `out`, reusing its buffer.
+    /// Sum over columns into `out`, an `[rows, 1]` column vector, reusing
+    /// its buffer.
     pub(crate) fn sum_cols_into(&self, out: &mut Self) {
         out.reshape_empty(self.rows, 1)
             .extend((0..self.rows).map(|r| self.row(r).iter().sum::<f32>()));
@@ -511,7 +462,8 @@ mod tests {
         let a = Tensor::rand_uniform(4, 3, -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(5, 3, -1.0, 1.0, &mut rng);
         let via_t = a.matmul(&b.transpose());
-        let direct = a.matmul_nt(&b);
+        let mut direct = Tensor::default();
+        a.matmul_nt_into(&b, &mut direct);
         assert!(via_t.max_abs_diff(&direct) < 1e-6);
 
         let c = Tensor::rand_uniform(4, 6, -1.0, 1.0, &mut rng);
@@ -531,10 +483,10 @@ mod tests {
     fn elementwise_ops() {
         let a = Tensor::from_vec(1, 3, vec![1., 2., 3.]);
         let b = Tensor::from_vec(1, 3, vec![4., 5., 6.]);
-        assert_eq!(a.add(&b).data(), &[5., 7., 9.]);
-        assert_eq!(b.sub(&a).data(), &[3., 3., 3.]);
-        assert_eq!(a.mul(&b).data(), &[4., 10., 18.]);
-        assert_eq!(a.scale(2.0).data(), &[2., 4., 6.]);
+        assert_eq!(a.zip(&b, |x, y| x + y).data(), &[5., 7., 9.]);
+        assert_eq!(b.zip(&a, |x, y| x - y).data(), &[3., 3., 3.]);
+        assert_eq!(a.zip(&b, |x, y| x * y).data(), &[4., 10., 18.]);
+        assert_eq!(a.map(|x| 2.0 * x).data(), &[2., 4., 6.]);
         assert_eq!(a.sum(), 6.0);
         assert!((a.mean() - 2.0).abs() < 1e-7);
         assert_eq!(a.sq_norm(), 14.0);
@@ -546,15 +498,16 @@ mod tests {
         let b = Tensor::from_vec(1, 2, vec![2., 3.]);
         a.add_assign(&b);
         assert_eq!(a.data(), &[3., 4.]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.data(), &[4., 5.5]);
     }
 
     #[test]
     fn row_and_col_sums() {
         let a = Tensor::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(a.sum_rows().data(), &[5., 7., 9.]);
-        assert_eq!(a.sum_cols().data(), &[6., 15.]);
+        let mut out = Tensor::default();
+        a.sum_rows_into(&mut out);
+        assert_eq!(out.data(), &[5., 7., 9.]);
+        a.sum_cols_into(&mut out);
+        assert_eq!(out.data(), &[6., 15.]);
     }
 
     #[test]

@@ -20,14 +20,6 @@ pub enum TopologyConfig {
 }
 
 impl TopologyConfig {
-    /// Short name for tables and JSON.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TopologyConfig::Flat => "flat",
-            TopologyConfig::Hierarchical { .. } => "hierarchical",
-        }
-    }
-
     /// Resolves the config against a concrete fleet size.
     ///
     /// `Hierarchical` with more aggregators than devices clamps to one
@@ -68,7 +60,6 @@ mod tests {
     #[test]
     fn default_is_flat() {
         assert_eq!(TopologyConfig::default(), TopologyConfig::Flat);
-        assert_eq!(TopologyConfig::Flat.name(), "flat");
     }
 
     #[test]
