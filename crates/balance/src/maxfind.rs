@@ -9,6 +9,14 @@
 //! 2. the CVS members compare pairwise; the overall winner is reported, and
 //!    ties are broken by the server uniformly at random.
 
+// Fixed-point cost module: a narrowing `as` cast here silently corrupts
+// the µs encoding, so each one is an error unless audited with `#[expect]`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use lumos_common::rng::Xoshiro256pp;
 use lumos_graph::Graph;
 

@@ -22,6 +22,14 @@
 //! circuit while leaving every outcome, and hence the chain's trajectory,
 //! untouched.
 
+// Fixed-point cost module: a narrowing `as` cast here silently corrupts
+// the µs encoding, so each one is an error unless audited with `#[expect]`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use lumos_common::rng::Xoshiro256pp;
 use lumos_crypto::CommMeter;
 use lumos_graph::Graph;
@@ -119,7 +127,11 @@ pub fn mcmc_balance(
             .expect("weighted workload fits the i64 secure-difference lane");
 
         // Lines 3–4: sample the step size and the branches to move.
-        // lumos-lint: allow(lossy-cast) — k_max = round(ln(wl)) ≤ 45 for any u64 workload; truncation impossible
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "k_max = round(ln(wl)) ≤ 45 for any u64 workload; truncation impossible"
+        )]
         let k_max = ((wl_u as f64).ln().round() as usize).max(1).min(wl_u);
         let k = 1 + rng.index(k_max);
         let picks: Vec<u32> = rng
@@ -176,6 +188,11 @@ pub fn mcmc_balance(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "fixture graphs and labels are a few dozen small ids"
+)]
 mod tests {
     use super::*;
     use crate::greedy::greedy_init;

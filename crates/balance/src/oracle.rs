@@ -35,15 +35,6 @@ impl CompareBackend {
             CompareBackend::Bitsliced => "bitsliced",
         }
     }
-
-    /// Parses a backend name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(CompareBackend::Scalar),
-            "bitsliced" | "sliced" => Some(CompareBackend::Bitsliced),
-            _ => None,
-        }
-    }
 }
 
 /// Abstraction over the pairwise secure-comparison service.
@@ -462,15 +453,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_round_trip() {
-        for b in [CompareBackend::Scalar, CompareBackend::Bitsliced] {
-            assert_eq!(CompareBackend::parse(b.name()), Some(b));
-        }
-        assert_eq!(
-            CompareBackend::parse("SLICED"),
-            Some(CompareBackend::Bitsliced)
-        );
-        assert_eq!(CompareBackend::parse("nope"), None);
+    fn default_backend_is_scalar() {
         assert_eq!(CompareBackend::default(), CompareBackend::Scalar);
     }
 

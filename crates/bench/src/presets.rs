@@ -55,6 +55,10 @@ pub fn cost_config(ds: &Dataset, scenario: Scenario, args: &HarnessArgs) -> Lumo
 
 /// Runs closures in parallel pairs (the harness's outermost fan-out; the
 /// machine has few cores and each run is single-threaded).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pair is joined as `(f's result, g's result)` whatever finishes first"
+)]
 pub fn run_pair<A: Send, B: Send>(
     f: impl FnOnce() -> A + Send,
     g: impl FnOnce() -> B + Send,

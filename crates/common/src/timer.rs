@@ -11,10 +11,12 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts a clock.
-    #[allow(clippy::disallowed_methods)] // mirrored lumos-lint waiver below
+    // This module IS the audited wall-clock meter (Fig. 8b): its readings
+    // feed `RunFootprint` and the bench tables only, never seeded state.
+    #[expect(clippy::disallowed_methods, reason = "the audited wall-clock meter")]
     pub fn started() -> Self {
         Self {
-            started: Instant::now(), // lumos-lint: allow(wallclock-time) — this module IS the audited wall-clock meter (Fig. 8b); results feed `RunFootprint` and the bench tables only, never seeded state
+            started: Instant::now(),
         }
     }
 

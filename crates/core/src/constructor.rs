@@ -112,7 +112,10 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
 /// and server messages are summed; the MCMC trace is the element-wise
 /// maximum across shards (the global objective is the max over shard
 /// objectives).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sharded constructor takes the flat one's arguments plus the topology"
+)]
 pub fn construct_assignment_sharded(
     g: &Graph,
     trimming: bool,

@@ -13,8 +13,8 @@ use crate::ot::{ot_transfer, OtDealer};
 
 /// An XOR-shared secret bit: the actual value is `share_a ^ share_b`, with
 /// party A holding `share_a` and party B holding `share_b`.
-// No `Debug`: a formatted share is a cleartext leak (lumos-lint
-// `secret-leak`); only `TwoParty::reveal` may combine the halves.
+// No `Debug`: a formatted share is a cleartext leak (checked by
+// `tests/source_contract.rs`); only `TwoParty::reveal` may combine the halves.
 #[derive(Clone, Copy)]
 pub struct SharedBit {
     share_a: bool,

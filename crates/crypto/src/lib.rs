@@ -9,6 +9,8 @@
 //! simulating the offline correlated randomness with a dealer (see [`ot`]).
 
 #![forbid(unsafe_code)]
+// Shares, pads and raw features must never reach a terminal in the clear.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 pub mod circuit;
 pub mod compare;
 pub mod meter;

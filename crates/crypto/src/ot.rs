@@ -14,8 +14,8 @@ use lumos_common::rng::Xoshiro256pp;
 use crate::meter::CommMeter;
 
 /// Pads held by the OT sender after precomputation: two random messages.
-// The pads below carry the OT secrets; none derive `Debug` (lumos-lint
-// `secret-leak`) so a pad can never be formatted into a log in the clear.
+// The pads below carry the OT secrets; none derive `Debug` (checked by
+// `tests/source_contract.rs`) so a pad can never be formatted into a log in the clear.
 #[derive(Clone, Copy)]
 pub struct SenderPad {
     r0: u64,

@@ -35,8 +35,8 @@ pub const LANES: usize = 64;
 
 /// 64 XOR-shared secret bits, one comparison lane per bit position: lane
 /// `j`'s value is bit `j` of `share_a ^ share_b`.
-// No `Debug`: a formatted share word leaks 64 lanes at once (lumos-lint
-// `secret-leak`); reveal goes through the session, as in the scalar circuit.
+// No `Debug`: a formatted share word leaks 64 lanes at once (checked by
+// `tests/source_contract.rs`); reveal goes through the session, as in the scalar circuit.
 #[derive(Clone, Copy)]
 pub struct SharedWord {
     share_a: u64,
@@ -337,6 +337,10 @@ pub fn secure_compare_batch(seed: u64, pairs: &[(u64, u64)], bits: u32) -> Batch
         }
     } else {
         let per = words.len().div_ceil(threads);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each thread fills the slots of its own words, and the fold below reads them back in word order"
+        )]
         std::thread::scope(|scope| {
             for (t, (slot_chunk, lane_chunk)) in
                 slots.chunks_mut(per).zip(words.chunks(per)).enumerate()

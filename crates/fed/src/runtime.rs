@@ -15,6 +15,14 @@
 //! self-timed from its own burst) — and hands [`Runtime::end_epoch`] the
 //! finished statistics.
 
+// Fixed-point cost module: a narrowing `as` cast here silently corrupts
+// the µs encoding, so each one is an error unless audited with `#[expect]`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, STALENESS_CAP};
 use lumos_topo::{tier_timing, tier_timing_failover, Topology};
 

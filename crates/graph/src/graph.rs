@@ -88,11 +88,6 @@ impl Graph {
         self.adj[v as usize].len()
     }
 
-    /// Degrees of all vertices.
-    pub fn degrees(&self) -> Vec<usize> {
-        self.adj.iter().map(|nb| nb.len()).collect()
-    }
-
     /// Maximum degree (0 for an empty graph).
     pub fn max_degree(&self) -> usize {
         self.adj.iter().map(|nb| nb.len()).max().unwrap_or(0)
@@ -179,7 +174,8 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 3), (0, 1), (0, 4), (1, 2)]);
         assert_eq!(g.neighbors(0), &[1, 3, 4]);
         assert_eq!(g.degree(0), 3);
-        assert_eq!(g.degrees(), vec![3, 2, 1, 1, 1]);
+        let degrees: Vec<usize> = (0..5).map(|u| g.degree(u)).collect();
+        assert_eq!(degrees, vec![3, 2, 1, 1, 1]);
         assert_eq!(g.max_degree(), 3);
         assert!((g.avg_degree() - 1.6).abs() < 1e-12);
     }
@@ -197,7 +193,7 @@ mod tests {
     #[test]
     fn isolated_count() {
         let g = Graph::from_edges(5, &[(0, 1)]);
-        assert_eq!(g.degrees().iter().filter(|&&d| d == 0).count(), 3);
+        assert_eq!((0..5).filter(|&u| g.degree(u) == 0).count(), 3);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub type DecodeTable = [f32; 4];
 
 /// A partial encoded feature as sent to one neighbor: one 2-bit symbol per
 /// dimension, four to a byte, `Missing` outside this message's bin.
-// lumos-lint: allow(secret-leak) — the binned message is already ε-LDP-privatized wire payload; only raw features are secret
+// `Debug` is a named exception in `tests/source_contract.rs`: the binned message is already ε-LDP-privatized wire payload; only raw features are secret
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedFeature {
     dim: usize,

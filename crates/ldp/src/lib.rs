@@ -7,6 +7,8 @@
 //! FedGNN).
 
 #![forbid(unsafe_code)]
+// Shares, pads and raw features must never reach a terminal in the clear.
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 pub mod baseline_mechanisms;
 pub mod encoder;
 pub mod onebit;

@@ -11,7 +11,7 @@ use lumos_common::rng::Xoshiro256pp;
 ///
 /// The paper fills missing elements with the constant 0.5, "implying no
 /// deviation towards the maximum or minimum value".
-// lumos-lint: allow(secret-leak) — post-randomization ε-LDP symbol, safe to reveal by Theorem 1; Debug needed by reproducibility asserts
+// `Debug` is a named exception in `tests/source_contract.rs`: a post-randomization ε-LDP symbol, safe to reveal by Theorem 1; Debug needed by reproducibility asserts
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodedValue {
     /// The mechanism output bit 0.

@@ -24,6 +24,14 @@
 //! PR 6 machinery), so an update either retries until it lands or is
 //! carried to a later round.
 
+// Fixed-point cost module: a narrowing `as` cast here silently corrupts
+// the µs encoding, so each one is an error unless audited with `#[expect]`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use lumos_common::rng::Xoshiro256pp;
 
 use crate::profile::DeviceProfile;

@@ -7,6 +7,14 @@
 //! capabilities; [`Heterogeneity`] is a seeded sampler over slowdown
 //! multipliers that turns a fleet baseline into mild → extreme skew.
 
+// Fixed-point cost module: a narrowing `as` cast here silently corrupts
+// the µs encoding, so each one is an error unless audited with `#[expect]`.
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 use lumos_common::dist::Normal;
 use lumos_common::rng::Xoshiro256pp;
 
@@ -65,11 +73,15 @@ impl DeviceProfile {
     /// the secure comparisons, which operate on integers — hence the µs
     /// fixed point. Clamped to ≥ 1 so the weighted workload of a non-empty
     /// tree is never zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "deliberate fixed-point encode: f64→u64 `as` saturates (never wraps), inputs are finite positive seconds, and .max(1) pins the floor"
+    )]
     pub fn micros_per_tree_node(&self, layers: usize, embedding_bytes: u64) -> u64 {
         let secs = self.compute_secs(layers as f64)
             + self.upload_secs(embedding_bytes)
             + self.download_secs(embedding_bytes);
-        // lumos-lint: allow(lossy-cast) — deliberate fixed-point encode: f64→u64 `as` saturates (never wraps), inputs are finite positive seconds, and .max(1) pins the floor
         ((secs * 1e6).round() as u64).max(1)
     }
 

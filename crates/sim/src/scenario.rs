@@ -45,17 +45,6 @@ impl Scenario {
         }
     }
 
-    /// Parses a scenario name (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "uniform" => Some(Scenario::Uniform),
-            "mobile-fleet" | "mobile" => Some(Scenario::MobileFleet),
-            "straggler-tail" | "stragglers" => Some(Scenario::StragglerTail),
-            "churn" => Some(Scenario::Churn),
-            _ => None,
-        }
-    }
-
     /// The fleet distribution this scenario samples devices from.
     pub fn fleet_spec(self) -> FleetSpec {
         let base = DeviceProfile::baseline();
@@ -153,14 +142,6 @@ impl ScenarioState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for s in Scenario::ALL {
-            assert_eq!(Scenario::parse(s.name()), Some(s));
-        }
-        assert_eq!(Scenario::parse("nope"), None);
-    }
 
     #[test]
     fn uniform_fleet_is_flat() {

@@ -25,17 +25,6 @@ pub fn dropout_mask(len: usize, p: f32, rng: &mut Xoshiro256pp) -> Rc<Vec<f32>> 
     )
 }
 
-/// Numerically stable logistic sigmoid of a scalar.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
 /// Row-wise argmax of a tensor; returns one class index per row.
 pub fn argmax_rows(x: &crate::tensor::Tensor) -> Vec<u32> {
     (0..x.rows())
@@ -79,15 +68,6 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(2);
         let mask = dropout_mask(16, 0.0, &mut rng);
         assert!(mask.iter().all(|&m| m == 1.0));
-    }
-
-    #[test]
-    fn sigmoid_symmetry_and_stability() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-        assert!((sigmoid(3.0) + sigmoid(-3.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(1000.0).is_finite());
-        assert!(sigmoid(-1000.0).is_finite());
-        assert!(sigmoid(-1000.0) >= 0.0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! A seeded generator of tape recordings that visit every `Op` variant,
 //! shared by the gradient-demand and buffer-recycling tests.
 
-// Each test binary compiles its own copy and reads a different subset.
-#![allow(dead_code)]
+#![expect(
+    dead_code,
+    reason = "each test binary compiles its own copy and reads a different subset"
+)]
 
 use std::rc::Rc;
 

@@ -7,7 +7,7 @@
 //! must account for every update its round's devices formed, exactly once.
 
 mod common;
-#[allow(dead_code)]
+#[expect(dead_code, reason = "the example's `main` is not called here")]
 #[path = "../examples/digests.rs"]
 mod digests;
 
