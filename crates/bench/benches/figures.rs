@@ -1,13 +1,15 @@
 //! `cargo bench` coverage of the figure harness itself: regenerates the
-//! structural figures (dataset table, Fig. 7 CDFs) at smoke scale and a
-//! quick Fig. 8 cost comparison. The accuracy figures (3–6) are regenerated
-//! by the `run_all` binary — training to convergence inside Criterion would
-//! be meaningless timing-wise.
+//! structural figures (dataset table, Fig. 7 CDFs) at smoke scale and runs
+//! Fig. 8's row of `figure::FIGURES` (the cost comparison) quick. The
+//! accuracy figures (3–6) are the other rows of that table, regenerated by
+//! the `run_all` binary — training to convergence inside Criterion would be
+//! meaningless timing-wise.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lumos_bench::{fig7, fig8, table1, HarnessArgs};
+use lumos_bench::figure::Figure;
+use lumos_bench::{fig7, table1, HarnessArgs};
 use lumos_data::Scale;
 
 fn smoke_args() -> HarnessArgs {
@@ -35,8 +37,8 @@ fn bench_fig7(c: &mut Criterion) {
 
 fn bench_fig8(c: &mut Criterion) {
     c.bench_function("fig8_system_cost_smoke_quick", |b| {
-        let args = smoke_args();
-        b.iter(|| black_box(fig8::run(&args)))
+        let (args, fig8) = (smoke_args(), Figure::named("fig8_system_cost"));
+        b.iter(|| black_box(fig8.run(&args)))
     });
 }
 

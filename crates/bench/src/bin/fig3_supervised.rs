@@ -1,9 +1,5 @@
 //! Regenerates Figure 3 (supervised classification accuracy).
-use lumos_bench::{fig3, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    let rows = fig3::run(&args);
-    fig3::table(&rows).print();
-    fig3::summary(&rows).print();
+    lumos_bench::figure::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,5 @@
 //! Regenerates Figure 4 (link-prediction ROC-AUC).
-use lumos_bench::{fig4, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    fig4::table(&fig4::run(&args)).print();
+    lumos_bench::figure::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,7 +1,5 @@
 //! Regenerates Figure 5 (privacy-parameter sensitivity).
-use lumos_bench::{fig5, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    fig5::table(&fig5::run(&args)).print();
+    lumos_bench::figure::main(env!("CARGO_BIN_NAME"));
 }

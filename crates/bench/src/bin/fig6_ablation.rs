@@ -1,7 +1,5 @@
 //! Regenerates Figure 6 (ablation study).
-use lumos_bench::{fig6, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    fig6::table(&fig6::run(&args)).print();
+    lumos_bench::figure::main(env!("CARGO_BIN_NAME"));
 }

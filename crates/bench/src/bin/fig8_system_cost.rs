@@ -1,7 +1,5 @@
 //! Regenerates Figure 8 (communication rounds and training time).
-use lumos_bench::{fig8, HarnessArgs};
 
 fn main() {
-    let args = HarnessArgs::parse();
-    fig8::table(&fig8::run(&args)).print();
+    lumos_bench::figure::main(env!("CARGO_BIN_NAME"));
 }

@@ -1,6 +1,7 @@
 //! Runs every table/figure reproduction in sequence and prints the paper's
 //! headline claims computed from the measured results.
-use lumos_bench::{fig3, fig4, fig5, fig6, fig7, fig8, table1, HarnessArgs};
+use lumos_bench::figure::{Metric, Value, FIGURES};
+use lumos_bench::{fig7, table1, HarnessArgs};
 use lumos_common::table::{fmt2, Table};
 
 fn main() {
@@ -12,47 +13,47 @@ fn main() {
 
     table1::run(args.scale).print();
     fig7::table(&fig7::run(&args)).print();
-    let f8 = fig8::run(&args);
-    fig8::table(&f8).print();
-    let f3 = fig3::run(&args);
-    fig3::table(&f3).print();
-    fig3::summary(&f3).print();
-    let f4 = fig4::run(&args);
-    fig4::table(&f4).print();
-    fig5::table(&fig5::run(&args)).print();
-    fig6::table(&fig6::run(&args)).print();
+    let mut measured = Vec::new();
+    for figure in &FIGURES {
+        let rows = figure.run(&args);
+        figure.tables(&rows).iter().for_each(Table::print);
+        measured.push((figure.name, rows));
+    }
 
     // Headline claims (abstract): accuracy increase vs the federated
-    // baseline, communication-round and training-time savings.
-    let acc_gain: f64 = f3
-        .iter()
-        .map(|r| (r.lumos - r.naive) / r.naive * 100.0)
-        .sum::<f64>()
-        / f3.len() as f64;
-    let comm_saved: f64 = f8
-        .iter()
-        .map(|r| (r.comm_untrimmed - r.comm_trimmed) / r.comm_untrimmed * 100.0)
-        .sum::<f64>()
-        / f8.len() as f64;
-    let time_saved: f64 = f8
-        .iter()
-        .map(|r| (r.time_untrimmed - r.time_trimmed) / r.time_untrimmed.max(1e-12) * 100.0)
-        .sum::<f64>()
-        / f8.len() as f64;
+    // baseline, communication-round and training-time savings — each the
+    // mean of a figure column over its rows.
+    let headline = [
+        (
+            "accuracy increase vs naive FedGNN (%)",
+            "39.48",
+            "fig3_supervised",
+            Value::Gain("Lumos", "Naive FedGNN", Metric::Test),
+        ),
+        (
+            "inter-device communication saved (%)",
+            "35.16",
+            "fig8_system_cost",
+            Value::Saved("Lumos", "w.o. TT", Metric::Messages),
+        ),
+        (
+            "training time saved (%)",
+            "17.74",
+            "fig8_system_cost",
+            Value::Saved("Lumos", "w.o. TT", Metric::EpochSecs),
+        ),
+    ];
     let mut t = Table::new(
         "Headline claims (paper abstract: +39.48% accuracy, −35.16% comm, −17.74% time)",
         &["claim", "paper", "measured"],
     );
-    t.push_row([
-        "accuracy increase vs naive FedGNN (%)",
-        "39.48",
-        &fmt2(acc_gain),
-    ]);
-    t.push_row([
-        "inter-device communication saved (%)",
-        "35.16",
-        &fmt2(comm_saved),
-    ]);
-    t.push_row(["training time saved (%)", "17.74", &fmt2(time_saved)]);
+    for (claim, paper, figure, value) in headline {
+        let (_, rows) = measured
+            .iter()
+            .find(|(name, _)| *name == figure)
+            .expect("a figure");
+        let mean = rows.iter().map(|r| value.of(r)).sum::<f64>() / rows.len() as f64;
+        t.push_row([claim, paper, &fmt2(mean)]);
+    }
     t.print();
 }

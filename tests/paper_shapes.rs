@@ -1,9 +1,13 @@
 //! Qualitative assertions encoding the paper's evaluation shapes at smoke
 //! scale: who wins, where the savings come from, and what the workload
 //! distribution looks like — the invariants Figs. 3–8 show at full scale.
+//! The orderings of Figs. 3–6 and 8 are data, the claims of
+//! `lumos_bench::figure::FIGURES`; the figure tests here assert the claims
+//! the hand-built runs they replace asserted. What stays hand-built is not
+//! an ordering between two trained cells: Fig. 7's workload tail, Fig. 8's
+//! message-count identity, and the Facebook paper-scale runs.
 
 use lumos::balance::{Assignment, CompareBackend, SecurityMode};
-use lumos::baselines::{run_centralized, run_naive_fedgnn, BaselineConfig, NaiveFedParams};
 use lumos::common::rng::Xoshiro256pp;
 use lumos::core::{
     construct_assignment, exchange_features, run_lumos, ConstructorReport, DeviceTree,
@@ -12,38 +16,25 @@ use lumos::core::{
 use lumos::data::{Dataset, Scale};
 use lumos::fed::SimNetwork;
 use lumos::gnn::Backbone;
+use lumos_bench::figure::{Claim, Figure};
+use lumos_bench::HarnessArgs;
 
+/// Asserts the claims of the figure named `name` that `keep` selects, at
+/// smoke scale on the figures' own seed.
+fn assert_claims(name: &str, keep: impl Fn(&Claim) -> bool) {
+    let args = HarnessArgs {
+        scale: Scale::Smoke,
+        ..HarnessArgs::default()
+    };
+    let failed = Figure::named(name).failed_claims(&args, keep);
+    assert!(failed.is_empty(), "{name}: {}", failed.join("\n"));
+}
+
+/// Fig. 3 on Facebook: centralized ≥ Lumos, and Lumos beats naive FedGNN
+/// by more than 0.1.
 #[test]
 fn figure3_shape_centralized_over_lumos_over_naive() {
-    let ds = Dataset::facebook_like(Scale::Smoke);
-    let epochs = 60;
-    let lumos = run_lumos(
-        &ds,
-        &LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-            .with_epochs(epochs)
-            .with_mcmc_iterations(30),
-    );
-    let central = run_centralized(
-        &ds,
-        &BaselineConfig::new(Backbone::Gcn, TaskKind::Supervised).with_epochs(epochs),
-    );
-    let naive = run_naive_fedgnn(
-        &ds,
-        &BaselineConfig::new(Backbone::Gcn, TaskKind::Supervised).with_epochs(epochs),
-        &NaiveFedParams::default(),
-    );
-    assert!(
-        central.test_metric >= lumos.test_metric,
-        "centralized {} must top lumos {}",
-        central.test_metric,
-        lumos.test_metric
-    );
-    assert!(
-        lumos.test_metric > naive.test_metric + 0.1,
-        "lumos {} must clearly beat naive {}",
-        lumos.test_metric,
-        naive.test_metric
-    );
+    assert_claims("fig3_supervised", |claim| claim.at.0 == "facebook");
 }
 
 /// The constructor on `ds` as the Fig. 7 / Fig. 8 checks run it.
@@ -146,6 +137,11 @@ fn facebook_at_paper_scale_trains() {
     assert!((0.0..=1.0).contains(&report.test_metric));
 }
 
+/// The savings themselves — a double-digit share of the messages, a shorter
+/// straggler epoch — are Fig. 8's claims in `lumos_bench::figure::FIGURES`.
+/// What stays here is the count the paper-scale check works from: the
+/// trained run's messages are the constructor's kept pairs plus one upload
+/// per device.
 #[test]
 fn figure8_shape_trimming_saves_communication_and_time_model() {
     let ds = Dataset::lastfm_like(Scale::Smoke);
@@ -153,21 +149,6 @@ fn figure8_shape_trimming_saves_communication_and_time_model() {
         .with_epochs(6)
         .with_mcmc_iterations(30);
     let trimmed = run_lumos(&ds, &base);
-    let untrimmed = run_lumos(&ds, &base.clone().without_tree_trimming());
-    let comm_saving = (untrimmed.avg_messages_per_device_per_epoch
-        - trimmed.avg_messages_per_device_per_epoch)
-        / untrimmed.avg_messages_per_device_per_epoch;
-    // The paper reports 27–43% depending on dataset/task; at smoke scale we
-    // require a clear double-digit saving.
-    assert!(
-        comm_saving > 0.10,
-        "communication saving too small: {comm_saving}"
-    );
-    assert!(
-        trimmed.avg_epoch_makespan < untrimmed.avg_epoch_makespan,
-        "straggler makespan must shrink"
-    );
-    // The count the paper-scale check works from is the trained run's.
     let (mode, backend) = (base.security, base.compare_backend);
     let (kept, _) = construct_assignment(&ds.graph, true, 30, mode, backend, base.seed, None);
     assert_eq!(
@@ -176,41 +157,15 @@ fn figure8_shape_trimming_saves_communication_and_time_model() {
     );
 }
 
+/// Fig. 5: ε = 4 is not clearly worse than ε = 0.5 (a monotone trend up to
+/// smoke-scale noise).
 #[test]
 fn figure5_shape_epsilon_extremes() {
-    // ε = 4 must not be clearly worse than ε = 0.5 (monotone trend up to
-    // smoke-scale noise).
-    let ds = Dataset::facebook_like(Scale::Smoke);
-    let run = |eps: f64| {
-        run_lumos(
-            &ds,
-            &LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-                .with_epochs(60)
-                .with_mcmc_iterations(30)
-                .with_epsilon(eps),
-        )
-        .test_metric
-    };
-    let lo = run(0.5);
-    let hi = run(4.0);
-    assert!(hi >= lo - 0.03, "ε=4 ({hi}) vs ε=0.5 ({lo})");
+    assert_claims("fig5_epsilon", |_| true);
 }
 
+/// Fig. 6: virtual nodes improve accuracy; trimming costs almost nothing.
 #[test]
 fn figure6_shape_virtual_nodes_help_trimming_is_cheap() {
-    let ds = Dataset::facebook_like(Scale::Smoke);
-    let base = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-        .with_epochs(60)
-        .with_mcmc_iterations(30);
-    let full = run_lumos(&ds, &base).test_metric;
-    let no_vn = run_lumos(&ds, &base.clone().without_virtual_nodes()).test_metric;
-    let no_tt = run_lumos(&ds, &base.clone().without_tree_trimming()).test_metric;
-    assert!(
-        full > no_vn,
-        "virtual nodes must improve accuracy: {full} vs {no_vn}"
-    );
-    assert!(
-        (full - no_tt).abs() < 0.12,
-        "trimming must cost almost nothing: {full} vs {no_tt}"
-    );
+    assert_claims("fig6_ablation", |_| true);
 }

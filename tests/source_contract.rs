@@ -1,6 +1,7 @@
 //! The contract scan clippy cannot run inside `cargo test`: live code names no
 //! `HashMap`/`HashSet`/`Instant::now`/`SystemTime::now` without an `#[expect(clippy::disallowed_..)]`
 //! in the three lines above, and no crypto / LDP `*Share*`/`*Pad*`/`*Encoded*` type derives `Debug`.
+//! And the `tests/clippy_gate` fixture lints with the workspace's own clippy table.
 
 const ROOTS: [&str; 4] = ["crates", "src", "examples", "benchmark/src"];
 const BANNED: [&str; 4] = ["HashMap", "HashSet", "Instant::now", "SystemTime::now"];
@@ -57,4 +58,36 @@ fn the_scan_bites() {
     assert_eq!(violations("a.rs", map), ["a.rs:1"]);
     assert!(violations("a.rs", clock).is_empty());
     assert_eq!(violations("crates/crypto/a", leak), ["crates/crypto/a:1"]);
+}
+
+/// The entries of the TOML table `[name]` in `manifest`: its lines up to the
+/// next header, blank lines and comments left out.
+fn toml_table<'a>(manifest: &'a str, name: &str) -> Vec<&'a str> {
+    let header = format!("[{name}]");
+    let after = manifest
+        .lines()
+        .map(str::trim)
+        .skip_while(|l| *l != header)
+        .skip(1);
+    let table = after.take_while(|l| !l.starts_with('['));
+    table
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect()
+}
+
+#[test]
+fn the_clippy_gate_lints_with_the_workspace_table() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |p: &str| std::fs::read_to_string(root.join(p)).expect("manifest reads");
+    let (workspace, gate) = (read("Cargo.toml"), read("tests/clippy_gate/Cargo.toml"));
+    let lints = toml_table(&workspace, "workspace.lints.clippy");
+    assert!(
+        !lints.is_empty(),
+        "the root manifest has no [workspace.lints.clippy]"
+    );
+    assert_eq!(
+        toml_table(&gate, "lints.clippy"),
+        lints,
+        "tests/clippy_gate/Cargo.toml's [lints.clippy] must copy the root [workspace.lints.clippy]"
+    );
 }
