@@ -10,7 +10,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, Criterion};
 use lumos_common::rng::Xoshiro256pp;
 use lumos_sim::{
-    simulate_epoch, DeviceProfile, DeviceWork, FleetSpec, Heterogeneity, SERVER_SENDER,
+    simulate_epoch, DeviceProfile, DeviceWork, FleetSpec, Heterogeneity, RoundWork, SERVER_SENDER,
 };
 
 /// Fan-in of each device's inbound side in the per-destination workload
@@ -28,30 +28,33 @@ fn fleet(n: usize) -> Vec<DeviceProfile> {
     spec.sample_fleet(n, &mut Xoshiro256pp::seed_from_u64(0xBE_EF))
 }
 
-fn aggregate_work(n: usize) -> Vec<DeviceWork> {
+fn own_work(n: usize) -> Vec<DeviceWork> {
     let mut rng = Xoshiro256pp::seed_from_u64(0xF00D);
     (0..n)
         .map(|_| DeviceWork {
             compute_units: rng.range_f64(10.0, 500.0),
             messages_out: FAN_IN + 1,
             bytes_out: 64 * (FAN_IN + 1),
-            inbound: vec![(SERVER_SENDER, 64 * FAN_IN)],
         })
         .collect()
 }
 
-fn per_destination_work(n: usize) -> Vec<DeviceWork> {
-    aggregate_work(n)
-        .into_iter()
-        .enumerate()
-        .map(|(d, w)| DeviceWork {
-            // Ring fan-in: bytes arrive from the FAN_IN preceding devices.
-            inbound: (1..=FAN_IN)
-                .map(|k| (((d as u64 + n as u64 - k) % n as u64) as u32, 64))
-                .collect(),
-            ..w
-        })
-        .collect()
+fn aggregate_work(n: usize) -> RoundWork {
+    RoundWork::from_lists(
+        own_work(n)
+            .into_iter()
+            .map(|w| (w, [(SERVER_SENDER, 64 * FAN_IN)])),
+    )
+}
+
+fn per_destination_work(n: usize) -> RoundWork {
+    RoundWork::from_lists(own_work(n).into_iter().enumerate().map(|(d, w)| {
+        // Ring fan-in: bytes arrive from the FAN_IN preceding devices.
+        let inbound: Vec<(u32, u64)> = (1..=FAN_IN)
+            .map(|k| (((d as u64 + n as u64 - k) % n as u64) as u32, 64))
+            .collect();
+        (w, inbound)
+    }))
 }
 
 fn bench_sim_epoch(c: &mut Criterion) {

@@ -25,8 +25,8 @@ use lumos_graph::Graph;
 use lumos_tensor::{Adam, ParamStore, Tape};
 
 use lumos_sim::{
-    AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, FaultCounters,
-    FaultPlan, FaultState, ScenarioState,
+    AggregationPolicy, DeviceProfile, EpochStats, EventDrivenRuntime, FaultCounters, FaultPlan,
+    FaultState, RoundWork, ScenarioState,
 };
 use lumos_topo::{ShardRoundPolicies, Topology};
 
@@ -366,7 +366,7 @@ impl Model {
 /// under the policy's handler, and that run both judges the round (who is
 /// late) and prices it (its [`EpochStats`]).
 struct RoundProbe {
-    template: Vec<DeviceWork>,
+    template: RoundWork,
     /// The last fault-free run and the fleet it ran on: the outcome is a
     /// pure function of (fleet, template), so a frozen fleet simulates
     /// once. A fault plan differs every round and is never memoised.

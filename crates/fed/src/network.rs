@@ -387,18 +387,23 @@ impl SimNetwork {
         edges
     }
 
-    /// Per-receiver inbound `(sender, bytes)` lists since a snapshot, for
-    /// all devices in one deterministic pass (the per-destination timing
-    /// input [`crate::ledger_work`] hands to `lumos-sim`). Each list is
-    /// sorted by sender ([`SimNetwork::SERVER`] last), one entry per
-    /// sender with its bytes summed; zero-byte senders are left out, and
-    /// so are server-bound messages.
-    pub fn received_matrix_since(&self, snap: &NetworkSnapshot) -> Vec<Vec<(u32, u64)>> {
+    /// Every receiver's inbound `(sender, bytes)` list since a snapshot,
+    /// for all devices in one deterministic pass, as one offset-indexed
+    /// buffer: device `d`'s list is `lists[start[d]..start[d + 1]]` (the
+    /// per-destination timing input [`crate::ledger_work`] hands to
+    /// `lumos-sim`). Each list is sorted by sender ([`SimNetwork::SERVER`]
+    /// last), one entry per sender with its bytes summed; zero-byte senders
+    /// are left out, and so are server-bound messages.
+    pub(crate) fn received_since(&self, snap: &NetworkSnapshot) -> (Vec<usize>, Vec<(u32, u64)>) {
         self.check_window(snap);
         // Counting sort of the log by receiver: receiver `to`'s messages
-        // are `runs[start[to]..start[to + 1]]`, in send order.
+        // are `lists[start[to]..start[to + 1]]`, in send order. A zero-byte
+        // message adds nothing to its sender's sum, so it is never listed.
         let n = self.devices.len();
-        let to_device = self.window.iter().filter(|&&(_, to, _)| to != Self::SERVER);
+        let to_device = self
+            .window
+            .iter()
+            .filter(|&&(_, to, bytes)| to != Self::SERVER && bytes > 0);
         let mut start = vec![0usize; n + 1];
         for &(_, to, _) in to_device.clone() {
             start[to as usize + 1] += 1;
@@ -407,28 +412,32 @@ impl SimNetwork {
             start[d + 1] += start[d];
         }
         let mut fill = start.clone();
-        let mut runs = vec![(0u32, 0u64); start[n]];
+        let mut lists = vec![(0u32, 0u64); start[n]];
         for &(from, to, bytes) in to_device {
             let slot = &mut fill[to as usize];
-            runs[*slot] = (from, bytes);
+            lists[*slot] = (from, bytes);
             *slot += 1;
         }
-        start
-            .windows(2)
-            .map(|w| {
-                let run = &mut runs[w[0]..w[1]];
-                run.sort_unstable_by_key(|&(from, _)| from);
-                let mut list: Vec<(u32, u64)> = Vec::with_capacity(run.len());
-                for &(from, bytes) in &*run {
-                    match list.last_mut() {
-                        Some((last, sum)) if *last == from => *sum += bytes,
-                        _ => list.push((from, bytes)),
-                    }
+        // Sort each receiver's run by sender and merge it in place; merged
+        // runs never outgrow their slots, so one cursor compacts them all.
+        let mut kept = 0;
+        for d in 0..n {
+            let run = start[d]..start[d + 1];
+            start[d] = kept;
+            lists[run.clone()].sort_unstable_by_key(|&(from, _)| from);
+            for i in run {
+                let (from, bytes) = lists[i];
+                if kept > start[d] && lists[kept - 1].0 == from {
+                    lists[kept - 1].1 += bytes;
+                } else {
+                    lists[kept] = (from, bytes);
+                    kept += 1;
                 }
-                list.retain(|&(_, bytes)| bytes > 0);
-                list
-            })
-            .collect()
+            }
+        }
+        start[n] = kept;
+        lists.truncate(kept);
+        (start, lists)
     }
 }
 
@@ -533,7 +542,10 @@ mod tests {
         // The window logs the five device sends, as a flat one would; the
         // partials are the aggregators', not a device's.
         assert_eq!(net.ledger_entries(), 5);
-        assert_eq!(net.received_matrix_since(&snap)[2], vec![(0, 8)]);
+        assert_eq!(
+            crate::ledger_work(&net, &snap, &[0; 4], 1).inbound(2),
+            [(0, 8)]
+        );
         assert_eq!(
             net.sent_matrix_since(&snap)[0],
             ((0, 2), edge(1, 8)),
@@ -609,9 +621,12 @@ mod tests {
         net.send_from_server(2, 9);
         net.send_to_server(2, 1);
         // The window opened after the first 100 bytes: they are not in it.
-        let inbound = net.received_matrix_since(&snap);
-        assert_eq!(inbound[2], vec![(0, 42), (1, 7), (SimNetwork::SERVER, 9)]);
-        assert!(inbound[0].is_empty() && inbound[1].is_empty());
+        let inbound = crate::ledger_work(&net, &snap, &[0; 3], 1);
+        assert_eq!(
+            inbound.inbound(2),
+            [(0, 42), (1, 7), (SimNetwork::SERVER, 9)]
+        );
+        assert!(inbound.inbound(0).is_empty() && inbound.inbound(1).is_empty());
         let edge = |messages, bytes| EdgeTraffic { messages, bytes };
         assert_eq!(
             net.sent_matrix_since(&snap),
@@ -627,9 +642,10 @@ mod tests {
         assert_eq!(net.ledger_entries(), 5);
         // Totals are consistent with the aggregate ledger.
         let agg = net.bytes_received_since(&snap);
-        for d in 0..3usize {
-            let sum: u64 = inbound[d].iter().map(|&(_, b)| b).sum();
-            assert_eq!(sum, agg[d], "device {d} inbound totals diverge");
+        for (d, &total) in agg.iter().enumerate() {
+            let sum: u64 = inbound.inbound(d).iter().map(|&(_, b)| b).sum();
+            assert_eq!(sum, total, "device {d} inbound totals diverge");
+            assert_eq!(inbound.bytes_in(d), total, "device {d} byte sum diverges");
         }
     }
 }

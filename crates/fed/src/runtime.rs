@@ -23,7 +23,7 @@
     clippy::cast_possible_wrap
 )]
 
-use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, STALENESS_CAP};
+use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, RoundWork, STALENESS_CAP};
 use lumos_topo::{tier_timing, tier_timing_failover, Topology};
 
 use crate::clock::{epoch_makespan, epoch_mean_cost, CostModel};
@@ -36,12 +36,12 @@ use crate::network::{NetworkSnapshot, SimNetwork};
 /// the frozen initial fleet.)
 pub const UNAVAILABLE_COST_FACTOR: u64 = 4;
 
-/// Builds the per-device [`DeviceWork`] of the ledger window `snap` opened:
-/// compute from the tree-node counts, outbound traffic from the per-device
-/// ledger deltas, and the inbound side as the per-sender `(sender, bytes)`
-/// contributions of the window's message log. A sharded network logs the
-/// same window a flat one does, so a hierarchical round is priced per
-/// sender too.
+/// Builds the [`RoundWork`] of the ledger window `snap` opened: compute
+/// from the tree-node counts, outbound traffic from the per-device ledger
+/// deltas, and the inbound side as every receiver's per-sender
+/// `(sender, bytes)` contributions of the window's message log, in one
+/// buffer. A sharded network logs the same window a flat one does, so a
+/// hierarchical round is priced per sender too.
 ///
 /// # Panics
 /// Panics if `device_tree_nodes` does not have exactly one entry per
@@ -52,7 +52,7 @@ pub fn ledger_work(
     snap: &NetworkSnapshot,
     device_tree_nodes: &[usize],
     layers: usize,
-) -> Vec<DeviceWork> {
+) -> RoundWork {
     assert_eq!(
         device_tree_nodes.len(),
         network.num_devices(),
@@ -63,18 +63,18 @@ pub fn ledger_work(
     );
     let sent = network.sent_since(snap);
     let bytes_out = network.bytes_sent_since(snap);
-    let inbound = network.received_matrix_since(snap);
-    device_tree_nodes
+    let devices = device_tree_nodes
         .iter()
-        .zip(inbound)
-        .enumerate()
-        .map(|(d, (&nodes, from))| DeviceWork {
+        .zip(sent)
+        .zip(bytes_out)
+        .map(|((&nodes, messages_out), bytes_out)| DeviceWork {
             compute_units: (nodes * layers) as f64,
-            messages_out: sent[d],
-            bytes_out: bytes_out[d],
-            inbound: from,
+            messages_out,
+            bytes_out,
         })
-        .collect()
+        .collect();
+    let (start, inbound) = network.received_since(snap);
+    RoundWork::from_csr(devices, start, inbound)
 }
 
 /// The aggregator tier of a hierarchical topology, as the runtime prices
@@ -599,9 +599,10 @@ mod tests {
             ledger_work(&net, &snap, &[3, 3, 3], 2)
         };
         let work = window(SimNetwork::new_sharded(vec![0, 0, 1]));
-        assert_eq!(work[2].inbound, vec![(0, 100)]);
-        assert_eq!(work[1].messages_out, 1);
-        assert_eq!(work[1].bytes_out, 64);
+        assert_eq!(work.inbound(2), [(0, 100)]);
+        assert_eq!(work.bytes_in(2), 100);
+        assert_eq!(work.devices()[1].messages_out, 1);
+        assert_eq!(work.devices()[1].bytes_out, 64);
         assert_eq!(work, window(SimNetwork::new(3)));
     }
 

@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
 use lumos_fed::{ledger_work, EdgeTraffic, SimNetwork};
+use lumos_sim::RoundWork;
 use lumos_topo::Topology;
 
 const SERVER: u32 = SimNetwork::SERVER;
@@ -62,8 +63,9 @@ impl Reference {
             .collect()
     }
 
-    /// The old `received_matrix_since`: device-bound edges that carried
-    /// bytes, bucketed by receiver in key order.
+    /// Every receiver's inbound `(sender, bytes)` list: device-bound edges
+    /// that carried bytes, bucketed by receiver in key order — the oracle
+    /// [`ledger_work`]'s inbound buffer is held to.
     fn received_matrix_since(&self, snap: &Reference) -> Vec<Vec<(u32, u64)>> {
         let mut inbound = vec![Vec::new(); self.sent.len()];
         for ((from, to), e) in self.sent_matrix_since(snap) {
@@ -72,6 +74,21 @@ impl Reference {
             }
         }
         inbound
+    }
+}
+
+/// Every receiver's inbound slice and byte sum in `work` equal the
+/// reference's list and its sum.
+fn assert_inbound_is(work: &RoundWork, reference: &[Vec<(u32, u64)>], window: usize) {
+    assert_eq!(work.devices().len(), reference.len());
+    for (d, list) in reference.iter().enumerate() {
+        assert_eq!(
+            work.inbound(d),
+            list.as_slice(),
+            "window {window} device {d}"
+        );
+        let sum: u64 = list.iter().map(|&(_, b)| b).sum();
+        assert_eq!(work.bytes_in(d), sum, "window {window} device {d}");
     }
 }
 
@@ -136,6 +153,7 @@ proptest! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut net = SimNetwork::new(n);
         let mut reference = Reference::new(n);
+        let nodes = vec![1; n];
         for window in 0..windows {
             let snap = net.snapshot();
             let opened = reference.clone();
@@ -145,11 +163,10 @@ proptest! {
                 reference.send(from, to, bytes);
             }
             prop_assert_eq!(net.ledger_entries(), sends.len(), "window {}", window);
-            prop_assert_eq!(
-                net.received_matrix_since(&snap),
-                reference.received_matrix_since(&opened),
-                "window {}",
-                window
+            assert_inbound_is(
+                &ledger_work(&net, &snap, &nodes, 2),
+                &reference.received_matrix_since(&opened),
+                window,
             );
             prop_assert_eq!(
                 net.sent_matrix_since(&snap),
@@ -211,11 +228,14 @@ proptest! {
                 sharded.bytes_received_since(&snap),
                 flat.bytes_received_since(&flat_snap)
             );
-            prop_assert_eq!(
-                sharded.received_matrix_since(&snap),
-                flat.received_matrix_since(&flat_snap),
-                "window {}",
-                window
+            let mut reference = Reference::new(n);
+            for &(from, to, bytes) in &sends {
+                reference.send(from, to, bytes);
+            }
+            assert_inbound_is(
+                &ledger_work(&sharded, &snap, &nodes, 2),
+                &reference.received_matrix_since(&Reference::new(n)),
+                window,
             );
             prop_assert_eq!(
                 sharded.sent_matrix_since(&snap),
@@ -267,5 +287,5 @@ fn reading_a_closed_window_panics() {
     let closed = net.snapshot();
     net.send(0, 1, 8);
     let _open = net.snapshot();
-    net.received_matrix_since(&closed);
+    ledger_work(&net, &closed, &[1, 1], 2);
 }

@@ -7,7 +7,7 @@
 //! than the device's own burst barrier — inbound payloads are produced by
 //! the rest of the synchronous round and the device's link is serialized —
 //! and no earlier than the **latest of its senders' actual delivery
-//! times** ([`DeviceWork::inbound`] names them).
+//! times** ([`RoundWork::inbound`] names them).
 //! (Earlier revisions first scheduled the drain from the receiver's own
 //! `ComputeDone`, then from its own delivery time; both let a fast receiver
 //! "drain" bytes its slow senders had not shipped yet, making makespans
@@ -30,7 +30,8 @@ pub const SERVER_SENDER: u32 = u32::MAX;
 
 /// The work one device performs in one epoch, in the trainer's units
 /// (compute: tree-nodes × layers; traffic: ledger-counted payload bytes).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Its inbound side is its [`RoundWork::inbound`] list.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeviceWork {
     /// Local compute, in work units.
     pub compute_units: f64,
@@ -38,27 +39,93 @@ pub struct DeviceWork {
     pub messages_out: u64,
     /// Outbound payload bytes.
     pub bytes_out: u64,
-    /// Inbound payload as per-sender contributions `(sender, bytes)`. The
-    /// drain starts at the latest of the receiver's own burst barrier and
-    /// every named sender's burst delivery time. [`SERVER_SENDER`], the
-    /// receiver itself, absent devices, and devices with no outbound burst
-    /// contribute no constraint beyond the receiver's own barrier — so a
-    /// `SERVER_SENDER`-only list is the self-timed drain.
-    pub inbound: Vec<(u32, u64)>,
 }
 
-impl DeviceWork {
-    /// Total inbound payload bytes.
-    pub fn bytes_in(&self) -> u64 {
-        self.inbound.iter().map(|&(_, b)| b).sum()
+/// One round's work over the fleet: each device's [`DeviceWork`], and every
+/// receiver's inbound `(sender, bytes)` list in one offset-indexed buffer
+/// (compressed sparse rows), with each list's byte sum taken once.
+///
+/// A receiver's drain starts at the latest of its own burst barrier and
+/// every named sender's burst delivery time. [`SERVER_SENDER`], the
+/// receiver itself, absent devices, and devices with no outbound burst
+/// contribute no constraint beyond the receiver's own barrier — so a
+/// `SERVER_SENDER`-only list is the self-timed drain.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundWork {
+    devices: Vec<DeviceWork>,
+    /// Device `d`'s list is `inbound[start[d]..start[d + 1]]`.
+    start: Vec<usize>,
+    inbound: Vec<(u32, u64)>,
+    bytes_in: Vec<u64>,
+}
+
+impl RoundWork {
+    /// The round whose device `d` does `devices[d]` and receives the
+    /// entries `inbound[start[d]..start[d + 1]]`, each list kept as given.
+    ///
+    /// # Panics
+    /// Panics unless `start` has one more entry than `devices`, ascends,
+    /// and ends at `inbound.len()`.
+    pub fn from_csr(devices: Vec<DeviceWork>, start: Vec<usize>, inbound: Vec<(u32, u64)>) -> Self {
+        assert_eq!(
+            start.len(),
+            devices.len() + 1,
+            "one offset per device, plus the end"
+        );
+        assert_eq!(
+            start[devices.len()],
+            inbound.len(),
+            "the offsets end at the buffer's end"
+        );
+        // A descending or out-of-range offset panics in the slicing below.
+        let bytes_in = start
+            .windows(2)
+            .map(|w| inbound[w[0]..w[1]].iter().map(|&(_, b)| b).sum())
+            .collect();
+        Self {
+            devices,
+            start,
+            inbound,
+            bytes_in,
+        }
     }
 
-    /// Whether this device has anything to do this epoch.
-    pub fn is_idle(&self) -> bool {
-        self.compute_units == 0.0
-            && self.messages_out == 0
-            && self.bytes_out == 0
-            && self.bytes_in() == 0
+    /// The round of per-device `(work, inbound list)` pairs, each list
+    /// kept as given (order and repeated senders included).
+    pub fn from_lists<L: AsRef<[(u32, u64)]>>(
+        devices: impl IntoIterator<Item = (DeviceWork, L)>,
+    ) -> Self {
+        let mut work = Vec::new();
+        let mut start = vec![0];
+        let mut inbound = Vec::new();
+        for (w, list) in devices {
+            work.push(w);
+            inbound.extend_from_slice(list.as_ref());
+            start.push(inbound.len());
+        }
+        Self::from_csr(work, start, inbound)
+    }
+
+    /// Every device's own work, by device id.
+    pub fn devices(&self) -> &[DeviceWork] {
+        &self.devices
+    }
+
+    /// Device `d`'s inbound payload as per-sender contributions
+    /// `(sender, bytes)`.
+    pub fn inbound(&self, d: usize) -> &[(u32, u64)] {
+        &self.inbound[self.start[d]..self.start[d + 1]]
+    }
+
+    /// Device `d`'s total inbound payload bytes.
+    pub fn bytes_in(&self, d: usize) -> u64 {
+        self.bytes_in[d]
+    }
+
+    /// Whether device `d` has anything to do this epoch.
+    pub fn is_idle(&self, d: usize) -> bool {
+        let w = &self.devices[d];
+        w.compute_units == 0.0 && w.messages_out == 0 && w.bytes_out == 0 && self.bytes_in[d] == 0
     }
 }
 
@@ -125,7 +192,7 @@ impl EpochStats {
 ///
 /// # Panics
 /// Panics if `profiles` and `work` have different lengths.
-pub fn simulate_epoch(profiles: &[DeviceProfile], work: &[DeviceWork]) -> EpochStats {
+pub fn simulate_epoch(profiles: &[DeviceProfile], work: &RoundWork) -> EpochStats {
     EventDrivenRuntime::new(profiles, work).run(|_, _| Control::Continue)
 }
 
@@ -137,20 +204,27 @@ mod tests {
         vec![DeviceProfile::baseline(); n]
     }
 
+    type Listed = (DeviceWork, Vec<(u32, u64)>);
+
     /// Work whose `inb` inbound bytes all come from the server: the
     /// self-timed drain.
-    fn work(units: f64, msgs: u64, out: u64, inb: u64) -> DeviceWork {
-        DeviceWork {
+    fn work(units: f64, msgs: u64, out: u64, inb: u64) -> Listed {
+        let own = DeviceWork {
             compute_units: units,
             messages_out: msgs,
             bytes_out: out,
-            inbound: vec![(SERVER_SENDER, inb)],
-        }
+        };
+        (own, vec![(SERVER_SENDER, inb)])
+    }
+
+    /// [`simulate_epoch`] over per-device `(work, inbound list)` pairs.
+    fn simulate(profiles: &[DeviceProfile], work: &[Listed]) -> EpochStats {
+        simulate_epoch(profiles, &RoundWork::from_lists(work.iter().cloned()))
     }
 
     #[test]
     fn empty_fleet_is_a_zero_epoch() {
-        let stats = simulate_epoch(&[], &[]);
+        let stats = simulate(&[], &[]);
         assert_eq!(stats.makespan_secs, 0.0);
         assert_eq!(stats.straggler, None);
         assert_eq!(stats.events, 0);
@@ -165,7 +239,7 @@ mod tests {
             work(5000.0, 2, 128, 0), // 50× the compute of its peers
             work(100.0, 2, 128, 0),
         ];
-        let stats = simulate_epoch(&profiles, &w);
+        let stats = simulate(&profiles, &w);
         assert_eq!(stats.straggler, Some(1));
         assert!(stats.makespan_secs >= 50.0); // 5000 units / 100 units-per-sec
         assert!(stats.busy_secs[1] > stats.busy_secs[0]);
@@ -178,7 +252,7 @@ mod tests {
         let mut profiles = flat_fleet(3);
         profiles[2].compute_rate /= 40.0;
         let w = vec![work(200.0, 1, 64, 64); 3];
-        let stats = simulate_epoch(&profiles, &w);
+        let stats = simulate(&profiles, &w);
         assert_eq!(stats.straggler, Some(2));
         assert!(stats.mean_utilization() < 0.5, "straggler dominates");
     }
@@ -188,7 +262,7 @@ mod tests {
         let mut profiles = flat_fleet(2);
         profiles[0].available = false;
         let w = vec![work(1e9, 0, 0, 0), work(100.0, 0, 0, 0)];
-        let stats = simulate_epoch(&profiles, &w);
+        let stats = simulate(&profiles, &w);
         assert_eq!(stats.straggler, Some(1));
         assert_eq!(stats.active_devices, 1);
         assert_eq!(stats.busy_secs[0], 0.0);
@@ -211,7 +285,7 @@ mod tests {
             latency_secs: 0.5,
             available: true,
         };
-        let stats = simulate_epoch(&[p], &[work(10.0, 4, 200, 100)]);
+        let stats = simulate(&[p], &[work(10.0, 4, 200, 100)]);
         assert!((stats.makespan_secs - 4.5).abs() < 1e-12);
         // Events: compute done + burst delivered + inbox drained, and the
         // drain is the closing event.
@@ -233,7 +307,7 @@ mod tests {
             available: true,
         };
         // compute 1s, no outbound, latency 0.25s, download 2s.
-        let stats = simulate_epoch(&[p], &[work(10.0, 0, 0, 100)]);
+        let stats = simulate(&[p], &[work(10.0, 0, 0, 100)]);
         assert!((stats.makespan_secs - 3.25).abs() < 1e-12);
         assert_eq!(stats.events, 2, "compute done + inbox drained");
         // No burst: the device's "update" is just its local compute.
@@ -253,12 +327,12 @@ mod tests {
             latency_secs: 0.5,
             available: true,
         };
-        let stats = simulate_epoch(&[p], &[work(10.0, 4, 200, 100)]);
+        let stats = simulate(&[p], &[work(10.0, 4, 200, 100)]);
         assert_eq!(stats.busy_secs[0].to_bits(), stats.makespan_secs.to_bits());
         assert_eq!(stats.idle_secs[0], 0.0);
         assert_eq!(stats.mean_utilization(), 1.0);
         // Compute-only devices carry no phantom latency term.
-        let quiet = simulate_epoch(&[p], &[work(10.0, 0, 0, 0)]);
+        let quiet = simulate(&[p], &[work(10.0, 0, 0, 0)]);
         assert!((quiet.busy_secs[0] - 1.0).abs() < 1e-12);
         assert_eq!(quiet.events, 1);
     }
@@ -284,20 +358,24 @@ mod tests {
             available: true,
         };
         let w = vec![
-            DeviceWork {
-                compute_units: 10.0, // 1s
-                messages_out: 1,
-                bytes_out: 200, // 2s upload
-                inbound: vec![(1, 100)],
-            },
-            DeviceWork {
-                compute_units: 10.0, // 10s
-                messages_out: 1,
-                bytes_out: 100, // 2s upload
-                inbound: Vec::new(),
-            },
+            (
+                DeviceWork {
+                    compute_units: 10.0, // 1s
+                    messages_out: 1,
+                    bytes_out: 200, // 2s upload
+                },
+                vec![(1, 100)],
+            ),
+            (
+                DeviceWork {
+                    compute_units: 10.0, // 10s
+                    messages_out: 1,
+                    bytes_out: 100, // 2s upload
+                },
+                Vec::new(),
+            ),
         ];
-        let stats = simulate_epoch(&profiles, &w);
+        let stats = simulate(&profiles, &w);
         // Device 1 delivers at 10 + 2 + 0.5 = 12.5s; device 0 then drains
         // 100 bytes in 1s → epoch closes at 13.5s, straggler = device 0.
         assert!((stats.makespan_secs - 13.5).abs() < 1e-12);
@@ -311,7 +389,7 @@ mod tests {
         // The self-timed approximation closed the same epoch at device 1's
         // delivery (12.5s): strictly optimistic.
         let approx = vec![work(10.0, 1, 200, 100), w[1].clone()];
-        let old = simulate_epoch(&profiles, &approx);
+        let old = simulate(&profiles, &approx);
         assert!(old.makespan_secs < stats.makespan_secs);
     }
 
@@ -325,15 +403,15 @@ mod tests {
         for (i, p) in profiles.iter_mut().enumerate() {
             p.compute_rate = 50.0 / (i + 1) as f64;
         }
-        let aggregate: Vec<DeviceWork> = (0..3).map(|i| work(100.0, 2, 300, 128 + i)).collect();
-        let per_sender: Vec<DeviceWork> = (0..3u32)
-            .map(|i| DeviceWork {
-                inbound: vec![(i, 100), (SERVER_SENDER, 28 + i as u64)],
-                ..aggregate[i as usize].clone()
+        let aggregate: Vec<Listed> = (0..3).map(|i| work(100.0, 2, 300, 128 + i)).collect();
+        let per_sender: Vec<Listed> = (0..3u32)
+            .map(|i| {
+                let own = aggregate[i as usize].0;
+                (own, vec![(i, 100), (SERVER_SENDER, 28 + i as u64)])
             })
             .collect();
-        let a = simulate_epoch(&profiles, &aggregate);
-        let b = simulate_epoch(&profiles, &per_sender);
+        let a = simulate(&profiles, &aggregate);
+        let b = simulate(&profiles, &per_sender);
         assert_eq!(a.makespan_secs.to_bits(), b.makespan_secs.to_bits());
         assert_eq!(a.straggler, b.straggler);
         assert_eq!(a.events, b.events);
@@ -352,23 +430,19 @@ mod tests {
         // from recording them summed.
         let profiles = flat_fleet(2);
         let split = vec![
-            DeviceWork {
-                compute_units: 10.0,
-                messages_out: 1,
-                bytes_out: 64,
-                inbound: vec![(1, 64), (1, 64)],
-            },
+            (
+                DeviceWork {
+                    compute_units: 10.0,
+                    messages_out: 1,
+                    bytes_out: 64,
+                },
+                vec![(1, 64), (1, 64)],
+            ),
             work(10.0, 1, 128, 0),
         ];
-        let summed = vec![
-            DeviceWork {
-                inbound: vec![(1, 128)],
-                ..split[0].clone()
-            },
-            split[1].clone(),
-        ];
-        let a = simulate_epoch(&profiles, &split);
-        let b = simulate_epoch(&profiles, &summed);
+        let summed = vec![(split[0].0, vec![(1, 128)]), split[1].clone()];
+        let a = simulate(&profiles, &split);
+        let b = simulate(&profiles, &summed);
         assert_eq!(a.events, b.events, "duplicate sender inflated the count");
         assert_eq!(a.makespan_secs.to_bits(), b.makespan_secs.to_bits());
         assert_eq!(a.straggler, b.straggler);
@@ -381,16 +455,18 @@ mod tests {
         let mut profiles = flat_fleet(2);
         profiles[1].available = false;
         let w = vec![
-            DeviceWork {
-                compute_units: 100.0,
-                messages_out: 1,
-                bytes_out: 64,
-                inbound: vec![(1, 256)],
-            },
+            (
+                DeviceWork {
+                    compute_units: 100.0,
+                    messages_out: 1,
+                    bytes_out: 64,
+                },
+                vec![(1, 256)],
+            ),
             work(100.0, 1, 64, 0),
         ];
-        let stats = simulate_epoch(&profiles, &w);
-        let self_timed = simulate_epoch(&profiles, &[work(100.0, 1, 64, 256), w[1].clone()]);
+        let stats = simulate(&profiles, &w);
+        let self_timed = simulate(&profiles, &[work(100.0, 1, 64, 256), w[1].clone()]);
         assert_eq!(
             stats.makespan_secs.to_bits(),
             self_timed.makespan_secs.to_bits()
@@ -402,22 +478,26 @@ mod tests {
     fn busy_never_exceeds_makespan() {
         let profiles = flat_fleet(4);
         let w = vec![
-            DeviceWork {
-                compute_units: 50.0,
-                messages_out: 3,
-                bytes_out: 900,
-                inbound: vec![(1, 1500), (3, 500)],
-            },
+            (
+                DeviceWork {
+                    compute_units: 50.0,
+                    messages_out: 3,
+                    bytes_out: 900,
+                },
+                vec![(1, 1500), (3, 500)],
+            ),
             work(500.0, 1, 10, 0),
             work(0.0, 0, 0, 0),
-            DeviceWork {
-                compute_units: 20.0,
-                messages_out: 8,
-                bytes_out: 2000,
-                inbound: vec![(0, 50)],
-            },
+            (
+                DeviceWork {
+                    compute_units: 20.0,
+                    messages_out: 8,
+                    bytes_out: 2000,
+                },
+                vec![(0, 50)],
+            ),
         ];
-        let stats = simulate_epoch(&profiles, &w);
+        let stats = simulate(&profiles, &w);
         for d in 0..4 {
             assert!(
                 stats.busy_secs[d] <= stats.makespan_secs + 1e-12,
@@ -437,16 +517,20 @@ mod tests {
         for (i, p) in profiles.iter_mut().enumerate() {
             p.compute_rate = 100.0 / (i + 1) as f64;
         }
-        let w: Vec<DeviceWork> = (0..8u32)
-            .map(|i| DeviceWork {
-                compute_units: i as f64 * 30.0,
-                messages_out: i as u64,
-                bytes_out: 64 * i as u64,
-                inbound: vec![((i + 1) % 8, 32)],
+        let w: Vec<Listed> = (0..8u32)
+            .map(|i| {
+                (
+                    DeviceWork {
+                        compute_units: i as f64 * 30.0,
+                        messages_out: i as u64,
+                        bytes_out: 64 * i as u64,
+                    },
+                    vec![((i + 1) % 8, 32)],
+                )
             })
             .collect();
-        let a = simulate_epoch(&profiles, &w);
-        let b = simulate_epoch(&profiles, &w);
+        let a = simulate(&profiles, &w);
+        let b = simulate(&profiles, &w);
         assert_eq!(a, b);
     }
 }

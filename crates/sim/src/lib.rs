@@ -12,16 +12,19 @@
 //! * [`time`] — [`VirtualTime`]: a totally ordered virtual clock, with no
 //!   real clock anywhere in the simulation path.
 //! * [`runtime`] — the [`EventDrivenRuntime`]: prices one epoch's full
-//!   event schedule up front, sorts it once — by time, then (kind, device),
-//!   then construction order; `runtime.rs` holds that key — and walks
-//!   every [`SimEvent`] past a subscribed handler, which may close the
-//!   round early ([`Control::CloseRound`]): a closed round is a prefix of
-//!   the schedule. This is the core `lumos-core` runs every round on, once.
+//!   event schedule up front as `u128` keys — time, then kind, then
+//!   device; `runtime.rs` holds that key — sorts them once, and walks
+//!   every [`SimEvent`] past a subscribed handler, expanding each
+//!   delivered burst into its arrivals from a receiver table. The handler
+//!   may close the round early ([`Control::CloseRound`]): a closed round
+//!   is a prefix of the stream. This is the core `lumos-core` runs every
+//!   round on, once.
 //! * [`epoch`] — [`simulate_epoch`]: the synchronous barrier as the
-//!   degenerate event-driven run (a handler that never closes). Schedules
-//!   per-device compute, per-edge message-delivery
-//!   ([`DeviceWork::inbound`]: a receiver's drain starts at the latest of
-//!   its senders' actual delivery times), and inbox-drain events, and
+//!   degenerate event-driven run (a handler that never closes) over one
+//!   round's [`RoundWork`]. Schedules per-device compute, per-edge
+//!   message-delivery ([`RoundWork::inbound`]: a receiver's drain starts at
+//!   the latest of its senders' actual delivery times), and inbox-drain
+//!   events, and
 //!   reports the epoch makespan, per-device busy/idle time, per-device
 //!   update-delivery times, and the straggler's identity.
 //! * [`policy`] — [`AggregationPolicy`]: the synchronous barrier
@@ -59,7 +62,7 @@ pub mod runtime;
 pub mod scenario;
 pub mod time;
 
-pub use epoch::{simulate_epoch, DeviceWork, EpochStats, SERVER_SENDER};
+pub use epoch::{simulate_epoch, DeviceWork, EpochStats, RoundWork, SERVER_SENDER};
 pub use fault::{
     FaultCounters, FaultPlan, FaultSpec, FaultState, OutageWindow, RecoveryPolicy, SendFaults,
     HARD_RETRY_CAP,

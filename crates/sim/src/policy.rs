@@ -381,7 +381,7 @@ impl RoundPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::{simulate_epoch, DeviceWork};
+    use crate::epoch::{simulate_epoch, DeviceWork, RoundWork};
     use crate::profile::DeviceProfile;
 
     fn stats_with(deliveries: Vec<Option<f64>>) -> EpochStats {
@@ -441,14 +441,14 @@ mod tests {
         // update lands far past 2× the median and is dropped.
         let mut profiles = vec![DeviceProfile::baseline(); 5];
         profiles[3].compute_rate /= 100.0;
-        let w: Vec<DeviceWork> = (0..5)
-            .map(|_| DeviceWork {
+        let w = RoundWork::from_lists((0..5).map(|_| {
+            let own = DeviceWork {
                 compute_units: 100.0,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Vec::new(),
-            })
-            .collect();
+            };
+            (own, [])
+        }));
         let stats = simulate_epoch(&profiles, &w);
         let late = AggregationPolicy::Deadline { factor: 2.0 }.late_with_staleness(&stats);
         assert_eq!(late.iter().map(|&(d, _)| d).collect::<Vec<_>>(), vec![3]);
@@ -561,17 +561,17 @@ mod tests {
         );
     }
 
-    fn straggler_fleet() -> (Vec<DeviceProfile>, Vec<DeviceWork>) {
+    fn straggler_fleet() -> (Vec<DeviceProfile>, RoundWork) {
         let mut profiles = vec![DeviceProfile::baseline(); 5];
         profiles[3].compute_rate /= 100.0;
-        let w: Vec<DeviceWork> = (0..5)
-            .map(|_| DeviceWork {
+        let w = RoundWork::from_lists((0..5).map(|_| {
+            let own = DeviceWork {
                 compute_units: 100.0,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Vec::new(),
-            })
-            .collect();
+            };
+            (own, [])
+        }));
         (profiles, w)
     }
 
@@ -658,14 +658,14 @@ mod tests {
         for p in &mut profiles[2..] {
             p.available = false;
         }
-        let w: Vec<DeviceWork> = (0..6u32)
-            .map(|d| DeviceWork {
+        let w = RoundWork::from_lists((0..6u32).map(|d| {
+            let own = DeviceWork {
                 compute_units: 100.0 + 10.0 * d as f64,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: vec![((d + 1) % 6, 64)],
-            })
-            .collect();
+            };
+            (own, [((d + 1) % 6, 64)])
+        }));
         let full = EventDrivenRuntime::new(&profiles, &w).run(|_, _| Control::Continue);
         let schedule = EventDrivenRuntime::new(&profiles, &w);
         let mut landings: Vec<f64> = schedule

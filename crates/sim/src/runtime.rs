@@ -10,15 +10,19 @@
 //!
 //! The schedule is static, so it is a value: every device's compute end,
 //! burst delivery, per-edge arrivals, and inbox drain are priced up front
-//! from its [`DeviceProfile`] and [`DeviceWork`], exactly as the lockstep
+//! from its [`DeviceProfile`] and [`RoundWork`], exactly as the lockstep
 //! simulator did (same float operations in the same order, so an
-//! uninterrupted run is bit-identical to the seed's `simulate_epoch`),
-//! collected into one vector and sorted once by [`schedule_key`]. A run
-//! is a walk over that vector, and an early close is a prefix of it. The
-//! handler does not change *when* things happen — it changes what the
-//! round does about them: pool now, buffer, drop, or close.
+//! uninterrupted run is bit-identical to the seed's `simulate_epoch`).
+//! Every event but an arrival is one `u128` sort key (`key`) that
+//! determines it, and the keys are sorted once as plain integers. Arrivals
+//! are not keyed: a receiver table by sender is expanded right after each
+//! equal-time run of `Delivered` keys, which is exactly where
+//! `(t, Arrived, sender, receiver)` sorts. A run is a walk over that
+//! stream, and an early close is a prefix of it. The handler does not
+//! change *when* things happen — it changes what the round does about
+//! them: pool now, buffer, drop, or close.
 
-use crate::epoch::{DeviceWork, EpochStats, SERVER_SENDER};
+use crate::epoch::{EpochStats, RoundWork, SERVER_SENDER};
 use crate::fault::{us_to_secs, FaultPlan};
 use crate::profile::DeviceProfile;
 use crate::time::VirtualTime;
@@ -73,7 +77,7 @@ impl SimEvent {
     /// Rank used to order simultaneous events of different kinds: compute
     /// completions first, then burst deliveries, per-edge arrivals, inbox
     /// drains, and finally the fault/recovery events.
-    fn kind_rank(&self) -> u8 {
+    fn kind_rank(&self) -> u32 {
         match self {
             SimEvent::ComputeDone(_) => 0,
             SimEvent::Delivered(_) => 1,
@@ -86,23 +90,39 @@ impl SimEvent {
     }
 }
 
-/// One entry of a round's schedule: when, its index in construction order,
-/// what. A 100k-device round holds half a million of them, so the entry
-/// stays at three words.
-type Scheduled = (VirtualTime, u32, SimEvent);
-const _: () = assert!(std::mem::size_of::<Scheduled>() <= 24);
+/// The schedule's total order, defined here and nowhere else, as one
+/// integer: ascending time (its [`VirtualTime::order_bits`]), then kind
+/// rank, then device id. A keyed event is fully determined by its key
+/// ([`unkey`]), so equal keys are indistinguishable events (a device's
+/// repeated `Lost` / `RetryDue`) and the stream a handler sees — and so
+/// every statistic and verdict derived from it — is a function of the
+/// event *set*. [`SimEvent::Arrived`] is never keyed: one sender's
+/// simultaneous arrivals tie on all three, and run by ascending receiver
+/// ([`EventDrivenRuntime::run`] expands them).
+fn key(at: VirtualTime, event: SimEvent) -> u128 {
+    debug_assert!(
+        !matches!(event, SimEvent::Arrived { .. }),
+        "arrivals are not keyed"
+    );
+    u128::from(at.order_bits()) << 64
+        | u128::from(event.kind_rank()) << 32
+        | u128::from(event.device())
+}
 
-/// The schedule's total order, defined here and nowhere else, as a sort
-/// key: ascending time (its [`VirtualTime::order_bits`]), then kind rank,
-/// then device id (the two packed into one word), then construction order.
-/// The stream a handler sees — and so every statistic and verdict derived
-/// from it — is therefore a function of the event *set*; construction
-/// order decides only among events equal in all three, which are either
-/// indistinguishable (a device's repeated `Lost` / `RetryDue`) or one
-/// sender's simultaneous `Arrived`s, constructed by ascending receiver.
-fn schedule_key(&(at, index, event): &Scheduled) -> (u64, u64, u32) {
-    let kind_device = u64::from(event.kind_rank()) << 32 | u64::from(event.device());
-    (at.order_bits(), kind_device, index)
+/// The event a [`key`] was built from, bit for bit.
+fn unkey(key: u128) -> (VirtualTime, SimEvent) {
+    let at = VirtualTime::from_order_bits((key >> 64) as u64);
+    let device = key as u32;
+    let event = match (key >> 32) as u32 {
+        0 => SimEvent::ComputeDone(device),
+        1 => SimEvent::Delivered(device),
+        3 => SimEvent::InboxDrained(device),
+        4 => SimEvent::Crashed(device),
+        5 => SimEvent::Lost(device),
+        6 => SimEvent::RetryDue(device),
+        rank => unreachable!("no keyed event has kind rank {rank}"),
+    };
+    (at, event)
 }
 
 /// A subscribed handler's verdict after each event.
@@ -121,12 +141,17 @@ pub enum Control {
 ///
 /// Construction performs the entire static pricing pass of the lockstep
 /// simulator — compute ends, burst barriers, per-destination drain starts,
-/// per-edge arrival fan-out — and sorts the resulting events once.
-/// [`EventDrivenRuntime::run`] then walks them in that order, forwarding
-/// each to the subscribed handler.
+/// per-edge arrival fan-out — and sorts the resulting keys once.
+/// [`EventDrivenRuntime::run`] then walks them in that order, expanding
+/// each delivered burst into its arrivals, and forwards every event to the
+/// subscribed handler.
 pub struct EventDrivenRuntime {
-    /// Every event of the round, sorted by [`schedule_key`].
-    schedule: Vec<Scheduled>,
+    /// Every event of the round but the arrivals, as sorted [`key`]s.
+    keys: Vec<u128>,
+    /// The receivers sender `s`'s burst arrives at, ascending:
+    /// `receivers[receivers_from[s]..receivers_from[s + 1]]`.
+    receivers_from: Vec<usize>,
+    receivers: Vec<u32>,
     busy: Vec<f64>,
     update_delivery: Vec<Option<f64>>,
     bursts: Vec<bool>,
@@ -139,12 +164,12 @@ impl EventDrivenRuntime {
     ///
     /// Devices with `available == false` contribute nothing (their update
     /// is skipped this round). Each receiver's drain waits for the actual
-    /// deliveries of the senders its [`DeviceWork::inbound`] names (see
+    /// deliveries of the senders its [`RoundWork::inbound`] names (see
     /// `epoch.rs` for the collapse properties).
     ///
     /// # Panics
     /// Panics if `profiles` and `work` have different lengths.
-    pub fn new(profiles: &[DeviceProfile], work: &[DeviceWork]) -> Self {
+    pub fn new(profiles: &[DeviceProfile], work: &RoundWork) -> Self {
         Self::new_with_faults(profiles, work, None)
     }
 
@@ -174,12 +199,12 @@ impl EventDrivenRuntime {
     /// plan was compiled for a different fleet size.
     pub fn new_with_faults(
         profiles: &[DeviceProfile],
-        work: &[DeviceWork],
+        work: &RoundWork,
         plan: Option<&FaultPlan>,
     ) -> Self {
         assert_eq!(
             profiles.len(),
-            work.len(),
+            work.devices().len(),
             "one workload entry per device profile"
         );
         let faults = plan.filter(|p| !p.is_clean());
@@ -191,11 +216,8 @@ impl EventDrivenRuntime {
             );
         }
         let n = profiles.len();
-        let mut schedule: Vec<Scheduled> = Vec::new();
-        let mut push = |at: VirtualTime, event: SimEvent| {
-            let index = u32::try_from(schedule.len()).expect("a round's events fit in u32");
-            schedule.push((at, index, event));
-        };
+        let mut keys: Vec<u128> = Vec::new();
+        let mut push = |at: VirtualTime, event: SimEvent| keys.push(key(at, event));
         let mut busy = vec![0.0f64; n];
         let mut update_delivery: Vec<Option<f64>> = vec![None; n];
         // Burst barrier (compute + upload + latency, retries included) of
@@ -206,12 +228,12 @@ impl EventDrivenRuntime {
         let mut bursts = vec![false; n];
         let mut active = 0usize;
 
-        for (d, (p, w)) in profiles.iter().zip(work).enumerate() {
+        for (d, (p, w)) in profiles.iter().zip(work.devices()).enumerate() {
             if !p.available {
                 continue;
             }
             active += 1;
-            if w.is_idle() {
+            if work.is_idle(d) {
                 continue;
             }
             p.validate();
@@ -228,7 +250,7 @@ impl EventDrivenRuntime {
             }
             push(compute_end, SimEvent::ComputeDone(d as u32));
             let upload = p.upload_secs(w.bytes_out);
-            let download = p.download_secs(w.bytes_in());
+            let download = p.download_secs(work.bytes_in(d));
             let burst = w.messages_out > 0 || w.bytes_out > 0;
             bursts[d] = burst;
             // Uplink: messages serialize, so the burst's last message
@@ -244,7 +266,7 @@ impl EventDrivenRuntime {
             // bitwise 0.0): any traffic serializes upload → latency → drain
             // after the compute. Waiting on other senders' deliveries is
             // idle.
-            let has_traffic = burst || w.bytes_in() > 0;
+            let has_traffic = burst || work.bytes_in(d) > 0;
             busy[d] = if has_traffic {
                 ((compute_end.secs() + upload) + p.latency_secs) + download
             } else {
@@ -293,17 +315,20 @@ impl EventDrivenRuntime {
         // sender's delivery. A sender repeated in a receiver's ledger list
         // contributes one arrival, not one per occurrence: `arrived_at[s]`
         // is the last receiver `s` was scheduled into, and receivers
-        // ascend.
+        // ascend, so each `(s, d)` edge is logged once, in receiver order.
         let mut arrived_at = vec![SERVER_SENDER; n];
-        for (d, w) in work.iter().enumerate() {
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        let mut receivers_from = vec![0usize; n + 1];
+        for d in 0..n {
             let Some(own_barrier) = barrier[d] else {
                 continue;
             };
-            if w.bytes_in() == 0 {
+            let bytes_in = work.bytes_in(d);
+            if bytes_in == 0 {
                 continue;
             }
             let mut start = own_barrier;
-            for &(s, bytes) in &w.inbound {
+            for &(s, bytes) in work.inbound(d) {
                 if bytes == 0 || s == d as u32 || s == SERVER_SENDER {
                     continue;
                 }
@@ -318,24 +343,33 @@ impl EventDrivenRuntime {
                 }
                 if arrived_at[s as usize] != d as u32 {
                     arrived_at[s as usize] = d as u32;
-                    push(
-                        t,
-                        SimEvent::Arrived {
-                            from: s,
-                            to: d as u32,
-                        },
-                    );
+                    edges.push((s, d as u32));
+                    receivers_from[s as usize + 1] += 1;
                 }
             }
             // Downlink: start >= the device's own barrier, so the drain
             // never ends before its ComputeDone.
-            let end = start.after(profiles[d].download_secs(w.bytes_in()));
+            let end = start.after(profiles[d].download_secs(bytes_in));
             push(end, SimEvent::InboxDrained(d as u32));
         }
-        schedule.sort_unstable_by_key(schedule_key);
+        keys.sort_unstable();
+        // The receiver table: a counting sort of the edges by sender, which
+        // keeps each sender's receivers in the ascending order logged.
+        for s in 0..n {
+            receivers_from[s + 1] += receivers_from[s];
+        }
+        let mut fill = receivers_from.clone();
+        let mut receivers = vec![0u32; edges.len()];
+        for (s, d) in edges {
+            let slot = &mut fill[s as usize];
+            receivers[*slot] = d;
+            *slot += 1;
+        }
 
         Self {
-            schedule,
+            keys,
+            receivers_from,
+            receivers,
             busy,
             update_delivery,
             bursts,
@@ -364,22 +398,64 @@ impl EventDrivenRuntime {
     /// [`Control::CloseRound`] — and returns the epoch's statistics.
     ///
     /// The handler sees every event in deterministic `(time, kind, device)`
-    /// order. An uninterrupted run (a handler that always returns
-    /// [`Control::Continue`]) reproduces the lockstep `simulate_epoch`
-    /// bit for bit. On an early close the makespan is the closing event's
-    /// timestamp, remaining events are discarded, and per-device busy time
-    /// is clamped to the makespan so `busy + idle = makespan` still holds
-    /// for every active device.
+    /// order, one sender's simultaneous arrivals by ascending receiver:
+    /// the sorted keys, with each equal-time run of `Delivered` keys
+    /// followed by its senders' arrivals. An uninterrupted run (a handler
+    /// that always returns [`Control::Continue`]) reproduces the lockstep
+    /// `simulate_epoch` bit for bit. On an early close the makespan is the
+    /// closing event's timestamp, remaining events are discarded, and
+    /// per-device busy time is clamped to the makespan so
+    /// `busy + idle = makespan` still holds for every active device.
     pub fn run(self, mut handler: impl FnMut(VirtualTime, &SimEvent) -> Control) -> EpochStats {
-        let close = self
-            .schedule
-            .iter()
-            .position(|(t, _, ev)| handler(*t, ev) == Control::CloseRound);
-        let ran = &self.schedule[..close.map_or(self.schedule.len(), |at| at + 1)];
-        let last = ran.last();
-        let makespan_secs = last.map_or(0.0, |(t, ..)| t.secs());
+        let mut events = 0u64;
+        let mut last: Option<(VirtualTime, u32)> = None;
+        let mut emit = |t: VirtualTime, event: SimEvent| {
+            events += 1;
+            last = Some((t, event.device()));
+            handler(t, &event) == Control::CloseRound
+        };
+        let keys = &self.keys;
+        let closed = 'walk: {
+            let mut i = 0;
+            while i < keys.len() {
+                let (t, event) = unkey(keys[i]);
+                if !matches!(event, SimEvent::Delivered(_)) {
+                    if emit(t, event) {
+                        break 'walk true;
+                    }
+                    i += 1;
+                    continue;
+                }
+                // An equal-time run of `Delivered` keys shares its time and
+                // kind bits; every arrival at `t` sorts after the run and
+                // before anything else at `t`, by sender then receiver.
+                let len = keys[i..]
+                    .iter()
+                    .take_while(|&&k| k >> 32 == keys[i] >> 32)
+                    .count();
+                let run = &keys[i..i + len];
+                for &k in run {
+                    if emit(t, SimEvent::Delivered(k as u32)) {
+                        break 'walk true;
+                    }
+                }
+                for &k in run {
+                    let from = k as u32;
+                    let span =
+                        self.receivers_from[from as usize]..self.receivers_from[from as usize + 1];
+                    for &to in &self.receivers[span] {
+                        if emit(t, SimEvent::Arrived { from, to }) {
+                            break 'walk true;
+                        }
+                    }
+                }
+                i += run.len();
+            }
+            false
+        };
+        let makespan_secs = last.map_or(0.0, |(t, _)| t.secs());
         let mut busy = self.busy;
-        if close.is_some() {
+        if closed {
             // The round closed mid-schedule: devices still mid-chain spend
             // the remainder of their critical path in the *next* round's
             // accounting, so their busy time here is capped at the close.
@@ -413,9 +489,9 @@ impl EventDrivenRuntime {
             busy_secs: busy,
             idle_secs: idle,
             update_delivery_secs: self.update_delivery,
-            straggler: last.map(|(.., ev)| ev.device()),
+            straggler: last.map(|(_, device)| device),
             active_devices: self.active,
-            events: ran.len() as u64,
+            events,
         }
     }
 }
@@ -423,14 +499,22 @@ impl EventDrivenRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::DeviceWork;
 
-    fn burst_work(units: f64) -> DeviceWork {
-        DeviceWork {
+    type Listed = (DeviceWork, Vec<(u32, u64)>);
+
+    fn burst_work(units: f64) -> Listed {
+        let own = DeviceWork {
             compute_units: units,
             messages_out: 1,
             bytes_out: 100,
-            inbound: Vec::new(),
-        }
+        };
+        (own, Vec::new())
+    }
+
+    /// The round of per-device `(work, inbound list)` pairs.
+    fn round(work: Vec<Listed>) -> RoundWork {
+        RoundWork::from_lists(work)
     }
 
     #[test]
@@ -439,14 +523,14 @@ mod tests {
         for (i, p) in profiles.iter_mut().enumerate() {
             p.compute_rate = 80.0 / (i + 1) as f64;
         }
-        let work: Vec<DeviceWork> = (0..4u32)
-            .map(|i| DeviceWork {
+        let work = RoundWork::from_lists((0..4u32).map(|i| {
+            let own = DeviceWork {
                 compute_units: 50.0 * (i + 1) as f64,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: vec![((i + 1) % 4, 32)],
-            })
-            .collect();
+            };
+            (own, vec![((i + 1) % 4, 32)])
+        }));
         let lockstep = crate::epoch::simulate_epoch(&profiles, &work);
         let event_driven = EventDrivenRuntime::new(&profiles, &work).run(|_, _| Control::Continue);
         assert_eq!(lockstep, event_driven);
@@ -455,7 +539,7 @@ mod tests {
     #[test]
     fn handler_sees_every_event_in_order() {
         let profiles = vec![DeviceProfile::baseline(); 2];
-        let work = vec![burst_work(100.0), burst_work(200.0)];
+        let work = round(vec![burst_work(100.0), burst_work(200.0)]);
         let mut seen: Vec<(f64, SimEvent)> = Vec::new();
         let stats = EventDrivenRuntime::new(&profiles, &work).run(|t, ev| {
             seen.push((t.secs(), *ev));
@@ -468,9 +552,9 @@ mod tests {
     }
 
     /// The full event stream of an uninterrupted, fault-free run.
-    fn stream(profiles: &[DeviceProfile], work: &[DeviceWork]) -> Vec<(f64, SimEvent)> {
+    fn stream(profiles: &[DeviceProfile], work: Vec<Listed>) -> Vec<(f64, SimEvent)> {
         let mut seen = Vec::new();
-        EventDrivenRuntime::new(profiles, work).run(|t, ev| {
+        EventDrivenRuntime::new(profiles, &round(work)).run(|t, ev| {
             seen.push((t.secs(), *ev));
             Control::Continue
         });
@@ -488,20 +572,20 @@ mod tests {
         for p in &mut profiles {
             p.latency_secs = 0.0;
         }
-        let fleet = |senders: Vec<(u32, u64)>| -> Vec<DeviceWork> {
+        let fleet = |senders: Vec<(u32, u64)>| -> Vec<Listed> {
             let sender = DeviceWork {
                 compute_units: 100.0,
                 messages_out: 1,
                 ..DeviceWork::default()
             };
-            let receiver = DeviceWork {
-                inbound: senders,
-                ..sender.clone()
-            };
-            vec![receiver, sender.clone(), sender]
+            vec![
+                (sender, senders),
+                (sender, Vec::new()),
+                (sender, Vec::new()),
+            ]
         };
-        let forward = stream(&profiles, &fleet(vec![(1, 64), (2, 64)]));
-        let reversed = stream(&profiles, &fleet(vec![(2, 64), (1, 64)]));
+        let forward = stream(&profiles, fleet(vec![(1, 64), (2, 64)]));
+        let reversed = stream(&profiles, fleet(vec![(2, 64), (1, 64)]));
         let want = vec![
             (1.0, SimEvent::ComputeDone(0)),
             (1.0, SimEvent::ComputeDone(1)),
@@ -520,21 +604,18 @@ mod tests {
     #[test]
     fn equal_keys_run_in_construction_order() {
         // One sender's burst lands at all of its receivers at once: the
-        // arrivals tie on (time, kind, device), so only construction order
+        // arrivals tie on (time, kind, device), so only the receiver table
         // — ascending receiver, one arrival per edge however often the
         // ledger lists the sender — is left to order them.
         let profiles = vec![DeviceProfile::baseline(); 4];
-        let from_3 = |entries: Vec<(u32, u64)>| DeviceWork {
-            inbound: entries,
-            ..burst_work(100.0)
-        };
+        let from_3 = |entries: Vec<(u32, u64)>| (burst_work(100.0).0, entries);
         let work = vec![
             from_3(vec![(3, 64)]),
             from_3(vec![(3, 32), (0, 8), (3, 32)]),
             from_3(vec![(3, 64)]),
             burst_work(100.0),
         ];
-        let arrivals: Vec<(f64, SimEvent)> = stream(&profiles, &work)
+        let arrivals: Vec<(f64, SimEvent)> = stream(&profiles, work)
             .into_iter()
             .filter(|(_, ev)| matches!(ev, SimEvent::Arrived { from: 3, .. }))
             .collect();
@@ -551,7 +632,7 @@ mod tests {
         // shrink the makespan to that instant and keep busy <= makespan.
         let mut profiles = vec![DeviceProfile::baseline(); 2];
         profiles[1].compute_rate /= 100.0;
-        let work = vec![burst_work(100.0), burst_work(100.0)];
+        let work = round(vec![burst_work(100.0), burst_work(100.0)]);
         let full = EventDrivenRuntime::new(&profiles, &work).run(|_, _| Control::Continue);
         let closed = EventDrivenRuntime::new(&profiles, &work).run(|_, ev| {
             if *ev == SimEvent::Delivered(0) {
@@ -574,15 +655,12 @@ mod tests {
     #[test]
     fn arrived_events_name_their_receiver() {
         let profiles = vec![DeviceProfile::baseline(); 2];
-        let work = vec![
-            DeviceWork {
-                compute_units: 100.0,
-                messages_out: 1,
-                bytes_out: 64,
-                inbound: vec![(1, 64)],
-            },
-            burst_work(100.0),
-        ];
+        let receiver = DeviceWork {
+            compute_units: 100.0,
+            messages_out: 1,
+            bytes_out: 64,
+        };
+        let work = round(vec![(receiver, vec![(1, 64)]), burst_work(100.0)]);
         let mut arrivals = Vec::new();
         EventDrivenRuntime::new(&profiles, &work).run(|_, ev| {
             if let SimEvent::Arrived { from, to } = *ev {
@@ -598,14 +676,14 @@ mod tests {
         use crate::fault::{FaultSpec, FaultState, RecoveryPolicy};
         let mut profiles = vec![DeviceProfile::baseline(); 4];
         profiles[2].compute_rate /= 3.0;
-        let work: Vec<DeviceWork> = (0..4u32)
-            .map(|i| DeviceWork {
+        let work = RoundWork::from_lists((0..4u32).map(|i| {
+            let own = DeviceWork {
                 compute_units: 60.0 * (i + 1) as f64,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: vec![((i + 1) % 4, 32)],
-            })
-            .collect();
+            };
+            (own, vec![((i + 1) % 4, 32)])
+        }));
         let mut st = FaultState::new(FaultSpec::None, RecoveryPolicy::default(), 3);
         let plan = st.compile_round(&profiles);
         let clean = EventDrivenRuntime::new(&profiles, &work).run(|_, _| Control::Continue);
@@ -618,7 +696,7 @@ mod tests {
     fn a_crash_replaces_the_device_chain_with_one_event() {
         use crate::fault::{FaultSpec, FaultState, RecoveryPolicy};
         let profiles = vec![DeviceProfile::baseline(); 2];
-        let work = vec![burst_work(100.0), burst_work(100.0)];
+        let work = round(vec![burst_work(100.0), burst_work(100.0)]);
         let mut st = FaultState::new(
             FaultSpec::Faults {
                 crash_rate: 1.0,
@@ -655,7 +733,7 @@ mod tests {
     fn a_recovered_upload_lands_at_the_final_retry() {
         use crate::fault::{FaultSpec, FaultState, RecoveryPolicy, SendFaults};
         let profiles = vec![DeviceProfile::baseline(); 1];
-        let work = vec![burst_work(100.0)];
+        let work = round(vec![burst_work(100.0)]);
         // Find a seed whose single-device round has >= 1 retry that still
         // recovers (loss 0.5 with a budget of 8 recovers almost surely).
         let recovery = RecoveryPolicy {
@@ -706,7 +784,7 @@ mod tests {
     fn an_exhausted_upload_never_lands_but_still_terminates() {
         use crate::fault::{FaultSpec, FaultState, RecoveryPolicy, HARD_RETRY_CAP};
         let profiles = vec![DeviceProfile::baseline(); 2];
-        let work = vec![burst_work(100.0), burst_work(100.0)];
+        let work = round(vec![burst_work(100.0), burst_work(100.0)]);
         let mut st = FaultState::new(
             FaultSpec::message_loss(1.0),
             RecoveryPolicy {
@@ -742,7 +820,7 @@ mod tests {
     fn fault_events_respect_the_total_order() {
         use crate::fault::{FaultSpec, FaultState, RecoveryPolicy};
         let profiles = vec![DeviceProfile::baseline(); 6];
-        let work: Vec<DeviceWork> = (0..6).map(|_| burst_work(100.0)).collect();
+        let work = round((0..6).map(|_| burst_work(100.0)).collect());
         let mut st = FaultState::new(
             FaultSpec::Faults {
                 crash_rate: 0.3,
@@ -774,14 +852,15 @@ mod tests {
     fn schedule_exposes_the_static_timing_signal() {
         let mut profiles = vec![DeviceProfile::baseline(); 3];
         profiles[2].available = false;
-        let work = vec![
+        let quiet = DeviceWork {
+            compute_units: 100.0,
+            ..DeviceWork::default()
+        };
+        let work = round(vec![
             burst_work(100.0),
-            DeviceWork {
-                compute_units: 100.0,
-                ..DeviceWork::default()
-            },
+            (quiet, Vec::new()),
             burst_work(100.0),
-        ];
+        ]);
         let rt = EventDrivenRuntime::new(&profiles, &work);
         assert_eq!(rt.active, 2);
         assert_eq!(rt.ships_burst(), &[true, false, false]);
@@ -793,81 +872,71 @@ mod tests {
         assert_eq!(planned, stats.update_delivery_secs);
     }
 
-    /// PR 22's comparator, kept as the oracle [`schedule_key`] must agree
-    /// with: `f64::total_cmp` on the time, then kind rank, device and
-    /// construction order.
-    fn schedule_order(&(ta, ia, ea): &Scheduled, &(tb, ib, eb): &Scheduled) -> std::cmp::Ordering {
+    /// A keyed event: when, and what.
+    type Timed = (VirtualTime, SimEvent);
+
+    /// The comparator the schedule was once sorted with, kept as the
+    /// oracle [`key`] must agree with: `f64::total_cmp` on the time, then
+    /// kind rank, then device.
+    fn schedule_order(&(ta, ea): &Timed, &(tb, eb): &Timed) -> std::cmp::Ordering {
         ta.secs()
             .total_cmp(&tb.secs())
             .then_with(|| ea.kind_rank().cmp(&eb.kind_rank()))
             .then_with(|| ea.device().cmp(&eb.device()))
-            .then_with(|| ia.cmp(&ib))
     }
 
-    /// A random schedule in construction order: every event kind, a few
-    /// devices and a few timestamps (so keys collide on every component
-    /// but the index), and one sender's simultaneous `Arrived`s.
-    fn random_schedule(seed: u64) -> Vec<Scheduled> {
+    /// A random schedule of keyed events in construction order: every kind
+    /// but the (never keyed) arrivals, a few devices and a few timestamps,
+    /// so keys collide on every component and whole keys repeat.
+    fn random_schedule(seed: u64) -> Vec<Timed> {
         let mut rng = lumos_common::rng::Xoshiro256pp::seed_from_u64(seed);
         let times = [0.0, -0.0, 5e-324, 1.0, 1.0 + f64::EPSILON, 2.5, f64::MAX];
-        let mut events = Vec::new();
-        for _ in 0..rng.next_below(96) {
-            let at = times[rng.next_below(times.len() as u64) as usize];
-            let d = rng.next_below(6) as u32;
-            let event = match rng.next_below(7) {
-                0 => SimEvent::ComputeDone(d),
-                1 => SimEvent::Delivered(d),
-                2 => SimEvent::Arrived {
-                    from: d,
-                    to: rng.next_below(6) as u32,
-                },
-                3 => SimEvent::InboxDrained(d),
-                4 => SimEvent::Crashed(d),
-                5 => SimEvent::Lost(d),
-                _ => SimEvent::RetryDue(d),
-            };
-            events.push((VirtualTime::new(at), event));
-        }
-        let from = rng.next_below(6) as u32;
-        let landed = VirtualTime::new(times[rng.next_below(times.len() as u64) as usize]);
-        for to in 0..4 {
-            events.push((landed, SimEvent::Arrived { from, to }));
-        }
-        // Shuffle, so construction order is not the sorted order.
-        for i in (1..events.len()).rev() {
-            events.swap(i, rng.next_below(i as u64 + 1) as usize);
-        }
-        (0u32..)
-            .zip(events)
-            .map(|(index, (at, event))| (at, index, event))
+        (0..rng.next_below(96))
+            .map(|_| {
+                let at = times[rng.next_below(times.len() as u64) as usize];
+                let d = rng.next_below(6) as u32;
+                let event = match rng.next_below(6) {
+                    0 => SimEvent::ComputeDone(d),
+                    1 => SimEvent::Delivered(d),
+                    2 => SimEvent::InboxDrained(d),
+                    3 => SimEvent::Crashed(d),
+                    4 => SimEvent::Lost(d),
+                    _ => SimEvent::RetryDue(d),
+                };
+                (VirtualTime::new(at), event)
+            })
             .collect()
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
-        /// The key is the order: every pair compares as the oracle does,
-        /// so the sorted schedules are the same sequence.
+        /// The key is the order and the event: every pair compares as the
+        /// oracle does, every key decodes to its event with the time's very
+        /// bits, and the sorted keys are the oracle's sorted sequence.
         #[test]
         fn schedule_key_orders_as_the_comparator(seed in proptest::any::<u64>()) {
             let schedule = random_schedule(seed);
-            for a in &schedule {
-                for b in &schedule {
+            let bits = |(t, ev): Timed| (t.secs().to_bits(), ev);
+            for &(t, ev) in &schedule {
+                proptest::prop_assert_eq!(bits(unkey(key(t, ev))), bits((t, ev)));
+                for &b in &schedule {
                     proptest::prop_assert_eq!(
-                        schedule_key(a).cmp(&schedule_key(b)),
-                        schedule_order(a, b),
+                        key(t, ev).cmp(&key(b.0, b.1)),
+                        schedule_order(&(t, ev), &b),
                         "{:?} vs {:?}",
-                        a,
+                        (t, ev),
                         b
                     );
                 }
             }
-            let mut by_key = schedule.clone();
-            by_key.sort_unstable_by_key(schedule_key);
+            let mut keys: Vec<u128> = schedule.iter().map(|&(t, ev)| key(t, ev)).collect();
+            keys.sort_unstable();
             let mut by_oracle = schedule;
-            by_oracle.sort_unstable_by(schedule_order);
-            let indices = |s: &[Scheduled]| s.iter().map(|&(_, i, _)| i).collect::<Vec<_>>();
-            proptest::prop_assert_eq!(indices(&by_key), indices(&by_oracle));
+            by_oracle.sort_by(schedule_order);
+            let by_key: Vec<_> = keys.into_iter().map(|k| bits(unkey(k))).collect();
+            let by_oracle: Vec<_> = by_oracle.into_iter().map(bits).collect();
+            proptest::prop_assert_eq!(by_key, by_oracle);
         }
     }
 }

@@ -10,14 +10,22 @@ use proptest::prelude::*;
 use lumos_common::rng::Xoshiro256pp;
 use lumos_sim::{
     simulate_epoch, AggregationPolicy, Control, DeviceProfile, DeviceWork, EventDrivenRuntime,
-    FaultSpec, FaultState, RecoveryPolicy, RoundPolicy, SimEvent, VirtualTime, SERVER_SENDER,
-    STALENESS_CAP,
+    FaultPlan, FaultSpec, FaultState, RecoveryPolicy, RoundPolicy, RoundWork, SimEvent,
+    VirtualTime, SERVER_SENDER, STALENESS_CAP,
 };
+
+/// One device's own work and its inbound `(sender, bytes)` list.
+type Listed = (DeviceWork, Vec<(u32, u64)>);
+
+/// The round of per-device `(work, inbound list)` pairs.
+fn round(work: &[Listed]) -> RoundWork {
+    RoundWork::from_lists(work.iter().cloned())
+}
 
 /// Random fleet + aggregate workload of `n` devices from one seed: each
 /// device's inbound bytes all come from [`SERVER_SENDER`], so its drain is
 /// self-timed.
-fn random_fleet(seed: u64, n: usize) -> (Vec<DeviceProfile>, Vec<DeviceWork>) {
+fn random_fleet(seed: u64, n: usize) -> (Vec<DeviceProfile>, Vec<Listed>) {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let profiles = (0..n)
         .map(|_| DeviceProfile {
@@ -29,11 +37,13 @@ fn random_fleet(seed: u64, n: usize) -> (Vec<DeviceProfile>, Vec<DeviceWork>) {
         })
         .collect();
     let work = (0..n)
-        .map(|_| DeviceWork {
-            compute_units: rng.range_f64(0.0, 5000.0),
-            messages_out: rng.next_below(32),
-            bytes_out: rng.next_below(1 << 16),
-            inbound: vec![(SERVER_SENDER, rng.next_below(1 << 16))],
+        .map(|_| {
+            let own = DeviceWork {
+                compute_units: rng.range_f64(0.0, 5000.0),
+                messages_out: rng.next_below(32),
+                bytes_out: rng.next_below(1 << 16),
+            };
+            (own, vec![(SERVER_SENDER, rng.next_below(1 << 16))])
         })
         .collect();
     (profiles, work)
@@ -41,12 +51,12 @@ fn random_fleet(seed: u64, n: usize) -> (Vec<DeviceProfile>, Vec<DeviceWork>) {
 
 /// Splits each device's aggregate inbound bytes across random senders
 /// (peers, itself, or the server), preserving the per-device totals.
-fn scatter_inbound(seed: u64, work: &[DeviceWork]) -> Vec<DeviceWork> {
+fn scatter_inbound(seed: u64, work: &[Listed]) -> Vec<Listed> {
     let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5EED_CA57);
     let n = work.len() as u64;
     work.iter()
-        .map(|w| {
-            let total = w.bytes_in();
+        .map(|(own, inbound)| {
+            let total: u64 = inbound.iter().map(|&(_, b)| b).sum();
             let mut remaining = total;
             let mut list = Vec::new();
             while remaining > 0 {
@@ -59,10 +69,7 @@ fn scatter_inbound(seed: u64, work: &[DeviceWork]) -> Vec<DeviceWork> {
                 list.push((sender, chunk));
                 remaining -= chunk;
             }
-            DeviceWork {
-                inbound: list,
-                ..w.clone()
-            }
+            (*own, list)
         })
         .collect()
 }
@@ -73,34 +80,45 @@ fn barrier_secs(p: &DeviceProfile, w: &DeviceWork) -> f64 {
     (p.compute_secs(w.compute_units) + p.upload_secs(w.bytes_out)) + p.latency_secs
 }
 
+/// A tie-heavy, lossy round of `n` devices: a random fleet under a lossy,
+/// crashing fault plan, with every other device pinned to one timestamp so
+/// kinds and devices collide and senders reach several receivers at once.
+fn tie_heavy_lossy_round(seed: u64, n: usize) -> (Vec<DeviceProfile>, RoundWork, FaultPlan) {
+    let (mut profiles, aggregate) = random_fleet(seed, n);
+    let mut work = scatter_inbound(seed, &aggregate);
+    for (p, (w, _)) in profiles.iter_mut().zip(&mut work).step_by(2) {
+        *p = DeviceProfile {
+            available: p.available,
+            latency_secs: 0.0,
+            ..DeviceProfile::baseline()
+        };
+        w.compute_units = 100.0;
+        w.messages_out = 1;
+        w.bytes_out = 0;
+    }
+    let spec = FaultSpec::Faults {
+        crash_rate: 0.1,
+        loss_rate: 0.3,
+        duplicate_rate: 0.0,
+        outages: Vec::new(),
+    };
+    let plan = FaultState::new(spec, RecoveryPolicy::default(), seed).compile_round(&profiles);
+    (profiles, round(&work), plan)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The sorted schedule earns what the event heap gave by construction.
-    /// On a random fleet under a lossy, crashing fault plan — every other
-    /// device pinned to one timestamp so kinds and devices collide — the
-    /// stream a handler sees never steps back under `(time, kind rank,
-    /// device)`, one sender's simultaneous arrivals ascend by receiver, and
-    /// each device's chain keeps its causal order: `ComputeDone` before
-    /// `Delivered` before every `Arrived` it sends, and before its own
-    /// `InboxDrained` and any `Lost` / `RetryDue`.
+    /// On [`tie_heavy_lossy_round`], the stream a handler sees never steps
+    /// back under `(time, kind rank, device)`, one sender's simultaneous
+    /// arrivals ascend by receiver, and each device's chain keeps its
+    /// causal order: `ComputeDone` before `Delivered` before every
+    /// `Arrived` it sends, and before its own `InboxDrained` and any
+    /// `Lost` / `RetryDue`.
     #[test]
     fn event_pops_are_monotone_in_time(seed in any::<u64>(), n in 1usize..48) {
-        let (mut profiles, aggregate) = random_fleet(seed, n);
-        let mut work = scatter_inbound(seed, &aggregate);
-        for (p, w) in profiles.iter_mut().zip(&mut work).step_by(2) {
-            *p = DeviceProfile { available: p.available, latency_secs: 0.0, ..DeviceProfile::baseline() };
-            w.compute_units = 100.0;
-            w.messages_out = 1;
-            w.bytes_out = 0;
-        }
-        let spec = FaultSpec::Faults {
-            crash_rate: 0.1,
-            loss_rate: 0.3,
-            duplicate_rate: 0.0,
-            outages: Vec::new(),
-        };
-        let plan = FaultState::new(spec, RecoveryPolicy::default(), seed).compile_round(&profiles);
+        let (profiles, work, plan) = tie_heavy_lossy_round(seed, n);
         let mut seen: Vec<(VirtualTime, SimEvent)> = Vec::new();
         let stats = EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan)).run(|t, ev| {
             seen.push((t, *ev));
@@ -138,6 +156,54 @@ proptest! {
         }
     }
 
+    /// An early close is a prefix of the stream. On
+    /// [`tie_heavy_lossy_round`], recorded once in full, closing at the
+    /// k-th event — at sampled k, at one inside a sender's arrival run, and
+    /// at the last event — runs exactly k events, takes the k-th event's
+    /// time bits as the makespan and its device as the straggler, and keeps
+    /// every active device's busy time inside the makespan.
+    #[test]
+    fn a_closed_round_is_a_prefix_of_the_stream(seed in any::<u64>(), n in 1usize..48) {
+        let (profiles, work, plan) = tie_heavy_lossy_round(seed, n);
+        let mut full: Vec<(VirtualTime, SimEvent)> = Vec::new();
+        EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan)).run(|t, ev| {
+            full.push((t, *ev));
+            Control::Continue
+        });
+        // Closing on an `Arrived` its sender's next `Arrived` follows at the
+        // same instant cuts the arrival run in two.
+        let inside_run = full.windows(2).position(|w| {
+            matches!(
+                (w[0].1, w[1].1),
+                (SimEvent::Arrived { from: a, .. }, SimEvent::Arrived { from: b, .. })
+                    if a == b && w[0].0 == w[1].0
+            )
+        });
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut closes: Vec<usize> = inside_run.map(|i| i + 1).into_iter().collect();
+        if !full.is_empty() {
+            closes.extend((0..4).map(|_| 1 + rng.next_below(full.len() as u64) as usize));
+            closes.push(full.len());
+        }
+        for k in closes {
+            let mut handled = 0;
+            let stats = EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan)).run(|_, _| {
+                handled += 1;
+                if handled == k { Control::CloseRound } else { Control::Continue }
+            });
+            let (t, ev) = full[k - 1];
+            prop_assert_eq!(stats.events, k as u64, "closed at event {}", k);
+            prop_assert_eq!(stats.makespan_secs.to_bits(), t.secs().to_bits(), "closed at {:?}", ev);
+            prop_assert_eq!(stats.straggler, Some(ev.device()), "closed at {:?}", ev);
+            for (d, p) in profiles.iter().enumerate() {
+                prop_assert!(
+                    !p.available || stats.busy_secs[d] <= stats.makespan_secs,
+                    "device {} busy {} past the close at {}", d, stats.busy_secs[d], stats.makespan_secs
+                );
+            }
+        }
+    }
+
     /// The synchronous barrier dominates every device: busy time never
     /// exceeds the makespan, idle is the exact complement for available
     /// devices, and utilization stays in [0, 1] — under both inbound
@@ -146,8 +212,8 @@ proptest! {
     fn epoch_invariants_hold_for_random_fleets(seed in any::<u64>(), n in 1usize..48) {
         let (profiles, aggregate) = random_fleet(seed, n);
         let per_sender = scatter_inbound(seed, &aggregate);
-        for work in [&aggregate, &per_sender] {
-            let stats = simulate_epoch(&profiles, work);
+        for work in [round(&aggregate), round(&per_sender)] {
+            let stats = simulate_epoch(&profiles, &work);
             prop_assert!(stats.makespan_secs >= 0.0);
             for (d, p) in profiles.iter().enumerate() {
                 prop_assert!(
@@ -171,7 +237,7 @@ proptest! {
             let u = stats.mean_utilization();
             prop_assert!((0.0..=1.0 + 1e-12).contains(&u), "utilization {} out of range", u);
             // Straggler exists iff some available device had work.
-            let any_ran = profiles.iter().zip(work.iter()).any(|(p, w)| p.available && !w.is_idle());
+            let any_ran = (0..n).any(|d| profiles[d].available && !work.is_idle(d));
             prop_assert_eq!(stats.straggler.is_some(), any_ran);
         }
     }
@@ -182,8 +248,8 @@ proptest! {
     fn per_destination_makespan_dominates_aggregate(seed in any::<u64>(), n in 1usize..32) {
         let (profiles, aggregate) = random_fleet(seed, n);
         let per_sender = scatter_inbound(seed, &aggregate);
-        let agg = simulate_epoch(&profiles, &aggregate);
-        let per = simulate_epoch(&profiles, &per_sender);
+        let agg = simulate_epoch(&profiles, &round(&aggregate));
+        let per = simulate_epoch(&profiles, &round(&per_sender));
         prop_assert!(
             per.makespan_secs >= agg.makespan_secs,
             "per-destination {} fell below aggregate {}",
@@ -207,28 +273,28 @@ proptest! {
         // the receiver's own barrier; reroute the rest to the receiver
         // itself (self-timed by definition). Totals are preserved.
         let scattered = scatter_inbound(seed, &aggregate);
-        let filtered: Vec<DeviceWork> = scattered
+        let idle = round(&scattered);
+        let filtered: Vec<Listed> = scattered
             .iter()
             .enumerate()
-            .map(|(d, w)| {
+            .map(|(d, (w, inbound))| {
                 let own = barrier_secs(&profiles[d], w);
-                let list = w
-                    .inbound
+                let list = inbound
                     .iter()
                     .map(|&(s, b)| {
                         let keep = s != SERVER_SENDER
                             && (s as usize) < n
                             && profiles[s as usize].available
-                            && !scattered[s as usize].is_idle()
-                            && barrier_secs(&profiles[s as usize], &scattered[s as usize]) <= own;
+                            && !idle.is_idle(s as usize)
+                            && barrier_secs(&profiles[s as usize], &scattered[s as usize].0) <= own;
                         if keep { (s, b) } else { (d as u32, b) }
                     })
                     .collect();
-                DeviceWork { inbound: list, ..w.clone() }
+                (*w, list)
             })
             .collect();
-        let agg = simulate_epoch(&profiles, &aggregate);
-        let per = simulate_epoch(&profiles, &filtered);
+        let agg = simulate_epoch(&profiles, &round(&aggregate));
+        let per = simulate_epoch(&profiles, &round(&filtered));
         prop_assert_eq!(per.makespan_secs.to_bits(), agg.makespan_secs.to_bits());
         prop_assert_eq!(per.straggler, agg.straggler);
         for d in 0..n {
@@ -242,7 +308,7 @@ proptest! {
     #[test]
     fn epoch_simulation_is_replayable(seed in any::<u64>(), n in 1usize..32) {
         let (profiles, aggregate) = random_fleet(seed, n);
-        let work = scatter_inbound(seed, &aggregate);
+        let work = round(&scatter_inbound(seed, &aggregate));
         let a = simulate_epoch(&profiles, &work);
         let b = simulate_epoch(&profiles, &work);
         prop_assert_eq!(a, b);
@@ -256,7 +322,7 @@ proptest! {
         seed in any::<u64>(), n in 1usize..32, factor in 1.0f64..4.0
     ) {
         let (profiles, aggregate) = random_fleet(seed, n);
-        let work = scatter_inbound(seed, &aggregate);
+        let work = round(&scatter_inbound(seed, &aggregate));
         let stats = simulate_epoch(&profiles, &work);
         let late = AggregationPolicy::Deadline { factor }.late_with_staleness(&stats);
         let participants = stats.update_delivery_secs.iter().flatten().count();
@@ -275,7 +341,7 @@ proptest! {
         seed in any::<u64>(), n in 1usize..32, factor in 1.0f64..4.0, decay in 0.0f64..=1.0
     ) {
         let (profiles, aggregate) = random_fleet(seed, n);
-        let work = scatter_inbound(seed, &aggregate);
+        let work = round(&scatter_inbound(seed, &aggregate));
         let stats = simulate_epoch(&profiles, &work);
         let deadline = AggregationPolicy::Deadline { factor };
         let buffered = AggregationPolicy::Buffered { factor, decay };
@@ -305,7 +371,7 @@ proptest! {
         decay in 0.01f64..=1.0, quorum in 1usize..40
     ) {
         let (profiles, aggregate) = random_fleet(seed, n);
-        let work = scatter_inbound(seed, &aggregate);
+        let work = round(&scatter_inbound(seed, &aggregate));
         for policy in [
             AggregationPolicy::FullSync,
             AggregationPolicy::Deadline { factor },
@@ -351,7 +417,7 @@ proptest! {
     #[test]
     fn async_full_quorum_is_the_barrier_bitwise(seed in any::<u64>(), n in 1usize..32) {
         let (profiles, aggregate) = random_fleet(seed, n);
-        let work = scatter_inbound(seed, &aggregate);
+        let work = round(&scatter_inbound(seed, &aggregate));
         let barrier = simulate_epoch(&profiles, &work);
         let schedule = EventDrivenRuntime::new(&profiles, &work);
         let mut round = RoundPolicy::new(
@@ -371,7 +437,7 @@ proptest! {
         seed in any::<u64>(), n in 2usize..32, quorum in 1usize..31
     ) {
         let (profiles, aggregate) = random_fleet(seed, n);
-        let work = scatter_inbound(seed, &aggregate);
+        let work = round(&scatter_inbound(seed, &aggregate));
         let schedule = EventDrivenRuntime::new(&profiles, &work);
         // Quorum boundary from the static signal: `min_updates`-th landing
         // in (time, device) order.

@@ -198,18 +198,18 @@ mod tests {
     }
 
     fn simulated_round() -> (lumos_sim::EventDrivenRuntime, EpochStats) {
-        use lumos_sim::{DeviceProfile, DeviceWork};
+        use lumos_sim::{DeviceProfile, DeviceWork, RoundWork};
         let mut profiles = vec![DeviceProfile::baseline(); 6];
         profiles[1].compute_rate /= 60.0;
         profiles[4].compute_rate /= 90.0;
-        let work: Vec<DeviceWork> = (0..6)
-            .map(|i| DeviceWork {
+        let work = RoundWork::from_lists((0..6).map(|i| {
+            let own = DeviceWork {
                 compute_units: 100.0 + 10.0 * i as f64,
                 messages_out: 1,
                 bytes_out: 64,
-                inbound: Vec::new(),
-            })
-            .collect();
+            };
+            (own, [])
+        }));
         let schedule = EventDrivenRuntime::new(&profiles, &work);
         let stats = lumos_sim::simulate_epoch(&profiles, &work);
         (schedule, stats)

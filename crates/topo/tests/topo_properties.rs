@@ -9,7 +9,8 @@ use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
 use lumos_sim::{
-    AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, SERVER_SENDER,
+    AggregationPolicy, DeviceProfile, DeviceWork, EpochStats, EventDrivenRuntime, RoundWork,
+    SERVER_SENDER,
 };
 use lumos_topo::{shard_late_with_staleness, ShardRoundPolicies, Topology};
 
@@ -102,17 +103,15 @@ proptest! {
                 ..DeviceProfile::baseline()
             })
             .collect();
-        let work: Vec<DeviceWork> = (0..n)
-            .map(|_| {
-                let burst = rng.next_below(2);
-                DeviceWork {
-                    compute_units: rng.range_f64(0.0, 5000.0),
-                    messages_out: burst,
-                    bytes_out: 64 * burst,
-                    inbound: vec![(SERVER_SENDER, 64)],
-                }
-            })
-            .collect();
+        let work = RoundWork::from_lists((0..n).map(|_| {
+            let burst = rng.next_below(2);
+            let own = DeviceWork {
+                compute_units: rng.range_f64(0.0, 5000.0),
+                messages_out: burst,
+                bytes_out: 64 * burst,
+            };
+            (own, [(SERVER_SENDER, 64)])
+        }));
         for policy in [
             AggregationPolicy::FullSync,
             AggregationPolicy::Deadline { factor },

@@ -317,9 +317,10 @@ fn event_stream_digest(scenario: Scenario, faults: FaultSpec) -> u64 {
 #[test]
 fn event_streams_are_pinned_per_scenario() {
     // The constants were produced by the event heap of the commit before
-    // the schedule became one sorted vector (PR 22): the stream — order
-    // included — is what that change had to preserve, and what a trace
-    // digest will extend.
+    // the schedule became one sorted vector: the stream — order included —
+    // is what that change had to preserve, and what the packed integer
+    // keys with arrivals expanded from a receiver table preserve too. A
+    // trace digest will extend it.
     let lossy = || FaultSpec::Faults {
         crash_rate: 0.05,
         loss_rate: 0.05,
