@@ -8,7 +8,9 @@
 //! --epochs 1` ≈ 1 s; `--dataset facebook --scale paper --epochs 3 --mcmc
 //! 20` — the run that could not be built before the batch stopped storing
 //! floats — is recorded in CHANGES.md with its peak RSS.
-use lumos_bench::{emit, paper, HarnessArgs};
+use lumos_bench::emit::{self, Row};
+use lumos_bench::paper::{self, OwnerRow, PhaseRow};
+use lumos_bench::HarnessArgs;
 use lumos_common::timer::time_it;
 
 fn main() {
@@ -51,8 +53,9 @@ fn main() {
         run.devices,
         run.feature_dim
     );
-    emit::table(&run.phases).print();
-    emit::table(&run.owners).print();
+    let (phases, owners) = (emit::records(&run.phases), emit::records(&run.owners));
+    emit::table(PhaseRow::TITLE, &phases).print();
+    emit::table(OwnerRow::TITLE, &owners).print();
     for (key, value) in run.summary() {
         println!("{key}: {}", value.render().trim_end());
     }
@@ -63,8 +66,8 @@ fn main() {
         ("mcmc_iterations", emit::Value::UInt(mcmc as u64)),
     ];
     sections.extend(run.summary());
-    sections.push(("phases", emit::rows(&run.phases)));
-    sections.push(("owners", emit::rows(&run.owners)));
+    sections.push(("phases", emit::rows(phases)));
+    sections.push(("owners", emit::rows(owners)));
     let doc = emit::document("paper_scale", Some(args.scale), &args, sections);
     emit::write(&doc, &args, "BENCH_paper.json");
 }

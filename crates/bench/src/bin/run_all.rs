@@ -1,8 +1,33 @@
 //! Runs every table/figure reproduction in sequence and prints the paper's
 //! headline claims computed from the measured results.
-use lumos_bench::figure::{Metric, Value, FIGURES};
+use lumos_bench::figure::{self, Value, FIGURES};
 use lumos_bench::{fig7, table1, HarnessArgs};
 use lumos_common::table::{fmt2, Table};
+
+/// Headline claims (abstract): accuracy increase vs the federated
+/// baseline, communication-round and training-time savings — each the mean
+/// of a figure column over its rows. A line: the claim, the paper's number,
+/// the figure, the column.
+const HEADLINE: [(&str, &str, &str, Value); 3] = [
+    (
+        "accuracy increase vs naive FedGNN (%)",
+        "39.48",
+        "fig3_supervised",
+        Value::Gain("Lumos", "Naive FedGNN", figure::TEST),
+    ),
+    (
+        "inter-device communication saved (%)",
+        "35.16",
+        "fig8_system_cost",
+        Value::Saved("Lumos", "w.o. TT", figure::MESSAGES),
+    ),
+    (
+        "training time saved (%)",
+        "17.74",
+        "fig8_system_cost",
+        Value::Saved("Lumos", "w.o. TT", figure::EPOCH_SECS),
+    ),
+];
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -20,34 +45,11 @@ fn main() {
         measured.push((figure.name, rows));
     }
 
-    // Headline claims (abstract): accuracy increase vs the federated
-    // baseline, communication-round and training-time savings — each the
-    // mean of a figure column over its rows.
-    let headline = [
-        (
-            "accuracy increase vs naive FedGNN (%)",
-            "39.48",
-            "fig3_supervised",
-            Value::Gain("Lumos", "Naive FedGNN", Metric::Test),
-        ),
-        (
-            "inter-device communication saved (%)",
-            "35.16",
-            "fig8_system_cost",
-            Value::Saved("Lumos", "w.o. TT", Metric::Messages),
-        ),
-        (
-            "training time saved (%)",
-            "17.74",
-            "fig8_system_cost",
-            Value::Saved("Lumos", "w.o. TT", Metric::EpochSecs),
-        ),
-    ];
     let mut t = Table::new(
         "Headline claims (paper abstract: +39.48% accuracy, −35.16% comm, −17.74% time)",
         &["claim", "paper", "measured"],
     );
-    for (claim, paper, figure, value) in headline {
+    for (claim, paper, figure, value) in HEADLINE {
         let (_, rows) = measured
             .iter()
             .find(|(name, _)| *name == figure)

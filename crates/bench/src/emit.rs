@@ -1,13 +1,13 @@
 //! The bench crate's one emitter: every `BENCH_*.json` record and every
-//! sweep table is rendered here, from the single key list each row type
-//! spells in its `record()`.
+//! table is rendered here, from the one key list a figure's table spec or a
+//! row type's `record()` spells.
 //!
-//! A [`Record`] is an ordered `(key, value)` list. [`table`] turns a slice
-//! of rows into the markdown table the binaries print (headers are the
-//! record's keys), [`rows`] into the JSON array the CI gates parse, and
+//! A [`Record`] is an ordered `(key, value)` list. [`table`] turns records
+//! into the markdown table the binaries print (headers are the record's
+//! keys), [`rows`] into the JSON array the CI gates parse, and
 //! [`document`] + [`write()`] wrap the sections in the shared
 //! `bench / scale / seed / quick` header and put the file on disk — so a new
-//! column is one line in one `record()`.
+//! column is one line in one list.
 
 use lumos_common::table::{fmt2, Table};
 use lumos_data::Scale;
@@ -27,8 +27,10 @@ pub enum Value {
     Bool(bool),
     /// A counter or identifier.
     UInt(u64),
-    /// A measurement.
+    /// A measurement, which a table shows at 2 decimals.
     Num(f64),
+    /// A measurement a table shows at this many decimals.
+    Fixed(f64, usize),
     /// A name.
     Str(String),
     /// An ordered list.
@@ -54,8 +56,8 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(&b.to_string()),
             Value::UInt(n) => out.push_str(&n.to_string()),
-            Value::Num(x) if x.is_finite() => out.push_str(&format!("{x:?}")),
-            Value::Num(_) => out.push_str("null"),
+            Value::Num(x) | Value::Fixed(x, _) if x.is_finite() => out.push_str(&format!("{x:?}")),
+            Value::Num(_) | Value::Fixed(..) => out.push_str("null"),
             Value::Str(s) => write_str(out, s),
             Value::Array(items) => write_seq(out, depth, '[', ']', items, |out, v| {
                 v.write(out, depth + 1);
@@ -69,13 +71,26 @@ impl Value {
     }
 
     /// The value as one table cell: measurements at the two decimals the
-    /// paper reports, names bare, `null` as `n/a`.
-    fn cell(&self) -> String {
+    /// paper reports (or their own), names bare, `null` and what JSON
+    /// renders as `null` as `n/a`.
+    pub(crate) fn cell(&self) -> String {
         match self {
-            Value::Null => "n/a".to_string(),
-            Value::Num(x) => fmt2(*x),
+            Value::Num(x) if x.is_finite() => fmt2(*x),
+            Value::Fixed(x, digits) if x.is_finite() => format!("{x:.digits$}"),
+            Value::Null | Value::Num(_) | Value::Fixed(..) => "n/a".to_string(),
             Value::Str(s) => s.clone(),
             other => other.render().trim_end().to_string(),
+        }
+    }
+
+    /// The value as a number: a measurement or count as itself, `true` as
+    /// 1, anything else as `NaN`.
+    pub(crate) fn num(&self) -> f64 {
+        match *self {
+            Value::Num(x) | Value::Fixed(x, _) => x,
+            Value::UInt(n) => n as f64,
+            Value::Bool(b) => f64::from(u8::from(b)),
+            _ => f64::NAN,
         }
     }
 }
@@ -118,10 +133,10 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A sweep's row type: a table title and the one place its columns are
-/// listed.
+/// A measured row type outside the figures (`paper_scale`, `scale_sweep`):
+/// a table title and the one place its columns are listed.
 pub trait Row {
-    /// Title of the table the sweep's binary prints.
+    /// Title of the table its binary prints.
     const TITLE: &'static str;
 
     /// The row's columns, in the order the table and the JSON record show
@@ -129,22 +144,26 @@ pub trait Row {
     fn record(&self) -> Record;
 }
 
-/// Renders rows as a table with one column per record key.
-pub fn table<R: Row>(rows: &[R]) -> Table {
-    let records: Vec<Record> = rows.iter().map(Row::record).collect();
+/// Each row's record.
+pub fn records<R: Row>(rows: &[R]) -> Vec<Record> {
+    rows.iter().map(Row::record).collect()
+}
+
+/// Renders records as a table with one column per key.
+pub fn table(title: &str, records: &[Record]) -> Table {
     let headers: Vec<&str> = records
         .first()
         .map_or(Vec::new(), |r| r.iter().map(|(k, _)| *k).collect());
-    let mut t = Table::new(R::TITLE, &headers);
-    for r in &records {
+    let mut t = Table::new(title, &headers);
+    for r in records {
         t.push_row(r.iter().map(|(_, v)| v.cell()));
     }
     t
 }
 
-/// Renders rows as a JSON array of objects.
-pub fn rows<R: Row>(rows: &[R]) -> Value {
-    Value::Array(rows.iter().map(|r| Value::Object(r.record())).collect())
+/// Renders records as a JSON array of objects.
+pub fn rows(records: Vec<Record>) -> Value {
+    Value::Array(records.into_iter().map(Value::Object).collect())
 }
 
 /// A `BENCH_*.json` document: the run's identity (`bench`, `scale` for the
@@ -208,13 +227,13 @@ pub(crate) mod tests {
         };
         // A zero denominator is how `perf_compare` used to write `inf` /
         // `NaN` into BENCH_perf.json.
-        let rows = [Demo(f64::INFINITY), Demo(f64::NAN), Demo(8.5)];
+        let rows = records(&[Demo(f64::INFINITY), Demo(f64::NAN), Demo(8.5)]);
         let doc = document(
             "demo_sweep",
             Some(Scale::Smoke),
             &args,
             vec![
-                ("rows", super::rows(&rows)),
+                ("rows", super::rows(rows)),
                 ("empty", Value::Array(vec![])),
                 (
                     "nested",
@@ -247,11 +266,14 @@ pub(crate) mod tests {
 
     #[test]
     fn table_columns_are_the_record_keys() {
-        let md = table(&[Demo(0.126), Demo(2.0)]).to_markdown();
+        let md = table(Demo::TITLE, &records(&[Demo(0.126), Demo(2.0)])).to_markdown();
         assert!(md.contains("### demo"));
         assert!(md.contains("| zeta"), "{md}");
         assert!(md.contains("| 0.13 "), "measurements print at 2 dp: {md}");
         assert!(md.contains("| n/a "), "null prints as n/a: {md}");
-        assert_eq!(table::<Demo>(&[]).len(), 0);
+        assert_eq!(table(Demo::TITLE, &[]).len(), 0);
+        let fixed = vec![("x", Value::Fixed(0.12345, 4)), ("y", Value::Num(f64::NAN))];
+        let md = table("fixed", &[fixed]).to_markdown();
+        assert!(md.contains("| 0.1235 | n/a |"), "{md}");
     }
 }

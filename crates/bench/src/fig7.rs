@@ -1,12 +1,17 @@
 //! Figure 7: CDF of per-device workload with and without tree trimming.
+//!
+//! Not a [`crate::figure::Figure`]: it trains nothing. Its numbers are the
+//! tree constructor's per-device workloads, read off two
+//! `construct_assignment` calls per dataset, not metrics of trained cells.
 
 use lumos_balance::{CompareBackend, SecurityMode};
 use lumos_common::stats::Ecdf;
-use lumos_common::table::{fmt2, Table};
+use lumos_common::table::Table;
 use lumos_core::construct_assignment;
 use lumos_data::Dataset;
 
 use crate::args::HarnessArgs;
+use crate::emit::{self, Record, Value};
 use crate::presets::{datasets, mcmc_iterations_for};
 
 /// Workload distributions for one dataset.
@@ -25,65 +30,49 @@ pub fn run(args: &HarnessArgs) -> Vec<Fig7Result> {
     datasets(args.scale)
         .into_iter()
         .map(|ds: Dataset| {
-            let mcmc = mcmc_iterations_for(args.scale, &ds.name);
-            let (_, trimmed_rep) = construct_assignment(
-                &ds.graph,
-                true,
-                mcmc,
-                SecurityMode::CostModel,
-                CompareBackend::Scalar,
-                args.seed,
-                None,
-            );
-            let (_, full_rep) = construct_assignment(
-                &ds.graph,
-                false,
-                0,
-                SecurityMode::CostModel,
-                CompareBackend::Scalar,
-                args.seed,
-                None,
-            );
+            let workloads = |trim, mcmc| {
+                let (mode, backend) = (SecurityMode::CostModel, CompareBackend::Scalar);
+                let (_, rep) =
+                    construct_assignment(&ds.graph, trim, mcmc, mode, backend, args.seed, None);
+                Ecdf::new(rep.workloads.iter().map(|&w| w as f64).collect())
+            };
             Fig7Result {
+                trimmed: workloads(true, mcmc_iterations_for(args.scale, &ds.name)),
+                untrimmed: workloads(false, 0),
                 dataset: ds.name,
-                trimmed: Ecdf::new(trimmed_rep.workloads.iter().map(|&w| w as f64).collect()),
-                untrimmed: Ecdf::new(full_rep.workloads.iter().map(|&w| w as f64).collect()),
             }
         })
         .collect()
 }
 
+/// The CDF points the table shows, `P(w ≤ x)`.
+const POINTS: [(&str, f64); 5] = [
+    ("P(w≤5)", 5.0),
+    ("P(w≤10)", 10.0),
+    ("P(w≤20)", 20.0),
+    ("P(w≤40)", 40.0),
+    ("P(w≤80)", 80.0),
+];
+
 /// Renders the CDF series on a shared grid plus the max-workload headline
 /// (the paper: Facebook 39 vs >150, LastFM 16 vs >100).
 pub fn table(results: &[Fig7Result]) -> Table {
-    let mut t = Table::new(
-        "Figure 7: workload CDF with/without tree trimming",
-        &[
-            "dataset",
-            "series",
-            "max",
-            "P(w≤5)",
-            "P(w≤10)",
-            "P(w≤20)",
-            "P(w≤40)",
-            "P(w≤80)",
-        ],
-    );
+    let mut records = Vec::new();
     for r in results {
-        for (name, e) in [("Lumos", &r.trimmed), ("Lumos w.o. TT", &r.untrimmed)] {
-            t.push_row([
-                r.dataset.clone(),
-                name.to_string(),
-                format!("{}", e.max() as u64),
-                fmt2(e.eval(5.0)),
-                fmt2(e.eval(10.0)),
-                fmt2(e.eval(20.0)),
-                fmt2(e.eval(40.0)),
-                fmt2(e.eval(80.0)),
-            ]);
+        for (series, e) in [("Lumos", &r.trimmed), ("Lumos w.o. TT", &r.untrimmed)] {
+            let mut record: Record = vec![
+                ("dataset", Value::Str(r.dataset.clone())),
+                ("series", Value::Str(series.into())),
+                ("max", Value::UInt(e.max() as u64)),
+            ];
+            record.extend(POINTS.map(|(header, x)| (header, Value::Num(e.eval(x)))));
+            records.push(record);
         }
     }
-    t
+    emit::table(
+        "Figure 7: workload CDF with/without tree trimming",
+        &records,
+    )
 }
 
 #[cfg(test)]

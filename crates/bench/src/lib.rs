@@ -1,24 +1,27 @@
 //! `lumos-bench` — the experiment harness.
 //!
-//! The trained figures of the paper's evaluation (§VIII) — Figs. 3–6 and 8
-//! — are rows of one table, [`figure::FIGURES`], run and rendered by one
-//! runner; Fig. 7 and Table 1 train nothing and keep their own modules, as
-//! do the four CI sweeps. Each has a binary in `src/bin/`. All experiments
-//! accept `--scale smoke|small|paper` (default `small`), `--seed N`, and
-//! print the series/rows the paper reports as markdown tables; the CI
-//! sweeps also write a JSON record (`--json PATH`).
+//! [`space`] enumerates the config axes once. The trained grids are
+//! [`figure::Figure`] values over them, run by one runner and rendered by
+//! [`emit`]: the paper's Figs. 3–6 and 8 ([`figure::FIGURES`]) and the CI
+//! sweeps over heterogeneous and faulty fleets ([`figure::SWEEPS`]). Fig. 7
+//! and Table 1 train nothing and keep their own modules, as do the scale
+//! and perf sweeps and `paper_scale`. `tests/conformance.rs` checks the
+//! laws of `tests/common/laws.rs` on an all-pairs cover of the space. Each
+//! experiment has a binary in `src/bin/`. All accept `--scale
+//! smoke|small|paper` (default `small`), `--seed N`, and print the
+//! series/rows the paper reports as markdown tables; the CI sweeps also
+//! write a JSON record (`--json PATH`).
 
 #![forbid(unsafe_code)]
 pub mod args;
-pub mod chaos;
 pub mod emit;
 pub mod fig7;
 pub mod figure;
-pub mod hetero;
 pub mod paper;
 pub mod perf;
 pub mod presets;
 pub mod scale;
+pub mod space;
 pub mod table1;
 
 pub use args::HarnessArgs;
@@ -31,7 +34,7 @@ fn assert_claims(name: &str) {
         scale: lumos_data::Scale::Smoke,
         ..HarnessArgs::default()
     };
-    let failed = figure::Figure::named(name).failed_claims(&args, |_| true);
+    let failed = figure::Figure::named(name).claimed(&args, |_| true).1;
     assert!(failed.is_empty(), "{name}: {}", failed.join("\n"));
 }
 
@@ -51,9 +54,9 @@ mod fig3 {
 #[cfg(test)]
 mod fig4 {
     mod tests {
-        use crate::figure::{rows, Cell, Figure, Metric::Test};
-        use crate::{presets::map_pairs, HarnessArgs};
-        use lumos_data::{Dataset, Scale};
+        use crate::figure::{Figure, Value::Of, TEST};
+        use crate::HarnessArgs;
+        use lumos_data::Scale;
         use lumos_gnn::Backbone::Gcn;
 
         #[test]
@@ -75,16 +78,12 @@ mod fig4 {
                 seed: 3,
                 ..HarnessArgs::default()
             };
-            let ds = Dataset::lastfm_like(Scale::Smoke);
-            let cells = Figure::named("fig4_link_prediction").cells(&ds, &args);
-            let gcn: Vec<Cell> = cells
-                .into_iter()
-                .filter(|(_, run)| run.model().0 == Gcn)
-                .collect();
-            let measured = map_pairs(&gcn, |(_, run)| run.measure(&ds));
-            let rows = rows(gcn.iter().zip(measured).map(|(c, m)| ("lastfm", c, m)));
+            let lastfm_gcn = |row: &crate::figure::Row, _: &str| {
+                row.dataset == "lastfm" && row.config.backbone == Gcn
+            };
+            let rows = Figure::named("fig4_link_prediction").run_where(&args, lastfm_gcn);
             let [lumos, centralized, naive] =
-                ["Lumos", "Centralized", "Naive FedGNN"].map(|s| rows[0].get(s, Test));
+                ["Lumos", "Centralized", "Naive FedGNN"].map(|s| Of(s, TEST).of(&rows[0]));
             assert!(lumos > 0.52, "lumos {lumos} must beat random");
             assert!(centralized > 0.7);
             assert!(
@@ -121,6 +120,339 @@ mod fig8 {
         #[test]
         fn trimming_saves_communication_and_makespan() {
             crate::assert_claims("fig8_system_cost");
+        }
+    }
+}
+
+/// The sweeps' claims run at seed 8, where their tests were pinned.
+#[cfg(test)]
+fn sweep_args(quick: bool) -> HarnessArgs {
+    HarnessArgs {
+        scale: lumos_data::Scale::Smoke,
+        seed: 8,
+        quick,
+        ..HarnessArgs::default()
+    }
+}
+
+/// A stand-in report for a figure's `i`-th series (from 1): a simulated
+/// epoch of `secs`, and every other metric a number of its own — counters
+/// `10·i` plus the field's digit, utilization `i/8`, test metric `i/10` —
+/// so a column that reads the wrong series or field, or a difference with
+/// its sides swapped, shows a wrong number.
+#[cfg(test)]
+fn stand_in(i: u64, secs: f64) -> lumos_core::RunReport {
+    let sim = lumos_core::SimSummary {
+        avg_epoch_virtual_secs: secs,
+        mean_utilization: i as f64 / 8.0,
+        dropped_device_rounds: 10 * i + 1,
+        late_drops: 10 * i + 2,
+        buffered_updates: 10 * i + 3,
+        wasted_updates: 10 * i + 4,
+        migrated_nodes: 10 * i + 5,
+        lost_messages: 10 * i + 6,
+        retries: 10 * i + 7,
+        crashed_devices: 10 * i + 8,
+        failovers: 10 * i + 9,
+        retry_secs: 10.0 * i as f64 + 0.5,
+        ..lumos_core::SimSummary::default()
+    };
+    lumos_core::RunReport {
+        test_metric: i as f64 / 10.0,
+        sim: Some(sim),
+        ..lumos_core::RunReport::new("lumos", "facebook", "GCN", "supervised")
+    }
+}
+
+/// The figure named `name`'s rows under `args`, its `k`-th series' cells
+/// holding `reports[k]` (nothing is trained), and the JSON document of its
+/// first table's records: what a sweep writes, from stand-in numbers.
+#[cfg(test)]
+fn stand_in_json(name: &str, args: &HarnessArgs, reports: &[lumos_core::RunReport]) -> String {
+    let figure = figure::Figure::named(name);
+    assert_eq!(reports.len(), figure.variants.len(), "one report a series");
+    let datasets = (figure.datasets)(args.scale);
+    let mut rows: Vec<figure::Row> = datasets
+        .iter()
+        .flat_map(|d| figure.rows_on(d, args))
+        .collect();
+    for row in &mut rows {
+        let cells = figure.variants.iter().zip(reports);
+        row.cells = cells
+            .map(|((s, _), report)| {
+                let report = report.clone();
+                (
+                    *s,
+                    figure::Measured {
+                        report,
+                        secs: f64::NAN,
+                    },
+                )
+            })
+            .collect();
+    }
+    let [records] = figure.records(&rows).try_into().expect("one table");
+    let doc = emit::document(
+        name,
+        Some(args.scale),
+        args,
+        vec![("rows", emit::rows(records))],
+    );
+    doc.render()
+}
+
+/// Panics unless `json` writes each `(key, value)` of `expected` as a whole
+/// JSON member (`"key": value` ending its line).
+#[cfg(test)]
+fn assert_members(json: &str, expected: &[(&str, &str)]) {
+    for (key, value) in expected {
+        let member = format!("\"{key}\": {value}");
+        let found = [",", "\n"]
+            .iter()
+            .any(|end| json.contains(&format!("{member}{end}")));
+        assert!(found, "no member {member} in\n{json}");
+    }
+}
+
+/// Panics unless the figure named `name` leads its first table with every
+/// key a `.github/workflows/ci.yml` gate reads, so a renamed column fails
+/// `cargo test` instead of a CI heredoc.
+#[cfg(test)]
+fn assert_columns(name: &str, read_by_ci: &[&str]) {
+    let figure = figure::Figure::named(name);
+    let values = figure.tables[0].1.iter().map(|(header, _)| header);
+    let columns: Vec<&str> = figure.keys.iter().chain(values).copied().collect();
+    for key in read_by_ci {
+        assert!(
+            columns.contains(key),
+            "{name} lost `{key}`, which ci.yml reads"
+        );
+    }
+}
+
+#[cfg(test)]
+mod hetero {
+    mod tests {
+        use crate::figure::{Claim, Figure, Value::Diff, SIM_SECS};
+        use crate::{assert_members, stand_in, sweep_args};
+
+        fn at_churn(claim: &Claim) -> bool {
+            claim.at.contains(&("scenario", "churn"))
+        }
+
+        /// Every claim but churn's, on the full fleet list at seed 8 —
+        /// uniform vs the straggler tail, and the async quorum's on every
+        /// fleet — and one plain ratio no claim takes: buffering keeps ≥95%
+        /// of the deadline's barrier win.
+        #[test]
+        fn heterogeneity_raises_makespan_and_trimming_still_wins() {
+            let (figure, keep) = (Figure::named("fig8_hetero"), |c: &Claim| !at_churn(c));
+            let (rows, failed) = figure.claimed(&sweep_args(false), keep);
+            assert!(failed.is_empty(), "{}", failed.join("\n"));
+            let tail = rows
+                .iter()
+                .find(|r| r.is(&[("scenario", "straggler-tail")]));
+            let win = |series| Diff("tree_nodes", series, SIM_SECS).of(tail.expect("a tail row"));
+            let (buffered, deadline) = (win("buffered"), win("deadline"));
+            assert!(
+                buffered >= 0.95 * deadline,
+                "buffered win {buffered} must keep ≥95% of deadline win {deadline}"
+            );
+        }
+
+        #[test]
+        fn sensitivity_grid_covers_every_cell_and_decay_trades_time_for_accuracy() {
+            let figure = Figure::named("fig8_hetero_sensitivity");
+            let (rows, failed) = figure.claimed(&sweep_args(true), |_| true);
+            assert!(failed.is_empty(), "{}", failed.join("\n"));
+            // Quick mode: 2 decays × 2 triggers on the straggler tail only,
+            // no coordinate twice.
+            let mut coords: Vec<String> = rows
+                .iter()
+                .map(|r| {
+                    ["scenario", "decay", "threshold", "patience"]
+                        .map(|k| r.key(k).cell())
+                        .join(" ")
+                })
+                .collect();
+            assert!(
+                coords.iter().all(|c| c.starts_with("straggler-tail ")),
+                "{coords:?}"
+            );
+            coords.sort_unstable();
+            coords.dedup();
+            assert_eq!(coords.len(), 4, "grid cells must not repeat");
+            assert_eq!(figure.tables(&rows)[0].len(), 4);
+        }
+
+        #[test]
+        fn churn_row_banks_updates_and_migrates() {
+            let failed = Figure::named("fig8_hetero")
+                .claimed(&sweep_args(false), at_churn)
+                .1;
+            assert!(failed.is_empty(), "{}", failed.join("\n"));
+        }
+
+        /// The keys `.github/workflows/ci.yml`'s fig8 step reads off each row
+        /// and each sensitivity cell, and the JSON types it reads them as.
+        #[test]
+        fn record_carries_every_key_the_ci_gate_reads() {
+            crate::assert_columns(
+                "fig8_hetero",
+                &[
+                    "scenario",
+                    "makespan_tree_nodes",
+                    "makespan_virtual_secs",
+                    "makespan_deadline",
+                    "makespan_buffered",
+                    "makespan_async",
+                    "late_drops",
+                    "wasted_updates",
+                    "buffered_updates",
+                    "buffered_win_secs",
+                    "deadline_win_secs",
+                    "async_carried",
+                    "async_late_drops",
+                    "async_wasted",
+                ],
+            );
+            let sensitivity = [
+                "scenario",
+                "decay",
+                "threshold",
+                "patience",
+                "accuracy",
+                "makespan",
+            ];
+            crate::assert_columns("fig8_hetero_sensitivity", &sensitivity);
+            // The series in the variants' order — tree_nodes, virtual_secs,
+            // deadline, buffered, async, untrimmed — each its own report.
+            let makespans = [40.0, 31.5, 12.5, 13.0, 14.0, 90.0];
+            let reports: Vec<_> = (1..).zip(makespans).map(|(i, s)| stand_in(i, s)).collect();
+            let args = sweep_args(true);
+            let json = crate::stand_in_json("fig8_hetero", &args, &reports);
+            assert_members(
+                &json,
+                &[
+                    ("bench", "\"fig8_hetero\""),
+                    ("scenario", "\"straggler-tail\""),
+                    ("makespan_tree_nodes", "40.0"),
+                    ("makespan_virtual_secs", "31.5"),
+                    ("makespan_deadline", "12.5"),
+                    ("makespan_buffered", "13.0"),
+                    ("makespan_async", "14.0"),
+                    ("makespan_untrimmed", "90.0"),
+                    ("weighted_win_secs", "8.5"),
+                    ("deadline_win_secs", "27.5"),
+                    ("buffered_win_secs", "27.0"),
+                    ("async_win_secs", "26.0"),
+                    ("late_drops", "32"),
+                    ("buffered_updates", "43"),
+                    ("wasted_updates", "44"),
+                    ("migrated_nodes", "45"),
+                    ("async_carried", "53"),
+                    ("async_late_drops", "52"),
+                    ("async_wasted", "54"),
+                    ("saved_secs", "50.0"),
+                    ("utilization_tree_nodes", "0.125"),
+                    ("utilization_virtual_secs", "0.25"),
+                    ("utilization_untrimmed", "0.75"),
+                    ("dominant_straggler", "null"),
+                    ("dropped_device_rounds", "11"),
+                ],
+            );
+            // The sensitivity grid's one series is the buffered run.
+            let json = crate::stand_in_json("fig8_hetero_sensitivity", &args, &reports[3..4]);
+            assert_members(
+                &json,
+                &[
+                    ("decay", "0.3"),
+                    ("threshold", "1.5"),
+                    ("patience", "1"),
+                    ("accuracy", "0.4"),
+                    ("makespan", "13.0"),
+                    ("buffered_updates", "43"),
+                    ("migrated_nodes", "45"),
+                ],
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod chaos {
+    mod tests {
+        use crate::figure::Figure;
+        use crate::{assert_members, stand_in, stand_in_json, sweep_args};
+
+        /// The quick sweep — the 2 × 2 loss × crash grid and the outage on
+        /// the straggler tail — at seed 8: the fault-free row and only it is
+        /// the no-fault run, loss is retried and never wastes an update, and
+        /// the outage re-homes its shard without touching the training math.
+        #[test]
+        fn quick_sweep_carries_the_three_gated_claims() {
+            let figure = Figure::named("chaos_sweep");
+            let (rows, failed) = figure.claimed(&sweep_args(true), |_| true);
+            assert_eq!(rows.len(), 5);
+            assert!(failed.is_empty(), "{}", failed.join("\n"));
+            assert_eq!(figure.tables(&rows)[0].len(), rows.len());
+        }
+
+        /// The keys `.github/workflows/ci.yml`'s chaos step reads off each
+        /// row, and the JSON types it reads them as.
+        #[test]
+        fn record_carries_every_key_the_ci_gate_reads() {
+            crate::assert_columns(
+                "chaos_sweep",
+                &[
+                    "loss_rate",
+                    "crash_rate",
+                    "outage",
+                    "baseline_match",
+                    "wasted_updates",
+                    "lost_messages",
+                    "retries",
+                    "retry_secs",
+                    "crashed_devices",
+                    "failovers",
+                    "accuracy",
+                ],
+            );
+            // The faulted run and its no-fault baseline, each its own
+            // report; equal reports are the one bit-identical match.
+            let args = sweep_args(true);
+            let json = stand_in_json(
+                "chaos_sweep",
+                &args,
+                &[stand_in(1, 12.75), stand_in(2, 9.5)],
+            );
+            assert_members(
+                &json,
+                &[
+                    ("bench", "\"chaos_sweep\""),
+                    ("scenario", "\"straggler-tail\""),
+                    ("loss_rate", "0.1"),
+                    ("crash_rate", "0.05"),
+                    ("outage", "true"),
+                    ("outage", "false"),
+                    ("accuracy", "0.1"),
+                    ("makespan", "12.75"),
+                    ("lost_messages", "16"),
+                    ("retries", "17"),
+                    ("retry_secs", "10.5"),
+                    ("crashed_devices", "18"),
+                    ("failovers", "19"),
+                    ("buffered_updates", "13"),
+                    ("wasted_updates", "14"),
+                    ("baseline_match", "false"),
+                ],
+            );
+            let json = stand_in_json(
+                "chaos_sweep",
+                &args,
+                &[stand_in(1, 12.75), stand_in(1, 12.75)],
+            );
+            assert_members(&json, &[("baseline_match", "true")]);
         }
     }
 }

@@ -4,12 +4,8 @@
 //! MCMC iterations; reduced scales shrink both so the full suite runs on a
 //! laptop while preserving every qualitative shape.
 
-use lumos_core::{LumosConfig, TaskKind};
+use lumos_core::TaskKind;
 use lumos_data::{Dataset, Scale};
-use lumos_gnn::Backbone;
-use lumos_sim::Scenario;
-
-use crate::args::HarnessArgs;
 
 /// Training epochs for a task at a scale. Link prediction needs the longer
 /// schedule to climb above the LDP noise floor (§VIII-B uses 300 for both).
@@ -39,18 +35,6 @@ pub fn mcmc_iterations_for(scale: Scale, dataset: &str) -> usize {
 /// The two evaluation datasets at a scale.
 pub fn datasets(scale: Scale) -> Vec<Dataset> {
     vec![Dataset::facebook_like(scale), Dataset::lastfm_like(scale)]
-}
-
-/// The supervised GCN run the system-cost sweeps (hetero, chaos) measure
-/// under `scenario`. Makespan and recovery statistics stabilize quickly
-/// and do not depend on convergence, so the window is 8 epochs; quick mode
-/// halves it for CI smoke.
-pub fn cost_config(ds: &Dataset, scenario: Scenario, args: &HarnessArgs) -> LumosConfig {
-    LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-        .with_epochs(if args.quick { 4 } else { 8 })
-        .with_mcmc_iterations(mcmc_iterations_for(args.scale, &ds.name))
-        .with_seed(args.seed)
-        .with_scenario(scenario)
 }
 
 /// Runs closures in parallel pairs (the harness's outermost fan-out; the

@@ -229,10 +229,11 @@ mod tests {
                 "wall_us_per_device",
             ],
         );
-        let json = crate::emit::rows(&rows).render();
+        let json = crate::emit::rows(crate::emit::records(&rows)).render();
         assert!(json.contains("\"devices\": 300"));
         assert!(json.contains("\"mode\": \"flat\""));
         assert!(json.contains("\"mode\": \"hierarchical\""));
-        assert_eq!(crate::emit::table(&rows).len(), 2);
+        let records = crate::emit::records(&rows);
+        assert_eq!(crate::emit::table(ScaleRow::TITLE, &records).len(), 2);
     }
 }

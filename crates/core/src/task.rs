@@ -114,6 +114,12 @@ pub enum TaskData {
 impl TaskData {
     /// Draws `task`'s uniform split of `ds`. `train_labels` and
     /// `negatives_per_positive` each matter to one task only.
+    ///
+    /// # Panics
+    /// Panics, naming the dataset, its size and the part, when a part of the
+    /// split comes out empty (a dataset too small for the task): a part with
+    /// nothing to train on or to score would panic later, deep in a loss or
+    /// a metric.
     pub fn draw(
         task: TaskKind,
         ds: &Dataset,
@@ -121,9 +127,18 @@ impl TaskData {
         negatives_per_positive: usize,
         rng: &mut Xoshiro256pp,
     ) -> Self {
+        let n = ds.num_nodes();
+        let refuse = |part: &str| -> ! {
+            let (name, task) = (&ds.name, task.name());
+            panic!("{name}: a {task} split of n = {n} leaves the {part} empty")
+        };
         match task {
             TaskKind::Supervised => {
-                let split = NodeSplit::uniform(ds.num_nodes(), rng);
+                let split = NodeSplit::uniform(n, rng);
+                let masks = [&split.train_mask, &split.val_mask, &split.test_mask];
+                if let Some(i) = masks.iter().position(|m| !m.contains(&true)) {
+                    refuse(["training nodes", "validation nodes", "test nodes"][i]);
+                }
                 let mask = split.train_mask.iter().map(|&b| if b { 1.0 } else { 0.0 });
                 Self::Supervised(NodeTask {
                     mask: Rc::new(mask.collect()),
@@ -135,6 +150,14 @@ impl TaskData {
             }
             TaskKind::Unsupervised => {
                 let split = EdgeSplit::uniform(&ds.graph, rng);
+                let edges = [&split.train_edges, &split.val_edges, &split.test_edges];
+                if let Some(i) = edges.iter().position(|e| e.is_empty()) {
+                    refuse(["training edges", "validation edges", "test edges"][i]);
+                }
+                let negatives = [&split.val_negatives, &split.test_negatives];
+                if let Some(i) = negatives.iter().position(|e| e.is_empty()) {
+                    refuse(["validation non-edges", "test non-edges"][i]);
+                }
                 Self::Unsupervised(LinkTask {
                     pos: unzip_pairs(&split.train_edges),
                     split,

@@ -28,13 +28,11 @@
 use lumos::baselines::{
     run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig, LpgnnParams, NaiveFedParams,
 };
-use lumos::core::{
-    run_lumos, AggregationPolicy, BalanceObjective, LumosConfig, RunReport, TaskKind,
-    TopologyConfig,
-};
-use lumos::data::{Dataset, Scale};
+use lumos::core::{run_lumos, LumosConfig, RunReport, TaskKind};
+use lumos::data::{Dataset, DatasetConfig, Scale};
 use lumos::gnn::Backbone;
 use lumos::sim::{FaultSpec, Scenario};
+use lumos_bench::space::{self, Setting, BUFFERED, DEADLINE, HIER_8, VIRTUAL_SECS};
 
 const SEED: u64 = 2023;
 const EPOCHS: usize = 8;
@@ -64,68 +62,36 @@ fn line(name: &str, r: &RunReport) {
     );
 }
 
-/// The eleven pinned `run_lumos` configs, by name.
+/// The eleven pinned `run_lumos` configs, by name: the supervised GCN
+/// base with the config-space values (`lumos_bench::space`) each row sets.
 pub fn configs() -> [(&'static str, LumosConfig); 11] {
-    let lumos = |backbone, task| {
-        LumosConfig::new(backbone, task)
-            .with_epochs(EPOCHS)
-            .with_mcmc_iterations(10)
-            .with_seed(SEED)
-    };
-    let sup = || lumos(Backbone::Gcn, TaskKind::Supervised);
-    let buffered = AggregationPolicy::Buffered {
-        factor: 2.0,
-        decay: 0.5,
-    };
+    const TAIL: Setting = Setting::Scenario(Some(Scenario::StragglerTail));
+    const CHURN: Setting = Setting::Scenario(Some(Scenario::Churn));
+    let base = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
+        .with_epochs(EPOCHS)
+        .with_mcmc_iterations(10)
+        .with_seed(SEED);
+    let at = |point: &[Setting]| space::apply(base.clone(), point);
+    let devices = DatasetConfig::facebook_like(Scale::Smoke).num_nodes;
+    let lossy = Setting::Faults(FaultSpec::message_loss(0.05));
     [
-        ("GCN-sup default", sup()),
-        ("GAT-sup", lumos(Backbone::Gat, TaskKind::Supervised)),
-        ("GCN-unsup", lumos(Backbone::Gcn, TaskKind::Unsupervised)),
-        (
-            "FullSync x StragglerTail",
-            sup().with_scenario(Scenario::StragglerTail),
-        ),
-        ("FullSync x Churn", sup().with_scenario(Scenario::Churn)),
-        (
-            "Deadline{2} x StragglerTail",
-            sup()
-                .with_scenario(Scenario::StragglerTail)
-                .with_aggregation_policy(AggregationPolicy::Deadline { factor: 2.0 }),
-        ),
-        (
-            "FullSync x StragglerTail x Hier{8}",
-            sup()
-                .with_scenario(Scenario::StragglerTail)
-                .with_topology(TopologyConfig::Hierarchical { aggregators: 8 }),
-        ),
+        ("GCN-sup default", at(&[])),
+        ("GAT-sup", at(&[Setting::Backbone(Backbone::Gat)])),
+        ("GCN-unsup", at(&[Setting::Task(TaskKind::Unsupervised)])),
+        ("FullSync x StragglerTail", at(&[TAIL])),
+        ("FullSync x Churn", at(&[CHURN])),
+        ("Deadline{2} x StragglerTail", at(&[TAIL, DEADLINE])),
+        ("FullSync x StragglerTail x Hier{8}", at(&[TAIL, HIER_8])),
         (
             "Deadline{2} x StragglerTail x Hier{8}",
-            sup()
-                .with_scenario(Scenario::StragglerTail)
-                .with_topology(TopologyConfig::Hierarchical { aggregators: 8 })
-                .with_aggregation_policy(AggregationPolicy::Deadline { factor: 2.0 }),
+            at(&[TAIL, HIER_8, DEADLINE]),
         ),
-        (
-            "Buffered{2,0.5} x Churn",
-            sup()
-                .with_scenario(Scenario::Churn)
-                .with_aggregation_policy(buffered),
-        ),
+        ("Buffered{2,0.5} x Churn", at(&[CHURN, BUFFERED])),
         (
             "Async{240} x StragglerTail",
-            sup()
-                .with_scenario(Scenario::StragglerTail)
-                .with_aggregation_policy(AggregationPolicy::Async { min_updates: 240 }),
+            at(&[TAIL, Setting::Policy(space::quorum(devices))]),
         ),
-        (
-            "loaded",
-            sup()
-                .with_scenario(Scenario::StragglerTail)
-                .with_balance_objective(BalanceObjective::VirtualSecs)
-                .with_topology(TopologyConfig::Hierarchical { aggregators: 8 })
-                .with_aggregation_policy(buffered)
-                .with_faults(FaultSpec::message_loss(0.05)),
-        ),
+        ("loaded", at(&[TAIL, VIRTUAL_SECS, HIER_8, BUFFERED, lossy])),
     ]
 }
 

@@ -7,9 +7,10 @@
 //! makes any CI failure in the integration suites reproducible locally from
 //! the printed seed.
 
+#[expect(dead_code, reason = "each suite calls the laws it pins")]
 mod common;
 
-use common::assert_reports_identical;
+use common::laws;
 use lumos::baselines::{
     run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig, LpgnnParams, NaiveFedParams,
 };
@@ -24,6 +25,7 @@ use lumos::sim::{
     Control, EventDrivenRuntime, FaultSpec, FaultState, RecoveryPolicy, Scenario, ScenarioState,
     SimEvent,
 };
+use lumos_bench::space;
 
 fn smoke_run(seed: u64) -> RunReport {
     let ds = Dataset::facebook_like(Scale::Smoke);
@@ -38,7 +40,7 @@ fn smoke_run(seed: u64) -> RunReport {
 fn same_seed_gives_identical_reports() {
     let first = smoke_run(0xC0FFEE);
     let second = smoke_run(0xC0FFEE);
-    assert_reports_identical(&first, &second);
+    laws::assert_identical(&first, &second, "same seed");
 }
 
 #[test]
@@ -91,15 +93,11 @@ fn same_seed_gives_identical_reports_off_the_default_path() {
         ),
         (on(Scenario::Churn, buffered), 1),
         (
-            on(
-                Scenario::StragglerTail,
-                AggregationPolicy::Async { min_updates: 240 },
-            ),
+            on(Scenario::StragglerTail, space::quorum(ds.num_nodes())),
             0,
         ),
     ] {
-        let (a, b) = (run_lumos(&ds, &cfg), run_lumos(&ds, &cfg));
-        assert_reports_identical(&a, &b);
+        let a = laws::same_seed(&ds, &cfg);
         assert!(a.history.iter().all(|h| h.loss.is_finite()));
         let migrations = a.sim.as_ref().map_or(0, |sim| sim.migrations);
         assert!(
@@ -128,7 +126,7 @@ fn baselines_are_seed_deterministic_on_both_tasks() {
         }
         for run in &systems {
             let (a, b) = (run(), run());
-            assert_reports_identical(&a, &b);
+            laws::assert_identical(&a, &b, &format!("same seed, {}", a.system));
             assert!(a.history.iter().all(|h| h.loss.is_finite()));
         }
     }
@@ -148,24 +146,28 @@ fn different_seeds_actually_differ() {
     );
 }
 
-fn scenario_run(seed: u64, scenario: Scenario) -> RunReport {
-    let ds = Dataset::facebook_like(Scale::Smoke);
-    let cfg = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
+fn scenario_config(seed: u64, scenario: Scenario) -> LumosConfig {
+    LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
         .with_epochs(8)
         .with_mcmc_iterations(10)
         .with_seed(seed)
-        .with_scenario(scenario);
-    run_lumos(&ds, &cfg)
+        .with_scenario(scenario)
+}
+
+fn scenario_run(seed: u64, scenario: Scenario) -> RunReport {
+    run_lumos(
+        &Dataset::facebook_like(Scale::Smoke),
+        &scenario_config(seed, scenario),
+    )
 }
 
 #[test]
 fn same_seed_same_scenario_gives_identical_simulation() {
     // Churn exercises every stochastic piece of the simulator: fleet
     // sampling, dropout/rejoin, and the event-driven epoch timing.
+    let ds = Dataset::facebook_like(Scale::Smoke);
     for scenario in [Scenario::StragglerTail, Scenario::Churn] {
-        let a = scenario_run(0xDECADE, scenario);
-        let b = scenario_run(0xDECADE, scenario);
-        assert_reports_identical(&a, &b);
+        let a = laws::same_seed(&ds, &scenario_config(0xDECADE, scenario));
         assert!(a.sim.is_some(), "a scenario run reports sim stats");
     }
 }
@@ -191,7 +193,7 @@ fn scenario_is_a_pure_timing_overlay() {
     for round in &mut overlaid.rounds {
         assert!(round.sim.take().is_some());
     }
-    assert_reports_identical(&plain, &overlaid);
+    laws::assert_identical(&plain, &overlaid, "the scenario overlay");
 }
 
 #[test]
@@ -211,7 +213,7 @@ fn weighted_objective_is_seed_deterministic_and_not_a_noop() {
     };
     let a = run();
     let b = run();
-    assert_reports_identical(&a, &b);
+    laws::assert_identical(&a, &b, "same seed, VirtualSecs");
     assert!(a.sim.is_some(), "a scenario run reports sim stats");
     // And it really rebalances: the weighted run's trimmed workloads must
     // differ from the node-count run's under a heterogeneous fleet.

@@ -6,6 +6,7 @@ use lumos::core::{run_lumos, run_lumos_measured, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
 
+#[expect(dead_code, reason = "each suite calls the laws it pins")]
 mod common;
 
 fn lumos_cfg(backbone: Backbone, task: TaskKind) -> LumosConfig {
@@ -112,7 +113,7 @@ fn measuring_a_run_changes_nothing_and_times_every_phase_once() {
     for epochs in [2, 0] {
         let cfg = lumos_cfg(Backbone::Gcn, TaskKind::Supervised).with_epochs(epochs);
         let (report, footprint) = run_lumos_measured(&ds, &cfg);
-        common::assert_reports_identical(&report, &run_lumos(&ds, &cfg));
+        common::laws::assert_identical(&report, &run_lumos(&ds, &cfg), "measured vs plain");
         let mut names: Vec<&str> = footprint.phase_secs.iter().map(|p| p.0).collect();
         assert!(footprint.phase_secs.iter().all(|p| p.1 >= 0.0));
         names.sort_unstable();

@@ -9,15 +9,18 @@
 //! quorum of the whole fleet (`AggregationPolicy::resolve` collapses it up
 //! front), and a deadline so lax that nobody misses it (the handler stays
 //! on the barrier, drains included, instead of closing at the last
-//! landing).
+//! landing). Both are collapse laws of `common::laws`, which
+//! `tests/conformance.rs` checks on every config of an all-pairs cover;
+//! these pin them on the fleets and topologies named here.
 
+#[expect(dead_code, reason = "each suite calls the laws it pins")]
 mod common;
 
-use common::assert_reports_identical;
-use lumos::core::{run_lumos, LumosConfig, TaskKind};
+use common::laws::Collapse;
+use lumos::core::{LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
-use lumos::sim::{AggregationPolicy, Scenario};
+use lumos::sim::Scenario;
 use lumos::topo::TopologyConfig;
 use proptest::prelude::*;
 
@@ -42,13 +45,7 @@ fn unreachable_deadline_collapses_to_full_sync() {
             let cfg = base_config(21)
                 .with_scenario(scenario)
                 .with_topology(topology);
-            let barrier = run_lumos(&ds, &cfg);
-            let lax = run_lumos(
-                &ds,
-                &cfg.clone()
-                    .with_aggregation_policy(AggregationPolicy::Deadline { factor: 1e12 }),
-            );
-            assert_reports_identical(&barrier, &lax);
+            Collapse::LaxDeadline.holds(&ds, &cfg);
         }
     }
 }
@@ -62,13 +59,6 @@ proptest! {
     fn full_fleet_async_quorum_collapses_to_full_sync(seed in any::<u64>()) {
         let ds = Dataset::facebook_like(Scale::Smoke);
         let cfg = base_config(seed).with_scenario(Scenario::StragglerTail);
-        let barrier = run_lumos(&ds, &cfg);
-        let collapsed = run_lumos(
-            &ds,
-            &cfg.clone().with_aggregation_policy(AggregationPolicy::Async {
-                min_updates: ds.num_nodes(),
-            }),
-        );
-        assert_reports_identical(&barrier, &collapsed);
+        Collapse::FullQuorum.holds(&ds, &cfg);
     }
 }

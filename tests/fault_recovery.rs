@@ -17,10 +17,15 @@
 //! 4. **One schedule**: the run that finds an upload exhausted is the run
 //!    that prices the round, so the exhausted upload's retry chain is on
 //!    the clock and its update has no landing there.
+//!
+//! Contract 1 is two collapse laws of `common::laws` (`IdleRecovery`,
+//! `ZeroRates`), which `tests/conformance.rs` checks on every config of an
+//! all-pairs cover; the tests here pin them on every preset and policy.
 
+#[expect(dead_code, reason = "each suite calls the laws it pins")]
 mod common;
 
-use common::assert_reports_identical;
+use common::laws::{self, Collapse};
 use lumos::core::{run_lumos, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::fed::{ledger_work, SimNetwork};
@@ -50,20 +55,10 @@ const PRESETS: [Scenario; 4] = [
 fn a_none_fault_spec_is_bit_identical_to_the_seed_on_every_preset() {
     let ds = Dataset::facebook_like(Scale::Smoke);
     for scenario in PRESETS {
-        let cfg = base_config(11).with_scenario(scenario);
-        let seed_path = run_lumos(&ds, &cfg);
-        // A non-default recovery policy must be inert too: it is only
+        // A non-default recovery policy must be inert: it is only
         // consulted once a fault spec is actually set.
-        let none = run_lumos(
-            &ds,
-            &cfg.clone()
-                .with_faults(FaultSpec::None)
-                .with_recovery(RecoveryPolicy {
-                    retry_budget: 9,
-                    ..RecoveryPolicy::default()
-                }),
-        );
-        assert_reports_identical(&seed_path, &none);
+        let cfg = base_config(11).with_scenario(scenario);
+        let (_, none) = Collapse::IdleRecovery.holds(&ds, &cfg);
         let sim = none.sim.expect("scenario run reports sim stats");
         assert_eq!(sim.lost_messages, 0);
         assert_eq!(sim.retries, 0);
@@ -90,7 +85,7 @@ fn zero_rate_faults_take_the_fault_path_and_stay_bit_identical() {
             factor: 2.0,
             decay: 0.5,
         },
-        AggregationPolicy::Async { min_updates: 240 },
+        lumos_bench::space::quorum(ds.num_nodes()),
     ] {
         for topology in [
             TopologyConfig::Flat,
@@ -100,17 +95,7 @@ fn zero_rate_faults_take_the_fault_path_and_stay_bit_identical() {
                 .with_scenario(Scenario::StragglerTail)
                 .with_aggregation_policy(policy)
                 .with_topology(topology);
-            let fault_free = run_lumos(&ds, &cfg);
-            let zero = run_lumos(
-                &ds,
-                &cfg.clone().with_faults(FaultSpec::Faults {
-                    crash_rate: 0.0,
-                    loss_rate: 0.0,
-                    duplicate_rate: 0.0,
-                    outages: vec![],
-                }),
-            );
-            assert_reports_identical(&fault_free, &zero);
+            let (_, zero) = Collapse::ZeroRates.holds(&ds, &cfg);
             let cuts = zero.sim.expect("scenario run reports sim stats").late_drops;
             let cutting = matches!(
                 policy,
@@ -257,9 +242,7 @@ proptest! {
                 duplicate_rate: 0.02,
                 outages: vec![],
             });
-        let a = run_lumos(&ds, &cfg);
-        let b = run_lumos(&ds, &cfg);
-        assert_reports_identical(&a, &b);
+        let a = laws::same_seed(&ds, &cfg);
         let sim = a.sim.expect("scenario run reports sim stats");
         prop_assert!(
             sim.lost_messages > 0 || sim.crashed_devices > 0,

@@ -26,7 +26,7 @@ fn assert_claims(name: &str, keep: impl Fn(&Claim) -> bool) {
         scale: Scale::Smoke,
         ..HarnessArgs::default()
     };
-    let failed = Figure::named(name).failed_claims(&args, keep);
+    let failed = Figure::named(name).claimed(&args, keep).1;
     assert!(failed.is_empty(), "{name}: {}", failed.join("\n"));
 }
 
@@ -34,7 +34,9 @@ fn assert_claims(name: &str, keep: impl Fn(&Claim) -> bool) {
 /// by more than 0.1.
 #[test]
 fn figure3_shape_centralized_over_lumos_over_naive() {
-    assert_claims("fig3_supervised", |claim| claim.at.0 == "facebook");
+    assert_claims("fig3_supervised", |claim| {
+        claim.at.contains(&("dataset", "facebook"))
+    });
 }
 
 /// The constructor on `ds` as the Fig. 7 / Fig. 8 checks run it.
