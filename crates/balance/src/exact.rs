@@ -106,7 +106,7 @@ mod tests {
     use super::*;
     use crate::greedy::greedy_init;
     use crate::mcmc::{mcmc_balance, McmcConfig};
-    use crate::oracle::MeteredPlainOracle;
+    use crate::oracle::CompareOracle;
     use lumos_common::rng::Xoshiro256pp;
     use lumos_graph::generate::{erdos_renyi, homophilous_powerlaw, PowerLawConfig};
 
@@ -149,7 +149,7 @@ mod tests {
             let mut rng = Xoshiro256pp::seed_from_u64(seed);
             let g = erdos_renyi(60, 0.12, &mut rng);
             let exact = solve_exact(&g);
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             let init = greedy_init(&g, &mut oracle);
             let out = mcmc_balance(
                 &g,
@@ -177,7 +177,7 @@ mod tests {
         let labels: Vec<u32> = (0..300).map(|_| rng.next_below(4) as u32).collect();
         let g = homophilous_powerlaw(&labels, &PowerLawConfig::default(), &mut rng);
         let exact = solve_exact(&g);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let init = greedy_init(&g, &mut oracle);
         let out = mcmc_balance(
             &g,

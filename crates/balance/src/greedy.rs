@@ -34,7 +34,7 @@ pub fn rounded_log_weighted(deg: usize, cost: u64) -> u64 {
 /// Runs Algorithm 1: one secure comparison per edge (the outcome is shared
 /// by both endpoints), producing the initial retained-neighbor sets under
 /// the unweighted (node-count) objective.
-pub fn greedy_init(g: &Graph, oracle: &mut dyn CompareOracle) -> Assignment {
+pub fn greedy_init(g: &Graph, oracle: &mut CompareOracle) -> Assignment {
     greedy_init_weighted(g, None, oracle)
 }
 
@@ -47,7 +47,7 @@ pub fn greedy_init(g: &Graph, oracle: &mut dyn CompareOracle) -> Assignment {
 pub fn greedy_init_weighted(
     g: &Graph,
     costs: Option<&[u64]>,
-    oracle: &mut dyn CompareOracle,
+    oracle: &mut CompareOracle,
 ) -> Assignment {
     if let Some(c) = costs {
         assert_eq!(c.len(), g.num_nodes(), "one cost per device");
@@ -60,7 +60,7 @@ pub fn greedy_init_weighted(
     // One protocol run per edge; both endpoints learn the ordering. Every
     // edge's `round(ln deg)` comparison is independent, so the sweep is
     // submitted as one batch: the bit-sliced backend evaluates 64 edges per
-    // circuit, the scalar default reproduces the per-edge loop exactly.
+    // circuit, the scalar one a circuit per edge.
     let edges: Vec<(u32, u32)> = g.edges().collect();
     let pairs: Vec<(u64, u64)> = edges
         .iter()
@@ -90,7 +90,7 @@ pub fn greedy_init_weighted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{MeteredPlainOracle, SecureOracle};
+    use crate::oracle::{CompareBackend, SecurityMode};
     use lumos_common::rng::Xoshiro256pp;
     use lumos_graph::generate::{homophilous_powerlaw, PowerLawConfig};
 
@@ -109,7 +109,7 @@ mod tests {
         // the center keeps nothing and each leaf keeps the center.
         let edges: Vec<(u32, u32)> = (1..=8).map(|v| (0u32, v)).collect();
         let g = Graph::from_edges(9, &edges);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let a = greedy_init(&g, &mut oracle);
         assert_eq!(a.workload(0), 0, "hub drops all branches");
         for v in 1..=8u32 {
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn equal_degrees_keep_both_directions() {
         let g = Graph::from_edges(2, &[(0, 1)]);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let a = greedy_init(&g, &mut oracle);
         assert!(a.keeps(0, 1) && a.keeps(1, 0));
     }
@@ -132,7 +132,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(1);
         let labels: Vec<u32> = (0..800).map(|_| rng.next_below(4) as u32).collect();
         let g = homophilous_powerlaw(&labels, &PowerLawConfig::default(), &mut rng);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let a = greedy_init(&g, &mut oracle);
         a.check_feasible(&g).unwrap();
         assert!(
@@ -149,8 +149,8 @@ mod tests {
         let labels: Vec<u32> = (0..300).map(|_| rng.next_below(4) as u32).collect();
         let g = homophilous_powerlaw(&labels, &PowerLawConfig::default(), &mut rng);
         let ones = vec![1u64; g.num_nodes()];
-        let mut oa = MeteredPlainOracle::new();
-        let mut ob = MeteredPlainOracle::new();
+        let mut oa = CompareOracle::default();
+        let mut ob = CompareOracle::default();
         let plain = greedy_init(&g, &mut oa);
         let weighted = greedy_init_weighted(&g, Some(&ones), &mut ob);
         for v in 0..g.num_nodes() as u32 {
@@ -165,7 +165,7 @@ mod tests {
         // Two degree-1 devices: unweighted greedy keeps both directions,
         // but a 100× cost gap moves the edge onto the cheap device alone.
         let g = Graph::from_edges(2, &[(0, 1)]);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let a = greedy_init_weighted(&g, Some(&[100, 1]), &mut oracle);
         assert!(!a.keeps(0, 1), "expensive device must shed the edge");
         assert!(a.keeps(1, 0), "cheap device must cover it");
@@ -174,12 +174,11 @@ mod tests {
 
     #[test]
     fn bitsliced_backend_builds_the_identical_assignment() {
-        use crate::oracle::{BitslicedSecureOracle, CompareOracle};
         let mut rng = Xoshiro256pp::seed_from_u64(6);
         let labels: Vec<u32> = (0..200).map(|_| rng.next_below(4) as u32).collect();
         let g = homophilous_powerlaw(&labels, &PowerLawConfig::default(), &mut rng);
-        let mut scalar = MeteredPlainOracle::new();
-        let mut sliced = BitslicedSecureOracle::new(3);
+        let mut scalar = CompareOracle::default();
+        let mut sliced = CompareOracle::new(SecurityMode::Simulated, CompareBackend::Bitsliced, 3);
         let a = greedy_init(&g, &mut scalar);
         let b = greedy_init(&g, &mut sliced);
         assert_eq!(a, b, "lane packing must not change any keep decision");
@@ -196,8 +195,8 @@ mod tests {
             ..Default::default()
         };
         let g = homophilous_powerlaw(&labels, &cfg, &mut rng);
-        let mut secure = SecureOracle::new(9);
-        let mut plain = MeteredPlainOracle::new();
+        let mut secure = CompareOracle::new(SecurityMode::Simulated, CompareBackend::Scalar, 9);
+        let mut plain = CompareOracle::default();
         let a = greedy_init(&g, &mut secure);
         let b = greedy_init(&g, &mut plain);
         assert_eq!(a, b);

@@ -4,9 +4,9 @@
 //! Theorem 1), the greedy initialization of Algorithm 1, the secure
 //! max-workload location protocol of Algorithm 3, and the MCMC /
 //! Metropolis–Hastings iteration of Algorithm 2 whose tail behaviour is
-//! bounded by Theorem 2. All private-value comparisons run through a
-//! [`CompareOracle`](oracle::CompareOracle), which either executes the real
-//! simulated two-party circuits or charges the identical cost model.
+//! bounded by Theorem 2. All private-value comparisons run through the one
+//! [`CompareOracle`], which either executes the real simulated two-party
+//! circuits or charges the identical cost model.
 
 #![forbid(unsafe_code)]
 pub mod analysis;
@@ -28,9 +28,6 @@ pub use maxfind::{
     WORKLOAD_BITS,
 };
 pub use mcmc::{mcmc_balance, McmcConfig, McmcOutcome, McmcStats};
-pub use oracle::{
-    make_oracle_backend, BitslicedPlainOracle, BitslicedSecureOracle, CompareBackend,
-    CompareOracle, MeteredPlainOracle, SecureOracle, SecurityMode,
-};
+pub use oracle::{make_oracle_backend, CompareBackend, CompareOracle, SecurityMode};
 pub use problem::{device_id_count, objective_lower_bound, Assignment, BalanceObjective};
 pub use rebalance::{rebalance_assignment, RebalanceOutcome};

@@ -71,7 +71,7 @@ pub struct MaxFindOutcome {
 pub fn find_max_workload_device(
     g: &Graph,
     assignment: &Assignment,
-    oracle: &mut dyn CompareOracle,
+    oracle: &mut CompareOracle,
     rng: &mut Xoshiro256pp,
 ) -> MaxFindOutcome {
     let n = g.num_nodes();
@@ -94,8 +94,7 @@ pub fn find_max_workload_device(
     // once; both endpoints learn the ordering, mirroring the pairwise
     // protocol runs of Alg. 1. The edges are independent, so the whole
     // sweep goes to the oracle as one batch — the bit-sliced backend packs
-    // 64 of them per circuit evaluation; the scalar backend's default loop
-    // reproduces the historical per-edge calls bit for bit.
+    // 64 of them per circuit evaluation, the scalar backend one per edge.
     let edges: Vec<(u32, u32)> = g.edges().collect();
     let pairs: Vec<(u64, u64)> = edges
         .iter()
@@ -118,7 +117,7 @@ pub fn find_max_workload_device(
 
     // Phase 2 (device operation 2): candidates compare pairwise. The scan
     // is sequential by construction (each comparison's operand is the
-    // running winner), so it stays on the scalar entry point.
+    // running winner), so it goes through the single-pair entry point.
     let mut best: Vec<u32> = Vec::new();
     let mut best_wl: Option<u64> = None;
     for &c in &cvs {
@@ -153,7 +152,6 @@ pub fn find_max_workload_device(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::MeteredPlainOracle;
 
     fn rng() -> Xoshiro256pp {
         Xoshiro256pp::seed_from_u64(500)
@@ -165,7 +163,7 @@ mod tests {
         let edges: Vec<(u32, u32)> = (1..=4).map(|v| (0u32, v)).collect();
         let g = Graph::from_edges(5, &edges);
         let a = Assignment::full(&g);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let out = find_max_workload_device(&g, &a, &mut oracle, &mut rng());
         assert_eq!(out.device, 0);
         assert_eq!(out.cvs_size, 1, "only the hub survives phase 1");
@@ -178,7 +176,7 @@ mod tests {
         for trial in 0..20 {
             let g = lumos_graph::generate::erdos_renyi(40, 0.15, &mut r);
             let a = Assignment::full(&g);
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             let out = find_max_workload_device(&g, &a, &mut oracle, &mut r);
             let max_wl = a.workloads().into_iter().max().unwrap();
             assert_eq!(
@@ -197,7 +195,7 @@ mod tests {
         let a = Assignment::full(&g);
         let mut seen = std::collections::BTreeSet::new();
         for seed in 0..40u64 {
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             let mut r = Xoshiro256pp::seed_from_u64(seed);
             let out = find_max_workload_device(&g, &a, &mut oracle, &mut r);
             assert_eq!(a.workload(out.device), 1);
@@ -220,7 +218,7 @@ mod tests {
         assert_eq!(workload_bits(&unweighted), WORKLOAD_BITS);
         let a = unweighted.with_costs(vec![1, 1_000_000, 1, 1, 1]);
         assert_eq!(workload_bits(&a), WEIGHTED_WORKLOAD_BITS);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let out = find_max_workload_device(&g, &a, &mut oracle, &mut rng());
         assert_eq!(out.device, 1, "the throttled leaf dominates in µs");
         assert_eq!(a.weighted_workload(out.device), 1_000_000);
@@ -228,12 +226,12 @@ mod tests {
 
     #[test]
     fn bitsliced_sweep_matches_scalar_with_fewer_messages() {
-        use crate::oracle::BitslicedPlainOracle;
+        use crate::oracle::{CompareBackend, SecurityMode};
         let mut r = Xoshiro256pp::seed_from_u64(17);
         let g = lumos_graph::generate::erdos_renyi(120, 0.08, &mut r);
         let a = Assignment::full(&g);
-        let mut scalar = MeteredPlainOracle::new();
-        let mut sliced = BitslicedPlainOracle::new();
+        let mut scalar = CompareOracle::default();
+        let mut sliced = CompareOracle::new(SecurityMode::CostModel, CompareBackend::Bitsliced, 0);
         let out_scalar =
             find_max_workload_device(&g, &a, &mut scalar, &mut Xoshiro256pp::seed_from_u64(9));
         let out_sliced =
@@ -256,7 +254,7 @@ mod tests {
     fn comparison_count_is_edges_plus_cvs_pairs() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let a = Assignment::full(&g);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let out = find_max_workload_device(&g, &a, &mut oracle, &mut rng());
         // Phase 1: 3 edges. Phase 2: sequential scan of the CVS performs
         // |CVS| - 1 comparisons (first candidate enters for free).

@@ -94,7 +94,7 @@ pub fn mcmc_balance(
     g: &Graph,
     mut assignment: Assignment,
     cfg: &McmcConfig,
-    oracle: &mut dyn CompareOracle,
+    oracle: &mut CompareOracle,
 ) -> McmcOutcome {
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mut stats = McmcStats::default();
@@ -196,7 +196,6 @@ pub fn mcmc_balance(
 mod tests {
     use super::*;
     use crate::greedy::greedy_init;
-    use crate::oracle::MeteredPlainOracle;
     use crate::problem::objective_lower_bound;
     use lumos_graph::generate::{homophilous_powerlaw, PowerLawConfig};
 
@@ -209,7 +208,7 @@ mod tests {
     #[test]
     fn mcmc_keeps_feasibility_and_does_not_worsen_much() {
         let g = powerlaw_graph(400, 9);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let init = greedy_init(&g, &mut oracle);
         let init_obj = init.objective();
         let cfg = McmcConfig {
@@ -240,7 +239,7 @@ mod tests {
         let g = Graph::from_edges(13, &edges);
         let full = Assignment::full(&g);
         assert_eq!(full.objective(), 12);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let cfg = McmcConfig {
             iterations: 200,
             seed: 7,
@@ -267,7 +266,7 @@ mod tests {
         costs[0] = 10_000;
         let full = Assignment::full(&g).with_costs(costs);
         assert_eq!(full.weighted_objective(), 20_000);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let cfg = McmcConfig {
             iterations: 60,
             seed: 12,
@@ -292,7 +291,7 @@ mod tests {
     fn unit_cost_traces_coincide() {
         let g = powerlaw_graph(150, 5);
         let run = |costs: Option<Vec<u64>>| {
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             let init = match costs {
                 Some(c) => greedy_init(&g, &mut oracle).with_costs(c),
                 None => greedy_init(&g, &mut oracle),
@@ -325,15 +324,15 @@ mod tests {
         // The MH chain consumes only comparison *outcomes* and its own RNG
         // stream, so swapping the comparison engine must reproduce the
         // trajectory exactly — while the wire meters collapse.
-        use crate::oracle::BitslicedPlainOracle;
+        use crate::oracle::{CompareBackend, SecurityMode};
         let g = powerlaw_graph(200, 21);
         let cfg = McmcConfig {
             iterations: 40,
             seed: 33,
         };
-        let mut scalar = MeteredPlainOracle::new();
+        let mut scalar = CompareOracle::default();
         let scalar_out = mcmc_balance(&g, greedy_init(&g, &mut scalar), &cfg, &mut scalar);
-        let mut sliced = BitslicedPlainOracle::new();
+        let mut sliced = CompareOracle::new(SecurityMode::CostModel, CompareBackend::Bitsliced, 0);
         let sliced_out = mcmc_balance(&g, greedy_init(&g, &mut sliced), &cfg, &mut sliced);
         assert_eq!(scalar_out.assignment, sliced_out.assignment);
         assert_eq!(scalar_out.trace, sliced_out.trace);
@@ -353,7 +352,7 @@ mod tests {
     #[test]
     fn trace_is_recorded_and_stats_counted() {
         let g = powerlaw_graph(120, 11);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let init = greedy_init(&g, &mut oracle);
         let cfg = McmcConfig {
             iterations: 25,
@@ -371,7 +370,7 @@ mod tests {
     #[test]
     fn zero_iterations_is_identity() {
         let g = powerlaw_graph(60, 2);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let init = greedy_init(&g, &mut oracle);
         let snapshot = init.clone();
         let cfg = McmcConfig {
@@ -387,7 +386,7 @@ mod tests {
     fn deterministic_under_seed() {
         let g = powerlaw_graph(200, 3);
         let run = || {
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             let init = greedy_init(&g, &mut oracle);
             let cfg = McmcConfig {
                 iterations: 50,

@@ -1,23 +1,27 @@
-//! Comparison oracles: how the balancer invokes secure two-party protocols.
+//! The comparison oracle: how the balancer invokes secure two-party
+//! protocols.
 //!
 //! Every degree/workload comparison in Algorithms 1–3 must run under the
-//! secure comparison of `lumos-crypto` (Definition 2). [`SecureOracle`]
-//! actually executes the OT-based circuits. [`MeteredPlainOracle`] computes
-//! the same results in the clear while charging the *identical* cost model,
-//! so paper-scale experiments remain fast; a test in this module pins the
-//! two meters against each other, bit for bit.
+//! secure comparison of `lumos-crypto` (Definition 2). One [`CompareOracle`]
+//! serves every (mode, backend) pair: in [`SecurityMode::Simulated`] it
+//! executes the OT-based circuits, in [`SecurityMode::CostModel`] it
+//! computes the same results in the clear while charging the *identical*
+//! meter, so paper-scale experiments remain fast. The backend is the
+//! circuit's lane width; tests in this module pin the two modes' meters
+//! against each other, bit for bit, at both widths.
 
 use std::cmp::Ordering;
 
 use lumos_crypto::{
-    secure_compare, secure_compare_batch, secure_difference, CommMeter, TwoParty, LANES,
+    circuit_cost, difference_cost, secure_compare_batch, secure_difference, CommMeter, TwoParty,
+    LANES,
 };
 
 /// Which secure-comparison engine backs the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompareBackend {
-    /// One scalar circuit evaluation per comparison — the historical
-    /// engine, and the default that keeps seed → bit-identical meters.
+    /// One circuit evaluation per comparison — the historical engine, and
+    /// the default that keeps seed → bit-identical meters.
     #[default]
     Scalar,
     /// The bit-sliced 64-lane engine: independent comparisons in a sweep
@@ -35,179 +39,51 @@ impl CompareBackend {
             CompareBackend::Bitsliced => "bitsliced",
         }
     }
-}
 
-/// Abstraction over the pairwise secure-comparison service.
-pub trait CompareOracle {
-    /// Compares two private `bits`-bit values, revealing only the ordering.
-    fn compare(&mut self, a: u64, b: u64, bits: u32) -> Ordering;
-
-    /// Compares many *independent* `bits`-bit pairs in one sweep (an
-    /// Algorithm-1 or Algorithm-3 edge pass), revealing only the orderings,
-    /// in input order.
-    ///
-    /// The default implementation loops the scalar path, so every oracle
-    /// keeps its historical per-call results, meters, and session streams
-    /// bit for bit; batched engines override it to share circuit
-    /// evaluations across lanes.
-    fn compare_batch(&mut self, pairs: &[(u64, u64)], bits: u32) -> Vec<Ordering> {
-        pairs
-            .iter()
-            .map(|&(a, b)| self.compare(a, b, bits))
-            .collect()
+    /// Lanes per circuit evaluation: 1, or a full 64-lane word.
+    fn lanes(self) -> usize {
+        match self {
+            CompareBackend::Scalar => 1,
+            CompareBackend::Bitsliced => LANES,
+        }
     }
-
-    /// Reveals the difference `a - b` (Algorithm 2, line 7).
-    fn difference(&mut self, a: i64, b: i64) -> i64;
-
-    /// Accumulated communication across all invocations.
-    fn meter(&self) -> CommMeter;
-
-    /// Number of *logical* comparisons performed (a batch of `n` pairs
-    /// counts `n`, whatever the engine packs them into).
-    fn comparisons(&self) -> u64;
 }
 
-/// Executes the real simulated protocols of `lumos-crypto`.
+/// Whether the oracle runs the circuits or prices them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SecurityMode {
+    /// Run the full OT-based circuits (slow, exercised in tests and small
+    /// benches).
+    Simulated,
+    /// Clear-text results with the identical cost model (paper-scale runs).
+    CostModel,
+}
+
+/// The pairwise secure-comparison service of Algorithms 1–3.
 #[derive(Debug)]
-pub struct SecureOracle {
+pub struct CompareOracle {
+    mode: SecurityMode,
+    lanes: usize,
     seed: u64,
     counter: u64,
     meter: CommMeter,
     comparisons: u64,
 }
 
-impl SecureOracle {
-    /// Creates the oracle; each protocol session gets a distinct seed.
-    pub fn new(seed: u64) -> Self {
+impl Default for CompareOracle {
+    /// The default configuration's oracle: the scalar cost model.
+    fn default() -> Self {
+        Self::new(SecurityMode::CostModel, CompareBackend::default(), 0)
+    }
+}
+
+impl CompareOracle {
+    /// Creates the oracle; in `Simulated` mode each protocol call runs on
+    /// a distinct seed derived from `seed`.
+    pub fn new(mode: SecurityMode, backend: CompareBackend, seed: u64) -> Self {
         Self {
-            seed,
-            counter: 0,
-            meter: CommMeter::new(),
-            comparisons: 0,
-        }
-    }
-
-    fn session(&mut self) -> TwoParty {
-        self.counter += 1;
-        TwoParty::new(self.seed ^ self.counter.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-}
-
-impl CompareOracle for SecureOracle {
-    fn compare(&mut self, a: u64, b: u64, bits: u32) -> Ordering {
-        let mut ctx = self.session();
-        let out = secure_compare(&mut ctx, a, b, bits);
-        self.meter.merge(&ctx.meter);
-        self.comparisons += 1;
-        out.ordering()
-    }
-
-    fn difference(&mut self, a: i64, b: i64) -> i64 {
-        let mut ctx = self.session();
-        let d = secure_difference(&mut ctx, a, b);
-        self.meter.merge(&ctx.meter);
-        d
-    }
-
-    fn meter(&self) -> CommMeter {
-        self.meter
-    }
-
-    fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-}
-
-/// Computes results in the clear but charges the exact communication the
-/// secure protocols would have used.
-#[derive(Debug, Default)]
-pub struct MeteredPlainOracle {
-    meter: CommMeter,
-    comparisons: u64,
-}
-
-impl MeteredPlainOracle {
-    /// Creates a zero-cost oracle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The communication the bit-tree comparison protocol uses for `bits`-bit
-    /// inputs (see `lumos-crypto::compare`): per-bit input sharing, one AND
-    /// per leaf, two ANDs per balanced-tree merge (each AND = 2 OTs = 4
-    /// messages / 34 bytes), layered rounds, two 1-bit reveals.
-    pub fn compare_cost(bits: u32) -> CommMeter {
-        let leaf_ands = bits as u64;
-        let merge_ands = 2 * (bits as u64 - 1);
-        let ands = leaf_ands + merge_ands;
-        let share_msgs = 2 * bits as u64;
-        let and_msgs = 4 * ands;
-        let reveal_msgs = 4;
-        // Layers: the leaf layer plus ceil(log2 bits) merge layers, 2 rounds
-        // each; plus one round per reveal.
-        let mut layers = 1u64;
-        let mut width = bits as u64;
-        while width > 1 {
-            width = width.div_ceil(2);
-            layers += 1;
-        }
-        CommMeter {
-            messages: share_msgs + and_msgs + reveal_msgs,
-            // share: 1 byte each; AND: 2 OTs × (1 + 16) bytes; reveal: 1 byte
-            // each.
-            bytes: share_msgs + ands * 2 * 17 + reveal_msgs,
-            rounds: 2 * layers + 2,
-        }
-    }
-
-    /// The communication of the masked-difference protocol: three 8-byte
-    /// messages in three rounds.
-    pub fn difference_cost() -> CommMeter {
-        CommMeter {
-            messages: 3,
-            bytes: 24,
-            rounds: 3,
-        }
-    }
-}
-
-impl CompareOracle for MeteredPlainOracle {
-    fn compare(&mut self, a: u64, b: u64, bits: u32) -> Ordering {
-        self.meter.merge(&Self::compare_cost(bits));
-        self.comparisons += 1;
-        a.cmp(&b)
-    }
-
-    fn difference(&mut self, a: i64, b: i64) -> i64 {
-        self.meter.merge(&Self::difference_cost());
-        a.wrapping_sub(b)
-    }
-
-    fn meter(&self) -> CommMeter {
-        self.meter
-    }
-
-    fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-}
-
-/// Executes the bit-sliced 64-lane batch circuits of `lumos-crypto`:
-/// one word session per 64 lanes, each AND gate's two wide OTs shared by
-/// every lane in the word.
-#[derive(Debug)]
-pub struct BitslicedSecureOracle {
-    seed: u64,
-    counter: u64,
-    meter: CommMeter,
-    comparisons: u64,
-}
-
-impl BitslicedSecureOracle {
-    /// Creates the oracle; each protocol session gets a distinct seed.
-    pub fn new(seed: u64) -> Self {
-        Self {
+            mode,
+            lanes: backend.lanes(),
             seed,
             counter: 0,
             meter: CommMeter::new(),
@@ -219,147 +95,97 @@ impl BitslicedSecureOracle {
         self.counter += 1;
         self.seed ^ self.counter.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
-}
 
-impl CompareOracle for BitslicedSecureOracle {
-    fn compare(&mut self, a: u64, b: u64, bits: u32) -> Ordering {
-        self.compare_batch(&[(a, b)], bits)[0]
+    /// Compares two private `bits`-bit values, revealing only the ordering.
+    pub fn compare(&mut self, a: u64, b: u64, bits: u32) -> Ordering {
+        match self.mode {
+            // Allocation-free: Algorithm 3's phase 2 calls this once per
+            // candidate.
+            SecurityMode::CostModel => {
+                self.meter.merge(&circuit_cost(bits, self.lanes));
+                self.comparisons += 1;
+                a.cmp(&b)
+            }
+            SecurityMode::Simulated => self.compare_batch(&[(a, b)], bits)[0],
+        }
     }
 
-    fn compare_batch(&mut self, pairs: &[(u64, u64)], bits: u32) -> Vec<Ordering> {
+    /// Compares many *independent* `bits`-bit pairs in one sweep (an
+    /// Algorithm-1 or Algorithm-3 edge pass), revealing only the orderings,
+    /// in input order. The sweep costs one circuit per `lanes` pairs.
+    pub fn compare_batch(&mut self, pairs: &[(u64, u64)], bits: u32) -> Vec<Ordering> {
         if pairs.is_empty() {
             return Vec::new();
         }
-        let batch = secure_compare_batch(self.next_seed(), pairs, bits);
-        self.meter.merge(&batch.meter);
         self.comparisons += pairs.len() as u64;
-        batch.outcomes.into_iter().map(|o| o.ordering()).collect()
+        match self.mode {
+            SecurityMode::CostModel => {
+                let circuits = pairs.len().div_ceil(self.lanes) as u64;
+                self.meter
+                    .merge(&circuit_cost(bits, self.lanes).times(circuits));
+                pairs.iter().map(|&(a, b)| a.cmp(&b)).collect()
+            }
+            SecurityMode::Simulated => {
+                let batch = secure_compare_batch(self.next_seed(), pairs, bits, self.lanes);
+                self.meter.merge(&batch.meter);
+                batch.outcomes.into_iter().map(|o| o.ordering()).collect()
+            }
+        }
     }
 
-    fn difference(&mut self, a: i64, b: i64) -> i64 {
-        // The masked-difference protocol is already word-width; the scalar
-        // session is the right tool either way.
-        let mut ctx = TwoParty::new(self.next_seed());
-        let d = secure_difference(&mut ctx, a, b);
-        self.meter.merge(&ctx.meter);
-        d
+    /// Reveals the difference `a - b` (Algorithm 2, line 7).
+    pub fn difference(&mut self, a: i64, b: i64) -> i64 {
+        match self.mode {
+            SecurityMode::CostModel => {
+                self.meter.merge(&difference_cost());
+                a.wrapping_sub(b)
+            }
+            SecurityMode::Simulated => {
+                let mut ctx = TwoParty::new(self.next_seed(), self.lanes);
+                let d = secure_difference(&mut ctx, a, b);
+                self.meter.merge(&ctx.meter);
+                d
+            }
+        }
     }
 
-    fn meter(&self) -> CommMeter {
+    /// Accumulated communication across all invocations.
+    pub fn meter(&self) -> CommMeter {
         self.meter
     }
 
-    fn comparisons(&self) -> u64 {
+    /// Number of *logical* comparisons performed (a batch of `n` pairs
+    /// counts `n`, whatever the engine packs them into).
+    pub fn comparisons(&self) -> u64 {
         self.comparisons
     }
 }
 
-/// Computes results in the clear but charges exactly what the bit-sliced
-/// engine would: one word's traffic per 64 lanes (partial words price like
-/// full ones — the wire must not reveal the lane count).
-#[derive(Debug, Default)]
-pub struct BitslicedPlainOracle {
-    meter: CommMeter,
-    comparisons: u64,
-}
-
-impl BitslicedPlainOracle {
-    /// Creates a zero-cost oracle.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The communication one 64-lane word costs at `bits` bits: per-bit
-    /// input sharing (8-byte words), the same `3·bits − 2` AND gates as the
-    /// scalar circuit — each now two *wide* OTs (8 + 16 bytes) — the same
-    /// layered rounds, and two 8-byte word reveals.
-    pub fn word_cost(bits: u32) -> CommMeter {
-        let ands = 3 * bits as u64 - 2;
-        let share_msgs = 2 * bits as u64;
-        let reveal_msgs = 4;
-        let mut layers = 1u64;
-        let mut width = bits as u64;
-        while width > 1 {
-            width = width.div_ceil(2);
-            layers += 1;
-        }
-        CommMeter {
-            messages: share_msgs + 4 * ands + reveal_msgs,
-            bytes: 8 * share_msgs + ands * 2 * (8 + 16) + 8 * reveal_msgs,
-            rounds: 2 * layers + 2,
-        }
-    }
-
-    /// The communication a `lanes`-pair batch costs: one word per 64 lanes.
-    pub fn batch_cost(lanes: usize, bits: u32) -> CommMeter {
-        Self::word_cost(bits).times(lanes.div_ceil(LANES) as u64)
-    }
-}
-
-impl CompareOracle for BitslicedPlainOracle {
-    fn compare(&mut self, a: u64, b: u64, bits: u32) -> Ordering {
-        self.compare_batch(&[(a, b)], bits)[0]
-    }
-
-    fn compare_batch(&mut self, pairs: &[(u64, u64)], bits: u32) -> Vec<Ordering> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        self.meter.merge(&Self::batch_cost(pairs.len(), bits));
-        self.comparisons += pairs.len() as u64;
-        pairs.iter().map(|&(a, b)| a.cmp(&b)).collect()
-    }
-
-    fn difference(&mut self, a: i64, b: i64) -> i64 {
-        self.meter.merge(&MeteredPlainOracle::difference_cost());
-        a.wrapping_sub(b)
-    }
-
-    fn meter(&self) -> CommMeter {
-        self.meter
-    }
-
-    fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-}
-
-/// Which oracle the high-level constructors should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SecurityMode {
-    /// Run the full OT-based circuits (slow, exercised in tests and small
-    /// benches).
-    Simulated,
-    /// Clear-text results with the identical cost model (paper-scale runs).
-    CostModel,
-}
-
-/// Builds an oracle for the requested mode and comparison backend.
+/// Builds the oracle for the requested mode and comparison backend.
 pub fn make_oracle_backend(
     mode: SecurityMode,
     backend: CompareBackend,
     seed: u64,
-) -> Box<dyn CompareOracle> {
-    match (backend, mode) {
-        (CompareBackend::Scalar, SecurityMode::Simulated) => Box::new(SecureOracle::new(seed)),
-        (CompareBackend::Scalar, SecurityMode::CostModel) => Box::new(MeteredPlainOracle::new()),
-        (CompareBackend::Bitsliced, SecurityMode::Simulated) => {
-            Box::new(BitslicedSecureOracle::new(seed))
-        }
-        (CompareBackend::Bitsliced, SecurityMode::CostModel) => {
-            Box::new(BitslicedPlainOracle::new())
-        }
-    }
+) -> Box<CompareOracle> {
+    Box::new(CompareOracle::new(mode, backend, seed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn secure(backend: CompareBackend, seed: u64) -> CompareOracle {
+        CompareOracle::new(SecurityMode::Simulated, backend, seed)
+    }
+
+    fn plain(backend: CompareBackend) -> CompareOracle {
+        CompareOracle::new(SecurityMode::CostModel, backend, 0)
+    }
+
     #[test]
     fn oracles_agree_on_results() {
-        let mut secure = SecureOracle::new(5);
-        let mut plain = MeteredPlainOracle::new();
+        let mut secure = secure(CompareBackend::Scalar, 5);
+        let mut plain = CompareOracle::default();
         for (a, b) in [(3u64, 9u64), (9, 3), (7, 7), (0, 255), (255, 0)] {
             assert_eq!(secure.compare(a, b, 8), plain.compare(a, b, 8));
         }
@@ -373,25 +199,53 @@ mod tests {
         // The analytic cost model must equal the measured cost of the real
         // protocol for several bit widths.
         for bits in [1u32, 2, 3, 5, 8, 16, 20, 32, 64] {
-            let mut secure = SecureOracle::new(11);
+            let mut secure = secure(CompareBackend::Scalar, 11);
+            let mut plain = CompareOracle::default();
             secure.compare(1, 0, bits);
-            let model = MeteredPlainOracle::compare_cost(bits);
-            assert_eq!(secure.meter(), model, "bits = {bits}");
+            plain.compare(1, 0, bits);
+            assert_eq!(secure.meter(), plain.meter(), "bits = {bits}");
         }
-        let mut secure = SecureOracle::new(12);
+        let mut secure = secure(CompareBackend::Scalar, 12);
         secure.difference(5, 9);
-        assert_eq!(secure.meter(), MeteredPlainOracle::difference_cost());
+        assert_eq!(secure.meter(), difference_cost());
+    }
+
+    #[test]
+    fn cost_model_meters_match_the_pinned_table() {
+        // messages / bytes / rounds of one circuit at `bits` bits, for one
+        // lane and for a full 64-lane word: the meters every default digest
+        // rests on. They are literals on purpose — a formula change must
+        // show here as a changed number.
+        let table: [(u32, [u64; 3], [u64; 3]); 5] = [
+            (1, [10, 40, 4], [10, 96, 4]),
+            (8, [108, 768, 10], [108, 1216, 10]),
+            (16, [220, 1600, 12], [220, 2496, 12]),
+            (48, [668, 4928, 16], [668, 7616, 16]),
+            (64, [892, 6592, 16], [892, 10176, 16]),
+        ];
+        let meter = |[messages, bytes, rounds]: [u64; 3]| CommMeter {
+            messages,
+            bytes,
+            rounds,
+        };
+        for (bits, scalar, word) in table {
+            let mut o = plain(CompareBackend::Scalar);
+            o.compare(1, 0, bits);
+            assert_eq!(o.meter(), meter(scalar), "scalar, bits = {bits}");
+            let mut o = plain(CompareBackend::Bitsliced);
+            o.compare_batch(&[(1, 0); LANES], bits);
+            assert_eq!(o.meter(), meter(word), "bitsliced, bits = {bits}");
+        }
     }
 
     #[test]
     fn default_compare_batch_loops_the_scalar_path() {
-        // A batch through the default trait method must be observationally
-        // identical to the historical per-call loop: same results, same
-        // meter, same session streams — the seed → bit-identical contract.
+        // At one lane a batch is one circuit per pair: observationally the
+        // per-call loop — same results, same meter, same comparison count.
         let pairs = [(3u64, 9u64), (9, 3), (7, 7), (0, 255)];
-        let mut batched = SecureOracle::new(5);
+        let mut batched = secure(CompareBackend::Scalar, 5);
         let outs = batched.compare_batch(&pairs, 8);
-        let mut looped = SecureOracle::new(5);
+        let mut looped = secure(CompareBackend::Scalar, 5);
         let loop_outs: Vec<Ordering> = pairs
             .iter()
             .map(|&(a, b)| looped.compare(a, b, 8))
@@ -404,9 +258,9 @@ mod tests {
     #[test]
     fn bitsliced_oracles_agree_with_scalar_on_results() {
         let pairs: Vec<(u64, u64)> = (0..130).map(|i| (i % 17, i % 13)).collect();
-        let mut scalar = MeteredPlainOracle::new();
-        let mut secure = BitslicedSecureOracle::new(7);
-        let mut plain = BitslicedPlainOracle::new();
+        let mut scalar = CompareOracle::default();
+        let mut secure = secure(CompareBackend::Bitsliced, 7);
+        let mut plain = plain(CompareBackend::Bitsliced);
         let want = scalar.compare_batch(&pairs, 16);
         assert_eq!(secure.compare_batch(&pairs, 16), want);
         assert_eq!(plain.compare_batch(&pairs, 16), want);
@@ -427,14 +281,15 @@ mod tests {
             (64, 1),
         ] {
             let pairs: Vec<(u64, u64)> = (0..lanes as u64).map(|i| (i % 2, 1 - i % 2)).collect();
-            let mut secure = BitslicedSecureOracle::new(11);
+            let mut secure = secure(CompareBackend::Bitsliced, 11);
+            let mut plain = plain(CompareBackend::Bitsliced);
             secure.compare_batch(&pairs, bits);
-            let model = BitslicedPlainOracle::batch_cost(lanes, bits);
-            assert_eq!(secure.meter(), model, "lanes={lanes} bits={bits}");
+            plain.compare_batch(&pairs, bits);
+            assert_eq!(secure.meter(), plain.meter(), "lanes={lanes} bits={bits}");
         }
-        let mut secure = BitslicedSecureOracle::new(12);
+        let mut secure = secure(CompareBackend::Bitsliced, 12);
         secure.difference(5, 9);
-        assert_eq!(secure.meter(), MeteredPlainOracle::difference_cost());
+        assert_eq!(secure.meter(), difference_cost());
     }
 
     #[test]
@@ -443,8 +298,8 @@ mod tests {
         // lane packing must save ~64× on messages while both report the
         // same 64 logical comparisons.
         let pairs: Vec<(u64, u64)> = (0..64).map(|i| (i, 63 - i)).collect();
-        let mut scalar = MeteredPlainOracle::new();
-        let mut sliced = BitslicedPlainOracle::new();
+        let mut scalar = CompareOracle::default();
+        let mut sliced = plain(CompareBackend::Bitsliced);
         scalar.compare_batch(&pairs, 48);
         sliced.compare_batch(&pairs, 48);
         assert_eq!(scalar.comparisons(), sliced.comparisons());

@@ -1,14 +1,14 @@
 //! Cross-oracle agreement on Algorithm 3 (secure max-workload location).
 //!
-//! `MeteredPlainOracle` is the cost-model stand-in used at paper scale;
-//! `SecureOracle` runs the real OT-based comparison circuits. The two must
+//! The cost-model oracle is the stand-in used at paper scale; the simulated
+//! one runs the real OT-based comparison circuits. The two must
 //! be observationally identical: same orderings, hence the same candidate
 //! vertex sets, the same selected max-workload device (given the same
 //! server tie-break stream), and the same charged communication.
 
 use lumos_balance::{
-    find_max_workload_device, greedy_init, mcmc_balance, Assignment, CompareOracle, McmcConfig,
-    MeteredPlainOracle, SecureOracle,
+    find_max_workload_device, greedy_init, mcmc_balance, Assignment, CompareBackend, CompareOracle,
+    McmcConfig, SecurityMode,
 };
 use lumos_common::rng::Xoshiro256pp;
 use lumos_graph::generate::{barabasi_albert, erdos_renyi};
@@ -17,8 +17,9 @@ use lumos_graph::Graph;
 /// Runs Algorithm 3 under both oracles on the same assignment with the same
 /// server randomness and asserts identical outcomes.
 fn assert_maxfind_agreement(g: &Graph, assignment: &Assignment, label: &str) {
-    let mut secure = SecureOracle::new(0x00A1_1CE5);
-    let mut plain = MeteredPlainOracle::new();
+    let mut secure =
+        CompareOracle::new(SecurityMode::Simulated, CompareBackend::Scalar, 0x00A1_1CE5);
+    let mut plain = CompareOracle::default();
     let mut rng_secure = Xoshiro256pp::seed_from_u64(2024);
     let mut rng_plain = Xoshiro256pp::seed_from_u64(2024);
     let a = find_max_workload_device(g, assignment, &mut secure, &mut rng_secure);
@@ -73,7 +74,7 @@ fn oracles_agree_after_greedy_trimming() {
     // in production (inside the MCMC loop), not just the untrimmed ones.
     let mut rng = Xoshiro256pp::seed_from_u64(13);
     let g = erdos_renyi(35, 0.18, &mut rng);
-    let mut oracle = MeteredPlainOracle::new();
+    let mut oracle = CompareOracle::default();
     let trimmed = greedy_init(&g, &mut oracle);
     trimmed.check_feasible(&g).unwrap();
     assert_maxfind_agreement(&g, &trimmed, "greedy-trimmed");
@@ -90,11 +91,11 @@ fn full_balancing_pipeline_is_oracle_invariant() {
         seed: 99,
     };
 
-    let mut secure = SecureOracle::new(5);
+    let mut secure = CompareOracle::new(SecurityMode::Simulated, CompareBackend::Scalar, 5);
     let init_secure = greedy_init(&g, &mut secure);
     let out_secure = mcmc_balance(&g, init_secure, &cfg, &mut secure);
 
-    let mut plain = MeteredPlainOracle::new();
+    let mut plain = CompareOracle::default();
     let init_plain = greedy_init(&g, &mut plain);
     let out_plain = mcmc_balance(&g, init_plain, &cfg, &mut plain);
 

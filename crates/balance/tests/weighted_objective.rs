@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 
 use lumos_balance::{
-    greedy_init, greedy_init_weighted, mcmc_balance, CompareOracle, McmcConfig, MeteredPlainOracle,
-    SecureOracle,
+    greedy_init, greedy_init_weighted, mcmc_balance, CompareBackend, CompareOracle, McmcConfig,
+    SecurityMode,
 };
 use lumos_common::rng::Xoshiro256pp;
 use lumos_graph::generate::erdos_renyi;
@@ -39,12 +39,12 @@ proptest! {
     fn all_ones_costs_reproduce_node_count_balancing(seed in any::<u64>()) {
         let (g, _) = graph_and_costs(seed, 40, 0.12);
         let cfg = McmcConfig { iterations: 30, seed: seed ^ 0xF00D };
-        let mut plain_oracle = MeteredPlainOracle::new();
+        let mut plain_oracle = CompareOracle::default();
         let plain_init = greedy_init(&g, &mut plain_oracle);
         let plain = mcmc_balance(&g, plain_init, &cfg, &mut plain_oracle);
 
         let ones = vec![1u64; g.num_nodes()];
-        let mut ones_oracle = MeteredPlainOracle::new();
+        let mut ones_oracle = CompareOracle::default();
         let ones_init = greedy_init_weighted(&g, Some(&ones), &mut ones_oracle);
         let weighted = mcmc_balance(&g, ones_init, &cfg, &mut ones_oracle);
 
@@ -70,7 +70,7 @@ proptest! {
     fn weighted_objective_dominates_busy_and_mean(seed in any::<u64>()) {
         let (g, costs) = graph_and_costs(seed, 48, 0.10);
         let cfg = McmcConfig { iterations: 40, seed: seed ^ 0xBEEF };
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let init = greedy_init_weighted(&g, Some(&costs), &mut oracle);
         let out = mcmc_balance(&g, init, &cfg, &mut oracle);
         out.assignment.check_feasible(&g).unwrap();
@@ -109,11 +109,11 @@ proptest! {
         let (g, costs) = graph_and_costs(seed, 14, 0.25);
         let cfg = McmcConfig { iterations: 6, seed: seed ^ 0x5AFE };
 
-        let mut secure = SecureOracle::new(seed ^ 0xA11CE);
+        let mut secure = CompareOracle::new(SecurityMode::Simulated, CompareBackend::Scalar, seed ^ 0xA11CE);
         let secure_init = greedy_init_weighted(&g, Some(&costs), &mut secure);
         let secure_out = mcmc_balance(&g, secure_init, &cfg, &mut secure);
 
-        let mut plain = MeteredPlainOracle::new();
+        let mut plain = CompareOracle::default();
         let plain_init = greedy_init_weighted(&g, Some(&costs), &mut plain);
         let plain_out = mcmc_balance(&g, plain_init, &cfg, &mut plain);
 

@@ -6,7 +6,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, Criterion};
 use lumos_balance::{
     find_max_workload_device, greedy_init, greedy_init_weighted, make_oracle_backend, mcmc_balance,
-    Assignment, CompareBackend, McmcConfig, MeteredPlainOracle, SecurityMode,
+    Assignment, CompareBackend, CompareOracle, McmcConfig, SecurityMode,
 };
 use lumos_common::rng::Xoshiro256pp;
 use lumos_data::{Dataset, Scale};
@@ -16,7 +16,7 @@ fn bench_greedy(c: &mut Criterion) {
     let ds = Dataset::facebook_like(Scale::Smoke);
     c.bench_function("greedy_init_smoke", |b| {
         b.iter(|| {
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             black_box(greedy_init(&ds.graph, &mut oracle))
         })
     });
@@ -28,7 +28,7 @@ fn bench_alg3(c: &mut Criterion) {
     c.bench_function("find_max_workload_smoke", |b| {
         let mut rng = Xoshiro256pp::seed_from_u64(1);
         b.iter(|| {
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             black_box(find_max_workload_device(
                 &ds.graph,
                 &assignment,
@@ -44,7 +44,7 @@ fn bench_mcmc(c: &mut Criterion) {
     // Ablation: MCMC seeded by greedy vs from the raw full assignment.
     c.bench_function("mcmc_30_iters_after_greedy", |b| {
         b.iter(|| {
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             let init = greedy_init(&ds.graph, &mut oracle);
             let cfg = McmcConfig {
                 iterations: 30,
@@ -55,7 +55,7 @@ fn bench_mcmc(c: &mut Criterion) {
     });
     c.bench_function("mcmc_30_iters_from_full", |b| {
         b.iter(|| {
-            let mut oracle = MeteredPlainOracle::new();
+            let mut oracle = CompareOracle::default();
             let init = Assignment::full(&ds.graph);
             let cfg = McmcConfig {
                 iterations: 30,

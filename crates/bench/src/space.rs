@@ -96,7 +96,6 @@ fn faults(loss_rate: f64, crash_rate: f64, outage: bool) -> Setting {
     Setting::Faults(FaultSpec::Faults {
         crash_rate,
         loss_rate,
-        duplicate_rate: 0.0,
         outages: if outage { vec![OUTAGE] } else { vec![] },
     })
 }

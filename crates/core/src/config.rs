@@ -336,15 +336,10 @@ impl LumosConfig {
         if let FaultSpec::Faults {
             crash_rate,
             loss_rate,
-            duplicate_rate,
             outages,
         } = &self.faults
         {
-            let rates = [
-                ("crash_rate", crash_rate),
-                ("loss_rate", loss_rate),
-                ("duplicate_rate", duplicate_rate),
-            ];
+            let rates = [("crash_rate", crash_rate), ("loss_rate", loss_rate)];
             for (name, &rate) in rates {
                 ensure!(
                     "faults",
@@ -515,11 +510,10 @@ mod tests {
         }
     }
 
-    fn faults(crash_rate: f64, loss_rate: f64, duplicate_rate: f64) -> FaultSpec {
+    fn faults(crash_rate: f64, loss_rate: f64) -> FaultSpec {
         FaultSpec::Faults {
             crash_rate,
             loss_rate,
-            duplicate_rate,
             outages: Vec::new(),
         }
     }
@@ -528,7 +522,6 @@ mod tests {
         FaultSpec::Faults {
             crash_rate: 0.0,
             loss_rate: 0.0,
-            duplicate_rate: 0.0,
             outages: vec![lumos_sim::OutageWindow {
                 aggregator,
                 from_round,
@@ -604,8 +597,8 @@ mod tests {
             (Some("rebalance_threshold"), Set::Trigger(inf, 2)),
             (Some("rebalance_patience"), Set::Trigger(2.0, 0)),
             (Some("faults"), Set::Faults(FaultSpec::message_loss(1.5))),
-            (Some("faults"), Set::Faults(faults(-0.1, 0.0, 0.0))),
-            (Some("faults"), Set::Faults(faults(0.0, 0.0, nan))),
+            (Some("faults"), Set::Faults(faults(-0.1, 0.0))),
+            (Some("faults"), Set::Faults(faults(0.0, nan))),
             (Some("faults"), Set::Faults(outage(0, 5, 5))),
             (Some("faults"), Set::Faults(outage(0, 6, 2))),
             // More aggregators than devices clamps, one resolves to flat.
@@ -636,7 +629,7 @@ mod tests {
                 }),
             ),
             // Inert without a scenario.
-            (None, Set::Faults(faults(1.0, 1.0, 1.0))),
+            (None, Set::Faults(faults(1.0, 1.0))),
             (None, Set::Faults(outage(99, 0, 1))),
             (None, Set::Objective(BalanceObjective::VirtualSecs)),
             (None, Set::Trigger(f64::MIN_POSITIVE, 1)),

@@ -1,23 +1,22 @@
-//! Property suite for the bit-sliced 64-lane comparison engine.
+//! Property suite for the comparison engine at its two lane widths.
 //!
-//! Three contracts keep the batched backend interchangeable with the
-//! scalar circuit:
+//! One circuit serves both backends: 64 lanes per session (bit-sliced) or
+//! one (scalar). Three contracts keep the two widths interchangeable:
 //!
-//! 1. **Lane-for-lane agreement** — for random lane counts (1..=200) and
-//!    bit widths (1..=64), every lane's `(a_greater, equal)` outcome equals
-//!    the scalar circuit's on the same pair.
+//! 1. **Lane-for-lane agreement** — for random pair counts (1..=200) and
+//!    bit widths (1..=64), every lane's `(a_greater, equal)` outcome at 64
+//!    lanes equals the 1-lane circuit's on the same pair.
 //! 2. **Input-independent transcript shape** — the wire pattern (meter and
-//!    recorded word count) of a word depends only on the bit width, never
-//!    on the values or on how many lanes are active.
+//!    recorded word count, OT responses included) of a 64-lane word depends
+//!    only on the bit width, never on the values or on how many lanes are
+//!    active.
 //! 3. **Partial-word handling** — a trailing word with fewer than 64 lanes
 //!    evaluates, prices, and reveals exactly like a full word.
 
 use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
-use lumos_crypto::{
-    secure_compare, secure_compare_batch, sliced_compare_word, SlicedTwoParty, TwoParty, LANES,
-};
+use lumos_crypto::{secure_compare, secure_compare_batch, TwoParty, LANES};
 
 /// Seeded random pairs fitting in `bits` bits.
 fn random_pairs(seed: u64, lanes: usize, bits: u32) -> Vec<(u64, u64)> {
@@ -52,12 +51,12 @@ proptest! {
         let lanes = 1 + rng.index(200);
         let bits = 1 + rng.index(64) as u32;
         let pairs = random_pairs(seed ^ 0xA5A5, lanes, bits);
-        let batch = secure_compare_batch(seed ^ 0x5A5A, &pairs, bits);
+        let batch = secure_compare_batch(seed ^ 0x5A5A, &pairs, bits, LANES);
         prop_assert_eq!(batch.outcomes.len(), lanes);
         prop_assert_eq!(batch.words, lanes.div_ceil(LANES));
         for (j, (&(a, b), out)) in pairs.iter().zip(&batch.outcomes).enumerate() {
-            let mut ctx = TwoParty::new(seed.wrapping_add(j as u64));
-            let scalar = secure_compare(&mut ctx, a, b, bits);
+            let mut ctx = TwoParty::new(seed.wrapping_add(j as u64), 1);
+            let scalar = secure_compare(&mut ctx, &[(a, b)], bits)[0];
             prop_assert_eq!(
                 out.a_greater, scalar.a_greater,
                 "gt lane {} of {} ({}-bit): a={} b={}", j, lanes, bits, a, b
@@ -79,8 +78,8 @@ proptest! {
         let lanes_full = 1 + rng.index(LANES);
         let lanes_sparse = 1 + rng.index(LANES);
         let run = |pairs: &[(u64, u64)]| {
-            let mut ctx = SlicedTwoParty::with_transcript(seed ^ 0xF00D);
-            let _ = sliced_compare_word(&mut ctx, pairs, bits);
+            let mut ctx = TwoParty::with_transcript(seed ^ 0xF00D, LANES);
+            let _ = secure_compare(&mut ctx, pairs, bits);
             (ctx.meter, ctx.transcript().len(), ctx.and_gates)
         };
         let zeros = vec![(0u64, 0u64); lanes_sparse];
@@ -107,8 +106,8 @@ proptest! {
         let pairs = random_pairs(seed ^ 3, lanes, bits);
         let mut padded = pairs.clone();
         padded.resize(pairs.len().div_ceil(LANES) * LANES, (0, 0));
-        let part = secure_compare_batch(seed ^ 4, &pairs, bits);
-        let full = secure_compare_batch(seed ^ 4, &padded, bits);
+        let part = secure_compare_batch(seed ^ 4, &pairs, bits, LANES);
+        let full = secure_compare_batch(seed ^ 4, &padded, bits, LANES);
         prop_assert_eq!(part.words, full.words);
         prop_assert_eq!(part.meter, full.meter, "padding must be free");
         prop_assert_eq!(part.and_gates, full.and_gates);

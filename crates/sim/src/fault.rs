@@ -80,13 +80,6 @@ pub enum FaultSpec {
         crash_rate: f64,
         /// Per-attempt probability that a send is lost in transit.
         loss_rate: f64,
-        /// Per-send probability of a duplicate delivery. Receivers
-        /// deduplicate by round sequence, so a duplicate changes neither
-        /// correctness nor timing. It costs one Bernoulli draw per send on
-        /// the fault stream and is tallied in
-        /// [`FaultCounters::duplicated_messages`], but no ledger, round
-        /// record or `SimSummary` charges its traffic.
-        duplicate_rate: f64,
         /// Aggregator outage windows (hierarchical topologies only).
         outages: Vec<OutageWindow>,
     },
@@ -98,13 +91,11 @@ impl FaultSpec {
         matches!(self, FaultSpec::None)
     }
 
-    /// Message faults only: loss at `loss_rate`, no crashes, no
-    /// duplication, no outages.
+    /// Message faults only: loss at `loss_rate`, no crashes, no outages.
     pub fn message_loss(loss_rate: f64) -> Self {
         FaultSpec::Faults {
             crash_rate: 0.0,
             loss_rate,
-            duplicate_rate: 0.0,
             outages: Vec::new(),
         }
     }
@@ -171,8 +162,8 @@ pub fn us_to_secs(us: u64) -> f64 {
 }
 
 /// The compiled outcome of one send under the plan: which attempts are
-/// lost (and the timeout + backoff + jitter delay before each retry),
-/// whether the retry budget ran out, and whether a duplicate rides along.
+/// lost (and the timeout + backoff + jitter delay before each retry), and
+/// whether the retry budget ran out.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SendFaults {
     /// Delay before each retry, in µs: `timeout + backoff(i) + jitter_i`
@@ -181,15 +172,12 @@ pub struct SendFaults {
     /// The final attempt was also lost: the send never lands and the
     /// update degrades into the staleness buffer.
     pub exhausted: bool,
-    /// Duplicate deliveries drawn for this send; tallied in
-    /// [`FaultCounters::duplicated_messages`] and charged nowhere.
-    pub duplicates: u32,
 }
 
 impl SendFaults {
     /// No faults at all: the send lands on the first attempt.
     pub fn is_clean(&self) -> bool {
-        self.retry_delays_us.is_empty() && !self.exhausted && self.duplicates == 0
+        self.retry_delays_us.is_empty() && !self.exhausted
     }
 
     /// Attempts lost in transit (retries, plus the final attempt when the
@@ -228,10 +216,6 @@ pub struct FaultCounters {
     /// Sends whose retry budget ran out (each degrades into the
     /// staleness buffer — never silently dropped).
     pub exhausted_sends: u64,
-    /// Duplicate deliveries drawn. The trainer copies the other counters
-    /// into the round's record; this one it drops, so no report field and
-    /// no ledger counts a duplicate.
-    pub duplicated_messages: u64,
     /// Shards served by a failover successor aggregator this round. The
     /// plan knows no topology: the trainer fills this in from the round's
     /// failover map.
@@ -315,7 +299,6 @@ impl FaultPlan {
             c.retries += s.retries();
             c.retry_secs += us_to_secs(s.total_delay_us());
             c.exhausted_sends += u64::from(s.exhausted);
-            c.duplicated_messages += u64::from(s.duplicates);
         }
         c
     }
@@ -365,14 +348,13 @@ impl FaultState {
     /// independent of churn, then cleared for unavailable devices).
     /// Advances the round.
     pub fn compile_round(&mut self, profiles: &[DeviceProfile]) -> FaultPlan {
-        let (crash_rate, loss_rate, duplicate_rate) = match &self.spec {
-            FaultSpec::None => (0.0, 0.0, 0.0),
+        let (crash_rate, loss_rate) = match &self.spec {
+            FaultSpec::None => (0.0, 0.0),
             FaultSpec::Faults {
                 crash_rate,
                 loss_rate,
-                duplicate_rate,
                 ..
-            } => (*crash_rate, *loss_rate, *duplicate_rate),
+            } => (*crash_rate, *loss_rate),
         };
         let mut crash_frac = Vec::with_capacity(profiles.len());
         let mut upload = Vec::with_capacity(profiles.len());
@@ -383,7 +365,7 @@ impl FaultState {
             } else {
                 None
             };
-            let send = self.draw_send(loss_rate, duplicate_rate);
+            let send = self.draw_send(loss_rate);
             if p.available {
                 crash_frac.push(frac);
                 upload.push(if frac.is_some() {
@@ -402,8 +384,8 @@ impl FaultState {
 
     /// Draws one send's outcome: repeated loss Bernoullis up to the
     /// effective retry budget, a timeout + backoff + jitter delay per
-    /// retry (saturating µs), and a duplication draw.
-    fn draw_send(&mut self, loss_rate: f64, duplicate_rate: f64) -> SendFaults {
+    /// retry (saturating µs).
+    fn draw_send(&mut self, loss_rate: f64) -> SendFaults {
         let budget = self.recovery.effective_budget();
         let mut retry_delays_us = Vec::new();
         let mut exhausted = false;
@@ -426,11 +408,13 @@ impl FaultState {
             );
             retry += 1;
         }
-        let duplicates = u32::from(self.rng.bernoulli(duplicate_rate));
+        // One discarded draw per send keeps the fault stream's shape: every
+        // seed's crash and loss draws land where the pinned event streams
+        // and digests expect them.
+        self.rng.next_f64();
         SendFaults {
             retry_delays_us,
             exhausted,
-            duplicates,
         }
     }
 }
@@ -457,7 +441,6 @@ mod tests {
         let spec = FaultSpec::Faults {
             crash_rate: 0.2,
             loss_rate: 0.3,
-            duplicate_rate: 0.1,
             outages: Vec::new(),
         };
         let run = || {
@@ -497,7 +480,6 @@ mod tests {
             FaultSpec::Faults {
                 crash_rate: 1.0,
                 loss_rate: 1.0,
-                duplicate_rate: 0.0,
                 outages: Vec::new(),
             },
             RecoveryPolicy::default(),
@@ -527,7 +509,6 @@ mod tests {
             FaultSpec::Faults {
                 crash_rate: 1.0,
                 loss_rate: 1.0,
-                duplicate_rate: 1.0,
                 outages: Vec::new(),
             },
             RecoveryPolicy::default(),
@@ -585,7 +566,6 @@ mod tests {
         let spec = FaultSpec::Faults {
             crash_rate: 0.0,
             loss_rate: 0.0,
-            duplicate_rate: 0.0,
             outages: vec![
                 OutageWindow {
                     aggregator: 1,

@@ -701,7 +701,6 @@ mod tests {
             FaultSpec::Faults {
                 crash_rate: 1.0,
                 loss_rate: 0.0,
-                duplicate_rate: 0.0,
                 outages: Vec::new(),
             },
             RecoveryPolicy::default(),
@@ -825,7 +824,6 @@ mod tests {
             FaultSpec::Faults {
                 crash_rate: 0.3,
                 loss_rate: 0.4,
-                duplicate_rate: 0.0,
                 outages: Vec::new(),
             },
             RecoveryPolicy::default(),

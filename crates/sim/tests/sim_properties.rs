@@ -99,7 +99,6 @@ fn tie_heavy_lossy_round(seed: u64, n: usize) -> (Vec<DeviceProfile>, RoundWork,
     let spec = FaultSpec::Faults {
         crash_rate: 0.1,
         loss_rate: 0.3,
-        duplicate_rate: 0.0,
         outages: Vec::new(),
     };
     let plan = FaultState::new(spec, RecoveryPolicy::default(), seed).compile_round(&profiles);

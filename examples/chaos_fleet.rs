@@ -27,7 +27,6 @@ fn main() {
     let faults = FaultSpec::Faults {
         crash_rate: 0.0,
         loss_rate: 0.05,
-        duplicate_rate: 0.0,
         outages: vec![OutageWindow {
             aggregator: 1,
             from_round: 2,
@@ -92,7 +91,6 @@ fn main() {
             .with_faults(FaultSpec::Faults {
                 crash_rate: 0.0,
                 loss_rate: 0.05,
-                duplicate_rate: 0.0,
                 outages: vec![OutageWindow {
                     aggregator: 1,
                     from_round: 2,

@@ -8,7 +8,8 @@
 //! ```
 
 use lumos::balance::{
-    greedy_init, mcmc_balance, summarize, Assignment, CompareOracle, McmcConfig, SecureOracle,
+    greedy_init, mcmc_balance, summarize, Assignment, CompareBackend, CompareOracle, McmcConfig,
+    SecurityMode,
 };
 use lumos::common::rng::Xoshiro256pp;
 use lumos::graph::generate::{homophilous_powerlaw, PowerLawConfig};
@@ -41,7 +42,7 @@ fn main() {
 
     // Algorithm 1 — greedy initialization. Every degree comparison runs
     // through the real simulated OT-based comparison circuit.
-    let mut oracle = SecureOracle::new(7);
+    let mut oracle = CompareOracle::new(SecurityMode::Simulated, CompareBackend::Scalar, 7);
     let init = greedy_init(&g, &mut oracle);
     let s1 = summarize(&init);
     println!(

@@ -197,7 +197,6 @@ impl Collapse {
         let zero = FaultSpec::Faults {
             crash_rate: 0.0,
             loss_rate: 0.0,
-            duplicate_rate: 0.0,
             outages: vec![],
         };
         let policy = |p| Some(twin.clone().with_aggregation_policy(p));

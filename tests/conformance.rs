@@ -27,7 +27,8 @@ mod common;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::laws::{self, Collapse};
-use lumos::core::{run_lumos, LumosConfig, TaskKind};
+use lumos::balance::SecurityMode;
+use lumos::core::{run_lumos, CompareBackend, LumosConfig, TaskKind};
 use lumos::data::{Dataset, DatasetConfig, Scale};
 use lumos::gnn::Backbone;
 use lumos_bench::presets::map_pairs;
@@ -91,6 +92,28 @@ fn the_all_pairs_cover_keeps_every_law() {
 fn a_seed_sweep_of_covers_keeps_every_law() {
     for seed in [2023].into_iter().chain(1..=8) {
         check_cover(seed, true);
+    }
+}
+
+/// The one comparison engine charges exactly what the cost model charges:
+/// a run that executes the OT circuits and a run that prices them give the
+/// same report — assignments, comparison counts and secure meters — under
+/// each backend.
+#[test]
+fn simulated_runs_report_what_the_cost_model_prices() {
+    let ds = Dataset::facebook_like(Scale::Smoke);
+    for backend in [CompareBackend::Scalar, CompareBackend::Bitsliced] {
+        let priced = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
+            .with_epochs(2)
+            .with_mcmc_iterations(5)
+            .with_compare_backend(backend);
+        let simulated = LumosConfig {
+            security: SecurityMode::Simulated,
+            ..priced.clone()
+        };
+        let (a, b) = (run_lumos(&ds, &priced), run_lumos(&ds, &simulated));
+        assert_eq!(a.first_difference(&b), None, "{}", backend.name());
+        assert_eq!(a.digest(), b.digest(), "{}", backend.name());
     }
 }
 

@@ -326,7 +326,6 @@ fn event_streams_are_pinned_per_scenario() {
     let lossy = || FaultSpec::Faults {
         crash_rate: 0.05,
         loss_rate: 0.05,
-        duplicate_rate: 0.0,
         outages: Vec::new(),
     };
     let pinned: [(Scenario, u64, u64); 4] = [

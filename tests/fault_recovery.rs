@@ -192,7 +192,6 @@ fn failover_conserves_the_training_math_and_counts_shard_rounds() {
     let zero_faults = FaultSpec::Faults {
         crash_rate: 0.0,
         loss_rate: 0.0,
-        duplicate_rate: 0.0,
         outages: vec![],
     };
     let calm = run_lumos(&ds, &cfg.clone().with_faults(zero_faults));
@@ -201,7 +200,6 @@ fn failover_conserves_the_training_math_and_counts_shard_rounds() {
         &cfg.clone().with_faults(FaultSpec::Faults {
             crash_rate: 0.0,
             loss_rate: 0.0,
-            duplicate_rate: 0.0,
             outages: vec![OutageWindow {
                 aggregator: 1,
                 from_round: 1,
@@ -239,7 +237,6 @@ proptest! {
             .with_faults(FaultSpec::Faults {
                 crash_rate: 0.05,
                 loss_rate: 0.15,
-                duplicate_rate: 0.02,
                 outages: vec![],
             });
         let a = laws::same_seed(&ds, &cfg);

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use lumos::balance::{
-    greedy_init, mcmc_balance, CompareOracle, McmcConfig, MeteredPlainOracle, SecureOracle,
+    greedy_init, mcmc_balance, CompareBackend, CompareOracle, McmcConfig, SecurityMode,
 };
 use lumos::common::rng::Xoshiro256pp;
 use lumos::crypto::{secure_compare, secure_difference, TwoParty};
@@ -49,8 +49,8 @@ proptest! {
         b in 0u64..65_536,
         seed in any::<u64>(),
     ) {
-        let mut ctx = TwoParty::new(seed);
-        let out = secure_compare(&mut ctx, a, b, 16);
+        let mut ctx = TwoParty::new(seed, 1);
+        let out = secure_compare(&mut ctx, &[(a, b)], 16)[0];
         prop_assert_eq!(out.ordering(), a.cmp(&b));
     }
 
@@ -62,7 +62,7 @@ proptest! {
         b in -1_000_000i64..1_000_000,
         seed in any::<u64>(),
     ) {
-        let mut ctx = TwoParty::new(seed);
+        let mut ctx = TwoParty::new(seed, 1);
         prop_assert_eq!(secure_difference(&mut ctx, a, b), a - b);
     }
 
@@ -74,8 +74,8 @@ proptest! {
         b in 0u64..256,
     ) {
         let run = |x: u64, y: u64| {
-            let mut ctx = TwoParty::with_transcript(7);
-            let _ = secure_compare(&mut ctx, x, y, 8);
+            let mut ctx = TwoParty::with_transcript(7, 1);
+            let _ = secure_compare(&mut ctx, &[(x, y)], 8);
             (ctx.meter, ctx.transcript().len())
         };
         prop_assert_eq!(run(a, b), run(0, 255));
@@ -95,7 +95,7 @@ proptest! {
     ) {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let g = lumos::graph::generate::erdos_renyi(n, p, &mut rng);
-        let mut oracle = MeteredPlainOracle::new();
+        let mut oracle = CompareOracle::default();
         let init = greedy_init(&g, &mut oracle);
         prop_assert!(init.check_feasible(&g).is_ok());
         let out = mcmc_balance(
@@ -115,8 +115,8 @@ proptest! {
 fn oracle_equivalence_on_a_real_graph() {
     let mut rng = Xoshiro256pp::seed_from_u64(77);
     let g = lumos::graph::generate::erdos_renyi(60, 0.15, &mut rng);
-    let mut secure = SecureOracle::new(3);
-    let mut plain = MeteredPlainOracle::new();
+    let mut secure = CompareOracle::new(SecurityMode::Simulated, CompareBackend::Scalar, 3);
+    let mut plain = CompareOracle::default();
     let a = greedy_init(&g, &mut secure);
     let b = greedy_init(&g, &mut plain);
     assert_eq!(a, b);
@@ -130,7 +130,7 @@ fn isolated_vertices_survive_the_constructor() {
     g.add_edge(0, 1);
     g.add_edge(2, 3);
     // Vertices 4..9 isolated.
-    let mut oracle = MeteredPlainOracle::new();
+    let mut oracle = CompareOracle::default();
     let init = greedy_init(&g, &mut oracle);
     init.check_feasible(&g).unwrap();
     let out = mcmc_balance(

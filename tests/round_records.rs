@@ -29,7 +29,6 @@ fn records_account_for_every_update_and_refold_to_the_summary() {
         .with_faults(FaultSpec::Faults {
             crash_rate: 0.05,
             loss_rate: 0.4,
-            duplicate_rate: 0.02,
             outages: vec![],
         });
     // What fired somewhere in the table, so no identity holds vacuously.
