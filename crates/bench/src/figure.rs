@@ -345,7 +345,7 @@ pub struct Figure {
     pub grid: fn(&HarnessArgs) -> Grid,
     /// The epochs a cell trains.
     pub epochs: fn(&HarnessArgs, TaskKind) -> usize,
-    /// The key columns its tables lead with ([`Row::key`]).
+    /// The key columns its tables lead with (`Row::key`).
     pub keys: &'static [&'static str],
     /// The cells of each row.
     pub variants: &'static [Variant],
@@ -393,7 +393,7 @@ impl Figure {
 
     /// The rows the claims `keep` selects read, trained only in the cells
     /// they read, and the claims that fail on them under `args`, each as its
-    /// [`Claim::check`] error.
+    /// `Claim::check` error.
     pub fn claimed(
         &self,
         args: &HarnessArgs,

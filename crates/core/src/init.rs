@@ -184,12 +184,12 @@ mod tests {
         let dim = 4;
         let features = vec![0.5f32; 2 * dim];
         let mut net = SimNetwork::new(2);
+        let snap = net.snapshot();
         let ex = exchange_features(&features, dim, &trees, 1.0, &mut rng(), &mut net);
         assert_eq!(ex.messages, 1);
         assert!(ex.recovered.contains_key(&(0, 1)));
         assert!(!ex.recovered.contains_key(&(1, 0)));
-        assert_eq!(net.device(1).sent, 1);
-        assert_eq!(net.device(0).sent, 0);
+        assert_eq!(net.sent_since(&snap).0, [0, 1]);
     }
 
     /// With a large budget, recovered features track the truth on the

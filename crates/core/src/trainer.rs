@@ -7,8 +7,8 @@
 //! inter-device message recorded on the federated runtime's ledger.
 //!
 //! The run's state has three owners, split where the borrows split: the
-//! [`Forest`] (what is trained on), the [`Model`] (what is trained) and the
-//! [`Fleet`] (who trains, and what it costs them). [`run_lumos`] builds the
+//! `Forest` (what is trained on), the `Model` (what is trained) and the
+//! `Fleet` (who trains, and what it costs them). [`run_lumos`] builds the
 //! three and drives one round per epoch through their phase methods:
 //! `rebalance → judge → pool weights → step → account → close → evaluate`.
 
@@ -793,7 +793,8 @@ enum Fate {
 /// senders paid either way). The return value batches them by rounds until
 /// arrival — the devices in `parked` order, with their silenced sends — so
 /// the runtime can land each batch in the round where it actually arrives
-/// (the ledger is counters, so the order of a batch's sends is free).
+/// (the ledger's readers sum per sender, so the order of a batch's sends is
+/// free).
 /// Devices in `dropped` (churned out, crashed, or cut by the deadline) send
 /// nothing, now or later.
 ///
@@ -1174,10 +1175,12 @@ mod tests {
         let mut net = SimNetwork::new(n);
         let snap = net.snapshot();
         record_epoch_messages(&trees, &mut net, Some((&split.train_edges, 1)), &[], &[]);
-        let edges = net.sent_matrix_since(&snap);
-        assert!(!edges.is_empty());
-        for ((from, to), _) in edges {
-            assert_ne!(from, to, "self-addressed message on the ledger");
+        let work = ledger_work(&net, &snap, &vec![0; n], 1);
+        assert!((0..n).any(|d| !work.inbound(d).is_empty()));
+        for to in 0..n {
+            for &(from, _) in work.inbound(to) {
+                assert_ne!(from as usize, to, "self-addressed message on the ledger");
+            }
         }
     }
 

@@ -1,16 +1,17 @@
 //! `lumos-fed` — the federated runtime simulation.
 //!
 //! Devices are simulated in-process, but every message they would exchange
-//! is recorded on a per-device ledger ([`network::SimNetwork`]), epochs run
-//! synchronously through [`runtime::Runtime`], and each epoch's ledger
-//! window is priced by a straggler-dominated makespan model
-//! ([`clock::CostModel`]) — the quantities behind Figure 8's
-//! communication-round and training-time comparisons. A window is opened
-//! by [`SimNetwork::snapshot`]; the ledger logs that window's messages and
-//! nothing older, so its memory is one round's sends. A hierarchical
-//! network is the same ledger with a routing table
-//! ([`SimNetwork::new_sharded`]): `send(d, SimNetwork::SERVER, bytes)`
-//! picks its own tier, and the window it logs is the flat one's.
+//! is logged in the ledger's window ([`network::SimNetwork`]), epochs run
+//! synchronously through [`runtime::Runtime`], and each epoch's window is
+//! priced by a straggler-dominated makespan model ([`clock::CostModel`]) —
+//! the quantities behind Figure 8's communication-round and training-time
+//! comparisons. A window is opened by [`SimNetwork::snapshot`]; it logs
+//! that round's `(from, to, bytes)` messages and nothing older, and it is
+//! the ledger's one record of them: per-sender totals and per-receiver
+//! inbound lists are both read off it. A hierarchical network is the same
+//! window plus aggregators ([`SimNetwork::new_sharded`]):
+//! `send(d, SimNetwork::SERVER, bytes)` is logged as on a flat network,
+//! and the server hears only the aggregators' partials.
 //!
 //! An epoch is priced twice over: by the global linear [`clock::CostModel`]
 //! (every device identical — the paper's abstraction), and, when the caller
@@ -28,5 +29,5 @@ pub mod network;
 pub mod runtime;
 
 pub use clock::{epoch_makespan, epoch_mean_cost, CostModel};
-pub use network::{DeviceTraffic, EdgeTraffic, NetworkSnapshot, SimNetwork};
+pub use network::{NetworkSnapshot, SimNetwork};
 pub use runtime::{ledger_work, EpochRecord, Runtime, SimEpoch, TierSpec, UNAVAILABLE_COST_FACTOR};

@@ -37,8 +37,8 @@ use crate::network::{NetworkSnapshot, SimNetwork};
 pub const UNAVAILABLE_COST_FACTOR: u64 = 4;
 
 /// Builds the [`RoundWork`] of the ledger window `snap` opened: compute
-/// from the tree-node counts, outbound traffic from the per-device ledger
-/// deltas, and the inbound side as every receiver's per-sender
+/// from the tree-node counts, outbound traffic from the window's per-sender
+/// totals, and the inbound side as every receiver's per-sender
 /// `(sender, bytes)` contributions of the window's message log, in one
 /// buffer. A sharded network logs the same window a flat one does, so a
 /// hierarchical round is priced per sender too.
@@ -61,8 +61,7 @@ pub fn ledger_work(
         device_tree_nodes.len(),
         network.num_devices(),
     );
-    let sent = network.sent_since(snap);
-    let bytes_out = network.bytes_sent_since(snap);
+    let (sent, bytes_out) = network.sent_since(snap);
     let devices = device_tree_nodes
         .iter()
         .zip(sent)
@@ -237,8 +236,8 @@ impl Runtime {
     /// Ends the open epoch — the one way a round closes — and returns its
     /// record. Under a tier, the serving aggregators first ship their
     /// partials. Prices the ledger window under the straggler cost model
-    /// (`device_tree_nodes` and `layers`; traffic is read from the ledger's
-    /// per-device deltas) and extends `sim` — the round's event-driven
+    /// (`device_tree_nodes` and `layers`; traffic is read from the window's
+    /// per-sender totals) and extends `sim` — the round's event-driven
     /// simulation over what its devices attempted; `None` for the plain
     /// cost-model epoch — with the aggregator tier.
     ///
@@ -264,13 +263,13 @@ impl Runtime {
             device_tree_nodes.len(),
             self.network.num_devices(),
         );
-        let sent = self.network.sent_since(&snap);
+        let (sent, bytes) = self.network.sent_since(&snap);
         let costs: Vec<f64> = device_tree_nodes
             .iter()
             .zip(&sent)
             .map(|(&nodes, &msgs)| self.cost_model.device_cost(nodes, layers, msgs))
             .collect();
-        let total_messages = self.network.total_messages() - snap.total_messages;
+        let total_messages = sent.iter().sum::<u64>();
         let n = self.network.num_devices().max(1) as f64;
         let sim = sim.map(|stats| {
             let mut makespan_secs = stats.makespan_secs;
@@ -302,7 +301,7 @@ impl Runtime {
         });
         EpochRecord {
             total_messages,
-            total_bytes: self.network.total_bytes() - snap.total_bytes,
+            total_bytes: bytes.iter().sum(),
             avg_messages_per_device: total_messages as f64 / n,
             makespan: epoch_makespan(&costs),
             mean_cost: epoch_mean_cost(&costs),
@@ -367,7 +366,6 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::EdgeTraffic;
     use lumos_sim::{AggregationPolicy, EventDrivenRuntime, RoundPolicy};
 
     fn profiled(profiles: Vec<DeviceProfile>) -> Runtime {
@@ -752,17 +750,12 @@ mod tests {
         assert_eq!(rt.advance_carried(), vec![(0, 1)]);
         let rec = rt.end_epoch(&[1; 4], 2, None);
         let net = &rt.network;
-        let edge = |messages, bytes| EdgeTraffic { messages, bytes };
         assert_eq!(net.server_received(), 1, "the server hears partials only");
         assert_eq!(net.server_bytes_received(), 64);
-        assert_eq!(net.shard_up(0), EdgeTraffic::default());
-        assert_eq!(net.shard_up(1), edge(1, 64));
-        assert_eq!(net.shard_down(0), EdgeTraffic::default());
-        assert_eq!(net.shard_down(1), edge(1, 64));
-        // The device paid for its upload exactly as before.
-        assert_eq!(net.device(0).sent, 1);
-        assert_eq!(net.device(0).bytes_sent, 64);
-        assert_eq!(rec.total_messages, 1);
+        // The device paid for its upload exactly as before, and the
+        // aggregator's partial is no device's message.
+        assert_eq!((rec.total_messages, rec.total_bytes), (1, 64));
+        assert_eq!((net.ledger_entries(), net.total_messages()), (1, 1));
     }
 
     #[test]

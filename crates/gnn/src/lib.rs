@@ -5,9 +5,9 @@
 //! layer with symmetric normalization and a multi-head GAT layer, stacked
 //! into the 2-layer/16-dim encoder, plus the classification and link
 //! decoders (§VI-C), loss functions, and the accuracy/ROC-AUC metrics of
-//! Figures 3–6. Layers operate on a [`MessageGraph`](adj::MessageGraph)
-//! edge-index, so they run unchanged on the global graph (baselines) and on
-//! Lumos's batched virtual-node trees.
+//! Figures 3–6. Layers operate on a [`MessageGraph`] edge-index, so they
+//! run unchanged on the global graph (baselines) and on Lumos's batched
+//! virtual-node trees.
 
 #![forbid(unsafe_code)]
 pub mod adj;

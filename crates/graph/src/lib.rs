@@ -1,10 +1,9 @@
 //! `lumos-graph` — graph structures for the federated setting.
 //!
-//! Provides the global [`Graph`](graph::Graph) ground truth, whose
-//! adjacency lists are the per-device ego networks that define node-level
-//! separation (§IV-A of the paper), and random generators with the
-//! heavy-tailed degree distributions that create the workload-imbalance
-//! problem Lumos solves.
+//! Provides the global [`Graph`] ground truth, whose adjacency lists are the
+//! per-device ego networks that define node-level separation (§IV-A of the
+//! paper), and random generators with the heavy-tailed degree distributions
+//! that create the workload-imbalance problem Lumos solves.
 
 #![forbid(unsafe_code)]
 pub mod generate;

@@ -10,8 +10,9 @@ use std::cmp::Ordering;
 /// A point on the simulator's virtual clock, in abstract seconds.
 ///
 /// Wraps an `f64` with a *total* order (`f64::total_cmp`'s, read through
-/// its integer [`VirtualTime::order_bits`]) so it can key a sort. Construction rejects NaN and negative values, so ordinary
-/// comparisons never hit the exotic corners of the total order.
+/// its integer `VirtualTime::order_bits`) so it can key a sort.
+/// Construction rejects NaN and negative values, so ordinary comparisons
+/// never hit the exotic corners of the total order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VirtualTime(f64);
 

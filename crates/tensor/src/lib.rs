@@ -2,14 +2,12 @@
 //!
 //! The Lumos paper's GNN trainer (its §VI) needs hand-rolled GCN/GAT layers
 //! over tree-structured graphs. This crate provides the minimal but complete
-//! machinery: a row-major 2-D [`Tensor`](tensor::Tensor), sparse-access
-//! kernels (gather / scatter-add / their fused propagate / segment softmax),
-//! register-tiled dense products whose left operand may be any
-//! [`RowOperand`] (a constant read row by row, never materialised), a
-//! transparent
-//! [`Tape`](tape::Tape)-based autograd with an explicit op enum, trainable
-//! [`ParamStore`](param::ParamStore), and the [`Adam`](optim::Adam)
-//! optimizer. [`gradcheck`] exposes finite-difference checking so every
+//! machinery: a row-major 2-D [`Tensor`], sparse-access kernels (gather /
+//! scatter-add / their fused propagate / segment softmax), register-tiled
+//! dense products whose left operand may be any [`RowOperand`] (a constant
+//! read row by row, never materialised), a transparent [`Tape`]-based
+//! autograd with an explicit op enum, trainable [`ParamStore`], and the
+//! [`Adam`] optimizer. [`gradcheck`] exposes finite-difference checking so every
 //! downstream layer can be verified numerically.
 //!
 //! # Example

@@ -1,6 +1,6 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
-//! A [`Tape`] records every operation as a node with an explicit [`Op`]
+//! A [`Tape`] records every operation as a node with an explicit `Op`
 //! descriptor (no closures), so the backward pass is a transparent reverse
 //! sweep with a `match` per op. Leaves are constants — owned, borrowed for
 //! the tape's lifetime, or borrowed row by row ([`RowOperand`]) — or
