@@ -10,36 +10,30 @@ use lumos_core::config::TaskKind;
 use lumos_core::report::RunReport;
 use lumos_core::task::{EvalCadence, EvalSplit, TaskData, TaskHead};
 use lumos_data::Dataset;
-use lumos_gnn::{Backbone, EncoderConfig, GnnEncoder, MessageGraph};
-use lumos_graph::Graph;
+use lumos_gnn::{EncoderConfig, GnnEncoder, MessageGraph};
 use lumos_tensor::{Adam, ParamStore, Tape, Tensor};
+
+use crate::systems::BaselineConfig;
 
 /// Inputs of a plain-graph training run.
 pub struct PlainRun<'a> {
     /// System name for the report.
     pub system: &'a str,
-    /// Dataset name for the report.
-    pub dataset: &'a str,
-    /// Backbone architecture.
-    pub backbone: Backbone,
+    /// The dataset: its name for the report, and its true graph (negative
+    /// sampling and evaluation).
+    pub ds: &'a Dataset,
+    /// Backbone, epochs, seed and evaluation cadence; the learning rate is
+    /// the task's ([`TaskKind::lr`]).
+    pub cfg: &'a BaselineConfig,
     /// The task: its split over the *true* graph, the (possibly
     /// privatized) training labels and the ground truth to score against.
     pub task: TaskData,
     /// Edges the model trains its message passing on (possibly noised; for
     /// unsupervised tasks these are the train-split edges).
     pub message_edges: Vec<(u32, u32)>,
-    /// Node features the model sees (possibly privatized), row-major `[n,d]`.
-    pub features: Tensor,
-    /// The true graph (negative sampling and evaluation).
-    pub true_graph: &'a Graph,
-    /// Training epochs.
-    pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Seed.
-    pub seed: u64,
-    /// Evaluation cadence.
-    pub eval_every: usize,
+    /// Node features the model sees (possibly privatized), row-major
+    /// `[n, d]` over the dataset's vertices and feature dimension.
+    pub features: Vec<f32>,
 }
 
 /// Draws `task`'s split of `ds` as every baseline does — one negative per
@@ -52,7 +46,7 @@ pub(crate) fn draw_task(
     train_labels: Vec<u32>,
     rng: &mut Xoshiro256pp,
 ) -> (TaskData, Vec<(u32, u32)>) {
-    let data = TaskData::draw(task, ds, train_labels, 1, rng);
+    let data = TaskData::draw(task, ds, train_labels, rng);
     let edges = match data.train_edges() {
         Some(edges) => edges.to_vec(),
         None => ds.graph.edges().collect(),
@@ -62,27 +56,29 @@ pub(crate) fn draw_task(
 
 /// Trains on the plain graph and reports metrics against the ground truth.
 pub fn train_plain(run: PlainRun<'_>) -> RunReport {
-    let cadence = EvalCadence::new(run.eval_every, run.epochs);
-    let n = run.true_graph.num_nodes();
-    let mut rng = Xoshiro256pp::seed_from_u64(run.seed);
+    let (ds, cfg) = (run.ds, run.cfg);
+    let cadence = EvalCadence::new(cfg.eval_every, cfg.epochs);
+    let n = ds.graph.num_nodes();
+    let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mg = MessageGraph::from_undirected(n, &run.message_edges);
-    let task = run.task.kind().name();
-    let mut report = RunReport::new(run.system, run.dataset, run.backbone.name(), task);
+    let task = run.task.kind();
+    let mut report = RunReport::new(run.system, &ds.name, cfg.backbone.name(), task.name());
+    let features = Tensor::from_vec(n, ds.feature_dim, run.features);
 
     let mut store = ParamStore::new();
-    let enc_cfg = EncoderConfig::paper(run.backbone, run.features.cols());
+    let enc_cfg = EncoderConfig::paper(cfg.backbone, ds.feature_dim);
     let encoder = GnnEncoder::new(&mut store, &enc_cfg, &mut rng);
     let head = TaskHead::new(run.task, &mut store, encoder.out_dim(), &mut rng);
-    let mut opt = Adam::new(run.lr);
+    let mut opt = Adam::new(task.lr());
 
     // As in `run_lumos`: one tape, borrowing the features and recycling its
     // buffers across every step and evaluation.
     let mut tape = Tape::new();
-    for epoch in 0..run.epochs {
+    for epoch in 0..cfg.epochs {
         tape = tape.reset();
-        let x = tape.constant_ref(&run.features);
+        let x = tape.constant_ref(&features);
         let h = encoder.forward(&mut tape, &store, x, &mg, true, &mut rng);
-        let loss_var = head.loss(&mut tape, &store, h, run.true_graph, &mut rng);
+        let loss_var = head.loss(&mut tape, &store, h, &ds.graph, &mut rng);
         let loss = tape.value(loss_var).item() as f64;
         store.zero_grad();
         tape.accumulate_param_grads(&tape.backward(loss_var), &mut store);
@@ -91,7 +87,7 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
         let splits = cadence.splits_after(epoch);
         if !splits.is_empty() {
             tape = tape.reset();
-            let x = tape.constant_ref(&run.features);
+            let x = tape.constant_ref(&features);
             let h = encoder.forward(&mut tape, &store, x, &mg, false, &mut rng);
             let metrics: Vec<f64> = splits
                 .iter()
@@ -103,16 +99,11 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
 
     // As in `run_lumos`: the test metric rode on the last epoch's validation
     // forward; a run of no epochs scores the model it initialized.
-    if run.epochs == 0 {
+    if cfg.epochs == 0 {
         tape = tape.reset();
-        let x = tape.constant_ref(&run.features);
+        let x = tape.constant_ref(&features);
         let h = encoder.forward(&mut tape, &store, x, &mg, false, &mut rng);
         report.test_metric = head.metric(&mut tape, &store, h, EvalSplit::Test);
     }
     report
-}
-
-/// Converts a dataset's raw features into the `[n, d]` tensor form.
-pub fn features_tensor(features: &[f32], n: usize, dim: usize) -> Tensor {
-    Tensor::from_vec(n, dim, features.to_vec())
 }

@@ -8,9 +8,36 @@ use lumos_gnn::Backbone;
 use lumos_graph::Graph;
 use lumos_ldp::{GaussianMechanism, MultiBitMechanism, RandomizedResponse};
 
-use crate::common::{draw_task, features_tensor, train_plain, PlainRun};
+use crate::common::{draw_task, train_plain, PlainRun};
 
-/// Common run parameters for the baselines.
+/// LPGNN's feature budget ε_x (§VIII-C).
+const LPGNN_EPSILON_X: f64 = 2.0;
+/// LPGNN's label budget ε_y (§VIII-C).
+const LPGNN_EPSILON_Y: f64 = 1.0;
+/// Dimensions LPGNN's multi-bit mechanism samples per user.
+const LPGNN_SAMPLED_DIMS: usize = 16;
+/// KProp-style feature-propagation steps applied before training.
+const LPGNN_KPROP_STEPS: usize = 2;
+/// Label-KProp steps: noisy training labels are replaced by the mode of
+/// the noisy labels in the closed neighborhood (LPGNN's Drop-style label
+/// correction).
+const LPGNN_LABEL_KPROP_STEPS: usize = 1;
+
+/// Naive FedGNN's Gaussian feature budget ε (δ = 1e-5, sensitivity 1).
+const NAIVE_FEATURE_EPSILON: f64 = 2.0;
+/// Naive FedGNN's label randomized-response budget.
+const NAIVE_LABEL_EPSILON: f64 = 1.0;
+/// Naive FedGNN's adjacency randomized-response budget: each of the
+/// `n·(n−1)/2` potential edges flips with probability `1/(e^ε + 1)`. On
+/// sparse graphs this buries the topology under noise — exactly why the
+/// naive system collapses in the paper.
+const NAIVE_ADJACENCY_EPSILON: f64 = 1.0;
+/// Tractability cap on spurious edges, as a multiple of `|E|` (the exact
+/// RR expectation is quadratic in `n`).
+const NAIVE_MAX_NOISE_RATIO: f64 = 40.0;
+
+/// Common run parameters for the baselines. Every baseline trains at its
+/// task's learning rate ([`TaskKind::lr`]).
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
     /// Backbone architecture.
@@ -19,8 +46,6 @@ pub struct BaselineConfig {
     pub task: TaskKind,
     /// Training epochs.
     pub epochs: usize,
-    /// Adam learning rate (0.01 in the paper).
-    pub lr: f32,
     /// Seed.
     pub seed: u64,
     /// Evaluation cadence.
@@ -28,17 +53,12 @@ pub struct BaselineConfig {
 }
 
 impl BaselineConfig {
-    /// Paper defaults (unsupervised runs use the reduced learning rate; see
-    /// `LumosConfig::new` for the rationale).
+    /// Paper defaults.
     pub fn new(backbone: Backbone, task: TaskKind) -> Self {
         Self {
             backbone,
             task,
             epochs: 80,
-            lr: match task {
-                TaskKind::Supervised => 0.01,
-                TaskKind::Unsupervised => 0.003,
-            },
             seed: 0xBA5E,
             eval_every: 10,
         }
@@ -64,46 +84,12 @@ pub fn run_centralized(ds: &Dataset, cfg: &BaselineConfig) -> RunReport {
     let (task, message_edges) = draw_task(ds, cfg.task, ds.labels.clone(), &mut rng);
     train_plain(PlainRun {
         system: "centralized",
-        dataset: &ds.name,
-        backbone: cfg.backbone,
+        ds,
+        cfg,
         task,
         message_edges,
-        features: features_tensor(&ds.features, ds.num_nodes(), ds.feature_dim),
-        true_graph: &ds.graph,
-        epochs: cfg.epochs,
-        lr: cfg.lr,
-        seed: cfg.seed,
-        eval_every: cfg.eval_every,
+        features: ds.features.clone(),
     })
-}
-
-/// LPGNN configuration knobs (the paper sets ε_x = 2, ε_y = 1).
-#[derive(Debug, Clone, Copy)]
-pub struct LpgnnParams {
-    /// Feature budget ε_x.
-    pub epsilon_x: f64,
-    /// Label budget ε_y.
-    pub epsilon_y: f64,
-    /// Dimensions sampled by the multi-bit mechanism.
-    pub sampled_dims: usize,
-    /// KProp-style feature-propagation steps applied before training.
-    pub kprop_steps: usize,
-    /// Label-KProp steps: noisy training labels are replaced by the mode of
-    /// the noisy labels in the closed neighborhood (LPGNN's Drop-style label
-    /// correction).
-    pub label_kprop_steps: usize,
-}
-
-impl Default for LpgnnParams {
-    fn default() -> Self {
-        Self {
-            epsilon_x: 2.0,
-            epsilon_y: 1.0,
-            sampled_dims: 16,
-            kprop_steps: 2,
-            label_kprop_steps: 1,
-        }
-    }
 }
 
 /// LPGNN-like system: the server knows the graph structure; features arrive
@@ -111,7 +97,7 @@ impl Default for LpgnnParams {
 /// response (ε_y). A KProp-style neighborhood averaging denoises features
 /// before training, as in the original system. Supervised only, matching
 /// the paper's comparison.
-pub fn run_lpgnn(ds: &Dataset, cfg: &BaselineConfig, params: &LpgnnParams) -> RunReport {
+pub fn run_lpgnn(ds: &Dataset, cfg: &BaselineConfig) -> RunReport {
     assert_eq!(
         cfg.task,
         TaskKind::Supervised,
@@ -122,13 +108,7 @@ pub fn run_lpgnn(ds: &Dataset, cfg: &BaselineConfig, params: &LpgnnParams) -> Ru
     let d = ds.feature_dim;
 
     // Feature privatization (multi-bit, ε_x).
-    let mech = MultiBitMechanism::new(
-        params.epsilon_x,
-        d,
-        params.sampled_dims.min(d).max(1),
-        0.0,
-        1.0,
-    );
+    let mech = MultiBitMechanism::new(LPGNN_EPSILON_X, d, LPGNN_SAMPLED_DIMS.min(d).max(1));
     let mut noisy = vec![0.0f32; n * d];
     for v in 0..n {
         let row = mech.privatize(&ds.features[v * d..(v + 1) * d], &mut rng);
@@ -136,20 +116,20 @@ pub fn run_lpgnn(ds: &Dataset, cfg: &BaselineConfig, params: &LpgnnParams) -> Ru
     }
     // KProp denoising: average over neighborhoods (the server knows the
     // structure).
-    for _ in 0..params.kprop_steps {
+    for _ in 0..LPGNN_KPROP_STEPS {
         noisy = kprop_once(&ds.graph, &noisy, d);
     }
 
     // Label privatization (k-ary randomized response, ε_y) followed by
     // Drop-style label correction: majority vote over the closed
     // neighborhood's noisy labels, repeated.
-    let rr = RandomizedResponse::new(params.epsilon_y, ds.num_classes.max(2));
+    let rr = RandomizedResponse::new(LPGNN_EPSILON_Y, ds.num_classes.max(2));
     let mut noisy_labels: Vec<u32> = ds
         .labels
         .iter()
         .map(|&y| rr.privatize(y, &mut rng))
         .collect();
-    for _ in 0..params.label_kprop_steps {
+    for _ in 0..LPGNN_LABEL_KPROP_STEPS {
         noisy_labels = label_mode_smooth(&ds.graph, &noisy_labels, ds.num_classes);
     }
 
@@ -157,16 +137,11 @@ pub fn run_lpgnn(ds: &Dataset, cfg: &BaselineConfig, params: &LpgnnParams) -> Ru
     let (task, message_edges) = draw_task(ds, cfg.task, noisy_labels, &mut seed_rng);
     train_plain(PlainRun {
         system: "lpgnn",
-        dataset: &ds.name,
-        backbone: cfg.backbone,
+        ds,
+        cfg,
         task,
         message_edges,
-        features: features_tensor(&noisy, n, d),
-        true_graph: &ds.graph,
-        epochs: cfg.epochs,
-        lr: cfg.lr,
-        seed: cfg.seed,
-        eval_every: cfg.eval_every,
+        features: noisy,
     })
 }
 
@@ -215,45 +190,17 @@ fn kprop_once(g: &Graph, features: &[f32], d: usize) -> Vec<f32> {
     out
 }
 
-/// Naive FedGNN parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct NaiveFedParams {
-    /// Gaussian feature budget ε (with δ = 1e-5, sensitivity 1).
-    pub feature_epsilon: f64,
-    /// Label randomized-response budget.
-    pub label_epsilon: f64,
-    /// Adjacency randomized-response budget: each of the `n·(n−1)/2`
-    /// potential edges flips with probability `1/(e^ε + 1)`. On sparse
-    /// graphs this buries the topology under noise — exactly why the naive
-    /// system collapses in the paper.
-    pub adjacency_epsilon: f64,
-    /// Tractability cap on spurious edges, as a multiple of `|E|` (the
-    /// exact RR expectation is quadratic in `n`).
-    pub max_noise_ratio: f64,
-}
-
-impl Default for NaiveFedParams {
-    fn default() -> Self {
-        Self {
-            feature_epsilon: 2.0,
-            label_epsilon: 1.0,
-            adjacency_epsilon: 1.0,
-            max_noise_ratio: 40.0,
-        }
-    }
-}
-
 /// Naive FedGNN: devices upload Gaussian-noised features, randomized-
 /// response-noised adjacency rows, and RR-noised labels; the server trains
 /// on the noised graph. The paper's lower reference — federation done
 /// naively destroys both structure and features.
-pub fn run_naive_fedgnn(ds: &Dataset, cfg: &BaselineConfig, params: &NaiveFedParams) -> RunReport {
+pub fn run_naive_fedgnn(ds: &Dataset, cfg: &BaselineConfig) -> RunReport {
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed ^ 0xFED6);
     let n = ds.num_nodes();
     let d = ds.feature_dim;
 
     // Features: Gaussian mechanism.
-    let gauss = GaussianMechanism::calibrated(params.feature_epsilon, 1e-5, 1.0);
+    let gauss = GaussianMechanism::calibrated(NAIVE_FEATURE_EPSILON);
     let mut noisy = vec![0.0f32; n * d];
     for v in 0..n {
         let row = gauss.privatize(&ds.features[v * d..(v + 1) * d], &mut rng);
@@ -261,7 +208,7 @@ pub fn run_naive_fedgnn(ds: &Dataset, cfg: &BaselineConfig, params: &NaiveFedPar
     }
 
     // Labels: randomized response.
-    let rr = RandomizedResponse::new(params.label_epsilon, ds.num_classes.max(2));
+    let rr = RandomizedResponse::new(NAIVE_LABEL_EPSILON, ds.num_classes.max(2));
     let noisy_labels: Vec<u32> = ds
         .labels
         .iter()
@@ -273,20 +220,15 @@ pub fn run_naive_fedgnn(ds: &Dataset, cfg: &BaselineConfig, params: &NaiveFedPar
     // of what devices upload.
     let mut seed_rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let (task, base_edges) = draw_task(ds, cfg.task, noisy_labels, &mut seed_rng);
-    let message_edges = noise_adjacency(n, &base_edges, params, &mut rng);
+    let message_edges = noise_adjacency(n, &base_edges, &mut rng);
 
     train_plain(PlainRun {
         system: "naive-fedgnn",
-        dataset: &ds.name,
-        backbone: cfg.backbone,
+        ds,
+        cfg,
         task,
         message_edges,
-        features: features_tensor(&noisy, n, d),
-        true_graph: &ds.graph,
-        epochs: cfg.epochs,
-        lr: cfg.lr,
-        seed: cfg.seed,
-        eval_every: cfg.eval_every,
+        features: noisy,
     })
 }
 
@@ -294,14 +236,9 @@ pub fn run_naive_fedgnn(ds: &Dataset, cfg: &BaselineConfig, params: &NaiveFedPar
 /// the RR keep probability; every non-edge turns on with the flip
 /// probability `1/(e^ε + 1)`. The spurious edges are drawn by expected
 /// count rather than per-pair coin flips (identical distribution shape,
-/// tractable at paper scale), capped at `max_noise_ratio × |E|`.
-fn noise_adjacency(
-    n: usize,
-    edges: &[(u32, u32)],
-    params: &NaiveFedParams,
-    rng: &mut Xoshiro256pp,
-) -> Vec<(u32, u32)> {
-    let rr = RandomizedResponse::new(params.adjacency_epsilon, 2);
+/// tractable at paper scale), capped at `NAIVE_MAX_NOISE_RATIO × |E|`.
+fn noise_adjacency(n: usize, edges: &[(u32, u32)], rng: &mut Xoshiro256pp) -> Vec<(u32, u32)> {
+    let rr = RandomizedResponse::new(NAIVE_ADJACENCY_EPSILON, 2);
     let keep = rr.keep_prob();
     let flip = 1.0 - keep;
     let mut out: Vec<(u32, u32)> = edges
@@ -312,7 +249,7 @@ fn noise_adjacency(
     let pairs = n as f64 * (n as f64 - 1.0) / 2.0;
     let non_edges = (pairs - edges.len() as f64).max(0.0);
     let expected = flip * non_edges;
-    let cap = params.max_noise_ratio * edges.len() as f64;
+    let cap = NAIVE_MAX_NOISE_RATIO * edges.len() as f64;
     let spurious = expected.min(cap).round() as usize;
     let mut added = 0usize;
     let mut guard = 0usize;
@@ -361,7 +298,7 @@ mod tests {
     #[test]
     fn lpgnn_between_random_and_centralized() {
         let ds = Dataset::facebook_like(Scale::Smoke);
-        let lp = run_lpgnn(&ds, &cfg(TaskKind::Supervised), &LpgnnParams::default());
+        let lp = run_lpgnn(&ds, &cfg(TaskKind::Supervised));
         let central = run_centralized(&ds, &cfg(TaskKind::Supervised));
         assert!(lp.test_metric > 0.3, "LPGNN accuracy {}", lp.test_metric);
         assert!(
@@ -375,7 +312,7 @@ mod tests {
     #[test]
     fn naive_fedgnn_collapses() {
         let ds = Dataset::facebook_like(Scale::Smoke);
-        let naive = run_naive_fedgnn(&ds, &cfg(TaskKind::Supervised), &NaiveFedParams::default());
+        let naive = run_naive_fedgnn(&ds, &cfg(TaskKind::Supervised));
         let central = run_centralized(&ds, &cfg(TaskKind::Supervised));
         assert!(
             naive.test_metric < central.test_metric - 0.2,
@@ -389,7 +326,7 @@ mod tests {
     #[should_panic]
     fn lpgnn_rejects_unsupervised() {
         let ds = Dataset::facebook_like(Scale::Smoke);
-        let _ = run_lpgnn(&ds, &cfg(TaskKind::Unsupervised), &LpgnnParams::default());
+        let _ = run_lpgnn(&ds, &cfg(TaskKind::Unsupervised));
     }
 
     #[test]
@@ -405,8 +342,7 @@ mod tests {
     fn noised_adjacency_buries_the_topology() {
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         let edges: Vec<(u32, u32)> = (0..100).map(|i| (i as u32, (i + 1) as u32)).collect();
-        let params = NaiveFedParams::default();
-        let noised = noise_adjacency(200, &edges, &params, &mut rng);
+        let noised = noise_adjacency(200, &edges, &mut rng);
         // RR at ε=1 flips ~26.9% of the ~19,800 non-edges: ~5,330 spurious,
         // capped at 40 × 100 = 4,000. True edges: ~73 survive.
         assert!(

@@ -18,7 +18,7 @@ fn bench_onebit(c: &mut Criterion) {
 fn bench_binned_vs_full(c: &mut Criterion) {
     let dim = 192;
     let wl = 8;
-    let enc = FeatureEncoder::new(2.0, wl, dim, 0.0, 1.0);
+    let enc = FeatureEncoder::new(2.0, wl, dim);
     let feature: Vec<f32> = (0..dim).map(|i| (i % 7) as f32 / 7.0).collect();
     c.bench_function("encode_binned_192d_8bins", |b| {
         let mut rng = Xoshiro256pp::seed_from_u64(2);

@@ -8,9 +8,7 @@
 //! trains any figure, two cells at a time, and [`crate::emit`] renders every
 //! table and JSON record.
 
-use lumos_baselines::{
-    run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig, LpgnnParams, NaiveFedParams,
-};
+use lumos_baselines::{run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig};
 use lumos_common::table::Table;
 use lumos_core::{run_lumos_measured, AggregationPolicy, LumosConfig};
 use lumos_core::{RunReport, SimSummary, TaskKind};
@@ -63,9 +61,9 @@ impl Run {
                 (report, footprint.secs_per_epoch())
             }
             Run::Centralized(cfg) => (run_centralized(ds, cfg), f64::NAN),
-            Run::Lpgnn(cfg) => (run_lpgnn(ds, cfg, &LpgnnParams::default()), f64::NAN),
+            Run::Lpgnn(cfg) => (run_lpgnn(ds, cfg), f64::NAN),
             Run::Naive(cfg) => {
-                let report = run_naive_fedgnn(ds, cfg, &NaiveFedParams::default());
+                let report = run_naive_fedgnn(ds, cfg);
                 (report, f64::NAN)
             }
         };

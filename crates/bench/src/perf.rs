@@ -11,7 +11,8 @@
 //!    cost-weighted graph (so every comparison rides the 48-bit lane), per
 //!    backend.
 //!
-//! Both keep each backend's fastest of several timed passes (`fastest`).
+//! Both keep each backend's fastest of several timed passes (`fastest`),
+//! and each pass times the two backends back to back.
 //!
 //! [`PerfReport::record`] lists the sections of the machine-readable
 //! `BENCH_perf.json` record that CI smoke-parses to assert the bit-sliced
@@ -105,21 +106,26 @@ impl PerfReport {
     }
 }
 
-/// The fastest of `passes` runs of `pass`, each of which times what it
-/// measures and returns `(output, seconds)`: the last run's output and the
-/// fastest run's seconds. A single wall-clock sample on a shared CI runner
-/// is one noisy-neighbour spike away from a spurious failure, and a mean
-/// over the runs carries the spike; the fastest run is the
-/// least-perturbed estimate of each engine.
-fn fastest<T>(passes: usize, mut pass: impl FnMut() -> (T, f64)) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..passes {
-        let (out, secs) = pass();
-        best = best.min(secs);
-        last = Some(out);
+/// The backends, in the order every timed pass runs them.
+const BACKENDS: [CompareBackend; 2] = [CompareBackend::Scalar, CompareBackend::Bitsliced];
+
+/// Each backend's fastest of `passes` runs of `pass` (at least one). A pass
+/// runs every backend once, back to back, each timing what it measures,
+/// and returns `(output, seconds)` per backend; the result keeps the last
+/// pass's outputs and each backend's fastest seconds. A single wall-clock
+/// sample on a shared CI runner is one noisy-neighbour spike away from a
+/// spurious failure, and a mean over the runs carries the spike; the
+/// fastest run is the least-perturbed estimate of each engine. Running the
+/// backends in alternation puts both under the same load, so a neighbour
+/// busy for a while slows both sides of the ratio, not one.
+fn fastest<T>(passes: usize, mut pass: impl FnMut() -> [(T, f64); 2]) -> [(T, f64); 2] {
+    let mut best = pass();
+    for _ in 1..passes {
+        for (best, (out, secs)) in best.iter_mut().zip(pass()) {
+            *best = (out, best.1.min(secs));
+        }
     }
-    (last.expect("at least one pass"), best)
+    best
 }
 
 /// Times batched 48-bit sweeps and secure MCMC runs per backend, and
@@ -135,23 +141,22 @@ pub fn run(args: &HarnessArgs) -> PerfReport {
         .map(|_| (rng.next_below(1 << bits), rng.next_below(1 << bits)))
         .collect();
 
-    let time_backend = |backend: CompareBackend| {
-        let mut oracle = make_oracle_backend(SecurityMode::Simulated, backend, args.seed);
-        // Warm-up pass (page-in, dealer state) before the timed reps.
-        let warmup = oracle.compare_batch(&pairs, bits);
-        let baseline = oracle.meter();
-        let (_, secs) = fastest(reps, || {
-            time_it(|| std::hint::black_box(oracle.compare_batch(&pairs, bits)))
-        });
-        let per_sweep = oracle.meter().since(&baseline).messages / reps as u64;
-        (secs * 1e9 / lanes as f64, per_sweep, warmup)
-    };
-    let (scalar_ns, scalar_msgs, scalar_outs) = time_backend(CompareBackend::Scalar);
-    let (sliced_ns, sliced_msgs, sliced_outs) = time_backend(CompareBackend::Bitsliced);
+    let mut oracles = BACKENDS.map(|b| make_oracle_backend(SecurityMode::Simulated, b, args.seed));
+    // Warm-up pass (page-in, dealer state) before the timed reps.
+    let [scalar_outs, sliced_outs] = oracles.each_mut().map(|o| o.compare_batch(&pairs, bits));
     assert_eq!(
         scalar_outs, sliced_outs,
         "backends must agree lane for lane"
     );
+    let baselines = oracles.each_ref().map(|o| o.meter());
+    let swept = fastest(reps, || {
+        oracles
+            .each_mut()
+            .map(|o| time_it(|| std::hint::black_box(o.compare_batch(&pairs, bits))))
+    });
+    let [scalar_ns, sliced_ns] = swept.map(|(_, secs)| secs * 1e9 / lanes as f64);
+    let [scalar_msgs, sliced_msgs] =
+        [0, 1].map(|i| oracles[i].meter().since(&baselines[i]).messages / reps as u64);
 
     // MCMC iteration rate under the real circuits, cost-weighted so every
     // comparison runs on the wide lane.
@@ -162,8 +167,8 @@ pub fn run(args: &HarnessArgs) -> PerfReport {
         .map(|_| grng.range_u64(1, 1000))
         .collect();
     let mcmc_passes = if args.quick { 2 } else { 3 };
-    let mcmc_rate = |backend: CompareBackend| {
-        let (chain, secs) = fastest(mcmc_passes, || {
+    let chains = fastest(mcmc_passes, || {
+        BACKENDS.map(|backend| {
             let mut oracle = make_oracle_backend(SecurityMode::Simulated, backend, args.seed);
             let init = greedy_init_weighted(&g, Some(&costs), oracle.as_mut());
             let cfg = McmcConfig {
@@ -171,11 +176,9 @@ pub fn run(args: &HarnessArgs) -> PerfReport {
                 seed: args.seed ^ 0x5EED,
             };
             time_it(|| mcmc_balance(&g, init, &cfg, oracle.as_mut()))
-        });
-        (mcmc_iters as f64 / secs, chain)
-    };
-    let (scalar_rate, scalar_chain) = mcmc_rate(CompareBackend::Scalar);
-    let (sliced_rate, sliced_chain) = mcmc_rate(CompareBackend::Bitsliced);
+        })
+    });
+    let [(scalar_chain, scalar_secs), (sliced_chain, sliced_secs)] = chains;
     assert_eq!(
         scalar_chain.assignment, sliced_chain.assignment,
         "backends must drive the chain to the same state"
@@ -188,8 +191,8 @@ pub fn run(args: &HarnessArgs) -> PerfReport {
         bitsliced_ns_per_cmp: sliced_ns,
         scalar_messages: scalar_msgs,
         bitsliced_messages: sliced_msgs,
-        mcmc_scalar_iters_per_sec: scalar_rate,
-        mcmc_bitsliced_iters_per_sec: sliced_rate,
+        mcmc_scalar_iters_per_sec: mcmc_iters as f64 / scalar_secs,
+        mcmc_bitsliced_iters_per_sec: mcmc_iters as f64 / sliced_secs,
         mcmc_iterations: mcmc_iters,
     }
 }

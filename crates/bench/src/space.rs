@@ -47,10 +47,11 @@ impl Setting {
             Setting::Scenario(scenario) => LumosConfig { scenario, ..cfg },
             Setting::Objective(o) => cfg.with_balance_objective(o),
             Setting::Backend(b) => cfg.with_compare_backend(b),
-            Setting::Task(task) => {
-                let lr = LumosConfig::new(cfg.backbone, task).lr;
-                LumosConfig { task, lr, ..cfg }
-            }
+            Setting::Task(task) => LumosConfig {
+                task,
+                lr: task.lr(),
+                ..cfg
+            },
             Setting::Backbone(backbone) => LumosConfig { backbone, ..cfg },
             Setting::Trigger(t, p) => cfg.with_rebalance_trigger(t, p),
         }
@@ -238,9 +239,13 @@ mod tests {
     fn the_quorum_resolves_against_the_fleet_and_values_apply() {
         assert_eq!(quorum(300), AggregationPolicy::Async { min_updates: 240 });
         let base = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised);
-        let unsup = Setting::Task(TaskKind::Unsupervised).apply(base.clone());
-        let fresh = LumosConfig::new(Backbone::Gcn, TaskKind::Unsupervised);
-        assert_eq!((unsup.task, unsup.lr), (fresh.task, fresh.lr));
+        for (from, to) in [
+            (TaskKind::Supervised, TaskKind::Unsupervised),
+            (TaskKind::Unsupervised, TaskKind::Supervised),
+        ] {
+            let cfg = Setting::Task(to).apply(LumosConfig::new(Backbone::Gcn, from));
+            assert_eq!((cfg.task, cfg.lr), (to, to.lr()));
+        }
         for values in Grid::axes(300).0 {
             let cfg = values[0].apply(base.clone());
             assert_eq!(format!("{cfg:?}"), format!("{base:?}"), "{:?}", values[0]);

@@ -35,6 +35,18 @@ impl TaskKind {
             TaskKind::Unsupervised => "unsupervised",
         }
     }
+
+    /// The Adam learning rate every system trains this task at. The paper
+    /// trains everything at 0.01; on this substrate the unsupervised
+    /// dot-product decoder occasionally collapses to the trivial solution
+    /// at that rate (dead ReLUs pin the loss at ln 2), so link prediction
+    /// trains at 0.003 — Lumos and every baseline alike.
+    pub fn lr(self) -> f32 {
+        match self {
+            TaskKind::Supervised => 0.01,
+            TaskKind::Unsupervised => 0.003,
+        }
+    }
 }
 
 /// Full configuration of a Lumos run. Defaults follow §VIII-B.
@@ -48,7 +60,7 @@ pub struct LumosConfig {
     pub epsilon: f64,
     /// Training epochs (300 in the paper; scaled presets use fewer).
     pub epochs: usize,
-    /// Adam learning rate (0.01 in the paper).
+    /// Adam learning rate ([`TaskKind::lr`] by default).
     pub lr: f32,
     /// MCMC iterations for the tree constructor (1,000 Facebook / 300
     /// LastFM in the paper).
@@ -67,8 +79,6 @@ pub struct LumosConfig {
     pub virtual_nodes: bool,
     /// Ablation: trim trees (false = "Lumos w.o. TT").
     pub tree_trimming: bool,
-    /// Negative samples per positive edge in the unsupervised loss.
-    pub negatives_per_positive: usize,
     /// Evaluate on the validation split every this many epochs.
     pub eval_every: usize,
     /// Optional heterogeneous-device scenario: when set, every epoch is
@@ -135,30 +145,21 @@ pub struct LumosConfig {
 }
 
 impl LumosConfig {
-    /// Paper-default configuration for a backbone and task.
-    ///
-    /// The paper trains everything at `lr = 0.01`; on this substrate the
-    /// unsupervised dot-product decoder occasionally collapses to the
-    /// trivial solution at that rate (dead ReLUs pin the loss at ln 2), so
-    /// link-prediction runs default to `lr = 0.003` — applied uniformly to
-    /// Lumos and every baseline (`BaselineConfig::new` mirrors it).
+    /// Paper-default configuration for a backbone and task, training at
+    /// the task's learning rate ([`TaskKind::lr`]).
     pub fn new(backbone: Backbone, task: TaskKind) -> Self {
         Self {
             backbone,
             task,
             epsilon: 2.0,
             epochs: 80,
-            lr: match task {
-                TaskKind::Supervised => 0.01,
-                TaskKind::Unsupervised => 0.003,
-            },
+            lr: task.lr(),
             mcmc_iterations: 300,
             security: SecurityMode::CostModel,
             compare_backend: CompareBackend::Scalar,
             seed: 0x10_0A05,
             virtual_nodes: true,
             tree_trimming: true,
-            negatives_per_positive: 1,
             eval_every: 10,
             scenario: None,
             balance_objective: BalanceObjective::TreeNodes,
@@ -396,6 +397,17 @@ mod tests {
         assert_eq!(c.rebalance_patience, 2);
         assert!(c.faults.is_none(), "faults are strictly opt-in");
         assert_eq!(c.recovery, RecoveryPolicy::default());
+    }
+
+    #[test]
+    fn one_learning_rate_rule() {
+        assert_eq!(TaskKind::Supervised.lr(), 0.01);
+        assert_eq!(TaskKind::Unsupervised.lr(), 0.003);
+        for task in [TaskKind::Supervised, TaskKind::Unsupervised] {
+            for backbone in [Backbone::Gcn, Backbone::Gat] {
+                assert_eq!(LumosConfig::new(backbone, task).lr, task.lr());
+            }
+        }
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn exchange_missing_features(
             continue;
         }
         let fan_out = recv.len();
-        let encoder = FeatureEncoder::new(epsilon, fan_out, dim, 0.0, 1.0);
+        let encoder = FeatureEncoder::new(epsilon, fan_out, dim);
         let feature = &features[v as usize * dim..(v as usize + 1) * dim];
         let msgs = encoder.encode_binned(feature, rng);
         for (&u, msg) in recv.iter().zip(msgs) {

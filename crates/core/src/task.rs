@@ -29,10 +29,6 @@ fn unzip_pairs(pairs: &[(u32, u32)]) -> PairLists {
     (Rc::new(src), Rc::new(dst))
 }
 
-/// Link prediction's per-round embedding fetches: the training edges and
-/// the negatives sampled per positive.
-pub type LinkFetches<'a> = (&'a [(u32, u32)], usize);
-
 /// The held-out part a metric is computed on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalSplit {
@@ -95,10 +91,9 @@ pub struct NodeTask {
 pub struct LinkTask {
     /// Train / validation / test edges with their evaluation negatives.
     pub split: EdgeSplit,
-    /// Endpoints of the training edges (the positive pairs).
+    /// Endpoints of the training edges (the positive pairs); each step
+    /// samples one negative per positive (Eq. 33).
     pub pos: PairLists,
-    /// Negatives sampled per training edge each step.
-    pub negatives_per_positive: usize,
 }
 
 /// A task's split, labels and training buffers, drawn before any parameter
@@ -112,8 +107,8 @@ pub enum TaskData {
 }
 
 impl TaskData {
-    /// Draws `task`'s uniform split of `ds`. `train_labels` and
-    /// `negatives_per_positive` each matter to one task only.
+    /// Draws `task`'s uniform split of `ds`. `train_labels` matter to
+    /// classification only.
     ///
     /// # Panics
     /// Panics, naming the dataset, its size and the part, when a part of the
@@ -124,7 +119,6 @@ impl TaskData {
         task: TaskKind,
         ds: &Dataset,
         train_labels: Vec<u32>,
-        negatives_per_positive: usize,
         rng: &mut Xoshiro256pp,
     ) -> Self {
         let n = ds.num_nodes();
@@ -161,7 +155,6 @@ impl TaskData {
                 Self::Unsupervised(LinkTask {
                     pos: unzip_pairs(&split.train_edges),
                     split,
-                    negatives_per_positive,
                 })
             }
         }
@@ -212,14 +205,13 @@ impl TaskHead {
         }
     }
 
-    /// What link prediction fetches across the wire every round; `None`
-    /// for classification, whose loss is local.
-    pub fn link_fetches(&self) -> Option<LinkFetches<'_>> {
+    /// The training edges link prediction fetches across the wire every
+    /// round, with one sampled negative each; `None` for classification,
+    /// whose loss is local.
+    pub fn link_fetches(&self) -> Option<&[(u32, u32)]> {
         match self {
             Self::Supervised(..) => None,
-            Self::Unsupervised(task) => {
-                Some((&task.split.train_edges, task.negatives_per_positive))
-            }
+            Self::Unsupervised(task) => Some(&task.split.train_edges),
         }
     }
 
@@ -240,7 +232,7 @@ impl TaskHead {
             }
             Self::Unsupervised(task) => {
                 let (src, dst) = task.pos.clone();
-                let negs = sample_non_edges(graph, src.len() * task.negatives_per_positive, rng);
+                let negs = sample_non_edges(graph, src.len(), rng);
                 let (neg_src, neg_dst) = unzip_pairs(&negs);
                 let pos_logits = link_logits(tape, h, src, dst);
                 let neg_logits = link_logits(tape, h, neg_src, neg_dst);

@@ -19,7 +19,7 @@ use lumos_balance::{rebalance_assignment, Assignment, BalanceObjective};
 use lumos_common::rng::Xoshiro256pp;
 use lumos_common::timer::Laps;
 use lumos_data::Dataset;
-use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
+use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, EMBEDDING_BYTES};
 use lumos_gnn::{EncoderConfig, GnnEncoder};
 use lumos_graph::Graph;
 use lumos_tensor::{Adam, ParamStore, Tape};
@@ -36,11 +36,8 @@ use crate::constructor::{construct_assignment, construct_assignment_sharded};
 use crate::init::{exchange_features, exchange_missing_features, LdpExchange};
 use crate::pooling::tiered_pool;
 use crate::report::{RoundRecord, RoundSim, RunFootprint, RunReport};
-use crate::task::{EvalCadence, EvalSplit, LinkFetches, TaskData, TaskHead};
+use crate::task::{EvalCadence, EvalSplit, TaskData, TaskHead};
 use crate::tree::{DeviceTree, LocalGraphKind};
-
-/// Embedding size of a pooled vertex message on the wire (16 f32 values).
-const EMBEDDING_BYTES: u64 = 16 * 4;
 
 /// Runs the full Lumos system on a dataset and returns the report.
 pub fn run_lumos(ds: &Dataset, cfg: &LumosConfig) -> RunReport {
@@ -63,13 +60,7 @@ pub fn run_lumos_measured(ds: &Dataset, cfg: &LumosConfig) -> (RunReport, RunFoo
 
     // Link prediction trains on the 80% train-edge graph; classification
     // trains on the full graph with node masks.
-    let data = TaskData::draw(
-        cfg.task,
-        ds,
-        ds.labels.clone(),
-        cfg.negatives_per_positive,
-        &mut rng,
-    );
+    let data = TaskData::draw(cfg.task, ds, ds.labels.clone(), &mut rng);
     let train_graph = match data.train_edges() {
         Some(edges) => Graph::from_edges(n, edges),
         None => ds.graph.clone(),
@@ -494,11 +485,7 @@ impl Fleet {
             // Uploads land at the aggregators, each round closes on their
             // partials, and every profiled epoch's makespan runs through
             // them.
-            runtime.set_tier(TierSpec {
-                topology: topo.clone(),
-                aggregator: DeviceProfile::baseline(),
-                partial_bytes: EMBEDDING_BYTES,
-            });
+            runtime.set_tier(topo.clone());
         }
         // The round is resolved once, here. Policy and faults both ride on
         // the fleet's profiles, so without a scenario there is nothing to
@@ -574,7 +561,7 @@ impl Fleet {
     /// ledger), and whose update the policy finds late — all from the
     /// round's one simulation, run on `forest`'s probe, whose template is
     /// one dry run of [`Fleet::account`]'s recorder.
-    fn judge(&mut self, forest: &mut Forest, fetches: Option<LinkFetches<'_>>) -> Judged {
+    fn judge(&mut self, forest: &mut Forest, fetches: Option<&[(u32, u32)]>) -> Judged {
         let mut judged = Judged::default();
         let Some(state) = &self.scenario else {
             return judged;
@@ -668,7 +655,7 @@ impl Fleet {
     /// round's simulation already ran, on what they attempted); the carried
     /// updates enter the runtime's queue with their sends, batched by
     /// staleness.
-    fn account(&mut self, trees: &[DeviceTree], judged: &Judged, fetches: Option<LinkFetches<'_>>) {
+    fn account(&mut self, trees: &[DeviceTree], judged: &Judged, fetches: Option<&[(u32, u32)]>) {
         let carried = record_epoch_messages(
             trees,
             &mut self.runtime.network,
@@ -807,7 +794,7 @@ enum Fate {
 fn record_epoch_messages(
     trees: &[DeviceTree],
     net: &mut SimNetwork,
-    fetches: Option<LinkFetches<'_>>,
+    fetches: Option<&[(u32, u32)]>,
     parked: &[(u32, u32)],
     dropped: &[u32],
 ) -> BTreeMap<u32, CarriedBatch> {
@@ -836,13 +823,13 @@ fn record_epoch_messages(
         }
     }
     net.round();
-    if let Some((train_edges, negatives_per_positive)) = fetches {
+    if let Some(train_edges) = fetches {
         // Positive fetches: each training edge's embedding crosses once;
-        // negatives are requested per sampled pair.
+        // so does each edge's one sampled negative.
         for &(u, v) in train_edges {
             route(net, v, u);
         }
-        for i in 0..train_edges.len() * negatives_per_positive {
+        for i in 0..train_edges.len() {
             // Negative-sample embedding transfers (uniformly attributed).
             let from = (i % trees.len()) as u32;
             let to = ((i / 2) % trees.len()) as u32;
@@ -1174,7 +1161,7 @@ mod tests {
             .collect();
         let mut net = SimNetwork::new(n);
         let snap = net.snapshot();
-        record_epoch_messages(&trees, &mut net, Some((&split.train_edges, 1)), &[], &[]);
+        record_epoch_messages(&trees, &mut net, Some(&split.train_edges), &[], &[]);
         let work = ledger_work(&net, &snap, &vec![0; n], 1);
         assert!((0..n).any(|d| !work.inbound(d).is_empty()));
         for to in 0..n {

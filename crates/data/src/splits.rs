@@ -1,6 +1,5 @@
-//! Train/validation/test splits.
-//!
-//! §VIII-B: supervised learning samples vertices 50%/25%/25% uniformly;
+//! Train/validation/test splits, at the paper's ratios (§VIII-B), which
+//! are fixed: supervised learning samples vertices 50%/25%/25% uniformly;
 //! unsupervised link prediction samples edges 80%/5%/15% and pairs each held
 //! -out edge with a sampled non-edge (negative) for ROC-AUC evaluation.
 
@@ -21,22 +20,10 @@ pub struct NodeSplit {
 impl NodeSplit {
     /// Uniform 50/25/25 split over `n` vertices, as in the paper.
     pub fn uniform(n: usize, rng: &mut Xoshiro256pp) -> Self {
-        Self::with_ratios(n, 0.5, 0.25, rng)
-    }
-
-    /// Uniform split with explicit train/val fractions (test is the rest).
-    ///
-    /// # Panics
-    /// Panics if the fractions are out of range.
-    pub fn with_ratios(n: usize, train: f64, val: f64, rng: &mut Xoshiro256pp) -> Self {
-        assert!(
-            train >= 0.0 && val >= 0.0 && train + val <= 1.0,
-            "bad ratios"
-        );
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
-        let n_train = (n as f64 * train).round() as usize;
-        let n_val = (n as f64 * val).round() as usize;
+        let n_train = (n as f64 * 0.5).round() as usize;
+        let n_val = (n as f64 * 0.25).round() as usize;
         let mut train_mask = vec![false; n];
         let mut val_mask = vec![false; n];
         let mut test_mask = vec![false; n];
@@ -76,20 +63,11 @@ impl EdgeSplit {
     /// Uniform 80/5/15 split of the graph's edges plus one negative per
     /// held-out positive, as in the paper.
     pub fn uniform(g: &Graph, rng: &mut Xoshiro256pp) -> Self {
-        Self::with_ratios(g, 0.8, 0.05, rng)
-    }
-
-    /// Split with explicit train/val fractions (test is the rest).
-    pub fn with_ratios(g: &Graph, train: f64, val: f64, rng: &mut Xoshiro256pp) -> Self {
-        assert!(
-            train >= 0.0 && val >= 0.0 && train + val <= 1.0,
-            "bad ratios"
-        );
         let mut edges: Vec<(u32, u32)> = g.edges().collect();
         rng.shuffle(&mut edges);
         let m = edges.len();
-        let n_train = (m as f64 * train).round() as usize;
-        let n_val = (m as f64 * val).round() as usize;
+        let n_train = (m as f64 * 0.8).round() as usize;
+        let n_val = (m as f64 * 0.05).round() as usize;
         let train_edges = edges[..n_train].to_vec();
         let val_edges = edges[n_train..n_train + n_val].to_vec();
         let test_edges = edges[n_train + n_val..].to_vec();

@@ -30,4 +30,6 @@ pub mod runtime;
 
 pub use clock::{epoch_makespan, epoch_mean_cost, CostModel};
 pub use network::{NetworkSnapshot, SimNetwork};
-pub use runtime::{ledger_work, EpochRecord, Runtime, SimEpoch, TierSpec, UNAVAILABLE_COST_FACTOR};
+pub use runtime::{
+    ledger_work, EpochRecord, Runtime, SimEpoch, EMBEDDING_BYTES, UNAVAILABLE_COST_FACTOR,
+};

@@ -13,7 +13,10 @@
 //! `(sender → receiver)` deltas become per-sender inbound contributions, so
 //! a receiver's drain waits for its actual senders instead of being
 //! self-timed from its own burst) — and hands [`Runtime::end_epoch`] the
-//! finished statistics.
+//! finished statistics. A hierarchical run adds the aggregator tier
+//! ([`Runtime::set_tier`]), which the engine prices itself: the
+//! aggregator → server hop at the baseline device profile, one
+//! [`EMBEDDING_BYTES`] partial per serving aggregator.
 
 // Fixed-point cost module: a narrowing `as` cast here silently corrupts
 // the µs encoding, so each one is an error unless audited with `#[expect]`.
@@ -35,6 +38,10 @@ use crate::network::{NetworkSnapshot, SimNetwork};
 /// rate was the stale-cost bug — a churned fleet priced bit-identically to
 /// the frozen initial fleet.)
 pub const UNAVAILABLE_COST_FACTOR: u64 = 4;
+
+/// Wire size of one embedding (16 f32 values): a vertex message between
+/// devices, and an aggregator's pooled partial to the server.
+pub const EMBEDDING_BYTES: u64 = 16 * 4;
 
 /// Builds the [`RoundWork`] of the ledger window `snap` opened: compute
 /// from the tree-node counts, outbound traffic from the window's per-sender
@@ -74,20 +81,6 @@ pub fn ledger_work(
         .collect();
     let (start, inbound) = network.received_since(snap);
     RoundWork::from_csr(devices, start, inbound)
-}
-
-/// The aggregator tier of a hierarchical topology, as the runtime prices
-/// it: which shard each device reports to, the profile every edge
-/// aggregator uploads with, and the wire size of one pooled partial.
-#[derive(Debug, Clone)]
-pub struct TierSpec {
-    /// The device → aggregator partition.
-    pub topology: Topology,
-    /// Profile the aggregators upload to the server with.
-    pub aggregator: DeviceProfile,
-    /// Bytes of one aggregator partial (the server's per-round inbound
-    /// traffic is `aggregators × partial_bytes`).
-    pub partial_bytes: u64,
 }
 
 /// What closing a round yields ([`Runtime::end_epoch`]): the ledger
@@ -148,7 +141,8 @@ pub struct Runtime {
     /// The open epoch's ledger snapshot.
     current: Option<NetworkSnapshot>,
     carried: Vec<Carried>,
-    tier: Option<TierSpec>,
+    /// The aggregator tier's device → aggregator partition.
+    tier: Option<Topology>,
 }
 
 impl Runtime {
@@ -164,27 +158,28 @@ impl Runtime {
         }
     }
 
-    /// Installs the aggregator tier, before the first round: the network
-    /// becomes a sharded ledger over the tier's partition, so every
-    /// server-bound send lands at the sender's aggregator; every epoch
-    /// closes by shipping the serving aggregators' partials
-    /// ([`SimNetwork::send_partials`]); and subsequent simulated epochs
-    /// compose aggregator → server delivery on top of the device-tier
-    /// schedule, extending each epoch's makespan to the last aggregator
-    /// partial's arrival. Only meaningful with ≥ 2 aggregators — the trainer
-    /// never installs a single-aggregator tier, because that resolves to the
-    /// flat topology (`TopologyConfig::effective`).
+    /// Installs the aggregator tier over the device → aggregator partition
+    /// `topology`, before the first round: the network becomes a sharded
+    /// ledger over it, so every server-bound send lands at the sender's
+    /// aggregator; every epoch closes by shipping the serving aggregators'
+    /// partials of [`EMBEDDING_BYTES`] each ([`SimNetwork::send_partials`]);
+    /// and subsequent simulated epochs compose aggregator → server delivery
+    /// — every aggregator uploads as [`DeviceProfile::baseline`] — on top of
+    /// the device-tier schedule, extending each epoch's makespan to the last
+    /// aggregator partial's arrival. Only meaningful with ≥ 2 aggregators —
+    /// the trainer never installs a single-aggregator tier, because that
+    /// resolves to the flat topology (`TopologyConfig::effective`).
     ///
     /// # Panics
     /// Panics if the topology's fleet size disagrees with the network's.
-    pub fn set_tier(&mut self, tier: TierSpec) {
+    pub fn set_tier(&mut self, topology: Topology) {
         assert_eq!(
-            tier.topology.num_devices(),
+            topology.num_devices(),
             self.network.num_devices(),
             "tier topology and network disagree on fleet size"
         );
-        self.network = SimNetwork::new_sharded(tier.topology.shard_vector());
-        self.tier = Some(tier);
+        self.network = SimNetwork::new_sharded(topology.shard_vector());
+        self.tier = Some(topology);
     }
 
     /// Installs (or replaces) the device profiles
@@ -251,8 +246,8 @@ impl Runtime {
         sim: Option<&EpochStats>,
     ) -> EpochRecord {
         let snap = self.current.take().expect("no epoch open");
-        if let Some(tier) = &self.tier {
-            self.network.send_partials(tier.partial_bytes);
+        if self.tier.is_some() {
+            self.network.send_partials(EMBEDDING_BYTES);
         }
         self.network.round();
         assert_eq!(
@@ -273,22 +268,17 @@ impl Runtime {
         let n = self.network.num_devices().max(1) as f64;
         let sim = sim.map(|stats| {
             let mut makespan_secs = stats.makespan_secs;
-            if let Some(tier) = &self.tier {
+            if let Some(topology) = &self.tier {
                 // Hierarchical: the round closes when the last aggregator
                 // partial lands at the server, not when the last device-tier
                 // event fires. Under an aggregator outage the re-homed shards
                 // fold into their successors before the hop is priced.
+                let aggregator = DeviceProfile::baseline();
                 let t2 = match self.network.rehome_map() {
-                    Some(map) => tier_timing_failover(
-                        stats,
-                        &tier.topology,
-                        &tier.aggregator,
-                        tier.partial_bytes,
-                        map,
-                    ),
-                    None => {
-                        tier_timing(stats, &tier.topology, &tier.aggregator, tier.partial_bytes)
+                    Some(map) => {
+                        tier_timing_failover(stats, topology, &aggregator, EMBEDDING_BYTES, map)
                     }
+                    None => tier_timing(stats, topology, &aggregator, EMBEDDING_BYTES),
                 };
                 makespan_secs = makespan_secs.max(t2.server_makespan_secs);
             }
@@ -485,7 +475,7 @@ mod tests {
         // Device 0's own critical path is tiny: almost all of its epoch is
         // the wait for its sender.
         assert!(sim.busy_secs[0] < 2.0);
-        assert!(sim.idle_secs[0] > 199.0);
+        assert!(sim.makespan_secs - sim.busy_secs[0] > 199.0);
     }
 
     #[test]
@@ -558,11 +548,7 @@ mod tests {
         let run = |tier: bool| {
             let mut rt = profiled(profiles.clone());
             if tier {
-                rt.set_tier(TierSpec {
-                    topology: Topology::contiguous(4, 2),
-                    aggregator: DeviceProfile::baseline(),
-                    partial_bytes: 64,
-                });
+                rt.set_tier(Topology::contiguous(4, 2));
             }
             rt.begin_epoch();
             for d in 0..4 {
@@ -608,11 +594,7 @@ mod tests {
     #[should_panic(expected = "disagree on fleet size")]
     fn mismatched_tier_panics() {
         let mut rt = Runtime::new(3, CostModel::default());
-        rt.set_tier(TierSpec {
-            topology: Topology::contiguous(4, 2),
-            aggregator: DeviceProfile::baseline(),
-            partial_bytes: 64,
-        });
+        rt.set_tier(Topology::contiguous(4, 2));
     }
 
     #[test]
@@ -737,11 +719,7 @@ mod tests {
         // `send_to_server`, so on a sharded network the server booked a
         // device message and no shard tallied the update.
         let mut rt = Runtime::new(4, CostModel::default());
-        rt.set_tier(TierSpec {
-            topology: Topology::contiguous(4, 2),
-            aggregator: DeviceProfile::baseline(),
-            partial_bytes: 64,
-        });
+        rt.set_tier(Topology::contiguous(4, 2));
         rt.carry(1, vec![0], vec![(0, SimNetwork::SERVER, 64)]);
         rt.begin_epoch();
         // Aggregator 0 is out in the arrival round: its successor serves,

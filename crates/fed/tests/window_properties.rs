@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use lumos_common::rng::Xoshiro256pp;
-use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, TierSpec};
-use lumos_sim::{DeviceProfile, RoundWork};
+use lumos_fed::{ledger_work, CostModel, Runtime, SimNetwork, EMBEDDING_BYTES};
+use lumos_sim::RoundWork;
 use lumos_topo::Topology;
 
 const SERVER: u32 = SimNetwork::SERVER;
@@ -205,11 +205,7 @@ proptest! {
         let mut sharded = SimNetwork::new_sharded(shard_of);
         let aggregators = sharded.num_aggregators();
         let mut rt = Runtime::new(n, CostModel::default());
-        rt.set_tier(TierSpec {
-            topology: Topology::contiguous(n, aggregators),
-            aggregator: DeviceProfile::baseline(),
-            partial_bytes: 64,
-        });
+        rt.set_tier(Topology::contiguous(n, aggregators));
         let mut reference = Reference::new(n);
         let nodes = vec![1; n];
         for window in 0..windows {
@@ -234,7 +230,7 @@ proptest! {
                 reference.send(from, to, bytes);
             }
             prop_assert_eq!(heard(&sharded), server_before, "uploads stop at the aggregators");
-            sharded.send_partials(64);
+            sharded.send_partials(EMBEDDING_BYTES);
 
             prop_assert_eq!(sharded.sent_since(&snap), reference.sent_since(&opened));
             prop_assert_eq!(sharded.sent_since(&snap), flat.sent_since(&flat_snap));
@@ -253,7 +249,7 @@ proptest! {
                 let now = heard(net);
                 prop_assert_eq!(
                     (now.0 - before.0, now.1 - before.1),
-                    (serving, 64 * serving),
+                    (serving, EMBEDDING_BYTES * serving),
                     "window {}",
                     window
                 );

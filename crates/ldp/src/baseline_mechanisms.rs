@@ -12,14 +12,12 @@ use lumos_common::rng::Xoshiro256pp;
 
 use crate::onebit::OneBitMechanism;
 
-/// LPGNN-style multi-bit mechanism over `[a, b]^d`.
+/// LPGNN-style multi-bit mechanism over `[0, 1]^d`.
 #[derive(Debug, Clone)]
 pub struct MultiBitMechanism {
     mech: OneBitMechanism,
     dim: usize,
     sampled: usize,
-    a: f64,
-    b: f64,
 }
 
 impl MultiBitMechanism {
@@ -28,21 +26,19 @@ impl MultiBitMechanism {
     ///
     /// # Panics
     /// Panics if `sampled` is 0 or exceeds `dim`.
-    pub fn new(epsilon: f64, dim: usize, sampled: usize, a: f64, b: f64) -> Self {
+    pub fn new(epsilon: f64, dim: usize, sampled: usize) -> Self {
         assert!(sampled >= 1 && sampled <= dim, "need 1 <= sampled <= dim");
         Self {
-            mech: OneBitMechanism::new(epsilon / sampled as f64, a, b),
+            mech: OneBitMechanism::new(epsilon / sampled as f64, 0.0, 1.0),
             dim,
             sampled,
-            a,
-            b,
         }
     }
 
     /// Encodes a feature vector: the unsampled positions carry no
     /// information; sampled positions are one-bit encoded. The decoded
-    /// estimate is rescaled by `d/m` around the midpoint so the full-vector
-    /// estimate stays unbiased.
+    /// estimate is rescaled by `d/m` around the midpoint ½ so the
+    /// full-vector estimate stays unbiased.
     pub fn privatize(&self, feature: &[f32], rng: &mut Xoshiro256pp) -> Vec<f32> {
         assert_eq!(feature.len(), self.dim, "feature dimension mismatch");
         let chosen = rng.sample_indices(self.dim, self.sampled);
@@ -50,7 +46,7 @@ impl MultiBitMechanism {
         for &i in &chosen {
             mask[i] = true;
         }
-        let mid = (self.a + self.b) / 2.0;
+        let mid = 0.5;
         let scale = self.dim as f64 / self.sampled as f64;
         feature
             .iter()
@@ -80,14 +76,12 @@ impl GaussianMechanism {
         Self { sigma }
     }
 
-    /// Calibrates σ for (ε, δ)-DP with L2 sensitivity `delta_f`:
+    /// Calibrates σ for (ε, δ)-DP at δ = 1e-5 and L2 sensitivity Δf = 1:
     /// `σ = sqrt(2 ln(1.25/δ)) · Δf / ε` (Dwork & Roth, the paper's \[45\]).
-    pub fn calibrated(epsilon: f64, delta: f64, delta_f: f64) -> Self {
-        assert!(
-            epsilon > 0.0 && delta > 0.0 && delta < 1.0,
-            "bad (eps, delta)"
-        );
-        Self::with_sigma((2.0 * (1.25 / delta).ln()).sqrt() * delta_f / epsilon)
+    pub fn calibrated(epsilon: f64) -> Self {
+        const DELTA: f64 = 1e-5;
+        assert!(epsilon > 0.0, "bad epsilon");
+        Self::with_sigma((2.0 * (1.25 / DELTA).ln()).sqrt() / epsilon)
     }
 
     /// Adds i.i.d. Gaussian noise to each element.
@@ -159,7 +153,7 @@ mod tests {
 
     #[test]
     fn multibit_is_unbiased_over_repetitions() {
-        let m = MultiBitMechanism::new(4.0, 16, 4, 0.0, 1.0);
+        let m = MultiBitMechanism::new(4.0, 16, 4);
         let feature: Vec<f32> = (0..16).map(|i| i as f32 / 15.0).collect();
         let mut r = rng();
         let n = 40_000;
@@ -193,7 +187,7 @@ mod tests {
 
     #[test]
     fn gaussian_calibration_formula() {
-        let g = GaussianMechanism::calibrated(1.0, 1e-5, 1.0);
+        let g = GaussianMechanism::calibrated(1.0);
         let expected = (2.0f64 * (1.25f64 / 1e-5).ln()).sqrt();
         assert!((g.sigma - expected).abs() < 1e-12);
     }

@@ -1,6 +1,6 @@
 //! Lumos's binned feature encoder (§VI-A).
 //!
-//! Device `u` with feature `x ∈ [a,b]^d` and trimmed workload `wl(u)`:
+//! Device `u` with feature `x ∈ [0,1]^d` and trimmed workload `wl(u)`:
 //!
 //! 1. every element is one-bit encoded with per-element budget
 //!    `ε' = ε·wl(u)/d` (Eq. 26);
@@ -170,17 +170,17 @@ pub struct FeatureEncoder {
 
 impl FeatureEncoder {
     /// Creates the encoder for a device with `workload = wl(u)` retained
-    /// neighbors, feature dimension `dim`, total budget `epsilon`, and
-    /// feature range `[a, b]`.
+    /// neighbors, feature dimension `dim` and total budget `epsilon`, over
+    /// features in `[0, 1]`.
     ///
     /// # Panics
     /// Panics if `workload == 0` or `dim == 0`.
-    pub fn new(epsilon: f64, workload: usize, dim: usize, a: f64, b: f64) -> Self {
+    pub fn new(epsilon: f64, workload: usize, dim: usize) -> Self {
         assert!(workload > 0, "encoder needs at least one neighbor");
         assert!(dim > 0, "feature dimension must be positive");
         let eps_elem = epsilon * workload as f64 / dim as f64;
         Self {
-            mechanism: OneBitMechanism::new(eps_elem, a, b),
+            mechanism: OneBitMechanism::new(eps_elem, 0.0, 1.0),
             dim,
             workload,
         }
@@ -219,11 +219,7 @@ impl FeatureEncoder {
         rng: &mut Xoshiro256pp,
     ) -> Vec<EncodedFeature> {
         assert_eq!(feature.len(), self.dim, "feature dimension mismatch");
-        let mech = OneBitMechanism::new(
-            total_epsilon / self.dim as f64,
-            self.range().0,
-            self.range().1,
-        );
+        let mech = self.full_mechanism(total_epsilon);
         (0..self.workload)
             .map(|_| {
                 feature
@@ -252,21 +248,13 @@ impl FeatureEncoder {
 
     /// Recovery for the full-encoding ablation (budget `ε/d` per element).
     pub fn recover_full(&self, msg: &EncodedFeature, total_epsilon: f64) -> Vec<f32> {
-        let mech = OneBitMechanism::new(
-            total_epsilon / self.dim as f64,
-            self.range().0,
-            self.range().1,
-        );
+        let mech = self.full_mechanism(total_epsilon);
         msg.values().map(|v| mech.decode(v) as f32).collect()
     }
 
-    fn range(&self) -> (f64, f64) {
-        // OneBitMechanism doesn't expose (a, b); reconstruct from decode.
-        let mid = self.mechanism.decode(EncodedValue::Missing);
-        let hi = self.mechanism.decode(EncodedValue::One);
-        let e = self.mechanism.epsilon().exp();
-        let half_span = (hi - mid) * (e - 1.0) / (e + 1.0);
-        (mid - half_span, mid + half_span)
+    /// The full-encoding ablation's mechanism: budget `ε/d` per element.
+    fn full_mechanism(&self, total_epsilon: f64) -> OneBitMechanism {
+        OneBitMechanism::new(total_epsilon / self.dim as f64, 0.0, 1.0)
     }
 }
 
@@ -280,7 +268,7 @@ mod tests {
 
     #[test]
     fn binned_messages_partition_dimensions() {
-        let enc = FeatureEncoder::new(2.0, 4, 32, 0.0, 1.0);
+        let enc = FeatureEncoder::new(2.0, 4, 32);
         let feature = vec![0.5f32; 32];
         let msgs = enc.encode_binned(&feature, &mut rng());
         assert_eq!(msgs.len(), 4);
@@ -321,7 +309,7 @@ mod tests {
     #[test]
     fn kept_message_decodes_to_the_per_symbol_recovery() {
         // The table is the mechanism's decode (Eq. 27), symbol by symbol.
-        let enc = FeatureEncoder::new(2.0, 3, 13, 0.0, 1.0);
+        let enc = FeatureEncoder::new(2.0, 3, 13);
         let feature: Vec<f32> = (0..13).map(|i| i as f32 / 12.0).collect();
         for msg in enc.encode_binned(&feature, &mut rng()) {
             let per_symbol: Vec<u32> = msg
@@ -337,7 +325,7 @@ mod tests {
 
     #[test]
     fn per_element_budget_matches_formula() {
-        let enc = FeatureEncoder::new(2.0, 5, 100, 0.0, 1.0);
+        let enc = FeatureEncoder::new(2.0, 5, 100);
         assert!((enc.per_element_epsilon() - 2.0 * 5.0 / 100.0).abs() < 1e-12);
     }
 
@@ -345,7 +333,7 @@ mod tests {
     fn recovery_of_binned_messages_is_unbiased() {
         // Averaging the recovered value of a dimension across many fresh
         // encodings must converge to the true value (Theorem 3 end-to-end).
-        let enc = FeatureEncoder::new(4.0, 2, 8, 0.0, 1.0);
+        let enc = FeatureEncoder::new(4.0, 2, 8);
         let feature: Vec<f32> = vec![0.1, 0.9, 0.4, 0.6, 0.0, 1.0, 0.25, 0.75];
         let mut r = rng();
         let n = 60_000;
@@ -380,7 +368,7 @@ mod tests {
         let dim = 64;
         let wl = 4;
         let eps = 2.0;
-        let enc = FeatureEncoder::new(eps, wl, dim, 0.0, 1.0);
+        let enc = FeatureEncoder::new(eps, wl, dim);
         let feature = vec![0.5f32; dim];
         let mut r = rng();
         let reps = 2_000;
@@ -409,8 +397,37 @@ mod tests {
     }
 
     #[test]
+    fn full_encoding_decodes_on_exactly_the_unit_range() {
+        // Regression: the ablation's mechanism once rebuilt `[0, 1]` from
+        // decoded floats, which came out as `[1.1e-16, 0.9999999999999999]`
+        // at (ε, wl, d) = (2, 2, 64) and `[-1.1e-16, 1.0]` at (2, 4, 32),
+        // moving the f64 decode of `Zero`/`One` (resp. `Missing`) by ulps.
+        let symbols = [EncodedValue::Zero, EncodedValue::One, EncodedValue::Missing];
+        for (eps, wl, dim) in [(2.0, 2, 64), (2.0, 4, 32)] {
+            let enc = FeatureEncoder::new(eps, wl, dim);
+            let exact = OneBitMechanism::new(eps / dim as f64, 0.0, 1.0);
+            let full = enc.full_mechanism(eps);
+            for v in symbols {
+                let (got, want) = (full.decode(v), exact.decode(v));
+                assert_eq!(got.to_bits(), want.to_bits(), "({eps}, {wl}, {dim}) {v:?}");
+            }
+            let msg: EncodedFeature = (0..dim).map(|i| symbols[i % 3]).collect();
+            let want: Vec<u32> = msg
+                .values()
+                .map(|v| (exact.decode(v) as f32).to_bits())
+                .collect();
+            let got: Vec<u32> = enc
+                .recover_full(&msg, eps)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(got, want, "({eps}, {wl}, {dim})");
+        }
+    }
+
+    #[test]
     fn wire_form_is_ternary() {
-        let enc = FeatureEncoder::new(1.0, 3, 16, 0.0, 1.0);
+        let enc = FeatureEncoder::new(1.0, 3, 16);
         let feature = vec![0.3f32; 16];
         for m in enc.encode_binned(&feature, &mut rng()) {
             for w in m.wire() {
@@ -422,6 +439,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_workload_rejected() {
-        FeatureEncoder::new(1.0, 0, 4, 0.0, 1.0);
+        FeatureEncoder::new(1.0, 0, 4);
     }
 }

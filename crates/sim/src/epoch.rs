@@ -141,8 +141,6 @@ pub struct EpochStats {
     /// cannot fire before it). Time spent *waiting* for slow senders'
     /// payloads is idle, not busy.
     pub busy_secs: Vec<f64>,
-    /// Per-device idle time (`makespan - busy`, zero for absent devices).
-    pub idle_secs: Vec<f64>,
     /// When each device's own update landed: its burst delivery time, or
     /// its compute end when it shipped nothing. `None` for devices that
     /// were absent or idle this epoch. This is the per-sender signal the
@@ -243,7 +241,9 @@ mod tests {
         assert_eq!(stats.straggler, Some(1));
         assert!(stats.makespan_secs >= 50.0); // 5000 units / 100 units-per-sec
         assert!(stats.busy_secs[1] > stats.busy_secs[0]);
-        assert!(stats.idle_secs[0] > stats.idle_secs[1]);
+        assert!(
+            stats.makespan_secs - stats.busy_secs[0] > stats.makespan_secs - stats.busy_secs[1]
+        );
         assert_eq!(stats.active_devices, 3);
     }
 
@@ -266,7 +266,6 @@ mod tests {
         assert_eq!(stats.straggler, Some(1));
         assert_eq!(stats.active_devices, 1);
         assert_eq!(stats.busy_secs[0], 0.0);
-        assert_eq!(stats.idle_secs[0], 0.0);
         assert_eq!(stats.update_delivery_secs[0], None);
         assert!((stats.makespan_secs - 1.0).abs() < 1e-12);
     }
@@ -329,7 +328,7 @@ mod tests {
         };
         let stats = simulate(&[p], &[work(10.0, 4, 200, 100)]);
         assert_eq!(stats.busy_secs[0].to_bits(), stats.makespan_secs.to_bits());
-        assert_eq!(stats.idle_secs[0], 0.0);
+        assert_eq!(stats.makespan_secs - stats.busy_secs[0], 0.0);
         assert_eq!(stats.mean_utilization(), 1.0);
         // Compute-only devices carry no phantom latency term.
         let quiet = simulate(&[p], &[work(10.0, 0, 0, 0)]);
@@ -382,7 +381,7 @@ mod tests {
         assert_eq!(stats.straggler, Some(0));
         // Device 0's busy time excludes the 9s wait: 1 + 2 + 0.5 + 1.
         assert!((stats.busy_secs[0] - 4.5).abs() < 1e-12);
-        assert!(stats.idle_secs[0] > 8.9);
+        assert!(stats.makespan_secs - stats.busy_secs[0] > 8.9);
         // Events: 2× ComputeDone + 2× Delivered + 1× Arrived(1→0) +
         // 1× InboxDrained(0).
         assert_eq!(stats.events, 6);
@@ -417,7 +416,6 @@ mod tests {
         assert_eq!(a.events, b.events);
         for d in 0..3 {
             assert_eq!(a.busy_secs[d].to_bits(), b.busy_secs[d].to_bits());
-            assert_eq!(a.idle_secs[d].to_bits(), b.idle_secs[d].to_bits());
         }
     }
 
@@ -505,7 +503,7 @@ mod tests {
                 stats.busy_secs[d],
                 stats.makespan_secs
             );
-            assert!(stats.idle_secs[d] >= 0.0);
+            assert!(stats.makespan_secs - stats.busy_secs[d] >= 0.0);
         }
         let u = stats.mean_utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u}");

@@ -388,7 +388,6 @@ mod tests {
         EpochStats {
             makespan_secs: 0.0,
             busy_secs: vec![0.0; deliveries.len()],
-            idle_secs: vec![0.0; deliveries.len()],
             update_delivery_secs: deliveries,
             straggler: None,
             active_devices: 0,

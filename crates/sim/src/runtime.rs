@@ -404,8 +404,8 @@ impl EventDrivenRuntime {
     /// that always returns [`Control::Continue`]) reproduces the lockstep
     /// `simulate_epoch` bit for bit. On an early close the makespan is the
     /// closing event's timestamp, remaining events are discarded, and
-    /// per-device busy time is clamped to the makespan so
-    /// `busy + idle = makespan` still holds for every active device.
+    /// per-device busy time is clamped to the makespan, so no active device
+    /// is busy for longer than the round.
     pub fn run(self, mut handler: impl FnMut(VirtualTime, &SimEvent) -> Control) -> EpochStats {
         let mut events = 0u64;
         let mut last: Option<(VirtualTime, u32)> = None;
@@ -465,29 +465,20 @@ impl EventDrivenRuntime {
                 }
             }
         }
-        let idle = self
-            .available
-            .iter()
-            .zip(&busy)
-            .map(|(&avail, &b)| {
-                if avail {
-                    // Busy is each device's serialized critical path,
-                    // computed with the exact float additions of the event
-                    // chain, and the closing drain fires at or after that
-                    // path's end — so busy can never exceed the makespan (a
-                    // clamp here once masked the missing latency term).
-                    let idle = makespan_secs - b;
-                    debug_assert!(idle >= 0.0, "busy {b} exceeds makespan {makespan_secs}");
-                    idle
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        for (&b, &avail) in busy.iter().zip(&self.available) {
+            // Busy is each device's serialized critical path, computed with
+            // the exact float additions of the event chain, and the closing
+            // drain fires at or after that path's end — so busy can never
+            // exceed the makespan (a clamp here once masked the missing
+            // latency term).
+            debug_assert!(
+                !avail || makespan_secs - b >= 0.0,
+                "busy {b} exceeds makespan {makespan_secs}"
+            );
+        }
         EpochStats {
             makespan_secs,
             busy_secs: busy,
-            idle_secs: idle,
             update_delivery_secs: self.update_delivery,
             straggler: last.map(|(_, device)| device),
             active_devices: self.active,
@@ -646,7 +637,7 @@ mod tests {
         assert!(closed.events < full.events);
         for d in 0..2 {
             assert!(closed.busy_secs[d] <= closed.makespan_secs);
-            assert!(closed.idle_secs[d] >= 0.0);
+            assert!(closed.makespan_secs - closed.busy_secs[d] >= 0.0);
         }
         let u = closed.mean_utilization();
         assert!((0.0..=1.0).contains(&u), "utilization {u}");
@@ -776,7 +767,7 @@ mod tests {
         assert_eq!(u64::from(retries), send.retries());
         assert_eq!(stats.update_delivery_secs[0], Some(landed));
         assert!(stats.makespan_secs >= landed);
-        assert!(stats.idle_secs[0] >= 0.0);
+        assert!(stats.makespan_secs - stats.busy_secs[0] >= 0.0);
     }
 
     #[test]
@@ -811,7 +802,7 @@ mod tests {
         assert_eq!(lost, 2 * (u64::from(HARD_RETRY_CAP) + 1));
         assert!(stats.makespan_secs.is_finite());
         for d in 0..2 {
-            assert!(stats.idle_secs[d] >= 0.0);
+            assert!(stats.makespan_secs - stats.busy_secs[d] >= 0.0);
         }
     }
 

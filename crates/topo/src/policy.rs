@@ -96,7 +96,6 @@ mod tests {
         EpochStats {
             makespan_secs: times.iter().flatten().fold(0.0f64, |a, &b| a.max(b)),
             busy_secs: vec![0.0; n],
-            idle_secs: vec![0.0; n],
             update_delivery_secs: times,
             straggler: None,
             active_devices: n,

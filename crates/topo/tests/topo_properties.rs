@@ -64,7 +64,6 @@ proptest! {
         let stats = EpochStats {
             makespan_secs: 0.0,
             busy_secs: vec![0.0; n],
-            idle_secs: vec![0.0; n],
             update_delivery_secs: times,
             straggler: None,
             active_devices: n,

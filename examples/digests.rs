@@ -25,9 +25,7 @@
 //! cargo run --release --example digests
 //! ```
 
-use lumos::baselines::{
-    run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig, LpgnnParams, NaiveFedParams,
-};
+use lumos::baselines::{run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig};
 use lumos::core::{run_lumos, LumosConfig, RunReport, TaskKind};
 use lumos::data::{Dataset, DatasetConfig, Scale};
 use lumos::gnn::Backbone;
@@ -111,14 +109,8 @@ fn main() {
         line(&format!("centralized {tag}"), &run_centralized(&ds, &cfg));
         // LPGNN is a supervised-only system (§VIII-C); it rejects the other task.
         if task == TaskKind::Supervised {
-            line(
-                &format!("lpgnn {tag}"),
-                &run_lpgnn(&ds, &cfg, &LpgnnParams::default()),
-            );
+            line(&format!("lpgnn {tag}"), &run_lpgnn(&ds, &cfg));
         }
-        line(
-            &format!("naive-fedgnn {tag}"),
-            &run_naive_fedgnn(&ds, &cfg, &NaiveFedParams::default()),
-        );
+        line(&format!("naive-fedgnn {tag}"), &run_naive_fedgnn(&ds, &cfg));
     }
 }

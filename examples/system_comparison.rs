@@ -5,9 +5,7 @@
 //! cargo run --release --example system_comparison
 //! ```
 
-use lumos::baselines::{
-    run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig, LpgnnParams, NaiveFedParams,
-};
+use lumos::baselines::{run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig};
 use lumos::common::table::{fmt2, Table};
 use lumos::core::{run_lumos, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
@@ -48,7 +46,6 @@ fn main() {
     let lpgnn = run_lpgnn(
         &ds,
         &BaselineConfig::new(Backbone::Gcn, task).with_epochs(epochs),
-        &LpgnnParams::default(),
     );
     table.push_row([
         "LPGNN".to_string(),
@@ -59,7 +56,6 @@ fn main() {
     let naive = run_naive_fedgnn(
         &ds,
         &BaselineConfig::new(Backbone::Gcn, task).with_epochs(epochs),
-        &NaiveFedParams::default(),
     );
     table.push_row([
         "Naive FedGNN".to_string(),

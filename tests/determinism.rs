@@ -11,9 +11,7 @@
 mod common;
 
 use common::laws;
-use lumos::baselines::{
-    run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig, LpgnnParams, NaiveFedParams,
-};
+use lumos::baselines::{run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig};
 use lumos::core::{
     run_lumos, AggregationPolicy, BalanceObjective, LumosConfig, RunReport, TaskKind,
     TopologyConfig,
@@ -119,10 +117,10 @@ fn baselines_are_seed_deterministic_on_both_tasks() {
             .with_seed(0xFACADE);
         let mut systems: Vec<Box<dyn Fn() -> RunReport>> = vec![
             Box::new(|| run_centralized(&ds, &cfg)),
-            Box::new(|| run_naive_fedgnn(&ds, &cfg, &NaiveFedParams::default())),
+            Box::new(|| run_naive_fedgnn(&ds, &cfg)),
         ];
         if task == TaskKind::Supervised {
-            systems.push(Box::new(|| run_lpgnn(&ds, &cfg, &LpgnnParams::default())));
+            systems.push(Box::new(|| run_lpgnn(&ds, &cfg)));
         }
         for run in &systems {
             let (a, b) = (run(), run());
