@@ -19,7 +19,9 @@ use lumos_sim::{FaultSpec, Scenario};
 use crate::args::HarnessArgs;
 use crate::emit::{self, Record};
 use crate::presets::{datasets, epochs_for, map_pairs, mcmc_iterations_for};
-use crate::space::{self, Grid, Setting, BUFFERED, DEADLINE, HIER_4, VIRTUAL_SECS};
+use crate::space::{
+    self, Grid, Setting, BACKBONES, BUFFERED, DEADLINE, HIER_4, TASKS, VIRTUAL_SECS,
+};
 use emit::Value::{Fixed, Null, Num, UInt};
 
 use Backbone::Gcn;
@@ -501,11 +503,6 @@ fn cost_epochs(args: &HarnessArgs, _: TaskKind) -> usize {
     }
 }
 
-/// The two backbones every accuracy grid crosses.
-const BACKBONES: &[Backbone] = &[Gcn, Backbone::Gat];
-/// The two tasks: node classification and link prediction.
-const TASKS: &[TaskKind] = &[Supervised, Unsupervised];
-
 const LUMOS: Variant = ("Lumos", |r| Run::Lumos(r.config.clone()));
 const CENTRALIZED: Variant = ("Centralized", |r| Run::Centralized(r.baseline()));
 const LPGNN: Variant = ("LPGNN", |r| Run::Lpgnn(r.baseline()));
@@ -554,7 +551,7 @@ pub static FIGURES: [Figure; 5] = [
     Figure {
         name: "fig8_system_cost",
         datasets,
-        grid: |_| models(TASKS, &[Gcn]),
+        grid: |_| models(&TASKS, &[Gcn]),
         // Communication and per-epoch time do not depend on convergence:
         // a 10-epoch window.
         epochs: |_, _| 10,
@@ -588,7 +585,7 @@ pub static FIGURES: [Figure; 5] = [
     Figure {
         name: "fig3_supervised",
         datasets,
-        grid: |_| models(&[Supervised], BACKBONES),
+        grid: |_| models(&[Supervised], &BACKBONES),
         epochs: preset_epochs,
         keys: &["dataset", "backbone"],
         // LPGNN only classifies (§VIII-C).
@@ -616,7 +613,7 @@ pub static FIGURES: [Figure; 5] = [
     Figure {
         name: "fig4_link_prediction",
         datasets,
-        grid: |_| models(&[Unsupervised], BACKBONES),
+        grid: |_| models(&[Unsupervised], &BACKBONES),
         epochs: preset_epochs,
         keys: &["dataset", "backbone"],
         variants: &[LUMOS, CENTRALIZED, NAIVE],
@@ -634,7 +631,7 @@ pub static FIGURES: [Figure; 5] = [
     Figure {
         name: "fig5_epsilon",
         datasets,
-        grid: |_| models(TASKS, &[Gcn]),
+        grid: |_| models(&TASKS, &[Gcn]),
         epochs: preset_epochs,
         keys: &["dataset", "task"],
         variants: &[
@@ -657,7 +654,7 @@ pub static FIGURES: [Figure; 5] = [
     Figure {
         name: "fig6_ablation",
         datasets,
-        grid: |_| models(TASKS, BACKBONES),
+        grid: |_| models(&TASKS, &BACKBONES),
         // The ablation deltas emerge well before full convergence; trim the
         // unsupervised schedule to keep the 24-run grid tractable.
         epochs: |args, task| match (preset_epochs(args, task), task) {

@@ -147,7 +147,7 @@ impl<F> BatchedTrees<F> {
         self.mg.num_nodes
     }
 
-    /// Bytes of everything but the features: the message graph's four arc
+    /// Bytes of everything but the features: the message graph's three arc
     /// arrays, the four POOL arrays and the tree sizes.
     pub fn index_bytes(&self) -> usize {
         use std::mem::size_of_val;
@@ -155,7 +155,6 @@ impl<F> BatchedTrees<F> {
         size_of_val(&mg.src[..])
             + size_of_val(&mg.dst[..])
             + size_of_val(&mg.gcn_coeff[..])
-            + size_of_val(&mg.mean_coeff[..])
             + size_of_val(&self.pool_leaves[..])
             + size_of_val(&self.pool_vertices[..])
             + size_of_val(&self.pool_coeff[..])

@@ -8,9 +8,9 @@
 use std::rc::Rc;
 
 /// Directed message arcs over `num_nodes` nodes, with self-loops added and
-/// two constant per-arc coefficient sets: the symmetric normalization
+/// one constant per-arc coefficient: the symmetric normalization
 /// `1/√(d̂_src · d̂_dst)` (Kipf & Welling's GCN normalization with
-/// `d̂ = deg + 1`) and GraphSAGE's open-neighborhood mean.
+/// `d̂ = deg + 1`).
 #[derive(Debug, Clone)]
 pub struct MessageGraph {
     /// Number of nodes in the message-passing domain.
@@ -21,10 +21,6 @@ pub struct MessageGraph {
     pub dst: Rc<Vec<u32>>,
     /// GCN normalization coefficient of each arc.
     pub gcn_coeff: Rc<Vec<f32>>,
-    /// Open-neighborhood mean coefficient of each arc (GraphSAGE): 0 on a
-    /// self-loop, `1/(indeg(dst) − 1)` elsewhere — the −1 discounts the
-    /// self-loop every node carries.
-    pub mean_coeff: Rc<Vec<f32>>,
 }
 
 impl MessageGraph {
@@ -59,25 +55,17 @@ impl MessageGraph {
         let mut src = Vec::with_capacity(arcs.len());
         let mut dst = Vec::with_capacity(arcs.len());
         let mut gcn_coeff = Vec::with_capacity(arcs.len());
-        let mut mean_coeff = Vec::with_capacity(arcs.len());
         for &(s, d) in &arcs {
             src.push(s);
             dst.push(d);
             gcn_coeff
                 .push(1.0 / ((deg[s as usize] as f32).sqrt() * (deg[d as usize] as f32).sqrt()));
-            let open = deg[d as usize].saturating_sub(1);
-            mean_coeff.push(if s == d || open == 0 {
-                0.0
-            } else {
-                1.0 / open as f32
-            });
         }
         Self {
             num_nodes,
             src: Rc::new(src),
             dst: Rc::new(dst),
             gcn_coeff: Rc::new(gcn_coeff),
-            mean_coeff: Rc::new(mean_coeff),
         }
     }
 }
@@ -107,20 +95,6 @@ mod tests {
                 "arc {s}->{d}: {} vs {expected}",
                 mg.gcn_coeff[i]
             );
-        }
-    }
-
-    #[test]
-    fn mean_coefficients_average_the_open_neighborhood() {
-        // Star 0-{1,2} plus the isolated node 3.
-        let mg = MessageGraph::from_undirected(4, &[(0, 1), (0, 2)]);
-        for i in 0..mg.src.len() {
-            let expected = match (mg.src[i], mg.dst[i]) {
-                (s, d) if s == d => 0.0,
-                (_, 0) => 0.5,
-                _ => 1.0,
-            };
-            assert_eq!(mg.mean_coeff[i], expected, "arc {i}");
         }
     }
 

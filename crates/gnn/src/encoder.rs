@@ -15,9 +15,6 @@ pub enum Backbone {
     Gcn,
     /// Graph attention network (Veličković et al.), 4 heads.
     Gat,
-    /// GraphSAGE with mean aggregation (Hamilton et al.) — an extension
-    /// backbone beyond the paper's GCN/GAT evaluation.
-    Sage,
 }
 
 impl Backbone {
@@ -26,10 +23,16 @@ impl Backbone {
         match self {
             Backbone::Gcn => "GCN",
             Backbone::Gat => "GAT",
-            Backbone::Sage => "SAGE",
         }
     }
 }
+
+/// Output embedding dimensionality (16 in the paper).
+const OUT_DIM: usize = 16;
+/// GAT attention heads (4 in the paper).
+const HEADS: usize = 4;
+/// Dropout probability between layers (0.01 in the paper).
+const DROPOUT: f32 = 0.01;
 
 /// Encoder hyperparameters (defaults follow §VIII-B).
 #[derive(Debug, Clone)]
@@ -40,14 +43,8 @@ pub struct EncoderConfig {
     pub in_dim: usize,
     /// Hidden dimensionality (16 in the paper).
     pub hidden_dim: usize,
-    /// Output embedding dimensionality (16 in the paper).
-    pub out_dim: usize,
     /// Number of message-passing layers (2 in the paper).
     pub num_layers: usize,
-    /// GAT attention heads (4 in the paper).
-    pub heads: usize,
-    /// Dropout probability between layers (0.01 in the paper).
-    pub dropout: f32,
 }
 
 impl EncoderConfig {
@@ -57,10 +54,7 @@ impl EncoderConfig {
             backbone,
             in_dim,
             hidden_dim: 16,
-            out_dim: 16,
             num_layers: 2,
-            heads: 4,
-            dropout: 0.01,
         }
     }
 }
@@ -69,15 +63,14 @@ impl EncoderConfig {
 #[derive(Debug, Clone)]
 pub struct GnnEncoder {
     layers: Vec<Layer>,
-    dropout: f32,
-    out_dim: usize,
 }
 
 impl GnnEncoder {
     /// Registers all layer parameters in `store`.
     ///
-    /// For GAT, hidden layers concatenate `heads` heads of `hidden_dim`
-    /// outputs each; the final layer averages `heads` heads of `out_dim`.
+    /// For GAT, hidden layers concatenate four heads of `hidden_dim`
+    /// outputs each; the final layer averages four heads of the output
+    /// dimension.
     ///
     /// # Panics
     /// Panics if `num_layers == 0`.
@@ -90,39 +83,29 @@ impl GnnEncoder {
             let name = format!("enc{i}");
             match cfg.backbone {
                 Backbone::Gcn => {
-                    let out = if last { cfg.out_dim } else { cfg.hidden_dim };
+                    let out = if last { OUT_DIM } else { cfg.hidden_dim };
                     let layer = GcnLayer::new(store, &name, dim, out, rng);
                     dim = layer.out_dim();
                     layers.push(Layer::Gcn(layer));
                 }
                 Backbone::Gat => {
                     let (head_dim, concat) = if last {
-                        (cfg.out_dim, false)
+                        (OUT_DIM, false)
                     } else {
                         (cfg.hidden_dim, true)
                     };
-                    let layer = GatLayer::new(store, &name, dim, head_dim, cfg.heads, concat, rng);
+                    let layer = GatLayer::new(store, &name, dim, head_dim, HEADS, concat, rng);
                     dim = layer.out_dim();
                     layers.push(Layer::Gat(layer));
                 }
-                Backbone::Sage => {
-                    let out = if last { cfg.out_dim } else { cfg.hidden_dim };
-                    let layer = crate::sage::SageLayer::new(store, &name, dim, out, rng);
-                    dim = layer.out_dim();
-                    layers.push(Layer::Sage(layer));
-                }
             }
         }
-        Self {
-            layers,
-            dropout: cfg.dropout,
-            out_dim: dim,
-        }
+        Self { layers }
     }
 
     /// Output embedding dimensionality.
     pub fn out_dim(&self) -> usize {
-        self.out_dim
+        OUT_DIM
     }
 
     /// Full forward pass: layer → (ReLU → dropout) between layers. Each
@@ -145,7 +128,7 @@ impl GnnEncoder {
                     return y;
                 }
                 let y = tape.relu(y);
-                apply_dropout(tape, y, self.dropout, training, rng)
+                apply_dropout(tape, y, DROPOUT, training, rng)
             });
         }
         h

@@ -183,8 +183,6 @@ pub enum Layer {
     Gcn(GcnLayer),
     /// Graph attention.
     Gat(GatLayer),
-    /// GraphSAGE (mean aggregator; extension backbone).
-    Sage(crate::sage::SageLayer),
 }
 
 impl Layer {
@@ -199,7 +197,6 @@ impl Layer {
         match self {
             Layer::Gcn(l) => l.forward(tape, store, x, mg),
             Layer::Gat(l) => l.forward(tape, store, x, mg),
-            Layer::Sage(l) => l.forward(tape, store, x, mg),
         }
     }
 }

@@ -16,7 +16,6 @@ pub mod encoder;
 pub mod layers;
 pub mod loss;
 pub mod metrics;
-pub mod sage;
 
 pub use adj::MessageGraph;
 pub use decoder::{link_logits, LinearDecoder};
@@ -24,4 +23,3 @@ pub use encoder::{Backbone, EncoderConfig, GnnEncoder};
 pub use layers::{GatLayer, GcnLayer, Layer};
 pub use loss::{cross_entropy_masked, link_prediction_loss};
 pub use metrics::{accuracy_masked, roc_auc};
-pub use sage::SageLayer;

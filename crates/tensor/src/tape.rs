@@ -71,7 +71,7 @@ enum Op {
     ScaleRows(VarId, Rc<Vec<f32>>),
     /// Fused message passing: `out[dst[i]] += a[src[i]] * coeff[i]` into
     /// `out_rows` rows (the gather → scale-rows → scatter-add chain of a
-    /// GCN / SAGE layer as one node).
+    /// GCN layer as one node).
     Propagate {
         a: VarId,
         src: Rc<Vec<u32>>,

@@ -2,7 +2,7 @@
 //! all-pairs cover of the config space (`lumos_bench::space`).
 //!
 //! The eight axes — policy, topology, faults, scenario, objective, backend,
-//! task, backbone — multiply to 10,080 configs. The cover trains a few dozen
+//! task, backbone — multiply to 6,720 configs. The cover trains a few dozen
 //! in which every pair of values of any two axes meets, each on Facebook
 //! `Smoke` for 4 epochs and 10 MCMC iterations, and asserts on every one:
 //!

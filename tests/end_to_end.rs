@@ -34,20 +34,6 @@ fn gcn_and_gat_both_train_supervised() {
 }
 
 #[test]
-fn sage_extension_backbone_trains_end_to_end() {
-    // GraphSAGE is an extension beyond the paper's GCN/GAT evaluation; the
-    // whole federated pipeline must accept it transparently.
-    let ds = Dataset::facebook_like(Scale::Smoke);
-    let report = run_lumos(&ds, &lumos_cfg(Backbone::Sage, TaskKind::Supervised));
-    assert!(
-        report.test_metric > 0.3,
-        "SAGE accuracy {}",
-        report.test_metric
-    );
-    assert_eq!(report.backbone, "SAGE");
-}
-
-#[test]
 fn gat_trains_unsupervised() {
     let ds = Dataset::lastfm_like(Scale::Smoke);
     let report = run_lumos(&ds, &lumos_cfg(Backbone::Gat, TaskKind::Unsupervised));
