@@ -1,7 +1,7 @@
 //! One config space: [`LumosConfig`]'s opt-in axes, each one list of the
 //! values the tree uses, its degenerate value first. Every grid the harness
 //! trains is a selection from these lists: a [`crate::figure::Figure`]'s
-//! rows are a [`Grid`] of them, `examples/digests.rs` names eleven points,
+//! rows are a [`Grid`] of them, `examples/digests.rs` names twelve points,
 //! and `tests/conformance.rs` trains a seeded all-pairs cover of all eight
 //! axes ([`Grid::pairwise`]) under the laws of `tests/common/laws.rs`.
 

@@ -1,11 +1,11 @@
 //! The refactor oracle: one `RunReport::digest()` line per pinned config.
 //!
-//! Eleven `run_lumos` configs (default, GAT, link prediction, the synchronous
-//! barrier on a frozen and on a churning fleet, one per non-trivial
-//! aggregation policy, the hierarchical barrier and deadline, the fully
-//! loaded run) and
-//! the baselines on both tasks, all on `facebook_like(Smoke)` at seed 2023,
-//! 8 epochs, 10 MCMC iterations. Identical invocations print identical
+//! Twelve `run_lumos` configs (default, the bit-sliced comparison backend,
+//! GAT, link prediction, the synchronous barrier on a frozen and on a
+//! churning fleet, one per non-trivial aggregation policy, the hierarchical
+//! barrier and deadline, the fully loaded run) and the baselines on both
+//! tasks, all on `facebook_like(Smoke)` at seed 2023, 8 epochs, 10 MCMC
+//! iterations. Identical invocations print identical
 //! lines; a behaviour-preserving change prints the same lines before and
 //! after.
 //!
@@ -25,6 +25,7 @@
 //! cargo run --release --example digests
 //! ```
 
+use lumos::balance::CompareBackend;
 use lumos::baselines::{run_centralized, run_lpgnn, run_naive_fedgnn, BaselineConfig};
 use lumos::core::{run_lumos, LumosConfig, RunReport, TaskKind};
 use lumos::data::{Dataset, DatasetConfig, Scale};
@@ -60,9 +61,9 @@ fn line(name: &str, r: &RunReport) {
     );
 }
 
-/// The eleven pinned `run_lumos` configs, by name: the supervised GCN
+/// The twelve pinned `run_lumos` configs, by name: the supervised GCN
 /// base with the config-space values (`lumos_bench::space`) each row sets.
-pub fn configs() -> [(&'static str, LumosConfig); 11] {
+pub fn configs() -> [(&'static str, LumosConfig); 12] {
     const TAIL: Setting = Setting::Scenario(Some(Scenario::StragglerTail));
     const CHURN: Setting = Setting::Scenario(Some(Scenario::Churn));
     let base = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
@@ -74,6 +75,10 @@ pub fn configs() -> [(&'static str, LumosConfig); 11] {
     let lossy = Setting::Faults(FaultSpec::message_loss(0.05));
     [
         ("GCN-sup default", at(&[])),
+        (
+            "GCN-sup Bitsliced",
+            at(&[Setting::Backend(CompareBackend::Bitsliced)]),
+        ),
         ("GAT-sup", at(&[Setting::Backbone(Backbone::Gat)])),
         ("GCN-unsup", at(&[Setting::Task(TaskKind::Unsupervised)])),
         ("FullSync x StragglerTail", at(&[TAIL])),

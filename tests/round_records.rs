@@ -2,8 +2,8 @@
 //!
 //! `RunReport::rounds` holds one scalar record per training round, and the
 //! run-level sums (`RunReport::sim`, the two per-epoch means) are folds
-//! over it. On the eleven `run_lumos` configs `examples/digests.rs` pins —
-//! plus one crashing, lossy fleet, which none of the eleven has — every record
+//! over it. On the twelve `run_lumos` configs `examples/digests.rs` pins —
+//! plus one crashing, lossy fleet, which none of the twelve has — every record
 //! must account for every update its round's devices formed, exactly once:
 //! law (ii) of `common::laws`, which `tests/conformance.rs` checks on an
 //! all-pairs cover. Here the table must also make every identity bite.
