@@ -8,7 +8,7 @@
 use lumos_common::rng::Xoshiro256pp;
 use lumos_core::config::TaskKind;
 use lumos_core::report::RunReport;
-use lumos_core::task::{EvalCadence, EvalSplit, TaskData, TaskHead};
+use lumos_core::task::{EvalCadence, EvalSplit, TaskData, TaskHead, EVAL_EVERY};
 use lumos_data::Dataset;
 use lumos_gnn::{EncoderConfig, GnnEncoder, MessageGraph};
 use lumos_tensor::{Adam, ParamStore, Tape, Tensor};
@@ -57,7 +57,7 @@ pub(crate) fn draw_task(
 /// Trains on the plain graph and reports metrics against the ground truth.
 pub fn train_plain(run: PlainRun<'_>) -> RunReport {
     let (ds, cfg) = (run.ds, run.cfg);
-    let cadence = EvalCadence::new(cfg.eval_every, cfg.epochs);
+    let cadence = EvalCadence::new(EVAL_EVERY, cfg.epochs);
     let n = ds.graph.num_nodes();
     let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed);
     let mg = MessageGraph::from_undirected(n, &run.message_edges);

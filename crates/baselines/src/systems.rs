@@ -48,8 +48,6 @@ pub struct BaselineConfig {
     pub epochs: usize,
     /// Seed.
     pub seed: u64,
-    /// Evaluation cadence.
-    pub eval_every: usize,
 }
 
 impl BaselineConfig {
@@ -60,7 +58,6 @@ impl BaselineConfig {
             task,
             epochs: 80,
             seed: 0xBA5E,
-            eval_every: 10,
         }
     }
 
@@ -327,15 +324,6 @@ mod tests {
     fn lpgnn_rejects_unsupervised() {
         let ds = Dataset::facebook_like(Scale::Smoke);
         let _ = run_lpgnn(&ds, &cfg(TaskKind::Unsupervised));
-    }
-
-    #[test]
-    #[should_panic(expected = "eval_every")]
-    fn zero_eval_every_is_rejected_before_any_work() {
-        let ds = Dataset::facebook_like(Scale::Smoke);
-        let mut cfg = cfg(TaskKind::Supervised);
-        cfg.eval_every = 0;
-        run_centralized(&ds, &cfg);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use lumos_common::rng::Xoshiro256pp;
 use lumos_ldp::{FeatureEncoder, OneBitMechanism};
 
 fn bench_onebit(c: &mut Criterion) {
-    let mech = OneBitMechanism::new(0.1, 0.0, 1.0);
+    let mech = OneBitMechanism::new(0.1);
     c.bench_function("onebit_encode_decode", |b| {
         let mut rng = Xoshiro256pp::seed_from_u64(1);
         b.iter(|| black_box(mech.decode(mech.encode(0.42, &mut rng))))

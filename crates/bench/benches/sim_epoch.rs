@@ -19,7 +19,6 @@ const FAN_IN: u64 = 8;
 
 fn fleet(n: usize) -> Vec<DeviceProfile> {
     let spec = FleetSpec {
-        base: DeviceProfile::baseline(),
         compute: Heterogeneity::Pareto { alpha: 1.1 },
         link: Heterogeneity::Jitter { spread: 0.25 },
         dropout: 0.0,

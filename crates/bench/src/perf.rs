@@ -12,7 +12,9 @@
 //!    backend.
 //!
 //! Both keep each backend's fastest of several timed passes (`fastest`),
-//! and each pass times the two backends back to back.
+//! and each pass times the two backends back to back. Each timed sweep
+//! follows an untimed sweep of its own backend, so it never starts from
+//! the state the other backend's sweep left behind.
 //!
 //! [`PerfReport::record`] lists the sections of the machine-readable
 //! `BENCH_perf.json` record that CI smoke-parses to assert the bit-sliced
@@ -142,21 +144,25 @@ pub fn run(args: &HarnessArgs) -> PerfReport {
         .collect();
 
     let mut oracles = BACKENDS.map(|b| make_oracle_backend(SecurityMode::Simulated, b, args.seed));
-    // Warm-up pass (page-in, dealer state) before the timed reps.
+    // One metered sweep per backend: the outcomes must agree, and its
+    // message count is the sweep's.
+    let baselines = oracles.each_ref().map(|o| o.meter());
     let [scalar_outs, sliced_outs] = oracles.each_mut().map(|o| o.compare_batch(&pairs, bits));
     assert_eq!(
         scalar_outs, sliced_outs,
         "backends must agree lane for lane"
     );
-    let baselines = oracles.each_ref().map(|o| o.meter());
+    let [scalar_msgs, sliced_msgs] =
+        [0, 1].map(|i| oracles[i].meter().since(&baselines[i]).messages);
+    // Each timed sweep follows an untimed one of the same backend (page-in,
+    // dealer state, caches), never the other backend's.
     let swept = fastest(reps, || {
-        oracles
-            .each_mut()
-            .map(|o| time_it(|| std::hint::black_box(o.compare_batch(&pairs, bits))))
+        oracles.each_mut().map(|o| {
+            std::hint::black_box(o.compare_batch(&pairs, bits));
+            time_it(|| std::hint::black_box(o.compare_batch(&pairs, bits)))
+        })
     });
     let [scalar_ns, sliced_ns] = swept.map(|(_, secs)| secs * 1e9 / lanes as f64);
-    let [scalar_msgs, sliced_msgs] =
-        [0, 1].map(|i| oracles[i].meter().since(&baselines[i]).messages / reps as u64);
 
     // MCMC iteration rate under the real circuits, cost-weighted so every
     // comparison runs on the wide lane.

@@ -23,7 +23,7 @@
 
 use lumos_common::rng::Xoshiro256pp;
 use lumos_common::timer::Stopwatch;
-use lumos_fed::{ledger_work, SimNetwork};
+use lumos_fed::{ledger_work, SimNetwork, EMBEDDING_BYTES};
 use lumos_sim::{simulate_epoch, DeviceProfile, Scenario};
 use lumos_topo::{tier_timing, Topology};
 
@@ -32,10 +32,6 @@ use crate::emit::{Record, Row, Value};
 
 /// Fleet sizes the sweep visits (the 10⁵-device row is the point).
 pub const SWEEP_DEVICES: [usize; 3] = [4_000, 32_000, 100_000];
-
-/// Bytes of one pooled-update message on the synthetic wire (mirrors the
-/// trainer's 16-f32 embedding).
-const UPDATE_BYTES: u64 = 64;
 
 /// Tree nodes per device for the straggler cost model: every synthetic
 /// device carries the same small tree, so timing spread comes from the
@@ -109,20 +105,20 @@ pub fn measure(n: usize, hierarchical: bool, rounds: usize, seed: u64) -> ScaleR
         // Two ring neighbors per device stand in for the tree-update
         // exchange, then every device ships its pooled update.
         for d in 0..n as u32 {
-            net.send(d, (d + 1) % n as u32, UPDATE_BYTES);
-            net.send(d, (d + 7) % n as u32, UPDATE_BYTES);
+            net.send(d, (d + 1) % n as u32, EMBEDDING_BYTES);
+            net.send(d, (d + 7) % n as u32, EMBEDDING_BYTES);
         }
         net.round();
         for d in 0..n as u32 {
-            net.send(d, SimNetwork::SERVER, UPDATE_BYTES);
+            net.send(d, SimNetwork::SERVER, EMBEDDING_BYTES);
         }
-        net.send_partials(UPDATE_BYTES);
+        net.send_partials();
         net.round();
         peak_ledger = peak_ledger.max(net.ledger_entries());
         let work = ledger_work(&net, &snap, &tree_sizes, LAYERS);
         let stats = simulate_epoch(&profiles, &work);
         let tier2 = topo.as_ref().map_or(0.0, |t| {
-            tier_timing(&stats, t, &aggregator, UPDATE_BYTES).server_makespan_secs
+            tier_timing(&stats, t, &aggregator, EMBEDDING_BYTES).server_makespan_secs
         });
         makespan_sum += stats.makespan_secs.max(tier2);
     }
@@ -165,6 +161,7 @@ impl Row for ScaleRow {
             ("rounds", UInt(self.rounds as u64)),
             ("makespan_secs", Num(self.makespan_secs)),
             ("server_bytes_per_round", Num(self.server_bytes_per_round)),
+            ("partial_bytes", UInt(EMBEDDING_BYTES)),
             ("peak_ledger_entries", UInt(self.peak_ledger_entries as u64)),
             ("wall_us_per_device", Num(self.wall_us_per_device)),
         ]
@@ -181,10 +178,10 @@ mod tests {
         let tiered = measure(600, true, 2, 9);
         // Flat: every device's update lands at the server. Hierarchical:
         // only the ⌈√n⌉ aggregator partials do.
-        assert_eq!(flat.server_bytes_per_round, 600.0 * UPDATE_BYTES as f64);
+        assert_eq!(flat.server_bytes_per_round, 600.0 * EMBEDDING_BYTES as f64);
         assert_eq!(
             tiered.server_bytes_per_round,
-            tiered.aggregators as f64 * UPDATE_BYTES as f64
+            tiered.aggregators as f64 * EMBEDDING_BYTES as f64
         );
         assert!(tiered.server_bytes_per_round < flat.server_bytes_per_round / 10.0);
         // Both windows hold one round's sends — two ring messages and one
@@ -225,6 +222,7 @@ mod tests {
                 "aggregators",
                 "makespan_secs",
                 "server_bytes_per_round",
+                "partial_bytes",
                 "peak_ledger_entries",
                 "wall_us_per_device",
             ],

@@ -2,8 +2,10 @@
 
 use lumos_balance::{BalanceObjective, CompareBackend, SecurityMode};
 use lumos_gnn::Backbone;
-use lumos_sim::{AggregationPolicy, FaultSpec, RecoveryPolicy, Scenario};
+use lumos_sim::{AggregationPolicy, FaultSpec, Scenario};
 use lumos_topo::TopologyConfig;
+
+use crate::task::EVAL_EVERY;
 
 /// Returns the [`ConfigError`] naming `field` from the enclosing function
 /// unless `holds`; the rule is formatted only when it is broken.
@@ -132,16 +134,14 @@ pub struct LumosConfig {
     /// Seeded fault injection: the default `FaultSpec::None` injects
     /// nothing and leaves every code path bit-identical to the seed.
     /// `FaultSpec::Faults { .. }` compiles a deterministic per-round
-    /// [`lumos_sim::FaultPlan`] (mid-round crashes, message loss/
-    /// duplication, aggregator outage windows) from its own RNG stream.
+    /// [`lumos_sim::FaultPlan`] (mid-round crashes, message loss,
+    /// aggregator outage windows) from its own RNG stream, and lost sends
+    /// recover under `lumos_sim::fault`'s constants: timeout, exponential
+    /// backoff with seeded jitter, and a retry budget, after which a send
+    /// degrades into the buffered-staleness path instead of vanishing.
     /// Needs a `scenario` — the fault plan rides on the fleet profiles —
     /// and is inert without one.
     pub faults: FaultSpec,
-    /// How lost sends recover: per-send timeout, exponential backoff with
-    /// seeded jitter, and a retry budget. Sends that exhaust the budget
-    /// degrade into the buffered-staleness path instead of vanishing.
-    /// Only consulted when `faults` is set.
-    pub recovery: RecoveryPolicy,
 }
 
 impl LumosConfig {
@@ -160,7 +160,7 @@ impl LumosConfig {
             seed: 0x10_0A05,
             virtual_nodes: true,
             tree_trimming: true,
-            eval_every: 10,
+            eval_every: EVAL_EVERY,
             scenario: None,
             balance_objective: BalanceObjective::TreeNodes,
             aggregation_policy: AggregationPolicy::FullSync,
@@ -168,7 +168,6 @@ impl LumosConfig {
             rebalance_threshold: 2.0,
             rebalance_patience: 2,
             faults: FaultSpec::None,
-            recovery: RecoveryPolicy::default(),
         }
     }
 
@@ -256,13 +255,6 @@ impl LumosConfig {
         self
     }
 
-    /// Builder-style: set the retry/backoff recovery policy applied to
-    /// injected message loss.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
     /// Whether this config can run: the one place its ranges are judged,
     /// however its fields were set. [`crate::run_lumos`] calls it once,
     /// before any work. The rules:
@@ -279,9 +271,8 @@ impl LumosConfig {
     ///   window covers at least one round.
     ///
     /// The documented clamps and no-ops pass: more aggregators than
-    /// devices, a retry budget past `HARD_RETRY_CAP`, `Buffered { decay: 0 }`,
-    /// a quorum of the whole fleet, and a policy, faults or `VirtualSecs`
-    /// without a scenario.
+    /// devices, `Buffered { decay: 0 }`, a quorum of the whole fleet, and a
+    /// policy, faults or `VirtualSecs` without a scenario.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let probability = |x: f64| x.is_finite() && (0.0..=1.0).contains(&x);
         let positive = [
@@ -396,7 +387,6 @@ mod tests {
         assert_eq!(c.rebalance_threshold, 2.0);
         assert_eq!(c.rebalance_patience, 2);
         assert!(c.faults.is_none(), "faults are strictly opt-in");
-        assert_eq!(c.recovery, RecoveryPolicy::default());
     }
 
     #[test]
@@ -456,13 +446,8 @@ mod tests {
     #[test]
     fn fault_builders_apply() {
         let c = LumosConfig::new(Backbone::Gcn, TaskKind::Supervised)
-            .with_faults(FaultSpec::message_loss(0.1))
-            .with_recovery(RecoveryPolicy {
-                retry_budget: 7,
-                ..RecoveryPolicy::default()
-            });
+            .with_faults(FaultSpec::message_loss(0.1));
         assert!(!c.faults.is_none());
-        assert_eq!(c.recovery.retry_budget, 7);
     }
 
     /// One setting of a config-table row, applied either way a caller can
@@ -476,7 +461,6 @@ mod tests {
         Topology(usize),
         Trigger(f64, u32),
         Faults(FaultSpec),
-        RetryBudget(u32),
         Objective(BalanceObjective),
     }
 
@@ -493,10 +477,6 @@ mod tests {
                 }
                 Set::Trigger(threshold, patience) => c.with_rebalance_trigger(threshold, patience),
                 Set::Faults(f) => c.with_faults(f),
-                Set::RetryBudget(retry_budget) => c.with_recovery(RecoveryPolicy {
-                    retry_budget,
-                    ..RecoveryPolicy::default()
-                }),
                 Set::Objective(o) => c.with_balance_objective(o),
             })
         }
@@ -515,7 +495,6 @@ mod tests {
                     c.rebalance_patience = patience;
                 }
                 Set::Faults(f) => c.faults = f,
-                Set::RetryBudget(budget) => c.recovery.retry_budget = budget,
                 Set::Objective(o) => c.balance_objective = o,
             }
             c
@@ -616,8 +595,6 @@ mod tests {
             // More aggregators than devices clamps, one resolves to flat.
             (None, Set::Topology(1_000_000)),
             (None, Set::Topology(1)),
-            // Past HARD_RETRY_CAP clamps to the cap.
-            (None, Set::RetryBudget(u32::MAX)),
             // Zero decay is the deadline; a whole-fleet quorum the barrier.
             (
                 None,

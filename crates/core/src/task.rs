@@ -38,6 +38,10 @@ pub enum EvalSplit {
     Test,
 }
 
+/// Epochs between validation evaluations: the baselines' cadence, and
+/// `LumosConfig::new`'s default `eval_every`.
+pub const EVAL_EVERY: usize = 10;
+
 /// When a training loop evaluates: validation after every `eval_every`-th
 /// epoch and the last one, the test split once, after the last.
 #[derive(Debug, Clone, Copy)]

@@ -26,7 +26,7 @@ use lumos_tensor::{Adam, ParamStore, Tape};
 
 use lumos_sim::{
     AggregationPolicy, DeviceProfile, EpochStats, EventDrivenRuntime, FaultCounters, FaultPlan,
-    FaultState, RoundWork, ScenarioState,
+    FaultState, RecoveryPolicy, RoundWork, ScenarioState,
 };
 use lumos_topo::{ShardRoundPolicies, Topology};
 
@@ -500,7 +500,7 @@ impl Fleet {
             AggregationPolicy::FullSync
         };
         let faults = (scenario.is_some() && !cfg.faults.is_none())
-            .then(|| FaultState::new(cfg.faults.clone(), cfg.recovery, cfg.seed));
+            .then(|| FaultState::new(cfg.faults.clone(), RecoveryPolicy::default(), cfg.seed));
         let fleet = Self {
             runtime,
             scenario,

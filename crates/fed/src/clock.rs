@@ -7,39 +7,27 @@
 //! the measured wall time of the simulator (all devices computed on one
 //! machine) and this model's makespan in abstract cost units.
 
-/// Linear per-device compute-cost model.
-///
-/// A device's epoch cost is `fixed + per_tree_node · tree_nodes +
-/// per_message · messages`: message-passing work scales with tree size
-/// (3·wl + 1 nodes per trimmed tree, §V-A) and communication with the
-/// number of messages it exchanges.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Fixed per-epoch overhead per device.
-    pub fixed: f64,
-    /// Cost per tree node per GNN layer.
-    pub per_tree_node: f64,
-    /// Cost per message sent or received.
-    pub per_message: f64,
-}
+/// Fixed per-epoch overhead per device.
+const FIXED: f64 = 1.0;
+/// Cost per tree node per GNN layer.
+const PER_TREE_NODE: f64 = 1.0;
+/// Cost per message sent or received.
+const PER_MESSAGE: f64 = 0.25;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            fixed: 1.0,
-            per_tree_node: 1.0,
-            per_message: 0.25,
-        }
-    }
-}
+/// The linear per-device compute-cost model of `device_cost`. It has no
+/// fields — the coefficients are this module's constants;
+/// `Runtime::new` still takes one because the benchmark package pins that
+/// signature.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CostModel {}
 
-impl CostModel {
-    /// Cost of one device-epoch.
-    pub fn device_cost(&self, tree_nodes: usize, layers: usize, messages: u64) -> f64 {
-        self.fixed
-            + self.per_tree_node * (tree_nodes * layers) as f64
-            + self.per_message * messages as f64
-    }
+/// Cost of one device-epoch, linear in its work:
+/// `FIXED + PER_TREE_NODE · tree_nodes · layers + PER_MESSAGE · messages`.
+/// Message-passing work scales with tree size (3·wl + 1 nodes per trimmed
+/// tree, §V-A) and communication with the number of messages the device
+/// exchanges.
+pub(crate) fn device_cost(tree_nodes: usize, layers: usize, messages: u64) -> f64 {
+    FIXED + PER_TREE_NODE * (tree_nodes * layers) as f64 + PER_MESSAGE * messages as f64
 }
 
 /// The makespan of a synchronous epoch: the maximum device cost.
@@ -62,13 +50,8 @@ mod tests {
 
     #[test]
     fn device_cost_is_linear() {
-        let m = CostModel {
-            fixed: 2.0,
-            per_tree_node: 0.5,
-            per_message: 0.1,
-        };
         // 3·wl+1 = 10 nodes, 2 layers, 8 messages.
-        assert!((m.device_cost(10, 2, 8) - (2.0 + 0.5 * 20.0 + 0.8)).abs() < 1e-12);
+        assert_eq!(device_cost(10, 2, 8), 1.0 + 1.0 * 20.0 + 0.25 * 8.0);
     }
 
     #[test]
@@ -81,18 +64,17 @@ mod tests {
 
     #[test]
     fn trimming_reduces_makespan_in_the_model() {
-        let m = CostModel::default();
         // Untrimmed: one straggler with a 150-neighbor tree (451 nodes).
         let untrimmed: Vec<f64> = vec![
-            m.device_cost(451, 2, 300),
-            m.device_cost(31, 2, 20),
-            m.device_cost(16, 2, 10),
+            device_cost(451, 2, 300),
+            device_cost(31, 2, 20),
+            device_cost(16, 2, 10),
         ];
         // Trimmed: maximum workload 39 (118 nodes).
         let trimmed: Vec<f64> = vec![
-            m.device_cost(118, 2, 78),
-            m.device_cost(61, 2, 40),
-            m.device_cost(46, 2, 30),
+            device_cost(118, 2, 78),
+            device_cost(61, 2, 40),
+            device_cost(46, 2, 30),
         ];
         assert!(epoch_makespan(&trimmed) < epoch_makespan(&untrimmed) / 2.0);
     }

@@ -17,6 +17,8 @@
 //! ([`SimNetwork::new_sharded`]): a server-bound upload is logged as on a
 //! flat network, but the server hears only the aggregators' partials.
 
+use crate::runtime::EMBEDDING_BYTES;
+
 /// The simulated network connecting `n` devices and a server.
 #[derive(Debug, Clone)]
 pub struct SimNetwork {
@@ -103,15 +105,15 @@ impl SimNetwork {
         self.rehome.as_deref()
     }
 
-    /// Ships one `bytes` partial to the server from every aggregator that
-    /// serves the round: all of them, or under a failover map only those
-    /// serving their own shard — an outaged aggregator's members were
-    /// re-homed to its successor, whose merged partial is the one sent. A
-    /// flat network has no aggregators and ships nothing.
-    pub fn send_partials(&mut self, bytes: u64) {
+    /// Ships one [`EMBEDDING_BYTES`] partial to the server from every
+    /// aggregator that serves the round: all of them, or under a failover
+    /// map only those serving their own shard — an outaged aggregator's
+    /// members were re-homed to its successor, whose merged partial is the
+    /// one sent. A flat network has no aggregators and ships nothing.
+    pub fn send_partials(&mut self) {
         for k in 0..self.aggregators as u32 {
             if self.rehome_map().is_none_or(|map| map[k as usize] == k) {
-                self.send_aggregator_to_server(k, bytes);
+                self.send_aggregator_to_server(k, EMBEDDING_BYTES);
             }
         }
     }
@@ -366,7 +368,7 @@ mod tests {
         }
         net.send(0, 2, 8);
         assert_eq!(net.server_received(), 0, "uploads stop at the aggregators");
-        net.send_partials(64);
+        net.send_partials();
         net.round();
         // Server traffic is O(aggregators): 2 messages, not 4.
         assert_eq!(net.server_received(), 2);
@@ -402,7 +404,7 @@ mod tests {
         let mut net = SimNetwork::new(2);
         net.send_to_aggregator(0, 8);
         net.send(1, SimNetwork::SERVER, 8);
-        net.send_partials(8);
+        net.send_partials();
         assert_eq!(net.server_received(), 2);
         assert_eq!(net.server_bytes_received(), 16);
         assert_eq!(net.num_aggregators(), 0);
@@ -419,7 +421,7 @@ mod tests {
         for d in 0..4 {
             net.send(d, SimNetwork::SERVER, 64);
         }
-        net.send_partials(64);
+        net.send_partials();
         assert_eq!(net.server_received(), 1);
         assert_eq!(net.server_bytes_received(), 64);
         // Senders still pay full price for their uploads.
@@ -428,7 +430,7 @@ mod tests {
         net.set_rehome(None);
         assert_eq!(net.rehome_map(), None);
         net.send(0, SimNetwork::SERVER, 64);
-        net.send_partials(64);
+        net.send_partials();
         assert_eq!(net.server_received(), 3);
     }
 

@@ -29,7 +29,7 @@
 use lumos_sim::{DeviceProfile, DeviceWork, EpochStats, RoundWork, STALENESS_CAP};
 use lumos_topo::{tier_timing, tier_timing_failover, Topology};
 
-use crate::clock::{epoch_makespan, epoch_mean_cost, CostModel};
+use crate::clock::{device_cost, epoch_makespan, epoch_mean_cost, CostModel};
 use crate::network::{NetworkSnapshot, SimNetwork};
 
 /// Price multiplier for tree nodes hosted on a currently-unavailable
@@ -136,7 +136,6 @@ struct Carried {
 pub struct Runtime {
     /// The simulated network.
     pub network: SimNetwork,
-    cost_model: CostModel,
     profiles: Option<Vec<DeviceProfile>>,
     /// The open epoch's ledger snapshot.
     current: Option<NetworkSnapshot>,
@@ -147,10 +146,9 @@ pub struct Runtime {
 
 impl Runtime {
     /// Creates a runtime for `n` devices priced by the global cost model.
-    pub fn new(n: usize, cost_model: CostModel) -> Self {
+    pub fn new(n: usize, _cost_model: CostModel) -> Self {
         Self {
             network: SimNetwork::new(n),
-            cost_model,
             profiles: None,
             current: None,
             carried: Vec::new(),
@@ -247,7 +245,7 @@ impl Runtime {
     ) -> EpochRecord {
         let snap = self.current.take().expect("no epoch open");
         if self.tier.is_some() {
-            self.network.send_partials(EMBEDDING_BYTES);
+            self.network.send_partials();
         }
         self.network.round();
         assert_eq!(
@@ -262,7 +260,7 @@ impl Runtime {
         let costs: Vec<f64> = device_tree_nodes
             .iter()
             .zip(&sent)
-            .map(|(&nodes, &msgs)| self.cost_model.device_cost(nodes, layers, msgs))
+            .map(|(&nodes, &msgs)| device_cost(nodes, layers, msgs))
             .collect();
         let total_messages = sent.iter().sum::<u64>();
         let n = self.network.num_devices().max(1) as f64;
@@ -401,8 +399,7 @@ mod tests {
         assert!((rec.avg_messages_per_device - 1.0).abs() < 1e-12);
         assert!(rec.sim.is_none());
         // Straggler: device 2 with 10 tree nodes dominates.
-        let m = CostModel::default();
-        assert!((rec.makespan - m.device_cost(10, 2, 1)).abs() < 1e-9);
+        assert!((rec.makespan - device_cost(10, 2, 1)).abs() < 1e-9);
         assert_eq!(rt.network.rounds(), 1);
     }
 

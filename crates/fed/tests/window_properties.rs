@@ -230,7 +230,7 @@ proptest! {
                 reference.send(from, to, bytes);
             }
             prop_assert_eq!(heard(&sharded), server_before, "uploads stop at the aggregators");
-            sharded.send_partials(EMBEDDING_BYTES);
+            sharded.send_partials();
 
             prop_assert_eq!(sharded.sent_since(&snap), reference.sent_since(&opened));
             prop_assert_eq!(sharded.sent_since(&snap), flat.sent_since(&flat_snap));

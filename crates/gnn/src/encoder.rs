@@ -29,10 +29,6 @@ impl Backbone {
 
 /// Output embedding dimensionality (16 in the paper).
 const OUT_DIM: usize = 16;
-/// GAT attention heads (4 in the paper).
-const HEADS: usize = 4;
-/// Dropout probability between layers (0.01 in the paper).
-const DROPOUT: f32 = 0.01;
 
 /// Encoder hyperparameters (defaults follow §VIII-B).
 #[derive(Debug, Clone)]
@@ -94,7 +90,7 @@ impl GnnEncoder {
                     } else {
                         (cfg.hidden_dim, true)
                     };
-                    let layer = GatLayer::new(store, &name, dim, head_dim, HEADS, concat, rng);
+                    let layer = GatLayer::new(store, &name, dim, head_dim, concat, rng);
                     dim = layer.out_dim();
                     layers.push(Layer::Gat(layer));
                 }
@@ -128,7 +124,7 @@ impl GnnEncoder {
                     return y;
                 }
                 let y = tape.relu(y);
-                apply_dropout(tape, y, DROPOUT, training, rng)
+                apply_dropout(tape, y, training, rng)
             });
         }
         h

@@ -6,6 +6,14 @@ use lumos_tensor::{ParamId, ParamStore, Tape, Tensor, VarId};
 
 use crate::adj::MessageGraph;
 
+/// GAT attention heads per layer (4 in the paper).
+const HEADS: usize = 4;
+/// Negative slope of the LeakyReLU on GAT attention logits (0.2, as in the
+/// original GAT).
+const LEAKY_SLOPE: f32 = 0.2;
+/// Dropout probability between layers (0.01 in the paper).
+const DROPOUT: f32 = 0.01;
+
 /// A graph-convolution layer: `H' = Â H W + b` with symmetric normalization.
 #[derive(Debug, Clone)]
 pub struct GcnLayer {
@@ -66,7 +74,7 @@ struct GatHead {
     a_dst: ParamId,
 }
 
-/// A multi-head graph-attention layer.
+/// A graph-attention layer of four heads (`HEADS`).
 ///
 /// Per head: `e_(u→v) = LeakyReLU(a_srcᵀ W h_u + a_dstᵀ W h_v)`, attention
 /// `α = segment-softmax over incoming arcs of v`, output
@@ -78,24 +86,21 @@ pub struct GatLayer {
     bias: ParamId,
     head_dim: usize,
     concat: bool,
-    leaky_slope: f32,
 }
 
 impl GatLayer {
-    /// Registers a GAT layer with `heads` attention heads of `head_dim`
+    /// Registers a GAT layer of `HEADS` attention heads with `head_dim`
     /// outputs each. If `concat` is true the heads are concatenated
-    /// (output dim `heads·head_dim`), otherwise averaged (`head_dim`).
+    /// (output dim `HEADS·head_dim`), otherwise averaged (`head_dim`).
     pub fn new(
         store: &mut ParamStore,
         name: &str,
         in_dim: usize,
         head_dim: usize,
-        num_heads: usize,
         concat: bool,
         rng: &mut Xoshiro256pp,
     ) -> Self {
-        assert!(num_heads >= 1, "GAT needs at least one head");
-        let heads = (0..num_heads)
+        let heads = (0..HEADS)
             .map(|h| GatHead {
                 w: store.add(
                     format!("{name}.head{h}.weight"),
@@ -111,18 +116,13 @@ impl GatLayer {
                 ),
             })
             .collect();
-        let out_dim = if concat {
-            num_heads * head_dim
-        } else {
-            head_dim
-        };
+        let out_dim = if concat { HEADS * head_dim } else { head_dim };
         let bias = store.add(format!("{name}.bias"), Tensor::zeros(1, out_dim));
         Self {
             heads,
             bias,
             head_dim,
             concat,
-            leaky_slope: 0.2,
         }
     }
 
@@ -154,7 +154,7 @@ impl GatLayer {
             let e_src = tape.gather_rows(s_src, mg.src.clone()); // [E, 1]
             let e_dst = tape.gather_rows(s_dst, mg.dst.clone()); // [E, 1]
             let logits = tape.add(e_src, e_dst);
-            let logits = tape.leaky_relu(logits, self.leaky_slope);
+            let logits = tape.leaky_relu(logits, LEAKY_SLOPE);
             let alpha = tape.segment_softmax(logits, mg.dst.clone(), mg.num_nodes); // [E,1]
             let msgs = tape.gather_rows(wh, mg.src.clone()); // [E, f']
             let weighted = tape.mul_col_broadcast(msgs, alpha);
@@ -201,20 +201,14 @@ impl Layer {
     }
 }
 
-/// Dropout wrapper used between layers (inverted dropout, `p = 0.01` in the
-/// paper). A no-op when `training` is false.
-pub fn apply_dropout(
-    tape: &mut Tape,
-    x: VarId,
-    p: f32,
-    training: bool,
-    rng: &mut Xoshiro256pp,
-) -> VarId {
-    if !training || p == 0.0 {
+/// Dropout wrapper used between layers (inverted dropout at `DROPOUT` =
+/// 0.01, the paper's). A no-op when `training` is false.
+pub fn apply_dropout(tape: &mut Tape, x: VarId, training: bool, rng: &mut Xoshiro256pp) -> VarId {
+    if !training {
         return x;
     }
     let len = tape.value(x).len();
-    let mask = lumos_tensor::nn::dropout_mask(len, p, rng);
+    let mask = lumos_tensor::nn::dropout_mask(len, DROPOUT, rng);
     tape.dropout(x, mask)
 }
 
@@ -339,8 +333,8 @@ mod tests {
     fn gat_forward_shapes_concat_and_mean() {
         let mut r = rng();
         let mut store = ParamStore::new();
-        let concat = GatLayer::new(&mut store, "gat1", 5, 4, 4, true, &mut r);
-        let avg = GatLayer::new(&mut store, "gat2", 16, 6, 4, false, &mut r);
+        let concat = GatLayer::new(&mut store, "gat1", 5, 4, true, &mut r);
+        let avg = GatLayer::new(&mut store, "gat2", 16, 6, false, &mut r);
         assert_eq!(concat.out_dim(), 16);
         assert_eq!(avg.out_dim(), 6);
         let mg = tiny_graph();
@@ -359,7 +353,7 @@ mod tests {
         // W h for every node: attention weights sum to 1.
         let mut r = rng();
         let mut store = ParamStore::new();
-        let layer = GatLayer::new(&mut store, "gat", 3, 2, 1, true, &mut r);
+        let layer = GatLayer::new(&mut store, "gat", 3, 2, true, &mut r);
         let mg = tiny_graph();
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::from_vec(4, 3, vec![0.5; 12]));
@@ -367,7 +361,7 @@ mod tests {
         // All rows identical (same neighborhood value distribution).
         let v = tape.value(y);
         for i in 1..4 {
-            for j in 0..2 {
+            for j in 0..layer.out_dim() {
                 assert!((v.at(i, j) - v.at(0, j)).abs() < 1e-5);
             }
         }
@@ -377,7 +371,7 @@ mod tests {
     fn gat_gradients_match_finite_difference() {
         let mut r = rng();
         let mut store = ParamStore::new();
-        let layer = GatLayer::new(&mut store, "gat", 3, 2, 2, true, &mut r);
+        let layer = GatLayer::new(&mut store, "gat", 3, 2, true, &mut r);
         let mg = tiny_graph();
         let x = Tensor::rand_uniform(4, 3, -1.0, 1.0, &mut r);
         let wid = layer.heads[0].w;
@@ -416,9 +410,9 @@ mod tests {
         let mut r = rng();
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::ones(2, 4));
-        let y = apply_dropout(&mut tape, x, 0.5, false, &mut r);
+        let y = apply_dropout(&mut tape, x, false, &mut r);
         assert_eq!(y, x, "eval mode must not insert a node");
-        let z = apply_dropout(&mut tape, x, 0.5, true, &mut r);
+        let z = apply_dropout(&mut tape, x, true, &mut r);
         assert_ne!(z, x);
     }
 }

@@ -29,7 +29,7 @@ impl MultiBitMechanism {
     pub fn new(epsilon: f64, dim: usize, sampled: usize) -> Self {
         assert!(sampled >= 1 && sampled <= dim, "need 1 <= sampled <= dim");
         Self {
-            mech: OneBitMechanism::new(epsilon / sampled as f64, 0.0, 1.0),
+            mech: OneBitMechanism::new(epsilon / sampled as f64),
             dim,
             sampled,
         }

@@ -180,7 +180,7 @@ impl FeatureEncoder {
         assert!(dim > 0, "feature dimension must be positive");
         let eps_elem = epsilon * workload as f64 / dim as f64;
         Self {
-            mechanism: OneBitMechanism::new(eps_elem, 0.0, 1.0),
+            mechanism: OneBitMechanism::new(eps_elem),
             dim,
             workload,
         }
@@ -254,7 +254,7 @@ impl FeatureEncoder {
 
     /// The full-encoding ablation's mechanism: budget `ε/d` per element.
     fn full_mechanism(&self, total_epsilon: f64) -> OneBitMechanism {
-        OneBitMechanism::new(total_epsilon / self.dim as f64, 0.0, 1.0)
+        OneBitMechanism::new(total_epsilon / self.dim as f64)
     }
 }
 
@@ -405,7 +405,7 @@ mod tests {
         let symbols = [EncodedValue::Zero, EncodedValue::One, EncodedValue::Missing];
         for (eps, wl, dim) in [(2.0, 2, 64), (2.0, 4, 32)] {
             let enc = FeatureEncoder::new(eps, wl, dim);
-            let exact = OneBitMechanism::new(eps / dim as f64, 0.0, 1.0);
+            let exact = OneBitMechanism::new(eps / dim as f64);
             let full = enc.full_mechanism(eps);
             for v in symbols {
                 let (got, want) = (full.decode(v), exact.decode(v));

@@ -1,6 +1,6 @@
 //! The one-bit mechanism (Ding et al., the paper's ref \[38\]).
 //!
-//! Encodes a bounded value `x ∈ [a, b]` as a single bit whose probability of
+//! Encodes a bounded value `x ∈ [0, 1]` as a single bit whose probability of
 //! being 1 grows linearly with `x` (Eq. 26), and recovers an *unbiased*
 //! estimate from the bit (Eq. 27, Theorem 3). The per-element privacy budget
 //! is `ε' = ε·wl(u)/d` in Lumos's feature encoder.
@@ -57,23 +57,25 @@ impl EncodedValue {
     }
 }
 
-/// One-bit mechanism with per-element budget `eps` on the range `[a, b]`.
+/// Lower end of the input range (features live in `[0, 1]`).
+const A: f64 = 0.0;
+/// Upper end of the input range.
+const B: f64 = 1.0;
+
+/// One-bit mechanism with per-element budget `eps` on the range `[0, 1]`.
 #[derive(Debug, Clone, Copy)]
 pub struct OneBitMechanism {
     eps: f64,
-    a: f64,
-    b: f64,
 }
 
 impl OneBitMechanism {
     /// Creates the mechanism.
     ///
     /// # Panics
-    /// Panics if `eps <= 0` or `a >= b`.
-    pub fn new(eps: f64, a: f64, b: f64) -> Self {
+    /// Panics if `eps` is not finite and positive.
+    pub fn new(eps: f64) -> Self {
         assert!(eps > 0.0 && eps.is_finite(), "epsilon must be positive");
-        assert!(a < b, "range must satisfy a < b");
-        Self { eps, a, b }
+        Self { eps }
     }
 
     /// Per-element privacy budget ε'.
@@ -84,8 +86,8 @@ impl OneBitMechanism {
     /// Probability that the mechanism outputs 1 for input `x` (Eq. 26).
     pub fn prob_one(&self, x: f64) -> f64 {
         let e = self.eps.exp();
-        let x = x.clamp(self.a, self.b);
-        1.0 / (e + 1.0) + (x - self.a) / (self.b - self.a) * (e - 1.0) / (e + 1.0)
+        let x = x.clamp(A, B);
+        1.0 / (e + 1.0) + (x - A) / (B - A) * (e - 1.0) / (e + 1.0)
     }
 
     /// Encodes one element (Eq. 26).
@@ -99,12 +101,12 @@ impl OneBitMechanism {
 
     /// Recovers an unbiased estimate from an encoded element (Eq. 27).
     ///
-    /// For `Missing`, returns the midpoint `(a+b)/2`, which carries no
-    /// directional information.
+    /// For `Missing`, returns the midpoint ½, which carries no directional
+    /// information.
     pub fn decode(&self, v: EncodedValue) -> f64 {
         let e = self.eps.exp();
-        let half_span = (self.b - self.a) / 2.0;
-        let mid = (self.a + self.b) / 2.0;
+        let half_span = (B - A) / 2.0;
+        let mid = (A + B) / 2.0;
         match v {
             EncodedValue::One => half_span * (e + 1.0) / (e - 1.0) + mid,
             EncodedValue::Zero => -half_span * (e + 1.0) / (e - 1.0) + mid,
@@ -134,7 +136,7 @@ mod tests {
 
     #[test]
     fn prob_one_is_monotone_and_spans_the_ldp_ratio() {
-        let m = OneBitMechanism::new(2.0, 0.0, 1.0);
+        let m = OneBitMechanism::new(2.0);
         let p_lo = m.prob_one(0.0);
         let p_mid = m.prob_one(0.5);
         let p_hi = m.prob_one(1.0);
@@ -150,8 +152,8 @@ mod tests {
     #[test]
     fn epsilon_ldp_bound_holds_on_a_grid() {
         let eps = 1.5;
-        let m = OneBitMechanism::new(eps, -1.0, 3.0);
-        let grid: Vec<f64> = (0..=20).map(|i| -1.0 + 4.0 * i as f64 / 20.0).collect();
+        let m = OneBitMechanism::new(eps);
+        let grid: Vec<f64> = (0..=20).map(|i| i as f64 / 20.0).collect();
         for &x in &grid {
             for &y in &grid {
                 let r1 = m.prob_one(x) / m.prob_one(y);
@@ -165,7 +167,7 @@ mod tests {
     #[test]
     fn recovery_is_unbiased_theorem_3() {
         // E[x''] must equal x for several inputs (Theorem 3).
-        let m = OneBitMechanism::new(1.0, 0.0, 1.0);
+        let m = OneBitMechanism::new(1.0);
         let mut r = rng();
         for &x in &[0.0, 0.2, 0.5, 0.77, 1.0] {
             let n = 200_000;
@@ -177,8 +179,8 @@ mod tests {
     #[test]
     fn unbiasedness_closed_form() {
         // p·decode(1) + (1-p)·decode(0) == x exactly.
-        let m = OneBitMechanism::new(0.7, -2.0, 5.0);
-        for &x in &[-2.0, -0.5, 1.3, 5.0] {
+        let m = OneBitMechanism::new(0.7);
+        for &x in &[0.0, 0.15, 0.6, 1.0] {
             let p = m.prob_one(x);
             let mean = p * m.decode(EncodedValue::One) + (1.0 - p) * m.decode(EncodedValue::Zero);
             assert!((mean - x).abs() < 1e-9, "x={x}: {mean}");
@@ -187,21 +189,21 @@ mod tests {
 
     #[test]
     fn missing_decodes_to_midpoint() {
-        let m = OneBitMechanism::new(2.0, 0.0, 1.0);
+        let m = OneBitMechanism::new(2.0);
         assert!((m.decode(EncodedValue::Missing) - 0.5).abs() < 1e-12);
         assert_eq!(EncodedValue::Missing.wire_value(), 0.5);
     }
 
     #[test]
     fn variance_decreases_with_budget() {
-        let lo = OneBitMechanism::new(0.5, 0.0, 1.0);
-        let hi = OneBitMechanism::new(4.0, 0.0, 1.0);
+        let lo = OneBitMechanism::new(0.5);
+        let hi = OneBitMechanism::new(4.0);
         assert!(hi.variance(0.5) < lo.variance(0.5));
     }
 
     #[test]
     #[should_panic]
     fn zero_epsilon_rejected() {
-        OneBitMechanism::new(0.0, 0.0, 1.0);
+        OneBitMechanism::new(0.0);
     }
 }

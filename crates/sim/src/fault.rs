@@ -1,9 +1,10 @@
 //! Seeded, fully deterministic fault injection and recovery.
 //!
 //! [`FaultSpec`] names *what can go wrong* — per-device mid-round crashes,
-//! per-send message loss and duplication, aggregator outage windows — and
-//! [`RecoveryPolicy`] names *what the runtime does about it*: a per-send
-//! timeout, exponential backoff with seeded jitter, and a retry budget.
+//! per-send message loss, aggregator outage windows — and the recovery
+//! constants of this module say *what the runtime does about it*: a
+//! per-send timeout of 1 s, exponential backoff from a 500 ms base with
+//! up to 100 ms of seeded jitter, and a budget of 3 retries.
 //! [`FaultState`] owns a dedicated RNG stream (domain-separated from the
 //! trainer's and the scenario's, same idiom as `ScenarioState`) and
 //! compiles each round's concrete outcomes into a static [`FaultPlan`]
@@ -36,11 +37,16 @@ use lumos_common::rng::Xoshiro256pp;
 
 use crate::profile::DeviceProfile;
 
-/// Hard ceiling on retries per send, regardless of the configured budget.
-/// This is what makes "loss rate 1.0 with an unbounded budget" terminate:
-/// past the cap the send is declared exhausted and degrades into the
-/// staleness buffer instead of retrying forever.
-pub const HARD_RETRY_CAP: u32 = 16;
+/// How long a sender waits before declaring an attempt lost, in µs.
+const TIMEOUT_US: u64 = 1_000_000;
+/// Backoff before retry `i` is `BACKOFF_BASE_US × 2^i`, in µs.
+const BACKOFF_BASE_US: u64 = 500_000;
+/// Seeded jitter added to each backoff, drawn uniformly from
+/// `[0, JITTER_US)`, in µs.
+const JITTER_US: u64 = 100_000;
+/// Retries allowed per send before it is declared exhausted and degrades
+/// into the staleness buffer, so even a loss rate of 1.0 terminates.
+pub(crate) const RETRY_BUDGET: u32 = 3;
 
 /// Crash instants are drawn uniformly from this fraction of the device's
 /// compute span, so a crash always interrupts real mid-round work (never
@@ -109,49 +115,21 @@ impl FaultSpec {
     }
 }
 
-/// How lost sends are recovered: detect after a timeout, retry with
-/// exponential backoff plus seeded jitter, give up after a budget. All
-/// durations are fixed-point microseconds (the workspace µs idiom), so
-/// the arithmetic saturates instead of silently truncating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// How long the sender waits before declaring an attempt lost, in µs.
-    pub timeout_us: u64,
-    /// Backoff before retry `i` is `backoff_base_us × 2^i`, in µs.
-    pub backoff_base_us: u64,
-    /// Seeded jitter added to each backoff, drawn uniformly from
-    /// `[0, jitter_us)`, in µs. Zero disables jitter.
-    pub jitter_us: u64,
-    /// Retries allowed per send before it is declared exhausted and
-    /// degrades into the staleness buffer. Clamped to [`HARD_RETRY_CAP`],
-    /// so even `u32::MAX` ("retry forever") terminates.
-    pub retry_budget: u32,
-}
+/// How lost sends are recovered: detect after `TIMEOUT_US`, retry with
+/// exponential backoff plus seeded jitter, give up after `RETRY_BUDGET`
+/// retries. It has no fields — the recovery constants above are the
+/// policy; [`FaultState::new`] still takes one because the benchmark
+/// package pins that signature.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RecoveryPolicy {}
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self {
-            timeout_us: 1_000_000,
-            backoff_base_us: 500_000,
-            jitter_us: 100_000,
-            retry_budget: 3,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// The budget actually executed: the configured one, capped at
-    /// [`HARD_RETRY_CAP`] so every send terminates.
-    pub fn effective_budget(&self) -> u32 {
-        self.retry_budget.min(HARD_RETRY_CAP)
-    }
-
-    /// Backoff before retry `retry` (0-based), in µs: exponential,
-    /// saturating at `u64::MAX` instead of wrapping.
-    pub fn backoff_us(&self, retry: u32) -> u64 {
-        let factor = 1u64.checked_shl(retry).unwrap_or(u64::MAX);
-        self.backoff_base_us.saturating_mul(factor)
-    }
+/// Backoff before retry `retry` (0-based), in µs: exponential, saturating
+/// at `u64::MAX` instead of wrapping. All durations are fixed-point
+/// microseconds (the workspace µs idiom), so the arithmetic saturates
+/// instead of silently truncating.
+fn backoff_us(retry: u32) -> u64 {
+    let factor = 1u64.checked_shl(retry).unwrap_or(u64::MAX);
+    BACKOFF_BASE_US.saturating_mul(factor)
 }
 
 /// Fixed-point µs to `f64` seconds, at the schedule boundary only. The
@@ -304,13 +282,12 @@ impl FaultPlan {
     }
 }
 
-/// The evolving fault stream across rounds: owns the spec, the recovery
-/// policy and a private RNG stream derived only from the run seed. The
-/// mirror of `ScenarioState` for faults.
+/// The evolving fault stream across rounds: owns the spec and a private
+/// RNG stream derived only from the run seed. The mirror of
+/// `ScenarioState` for faults.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     spec: FaultSpec,
-    recovery: RecoveryPolicy,
     rng: Xoshiro256pp,
     round: u64,
 }
@@ -319,10 +296,9 @@ impl FaultState {
     /// Builds the stream for one run. The RNG is domain-separated from
     /// the trainer's and the scenario's seed usage, so enabling faults
     /// never perturbs training math or fleet sampling.
-    pub fn new(spec: FaultSpec, recovery: RecoveryPolicy, seed: u64) -> Self {
+    pub fn new(spec: FaultSpec, _recovery: RecoveryPolicy, seed: u64) -> Self {
         Self {
             spec,
-            recovery,
             rng: Xoshiro256pp::seed_from_u64(seed ^ 0xFA17_0FA1_u64.rotate_left(23)),
             round: 0,
         }
@@ -382,28 +358,22 @@ impl FaultState {
         FaultPlan { crash_frac, upload }
     }
 
-    /// Draws one send's outcome: repeated loss Bernoullis up to the
-    /// effective retry budget, a timeout + backoff + jitter delay per
-    /// retry (saturating µs).
+    /// Draws one send's outcome: repeated loss Bernoullis up to the retry
+    /// budget, a timeout + backoff + jitter delay per retry (saturating
+    /// µs).
     fn draw_send(&mut self, loss_rate: f64) -> SendFaults {
-        let budget = self.recovery.effective_budget();
         let mut retry_delays_us = Vec::new();
         let mut exhausted = false;
         let mut retry = 0u32;
         while self.rng.bernoulli(loss_rate) {
-            if retry >= budget {
+            if retry >= RETRY_BUDGET {
                 exhausted = true;
                 break;
             }
-            let jitter = if self.recovery.jitter_us > 0 {
-                self.rng.range_u64(0, self.recovery.jitter_us)
-            } else {
-                0
-            };
+            let jitter = self.rng.range_u64(0, JITTER_US);
             retry_delays_us.push(
-                self.recovery
-                    .timeout_us
-                    .saturating_add(self.recovery.backoff_us(retry))
+                TIMEOUT_US
+                    .saturating_add(backoff_us(retry))
                     .saturating_add(jitter),
             );
             retry += 1;
@@ -453,20 +423,14 @@ mod tests {
     }
 
     #[test]
-    fn total_loss_with_unbounded_budget_terminates_at_the_hard_cap() {
-        let mut st = FaultState::new(
-            FaultSpec::message_loss(1.0),
-            RecoveryPolicy {
-                retry_budget: u32::MAX,
-                ..RecoveryPolicy::default()
-            },
-            3,
-        );
+    fn total_loss_terminates_at_the_retry_budget() {
+        let mut st = FaultState::new(FaultSpec::message_loss(1.0), RecoveryPolicy::default(), 3);
         let plan = st.compile_round(&fleet(4));
         for d in 0..4 {
             let s = plan.upload(d).expect("total loss faults every upload");
             assert!(s.exhausted, "loss 1.0 must exhaust the budget");
-            assert_eq!(s.retries(), u64::from(HARD_RETRY_CAP));
+            assert_eq!(s.retries(), u64::from(RETRY_BUDGET));
+            assert_eq!(s.lost_attempts(), u64::from(RETRY_BUDGET) + 1);
         }
         let counters = plan.round_counters(&[true; 4]);
         assert_eq!(counters.exhausted_sends, 4);
@@ -525,38 +489,26 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_saturating() {
-        let r = RecoveryPolicy {
-            timeout_us: 10,
-            backoff_base_us: 100,
-            jitter_us: 0,
-            retry_budget: 4,
-        };
-        assert_eq!(r.backoff_us(0), 100);
-        assert_eq!(r.backoff_us(1), 200);
-        assert_eq!(r.backoff_us(3), 800);
-        assert_eq!(r.backoff_us(63), u64::MAX); // multiply saturates, never wraps
-        assert_eq!(r.backoff_us(64), u64::MAX); // shift overflow saturates too
+        assert_eq!(backoff_us(0), 500_000);
+        assert_eq!(backoff_us(1), 1_000_000);
+        assert_eq!(backoff_us(3), 4_000_000);
+        assert_eq!(backoff_us(63), u64::MAX); // multiply saturates, never wraps
+        assert_eq!(backoff_us(64), u64::MAX); // shift overflow saturates too
     }
 
     #[test]
     fn retry_delays_include_timeout_backoff_and_bounded_jitter() {
-        let recovery = RecoveryPolicy {
-            timeout_us: 1_000,
-            backoff_base_us: 500,
-            jitter_us: 100,
-            retry_budget: 8,
-        };
-        let mut st = FaultState::new(FaultSpec::message_loss(1.0), recovery, 13);
+        let mut st = FaultState::new(FaultSpec::message_loss(1.0), RecoveryPolicy::default(), 13);
         let plan = st.compile_round(&fleet(1));
         let s = plan.upload(0).unwrap();
-        assert_eq!(s.retries(), 8);
+        assert_eq!(s.retries(), u64::from(RETRY_BUDGET));
         for (i, &d) in s.retry_delays_us.iter().enumerate() {
             let retry = u32::try_from(i).expect("retry index fits u32");
-            let base = recovery.timeout_us + recovery.backoff_us(retry);
+            let base = TIMEOUT_US + backoff_us(retry);
             assert!(
-                (base..base + recovery.jitter_us).contains(&d),
+                (base..base + JITTER_US).contains(&d),
                 "retry {i}: delay {d} outside [{base}, {})",
-                base + recovery.jitter_us
+                base + JITTER_US
             );
         }
     }

@@ -25,7 +25,7 @@
 //!   message-delivery ([`RoundWork::inbound`]: a receiver's drain starts at
 //!   the latest of its senders' actual delivery times), and inbox-drain
 //!   events, and
-//!   reports the epoch makespan, per-device busy/idle time, per-device
+//!   reports the epoch makespan, per-device busy time, per-device
 //!   update-delivery times, and the straggler's identity.
 //! * [`policy`] — [`AggregationPolicy`]: the synchronous barrier
 //!   (`FullSync`), a semi-synchronous deadline that drops updates landing
@@ -42,8 +42,8 @@
 //!   [`Scenario::Churn`]) and the round-to-round fleet evolution
 //!   ([`ScenarioState`]) including dropout/rejoin.
 //! * [`fault`] — seeded fault injection and recovery: [`FaultSpec`]
-//!   (mid-round crashes, message loss/duplication, aggregator outage
-//!   windows) and [`RecoveryPolicy`] (timeout, exponential backoff with
+//!   (mid-round crashes, message loss, aggregator outage windows) and the
+//!   module's recovery constants (timeout, exponential backoff with
 //!   seeded jitter, retry budget) compiled by [`FaultState`] into a
 //!   per-round [`FaultPlan`] the [`EventDrivenRuntime`] prices as
 //!   [`SimEvent::Crashed`]/[`SimEvent::Lost`]/[`SimEvent::RetryDue`]
@@ -65,7 +65,6 @@ pub mod time;
 pub use epoch::{simulate_epoch, DeviceWork, EpochStats, RoundWork, SERVER_SENDER};
 pub use fault::{
     FaultCounters, FaultPlan, FaultSpec, FaultState, OutageWindow, RecoveryPolicy, SendFaults,
-    HARD_RETRY_CAP,
 };
 pub use policy::{AggregationPolicy, RoundPolicy, STALENESS_CAP};
 pub use profile::{DeviceProfile, FleetSpec, Heterogeneity};

@@ -160,11 +160,9 @@ impl Heterogeneity {
 
 /// How a scenario skews the fleet: independent slowdowns for compute and
 /// for the link (both directions share the link draw — a device on a bad
-/// network is bad both ways).
+/// network is bad both ways), applied to [`DeviceProfile::baseline`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetSpec {
-    /// Baseline profile every device starts from.
-    pub base: DeviceProfile,
     /// Compute-rate slowdown distribution.
     pub compute: Heterogeneity,
     /// Link-throughput slowdown distribution.
@@ -183,11 +181,12 @@ impl FleetSpec {
     pub fn sample_profile(&self, rng: &mut Xoshiro256pp) -> DeviceProfile {
         let compute_slowdown = self.compute.sample_slowdown(rng);
         let link_slowdown = self.link.sample_slowdown(rng);
+        let base = DeviceProfile::baseline();
         let p = DeviceProfile {
-            compute_rate: self.base.compute_rate / compute_slowdown,
-            uplink_bytes_per_sec: self.base.uplink_bytes_per_sec / link_slowdown,
-            downlink_bytes_per_sec: self.base.downlink_bytes_per_sec / link_slowdown,
-            latency_secs: self.base.latency_secs * link_slowdown,
+            compute_rate: base.compute_rate / compute_slowdown,
+            uplink_bytes_per_sec: base.uplink_bytes_per_sec / link_slowdown,
+            downlink_bytes_per_sec: base.downlink_bytes_per_sec / link_slowdown,
+            latency_secs: base.latency_secs * link_slowdown,
             available: true,
         };
         p.validate();
@@ -284,7 +283,6 @@ mod tests {
     #[test]
     fn fleet_sampling_is_seed_deterministic() {
         let spec = FleetSpec {
-            base: DeviceProfile::baseline(),
             compute: Heterogeneity::Pareto { alpha: 1.5 },
             link: Heterogeneity::LogNormal { sigma: 0.4 },
             dropout: 0.0,

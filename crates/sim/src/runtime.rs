@@ -725,16 +725,14 @@ mod tests {
         let profiles = vec![DeviceProfile::baseline(); 1];
         let work = round(vec![burst_work(100.0)]);
         // Find a seed whose single-device round has >= 1 retry that still
-        // recovers (loss 0.5 with a budget of 8 recovers almost surely).
-        let recovery = RecoveryPolicy {
-            timeout_us: 2_000_000,
-            backoff_base_us: 1_000_000,
-            jitter_us: 500_000,
-            retry_budget: 8,
-        };
+        // recovers (at loss 0.5 with a budget of 3, 7 in 16 seeds do).
         let (plan, send) = (0u64..64)
             .find_map(|seed| {
-                let mut st = FaultState::new(FaultSpec::message_loss(0.5), recovery, seed);
+                let mut st = FaultState::new(
+                    FaultSpec::message_loss(0.5),
+                    RecoveryPolicy::default(),
+                    seed,
+                );
                 let plan = st.compile_round(&profiles);
                 let send: Option<SendFaults> = plan.upload(0).cloned();
                 send.filter(|s| !s.exhausted && s.retries() >= 1)
@@ -772,17 +770,10 @@ mod tests {
 
     #[test]
     fn an_exhausted_upload_never_lands_but_still_terminates() {
-        use crate::fault::{FaultSpec, FaultState, RecoveryPolicy, HARD_RETRY_CAP};
+        use crate::fault::{FaultSpec, FaultState, RecoveryPolicy, RETRY_BUDGET};
         let profiles = vec![DeviceProfile::baseline(); 2];
         let work = round(vec![burst_work(100.0), burst_work(100.0)]);
-        let mut st = FaultState::new(
-            FaultSpec::message_loss(1.0),
-            RecoveryPolicy {
-                retry_budget: u32::MAX,
-                ..RecoveryPolicy::default()
-            },
-            11,
-        );
+        let mut st = FaultState::new(FaultSpec::message_loss(1.0), RecoveryPolicy::default(), 11);
         let plan = st.compile_round(&profiles);
         let rt = EventDrivenRuntime::new_with_faults(&profiles, &work, Some(&plan));
         assert_eq!(
@@ -797,9 +788,8 @@ mod tests {
             }
             Control::Continue
         });
-        // Budget capped at HARD_RETRY_CAP: per device, CAP retries plus the
-        // final lost attempt.
-        assert_eq!(lost, 2 * (u64::from(HARD_RETRY_CAP) + 1));
+        // Per device, the budget's retries plus the final lost attempt.
+        assert_eq!(lost, 2 * (u64::from(RETRY_BUDGET) + 1));
         assert!(stats.makespan_secs.is_finite());
         for d in 0..2 {
             assert!(stats.makespan_secs - stats.busy_secs[d] >= 0.0);

@@ -47,31 +47,26 @@ impl Scenario {
 
     /// The fleet distribution this scenario samples devices from.
     pub fn fleet_spec(self) -> FleetSpec {
-        let base = DeviceProfile::baseline();
         match self {
             Scenario::Uniform => FleetSpec {
-                base,
                 compute: Heterogeneity::Uniform,
                 link: Heterogeneity::Uniform,
                 dropout: 0.0,
                 rejoin: 1.0,
             },
             Scenario::MobileFleet => FleetSpec {
-                base,
                 compute: Heterogeneity::LogNormal { sigma: 0.5 },
                 link: Heterogeneity::LogNormal { sigma: 0.75 },
                 dropout: 0.0,
                 rejoin: 1.0,
             },
             Scenario::StragglerTail => FleetSpec {
-                base,
                 compute: Heterogeneity::Pareto { alpha: 1.1 },
                 link: Heterogeneity::Jitter { spread: 0.25 },
                 dropout: 0.0,
                 rejoin: 1.0,
             },
             Scenario::Churn => FleetSpec {
-                base,
                 compute: Heterogeneity::LogNormal { sigma: 0.35 },
                 link: Heterogeneity::LogNormal { sigma: 0.5 },
                 dropout: 0.10,

@@ -9,7 +9,7 @@
 use lumos::core::{run_lumos, LumosConfig, TaskKind};
 use lumos::data::{Dataset, Scale};
 use lumos::gnn::Backbone;
-use lumos::sim::{FaultSpec, OutageWindow, RecoveryPolicy, Scenario};
+use lumos::sim::{FaultSpec, OutageWindow, Scenario};
 use lumos::topo::TopologyConfig;
 
 fn main() {
@@ -45,16 +45,10 @@ fn main() {
     let calm_sim = calm.sim.as_ref().expect("scenario run reports sim stats");
 
     // 2. The chaos run: identical except for the injected faults; the
-    //    default recovery policy (1s timeout, exponential backoff with
-    //    seeded jitter, 3 retries, then degrade into the staleness
-    //    buffer) cleans up after them.
-    let chaos = run_lumos(
-        &ds,
-        &base
-            .clone()
-            .with_faults(faults)
-            .with_recovery(RecoveryPolicy::default()),
-    );
+    //    recovery layer (1s timeout, exponential backoff with seeded
+    //    jitter, 3 retries, then degrade into the staleness buffer)
+    //    cleans up after them.
+    let chaos = run_lumos(&ds, &base.clone().with_faults(faults));
     let chaos_sim = chaos.sim.as_ref().expect("scenario run reports sim stats");
 
     println!("{:<28} {:>12} {:>12}", "", "calm", "chaos");
@@ -86,18 +80,15 @@ fn main() {
     //    and every counter and every learned weight comes back identical.
     let replay = run_lumos(
         &ds,
-        &base
-            .clone()
-            .with_faults(FaultSpec::Faults {
-                crash_rate: 0.0,
-                loss_rate: 0.05,
-                outages: vec![OutageWindow {
-                    aggregator: 1,
-                    from_round: 2,
-                    until_round: 4,
-                }],
-            })
-            .with_recovery(RecoveryPolicy::default()),
+        &base.clone().with_faults(FaultSpec::Faults {
+            crash_rate: 0.0,
+            loss_rate: 0.05,
+            outages: vec![OutageWindow {
+                aggregator: 1,
+                from_round: 2,
+                until_round: 4,
+            }],
+        }),
     );
     assert_eq!(
         chaos.test_metric.to_bits(),

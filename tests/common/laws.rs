@@ -17,7 +17,7 @@ use lumos::core::{
 };
 use lumos::crypto::CommMeter;
 use lumos::data::Dataset;
-use lumos::sim::{FaultSpec, RecoveryPolicy, Scenario};
+use lumos::sim::{FaultSpec, Scenario};
 
 use AggregationPolicy::{Buffered, Deadline, FullSync};
 
@@ -163,10 +163,8 @@ pub enum Collapse {
     LaxDeadline,
     /// Zero-rate `Faults` ≡ `None`: the fault path with nothing firing.
     ZeroRates,
-    /// Without faults, the recovery policy is inert.
-    IdleRecovery,
-    /// With no scenario, the policy, the faults, `VirtualSecs` and the
-    /// recovery policy are inert.
+    /// With no scenario, the policy, the faults and `VirtualSecs` are
+    /// inert.
     NoScenario,
     /// `Bitsliced` ≡ `Scalar` on everything but the secure traffic, which
     /// it cuts.
@@ -175,13 +173,12 @@ pub enum Collapse {
 
 impl Collapse {
     /// Every collapse law.
-    pub const ALL: [Collapse; 8] = [
+    pub const ALL: [Collapse; 7] = [
         Collapse::SingleAggregator,
         Collapse::ZeroDecay,
         Collapse::FullQuorum,
         Collapse::LaxDeadline,
         Collapse::ZeroRates,
-        Collapse::IdleRecovery,
         Collapse::NoScenario,
         Collapse::Bitsliced,
     ];
@@ -190,10 +187,6 @@ impl Collapse {
     /// law's premise.
     pub fn counterpart(self, cfg: &LumosConfig, devices: usize) -> Option<LumosConfig> {
         let twin = cfg.clone();
-        let busy = RecoveryPolicy {
-            retry_budget: 9,
-            ..RecoveryPolicy::default()
-        };
         let zero = FaultSpec::Faults {
             crash_rate: 0.0,
             loss_rate: 0.0,
@@ -212,14 +205,10 @@ impl Collapse {
             (Collapse::ZeroRates, _) if cfg.faults == FaultSpec::None => {
                 Some(twin.with_faults(zero))
             }
-            (Collapse::IdleRecovery, _) if cfg.faults == FaultSpec::None => {
-                Some(twin.with_recovery(busy))
-            }
             (Collapse::NoScenario, _) if cfg.scenario.is_none() => Some(
                 twin.with_aggregation_policy(FullSync)
                     .with_faults(FaultSpec::None)
-                    .with_balance_objective(BalanceObjective::TreeNodes)
-                    .with_recovery(busy),
+                    .with_balance_objective(BalanceObjective::TreeNodes),
             ),
             (Collapse::Bitsliced, _) if cfg.compare_backend == CompareBackend::Scalar => {
                 Some(twin.with_compare_backend(CompareBackend::Bitsliced))

@@ -7,9 +7,9 @@
 //! 1. **Opt-in**: `FaultSpec::None` — and even a zero-rate
 //!    `FaultSpec::Faults` — is bit-identical to the seed path on every
 //!    scenario preset;
-//! 2. **No lost updates**: total message loss with an unbounded retry
-//!    budget still terminates (the hard retry cap exhausts the send) and
-//!    every exhausted upload degrades into the staleness buffer;
+//! 2. **No lost updates**: total message loss still terminates (the
+//!    retry budget exhausts the send) and every exhausted upload degrades
+//!    into the staleness buffer;
 //! 3. **Failover conservation**: an aggregator outage re-homes its shard
 //!    without touching the training math — the tiered POOL stays
 //!    sum-conserving, so the learned model is bit-identical to the same
@@ -18,9 +18,9 @@
 //!    that prices the round, so the exhausted upload's retry chain is on
 //!    the clock and its update has no landing there.
 //!
-//! Contract 1 is two collapse laws of `common::laws` (`IdleRecovery`,
-//! `ZeroRates`), which `tests/conformance.rs` checks on every config of an
-//! all-pairs cover; the tests here pin them on every preset and policy.
+//! Contract 1 is the collapse law `ZeroRates` of `common::laws`, which
+//! `tests/conformance.rs` checks on every config of an all-pairs cover;
+//! the tests here pin it on every preset and policy.
 
 #[expect(dead_code, reason = "each suite calls the laws it pins")]
 mod common;
@@ -32,7 +32,7 @@ use lumos::fed::{ledger_work, SimNetwork};
 use lumos::gnn::Backbone;
 use lumos::sim::{
     AggregationPolicy, DeviceProfile, EventDrivenRuntime, FaultSpec, FaultState, OutageWindow,
-    RecoveryPolicy, RoundPolicy, Scenario, HARD_RETRY_CAP,
+    RecoveryPolicy, RoundPolicy, Scenario,
 };
 use lumos::topo::TopologyConfig;
 use proptest::prelude::*;
@@ -55,10 +55,10 @@ const PRESETS: [Scenario; 4] = [
 fn a_none_fault_spec_is_bit_identical_to_the_seed_on_every_preset() {
     let ds = Dataset::facebook_like(Scale::Smoke);
     for scenario in PRESETS {
-        // A non-default recovery policy must be inert: it is only
-        // consulted once a fault spec is actually set.
+        // The fault-free run reports no fault, and the zero-rate fault
+        // path reproduces it bit for bit.
         let cfg = base_config(11).with_scenario(scenario);
-        let (_, none) = Collapse::IdleRecovery.holds(&ds, &cfg);
+        let (none, _) = Collapse::ZeroRates.holds(&ds, &cfg);
         let sim = none.sim.expect("scenario run reports sim stats");
         assert_eq!(sim.lost_messages, 0);
         assert_eq!(sim.retries, 0);
@@ -107,27 +107,24 @@ fn zero_rate_faults_take_the_fault_path_and_stay_bit_identical() {
 }
 
 #[test]
-fn total_loss_with_an_unbounded_budget_terminates_into_the_buffer() {
-    // Loss rate 1.0: every upload attempt is lost, forever. An unbounded
-    // retry budget must still terminate — the hard retry cap exhausts the
-    // send — and the exhausted update degrades into the staleness buffer
-    // instead of vanishing.
+fn total_loss_terminates_into_the_buffer() {
+    // Loss rate 1.0: every upload attempt is lost, forever. The send must
+    // still terminate — the retry budget exhausts it — and the exhausted
+    // update degrades into the staleness buffer instead of vanishing.
     let ds = Dataset::facebook_like(Scale::Smoke);
     let cfg = base_config(13)
         .with_scenario(Scenario::StragglerTail)
-        .with_faults(FaultSpec::message_loss(1.0))
-        .with_recovery(RecoveryPolicy {
-            retry_budget: u32::MAX,
-            ..RecoveryPolicy::default()
-        });
+        .with_faults(FaultSpec::message_loss(1.0));
     let report = run_lumos(&ds, &cfg);
     let sim = report.sim.expect("scenario run reports sim stats");
     let n = ds.num_nodes() as u64;
     let epochs = 4u64;
-    // Every device retries to the cap every round, then exhausts.
-    assert_eq!(sim.retries, n * epochs * HARD_RETRY_CAP as u64);
+    // `lumos_sim::fault`'s budget: 3 retries per send.
+    let budget = 3;
+    // Every device retries to the budget every round, then exhausts.
+    assert_eq!(sim.retries, n * epochs * budget);
     // Each attempt (initial + every retry) is lost.
-    assert_eq!(sim.lost_messages, n * epochs * (HARD_RETRY_CAP as u64 + 1));
+    assert_eq!(sim.lost_messages, n * epochs * (budget + 1));
     assert!(sim.retry_secs > 0.0, "backoff waits must be priced");
     assert_eq!(sim.crashed_devices, 0);
     assert!(

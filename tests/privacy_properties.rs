@@ -22,7 +22,7 @@ proptest! {
         eps in 0.05f64..8.0,
         x in 0.0f64..1.0,
     ) {
-        let m = OneBitMechanism::new(eps, 0.0, 1.0);
+        let m = OneBitMechanism::new(eps);
         let p = m.prob_one(x);
         let mean = p * m.decode(EncodedValue::One) + (1.0 - p) * m.decode(EncodedValue::Zero);
         prop_assert!((mean - x).abs() < 1e-6, "bias {} at x={x}", mean - x);
@@ -36,7 +36,7 @@ proptest! {
         x in 0.0f64..1.0,
         y in 0.0f64..1.0,
     ) {
-        let m = OneBitMechanism::new(eps, 0.0, 1.0);
+        let m = OneBitMechanism::new(eps);
         let bound = eps.exp() + 1e-9;
         prop_assert!(m.prob_one(x) / m.prob_one(y) <= bound);
         prop_assert!((1.0 - m.prob_one(x)) / (1.0 - m.prob_one(y)) <= bound);
