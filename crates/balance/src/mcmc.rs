@@ -48,15 +48,6 @@ pub struct McmcConfig {
     pub seed: u64,
 }
 
-impl Default for McmcConfig {
-    fn default() -> Self {
-        Self {
-            iterations: 300,
-            seed: 0x0BA1_A4CE,
-        }
-    }
-}
-
 /// Statistics of one MCMC run.
 #[derive(Debug, Clone, Default)]
 pub struct McmcStats {

@@ -52,8 +52,8 @@ impl CompareBackend {
 /// Whether the oracle runs the circuits or prices them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SecurityMode {
-    /// Run the full OT-based circuits (slow, exercised in tests and small
-    /// benches).
+    /// Run the full OT-based circuits (slow: tests, `perf_compare` and the
+    /// benchmark's compare sweeps run them).
     Simulated,
     /// Clear-text results with the identical cost model (paper-scale runs).
     CostModel,

@@ -1,18 +1,17 @@
 //! The reusable event-driven runtime the training stack is built on.
 //!
-//! Any consumer — `lumos-fed`'s `Runtime`, `lumos-core`'s trainer, the
-//! bench harnesses, and [`simulate_epoch`](crate::epoch::simulate_epoch),
-//! the barrier run — subscribes a handler to the raw event stream and makes
-//! decisions *at event granularity*: an aggregation policy judges each
-//! update at its landing event, and an asynchronous round closes the moment
-//! a quorum has landed ([`Control::CloseRound`]) instead of waiting for the
-//! global barrier.
+//! Any consumer — `lumos-fed`'s `Runtime`, `lumos-core`'s trainer, and
+//! [`simulate_epoch`](crate::epoch::simulate_epoch), the barrier run —
+//! subscribes a handler to the raw event stream and makes decisions *at
+//! event granularity*: an aggregation policy judges each update at its
+//! landing event, and an asynchronous round closes the moment a quorum has
+//! landed ([`Control::CloseRound`]) instead of waiting for the global
+//! barrier.
 //!
 //! The schedule is static, so it is a value: every device's compute end,
 //! burst delivery, per-edge arrivals, and inbox drain are priced up front
-//! from its [`DeviceProfile`] and [`RoundWork`], exactly as the lockstep
-//! simulator did (same float operations in the same order, so an
-//! uninterrupted run is bit-identical to the seed's `simulate_epoch`).
+//! from its [`DeviceProfile`] and [`RoundWork`]: the barrier run and every
+//! early close read the same event times.
 //! Every event but an arrival is one `u128` sort key (`key`) that
 //! determines it, and the keys are sorted once as plain integers. Arrivals
 //! are not keyed: a receiver table by sender is expanded right after each
@@ -139,9 +138,9 @@ pub enum Control {
 
 /// One epoch's fully-priced event schedule, ready to run.
 ///
-/// Construction performs the entire static pricing pass of the lockstep
-/// simulator — compute ends, burst barriers, per-destination drain starts,
-/// per-edge arrival fan-out — and sorts the resulting keys once.
+/// Construction performs the round's entire static pricing pass — compute
+/// ends, burst barriers, per-destination drain starts, per-edge arrival
+/// fan-out — and sorts the resulting keys once.
 /// [`EventDrivenRuntime::run`] then walks them in that order, expanding
 /// each delivered burst into its arrivals, and forwards every event to the
 /// subscribed handler.
@@ -401,11 +400,11 @@ impl EventDrivenRuntime {
     /// order, one sender's simultaneous arrivals by ascending receiver:
     /// the sorted keys, with each equal-time run of `Delivered` keys
     /// followed by its senders' arrivals. An uninterrupted run (a handler
-    /// that always returns [`Control::Continue`]) reproduces the lockstep
-    /// `simulate_epoch` bit for bit. On an early close the makespan is the
-    /// closing event's timestamp, remaining events are discarded, and
-    /// per-device busy time is clamped to the makespan, so no active device
-    /// is busy for longer than the round.
+    /// that always returns [`Control::Continue`]) is the synchronous
+    /// barrier, [`simulate_epoch`](crate::epoch::simulate_epoch). On an
+    /// early close the makespan is the closing event's timestamp, remaining
+    /// events are discarded, and per-device busy time is clamped to the
+    /// makespan, so no active device is busy for longer than the round.
     pub fn run(self, mut handler: impl FnMut(VirtualTime, &SimEvent) -> Control) -> EpochStats {
         let mut events = 0u64;
         let mut last: Option<(VirtualTime, u32)> = None;
@@ -506,25 +505,6 @@ mod tests {
     /// The round of per-device `(work, inbound list)` pairs.
     fn round(work: Vec<Listed>) -> RoundWork {
         RoundWork::from_lists(work)
-    }
-
-    #[test]
-    fn uninterrupted_run_matches_the_lockstep_simulator_bitwise() {
-        let mut profiles = vec![DeviceProfile::baseline(); 4];
-        for (i, p) in profiles.iter_mut().enumerate() {
-            p.compute_rate = 80.0 / (i + 1) as f64;
-        }
-        let work = RoundWork::from_lists((0..4u32).map(|i| {
-            let own = DeviceWork {
-                compute_units: 50.0 * (i + 1) as f64,
-                messages_out: 1,
-                bytes_out: 64,
-            };
-            (own, vec![((i + 1) % 4, 32)])
-        }));
-        let lockstep = crate::epoch::simulate_epoch(&profiles, &work);
-        let event_driven = EventDrivenRuntime::new(&profiles, &work).run(|_, _| Control::Continue);
-        assert_eq!(lockstep, event_driven);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! The contract scan clippy cannot run inside `cargo test`: live code names no
 //! `HashMap`/`HashSet`/`Instant::now`/`SystemTime::now` without an `#[expect(clippy::disallowed_..)]`
-//! in the three lines above, and no crypto / LDP `*Share*`/`*Pad*`/`*Encoded*` type derives `Debug`.
-//! And the `tests/clippy_gate` fixture lints with the workspace's own clippy table.
+//! in the three lines above, no crypto / LDP `*Share*`/`*Pad*`/`*Encoded*` type derives `Debug`,
+//! and one file reads the wall clock. And the `tests/clippy_gate` fixture lints with the
+//! workspace's own clippy table.
 
-const ROOTS: [&str; 4] = ["crates", "src", "examples", "benchmark/src"];
-const BANNED: [&str; 4] = ["HashMap", "HashSet", "Instant::now", "SystemTime::now"];
+const ROOTS: [&str; 5] = ["crates", "src", "examples", "benchmark/src", "vendor"];
+const CLOCKS: [&str; 2] = ["Instant::now", "SystemTime::now"];
+const BANNED: [&str; 4] = ["HashMap", "HashSet", CLOCKS[0], CLOCKS[1]];
+/// The one file whose live code reads the wall clock: every measured second is its `Stopwatch`.
+const CLOCK_FILE: &str = "crates/common/src/timer.rs";
 const SECRET: [&str; 3] = ["Share", "Pad", "Encoded"];
 const WAIVER: &str = "#[expect(clippy::disallowed_";
 // `EncodedFeature` is a binned message, already ε-LDP-privatized wire payload; `EncodedValue`
@@ -32,22 +36,50 @@ fn violations(path: &str, text: &str) -> Vec<String> {
     bad
 }
 
-#[test]
-fn live_code_keeps_the_determinism_and_secrecy_contract() {
+/// Every `.rs` file under `ROOTS`, outside `tests` directories, as (path from the repo root, text).
+fn sources() -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (mut dirs, mut bad): (Vec<_>, _) = (ROOTS.map(|d| root.join(d)).into(), Vec::new());
+    let (mut dirs, mut files): (Vec<_>, _) = (ROOTS.map(|d| root.join(d)).into(), Vec::new());
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(dir).expect("source dir reads") {
             let path = entry.expect("dir entry reads").path();
-            if path.is_dir() && !path.ends_with("tests") && !path.ends_with("benches") {
+            if path.is_dir() && !path.ends_with("tests") {
                 dirs.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let text = std::fs::read_to_string(&path).expect("source reads");
-                bad.extend(violations(&path.to_string_lossy(), &text));
+                let rel = path.strip_prefix(root).expect("under the root");
+                files.push((rel.to_string_lossy().into_owned(), text));
             }
         }
     }
+    files
+}
+
+#[test]
+fn live_code_keeps_the_determinism_and_secrecy_contract() {
+    let bad: Vec<String> = sources()
+        .iter()
+        .flat_map(|(path, text)| violations(path, text))
+        .collect();
     assert!(bad.is_empty(), "see clippy.toml:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn one_file_reads_the_wall_clock() {
+    let mut readers: Vec<String> = sources()
+        .into_iter()
+        .filter(|(_, text)| {
+            let mut live = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+            live.any(|l| !l.trim_start().starts_with("//") && CLOCKS.iter().any(|c| l.contains(c)))
+        })
+        .map(|(path, _)| path)
+        .collect();
+    readers.sort();
+    assert_eq!(
+        readers,
+        [CLOCK_FILE],
+        "wall-clock reads stay inside lumos_common::timer"
+    );
 }
 
 #[test]
