@@ -76,13 +76,17 @@ pub fn train_plain(run: PlainRun<'_>) -> RunReport {
     let mut tape = Tape::new();
     for epoch in 0..cfg.epochs {
         tape = tape.reset();
-        let x = tape.constant_ref(&features);
-        let h = encoder.forward(&mut tape, &store, x, &mg, true, &mut rng);
-        let loss_var = head.loss(&mut tape, &store, h, &ds.graph, &mut rng);
-        let loss = tape.value(loss_var).item() as f64;
-        store.zero_grad();
-        tape.accumulate_param_grads(&tape.backward(loss_var), &mut store);
-        opt.step(&mut store);
+        let loss = head.step(
+            &mut tape,
+            &mut store,
+            &mut opt,
+            &ds.graph,
+            &mut rng,
+            |tape, store, rng| {
+                let x = tape.constant_ref(&features);
+                encoder.forward(tape, store, x, &mg, true, rng)
+            },
+        );
 
         let splits = cadence.splits_after(epoch);
         if !splits.is_empty() {

@@ -6,7 +6,7 @@ use lumos_data::Scale;
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Experiment scale. `Paper` runs on both datasets (Facebook: 13–16 s
-    /// per epoch and a 984 MiB peak on a 2-vCPU box, measured by the
+    /// per epoch and an 829 MiB peak on a 2-vCPU box, measured by the
     /// `paper_scale` binary).
     pub scale: Scale,
     /// Base seed.
@@ -81,8 +81,8 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: <experiment> [--scale smoke|small|paper] [--seed N] [--quick] [--json PATH] \
          [--sensitivity]\n  \
-         --scale paper is the paper's sizes: LastFM 7,624 x 128 (0.3 s per epoch, 115 MiB peak), \
-         Facebook 22,470 x 4,714 (13-16 s per epoch, 984 MiB peak) — see the `paper_scale` binary"
+         --scale paper is the paper's sizes: LastFM 7,624 x 128 (0.3 s per epoch, 69 MiB peak), \
+         Facebook 22,470 x 4,714 (13-16 s per epoch, 829 MiB peak) — see the `paper_scale` binary"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

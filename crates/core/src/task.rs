@@ -17,7 +17,7 @@ use lumos_gnn::{
     LinearDecoder,
 };
 use lumos_graph::Graph;
-use lumos_tensor::{ParamStore, Tape, VarId};
+use lumos_tensor::{Adam, ParamStore, Tape, VarId};
 
 use crate::config::TaskKind;
 
@@ -243,6 +243,32 @@ impl TaskHead {
                 link_prediction_loss(tape, pos_logits, neg_logits)
             }
         }
+    }
+
+    /// One training step, for Lumos and the baselines alike: records
+    /// `embed` — the input, the encoder and, for Lumos, POOL — and this
+    /// head's loss over the embeddings it returns in one [`Tape::scope`],
+    /// so every activation no adjoint reads (the encoder's output, the
+    /// gathered leaves) is released before the backward sweep; then one
+    /// optimiser step. Returns the loss.
+    pub fn step<'t>(
+        &self,
+        tape: &mut Tape<'t>,
+        store: &mut ParamStore,
+        opt: &mut Adam,
+        graph: &Graph,
+        rng: &mut Xoshiro256pp,
+        embed: impl FnOnce(&mut Tape<'t>, &ParamStore, &mut Xoshiro256pp) -> VarId,
+    ) -> f64 {
+        let loss_var = tape.scope(|tape| {
+            let h = embed(tape, store, rng);
+            self.loss(tape, store, h, graph, rng)
+        });
+        let loss = tape.value(loss_var).item() as f64;
+        store.zero_grad();
+        tape.accumulate_param_grads(&tape.backward(loss_var), store);
+        opt.step(store);
+        loss
     }
 
     /// The held-out metric of the embeddings `h`: accuracy or ROC-AUC.

@@ -104,9 +104,16 @@ impl GnnEncoder {
         OUT_DIM
     }
 
-    /// Full forward pass: layer → (ReLU → dropout) between layers. Each
+    /// Full forward pass: layer → (dropout → ReLU) between layers. Each
     /// layer records in its own [`Tape::scope`], so the activations no
     /// adjoint reads back are released as soon as it returns.
+    ///
+    /// Dropout's factor is `0.0` or `1/(1-p) > 0`, so on finite values the
+    /// two orders compute one function up to the sign of a zero, which no
+    /// reader sees: the next layer's products skip a zero multiplier, and
+    /// the adjoint's zeros reach only sums that start from `+0.0`. With
+    /// dropout first, ReLU's output is both what its adjoint reads and the
+    /// next layer's input: one buffer serves both.
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -123,8 +130,8 @@ impl GnnEncoder {
                 if i + 1 == self.layers.len() {
                     return y;
                 }
-                let y = tape.relu(y);
-                apply_dropout(tape, y, training, rng)
+                let y = apply_dropout(tape, y, training, rng);
+                tape.relu(y)
             });
         }
         h
@@ -188,6 +195,79 @@ mod tests {
         let mut r1 = Xoshiro256pp::seed_from_u64(1);
         let mut r2 = Xoshiro256pp::seed_from_u64(2);
         assert_eq!(run(&mut r1), run(&mut r2), "no stochasticity in eval mode");
+    }
+
+    /// Dropout before ReLU changes no bit: one training step through the
+    /// encoder against the old chain (ReLU, then dropout) written out here,
+    /// on inputs holding exact zeros, `-0.0` and negatives and on biases
+    /// holding them too, with masks that drop positive activations.
+    #[test]
+    fn dropout_before_relu_matches_the_old_order_bit_for_bit() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut r = Xoshiro256pp::seed_from_u64(2023);
+        for backbone in [Backbone::Gcn, Backbone::Gat] {
+            let (n, d) = (300, 8);
+            let mut store = ParamStore::new();
+            let enc = GnnEncoder::new(&mut store, &EncoderConfig::paper(backbone, d), &mut r);
+            for id in store.ids().collect::<Vec<_>>() {
+                if store.get(id).name.ends_with("bias") {
+                    for b in store.get_mut(id).value.data_mut() {
+                        *b = [0.0, -0.0, -0.3, 0.3][r.index(4)];
+                    }
+                }
+            }
+            let edges: Vec<(u32, u32)> = (0..2 * n)
+                .map(|_| (r.index(n) as u32, r.index(n) as u32))
+                .collect();
+            // The last tenth of the nodes has no arc and, like every tenth
+            // row, no nonzero input: such a node sits at its bias.
+            let edges: Vec<_> = (edges.into_iter())
+                .filter(|&(u, v)| u.max(v) < 270)
+                .collect();
+            let mg = MessageGraph::from_undirected(n, &edges);
+            let mut x = Tensor::rand_uniform(n, d, -1.0, 1.0, &mut r);
+            for i in 0..n {
+                for j in 0..d {
+                    if i % 10 == 0 || i >= 270 || r.bernoulli(0.2) {
+                        x.set(i, j, if r.bernoulli(0.5) { 0.0 } else { -0.0 });
+                    }
+                }
+            }
+            let weights = Tensor::rand_uniform(n, enc.out_dim(), -1.0, 1.0, &mut r);
+            let seed = r.next_u64();
+
+            let mut step = |new_order: bool| {
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let mut tape = Tape::new();
+                let xv = tape.constant_ref(&x);
+                let h = if new_order {
+                    enc.forward(&mut tape, &store, xv, &mg, true, &mut rng)
+                } else {
+                    let (mut h, mut dropped_positive) = (xv, 0);
+                    for (i, layer) in enc.layers.iter().enumerate() {
+                        h = layer.forward(&mut tape, &store, h, &mg);
+                        if i + 1 < enc.layers.len() {
+                            let relu = tape.relu(h);
+                            h = apply_dropout(&mut tape, relu, true, &mut rng);
+                            dropped_positive += (tape.value(relu).data().iter())
+                                .zip(tape.value(h).data())
+                                .filter(|&(&y, &out)| y > 0.0 && out == 0.0)
+                                .count();
+                        }
+                    }
+                    assert!(dropped_positive > 0, "the masks drop a positive value");
+                    h
+                };
+                let wv = tape.constant_ref(&weights);
+                let weighted = tape.mul(h, wv);
+                let loss = tape.sum_all(weighted);
+                store.zero_grad();
+                tape.accumulate_param_grads(&tape.backward(loss), &mut store);
+                let grads: Vec<_> = store.iter().map(|(_, p)| bits(&p.grad)).collect();
+                (bits(tape.value(loss)), grads, rng)
+            };
+            assert_eq!(step(true), step(false), "{backbone:?}");
+        }
     }
 
     #[test]

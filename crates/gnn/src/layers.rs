@@ -44,7 +44,10 @@ impl GcnLayer {
         self.out_dim
     }
 
-    /// One propagation step over the message graph.
+    /// One propagation step over the message graph. No adjoint reads `X·W`
+    /// or the propagated sum, so each goes back to the free list once its
+    /// one reader has run: the layer holds two `[nodes × out]` buffers at a
+    /// time, not three.
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -54,15 +57,19 @@ impl GcnLayer {
     ) -> VarId {
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        let agg = tape.propagate(
-            xw,
-            mg.src.clone(),
-            mg.gcn_coeff.clone(),
-            mg.dst.clone(),
-            mg.num_nodes,
-        );
-        tape.add_row_broadcast(agg, b)
+        tape.scope(|tape| {
+            let agg = tape.scope(|tape| {
+                let xw = tape.matmul(x, w);
+                tape.propagate(
+                    xw,
+                    mg.src.clone(),
+                    mg.gcn_coeff.clone(),
+                    mg.dst.clone(),
+                    mg.num_nodes,
+                )
+            });
+            tape.add_row_broadcast(agg, b)
+        })
     }
 }
 

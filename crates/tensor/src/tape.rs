@@ -30,6 +30,7 @@ use crate::kernels::{
     scale_rows_into, scatter_add_rows_into, segment_softmax_backward_into, segment_softmax_into,
 };
 use crate::matmul::RowOperand;
+use crate::nn::DropoutMask;
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::{matmul_rows_into, matmul_tn_rows_into, Tensor};
 
@@ -62,7 +63,7 @@ enum Op {
     /// Logistic sigmoid.
     Sigmoid(VarId),
     /// Inverted dropout with a fixed 0/scale mask sampled at forward time.
-    Dropout(VarId, Rc<Vec<f32>>),
+    Dropout(VarId, DropoutMask),
     /// Row gather by index.
     GatherRows(VarId, Rc<Vec<u32>>),
     /// Row scatter-add into `out_rows` rows.
@@ -490,17 +491,12 @@ impl<'a> Tape<'a> {
         self.push_map(Op::Sigmoid(a), a, |x| 1.0 / (1.0 + (-x).exp()))
     }
 
-    /// Inverted dropout. `mask` must contain `0.0` (dropped) or
-    /// `1/(1-p)` (kept) per element; sample it with
+    /// Inverted dropout: each element times its factor in `mask`, `0.0`
+    /// (dropped) or `1/(1-p)` (kept); sample it with
     /// [`crate::nn::dropout_mask`].
-    pub fn dropout(&mut self, a: VarId, mask: Rc<Vec<f32>>) -> VarId {
-        assert_eq!(
-            mask.len(),
-            self.value(a).len(),
-            "dropout mask length mismatch"
-        );
+    pub fn dropout(&mut self, a: VarId, mask: DropoutMask) -> VarId {
         let mut v = self.buf(mask.len());
-        self.value(a).zip_slice_into(&mask, &mut v, |x, m| x * m);
+        mask.scale_into(self.value(a), &mut v);
         self.push(Op::Dropout(a, mask), &[a], v)
     }
 
@@ -790,7 +786,7 @@ impl<'a> Tape<'a> {
                 });
             }
             Op::Dropout(a, mask) => {
-                grads.accumulate_with(*a, g.len(), |da| g.zip_slice_into(mask, da, |x, m| x * m));
+                grads.accumulate_with(*a, g.len(), |da| mask.scale_into(g, da));
             }
             Op::GatherRows(a, idx) => {
                 let (rows, cols) = self.dims(*a);
@@ -1345,7 +1341,7 @@ mod tests {
     fn dropout_backward_respects_mask() {
         let mut store = ParamStore::new();
         let a = store.add("a", Tensor::from_vec(1, 4, vec![1., 2., 3., 4.]));
-        let mask = Rc::new(vec![0.0f32, 2.0, 0.0, 2.0]);
+        let mask = DropoutMask::from_kept([false, true, false, true], 0.5);
         let mut t = Tape::new();
         let av = t.param(&store, a);
         let d = t.dropout(av, mask);

@@ -258,7 +258,7 @@ impl Tensor {
     }
 
     /// Elementwise combination with a flat slice holding one value per
-    /// element (a dropout mask, per-element targets), into `out`.
+    /// element (per-element targets), into `out`.
     pub(crate) fn zip_slice_into(
         &self,
         other: &[f32],

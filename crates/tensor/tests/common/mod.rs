@@ -9,6 +9,7 @@
 use std::rc::Rc;
 
 use lumos_common::rng::Xoshiro256pp;
+use lumos_tensor::nn::DropoutMask;
 use lumos_tensor::{ParamId, ParamStore, RowOperand, Tape, Tensor, VarId};
 
 /// How a leaf enters a recording.
@@ -352,17 +353,8 @@ impl Chain<'_> {
             8 => self.note(tape.leaky_relu(x, 0.2), &[x]),
             9 => self.note(tape.sigmoid(x), &[x]),
             10 => {
-                let mask = Rc::new(
-                    (0..n * d)
-                        .map(|_| {
-                            if self.rng.bernoulli(0.3) {
-                                0.0
-                            } else {
-                                1.0 / 0.7
-                            }
-                        })
-                        .collect(),
-                );
+                let mask =
+                    DropoutMask::from_kept((0..n * d).map(|_| !self.rng.bernoulli(0.3)), 0.3);
                 self.note(tape.dropout(x, mask), &[x])
             }
             11 => {
